@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-noasm race lint vet-tool fmt bench-smoke ci
+.PHONY: all build test test-noasm race lint vet-tool fmt bench bench-smoke ci
 
 all: lint test
 
@@ -36,7 +36,17 @@ vet-tool:
 fmt:
 	gofmt -w .
 
+# bench runs the repo's one benchmark (BENCHMARK.json): all four
+# workloads, end-to-end metrics; see benchmark/README.md for flags.
+bench:
+	bash benchmark/run.sh
+
+# bench-smoke runs every go-test benchmark once, then the harness: its own
+# vet + smoke test (benchmark/ is a separate module, so ./... skips it)
+# and a short gf-batch-serve run, which fails on any wrong decode.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
+	cd benchmark && $(GO) vet . && $(GO) test .
+	bash benchmark/run.sh --workload gf-batch-serve --seconds 4
 
 ci: lint test test-noasm race bench-smoke

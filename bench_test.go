@@ -236,6 +236,109 @@ func BenchmarkGFMDSDecodeExact(b *testing.B) {
 	}
 }
 
+// s2c2Ranges plans one GeneralS2C2 round for the given relative speeds
+// and returns each worker's assigned row ranges.
+func s2c2Ranges(b *testing.B, n, k, blockRows int, speeds []float64) [][]coding.Range {
+	plan, err := (&sched.GeneralS2C2{N: n, K: k, BlockRows: blockRows}).Plan(speeds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return plan.Assignments
+}
+
+// benchSpeeds returns n relative speeds: uniform, or spread over
+// [0.5, 1.5) so the plan's range boundaries fall everywhere.
+func benchSpeeds(n int, uniform bool) []float64 {
+	rng := rand.New(rand.NewSource(12))
+	speeds := make([]float64, n)
+	for i := range speeds {
+		speeds[i] = 1
+		if !uniform {
+			speeds[i] = 0.5 + rng.Float64()
+		}
+	}
+	return speeds
+}
+
+// BenchmarkMDSDecodeBands times the band-wise float64 decode of one S2C2
+// round at the benchmark workloads' shapes: dram-matvec (MDS(4,3), four
+// 1024-row bands), straggler-mix (MDS(6,4), bands of a few hundred rows
+// or fewer) and sim-paper (n = 12, k = 6, bands of a few rows) — long
+// bands, where the solve runs as vector sweeps, and short ones, where
+// per-band cost is what is left.
+func BenchmarkMDSDecodeBands(b *testing.B) {
+	for _, sh := range []struct {
+		name                string
+		n, k, rows, cols, w int
+		uniform             bool
+	}{
+		{"dram-matvec", 4, 3, 12288, 64, 1, true},
+		{"straggler-mix", 6, 4, 6144, 64, 1, false},
+		{"sim-paper", 12, 6, 600, 48, 1, false},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(13))
+			code, _ := coding.NewMDSCode(sh.n, sh.k)
+			enc := code.Encode(mat.Rand(sh.rows, sh.cols, rng))
+			xs := make([]float64, sh.w*sh.cols)
+			for i := range xs {
+				xs[i] = rng.Float64()
+			}
+			var partials []*coding.Partial
+			for w, ranges := range s2c2Ranges(b, sh.n, sh.k, enc.BlockRows, benchSpeeds(sh.n, sh.uniform)) {
+				partials = append(partials, enc.WorkerComputeBatchInto(w, xs, sh.w, ranges, nil))
+			}
+			ws := enc.NewDecodeWorkspace()
+			dst := make([]float64, enc.OrigRows*sh.w)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := enc.DecodeMatVecInto(dst, partials, ws); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGFMDSDecodeBands is the exact decoder's counterpart at the
+// gf-batch-serve shape: GF MDS(4,3), 1536×256, width-8 batch, four
+// 128-row bands with parity in every decode set.
+func BenchmarkGFMDSDecodeBands(b *testing.B) {
+	const n, k, rows, cols, width = 4, 3, 1536, 256, 8
+	rng := rand.New(rand.NewSource(14))
+	data := make([]gf.Elem, rows*cols)
+	for i := range data {
+		data[i] = gf.New(rng.Uint64())
+	}
+	code, _ := coding.NewGFMDSCode(n, k)
+	enc, err := code.Encode(rows, cols, data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	xs := make([]gf.Elem, width*cols)
+	for i := range xs {
+		xs[i] = gf.New(rng.Uint64())
+	}
+	var partials []*coding.GFPartial
+	for w, ranges := range s2c2Ranges(b, n, k, enc.BlockRows, benchSpeeds(n, true)) {
+		p, err := enc.WorkerMatVecBatch(w, xs, width, ranges)
+		if err != nil {
+			b.Fatal(err)
+		}
+		partials = append(partials, p)
+	}
+	ws := enc.NewDecodeWorkspace()
+	dst := make([]gf.Elem, rows*width)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := enc.DecodeMatVecInto(dst, partials, ws); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkPolyEncodeHessian(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	a := mat.Rand(300, 120, rng)

@@ -11,8 +11,6 @@
 //	s2c2-exp -iters 15        # iterations per job (paper: 15)
 //	s2c2-exp -lstm            # use the LSTM forecaster (slower)
 //	s2c2-exp -csv traces.csv  # also export the Figure 2 speed traces
-//	s2c2-exp -kernelbench BENCH_PR8.json  # kernel-backend benchmark JSON
-//	s2c2-exp -servebench BENCH_PR10.json  # multi-job serving benchmark JSON
 //	s2c2-exp -backends        # print available/dispatched kernel backends
 package main
 
@@ -30,16 +28,14 @@ import (
 
 func main() {
 	var (
-		exp    = flag.String("exp", "", "experiment ID to run (default: all)")
-		list   = flag.Bool("list", false, "list experiment IDs and exit")
-		scale  = flag.Int("scale", 1, "problem-size multiplier")
-		iters  = flag.Int("iters", 15, "iterations per job")
-		seed   = flag.Int64("seed", 42, "master seed")
-		lstm   = flag.Bool("lstm", false, "use the LSTM speed predictor")
-		csv    = flag.String("csv", "", "export Figure 2 speed traces to this CSV file")
-		kbench = flag.String("kernelbench", "", "write kernel-backend benchmark JSON to this file and exit")
-		sbench = flag.String("servebench", "", "write multi-job serving benchmark JSON to this file and exit")
-		backs  = flag.Bool("backends", false, "print available and dispatched kernel backends and exit")
+		exp   = flag.String("exp", "", "experiment ID to run (default: all)")
+		list  = flag.Bool("list", false, "list experiment IDs and exit")
+		scale = flag.Int("scale", 1, "problem-size multiplier")
+		iters = flag.Int("iters", 15, "iterations per job")
+		seed  = flag.Int64("seed", 42, "master seed")
+		lstm  = flag.Bool("lstm", false, "use the LSTM speed predictor")
+		csv   = flag.String("csv", "", "export Figure 2 speed traces to this CSV file")
+		backs = flag.Bool("backends", false, "print available and dispatched kernel backends and exit")
 	)
 	flag.Parse()
 
@@ -47,20 +43,6 @@ func main() {
 		// CI capability probe: lanes that force S2C2_KERNEL_BACKEND check
 		// the backend is actually available on the runner before running.
 		fmt.Printf("available=%s dispatched=%s\n", strings.Join(kernel.Backends(), ","), kernel.ActiveBackend())
-		return
-	}
-
-	if *kbench != "" {
-		if err := runKernelBench(*kbench); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *sbench != "" {
-		if err := runServeBench(*sbench); err != nil {
-			fatal(err)
-		}
 		return
 	}
 

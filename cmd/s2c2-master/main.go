@@ -186,8 +186,9 @@ func runExact(cfg rpc.MasterConfig, n, k, iters, rows, cols int, timeoutFrac flo
 		if len(stats.TimedOut) > 0 {
 			fmt.Printf("  iter %d: timed out %v, reassigned %d rows\n", iter, stats.TimedOut, stats.Reassigned)
 		}
-		fmt.Printf("iter %2d: %8.2fms  bit-exact ✓\n",
-			iter, float64(time.Since(start).Microseconds())/1000)
+		compute, resp := slowestWorker(stats)
+		fmt.Printf("iter %2d: %8.2fms  slowest worker %s compute / %s response  bit-exact ✓\n",
+			iter, float64(time.Since(start).Microseconds())/1000, ms(compute), ms(resp))
 	}
 	fmt.Printf("all %d exact rounds decoded bit-identically to the local field compute\n", iters)
 	return nil
@@ -237,6 +238,7 @@ func run(cfg rpc.MasterConfig, n, k, iters, samples, feats int, timeoutFrac floa
 		speeds := predictSpeeds(ar1, history, n)
 		start := time.Now()
 		outputs := make([][]float64, len(matrices))
+		var compute, resp time.Duration // slowest worker's, summed over the phases
 		for p := range matrices {
 			in := lr.PhaseInput(p, state, outputs[:p])
 			plan, err := m.PlanRound(strategies[p], speeds)
@@ -253,6 +255,8 @@ func run(cfg rpc.MasterConfig, n, k, iters, samples, feats int, timeoutFrac floa
 			}
 			outputs[p] = out
 			recordSpeeds(history, stats, encs[p].Cols)
+			c, r := slowestWorker(stats)
+			compute, resp = compute+c, resp+r
 			if len(stats.TimedOut) > 0 {
 				fmt.Printf("  iter %d phase %d: timed out %v, reassigned %d rows\n",
 					iter, p, stats.TimedOut, stats.Reassigned)
@@ -262,13 +266,28 @@ func run(cfg rpc.MasterConfig, n, k, iters, samples, feats int, timeoutFrac floa
 		if len(history[0]) >= 3 {
 			ar1.Fit(history) //nolint:errcheck // refit is best-effort
 		}
-		fmt.Printf("iter %2d: %8.2fms  loss %.4f  acc %.3f\n",
-			iter, float64(time.Since(start).Microseconds())/1000,
+		fmt.Printf("iter %2d: %8.2fms  slowest worker %s compute / %s response  loss %.4f  acc %.3f\n",
+			iter, float64(time.Since(start).Microseconds())/1000, ms(compute), ms(resp),
 			lr.Loss(state), lr.Accuracy(state))
 	}
 	fmt.Printf("final model: loss %.4f accuracy %.3f\n", lr.Loss(state), lr.Accuracy(state))
 	return nil
 }
+
+// slowestWorker returns the round's critical worker's own kernel time
+// (reported in its results) and its wall response time as the master saw
+// it; the difference is wire, queueing and emulated straggler delay.
+func slowestWorker(stats *rpc.RoundStats) (compute, resp time.Duration) {
+	for w, r := range stats.ResponseTime {
+		if r > resp {
+			compute, resp = stats.ComputeTime[w], r
+		}
+	}
+	return compute, resp
+}
+
+// ms formats a duration as fractional milliseconds.
+func ms(d time.Duration) string { return fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000) }
 
 // reportRecovery prints the job's cumulative failure-recovery activity,
 // if any worker ever needed replacing or evicting.

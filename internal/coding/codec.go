@@ -15,6 +15,9 @@ package coding
 
 import (
 	"fmt"
+	"slices"
+
+	"github.com/coded-computing/s2c2/internal/kernel"
 )
 
 // Range is a half-open row-index interval [Lo, Hi) within a partition.
@@ -116,37 +119,63 @@ func validatePartial(worker int, ranges []Range, numValues, rowWidth, blockRows 
 	return nil
 }
 
-// rowTable indexes partial results row-by-row for a decode pass, generic
-// over the value element (float64 for the MDS/polynomial codecs, gf.Elem
-// for the exact-field codec — one implementation of the trickiest reuse
-// logic instead of two). offsets[w][r] is the offset into values[w] for
-// row r, or -1 when worker w did not compute row r.
+// span is one contiguous row range of one registered partial: the worker
+// in arrival slot slot computed rows [lo, hi), rowWidth values a row, and
+// vals views them inside the partial's own Values — the table never
+// copies result data.
+type span[T any] struct {
+	slot   int
+	lo, hi int
+	vals   []T
+}
+
+// rowBand is a run of partition rows [lo, hi) decoded from one selection
+// of k spans — sel[0:k], ordered by ascending worker id.
+type rowBand struct {
+	lo, hi int
+	sel    int // offset of the band's k span indices in rowTable.sel
+}
+
+// rowTable turns the partial results of one decode pass into bands,
+// generic over the value element (float64 for the MDS/polynomial codecs,
+// gf.Elem for the exact-field codec — one implementation of the
+// trickiest bookkeeping instead of two). Rows between two consecutive
+// range boundaries of the registered partials are covered by exactly the
+// same spans, so coverage is decided once per band, never per row:
+// building costs O(#ranges · log #ranges + #bands · coverage depth) and
+// is independent of how many rows a band holds.
 //
-// A rowTable is reusable: reset clears it and add repopulates it,
-// retaining map entries and per-worker slices across decode rounds so a
-// steady-state rebuild performs no allocation once every recurring worker
-// has an entry.
+// Each band is decoded from the first k workers, in arrival order, that
+// cover it — the rule the per-row decoders applied to every row — then
+// ordered by worker id so decode-system cache keys ignore arrival order.
+//
+// A rowTable is reusable: reset clears it, add repopulates it and bands
+// rebuilds the band list, all on retained storage, so a steady-state
+// rebuild performs no allocation.
 type rowTable[T any] struct {
 	blockRows int
 	rowWidth  int
-	offsets   map[int][]int
-	values    map[int][]T
-	order     []int // workers in arrival order
+	order     []int     // workers in arrival order
+	spans     []span[T] // in registration order
+
+	k     int
+	list  []rowBand
+	sel   []int // k span indices per band
+	cuts  []int // scratch: sorted distinct range boundaries
+	byLo  []int // scratch: span indices ordered by lo
+	cover []int // scratch: spans covering the band being built
+	pick  []int // scratch: per arrival slot, its latest covering span
 }
 
 // reset prepares the table for a new decode round over partitions of
-// blockRows rows, keeping per-worker storage for reuse.
+// blockRows rows, keeping storage for reuse.
 func (t *rowTable[T]) reset(blockRows int) {
-	if t.offsets == nil {
-		// First round only; map entries are retained and reused after.
-		//s2c2:waive noalloc
-		t.offsets = make(map[int][]int, 8)
-		//s2c2:waive noalloc
-		t.values = make(map[int][]T, 8)
-	}
 	t.blockRows = blockRows
 	t.rowWidth = 0
 	t.order = t.order[:0]
+	clear(t.spans) // drop the previous round's views of its partials
+	t.spans = t.spans[:0]
+	t.list = t.list[:0]
 }
 
 // add registers one partial result: the given worker computed values for
@@ -154,7 +183,7 @@ func (t *rowTable[T]) reset(blockRows int) {
 // entries are legal — the rpc reassignment path delivers a worker's
 // original ranges and its reassigned extras as separate partials, and a
 // slow worker's late duplicate of an already-covered row may follow. The
-// last registered offset wins, which is sound because every copy of a
+// last registered copy wins, which is sound because every copy of a
 // (worker, row) value is the same deterministic kernel output.
 func (t *rowTable[T]) add(worker int, ranges []Range, values []T, rowWidth int) error {
 	if err := validatePartial(worker, ranges, len(values), rowWidth, t.blockRows); err != nil {
@@ -165,78 +194,138 @@ func (t *rowTable[T]) add(worker int, ranges []Range, values []T, rowWidth int) 
 	} else if t.rowWidth != rowWidth {
 		return fmt.Errorf("coding: mixed row widths %d and %d", t.rowWidth, rowWidth)
 	}
-	off := t.offsets[worker]
-	seen := false
-	for _, w := range t.order {
-		if w == worker {
-			seen = true
-			break
-		}
+	slot := 0
+	for slot < len(t.order) && t.order[slot] != worker {
+		slot++
 	}
-	if !seen {
-		if cap(off) < t.blockRows {
-			//s2c2:waive noalloc — first round this worker appears, reused after
-			off = make([]int, t.blockRows)
-		}
-		off = off[:t.blockRows]
-		for i := range off {
-			off[i] = -1
-		}
-		t.offsets[worker] = off
-		t.values[worker] = t.values[worker][:0]
+	if slot == len(t.order) {
 		// Amortized: order resets to length 0 each round, capacity retained.
 		//s2c2:waive noalloc
 		t.order = append(t.order, worker)
 	}
-	vals := t.values[worker]
-	base := len(vals)
-	// Amortized: per-worker value storage retains capacity across rounds.
-	//s2c2:waive noalloc
-	vals = append(vals, values...)
-	t.values[worker] = vals
-	at := base
+	at := 0
 	for _, r := range ranges {
-		for row := r.Lo; row < r.Hi; row++ {
-			off[row] = at
-			at += rowWidth
+		n := r.Len() * rowWidth
+		if n > 0 {
+			// Amortized: spans resets to length 0 each round, capacity retained.
+			//s2c2:waive noalloc
+			t.spans = append(t.spans, span[T]{slot: slot, lo: r.Lo, hi: r.Hi, vals: values[at : at+n]})
 		}
+		at += n
 	}
 	return nil
 }
 
-// appendWorkersForRow appends up to max workers (in arrival order) that
-// computed the given row onto dst, reusing its storage.
-func (t *rowTable[T]) appendWorkersForRow(dst []int, row, max int) []int {
-	dst = dst[:0]
-	for _, w := range t.order {
-		if t.offsets[w][row] >= 0 {
-			// Writes through dst's reused storage (bounded by k workers).
-			//s2c2:waive noalloc
-			dst = append(dst, w)
-			if len(dst) == max {
-				break
+// bands builds the band list: every row of [0, blockRows) must be covered
+// by at least k distinct workers, or the first uncovered row is reported
+// as ErrInsufficient. Adjacent bands that select the same spans (a
+// boundary contributed only by a span nobody selected) are merged.
+func (t *rowTable[T]) bands(k int) error {
+	t.k = k
+	t.list = t.list[:0]
+	t.sel = t.sel[:0]
+	// Boundaries: the band edges are the distinct range ends.
+	//s2c2:waive noalloc — scratch below retains capacity across rounds
+	t.cuts = append(t.cuts[:0], 0, t.blockRows)
+	t.byLo = t.byLo[:0]
+	ns := len(t.spans)
+	for i, s := range t.spans {
+		//s2c2:waive noalloc
+		t.cuts = append(t.cuts, s.lo, s.hi)
+		// One sortable key per span: lo major, registration index minor.
+		//s2c2:waive noalloc
+		t.byLo = append(t.byLo, s.lo*ns+i)
+	}
+	slices.Sort(t.cuts)
+	t.cuts = slices.Compact(t.cuts)
+	slices.Sort(t.byLo)
+	t.pick = kernel.GrowInts(t.pick, len(t.order))
+	for i := range t.pick {
+		t.pick[i] = -1
+	}
+	t.cover = t.cover[:0]
+	next := 0 // first span of byLo not yet opened
+	for c := 0; c+1 < len(t.cuts); c++ {
+		lo, hi := t.cuts[c], t.cuts[c+1]
+		// Close the spans that ended at lo, open the ones that start there.
+		live := 0
+		for _, si := range t.cover {
+			if t.spans[si].hi > lo {
+				t.cover[live] = si
+				live++
 			}
 		}
+		t.cover = t.cover[:live]
+		for next < ns && t.spans[t.byLo[next]%ns].lo == lo {
+			//s2c2:waive noalloc
+			t.cover = append(t.cover, t.byLo[next]%ns)
+			next++
+		}
+		// Per arrival slot, the last registered covering span wins.
+		for _, si := range t.cover {
+			if slot := t.spans[si].slot; si > t.pick[slot] {
+				t.pick[slot] = si
+			}
+		}
+		base := len(t.sel)
+		for slot := range t.order {
+			if si := t.pick[slot]; si >= 0 && len(t.sel)-base < k {
+				//s2c2:waive noalloc
+				t.sel = append(t.sel, si)
+			}
+			t.pick[slot] = -1
+		}
+		sel := t.sel[base:]
+		if len(sel) < k {
+			return fmt.Errorf("%w: row %d covered by %d of %d needed workers", ErrInsufficient, lo, len(sel), k)
+		}
+		// Canonical order: ascending worker id.
+		for i := 1; i < k; i++ {
+			for j := i; j > 0 && t.order[t.spans[sel[j]].slot] < t.order[t.spans[sel[j-1]].slot]; j-- {
+				sel[j], sel[j-1] = sel[j-1], sel[j]
+			}
+		}
+		if n := len(t.list); n > 0 && t.list[n-1].hi == lo && slices.Equal(sel, t.sel[t.list[n-1].sel:base]) {
+			t.list[n-1].hi = hi
+			t.sel = t.sel[:base]
+			continue
+		}
+		//s2c2:waive noalloc
+		t.list = append(t.list, rowBand{lo: lo, hi: hi, sel: base})
+	}
+	return nil
+}
+
+// workers writes band b's k selected workers (ascending) into dst.
+func (t *rowTable[T]) workers(dst []int, b rowBand) []int {
+	dst = dst[:0]
+	for _, si := range t.sel[b.sel : b.sel+t.k] {
+		// Writes through dst's reused storage (bounded by k workers).
+		//s2c2:waive noalloc
+		dst = append(dst, t.order[t.spans[si].slot])
 	}
 	return dst
 }
 
-// rowValue returns the rowWidth values worker w computed for row.
-func (t *rowTable[T]) rowValue(w, row int) []T {
-	off := t.offsets[w][row]
-	return t.values[w][off : off+t.rowWidth]
+// values returns the values band b's i-th selected worker computed for
+// rows [lo, hi) ⊆ [b.lo, b.hi): rowWidth per row, contiguous, viewed in
+// place inside that worker's partial.
+func (t *rowTable[T]) values(b rowBand, i, lo, hi int) []T {
+	s := &t.spans[t.sel[b.sel+i]]
+	return s.vals[(lo-s.lo)*t.rowWidth : (hi-s.lo)*t.rowWidth]
 }
 
-// buildPartials populates the table from float64 partials, the shared
-// entry point of the MDS and polynomial decode paths.
-func buildPartials(t *rowTable[float64], partials []*Partial, blockRows int) error {
+// buildPartials populates the table from float64 partials and builds its
+// bands for a k-of-n decode, the shared entry point of the MDS and
+// polynomial decode paths.
+func buildPartials(t *rowTable[float64], partials []*Partial, blockRows, k int) error {
 	t.reset(blockRows)
 	for _, p := range partials {
 		if err := t.add(p.Worker, p.Ranges, p.Values, p.RowWidth); err != nil {
 			return err
 		}
 	}
-	return nil
+	return t.bands(k)
 }
 
 // maxCachedSets bounds every per-workspace decode-system cache. Worker

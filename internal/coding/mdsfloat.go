@@ -208,8 +208,15 @@ type decodeSet struct {
 	lu      *mat.LU
 }
 
+// decodeChunkLanes bounds the refinement scratch of the band-wise float64
+// decode: a band is solved in pieces of at most this many right-hand-side
+// lanes (rows × RowWidth), so the workspace holds 2·k·decodeChunkLanes
+// floats however long a band is. The solve is elementwise, so where a
+// band is cut changes no bit.
+const decodeChunkLanes = 2048
+
 // DecodeWorkspace holds the reusable state of DecodeMatVec rounds: the
-// row-index table, factored decode systems (cached across rounds, so a
+// band table, factored decode systems (cached across rounds, so a
 // recurring worker set is factored exactly once per workspace lifetime),
 // and solve scratch. A workspace belongs to one EncodedMatrix and must not
 // be shared between concurrent decodes.
@@ -217,8 +224,9 @@ type DecodeWorkspace struct {
 	table   rowTable[float64]
 	sets    []*decodeSet
 	workers []int
-	b, z    []float64
-	r, dx   []float64 // iterative-refinement scratch
+	rhs     [][]float64 // the k right-hand-side rows of the piece being solved
+	res     [][]float64 // their residuals, views into r
+	r, dx   []float64   // iterative-refinement scratch, k·lanes each
 	out     []float64
 }
 
@@ -230,10 +238,6 @@ func (e *EncodedMatrix) NewDecodeWorkspace() *DecodeWorkspace {
 	k := e.Code.k
 	return &DecodeWorkspace{
 		workers: make([]int, 0, k),
-		b:       make([]float64, k),
-		z:       make([]float64, k),
-		r:       make([]float64, k),
-		dx:      make([]float64, k),
 		out:     make([]float64, e.BlockRows*k),
 	}
 }
@@ -268,26 +272,33 @@ func (ws *DecodeWorkspace) setFor(e *EncodedMatrix, workers []int) (*decodeSet, 
 	return ds, nil
 }
 
-// solveInto runs LU solve with one iterative-refinement sweep, writing the
-// solution into x using the workspace scratch r and dx.
+// solveLanes solves the decode system for m = len(b[0]) right-hand sides
+// at once — LU solve plus one iterative-refinement sweep, the same
+// arithmetic per right-hand side as a scalar solve, run as whole-vector
+// sweeps: unknown j lands in x[j*stride : j*stride+m], b[i] is equation
+// i's m right-hand values, res (views of k·m scratch) and dx (k·m) are
+// the refinement scratch.
 //
 //s2c2:noalloc
-func (d *decodeSet) solveInto(x, b, r, dx []float64) {
-	d.lu.SolveInto(x, b)
-	mat.MatVecInto(d.sub, x, r)
-	for i := range r {
-		r[i] = b[i] - r[i]
+func (d *decodeSet) solveLanes(x []float64, stride int, b, res [][]float64, dx []float64) {
+	k, m := len(b), len(b[0])
+	d.lu.SolveLanesInto(x, stride, b)
+	for i, ri := range res {
+		copy(ri, b[i])
+		for j, g := range d.sub.Row(i) {
+			kernel.Axpy(-g, x[j*stride:j*stride+m], ri)
+		}
 	}
-	d.lu.SolveInto(dx, r)
-	for i := range x {
-		x[i] += dx[i]
+	d.lu.SolveLanesInto(dx, m, res)
+	for j := 0; j < k; j++ {
+		kernel.Axpy(1, dx[j*m:(j+1)*m], x[j*stride:j*stride+m])
 	}
 }
 
 // DecodeMatVec reconstructs y = A·x (length OrigRows) from worker partials.
 // Every partition row index must be covered by at least k workers. Decode
 // systems are LU-factored once per distinct worker set and reused across
-// rows, so chunk-aligned assignments decode in O(rows·k²) after O(sets·k³).
+// bands, so chunk-aligned assignments decode in O(rows·k²) after O(sets·k³).
 func (e *EncodedMatrix) DecodeMatVec(partials []*Partial) ([]float64, error) {
 	return e.DecodeMatVecInto(nil, partials, nil)
 }
@@ -298,10 +309,16 @@ func (e *EncodedMatrix) DecodeMatVec(partials []*Partial) ([]float64, error) {
 // decode allocation-free and amortises LU factorizations of recurring
 // worker sets.
 //
-// Batched rounds decode through the same path: RowWidth-w partials yield
-// a row-major w-wide dst (lane l of output row r at dst[r*w+l]), each
-// lane solved as its own right-hand side against the shared per-row
-// decode system — bit-identical to decoding the lane's partials alone.
+// The decode is band-wise: rows between two consecutive range boundaries
+// of the partials share one decode set (the first k workers in arrival
+// order covering them), so each band is one multi-right-hand-side solve
+// over vectors of rows × RowWidth lanes read in place from the partials.
+// A band whose k workers are all systematic is a copy. Every operation on
+// a lane is elementwise, so a value depends only on its own row's decode
+// set and inputs: lane l of a batched round is bit-identical to decoding
+// that lane's partials alone, and splitting or duplicating partials that
+// leave every row's set unchanged leaves every bit unchanged. dst is
+// row-major RowWidth-wide (lane l of output row r at dst[r*w+l]).
 //
 //s2c2:noalloc
 func (e *EncodedMatrix) DecodeMatVecInto(dst []float64, partials []*Partial, ws *DecodeWorkspace) ([]float64, error) {
@@ -309,45 +326,50 @@ func (e *EncodedMatrix) DecodeMatVecInto(dst []float64, partials []*Partial, ws 
 		ws = e.NewDecodeWorkspace()
 	}
 	k := e.Code.k
-	if err := buildPartials(&ws.table, partials, e.BlockRows); err != nil {
+	if err := buildPartials(&ws.table, partials, e.BlockRows, k); err != nil {
 		return nil, err
 	}
 	width := ws.table.rowWidth
 	if width == 0 {
-		width = 1 // no partials: fall through to the coverage error below
+		width = 1 // no partials and no rows: nothing to size by
 	}
 	if dst != nil && len(dst) != e.OrigRows*width {
 		return nil, fmt.Errorf("coding: decode dst length %d want %d", len(dst), e.OrigRows*width)
 	}
 	ws.out = kernel.Grow(ws.out, e.BlockRows*k*width)
-	ws.b = kernel.Grow(ws.b, k)
-	ws.z = kernel.Grow(ws.z, k)
-	ws.r = kernel.Grow(ws.r, k)
-	ws.dx = kernel.Grow(ws.dx, k)
+	ws.rhs = kernel.GrowSlice(ws.rhs, k)
+	ws.res = kernel.GrowSlice(ws.res, k)
+	pieceRows := max(decodeChunkLanes/width, 1)
 	var ds *decodeSet
-	for row := 0; row < e.BlockRows; row++ {
-		ws.workers = ws.table.appendWorkersForRow(ws.workers, row, k)
-		if len(ws.workers) < k {
-			return nil, fmt.Errorf("%w: row %d covered by %d of %d needed workers", ErrInsufficient, row, len(ws.workers), k)
+	for _, band := range ws.table.list {
+		ws.workers = ws.table.workers(ws.workers, band)
+		if ws.workers[0] == 0 && ws.workers[k-1] == k-1 {
+			// Ascending and distinct, so exactly the systematic workers
+			// 0…k−1: the decode system is the identity and data block j
+			// is worker j's result.
+			for j := 0; j < k; j++ {
+				copy(ws.out[(j*e.BlockRows+band.lo)*width:], ws.table.values(band, j, band.lo, band.hi))
+			}
+			continue
 		}
-		// Canonicalize so cache hits don't depend on arrival order (the
-		// same equations in a different order solve to the same values).
-		sortInts(ws.workers)
-		// Consecutive rows usually share a worker set; only look up on change.
 		if ds == nil || !sameWorkers(ds.workers, ws.workers) {
 			var err error
 			if ds, err = ws.setFor(e, ws.workers); err != nil {
 				return nil, err
 			}
 		}
-		for l := 0; l < width; l++ {
-			for i, w := range ws.workers {
-				ws.b[i] = ws.table.rowValue(w, row)[l]
+		for lo := band.lo; lo < band.hi; lo += pieceRows {
+			hi := min(lo+pieceRows, band.hi)
+			m := (hi - lo) * width
+			ws.r = kernel.Grow(ws.r, k*m)
+			ws.dx = kernel.Grow(ws.dx, k*m)
+			for i := 0; i < k; i++ {
+				ws.rhs[i] = ws.table.values(band, i, lo, hi)
+				ws.res[i] = ws.r[i*m : (i+1)*m]
 			}
-			ds.solveInto(ws.z, ws.b, ws.r, ws.dx)
-			for j := 0; j < k; j++ {
-				ws.out[(j*e.BlockRows+row)*width+l] = ws.z[j]
-			}
+			// Unknown j of rows [lo, hi) is exactly ws.out's contiguous run
+			// for data block j, so the solve writes its result in place.
+			ds.solveLanes(ws.out[lo*width:], e.BlockRows*width, ws.rhs, ws.res, ws.dx)
 		}
 	}
 	if dst == nil {

@@ -157,23 +157,22 @@ type gfInvSet struct {
 	inv     *gf.Matrix
 }
 
-// gfDecodeGroupLanes bounds the gather/apply scratch of the grouped
-// decode solve: a run of same-worker-set rows is split so one group's
-// right-hand-side block holds at most this many lanes (columns), keeping
-// ws.bm/ws.zm at k·gfDecodeGroupLanes elements regardless of BlockRows.
+// gfDecodeGroupLanes bounds the gather scratch of the band-wise decode
+// solve: a band is split so one piece's right-hand-side block holds at
+// most this many lanes (columns), keeping ws.bm at k·gfDecodeGroupLanes
+// elements regardless of BlockRows.
 const gfDecodeGroupLanes = 4096
 
 // GFDecodeWorkspace holds reusable decode state for one GFEncodedMatrix:
-// the per-worker row index (the shared generic rowTable), cached inverted
-// systems, and the grouped-solve scratch (bm gathers the right-hand-side
-// block of a same-worker-set row run, zm receives inv·bm, bmat is the
-// reused matrix view over bm). Not safe for concurrent decodes.
+// the band table (the shared generic rowTable), cached inverted systems,
+// and the solve scratch (bm gathers the right-hand-side block of a band
+// piece, bmat is the reused matrix view over bm). Not safe for concurrent
+// decodes.
 type GFDecodeWorkspace struct {
 	table   rowTable[gf.Elem]
 	sets    []*gfInvSet
 	workers []int
-	next    []int
-	bm, zm  []gf.Elem
+	bm      []gf.Elem
 	bmat    gf.Matrix
 	out     []gf.Elem
 }
@@ -186,9 +185,36 @@ func (e *GFEncodedMatrix) NewDecodeWorkspace() *GFDecodeWorkspace {
 	k := e.Code.k
 	return &GFDecodeWorkspace{
 		workers: make([]int, 0, k),
-		next:    make([]int, 0, k),
 		out:     make([]gf.Elem, e.BlockRows*k),
 	}
+}
+
+// setFor returns the inverted decode system for the (ascending) worker
+// set, cached per distinct set. The cache-miss branch inverts a fresh
+// system — once per distinct worker set, never in a warm round.
+//
+//s2c2:noalloc-waive
+func (ws *GFDecodeWorkspace) setFor(e *GFEncodedMatrix, workers []int) (*gfInvSet, error) {
+	for _, s := range ws.sets {
+		if sameWorkers(s.workers, workers) {
+			return s, nil
+		}
+	}
+	k := e.Code.k
+	sub := gf.NewMatrix(k, k)
+	for i, w := range workers {
+		copy(sub.Row(i), e.Code.gen.Row(w))
+	}
+	inv, invertible := gf.Invert(sub)
+	if !invertible {
+		return nil, fmt.Errorf("coding: GF decode set %v singular", workers)
+	}
+	s := &gfInvSet{workers: append([]int(nil), workers...), inv: inv}
+	if len(ws.sets) >= maxCachedSets {
+		ws.sets = ws.sets[:0]
+	}
+	ws.sets = append(ws.sets, s)
+	return s, nil
 }
 
 // DecodeMatVec reconstructs A·x exactly from partials covering every
@@ -200,14 +226,18 @@ func (e *GFEncodedMatrix) DecodeMatVec(partials []*GFPartial) ([]gf.Elem, error)
 // DecodeMatVecInto is DecodeMatVec writing into dst (length
 // OrigRows·width, where width is the partials' common RowWidth; nil
 // allocates it), reusing ws across rounds: inverted decode systems are
-// cached per distinct worker set and index/scratch storage is recycled.
-// Runs of consecutive rows covered by the same worker set apply the
-// cached inverse to all of the run's rows and lanes as one k×k·k×(rows·
-// width) mat-mul (gf.Matrix.MulRangeInto — the vectorized exact kernel)
-// rather than per-row per-lane mat-vec solves. Field arithmetic is
-// exact, so grouping cannot change any value: lane l of the result is
-// bit-identical to decoding that lane's partials alone; dst is row-major
-// width-wide (lane l of row r at dst[r*width+l]).
+// cached per distinct worker set and table/scratch storage is recycled.
+//
+// The decode is band-wise: rows between two consecutive range boundaries
+// of the partials share one decode set (the first k workers in arrival
+// order covering them), so each band applies its cached inverse to all of
+// its rows and lanes as one k×k · k×(rows·width) mat-mul
+// (gf.Matrix.MulRangeInto — the vectorized exact kernel), each output row
+// written straight into its data block. The only per-band bookkeeping is
+// one contiguous copy per selected worker. Field arithmetic is exact, so
+// banding cannot change any value: lane l of the result is bit-identical
+// to decoding that lane's partials alone; dst is row-major width-wide
+// (lane l of row r at dst[r*width+l]).
 //
 //s2c2:noalloc
 func (e *GFEncodedMatrix) DecodeMatVecInto(dst []gf.Elem, partials []*GFPartial, ws *GFDecodeWorkspace) ([]gf.Elem, error) {
@@ -215,13 +245,14 @@ func (e *GFEncodedMatrix) DecodeMatVecInto(dst []gf.Elem, partials []*GFPartial,
 		ws = e.NewDecodeWorkspace()
 	}
 	k := e.Code.k
-	// Index rows via the shared generic rowTable, reusing per-worker
-	// slices from previous rounds.
 	ws.table.reset(e.BlockRows)
 	for _, p := range partials {
 		if err := ws.table.add(p.Worker, p.Ranges, p.Values, p.Width()); err != nil {
 			return nil, err
 		}
+	}
+	if err := ws.table.bands(k); err != nil {
+		return nil, err
 	}
 	width := ws.table.rowWidth
 	if width == 0 {
@@ -230,91 +261,33 @@ func (e *GFEncodedMatrix) DecodeMatVecInto(dst []gf.Elem, partials []*GFPartial,
 	if dst != nil && len(dst) != e.OrigRows*width {
 		return nil, fmt.Errorf("coding: decode dst length %d want %d", len(dst), e.OrigRows*width)
 	}
-	if cap(ws.out) < e.BlockRows*k*width {
-		//s2c2:waive noalloc — capacity growth, first decode at this shape only
-		ws.out = make([]gf.Elem, e.BlockRows*k*width)
-	}
-	ws.out = ws.out[:e.BlockRows*k*width]
-	maxGroupRows := gfDecodeGroupLanes / width
-	if maxGroupRows < 1 {
-		maxGroupRows = 1
-	}
+	ws.out = kernel.GrowSlice(ws.out, e.BlockRows*k*width)
+	pieceRows := max(gfDecodeGroupLanes/width, 1)
 	var cur *gfInvSet
-	for row := 0; row < e.BlockRows; {
-		ws.workers = ws.table.appendWorkersForRow(ws.workers, row, k)
-		if len(ws.workers) < k {
-			return nil, fmt.Errorf("%w: row %d covered by %d of %d workers", ErrInsufficient, row, len(ws.workers), k)
-		}
-		sortInts(ws.workers) // canonical order: cache key ignores arrival order
+	for _, band := range ws.table.list {
+		ws.workers = ws.table.workers(ws.workers, band)
 		if cur == nil || !sameWorkers(cur.workers, ws.workers) {
-			cur = nil
-			for _, s := range ws.sets {
-				if sameWorkers(s.workers, ws.workers) {
-					cur = s
-					break
-				}
-			}
-			if cur == nil {
-				// Cache miss: invert a fresh decode system — once per
-				// distinct worker set, never in a warm round.
-				//s2c2:waive noalloc
-				sub := gf.NewMatrix(k, k)
-				for i, w := range ws.workers {
-					copy(sub.Row(i), e.Code.gen.Row(w))
-				}
-				inv, invertible := gf.Invert(sub)
-				if !invertible {
-					return nil, fmt.Errorf("coding: GF decode set %v singular", ws.workers)
-				}
-				//s2c2:waive noalloc — cache-miss continuation of the branch above
-				cur = &gfInvSet{workers: append([]int(nil), ws.workers...), inv: inv}
-				if len(ws.sets) >= maxCachedSets {
-					ws.sets = ws.sets[:0]
-				}
-				//s2c2:waive noalloc — bounded by maxCachedSets
-				ws.sets = append(ws.sets, cur)
+			var err error
+			if cur, err = ws.setFor(e, ws.workers); err != nil {
+				return nil, err
 			}
 		}
-		// Extend the group: consecutive rows decoded by the same worker
-		// set share cur.inv, so they ride one mat-mul application instead
-		// of per-row per-lane mat-vec solves. In the common straggler
-		// pattern — each worker computing a contiguous row range — the
-		// whole block is a handful of runs.
-		end := row + 1
-		for end < e.BlockRows && end-row < maxGroupRows {
-			ws.next = ws.table.appendWorkersForRow(ws.next, end, k)
-			if len(ws.next) < k {
-				break // the next iteration reports the coverage error
+		for lo := band.lo; lo < band.hi; lo += pieceRows {
+			hi := min(lo+pieceRows, band.hi)
+			gw := (hi - lo) * width // right-hand-side lanes in this piece
+			ws.bm = kernel.GrowSlice(ws.bm, k*gw)
+			// Gather: bm row i is the i-th selected worker's values for
+			// rows [lo, hi) — one contiguous run of its partial.
+			for i := 0; i < k; i++ {
+				copy(ws.bm[i*gw:(i+1)*gw], ws.table.values(band, i, lo, hi))
 			}
-			sortInts(ws.next)
-			if !sameWorkers(ws.next, ws.workers) {
-				break
-			}
-			end++
-		}
-		gw := (end - row) * width // right-hand-side lanes in this group
-		if cap(ws.bm) < k*gw {
-			//s2c2:waive noalloc — capacity growth, first decode at this shape only
-			ws.bm = make([]gf.Elem, k*gw)
-			//s2c2:waive noalloc — grown alongside bm
-			ws.zm = make([]gf.Elem, k*gw)
-		}
-		bm, zm := ws.bm[:k*gw], ws.zm[:k*gw]
-		// Gather: bm row i holds worker ws.workers[i]'s values for rows
-		// [row, end), width lanes per row — contiguous in both tables.
-		for i, w := range ws.workers {
-			for g := 0; g < end-row; g++ {
-				copy(bm[i*gw+g*width:i*gw+(g+1)*width], ws.table.rowValue(w, row+g)[:width])
+			ws.bmat.Reshape(k, gw, ws.bm)
+			// Row j of inv·bm is exactly ws.out's contiguous run for data
+			// block j, rows [lo, hi).
+			for j := 0; j < k; j++ {
+				cur.inv.MulRangeInto(ws.out[(j*e.BlockRows+lo)*width:][:gw], &ws.bmat, j, j+1)
 			}
 		}
-		ws.bmat.Reshape(k, gw, bm)
-		cur.inv.MulRangeInto(zm, &ws.bmat, 0, k)
-		// Scatter: zm row j is exactly ws.out's contiguous run for coded
-		// row j, block rows [row, end).
-		for j := 0; j < k; j++ {
-			copy(ws.out[(j*e.BlockRows+row)*width:][:gw], zm[j*gw:(j+1)*gw])
-		}
-		row = end
 	}
 	if dst == nil {
 		// Convenience fallback; hot callers pass a reused dst.

@@ -375,8 +375,8 @@ func TestPolyDecodeParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ws.segs) < 2 {
-			t.Fatalf("fixture produced %d segments, want >= 2", len(ws.segs))
+		if len(ws.table.list) < 2 {
+			t.Fatalf("fixture produced %d bands, want >= 2", len(ws.table.list))
 		}
 		wd, gd := want.Data(), got.Data()
 		for q := range wd {

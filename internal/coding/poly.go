@@ -161,11 +161,10 @@ type polyInvSet struct {
 // the row-index table, cached Vandermonde inverses, and scratch. Not safe
 // for concurrent decodes.
 type PolyDecodeWorkspace struct {
-	table   rowTable[float64]
-	sets    []*polyInvSet
-	workers []int
-	segs    []rowSegment
-	segInvs []*mat.Dense // per-segment inverse, resolved before the scatter
+	table    rowTable[float64]
+	sets     []*polyInvSet
+	workers  []int
+	bandInvs []*mat.Dense // per-band inverse, resolved before the scatter
 }
 
 // NewDecodeWorkspace returns an empty decode workspace for e.
@@ -190,7 +189,7 @@ func (e *EncodedBilinear) DecodeInto(dst *mat.Dense, partials []*Partial, ws *Po
 	if ws == nil {
 		ws = e.NewDecodeWorkspace()
 	}
-	if err := buildPartials(&ws.table, partials, e.BlockColsA); err != nil {
+	if err := buildPartials(&ws.table, partials, e.BlockColsA, ab); err != nil {
 		return nil, err
 	}
 	if ws.table.rowWidth != 0 && ws.table.rowWidth != e.BlockColsB {
@@ -205,41 +204,41 @@ func (e *EncodedBilinear) DecodeInto(dst *mat.Dense, partials []*Partial, ws *Po
 		}
 		out.Fill(0)
 	}
-	// Segment the rows into maximal runs sharing one worker set, then
-	// scatter coefficients block-wise: for a fixed (coefficient, worker)
-	// pair the inner loop streams the worker's stored values sequentially
-	// and writes consecutive output rows, instead of the cache-hostile
+	// The table's bands are runs of rows sharing one worker set; scatter
+	// coefficients band-wise: for a fixed (coefficient, worker) pair the
+	// inner loop streams the worker's values for the band sequentially and
+	// writes consecutive output rows, instead of the cache-hostile
 	// row-at-a-time interleaving of all workers.
-	if err := e.segmentRows(ws, ab); err != nil {
-		return nil, err
-	}
-	// Resolve every segment's interpolation inverse up front: the per-set
+	//
+	// Resolve every band's interpolation inverse up front: the per-set
 	// cache mutates, so this stays serial, leaving the scatter below with
 	// read-only shared state.
-	if cap(ws.segInvs) < len(ws.segs) {
-		ws.segInvs = make([]*mat.Dense, len(ws.segs))
+	bands := ws.table.list
+	if cap(ws.bandInvs) < len(bands) {
+		ws.bandInvs = make([]*mat.Dense, len(bands))
 	}
-	ws.segInvs = ws.segInvs[:len(ws.segs)]
-	for si := range ws.segs {
-		inv, err := e.interpInverse(ws, ws.segs[si].set)
+	ws.bandInvs = ws.bandInvs[:len(bands)]
+	for bi, band := range bands {
+		ws.workers = ws.table.workers(ws.workers, band)
+		inv, err := e.interpInverse(ws, ws.workers)
 		if err != nil {
 			return nil, err
 		}
-		ws.segInvs[si] = inv
+		ws.bandInvs[bi] = inv
 	}
-	// Segments write disjoint output rows (a global row j·BlockColsA+row
-	// determines (j, row) uniquely, and each segment owns its row window),
+	// Bands write disjoint output rows (a global row j·BlockColsA+row
+	// determines (j, row) uniquely, and each band owns its row window),
 	// so they fan out on the code's pool once the decode is big enough to
 	// amortize dispatch; small decodes stay serial.
 	if e.decodeFlops() >= polyParallelMinFlops {
-		e.Code.exec.For(len(ws.segs), 1, func(lo, hi int) {
-			for si := lo; si < hi; si++ {
-				e.scatterSegment(ws, si, out)
+		e.Code.exec.For(len(bands), 1, func(lo, hi int) {
+			for bi := lo; bi < hi; bi++ {
+				e.scatterBand(ws, bi, out)
 			}
 		})
 	} else {
-		for si := range ws.segs {
-			e.scatterSegment(ws, si, out)
+		for bi := range bands {
+			e.scatterBand(ws, bi, out)
 		}
 	}
 	return out, nil
@@ -256,26 +255,25 @@ func (e *EncodedBilinear) decodeFlops() int {
 	return 2 * e.BlockColsA * ab * ab * e.BlockColsB
 }
 
-// scatterSegment accumulates one segment's rows into the output:
+// scatterBand accumulates one band's rows into the output:
 // coeffs[exp] = Σ_i inv[exp][i] · rowvals_i, one BlockColsB-wide vector
-// per polynomial coefficient exp = j + a·l. Distinct segments touch
-// disjoint output rows, so concurrent calls never conflict.
-func (e *EncodedBilinear) scatterSegment(ws *PolyDecodeWorkspace, si int, out *mat.Dense) {
+// per polynomial coefficient exp = j + a·l. Distinct bands touch disjoint
+// output rows, so concurrent calls never conflict.
+func (e *EncodedBilinear) scatterBand(ws *PolyDecodeWorkspace, bi int, out *mat.Dense) {
 	c := e.Code
 	ab := c.a * c.b
-	seg := &ws.segs[si]
-	inv := ws.segInvs[si]
-	table := &ws.table
+	band := ws.table.list[bi]
+	inv := ws.bandInvs[bi]
 	for exp := 0; exp < ab; exp++ {
 		j := exp % c.a
 		l := exp / c.a
 		// Rows whose global output row j·BlockColsA+row falls into A's
-		// padding decode to nothing; clip once per (segment, exp).
+		// padding decode to nothing; clip once per (band, exp).
 		rowHi := e.ColsA - j*e.BlockColsA
-		if rowHi > seg.hi {
-			rowHi = seg.hi
+		if rowHi > band.hi {
+			rowHi = band.hi
 		}
-		if rowHi <= seg.lo {
+		if rowHi <= band.lo {
 			continue
 		}
 		dstBase := l * e.BlockColsB
@@ -286,53 +284,18 @@ func (e *EncodedBilinear) scatterSegment(ws *PolyDecodeWorkspace, si int, out *m
 		if width <= 0 {
 			continue
 		}
-		for i, w := range seg.set {
+		for i := 0; i < ab; i++ {
 			f := inv.At(exp, i)
 			if f == 0 {
 				continue
 			}
-			offs := table.offsets[w]
-			vals := table.values[w]
-			for row := seg.lo; row < rowHi; row++ {
-				src := vals[offs[row] : offs[row]+width]
+			vals := ws.table.values(band, i, band.lo, rowHi)
+			for row := band.lo; row < rowHi; row++ {
+				src := vals[(row-band.lo)*e.BlockColsB:][:width]
 				kernel.Axpy(f, src, out.Row(j*e.BlockColsA + row)[dstBase:dstBase+width])
 			}
 		}
 	}
-}
-
-// rowSegment is a maximal run of partition rows [lo, hi) decoded by one
-// canonical worker set; set storage is recycled across rounds.
-type rowSegment struct {
-	lo, hi int
-	set    []int
-}
-
-// segmentRows groups the rows of the decode into per-worker-set segments,
-// writing them into ws.segs (storage reused across rounds).
-func (e *EncodedBilinear) segmentRows(ws *PolyDecodeWorkspace, ab int) error {
-	segs := ws.segs[:0]
-	for row := 0; row < e.BlockColsA; row++ {
-		ws.workers = ws.table.appendWorkersForRow(ws.workers, row, ab)
-		if len(ws.workers) < ab {
-			return fmt.Errorf("%w: row %d covered by %d of %d workers", ErrInsufficient, row, len(ws.workers), ab)
-		}
-		sortInts(ws.workers) // canonical order: cache key ignores arrival order
-		if n := len(segs); n > 0 && segs[n-1].hi == row && sameWorkers(segs[n-1].set, ws.workers) {
-			segs[n-1].hi = row + 1
-			continue
-		}
-		if len(segs) < cap(segs) {
-			segs = segs[:len(segs)+1]
-		} else {
-			segs = append(segs, rowSegment{})
-		}
-		s := &segs[len(segs)-1]
-		s.lo, s.hi = row, row+1
-		s.set = append(s.set[:0], ws.workers...)
-	}
-	ws.segs = segs
-	return nil
 }
 
 // interpInverse returns the inverse of the a·b × a·b Vandermonde system for

@@ -228,69 +228,267 @@ tile1x8_store:
 	VZEROUPPER
 	RET
 
-// func gfDotMod31AVX512(a, x *uint32, n int) uint64
+// The fused GF(2³¹−1) sweep kernels below share these building blocks.
 //
-// Partially folded inner product over GF(2³¹−1): sixteen elements per
-// iteration as two 8-lane 64-bit accumulator chains (widen with
-// VPMOVZXDQ, VPMULUDQ into 62-bit products, add, one Mersenne fold
-// x → (x>>31) + (x&p) keeps each lane below 2³³). The sixteen lanes are
-// summed horizontally at the end (< 2³⁷) and returned still unreduced —
-// the Go wrapper finishes the reduction. n must be a multiple of 8.
-TEXT ·gfDotMod31AVX512(SB), NOSPLIT, $0-32
-	MOVQ         a+0(FP), SI
-	MOVQ         x+8(FP), DI
-	MOVQ         n+16(FP), CX
+// GF512_FOLD is one Mersenne fold x → (x>>31) + (x&p) of a qword
+// accumulator (p broadcast in Z31): any 64-bit value lands below
+// 2³³ + 2³¹. Folds are lazy — an accumulator that has just been folded
+// absorbs three products of at most (2³¹−1)² < 2⁶² before the next fold,
+// and 3·2⁶² + 2³³ + 2³¹ < 2⁶⁴, so it cannot wrap. Every loop below keeps
+// that phase: fold after each third column block, and at most two full
+// blocks plus the masked tail block (three products) before the final
+// fold.
+#define GF512_FOLD(acc, tmp) \
+	VPSRLQ $31, acc, tmp; \
+	VPANDQ Z31, acc, acc; \
+	VPADDQ tmp, acc, acc
+
+// GF512_PAIRSUM leaves, in each 128-bit lane of dst, the lane-local sums
+// [a[0]+a[1], b[0]+b[1]] of two qword accumulators.
+#define GF512_PAIRSUM(a, b, dst, tmp) \
+	VPUNPCKLQDQ b, a, dst; \
+	VPUNPCKHQDQ b, a, tmp; \
+	VPADDQ      tmp, dst, dst
+
+// GF512_FINISH reduces the qword sums in r (each below 2³⁷) to canonical
+// field elements: one fold (< 2³¹ + 2⁶) and an opmasked subtract of p.
+#define GF512_FINISH(r, tmp) \
+	GF512_FOLD(r, tmp); \
+	VPCMPGTQ Z30, r, K3; \
+	VPSUBQ   Z31, r, K3, r
+
+// GF512_LANE multiplies the widened A chunk in Z8 against one lane's
+// pre-widened x chunk (a memory operand out of the pack) and accumulates.
+#define GF512_LANE(off, acc, tmp) \
+	VPMULUDQ off(DI), Z8, tmp; \
+	VPADDQ   tmp, acc, acc
+
+#define GF512_TILE8_LANES \
+	GF512_LANE(0, Z0, Z16); \
+	GF512_LANE(64, Z1, Z17); \
+	GF512_LANE(128, Z2, Z18); \
+	GF512_LANE(192, Z3, Z19); \
+	GF512_LANE(256, Z4, Z20); \
+	GF512_LANE(320, Z5, Z21); \
+	GF512_LANE(384, Z6, Z22); \
+	GF512_LANE(448, Z7, Z23)
+
+#define GF512_TILE8_BLOCK \
+	VPMOVZXDQ (SI), Z8; \
+	GF512_TILE8_LANES; \
+	ADDQ $32, SI; \
+	ADDQ R8, DI
+
+#define GF512_TILE8_FOLD \
+	GF512_FOLD(Z0, Z16); \
+	GF512_FOLD(Z1, Z17); \
+	GF512_FOLD(Z2, Z18); \
+	GF512_FOLD(Z3, Z19); \
+	GF512_FOLD(Z4, Z20); \
+	GF512_FOLD(Z5, Z21); \
+	GF512_FOLD(Z6, Z22); \
+	GF512_FOLD(Z7, Z23)
+
+// func gfTile8AVX512(dst, a *uint32, cols int, pack *uint64, stride int, mask uint64)
+//
+// The lane-fused batch tile: one A row against eight x lanes. Each
+// 8-column chunk of the row is widened once (VPMOVZXDQ) and multiplied
+// against all eight lanes, whose chunks come pre-widened from the pack
+// ([col-block][lane][8]uint64, stride bytes between column blocks) as
+// VPMULUDQ memory operands — two vector µops per eight products plus one
+// lazy fold in three, against seven for a widen/widen/mul/add/fold dot.
+// The eight lane accumulators live in Z0–Z7 across the whole row; the
+// column tail is an opmask-zeroed A chunk, and the eight lane sums are
+// transposed, finished and stored through the lane opmask, so a partial
+// lane tile never writes past its w-wide output row.
+TEXT ·gfTile8AVX512(SB), NOSPLIT, $0-48
+	MOVQ         dst+0(FP), R9
+	MOVQ         a+8(FP), SI
+	MOVQ         cols+16(FP), CX
+	MOVQ         pack+24(FP), DI
+	MOVQ         stride+32(FP), R8
+	MOVQ         mask+40(FP), AX
+	KMOVW        AX, K1
+	VPBROADCASTQ gfP31q<>(SB), Z31
+	VPBROADCASTQ gfP31m1q<>(SB), Z30
 	VPXORQ       Z0, Z0, Z0
+	VPXORQ       Z1, Z1, Z1
+	VPXORQ       Z2, Z2, Z2
+	VPXORQ       Z3, Z3, Z3
 	VPXORQ       Z4, Z4, Z4
-	VPBROADCASTQ gfP31q<>(SB), Z12
+	VPXORQ       Z5, Z5, Z5
+	VPXORQ       Z6, Z6, Z6
+	VPXORQ       Z7, Z7, Z7
 	MOVQ         CX, BX
-	SHRQ         $4, BX
-	JZ           gfdot512_tail8
+	SHRQ         $3, BX
+	CMPQ         BX, $3
+	JL           gftile8_rem
 
-gfdot512_loop16:
-	VPMOVZXDQ (SI), Z1
-	VPMOVZXDQ 32(SI), Z5
-	VPMOVZXDQ (DI), Z2
-	VPMOVZXDQ 32(DI), Z6
-	VPMULUDQ  Z2, Z1, Z1
-	VPMULUDQ  Z6, Z5, Z5
-	VPADDQ    Z1, Z0, Z0
-	VPADDQ    Z5, Z4, Z4
+gftile8_loop3:
+	GF512_TILE8_BLOCK
+	GF512_TILE8_BLOCK
+	GF512_TILE8_BLOCK
+	GF512_TILE8_FOLD
+	SUBQ $3, BX
+	CMPQ BX, $3
+	JGE  gftile8_loop3
 
-	// fold: acc = (acc >> 31) + (acc & p), each lane back below 2³³
-	VPSRLQ $31, Z0, Z1
-	VPSRLQ $31, Z4, Z5
-	VPANDQ Z12, Z0, Z0
-	VPANDQ Z12, Z4, Z4
-	VPADDQ Z1, Z0, Z0
-	VPADDQ Z5, Z4, Z4
+gftile8_rem:
+	TESTQ BX, BX
+	JZ    gftile8_tail
 
-	ADDQ $64, SI
-	ADDQ $64, DI
+gftile8_rem1:
+	GF512_TILE8_BLOCK
 	DECQ BX
-	JNZ  gfdot512_loop16
+	JNZ  gftile8_rem1
 
-gfdot512_tail8:
-	TESTQ     $8, CX
-	JZ        gfdot512_reduce
-	VPMOVZXDQ (SI), Z1
-	VPMOVZXDQ (DI), Z2
-	VPMULUDQ  Z2, Z1, Z1
-	VPADDQ    Z1, Z0, Z0
-	VPSRLQ    $31, Z0, Z1
-	VPANDQ    Z12, Z0, Z0
-	VPADDQ    Z1, Z0, Z0
+gftile8_tail:
+	ANDQ        $7, CX
+	JZ          gftile8_reduce
+	MOVQ        $1, AX
+	SHLQ        CX, AX
+	DECQ        AX
+	KMOVW       AX, K2
+	VPMOVZXDQ.Z (SI), K2, Z8
+	GF512_TILE8_LANES
 
-gfdot512_reduce:
-	VPADDQ        Z4, Z0, Z0
-	VEXTRACTI64X4 $1, Z0, Y1
-	VPADDQ        Y1, Y0, Y0
-	VEXTRACTI128  $1, Y0, X1
-	VPADDQ        X1, X0, X0
-	VPSRLDQ       $8, X0, X1
-	VPADDQ        X1, X0, X0
-	MOVQ          X0, AX
-	MOVQ          AX, ret+24(FP)
+gftile8_reduce:
+	GF512_TILE8_FOLD
+
+	// Transpose-reduce: qword l of Z0 becomes the sum of all eight
+	// qwords of lane accumulator l (eight values below 2³⁴ each).
+	GF512_PAIRSUM(Z0, Z1, Z16, Z20)
+	GF512_PAIRSUM(Z2, Z3, Z17, Z21)
+	GF512_PAIRSUM(Z4, Z5, Z18, Z22)
+	GF512_PAIRSUM(Z6, Z7, Z19, Z23)
+	VSHUFI64X2 $0x44, Z17, Z16, Z0
+	VSHUFI64X2 $0xEE, Z17, Z16, Z1
+	VPADDQ     Z1, Z0, Z0
+	VSHUFI64X2 $0x44, Z19, Z18, Z2
+	VSHUFI64X2 $0xEE, Z19, Z18, Z3
+	VPADDQ     Z3, Z2, Z2
+	VSHUFI64X2 $0x88, Z2, Z0, Z4
+	VSHUFI64X2 $0xDD, Z2, Z0, Z5
+	VPADDQ     Z5, Z4, Z0
+	GF512_FINISH(Z0, Z1)
+	VPMOVQD    Z0, K1, (R9)
+	VZEROUPPER
+	RET
+
+// GF512_DOT4_ROWS widens the four o_t chunks and accumulates their
+// products with the shared chunk in Z8.
+#define GF512_DOT4_ROWS \
+	VPMOVZXDQ (R10), Z16; \
+	VPMOVZXDQ (R11), Z17; \
+	VPMOVZXDQ (R12), Z18; \
+	VPMOVZXDQ (R13), Z19; \
+	VPMULUDQ  Z8, Z16, Z16; \
+	VPMULUDQ  Z8, Z17, Z17; \
+	VPMULUDQ  Z8, Z18, Z18; \
+	VPMULUDQ  Z8, Z19, Z19; \
+	VPADDQ    Z16, Z0, Z0; \
+	VPADDQ    Z17, Z1, Z1; \
+	VPADDQ    Z18, Z2, Z2; \
+	VPADDQ    Z19, Z3, Z3
+
+#define GF512_DOT4_BLOCK \
+	VPMOVZXDQ (SI), Z8; \
+	GF512_DOT4_ROWS; \
+	ADDQ $32, SI; \
+	ADDQ $32, R10; \
+	ADDQ $32, R11; \
+	ADDQ $32, R12; \
+	ADDQ $32, R13
+
+#define GF512_DOT4_FOLD \
+	GF512_FOLD(Z0, Z16); \
+	GF512_FOLD(Z1, Z17); \
+	GF512_FOLD(Z2, Z18); \
+	GF512_FOLD(Z3, Z19)
+
+// func gfDot4AVX512(dst, s, o0, o1, o2, o3 *uint32, n int, mask uint64)
+//
+// Four inner products sharing one operand: dst[t] = s · o_t over
+// GF(2³¹−1) for the t selected by the low four mask bits. The shared
+// chunk is widened once per 8 columns for all four o_t — the multi-row
+// tile of the single-x mat-vec (s = x, o_t = four A rows) and the
+// pack-free path for lane groups too narrow for gfTile8AVX512 (s = the A
+// row, o_t = up to four x lanes). Same lazy fold and opmasked column
+// tail; callers alias unused o_t onto a valid one.
+TEXT ·gfDot4AVX512(SB), NOSPLIT, $0-64
+	MOVQ         dst+0(FP), R9
+	MOVQ         s+8(FP), SI
+	MOVQ         o0+16(FP), R10
+	MOVQ         o1+24(FP), R11
+	MOVQ         o2+32(FP), R12
+	MOVQ         o3+40(FP), R13
+	MOVQ         n+48(FP), CX
+	MOVQ         mask+56(FP), AX
+	KMOVW        AX, K1
+	VPBROADCASTQ gfP31q<>(SB), Z31
+	VPBROADCASTQ gfP31m1q<>(SB), Z30
+	VPXORQ       Z0, Z0, Z0
+	VPXORQ       Z1, Z1, Z1
+	VPXORQ       Z2, Z2, Z2
+	VPXORQ       Z3, Z3, Z3
+	MOVQ         CX, BX
+	SHRQ         $3, BX
+	CMPQ         BX, $3
+	JL           gfdot4_rem
+
+gfdot4_loop3:
+	GF512_DOT4_BLOCK
+	GF512_DOT4_BLOCK
+	GF512_DOT4_BLOCK
+	GF512_DOT4_FOLD
+	SUBQ $3, BX
+	CMPQ BX, $3
+	JGE  gfdot4_loop3
+
+gfdot4_rem:
+	TESTQ BX, BX
+	JZ    gfdot4_tail
+
+gfdot4_rem1:
+	GF512_DOT4_BLOCK
+	DECQ BX
+	JNZ  gfdot4_rem1
+
+gfdot4_tail:
+	ANDQ        $7, CX
+	JZ          gfdot4_reduce
+	MOVQ        $1, AX
+	SHLQ        CX, AX
+	DECQ        AX
+	KMOVW       AX, K2
+	VPMOVZXDQ.Z (SI), K2, Z8
+	VPMOVZXDQ.Z (R10), K2, Z16
+	VPMOVZXDQ.Z (R11), K2, Z17
+	VPMOVZXDQ.Z (R12), K2, Z18
+	VPMOVZXDQ.Z (R13), K2, Z19
+	VPMULUDQ    Z8, Z16, Z16
+	VPMULUDQ    Z8, Z17, Z17
+	VPMULUDQ    Z8, Z18, Z18
+	VPMULUDQ    Z8, Z19, Z19
+	VPADDQ      Z16, Z0, Z0
+	VPADDQ      Z17, Z1, Z1
+	VPADDQ      Z18, Z2, Z2
+	VPADDQ      Z19, Z3, Z3
+
+gfdot4_reduce:
+	GF512_DOT4_FOLD
+
+	// Transpose-reduce into the low four qwords of Z0.
+	GF512_PAIRSUM(Z0, Z1, Z16, Z20)
+	GF512_PAIRSUM(Z2, Z3, Z17, Z21)
+	VSHUFI64X2 $0x44, Z17, Z16, Z0
+	VSHUFI64X2 $0xEE, Z17, Z16, Z1
+	VPADDQ     Z1, Z0, Z0
+	VSHUFI64X2 $0x88, Z0, Z0, Z4
+	VSHUFI64X2 $0xDD, Z0, Z0, Z5
+	VPADDQ     Z5, Z4, Z0
+	GF512_FINISH(Z0, Z1)
+	VPMOVQD    Y0, K1, (R9)
 	VZEROUPPER
 	RET
 

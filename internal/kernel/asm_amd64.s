@@ -233,57 +233,261 @@ DATA gfPackIdx<>+24(SB)/4, $0
 DATA gfPackIdx<>+28(SB)/4, $0
 GLOBL gfPackIdx<>(SB), RODATA|NOPTR, $32
 
-// func gfDotMod31AVX2(a, x *uint32, n int) uint64
+// gfLaneIdx is the dword index vector 0…7: compared against a broadcast
+// column-tail count it yields the VPMASKMOVD load mask of the fused GF
+// kernels' final partial chunk.
+DATA gfLaneIdx<>+0(SB)/4, $0
+DATA gfLaneIdx<>+4(SB)/4, $1
+DATA gfLaneIdx<>+8(SB)/4, $2
+DATA gfLaneIdx<>+12(SB)/4, $3
+DATA gfLaneIdx<>+16(SB)/4, $4
+DATA gfLaneIdx<>+20(SB)/4, $5
+DATA gfLaneIdx<>+24(SB)/4, $6
+DATA gfLaneIdx<>+28(SB)/4, $7
+GLOBL gfLaneIdx<>(SB), RODATA|NOPTR, $32
+
+// The fused GF(2³¹−1) sweep kernels below share these building blocks.
 //
-// Partially folded inner product over GF(2³¹−1): eight elements per
-// iteration as two 4-lane 64-bit accumulator chains. Per step: widen both
-// operands (VPMOVZXDQ), VPMULUDQ into a 62-bit product, VPADDQ into the
-// lane accumulator, then one Mersenne fold x → (x>>31) + (x&p) keeps each
-// lane below 2³³ so the next product cannot overflow 64 bits. The eight
-// lanes are summed horizontally at the end (< 2³⁶) and returned still
-// unreduced — the Go wrapper finishes the reduction. n must be a multiple
-// of 8.
-TEXT ·gfDotMod31AVX2(SB), NOSPLIT, $0-32
-	MOVQ    a+0(FP), SI
-	MOVQ    x+8(FP), DI
-	MOVQ    n+16(FP), CX
-	VPXOR   Y0, Y0, Y0
-	VPXOR   Y4, Y4, Y4
+// GF256_FOLD is one Mersenne fold x → (x>>31) + (x&p) of a qword
+// accumulator (p in every lane of Y12): any 64-bit value lands below
+// 2³³ + 2³¹. Folds are lazy — an accumulator that has just been folded
+// absorbs three products of at most (2³¹−1)² < 2⁶² before the next fold,
+// and 3·2⁶² + 2³³ + 2³¹ < 2⁶⁴, so it cannot wrap. Both kernels keep one
+// accumulator per (operand, 4-column half), so each takes one product per
+// 8-column block: fold after each third block, and at most two full
+// blocks plus the masked tail block before the final fold.
+#define GF256_FOLD(acc, tmp) \
+	VPSRLQ $31, acc, tmp; \
+	VPAND  Y12, acc, acc; \
+	VPADDQ tmp, acc, acc
+
+#define GF256_FOLD8 \
+	GF256_FOLD(Y0, Y10); \
+	GF256_FOLD(Y1, Y11); \
+	GF256_FOLD(Y2, Y10); \
+	GF256_FOLD(Y3, Y11); \
+	GF256_FOLD(Y4, Y10); \
+	GF256_FOLD(Y5, Y11); \
+	GF256_FOLD(Y6, Y10); \
+	GF256_FOLD(Y7, Y11)
+
+// GF256_TAILMASK turns the column-tail count in CX (1…7) into the dword
+// load mask Y13.
+#define GF256_TAILMASK \
+	MOVQ         CX, X13; \
+	VPBROADCASTD X13, Y13; \
+	VPCMPGTD     gfLaneIdx<>(SB), Y13, Y13
+
+// GF256_WIDEN_TAIL loads the masked (zero-filled) final chunk at ptr and
+// widens its two halves into lo and hi (xhi names the low half of hi).
+#define GF256_WIDEN_TAIL(ptr, lo, hi, xhi) \
+	VPMASKMOVD   (ptr), Y13, hi; \
+	VPMOVZXDQ    xhi, lo; \
+	VEXTRACTI128 $1, hi, xhi; \
+	VPMOVZXDQ    xhi, hi
+
+// GF256_REDUCE4_STORE folds the eight half accumulators Y0…Y7 (operand t
+// in Y2t, Y2t+1), sums each operand's eight qwords (below 2³⁴ each),
+// finishes the four sums to canonical field elements — one more fold
+// (< 2³¹ + 2⁶) and a masked subtract of p — and stores four dwords at R9.
+#define GF256_REDUCE4_STORE \
+	GF256_FOLD8; \
+	VPADDQ      Y1, Y0, Y0; \
+	VPADDQ      Y3, Y2, Y1; \
+	VPADDQ      Y5, Y4, Y2; \
+	VPADDQ      Y7, Y6, Y3; \
+	VPUNPCKLQDQ Y1, Y0, Y8; \
+	VPUNPCKHQDQ Y1, Y0, Y9; \
+	VPADDQ      Y9, Y8, Y8; \
+	VPUNPCKLQDQ Y3, Y2, Y9; \
+	VPUNPCKHQDQ Y3, Y2, Y10; \
+	VPADDQ      Y10, Y9, Y9; \
+	VPERM2I128  $0x20, Y9, Y8, Y0; \
+	VPERM2I128  $0x31, Y9, Y8, Y1; \
+	VPADDQ      Y1, Y0, Y0; \
+	GF256_FOLD(Y0, Y1); \
+	VPCMPGTQ    gfP31m1<>(SB), Y0, Y1; \
+	VPAND       Y12, Y1, Y1; \
+	VPSUBQ      Y1, Y0, Y0; \
+	VMOVDQU     gfPackIdx<>(SB), Y1; \
+	VPERMD      Y0, Y1, Y0; \
+	VMOVDQU     X0, (R9)
+
+// GF256_TILE4_LANES multiplies the widened A halves (Y8 low, Y9 high)
+// against four lanes' pre-widened x chunks — memory operands out of the
+// pack, 64 bytes a lane — and accumulates per (lane, half).
+#define GF256_TILE4_LANES \
+	VPMULUDQ 0(DI), Y8, Y10; \
+	VPMULUDQ 32(DI), Y9, Y11; \
+	VPADDQ   Y10, Y0, Y0; \
+	VPADDQ   Y11, Y1, Y1; \
+	VPMULUDQ 64(DI), Y8, Y10; \
+	VPMULUDQ 96(DI), Y9, Y11; \
+	VPADDQ   Y10, Y2, Y2; \
+	VPADDQ   Y11, Y3, Y3; \
+	VPMULUDQ 128(DI), Y8, Y10; \
+	VPMULUDQ 160(DI), Y9, Y11; \
+	VPADDQ   Y10, Y4, Y4; \
+	VPADDQ   Y11, Y5, Y5; \
+	VPMULUDQ 192(DI), Y8, Y10; \
+	VPMULUDQ 224(DI), Y9, Y11; \
+	VPADDQ   Y10, Y6, Y6; \
+	VPADDQ   Y11, Y7, Y7
+
+#define GF256_TILE4_BLOCK \
+	VPMOVZXDQ (SI), Y8; \
+	VPMOVZXDQ 16(SI), Y9; \
+	GF256_TILE4_LANES; \
+	ADDQ $32, SI; \
+	ADDQ R8, DI
+
+// func gfTile4AVX2(dst, a *uint32, cols int, pack *uint64, stride int)
+//
+// The lane-fused batch tile on 256-bit registers: one A row against four
+// x lanes. Each 8-column chunk of the row is widened once (two YMM
+// halves) and multiplied against all four lanes, whose chunks come
+// pre-widened from the pack ([col-block][lane][8]uint64, stride bytes
+// between column blocks) as VPMULUDQ memory operands. The eight (lane,
+// half) accumulators live in Y0–Y7 across the whole row; the column tail
+// is a VPMASKMOVD zero-filled A chunk. Always stores four results.
+TEXT ·gfTile4AVX2(SB), NOSPLIT, $0-40
+	MOVQ    dst+0(FP), R9
+	MOVQ    a+8(FP), SI
+	MOVQ    cols+16(FP), CX
+	MOVQ    pack+24(FP), DI
+	MOVQ    stride+32(FP), R8
 	VMOVDQU gfP31<>(SB), Y12
-	SHRQ    $3, CX
-	JZ      gfdot_reduce
+	VPXOR   Y0, Y0, Y0
+	VPXOR   Y1, Y1, Y1
+	VPXOR   Y2, Y2, Y2
+	VPXOR   Y3, Y3, Y3
+	VPXOR   Y4, Y4, Y4
+	VPXOR   Y5, Y5, Y5
+	VPXOR   Y6, Y6, Y6
+	VPXOR   Y7, Y7, Y7
+	MOVQ    CX, BX
+	SHRQ    $3, BX
+	CMPQ    BX, $3
+	JL      gftile4_rem
 
-gfdot_loop:
-	VPMOVZXDQ (SI), Y1
-	VPMOVZXDQ 16(SI), Y5
-	VPMOVZXDQ (DI), Y2
-	VPMOVZXDQ 16(DI), Y6
-	VPMULUDQ  Y2, Y1, Y1
-	VPMULUDQ  Y6, Y5, Y5
-	VPADDQ    Y1, Y0, Y0
-	VPADDQ    Y5, Y4, Y4
+gftile4_loop3:
+	GF256_TILE4_BLOCK
+	GF256_TILE4_BLOCK
+	GF256_TILE4_BLOCK
+	GF256_FOLD8
+	SUBQ $3, BX
+	CMPQ BX, $3
+	JGE  gftile4_loop3
 
-	// fold: acc = (acc >> 31) + (acc & p), each lane back below 2³³
-	VPSRLQ $31, Y0, Y1
-	VPSRLQ $31, Y4, Y5
-	VPAND  Y12, Y0, Y0
-	VPAND  Y12, Y4, Y4
-	VPADDQ Y1, Y0, Y0
-	VPADDQ Y5, Y4, Y4
+gftile4_rem:
+	TESTQ BX, BX
+	JZ    gftile4_tail
 
-	ADDQ $32, SI
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  gfdot_loop
+gftile4_rem1:
+	GF256_TILE4_BLOCK
+	DECQ BX
+	JNZ  gftile4_rem1
 
-gfdot_reduce:
-	VPADDQ       Y4, Y0, Y0
-	VEXTRACTI128 $1, Y0, X1
-	VPADDQ       X1, X0, X0
-	VPSRLDQ      $8, X0, X1
-	VPADDQ       X1, X0, X0
-	MOVQ         X0, AX
-	MOVQ         AX, ret+24(FP)
+gftile4_tail:
+	ANDQ $7, CX
+	JZ   gftile4_reduce
+	GF256_TAILMASK
+	GF256_WIDEN_TAIL(SI, Y8, Y9, X9)
+	GF256_TILE4_LANES
+
+gftile4_reduce:
+	GF256_REDUCE4_STORE
+	VZEROUPPER
+	RET
+
+// GF256_DOT4_ACC accumulates the products of the operand halves in Y10
+// (low) and Y11 (high) with the shared halves Y8, Y9.
+#define GF256_DOT4_ACC(alo, ahi) \
+	VPMULUDQ Y8, Y10, Y10; \
+	VPMULUDQ Y9, Y11, Y11; \
+	VPADDQ   Y10, alo, alo; \
+	VPADDQ   Y11, ahi, ahi
+
+#define GF256_DOT4_ROW(ptr, alo, ahi) \
+	VPMOVZXDQ (ptr), Y10; \
+	VPMOVZXDQ 16(ptr), Y11; \
+	GF256_DOT4_ACC(alo, ahi); \
+	ADDQ $32, ptr
+
+#define GF256_DOT4_BLOCK \
+	VPMOVZXDQ (SI), Y8; \
+	VPMOVZXDQ 16(SI), Y9; \
+	ADDQ $32, SI; \
+	GF256_DOT4_ROW(R10, Y0, Y1); \
+	GF256_DOT4_ROW(R11, Y2, Y3); \
+	GF256_DOT4_ROW(R12, Y4, Y5); \
+	GF256_DOT4_ROW(R13, Y6, Y7)
+
+#define GF256_DOT4_TAILROW(ptr, alo, ahi) \
+	GF256_WIDEN_TAIL(ptr, Y10, Y11, X11); \
+	GF256_DOT4_ACC(alo, ahi)
+
+// func gfDot4AVX2(dst, s, o0, o1, o2, o3 *uint32, n int)
+//
+// Four inner products sharing one operand: dst[t] = s · o_t over
+// GF(2³¹−1). The shared chunk is widened once per 8 columns for all four
+// o_t — the multi-row tile of the single-x mat-vec (s = x, o_t = four A
+// rows) and the pack-free path for the batch's last one to three lanes
+// (s = the A row, o_t = x lanes). Same lazy fold and masked column tail
+// as gfTile4AVX2; callers alias unused o_t onto a valid one. Always
+// stores four results.
+TEXT ·gfDot4AVX2(SB), NOSPLIT, $0-56
+	MOVQ    dst+0(FP), R9
+	MOVQ    s+8(FP), SI
+	MOVQ    o0+16(FP), R10
+	MOVQ    o1+24(FP), R11
+	MOVQ    o2+32(FP), R12
+	MOVQ    o3+40(FP), R13
+	MOVQ    n+48(FP), CX
+	VMOVDQU gfP31<>(SB), Y12
+	VPXOR   Y0, Y0, Y0
+	VPXOR   Y1, Y1, Y1
+	VPXOR   Y2, Y2, Y2
+	VPXOR   Y3, Y3, Y3
+	VPXOR   Y4, Y4, Y4
+	VPXOR   Y5, Y5, Y5
+	VPXOR   Y6, Y6, Y6
+	VPXOR   Y7, Y7, Y7
+	MOVQ    CX, BX
+	SHRQ    $3, BX
+	CMPQ    BX, $3
+	JL      gfdot4v_rem
+
+gfdot4v_loop3:
+	GF256_DOT4_BLOCK
+	GF256_DOT4_BLOCK
+	GF256_DOT4_BLOCK
+	GF256_FOLD8
+	SUBQ $3, BX
+	CMPQ BX, $3
+	JGE  gfdot4v_loop3
+
+gfdot4v_rem:
+	TESTQ BX, BX
+	JZ    gfdot4v_tail
+
+gfdot4v_rem1:
+	GF256_DOT4_BLOCK
+	DECQ BX
+	JNZ  gfdot4v_rem1
+
+gfdot4v_tail:
+	ANDQ $7, CX
+	JZ   gfdot4v_reduce
+	GF256_TAILMASK
+	GF256_WIDEN_TAIL(SI, Y8, Y9, X9)
+	GF256_DOT4_TAILROW(R10, Y0, Y1)
+	GF256_DOT4_TAILROW(R11, Y2, Y3)
+	GF256_DOT4_TAILROW(R12, Y4, Y5)
+	GF256_DOT4_TAILROW(R13, Y6, Y7)
+
+gfdot4v_reduce:
+	GF256_REDUCE4_STORE
 	VZEROUPPER
 	RET
 

@@ -2,7 +2,10 @@
 
 package kernel
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 // The AVX2 backend: hand-written assembly micro-kernels using 256-bit FMA
 // accumulators (asm_amd64.s), plus the Go blocking/packing drivers that
@@ -58,12 +61,19 @@ func mulTile1x8AVX2(c, a0, bt *float64, kc int)
 //go:noescape
 func gfAxpyAVX2(dst *uint32, c uint32, src *uint32, n int)
 
-// gfDotMod31AVX2 returns a partially folded Σ a[i]·x[i] over GF(2³¹−1):
-// the result is below 2³⁶ and congruent to the true sum mod 2³¹−1. n must
-// be a multiple of 8; the caller finishes the reduction.
+// gfTile4AVX2 computes one A row against four x lanes taken from the
+// pre-widened pack (see gfPackLanes; stride is the byte distance between
+// column blocks): dst[l] = a · x_l over GF(2³¹−1), l < 4. It always
+// writes four results.
 //
 //go:noescape
-func gfDotMod31AVX2(a, x *uint32, n int) uint64
+func gfTile4AVX2(dst, a *uint32, cols int, pack *uint64, stride int)
+
+// gfDot4AVX2 computes dst[t] = s · o_t over GF(2³¹−1) (all operands n
+// long) for t < 4; it always writes four results.
+//
+//go:noescape
+func gfDot4AVX2(dst, s, o0, o1, o2, o3 *uint32, n int)
 
 // dotVec sums the vectorized prefix in the assembly kernel, then folds the
 // up-to-7-element tail in sequentially — one fixed order per length.
@@ -282,50 +292,111 @@ func packXsTile8(dst, xs []float64, cols, l0, lw, kk, kc int) {
 	}
 }
 
-// gfDotVec is the vectorized GF(2³¹−1) inner product: the assembly kernel
-// accumulates eight 64-bit lanes with one Mersenne fold per step and
-// returns their partially folded sum (< 2³⁶); the scalar tail continues
-// the same accumulate-fold recurrence before the final reduction. Modular
-// reduction is order-independent, so the result is exactly the canonical
-// inner product — identical to the generic backend.
+// gfPackLen is the float64-element size of the pooled scratch behind a
+// gfPackLanes pack of the given lane count.
+func gfPackLen(cols, lanes int) int { return (cols + 7) / 8 * lanes * 8 }
+
+// gfPackLanes widens the first w x-vectors of xs into the batch tiles'
+// operand pack, laid out [col-block][lane][8]uint64 over lanes lanes per
+// block: lane l's columns 8b … 8b+7 sit zero-extended at
+// pack[(b*lanes+l)*8:], so a tile reads each lane chunk as one aligned-
+// stride VPMULUDQ memory operand instead of re-widening it per row.
+// Columns past cols and lanes past w are zero. The pack borrows buf's
+// storage (uint64 and float64 share size and alignment) and lives for
+// one kernel call.
+func gfPackLanes(buf *Buf, xs []uint32, cols, w, lanes int) []uint64 {
+	pack := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(buf.F))), len(buf.F))
+	blocks := (cols + 7) / 8
+	for l := 0; l < lanes; l++ {
+		var x []uint32
+		if l < w {
+			x = xs[l*cols : (l+1)*cols]
+		}
+		for b := 0; b < blocks; b++ {
+			d := pack[(b*lanes+l)*8 : (b*lanes+l)*8+8]
+			src := x[min(b*8, len(x)):min(b*8+8, len(x))]
+			for j, v := range src {
+				d[j] = uint64(v)
+			}
+			clear(d[len(src):])
+		}
+	}
+	return pack
+}
+
+// gfDot4Vec computes dst[t] = shared · others[t*stride : t*stride+n] for
+// t < len(dst) ≤ 4, n = len(shared) > 0, through the shared-operand
+// kernel: each shared half-chunk is widened once for all four products,
+// folds are lazy (one per three column blocks) and the column tail is a
+// masked load. Missing operands alias the first so the kernel's loads
+// stay in bounds; a partial group lands in scratch first because the
+// kernel always stores four results.
 //
 //s2c2:noalloc
-func gfDotVec(row, x []uint32) uint32 {
-	n := len(row)
-	x = x[:n]
-	var acc uint64
-	if nv := n &^ 7; nv > 0 {
-		acc = gfDotMod31AVX2(&row[0], &x[0], nv)
+func gfDot4Vec(dst, shared, others []uint32, stride int) {
+	n := len(shared)
+	o := [4]*uint32{&others[0], &others[0], &others[0], &others[0]}
+	for t := 1; t < len(dst); t++ {
+		o[t] = &others[t*stride : t*stride+n][0]
 	}
-	for i := n &^ 7; i < n; i++ {
-		acc += uint64(row[i]) * uint64(x[i]) // < 2³⁶ + 2⁶² < 2⁶³
-		acc = (acc >> 31) + (acc & p31)      // < 2³³
+	if len(dst) == 4 {
+		gfDot4AVX2(&dst[0], &shared[0], o[0], o[1], o[2], o[3], n)
+		return
 	}
-	acc = (acc >> 31) + (acc & p31) // < 2³¹ + 2⁵
-	if acc >= p31 {
-		acc -= p31
-	}
-	return uint32(acc)
+	var part [4]uint32
+	gfDot4AVX2(&part[0], &shared[0], o[0], o[1], o[2], o[3], n)
+	copy(dst, part[:])
 }
 
+// gfMatVecVec tiles four rows per sweep of x: the widened x chunk is
+// shared by the four row products. Exact — identical to the generic
+// backend for any [lo, hi).
+//
 //s2c2:noalloc
 func gfMatVecVec(dst, a []uint32, cols int, x []uint32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i-lo] = gfDotVec(a[i*cols:(i+1)*cols], x)
+	if cols == 0 {
+		clear(dst[:max(hi-lo, 0)])
+		return
+	}
+	for i := lo; i < hi; i += 4 {
+		n := min(4, hi-i)
+		gfDot4Vec(dst[i-lo:i-lo+n], x[:cols], a[i*cols:], cols)
 	}
 }
 
-// gfMatVecBatchVec walks each A row once across all w lanes: the row is
-// hot in L1 for every lane past the first, so the A DRAM stream is
-// amortized w ways.
+// gfMatVecBatchVec is the lane-fused batch sweep on 256-bit registers:
+// every 8-column chunk of an A row is widened once (two YMM halves) and
+// multiplied against a tile of four x lanes, read pre-widened from a
+// per-call pack as memory operands, with the tile's eight half-lane
+// accumulators resident across the row and one lazy Mersenne fold per
+// three column blocks. The last one to three lanes take the pack-free
+// shared-operand kernel. Exact — identical to the generic backend.
 //
 //s2c2:noalloc
 func gfMatVecBatchVec(dst, a []uint32, cols int, xs []uint32, w, lo, hi int) {
+	if hi <= lo || w <= 0 {
+		return
+	}
+	if cols == 0 {
+		clear(dst[:(hi-lo)*w])
+		return
+	}
+	tiled := w &^ 3 // lanes served by 4-lane tiles
+	var pack []uint64
+	if tiled > 0 {
+		buf := GetBuf(gfPackLen(cols, tiled))
+		defer buf.Put()
+		pack = gfPackLanes(buf, xs, cols, tiled, tiled)
+	}
 	for i := lo; i < hi; i++ {
 		row := a[i*cols : (i+1)*cols]
 		out := dst[(i-lo)*w : (i-lo+1)*w]
-		for l := 0; l < w; l++ {
-			out[l] = gfDotVec(row, xs[l*cols:(l+1)*cols])
+		l := 0
+		for ; l < tiled; l += 4 {
+			gfTile4AVX2(&out[l], &row[0], cols, &pack[l*8], tiled*64)
+		}
+		if l < w {
+			gfDot4Vec(out[l:w], row, xs[l*cols:], cols)
 		}
 	}
 }

@@ -73,12 +73,20 @@ func mulTile1x8AVX512(c, a0, bt *float64, kc int, mask uint64)
 //go:noescape
 func gfAxpyAVX512(dst *uint32, c uint32, src *uint32, n int)
 
-// gfDotMod31AVX512 returns a partially folded Σ a[i]·x[i] over GF(2³¹−1):
-// the result is below 2³⁷ and congruent to the true sum mod 2³¹−1. n must
-// be a multiple of 8; the caller finishes the reduction.
+// gfTile8AVX512 computes one A row against eight x lanes taken from the
+// pre-widened pack (see gfPackLanes; stride is the byte distance between
+// column blocks): dst[l] = a · x_l over GF(2³¹−1) for the lanes selected
+// by the low 8 bits of mask.
 //
 //go:noescape
-func gfDotMod31AVX512(a, x *uint32, n int) uint64
+func gfTile8AVX512(dst, a *uint32, cols int, pack *uint64, stride int, mask uint64)
+
+// gfDot4AVX512 computes dst[t] = s · o_t over GF(2³¹−1) (all operands n
+// long) for the t selected by the low 4 bits of mask; unselected o_t
+// must still point at n readable elements.
+//
+//go:noescape
+func gfDot4AVX512(dst, s, o0, o1, o2, o3 *uint32, n int, mask uint64)
 
 // gfMatMulRowAccAVX512 accumulates one row of A·B over GF(2³¹−1) into
 // dst (length n): dst[j] += Σ_t a[t]·B[t,j] mod 2³¹−1, with the k sweep
@@ -213,50 +221,79 @@ func matVecRangeBatchVec512(dst, a []float64, cols int, xs []float64, w, lo, hi 
 	}
 }
 
-// gfDotVec512 is the 8-lane vectorized GF(2³¹−1) inner product: the
-// assembly kernel accumulates sixteen 64-bit lanes with one Mersenne fold
-// per step and returns their partially folded sum (< 2³⁷); the scalar
-// tail continues the same accumulate-fold recurrence before the final
-// reduction. Modular reduction is order-independent, so the result is
-// exactly the canonical inner product — identical to the generic backend.
+// gfDot4Vec512 computes dst[t] = shared · others[t*stride : t*stride+n]
+// for t < len(dst) ≤ 4, n = len(shared) > 0, through the shared-operand
+// kernel: the shared chunk is widened once for all four products, folds
+// are lazy (one per three column blocks) and the column tail is opmasked.
+// Missing operands alias the first so the kernel's loads stay in bounds;
+// their sums are masked off at the store.
 //
 //s2c2:noalloc
-func gfDotVec512(row, x []uint32) uint32 {
-	n := len(row)
-	x = x[:n]
-	var acc uint64
-	if nv := n &^ 7; nv > 0 {
-		acc = gfDotMod31AVX512(&row[0], &x[0], nv)
+func gfDot4Vec512(dst, shared, others []uint32, stride int) {
+	n := len(shared)
+	o := [4]*uint32{&others[0], &others[0], &others[0], &others[0]}
+	for t := 1; t < len(dst); t++ {
+		o[t] = &others[t*stride : t*stride+n][0]
 	}
-	for i := n &^ 7; i < n; i++ {
-		acc += uint64(row[i]) * uint64(x[i]) // < 2³⁷ + 2⁶² < 2⁶³
-		acc = (acc >> 31) + (acc & p31)      // < 2³³
-	}
-	acc = (acc >> 31) + (acc & p31) // < 2³¹ + 2⁶ < 2·p31
-	if acc >= p31 {
-		acc -= p31
-	}
-	return uint32(acc)
+	gfDot4AVX512(&dst[0], &shared[0], o[0], o[1], o[2], o[3], n, 1<<uint(len(dst))-1)
 }
 
+// gfMatVecVec512 tiles four rows per sweep of x: the widened x chunk is
+// shared by the four row products. Exact — identical to the generic
+// backend for any [lo, hi).
+//
 //s2c2:noalloc
 func gfMatVecVec512(dst, a []uint32, cols int, x []uint32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i-lo] = gfDotVec512(a[i*cols:(i+1)*cols], x)
+	if cols == 0 {
+		clear(dst[:max(hi-lo, 0)])
+		return
+	}
+	for i := lo; i < hi; i += 4 {
+		n := min(4, hi-i)
+		gfDot4Vec512(dst[i-lo:i-lo+n], x[:cols], a[i*cols:], cols)
 	}
 }
 
-// gfMatVecBatchVec512 walks each A row once across all w lanes: the row
-// is hot in L1 for every lane past the first, so the A DRAM stream is
-// amortized w ways.
+// gfMatVecBatchVec512 is the lane-fused batch sweep: every 8-column chunk
+// of an A row is widened once and multiplied against a whole tile of
+// eight x lanes, read pre-widened from a per-call pack as memory
+// operands, with the tile's eight accumulators resident in ZMM registers
+// across the row and one lazy Mersenne fold per three column blocks. A
+// final group of six or seven lanes runs as an opmasked tile; narrower
+// groups take the pack-free shared-operand kernel, four lanes a call
+// (a tile costs its eight lanes whatever the mask, ≈ 25 vector µops a
+// column block against ≈ 4¼ per lane there, so it wins from six up).
+// Modular reduction is order-independent, so every output is exactly the
+// canonical inner product — identical to the generic backend.
 //
 //s2c2:noalloc
 func gfMatVecBatchVec512(dst, a []uint32, cols int, xs []uint32, w, lo, hi int) {
+	if hi <= lo || w <= 0 {
+		return
+	}
+	if cols == 0 {
+		clear(dst[:(hi-lo)*w])
+		return
+	}
+	tiled := w &^ 7 // lanes served by 8-lane tiles
+	if w-tiled >= 6 {
+		tiled += 8
+	}
+	var pack []uint64
+	if tiled > 0 {
+		buf := GetBuf(gfPackLen(cols, tiled))
+		defer buf.Put()
+		pack = gfPackLanes(buf, xs, cols, min(w, tiled), tiled)
+	}
 	for i := lo; i < hi; i++ {
 		row := a[i*cols : (i+1)*cols]
 		out := dst[(i-lo)*w : (i-lo+1)*w]
-		for l := 0; l < w; l++ {
-			out[l] = gfDotVec512(row, xs[l*cols:(l+1)*cols])
+		l := 0
+		for ; l < tiled; l += 8 {
+			gfTile8AVX512(&out[l], &row[0], cols, &pack[l*8], tiled*64, 1<<uint(min(8, w-l))-1)
+		}
+		for ; l < w; l += 4 {
+			gfDot4Vec512(out[l:min(l+4, w)], row, xs[l*cols:], cols)
 		}
 	}
 }

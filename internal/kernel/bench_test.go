@@ -90,3 +90,36 @@ func BenchmarkParallelMatVecSpawn(b *testing.B) {
 		spawnMatVec(dst, a, rows, cols, x, workers)
 	}
 }
+
+// BenchmarkGFMatVecBatch times the fused GF(2³¹−1) sweeps at the
+// gf-batch-serve worker shape (a 384×256 partition, cache-resident) on
+// every backend: w=1 is the multi-row single-x tile behind GFMatVecMod31,
+// w=8 the lane-fused batch tile behind GFMatVecBatchMod31.
+func BenchmarkGFMatVecBatch(b *testing.B) {
+	const rows, cols = 384, 256
+	a := make([]uint32, rows*cols)
+	xs := make([]uint32, 8*cols)
+	for i := range a {
+		a[i] = (uint32(i) * 2654435761) % uint32(p31)
+	}
+	for i := range xs {
+		xs[i] = (uint32(i) * 40503) % uint32(p31)
+	}
+	dst := make([]uint32, rows*8)
+	for _, backend := range Backends() {
+		withBackend(b, backend, func() {
+			b.Run("w1/"+backend, func(b *testing.B) {
+				b.SetBytes(4 * rows * cols)
+				for i := 0; i < b.N; i++ {
+					GFMatVecMod31(dst[:rows], a, cols, xs[:cols], 0, rows)
+				}
+			})
+			b.Run("w8/"+backend, func(b *testing.B) {
+				b.SetBytes(4 * rows * cols)
+				for i := 0; i < b.N; i++ {
+					GFMatVecBatchMod31(dst, a, cols, xs, 8, 0, rows)
+				}
+			})
+		})
+	}
+}

@@ -259,7 +259,9 @@ func gfMulAdd31(d, c, s uint32) uint32 {
 // GF(2³¹−1), folding after every accumulate: the running sum stays below
 // 2³³, so the next 62-bit product cannot overflow the 64-bit accumulator.
 // Modular reduction is order- and grouping-independent, so every backend's
-// gfMatVec returns these exact values.
+// fused gfMatVec/gfMatVecBatch tiles return these exact values; this is
+// the reference they are tested against and the generic backend's
+// remainder path.
 //
 //s2c2:noalloc
 func gfDotGeneric(row, x []uint32) uint32 {
@@ -276,19 +278,84 @@ func gfDotGeneric(row, x []uint32) uint32 {
 	return uint32(acc)
 }
 
+// gfReduce64 brings any 64-bit accumulator to its canonical residue: two
+// Mersenne folds (< 2³³ + 2³¹, then < 2³¹ + 8) and one conditional
+// subtract.
+func gfReduce64(acc uint64) uint32 {
+	acc = (acc >> 31) + (acc & p31)
+	acc = (acc >> 31) + (acc & p31)
+	if acc >= p31 {
+		acc -= p31
+	}
+	return uint32(acc)
+}
+
+// gfDot4Generic computes out[t] = shared · others[t*stride : t*stride+n]
+// for t < 4, n = len(shared): four inner products that load (and widen)
+// each shared element once. Folds are lazy — an accumulator that has just
+// been folded is below 2³³ + 2³¹ and each product below 2⁶², so three
+// products fit before the next fold (3·2⁶² + 2³³ + 2³¹ < 2⁶⁴); the up to
+// two trailing columns ride the same budget.
+//
+//s2c2:noalloc
+func gfDot4Generic(out, shared, others []uint32, stride int) {
+	n := len(shared)
+	o0 := others[:n]
+	o1 := others[stride : stride+n]
+	o2 := others[2*stride : 2*stride+n]
+	o3 := others[3*stride : 3*stride+n]
+	var a0, a1, a2, a3 uint64
+	j := 0
+	for ; j+3 <= n; j += 3 {
+		s0, s1, s2 := uint64(shared[j]), uint64(shared[j+1]), uint64(shared[j+2])
+		a0 += s0*uint64(o0[j]) + s1*uint64(o0[j+1]) + s2*uint64(o0[j+2])
+		a1 += s0*uint64(o1[j]) + s1*uint64(o1[j+1]) + s2*uint64(o1[j+2])
+		a2 += s0*uint64(o2[j]) + s1*uint64(o2[j+1]) + s2*uint64(o2[j+2])
+		a3 += s0*uint64(o3[j]) + s1*uint64(o3[j+1]) + s2*uint64(o3[j+2])
+		a0 = (a0 >> 31) + (a0 & p31)
+		a1 = (a1 >> 31) + (a1 & p31)
+		a2 = (a2 >> 31) + (a2 & p31)
+		a3 = (a3 >> 31) + (a3 & p31)
+	}
+	for ; j < n; j++ {
+		s := uint64(shared[j])
+		a0 += s * uint64(o0[j])
+		a1 += s * uint64(o1[j])
+		a2 += s * uint64(o2[j])
+		a3 += s * uint64(o3[j])
+	}
+	out[0], out[1], out[2], out[3] = gfReduce64(a0), gfReduce64(a1), gfReduce64(a2), gfReduce64(a3)
+}
+
+// gfMatVecGeneric tiles four rows per sweep of x; the last one to three
+// rows take the reference dot.
+//
 //s2c2:noalloc
 func gfMatVecGeneric(dst, a []uint32, cols int, x []uint32, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		gfDot4Generic(dst[i-lo:i-lo+4], x[:cols], a[i*cols:], cols)
+	}
+	for ; i < hi; i++ {
 		dst[i-lo] = gfDotGeneric(a[i*cols:(i+1)*cols], x)
 	}
 }
 
+// gfMatVecBatchGeneric is the portable lane-fused sweep: each A row is
+// walked once per tile of four x lanes (the row element is loaded once
+// for the four products, folds are lazy), the last one to three lanes by
+// the reference dot. Exact — lane l equals gfDotGeneric(row, x_l).
+//
 //s2c2:noalloc
 func gfMatVecBatchGeneric(dst, a []uint32, cols int, xs []uint32, w, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		row := a[i*cols : (i+1)*cols]
 		out := dst[(i-lo)*w : (i-lo+1)*w]
-		for l := 0; l < w; l++ {
+		l := 0
+		for ; l+4 <= w; l += 4 {
+			gfDot4Generic(out[l:l+4], row, xs[l*cols:], cols)
+		}
+		for ; l < w; l++ {
 			out[l] = gfDotGeneric(row, xs[l*cols:(l+1)*cols])
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"github.com/coded-computing/s2c2/internal/kernel"
 )
 
 // ErrSingular is returned when a linear system has no usable pivot.
@@ -105,6 +107,44 @@ func (f *LU) SolveInto(x, b []float64) {
 			s -= row[j] * x[j]
 		}
 		x[i] = s / row[i]
+	}
+}
+
+// SolveLanesInto solves A·X = B for m right-hand sides at once, every
+// unknown held as a length-m vector: b[i] is row i of B (the i-th
+// equation's m right-hand values) and row i of the solution lands in
+// x[i*stride : i*stride+m]. The substitutions are SolveInto's, run as
+// whole-vector kernel.Axpy updates with the division by the pivot as a
+// kernel.Scale by its reciprocal, so the cost is N² vector sweeps however
+// large m is. Both kernels are elementwise and position-independent:
+// splitting the m lanes over several calls, anywhere, yields the same
+// bits. x must not alias any b[i]. It performs no allocation.
+//
+//s2c2:noalloc
+func (f *LU) SolveLanesInto(x []float64, stride int, b [][]float64) {
+	n := f.lu.rows
+	if len(b) != n {
+		panic(fmt.Sprintf("mat: LU.SolveLanesInto has %d right-hand rows, want %d", len(b), n))
+	}
+	m := len(b[0])
+	for i, p := range f.piv {
+		copy(x[i*stride:i*stride+m], b[p])
+	}
+	// Forward substitution with unit-diagonal L.
+	for i := 1; i < n; i++ {
+		xi := x[i*stride : i*stride+m]
+		for j, v := range f.lu.data[i*n : i*n+i] {
+			kernel.Axpy(-v, x[j*stride:j*stride+m], xi)
+		}
+	}
+	// Back substitution with U.
+	for i := n - 1; i >= 0; i-- {
+		xi := x[i*stride : i*stride+m]
+		u := f.lu.data[i*n : (i+1)*n]
+		for j := i + 1; j < n; j++ {
+			kernel.Axpy(-u[j], x[j*stride:j*stride+m], xi)
+		}
+		kernel.Scale(1/u[i], xi)
 	}
 }
 

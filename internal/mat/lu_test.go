@@ -98,3 +98,59 @@ func TestSolveMany(t *testing.T) {
 		}
 	}
 }
+
+// SolveLanesInto must agree with SolveInto lane by lane (the same
+// substitutions, up to the reciprocal-pivot rounding), honour the output
+// stride, and — being elementwise — return the same bits wherever the
+// lanes are split across calls.
+func TestSolveLanesIntoMatchesSolveInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{1, 2, 3, 6, 10} {
+		a := Rand(n, n, rng)
+		for i := 0; i < n; i++ {
+			a.Set(i, i, a.At(i, i)+float64(n)) // well conditioned, pivots permuted or not
+		}
+		f, err := FactorLU(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const m, stride = 37, 50
+		b := make([][]float64, n)
+		for i := range b {
+			b[i] = make([]float64, m)
+			for l := range b[i] {
+				b[i][l] = rng.NormFloat64()
+			}
+		}
+		x := make([]float64, n*stride)
+		f.SolveLanesInto(x, stride, b)
+		col, want := make([]float64, n), make([]float64, n)
+		for l := 0; l < m; l++ {
+			for i := range col {
+				col[i] = b[i][l]
+			}
+			f.SolveInto(want, col)
+			for i := range want {
+				if got := x[i*stride+l]; math.Abs(got-want[i]) > 1e-12*(1+math.Abs(want[i])) {
+					t.Fatalf("n=%d lane %d unknown %d: lanes %v, scalar %v", n, l, i, got, want[i])
+				}
+			}
+		}
+		// Split the lanes at an odd offset: every bit must repeat.
+		const cut = 13
+		split := make([]float64, n*stride)
+		lo, hi := make([][]float64, n), make([][]float64, n)
+		for i := range b {
+			lo[i], hi[i] = b[i][:cut], b[i][cut:]
+		}
+		f.SolveLanesInto(split, stride, lo)
+		f.SolveLanesInto(split[cut:], stride, hi)
+		for i := 0; i < n; i++ {
+			for l := 0; l < m; l++ {
+				if split[i*stride+l] != x[i*stride+l] {
+					t.Fatalf("n=%d: split solve differs at unknown %d lane %d", n, i, l)
+				}
+			}
+		}
+	}
+}

@@ -1030,6 +1030,12 @@ type RoundStats struct {
 	// ResponseTime[w] is worker w's wall-clock response time (0 if it had
 	// no assignment or timed out before responding).
 	ResponseTime []time.Duration
+	// ComputeTime[w] is the kernel time worker w itself reported for the
+	// round (the ComputeNanos of its results, summed when reassigned extras
+	// add a second result; straggler emulation excluded). ResponseTime[w]
+	// − ComputeTime[w] is what the round spent on wire, queueing and
+	// emulated delay for that worker.
+	ComputeTime []time.Duration
 	// AssignedRows[w] mirrors the plan (plus reassignments).
 	AssignedRows []int
 	// Reassigned counts rows re-executed after the timeout fired.
@@ -1105,14 +1111,10 @@ func (c *roundCore) begin(n, blockRows, k, w int) {
 	c.needed = blockRows
 	c.nResponded = 0
 
-	if cap(c.stats.ResponseTime) < n {
-		//s2c2:waive noalloc — capacity growth, first round at this n only
-		c.stats.ResponseTime = make([]time.Duration, n)
-	}
-	c.stats.ResponseTime = c.stats.ResponseTime[:n]
-	for i := range c.stats.ResponseTime {
-		c.stats.ResponseTime[i] = 0
-	}
+	c.stats.ResponseTime = kernel.GrowSlice(c.stats.ResponseTime, n)
+	clear(c.stats.ResponseTime)
+	c.stats.ComputeTime = kernel.GrowSlice(c.stats.ComputeTime, n)
+	clear(c.stats.ComputeTime)
 	c.stats.AssignedRows = kernel.GrowInts(c.stats.AssignedRows, n)
 	for i := range c.stats.AssignedRows {
 		c.stats.AssignedRows[i] = 0
@@ -1206,10 +1208,15 @@ func (c *roundCore) checkResult(worker int, ranges []coding.Range, rowWidth, num
 // coverage but does not count as the worker having responded: response
 // time (the §4.3 timeout's and the predictor's input) is recorded only
 // when the final segment of a split result lands, so large results are
-// not systematically under-measured.
+// not systematically under-measured. The worker-reported compute time
+// rides every segment of a result, so it too is taken from the final
+// segment only — once per result, summed over the worker's results.
 //
 //s2c2:noalloc
-func (c *roundCore) noteResult(worker int, ranges []coding.Range, elapsed time.Duration, partial bool) {
+func (c *roundCore) noteResult(worker int, ranges []coding.Range, elapsed, compute time.Duration, partial bool) {
+	if !partial {
+		c.stats.ComputeTime[worker] += compute
+	}
 	if !partial && !c.responded[worker] {
 		c.responded[worker] = true
 		c.nResponded++
@@ -1329,6 +1336,7 @@ func (c *roundCore) copyStats() *RoundStats {
 	recovery.DeadWorkers = append([]int(nil), c.stats.Recovery.DeadWorkers...)
 	return &RoundStats{
 		ResponseTime: append([]time.Duration(nil), c.stats.ResponseTime...),
+		ComputeTime:  append([]time.Duration(nil), c.stats.ComputeTime...),
 		AssignedRows: append([]int(nil), c.stats.AssignedRows...),
 		Reassigned:   c.stats.Reassigned,
 		TimedOut:     append([]int(nil), c.stats.TimedOut...),
@@ -1406,7 +1414,7 @@ func (ws *roundWorkspace) addResult(r *Result, elapsed time.Duration) error {
 	// Amortized: reset to length 0 each round, capacity retained.
 	//s2c2:waive noalloc
 	ws.partials = append(ws.partials, p)
-	ws.noteResult(r.Worker, r.Ranges, elapsed, r.Partial)
+	ws.noteResult(r.Worker, r.Ranges, elapsed, time.Duration(r.ComputeNanos), r.Partial)
 	return nil
 }
 
@@ -1458,7 +1466,7 @@ func (ws *gfRoundWorkspace) addResult(r *GFResult, elapsed time.Duration) error 
 	// Amortized: reset to length 0 each round, capacity retained.
 	//s2c2:waive noalloc
 	ws.partials = append(ws.partials, p)
-	ws.noteResult(r.Worker, r.Ranges, elapsed, r.Partial)
+	ws.noteResult(r.Worker, r.Ranges, elapsed, time.Duration(r.ComputeNanos), r.Partial)
 	return nil
 }
 

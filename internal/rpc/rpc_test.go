@@ -196,3 +196,49 @@ func TestTCPMultiPhase(t *testing.T) {
 		t.Fatal("two-phase TCP pipeline mismatch")
 	}
 }
+
+// TestRoundStatsComputeTime: the master records the kernel time each
+// worker reports next to its wall response time. Emulated straggler delay
+// is not compute, so with a per-row delay every assigned worker shows
+// 0 < ComputeTime < ResponseTime; and a result split into segments — each
+// carrying the whole result's ComputeNanos — counts once, on its final
+// segment, while a second result (reassigned extras) adds to it.
+func TestRoundStatsComputeTime(t *testing.T) {
+	n, k := 4, 3
+	m := startCluster(t, n, nil)
+	rng := rand.New(rand.NewSource(7))
+	a := mat.Rand(30, 5, rng)
+	code, _ := coding.NewMDSCode(n, k)
+	enc := code.Encode(a)
+	if err := m.DistributePartitions(0, enc); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := (&sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows}).Plan([]float64{1, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := m.RunRound(0, 0, make([]float64, 5), plan, k, 10.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < n; w++ {
+		if stats.AssignedRows[w] == 0 {
+			continue
+		}
+		if c, r := stats.ComputeTime[w], stats.ResponseTime[w]; c <= 0 || c >= r {
+			t.Fatalf("worker %d: compute %v, response %v; want 0 < compute < response", w, c, r)
+		}
+	}
+
+	var c roundCore
+	c.begin(2, 8, 1, 1)
+	c.noteResult(1, []coding.Range{{Lo: 0, Hi: 3}}, time.Millisecond, 40*time.Microsecond, true)
+	c.noteResult(1, []coding.Range{{Lo: 3, Hi: 6}}, 2*time.Millisecond, 40*time.Microsecond, false)
+	c.noteResult(1, []coding.Range{{Lo: 6, Hi: 8}}, 3*time.Millisecond, 10*time.Microsecond, false)
+	if got := c.stats.ComputeTime[1]; got != 50*time.Microsecond {
+		t.Fatalf("split result + extras: ComputeTime %v, want 50µs", got)
+	}
+	if got := c.copyStats().ComputeTime; len(got) != 2 || got[1] != 50*time.Microsecond || got[0] != 0 {
+		t.Fatalf("copyStats ComputeTime = %v", got)
+	}
+}
