@@ -10,13 +10,17 @@ build:
 test:
 	$(GO) test ./...
 
+# test-noasm also proves the portable wire codec — the only one a
+# big-endian target has — still compiles there.
 test-noasm:
 	$(GO) build -tags noasm ./...
 	$(GO) test -tags noasm ./...
+	GOARCH=s390x $(GO) vet ./internal/wire
 
 race:
 	$(GO) test -race ./...
 	S2C2_KERNEL_BACKEND=generic $(GO) test -race ./internal/kernel ./internal/wire
+	$(GO) test -race -tags noasm ./internal/wire ./internal/rpc
 
 # lint mirrors the CI static-analysis job: gofmt, go vet, then the
 # repo's own invariant suite both standalone (the authority — full
@@ -41,12 +45,16 @@ fmt:
 bench:
 	bash benchmark/run.sh
 
-# bench-smoke runs every go-test benchmark once, then the harness: its own
-# vet + smoke test (benchmark/ is a separate module, so ./... skips it)
-# and a short gf-batch-serve run, which fails on any wrong decode.
+# bench-smoke runs every go-test benchmark once (the data-path ones —
+# BenchmarkMDSEncode, BenchmarkGFMDSEncode, BenchmarkWirePayload,
+# BenchmarkChunkStream — live next to their layers), then the harness: its
+# own vet + smoke test (benchmark/ is a separate module, so ./... skips it)
+# and short gf-batch-serve and dram-matvec runs, which fail on any wrong
+# decode.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 	cd benchmark && $(GO) vet . && $(GO) test .
 	bash benchmark/run.sh --workload gf-batch-serve --seconds 4
+	bash benchmark/run.sh --workload dram-matvec --seconds 4
 
 ci: lint test test-noasm race bench-smoke

@@ -141,11 +141,14 @@ func TestEncodeIntoReusesPartitions(t *testing.T) {
 	}
 	a := mat.Rand(40, 8, rng)
 	enc := code.Encode(a)
-	parts0 := enc.Parts[0]
+	parity := enc.Parts[4]
 	b := mat.Rand(40, 8, rng)
 	enc2 := code.EncodeInto(b, enc)
-	if enc2 != enc || enc2.Parts[0] != parts0 {
-		t.Fatal("EncodeInto did not reuse partition storage")
+	if enc2 != enc || enc2.Parts[4] != parity {
+		t.Fatal("EncodeInto did not reuse parity partition storage")
+	}
+	if &enc2.Parts[0].Data()[0] != &b.Data()[0] {
+		t.Fatal("EncodeInto left systematic partition 0 viewing the previous matrix")
 	}
 	// Re-encoded partitions must decode the new matrix.
 	x := make([]float64, 8)

@@ -72,6 +72,13 @@ func (c *MDSCode) GeneratorRow(i int) []float64 {
 
 // EncodedMatrix holds the n coded partitions of a data matrix A along with
 // the bookkeeping needed to decode distributed products against it.
+//
+// The encoding borrows A: the code is systematic, so partitions 0..k-1 are
+// capacity-capped views of A's own row blocks, not copies (only a block
+// that runs past A's last row — rows % k != 0 — is copied and zero-padded).
+// Mutating A therefore mutates the encoding's systematic partitions and
+// stales its parity; re-encode (EncodeInto) after changing A, and keep A
+// alive and unchanged for as long as the encoding is in use.
 type EncodedMatrix struct {
 	Code      *MDSCode
 	OrigRows  int // rows of A before padding
@@ -79,58 +86,69 @@ type EncodedMatrix struct {
 	BlockRows int          // rows per partition (= PaddedRows/k)
 	Parts     []*mat.Dense // n coded partitions, each BlockRows×Cols
 
-	pad *mat.Dense // re-encode padding scratch (rows % k != 0 only)
+	pad []*mat.Dense // owned storage of zero-padded systematic blocks, by block
 }
 
 // Encode splits A into k row blocks (zero-padding the tail) and produces
-// the n coded partitions Ã_i = Σ_j G[i][j]·A_j.
+// the n coded partitions Ã_i = Σ_j G[i][j]·A_j. The result borrows A (see
+// EncodedMatrix).
 func (c *MDSCode) Encode(a *mat.Dense) *EncodedMatrix {
 	return c.EncodeInto(a, nil)
 }
 
-// EncodeInto is Encode reusing the partition storage of dst when its shape
+// EncodeInto is Encode reusing the parity storage of dst when its shape
 // matches (the re-encode path of iterative jobs whose data matrix
-// changes). dst == nil, or any shape mismatch, allocates fresh partitions.
+// changes). dst == nil, or any shape mismatch, allocates fresh parity
+// partitions. Either way the systematic partitions are re-pointed at a, so
+// the result borrows a, not the matrix dst was encoded from.
 func (c *MDSCode) EncodeInto(a *mat.Dense, dst *EncodedMatrix) *EncodedMatrix {
-	cols := a.Cols()
-	paddedRows := mat.PaddedRows(a.Rows(), c.k)
-	blockRows := paddedRows / c.k
+	rows, cols := a.Dims()
+	blockRows := mat.PaddedRows(rows, c.k) / c.k
 	if dst == nil || dst.Code != c || dst.BlockRows != blockRows || dst.Cols != cols {
 		dst = &EncodedMatrix{
 			Code:  c,
 			Parts: make([]*mat.Dense, c.n),
+			pad:   make([]*mat.Dense, c.k),
 		}
-		for i := range dst.Parts {
+		for i := c.k; i < c.n; i++ {
 			dst.Parts[i] = mat.New(blockRows, cols)
 		}
 	}
-	dst.OrigRows = a.Rows()
+	dst.OrigRows = rows
 	dst.Cols = cols
 	dst.BlockRows = blockRows
-	padded := a
-	if a.Rows() != paddedRows {
-		// Zero-pad into per-encoding scratch reused across re-encodes.
-		if dst.pad == nil || dst.pad.Rows() != paddedRows || dst.pad.Cols() != cols {
-			dst.pad = mat.New(paddedRows, cols)
+	src := a.Data()
+	for j := 0; j < c.k; j++ {
+		lo, hi := j*blockRows*cols, (j+1)*blockRows*cols
+		if hi <= len(src) {
+			// Capacity-capped, so nothing appended through the view can
+			// reach the next block's rows.
+			dst.Parts[j] = mat.NewFromData(blockRows, cols, src[lo:hi:hi])
+			continue
 		}
-		data := dst.pad.Data()
-		copy(data, a.Data())
-		kernel.Zero(data[a.Rows()*cols:])
-		padded = dst.pad
+		// The block runs past A's last row: copy what A has, zero the rest,
+		// into storage reused across re-encodes.
+		if dst.pad[j] == nil {
+			dst.pad[j] = mat.New(blockRows, cols)
+		}
+		data := dst.pad[j].Data()
+		copied := copy(data, src[min(lo, len(src)):])
+		kernel.Zero(data[copied:])
+		dst.Parts[j] = dst.pad[j]
 	}
-	// Band-split the axpy sweeps across the pool: each participant owns a
-	// disjoint row band [lo, hi) of every partition, so no two goroutines
-	// ever write the same destination rows. Data blocks are row bands of
-	// the padded matrix read in place — no per-block copies.
-	src := padded.Data()
+	if c.n == c.k {
+		return dst
+	}
+	// Band-split the parity sweeps across the pool: each participant owns a
+	// disjoint row band [lo, hi) of every parity partition, so no two
+	// goroutines ever write the same destination rows. The data blocks are
+	// read in place through the systematic partitions.
 	c.exec.For(blockRows, encodeChunk(c.n, c.k, cols), func(lo, hi int) {
-		for i := 0; i < c.n; i++ {
+		for i := c.k; i < c.n; i++ {
 			band := dst.Parts[i].Data()[lo*cols : hi*cols]
 			kernel.Zero(band)
 			for j, g := range c.gen.Row(i) {
-				if g != 0 {
-					kernel.Axpy(g, src[(j*blockRows+lo)*cols:(j*blockRows+hi)*cols], band)
-				}
+				kernel.Axpy(g, dst.Parts[j].Data()[lo*cols:hi*cols], band)
 			}
 		}
 	})

@@ -50,42 +50,38 @@ type GFEncodedMatrix struct {
 }
 
 // Encode splits the rows*cols data (row-major) into k row blocks, padding
-// with zeros, and emits n Vandermonde-coded partitions.
+// with zeros, and emits n Vandermonde-coded partitions. The generator is
+// not systematic — every partition mixes all k blocks — so the partitions
+// own their storage and data is only read: blocks are mixed in place from
+// data, and only a block that runs past the last row is staged, zero-
+// padded, in scratch.
 func (c *GFMDSCode) Encode(rows, cols int, data []gf.Elem) (*GFEncodedMatrix, error) {
 	if len(data) != rows*cols {
 		return nil, fmt.Errorf("coding: data length %d want %d", len(data), rows*cols)
 	}
 	blockRows := (rows + c.k - 1) / c.k
-	blocks := make([]*gf.Matrix, c.k)
-	for b := 0; b < c.k; b++ {
-		m := gf.NewMatrix(blockRows, cols)
-		for r := 0; r < blockRows; r++ {
-			src := b*blockRows + r
-			if src >= rows {
-				break
-			}
-			copy(m.Row(r), data[src*cols:(src+1)*cols])
+	blocks := make([][]gf.Elem, c.k)
+	for j := range blocks {
+		lo, hi := j*blockRows*cols, (j+1)*blockRows*cols
+		if hi <= len(data) {
+			blocks[j] = data[lo:hi]
+			continue
 		}
-		blocks[b] = m
+		blocks[j] = make([]gf.Elem, blockRows*cols)
+		copy(blocks[j], data[min(lo, len(data)):])
 	}
 	parts := make([]*gf.Matrix, c.n)
-	for i := 0; i < c.n; i++ {
+	for i := range parts {
 		parts[i] = gf.NewMatrix(blockRows, cols)
 	}
 	// Band-split the field mixing across the pool: each participant owns
 	// rows [lo, hi) of every partition. The inner sweep is the gf.Axpy
-	// mul-accumulate kernel, not a scalar Add/Mul chain.
+	// mul-accumulate kernel over the whole band, not a scalar Add/Mul chain.
 	c.exec.For(blockRows, encodeChunk(c.n, c.k, cols), func(lo, hi int) {
-		for i := 0; i < c.n; i++ {
-			p := parts[i]
-			for j := 0; j < c.k; j++ {
-				g := c.gen.At(i, j)
-				if g == 0 {
-					continue
-				}
-				for r := lo; r < hi; r++ {
-					gf.Axpy(p.Row(r), g, blocks[j].Row(r))
-				}
+		for i, p := range parts {
+			band := p.Data()[lo*cols : hi*cols]
+			for j, g := range c.gen.Row(i) {
+				gf.Axpy(band, g, blocks[j][lo*cols:hi*cols])
 			}
 		}
 	})

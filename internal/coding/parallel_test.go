@@ -290,6 +290,40 @@ func BenchmarkMDSEncode(b *testing.B) {
 			code.EncodeInto(a, dst)
 		}
 	})
+	// A fresh encode at the benchmark's dram-matvec shape — what a job's
+	// set-up pays. B/op is the parity partition alone (A/k): the k
+	// systematic partitions are views of A.
+	b.Run("dram-matvec", func(b *testing.B) {
+		big := mat.Rand(12288, 1024, rng)
+		code, _ := NewMDSCode(4, 3)
+		b.SetBytes(int64(8 * len(big.Data())))
+		b.ReportAllocs()
+		for b.Loop() {
+			code.Encode(big)
+		}
+	})
+}
+
+// BenchmarkGFMDSEncode is a fresh exact encode at the benchmark's
+// gf-batch-serve shape. The Vandermonde generator is not systematic, so
+// B/op is all n partitions — but no staged copy of the k data blocks.
+func BenchmarkGFMDSEncode(b *testing.B) {
+	const rows, cols = 1536, 256
+	rng := rand.New(rand.NewSource(79))
+	data := make([]gf.Elem, rows*cols)
+	for i := range data {
+		data[i] = gf.New(rng.Uint64())
+	}
+	code, _ := NewGFMDSCode(4, 3)
+	b.Run("gf-batch-serve", func(b *testing.B) {
+		b.SetBytes(int64(4 * len(data)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := code.Encode(rows, cols, data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkPolyDecodeBatched(b *testing.B) {

@@ -288,7 +288,9 @@ func FuzzGFChunkStream(f *testing.F) {
 			gfPartitions: map[int]*gf.Matrix{},
 			gfPending:    map[int]*gfPartBuild{},
 		}
-		w.Run() //nolint:errcheck // any error is a valid outcome; panics fail the fuzz
+		// serve, not Run: Run releases the partition maps on return, and the
+		// invariant below inspects them.
+		w.serve() //nolint:errcheck // any error is a valid outcome; panics fail the fuzz
 		// Invariant: every published GF partition is fully assembled and
 		// canonical (the guards must make partial publication impossible).
 		w.mu.Lock()

@@ -777,8 +777,12 @@ func distributeAll(workers []*workerConn, ship func(w int, wc *workerConn) error
 // — under bounded exponential backoff before any error is returned.
 //
 // The partitions are retained (aliased, not copied) so RepairWorkers and
-// the retry engine can re-stream them to replacements; callers must not
-// mutate a distributed phase's partitions while the master may re-stream.
+// the retry engine can re-stream them to replacements — and the encoding's
+// systematic partitions are themselves views of the caller's data matrix
+// (coding.EncodedMatrix). So the master borrows that matrix until the job
+// closes or the master shuts down: callers must not mutate it, or a
+// distributed phase's partitions, while the master may re-stream; after a
+// change, re-encode and distribute again.
 //
 //s2c2:partition-attrib
 func (m *Master) DistributePartitions(phase int, enc *coding.EncodedMatrix) error {
@@ -2082,4 +2086,18 @@ func (m *Master) Shutdown() {
 	}
 	m.ln.Close()
 	m.wg.Wait()
+	// Release the datasets. The Master embeds sync.Pools, and the runtime's
+	// pool registry keeps such a value reachable for one more GC cycle
+	// after its last user reference is gone; without this the retained
+	// partitions — and, through the systematic views, the caller's data
+	// matrices — would ride along.
+	m.mu.Lock()
+	clear(m.parts)
+	clear(m.gfParts)
+	m.mu.Unlock()
+	m.jobsMu.RLock()
+	for _, j := range m.jobs {
+		j.forgetPhases()
+	}
+	m.jobsMu.RUnlock()
 }

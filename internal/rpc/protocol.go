@@ -67,6 +67,7 @@ const (
 	KindGFPartitionChunk // one row band of field elements
 	KindPing             // master → worker liveness probe
 	KindPong             // worker → master liveness answer
+	KindPartitionDrop    // master → worker: free a phase's partition (wire transport)
 )
 
 // Hello is the worker's first message after the transport handshake.
@@ -101,10 +102,12 @@ type PartitionStart struct {
 	ChunkRows int // row granularity the master will stream at (informational)
 }
 
-// PartitionChunk carries rows [Lo, Hi) of a streamed partition. The row
-// data stays in the receive buffer until the worker decodes it straight
-// into the partition matrix (Msg.ChunkInto). Only the wire transport
-// streams chunks; the gob fallback ships partitions monolithically.
+// PartitionChunk carries rows [Lo, Hi) of a streamed partition. Only the
+// header is received with the message: the row data stays in the
+// connection's stream until the worker, having validated the header, reads
+// it straight into the partition matrix (Msg.ChunkInto). Only the wire
+// transport streams chunks; the gob fallback ships partitions
+// monolithically.
 type PartitionChunk struct {
 	Phase  int
 	Seq    int
@@ -229,23 +232,28 @@ type Msg struct {
 	PartStart   PartitionStart
 	PartChunk   PartitionChunk
 	PartAck     PartitionAck
+	DropPhase   int // KindPartitionDrop: the wire phase to free
 	Work        Work
 	Result      Result
 	GFPartition GFPartition
 	GFWork      GFWork
 	GFResult    GFResult
 
-	// chunk holds the undecoded row payload of a wire-transport
+	// chunk is the cursor over the unread row payload of a wire-transport
 	// PartitionChunk or GFPartitionChunk until ChunkInto/GFChunkInto
 	// drains it into the destination rows. (GF chunks reuse the PartStart/
 	// PartChunk header structs; the Kind disambiguates.)
 	chunk *wire.Payload
 }
 
-// ChunkInto decodes the pending partition chunk's row data into dst, the
-// caller-owned matrix rows [Lo, Hi) — the only copy the data makes after
-// the socket read. It drains the chunk: a second call (or a call on a
-// message that is not a partition chunk) is an error.
+// ChunkInto reads the pending partition chunk's row data into dst, the
+// caller-owned matrix rows [Lo, Hi): the element count is checked against
+// len(dst) and against the frame's size first, then the bytes move from
+// the connection's read buffer — and, past what it holds, from the socket
+// — directly into dst. A body that ends short is an error with dst partly
+// written; the caller must not publish it. ChunkInto drains the chunk: a
+// second call (or a call on a message that is not a partition chunk) is
+// an error.
 //
 //s2c2:noalloc
 func (m *Msg) ChunkInto(dst []float64) error {
@@ -258,7 +266,7 @@ func (m *Msg) ChunkInto(dst []float64) error {
 }
 
 // GFChunkInto is ChunkInto for a GF partition chunk: the pending uint32
-// payload decodes straight into the destination field-element rows.
+// payload lands straight in the destination field-element rows.
 //
 //s2c2:noalloc
 func (m *Msg) GFChunkInto(dst []gf.Elem) error {
@@ -287,6 +295,10 @@ type transport interface {
 	sendGFPartition(p *GFPartition) error
 	sendGFPartitionStart(p *PartitionStart) error
 	sendGFPartitionChunk(phase, seq, lo, hi int, data []gf.Elem) error
+	// sendPartitionDrop tells the worker to free whatever it holds for a
+	// wire phase (Job.Close). The gob fallback has no such message: there
+	// it is a documented no-op and the worker keeps the partition.
+	sendPartitionDrop(phase int) error
 	// sendPing/sendPong are the heartbeat pair: the master probes
 	// liveness (registered and parked connections alike), the worker
 	// answers. Both frames are empty-bodied on both transports, so the
@@ -516,6 +528,10 @@ func (c *wireConn) sendPartitionStart(p *PartitionStart) error {
 	return c.end()
 }
 
+// sendPartitionChunk frames the chunk header in the Writer and borrows the
+// row bytes straight from the partition: header and rows leave in one
+// vectored write under one deadline, with no staging copy of the rows.
+//
 //s2c2:noalloc
 func (c *wireConn) sendPartitionChunk(phase, seq, lo, hi int, data []float64) error {
 	c.mu.Lock()
@@ -525,7 +541,15 @@ func (c *wireConn) sendPartitionChunk(phase, seq, lo, hi int, data []float64) er
 	c.w.Int(seq)
 	c.w.Int(lo)
 	c.w.Int(hi)
-	c.w.Float64s(data)
+	c.w.Float64sTail(data)
+	return c.end()
+}
+
+func (c *wireConn) sendPartitionDrop(phase int) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.w.Begin(wire.TypePartitionDrop)
+	c.w.Int(phase)
 	return c.end()
 }
 
@@ -640,7 +664,7 @@ func (c *wireConn) sendGFPartitionChunk(phase, seq, lo, hi int, data []gf.Elem) 
 	c.w.Int(seq)
 	c.w.Int(lo)
 	c.w.Int(hi)
-	c.w.Uint32s(gf.AsUint32s(data))
+	c.w.Uint32sTail(gf.AsUint32s(data))
 	return c.end()
 }
 
@@ -731,7 +755,7 @@ func (c *wireConn) recv(m *Msg) error {
 		// The cursor is consumed by ChunkInto before the next recv on this
 		// conn; recv's single-goroutine ownership makes the stash safe.
 		//s2c2:waive payloadescape
-		m.chunk = p // row payload decoded by ChunkInto, straight into the matrix
+		m.chunk = p // row payload still in the stream; ChunkInto lands it in the matrix
 		return nil
 	case wire.TypePartitionAck:
 		m.Kind = KindPartitionAck
@@ -813,8 +837,11 @@ func (c *wireConn) recv(m *Msg) error {
 		// Same contract as the float chunk above: GFChunkInto drains the
 		// cursor before the conn reads another frame.
 		//s2c2:waive payloadescape
-		m.chunk = p // element payload decoded by GFChunkInto, straight into the matrix
+		m.chunk = p // element payload still in the stream; GFChunkInto lands it
 		return nil
+	case wire.TypePartitionDrop:
+		m.Kind = KindPartitionDrop
+		m.DropPhase = p.Int()
 	case wire.TypeShutdown:
 		m.Kind = KindShutdown
 	case wire.TypePing:
@@ -1009,6 +1036,11 @@ func (c *gobConn) sendGFPartitionStart(*PartitionStart) error {
 func (c *gobConn) sendGFPartitionChunk(int, int, int, int, []gf.Elem) error {
 	return fmt.Errorf("rpc: gob transport does not stream partitions")
 }
+
+// sendPartitionDrop is a no-op on the gob fallback: its envelope has no
+// drop message, so a gob worker keeps a closed job's partition until it
+// exits.
+func (c *gobConn) sendPartitionDrop(int) error { return nil }
 
 func (c *gobConn) streamsPartitions() bool { return false }
 

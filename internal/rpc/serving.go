@@ -117,10 +117,13 @@ func (j *Job) Exec() kernel.Exec {
 	return j.m.cfg.Exec
 }
 
-// Close deregisters the job and drops its retained partitions from the
-// master's re-stream store. Results still in flight for the job are
-// discarded by the readLoops. Closing the default job is a no-op — it
-// lives as long as the master.
+// Close deregisters the job, drops its retained partitions from the
+// master's re-stream store, and tells every worker to free the partitions
+// it holds for the job (one PartitionDrop frame per wire phase; a no-op for
+// gob-fallback workers, which keep theirs until they exit). Results still
+// in flight for the job are discarded by the readLoops, and a later round
+// on the closed job fails as one on an undistributed phase does. Closing
+// the default job is a no-op — it lives as long as the master.
 func (j *Job) Close() {
 	if j.id == 0 {
 		return
@@ -129,18 +132,39 @@ func (j *Job) Close() {
 	m.jobsMu.Lock()
 	delete(m.jobs, j.id)
 	m.jobsMu.Unlock()
-	j.mu.Lock()
-	wps := make([]int, 0, len(j.phaseMap))
-	for _, wp := range j.phaseMap {
-		wps = append(wps, wp)
-	}
-	j.mu.Unlock()
+	wps := j.forgetPhases()
 	m.mu.Lock()
 	for _, wp := range wps {
 		delete(m.parts, wp)
 		delete(m.gfParts, wp)
 	}
 	m.mu.Unlock()
+	for _, wc := range m.conns() {
+		// Behind any transfer in flight on the connection, so the drop can
+		// never land between a re-stream's chunks.
+		wc.xfer.Lock()
+		for _, wp := range wps {
+			if wc.t.sendPartitionDrop(wp) != nil {
+				break // dead connection: the worker's memory goes with it
+			}
+		}
+		wc.xfer.Unlock()
+	}
+}
+
+// forgetPhases clears the job's record of distributed phases and returns
+// the wire phases it had allocated.
+func (j *Job) forgetPhases() []int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	wps := make([]int, 0, len(j.phaseMap))
+	for _, wp := range j.phaseMap {
+		wps = append(wps, wp)
+	}
+	clear(j.blockRows)
+	clear(j.gfBlockRows)
+	clear(j.phaseMap)
+	return wps
 }
 
 // wirePhase translates one of the job's user phases to the master-wide

@@ -156,7 +156,24 @@ func (w *Worker) Close() error { return w.c.close() }
 
 // Run processes messages until shutdown or connection loss. Work requests
 // are served concurrently so a reassignment can overtake a slow round.
+// When it returns the worker has released every partition it held: the
+// Worker value can stay reachable past its connection (its sync.Pools keep
+// it registered with the runtime for a further GC cycle), and the dataset
+// must not ride along.
 func (w *Worker) Run() error {
+	defer func() {
+		w.mu.Lock()
+		clear(w.partitions)
+		clear(w.pending)
+		clear(w.gfPartitions)
+		clear(w.gfPending)
+		w.mu.Unlock()
+	}()
+	return w.serve()
+}
+
+// serve is Run's receive loop.
+func (w *Worker) serve() error {
 	defer w.c.close()
 	msg := &Msg{}
 	for {
@@ -215,6 +232,16 @@ func (w *Worker) Run() error {
 			job := w.getGFWork()
 			*job, msg.GFWork = msg.GFWork, *job
 			go w.handleGFWork(job)
+		case KindPartitionDrop:
+			// The phase's job closed on the master: free its dataset. A Work
+			// that still arrives for the phase finds no partition and is
+			// ignored, exactly like one for a phase not yet delivered.
+			w.mu.Lock()
+			delete(w.partitions, msg.DropPhase)
+			delete(w.pending, msg.DropPhase)
+			delete(w.gfPartitions, msg.DropPhase)
+			delete(w.gfPending, msg.DropPhase)
+			w.mu.Unlock()
 		case KindPing:
 			// Heartbeat: answer immediately from the receive loop. Pong
 			// sends share the connection's write mutex with result sends,
@@ -278,12 +305,14 @@ func (w *Worker) startGFPartition(ps *PartitionStart) error {
 	return nil
 }
 
-// storeGFChunk decodes one field-element row band straight into the GF
-// partition matrix and returns a credit to the master's streaming window.
-// It applies the same strict in-order contract as the float64 path, plus
-// a canonicality check: the worker's Mersenne-folded mat-vec bounds its
-// intermediate arithmetic on every element being < P, so non-canonical
-// lanes are a protocol error, not a silent wraparound later.
+// storeGFChunk reads one field-element row band from the connection
+// straight into the GF partition matrix and returns a credit to the
+// master's streaming window. It applies the same header-before-body
+// checks and strict in-order contract as the float64 path, plus a
+// canonicality check on the landed rows: the worker's Mersenne-folded
+// mat-vec bounds its intermediate arithmetic on every element being < P,
+// so non-canonical lanes are a protocol error, not a silent wraparound
+// later.
 func (w *Worker) storeGFChunk(msg *Msg) error {
 	pc := &msg.PartChunk
 	w.mu.Lock()
@@ -322,9 +351,13 @@ func (w *Worker) storeGFChunk(msg *Msg) error {
 	return nil
 }
 
-// storeChunk decodes one row band straight into the partition matrix
-// (the wire transport's zero-intermediate-copy path) and returns a credit
-// to the master's streaming window.
+// storeChunk reads one row band from the connection straight into the
+// partition matrix and returns a credit to the master's streaming window.
+// Only the chunk's header has been received at this point: the transfer
+// fence, the bounds and the row order are all checked before ChunkInto
+// lets the first body byte land, so a hostile or stale chunk leaves the
+// rows untouched, and a body that ends short fails the connection with
+// the build still pending — never published.
 func (w *Worker) storeChunk(msg *Msg) error {
 	pc := &msg.PartChunk
 	w.mu.Lock()
@@ -399,6 +432,26 @@ func matVecChunk(cols, w int) int {
 	return kernel.ChunkRows(2 * cols * w)
 }
 
+// matVecRows sweeps rows [lo, hi) of the partition against the round's bw
+// input vectors into dst (row-major bw-wide). Batched rounds run the fused
+// multi-x kernel: one sweep of the band serves every lane.
+func matVecRows(dst []float64, part *mat.Dense, xs []float64, bw, lo, hi int) {
+	if bw == 1 {
+		kernel.MatVecRange(dst, part.Data(), part.Cols(), xs, lo, hi)
+	} else {
+		kernel.MatVecRangeBatch(dst, part.Data(), part.Cols(), xs, bw, lo, hi)
+	}
+}
+
+// gfMatVecRows is matVecRows over the field.
+func gfMatVecRows(dst []gf.Elem, part *gf.Matrix, xs []gf.Elem, bw, lo, hi int) {
+	if bw == 1 {
+		part.MulVecRangeInto(dst, xs, lo, hi)
+	} else {
+		part.MulVecBatchRangeInto(dst, xs, bw, lo, hi)
+	}
+}
+
 // handleWork computes the assigned rows of this worker's partition into a
 // pooled result slot (handleWork runs concurrently, so per-goroutine
 // storage is borrowed, not owned) returned to the pool once the
@@ -413,10 +466,7 @@ func (w *Worker) handleWork(job *Work) {
 		return // partition not yet delivered; master will time us out
 	}
 	cols := part.Cols()
-	bw := job.W
-	if bw < 1 {
-		bw = 1
-	}
+	bw := max(job.W, 1)
 	if len(job.X) != bw*cols {
 		return // corrupt assignment; master will time us out and reassign
 	}
@@ -431,20 +481,20 @@ func (w *Worker) handleWork(job *Work) {
 	total := coding.TotalRows(res.Ranges)
 	res.Values = kernel.Grow(res.Values, total*bw)
 	at := 0
+	chunk := matVecChunk(cols, bw)
+	serial := w.cfg.Exec.Workers() == 1
 	for _, r := range res.Ranges {
 		seg := res.Values[at : at+r.Len()*bw]
-		lo := r.Lo
-		// Band-split the assigned rows on the worker's configured pool;
-		// on a one-core host (or MaxFan 1) this degenerates to the plain
-		// serial sweep. Batched rounds run the fused multi-x kernel: one
-		// sweep of the band serves every lane.
-		if bw == 1 {
-			w.cfg.Exec.For(r.Len(), matVecChunk(cols, 1), func(clo, chi int) {
-				kernel.MatVecRange(seg[clo:chi], part.Data(), cols, job.X, lo+clo, lo+chi)
-			})
+		// Band-split the assigned rows on the worker's configured pool.
+		// A range that is a single chunk — or any range on a one-core host
+		// or MaxFan 1 — is swept right here: the closure For needs escapes
+		// to the pool, so it is built only when there is a fan-out to feed.
+		if serial || r.Len() <= chunk {
+			matVecRows(seg, part, job.X, bw, r.Lo, r.Hi)
 		} else {
-			w.cfg.Exec.For(r.Len(), matVecChunk(cols, bw), func(clo, chi int) {
-				kernel.MatVecRangeBatch(seg[clo*bw:chi*bw], part.Data(), cols, job.X, bw, lo+clo, lo+chi)
+			lo := r.Lo
+			w.cfg.Exec.For(r.Len(), chunk, func(clo, chi int) {
+				matVecRows(seg[clo*bw:chi*bw], part, job.X, bw, lo+clo, lo+chi)
 			})
 		}
 		at += r.Len() * bw
@@ -476,10 +526,7 @@ func (w *Worker) handleGFWork(job *GFWork) {
 		return // partition not yet delivered; master will time us out
 	}
 	_, cols := part.Dims()
-	bw := job.W
-	if bw < 1 {
-		bw = 1
-	}
+	bw := max(job.W, 1)
 	if len(job.X) != bw*cols {
 		return // corrupt assignment; master will time us out and reassign
 	}
@@ -492,16 +539,16 @@ func (w *Worker) handleGFWork(job *GFWork) {
 	total := coding.TotalRows(res.Ranges)
 	res.Values = kernel.GrowSlice(res.Values, total*bw)
 	at := 0
+	chunk := matVecChunk(cols, bw)
+	serial := w.cfg.Exec.Workers() == 1
 	for _, r := range res.Ranges {
 		seg := res.Values[at : at+r.Len()*bw]
-		lo := r.Lo
-		if bw == 1 {
-			w.cfg.Exec.For(r.Len(), matVecChunk(cols, 1), func(clo, chi int) {
-				part.MulVecRangeInto(seg[clo:chi], job.X, lo+clo, lo+chi)
-			})
+		if serial || r.Len() <= chunk {
+			gfMatVecRows(seg, part, job.X, bw, r.Lo, r.Hi)
 		} else {
-			w.cfg.Exec.For(r.Len(), matVecChunk(cols, bw), func(clo, chi int) {
-				part.MulVecBatchRangeInto(seg[clo*bw:chi*bw], job.X, bw, lo+clo, lo+chi)
+			lo := r.Lo
+			w.cfg.Exec.For(r.Len(), chunk, func(clo, chi int) {
+				gfMatVecRows(seg[clo*bw:chi*bw], part, job.X, bw, lo+clo, lo+chi)
 			})
 		}
 		at += r.Len() * bw

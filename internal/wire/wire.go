@@ -16,6 +16,15 @@
 // per-message cost is the copy into caller-owned storage (matrices, pooled
 // result slices) — there is no intermediate message object.
 //
+// Bulk payloads move by memmove: on little-endian hosts the in-memory
+// element layout is the wire layout, so codec_le.go copies whole payloads
+// through a byte view; codec_portable.go (big-endian GOARCH, or the noasm
+// build tag) keeps the element-by-element loops. Partition chunks skip
+// even that staging copy: a Writer's *Tail payload goes out in one
+// vectored write straight from the caller's slice, and a Reader hands
+// chunk frames over header-first so the element bytes are read from the
+// stream directly into the destination rows.
+//
 // Connections open with a 5-byte handshake — the 4-byte magic "S2C2"
 // followed by a version byte — letting one listener speak both this format
 // (VersionWire) and the legacy gob encoding (VersionGob) per connection.
@@ -27,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 )
 
 // Handshake versions. The version byte follows the 4-byte magic and
@@ -99,6 +109,7 @@ const (
 	TypeJobResult                        // worker → master: computed rows for a tagged job
 	TypeJobGFWork                        // master → worker: field-element assignment for a tagged job
 	TypeJobGFResult                      // worker → master: field-element rows for a tagged job
+	TypePartitionDrop                    // master → worker: free a phase's partition (job closed)
 )
 
 // DefaultMaxFrame bounds accepted frame bodies. Partitions are streamed in
@@ -128,6 +139,13 @@ type Writer struct {
 	w    io.Writer
 	buf  []byte // reserved header space, then the frame body
 	head [binary.MaxVarintLen64]byte
+	// tail is the borrowed final payload of the frame under construction
+	// (Float64sTail/Uint32sTail): End writes it after buf without staging.
+	tail []byte
+	// vec backs bufs, the vectored write of buf + tail; both live here so
+	// End takes the address of no fresh slice header.
+	vec  [2][]byte
+	bufs net.Buffers
 }
 
 // headReserve is the space kept ahead of the body for the length prefix.
@@ -144,6 +162,7 @@ func (w *Writer) Reset(dst io.Writer) { w.w = dst }
 //s2c2:noalloc
 func (w *Writer) Begin(t Type) {
 	w.buf = growBytes(w.buf[:0], headReserve)
+	w.tail = nil
 	// Amortized: w.buf keeps its capacity across frames, so this append
 	// only grows on the very first frame.
 	//s2c2:waive noalloc
@@ -171,47 +190,31 @@ func (w *Writer) Float64(v float64) {
 	binary.LittleEndian.PutUint64(w.buf[at:], math.Float64bits(v))
 }
 
-// Float64s appends a count-prefixed float64 payload as raw IEEE-754 bits.
-//
-//s2c2:noalloc
-func (w *Writer) Float64s(vs []float64) {
-	w.Uvarint(uint64(len(vs)))
-	at := len(w.buf)
-	w.buf = growBytes(w.buf, at+8*len(vs))
-	for _, v := range vs {
-		binary.LittleEndian.PutUint64(w.buf[at:], math.Float64bits(v))
-		at += 8
-	}
-}
-
-// Uint32s appends a count-prefixed uint32 payload (field-element rows).
-//
-//s2c2:noalloc
-func (w *Writer) Uint32s(vs []uint32) {
-	w.Uvarint(uint64(len(vs)))
-	at := len(w.buf)
-	w.buf = growBytes(w.buf, at+4*len(vs))
-	for _, v := range vs {
-		binary.LittleEndian.PutUint32(w.buf[at:], v)
-		at += 4
-	}
-}
-
-// PendingBytes reports the size of the frame under construction (callers
-// use it to scale write deadlines with the payload).
-func (w *Writer) PendingBytes() int { return len(w.buf) }
+// PendingBytes reports the size of the frame under construction, borrowed
+// tail included (callers use it to scale write deadlines with the
+// payload).
+func (w *Writer) PendingBytes() int { return len(w.buf) + len(w.tail) }
 
 // End writes the frame started by Begin — the body's length prefix
-// followed by the body — as one Write call. The scratch buffer is retained
-// for the next frame.
+// followed by the body — as one Write call, or as one vectored write
+// (writev on a TCP connection) when the frame ends in a borrowed tail. The
+// scratch buffer is retained for the next frame; the tail is released.
 //
 //s2c2:noalloc
 func (w *Writer) End() error {
-	body := len(w.buf) - headReserve
+	body := len(w.buf) - headReserve + len(w.tail)
 	n := binary.PutUvarint(w.head[:], uint64(body))
 	start := headReserve - n
 	copy(w.buf[start:], w.head[:n])
-	_, err := w.w.Write(w.buf[start:])
+	if len(w.tail) == 0 {
+		_, err := w.w.Write(w.buf[start:])
+		return err
+	}
+	w.vec[0], w.vec[1] = w.buf[start:], w.tail
+	w.tail = nil
+	w.bufs = w.vec[:]
+	_, err := w.bufs.WriteTo(w.w)
+	w.vec[1] = nil // a failed write must not pin the caller's slice
 	return err
 }
 
@@ -252,12 +255,32 @@ func (r *Reader) ReadByte() (byte, error) {
 	return r.b[0], err
 }
 
+// streamedHead is how much of a body-streamed frame Next reads eagerly:
+// room for the largest scalar header such a frame can carry (five varint
+// fields — phase, seq, lo, hi, element count). Everything past it stays in
+// the stream for the payload decoder to land in caller-owned storage.
+const streamedHead = 5 * binary.MaxVarintLen64
+
+// streamsBody reports whether a frame of this type is handed over
+// header-first: partition chunks, whose bulk payload is large and has
+// exactly one destination (the partition's rows).
+func (t Type) streamsBody() bool {
+	return t == TypePartitionChunk || t == TypeGFPartitionChunk
+}
+
 // Next reads one frame, returning its type and a Payload cursor over the
 // body. The cursor (and any byte view it exposes) is valid only until the
-// next call to Next.
+// next call to Next. Partition-chunk frames are handed over header-first:
+// only their first streamedHead bytes are buffered, and the element
+// decoders read the rest of the payload from the stream straight into the
+// caller's destination — so a chunk body that ends short surfaces there,
+// as the cursor's sticky io.ErrUnexpectedEOF, not here.
 //
 //s2c2:noalloc
 func (r *Reader) Next() (Type, *Payload, error) {
+	if err := r.skipRest(); err != nil {
+		return 0, nil, err
+	}
 	size, err := binary.ReadUvarint(r)
 	if err != nil {
 		return 0, nil, err
@@ -268,15 +291,44 @@ func (r *Reader) Next() (Type, *Payload, error) {
 	if size < 1 {
 		return 0, nil, ErrMalformed // a frame has at least its type byte
 	}
-	r.buf = growBytes(r.buf, int(size))
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
+	b, err := r.ReadByte()
+	if err != nil {
+		return 0, nil, unexpectedEOF(err)
 	}
-	r.pay = Payload{b: r.buf[1:]}
-	return Type(r.buf[0]), &r.pay, nil
+	t := Type(b)
+	eager, rest := int(size)-1, 0
+	if t.streamsBody() && eager > streamedHead {
+		eager, rest = streamedHead, eager-streamedHead
+	}
+	r.buf = growBytes(r.buf, eager)
+	if _, err := io.ReadFull(r.r, r.buf); err != nil {
+		return 0, nil, unexpectedEOF(err)
+	}
+	r.pay = Payload{b: r.buf, r: r, rest: rest}
+	return t, &r.pay, nil
+}
+
+// skipRest discards whatever the previous frame's consumer left unread in
+// the stream, so frame boundaries hold even when a chunk body is ignored.
+//
+//s2c2:noalloc
+func (r *Reader) skipRest() error {
+	for r.pay.rest > 0 {
+		r.buf = growBytes(r.buf, min(r.pay.rest, 32<<10))
+		if _, err := io.ReadFull(r.r, r.buf); err != nil {
+			return unexpectedEOF(err)
+		}
+		r.pay.rest -= len(r.buf)
+	}
+	return nil
+}
+
+// unexpectedEOF maps a clean EOF inside a frame to io.ErrUnexpectedEOF.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Payload is a decode cursor over one frame body. Decoding methods record
@@ -293,13 +345,31 @@ type Payload struct {
 	b   []byte
 	off int
 	err error
+	// r and rest describe the part of a header-first frame still in the
+	// stream: rest body bytes follow b on r's source.
+	r    *Reader
+	rest int
 }
 
 // Err returns the first decode failure, or nil.
 func (p *Payload) Err() error { return p.err }
 
-// Remaining reports the undecoded byte count.
-func (p *Payload) Remaining() int { return len(p.b) - p.off }
+// Remaining reports the undecoded byte count, buffered or still in the
+// stream.
+func (p *Payload) Remaining() int { return len(p.b) - p.off + p.rest }
+
+// fromStream fills dst with the next len(dst) bytes of a header-first
+// frame's unread body, read directly from the Reader's source. A body that
+// ends short sets the sticky error.
+//
+//s2c2:noalloc
+func (p *Payload) fromStream(dst []byte) {
+	n, err := io.ReadFull(p.r.r, dst)
+	p.rest -= n
+	if err != nil {
+		p.err = unexpectedEOF(err)
+	}
+}
 
 // Reject marks the payload malformed. Decoders use it when a structurally
 // valid field fails a higher-level invariant (e.g. an element count that
@@ -318,7 +388,7 @@ func (p *Payload) Float64() float64 {
 	if p.err != nil {
 		return 0
 	}
-	if p.Remaining() < 8 {
+	if len(p.b)-p.off < 8 {
 		p.err = ErrTruncated
 		return 0
 	}
@@ -404,14 +474,6 @@ func (p *Payload) Float64sInto(dst []float64) error {
 	return p.err
 }
 
-func (p *Payload) float64sInto(dst []float64) {
-	b := p.b[p.off:]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	p.off += 8 * len(dst)
-}
-
 // Uint32sInto decodes a count-prefixed uint32 payload directly into dst,
 // requiring the count to match len(dst) exactly — the zero-copy path for
 // writing a GF partition chunk straight into its matrix rows.
@@ -430,11 +492,7 @@ func (p *Payload) Uint32sInto(dst []uint32) error {
 		p.err = ErrTruncated
 		return p.err
 	}
-	b := p.b[p.off:]
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	p.off += 4 * n
+	p.uint32sInto(dst)
 	return p.err
 }
 
@@ -451,11 +509,7 @@ func (p *Payload) Uint32s(dst []uint32) []uint32 {
 		return dst[:0]
 	}
 	dst = grow(dst, n)
-	b := p.b[p.off:]
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	p.off += 4 * n
+	p.uint32sInto(dst)
 	return dst
 }
 

@@ -98,10 +98,16 @@ type Range = coding.Range
 // Partial is a worker's partial result over its assigned row ranges.
 type Partial = coding.Partial
 
-// MDSCode is the systematic (n,k) MDS code over float64.
+// MDSCode is the systematic (n,k) MDS code over float64. Encode and
+// EncodeInto borrow the data matrix: see EncodedMatrix.
 type MDSCode = coding.MDSCode
 
-// EncodedMatrix holds the n coded partitions of a data matrix.
+// EncodedMatrix holds the n coded partitions of a data matrix A. It
+// borrows A: partitions 0..k-1 are views of A's row blocks, not copies, so
+// A must stay alive and unchanged while the encoding — or a Master it was
+// distributed through, which retains the partitions for re-streaming — is
+// in use. After changing A, re-encode (MDSCode.EncodeInto) and distribute
+// again.
 type EncodedMatrix = coding.EncodedMatrix
 
 // NewMDSCode builds an (n,k) MDS code (any k of n partitions decode).
@@ -123,6 +129,9 @@ func NewGFElem(v uint64) GFElem { return gf.New(v) }
 
 // GFEncodedMatrix holds the n exact coded partitions of a field matrix;
 // its Parts distribute over a cluster with Master.DistributeGFPartitions.
+// The exact code is not systematic, so the partitions own their storage
+// (GFMDSCode.Encode only reads its input); a Master they were distributed
+// through retains them — unchanged, please — until the job closes.
 type GFEncodedMatrix = coding.GFEncodedMatrix
 
 // GFPartial is a worker's exact partial result over GF(2³¹−1) — what
@@ -337,7 +346,10 @@ func RunLocal(w Workload, maxIter int) ([]float64, int) { return workloads.RunLo
 
 // ---- TCP runtime -----------------------------------------------------------
 
-// Master coordinates a real TCP cluster.
+// Master coordinates a real TCP cluster. DistributePartitions retains the
+// partitions it ships (for re-streaming to replacement workers), and with
+// them borrows the data matrix an EncodedMatrix views, until the owning
+// job closes or Shutdown returns.
 type Master = rpc.Master
 
 // Worker is the TCP worker daemon.
@@ -364,7 +376,8 @@ type RecoveryStats = rpc.RecoveryStats
 // Job is one tenant of a serving master: a private phase namespace of
 // encoded datasets plus a Distribute/Run method set mirroring the
 // Master's. Different jobs' rounds run concurrently over the same
-// workers (Master.OpenJob).
+// workers (Master.OpenJob). Close releases the job's datasets on the
+// master and on every worker.
 type Job = rpc.Job
 
 // JobConfig configures one served job (per-job Exec budget, queue
