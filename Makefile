@@ -45,16 +45,18 @@ fmt:
 bench:
 	bash benchmark/run.sh
 
-# bench-smoke runs every go-test benchmark once (the data-path ones —
-# BenchmarkMDSEncode, BenchmarkGFMDSEncode, BenchmarkWirePayload,
-# BenchmarkChunkStream — live next to their layers), then the harness: its
-# own vet + smoke test (benchmark/ is a separate module, so ./... skips it)
-# and short gf-batch-serve and dram-matvec runs, which fail on any wrong
-# decode.
+# bench-smoke runs every go-test benchmark once (they live next to their
+# layers: BenchmarkMDSEncode, BenchmarkGFMDSEncode, BenchmarkWirePayload,
+# BenchmarkChunkStream on the data path; BenchmarkLSTMPredict,
+# BenchmarkLSTMFit, BenchmarkSimRound on the prediction path), then the
+# harness: its own vet + smoke test (benchmark/ is a separate module, so
+# ./... skips it) and short gf-batch-serve, dram-matvec and sim-paper runs,
+# which fail on any wrong decode.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 	cd benchmark && $(GO) vet . && $(GO) test .
 	bash benchmark/run.sh --workload gf-batch-serve --seconds 4
 	bash benchmark/run.sh --workload dram-matvec --seconds 4
+	bash benchmark/run.sh --workload sim-paper --seconds 4
 
 ci: lint test test-noasm race bench-smoke

@@ -229,13 +229,14 @@ func run(cfg rpc.MasterConfig, n, k, iters, samples, feats int, timeoutFrac floa
 			p, n, encs[p].BlockRows, encs[p].Cols)
 	}
 
-	// Online speed estimation: observed rows/sec per worker feeds an AR(1)
-	// model refitted as history accumulates.
-	history := make([][]float64, n)
+	// Online speed estimation: observed elements/sec per worker feed an
+	// AR(1) model refitted as history accumulates.
 	ar1 := &predict.AR1{}
+	tracker := predict.NewTracker(ar1, n)
+	speeds, observed := make([]float64, n), make([]float64, n)
 	state := lr.Init()
 	for iter := 0; iter < iters; iter++ {
-		speeds := predictSpeeds(ar1, history, n)
+		tracker.PredictInto(speeds)
 		start := time.Now()
 		outputs := make([][]float64, len(matrices))
 		var compute, resp time.Duration // slowest worker's, summed over the phases
@@ -254,7 +255,13 @@ func run(cfg rpc.MasterConfig, n, k, iters, samples, feats int, timeoutFrac floa
 				return err
 			}
 			outputs[p] = out
-			recordSpeeds(history, stats, encs[p].Cols)
+			for w := range observed {
+				observed[w] = 0 // no result, or nothing assigned: carry the last rate
+				if stats.ResponseTime[w] > 0 && stats.AssignedRows[w] > 0 {
+					observed[w] = float64(stats.AssignedRows[w]*encs[p].Cols) / stats.ResponseTime[w].Seconds()
+				}
+			}
+			tracker.Observe(observed)
 			c, r := slowestWorker(stats)
 			compute, resp = compute+c, resp+r
 			if len(stats.TimedOut) > 0 {
@@ -263,7 +270,7 @@ func run(cfg rpc.MasterConfig, n, k, iters, samples, feats int, timeoutFrac floa
 			}
 		}
 		state, _ = lr.Update(state, outputs)
-		if len(history[0]) >= 3 {
+		if history := tracker.Histories(); len(history[0]) >= 3 {
 			ar1.Fit(history) //nolint:errcheck // refit is best-effort
 		}
 		fmt.Printf("iter %2d: %8.2fms  slowest worker %s compute / %s response  loss %.4f  acc %.3f\n",
@@ -298,38 +305,4 @@ func reportRecovery(m *rpc.Master) {
 	}
 	fmt.Printf("recovery: %d retries, %d re-streams, %d evictions, %d replacements admitted\n",
 		t.Retries, t.ReStreams, t.Evictions, t.ReplacementAdmits)
-}
-
-// predictSpeeds bootstraps with equal speeds, then uses AR(1) forecasts.
-func predictSpeeds(ar1 *predict.AR1, history [][]float64, n int) []float64 {
-	speeds := make([]float64, n)
-	for w := 0; w < n; w++ {
-		if len(history[w]) == 0 {
-			speeds[w] = 1
-			continue
-		}
-		speeds[w] = ar1.Predict(history[w])
-		if speeds[w] <= 0 {
-			speeds[w] = history[w][len(history[w])-1]
-		}
-		if speeds[w] <= 0 {
-			speeds[w] = 0.01
-		}
-	}
-	return speeds
-}
-
-// recordSpeeds appends observed per-worker rates (rows·cols per second).
-func recordSpeeds(history [][]float64, stats *rpc.RoundStats, cols int) {
-	for w := range history {
-		v := 0.0
-		if stats.ResponseTime[w] > 0 && stats.AssignedRows[w] > 0 {
-			v = float64(stats.AssignedRows[w]*cols) / stats.ResponseTime[w].Seconds()
-		} else if len(history[w]) > 0 {
-			v = history[w][len(history[w])-1]
-		} else {
-			v = 1
-		}
-		history[w] = append(history[w], v)
-	}
 }

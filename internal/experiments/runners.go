@@ -13,8 +13,7 @@ import (
 // Runner is a named experiment producing one or more tables.
 type Runner func(Config) ([]*Table, error)
 
-// Registry maps experiment IDs (per DESIGN.md's experiment index) to
-// their runners.
+// Registry maps experiment IDs (`s2c2-exp -list`) to their runners.
 var Registry = map[string]Runner{
 	"predict":        RunPredictorAccuracy,
 	"fig1":           RunFig1Motivation,

@@ -1,10 +1,10 @@
 // Package experiments contains one runner per evaluation artifact of the
 // paper (Figures 1–13 plus the §6.1 predictor-accuracy numbers) and the
-// ablation studies listed in DESIGN.md §6. Each runner builds its
-// workload, drives the simulator, and renders an ASCII table whose rows
-// mirror the corresponding figure's series, so `cmd/s2c2-exp` and the
-// benchmark harness regenerate the paper's results. EXPERIMENTS.md records
-// paper-vs-measured values.
+// ablation studies of ablations.go. Each runner builds its workload,
+// drives the simulator, and renders an ASCII table whose rows mirror the
+// corresponding figure's series, so `cmd/s2c2-exp` and the benchmark
+// harness regenerate the paper's results; the paper's own values ride in
+// each table's Notes.
 package experiments
 
 import (

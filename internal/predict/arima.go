@@ -21,9 +21,9 @@ func (a *AR1) Fit(series [][]float64) error {
 	var sx, sy, sxx, sxy float64
 	n := 0.0
 	for _, s := range series {
-		norm, _ := normalizeMax(s)
-		for t := 0; t+1 < len(norm); t++ {
-			x, y := norm[t], norm[t+1]
+		scale := maxScale(s)
+		for t := 0; t+1 < len(s); t++ {
+			x, y := s[t]/scale, s[t+1]/scale
 			sx += x
 			sy += y
 			sxx += x * x
@@ -54,8 +54,8 @@ func (a *AR1) Predict(history []float64) float64 {
 	if !a.fitted {
 		return history[len(history)-1]
 	}
-	norm, scale := normalizeMax(history)
-	y := (a.c + a.phi*norm[len(norm)-1]) * scale
+	scale := maxScale(history)
+	y := (a.c + a.phi*(history[len(history)-1]/scale)) * scale
 	if y < 0 {
 		y = 0
 	}
@@ -78,10 +78,10 @@ func (a *AR2) Fit(series [][]float64) error {
 	var b [3]float64
 	n := 0.0
 	for _, sr := range series {
-		norm, _ := normalizeMax(sr)
-		for t := 1; t+1 < len(norm); t++ {
-			x := [3]float64{1, norm[t], norm[t-1]}
-			y := norm[t+1]
+		scale := maxScale(sr)
+		for t := 1; t+1 < len(sr); t++ {
+			x := [3]float64{1, sr[t] / scale, sr[t-1] / scale}
+			y := sr[t+1] / scale
 			for i := 0; i < 3; i++ {
 				for j := 0; j < 3; j++ {
 					s[i][j] += x[i] * x[j]
@@ -112,9 +112,9 @@ func (a *AR2) Predict(history []float64) float64 {
 	if len(history) == 1 || !a.fitted {
 		return history[len(history)-1]
 	}
-	norm, scale := normalizeMax(history)
-	t := len(norm) - 1
-	y := (a.c + a.phi1*norm[t] + a.phi2*norm[t-1]) * scale
+	scale := maxScale(history)
+	t := len(history) - 1
+	y := (a.c + a.phi1*(history[t]/scale) + a.phi2*(history[t-1]/scale)) * scale
 	if y < 0 {
 		y = 0
 	}
@@ -184,8 +184,8 @@ func (a *ARIMA111) Fit(series [][]float64) error {
 		for th := -0.95; th <= 0.951; th += 0.05 {
 			css := 0.0
 			for _, s := range series {
-				norm, _ := normalizeMax(s)
-				css += css111(norm, phi, th)
+				_, _, c := filter111(s, maxScale(s), phi, th)
+				css += c
 			}
 			if css < best {
 				best = css
@@ -197,21 +197,20 @@ func (a *ARIMA111) Fit(series [][]float64) error {
 	return nil
 }
 
-// css111 computes the conditional sum of squares of one series.
-func css111(x []float64, phi, theta float64) float64 {
-	if len(x) < 3 {
-		return 0
-	}
-	css := 0.0
-	ePrev := 0.0
+// filter111 runs the ARIMA(1,1,1) innovation filter over x/scale and
+// returns the last difference, the last innovation and the conditional
+// sum of squared innovations — what Predict and Fit respectively need.
+//
+//s2c2:noalloc
+func filter111(x []float64, scale, phi, theta float64) (dLast, eLast, css float64) {
 	for t := 2; t < len(x); t++ {
-		d := x[t] - x[t-1]
-		dPrev := x[t-1] - x[t-2]
-		e := d - phi*dPrev - theta*ePrev
-		css += e * e
-		ePrev = e
+		d := x[t]/scale - x[t-1]/scale
+		dPrev := x[t-1]/scale - x[t-2]/scale
+		eLast = d - phi*dPrev - theta*eLast
+		css += eLast * eLast
+		dLast = d
 	}
-	return css
+	return dLast, eLast, css
 }
 
 // Predict filters the history to recover the latest innovation, then
@@ -223,16 +222,9 @@ func (a *ARIMA111) Predict(history []float64) float64 {
 	if len(history) < 3 || !a.fitted {
 		return history[len(history)-1]
 	}
-	norm, scale := normalizeMax(history)
-	ePrev := 0.0
-	var dLast float64
-	for t := 2; t < len(norm); t++ {
-		d := norm[t] - norm[t-1]
-		dPrev := norm[t-1] - norm[t-2]
-		ePrev = d - a.phi*dPrev - a.theta*ePrev
-		dLast = d
-	}
-	y := (norm[len(norm)-1] + a.phi*dLast + a.theta*ePrev) * scale
+	scale := maxScale(history)
+	dLast, eLast, _ := filter111(history, scale, a.phi, a.theta)
+	y := (history[len(history)-1]/scale + a.phi*dLast + a.theta*eLast) * scale
 	if y < 0 {
 		y = 0
 	}

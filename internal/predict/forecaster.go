@@ -6,6 +6,12 @@
 //
 // Forecasters consume per-node speed series normalised by their maximum
 // (as the paper's measurements are) and produce one-step-ahead forecasts.
+// Forecaster.Predict is stateless — history in, forecast out — and is the
+// reference. A round-by-round driver uses a Tracker instead: it keeps the
+// n observed series, applies the bootstrap and fallback rules every
+// driver shares, and advances per-series state by one step per
+// observation where the model has an incremental form (the LSTM), with
+// forecasts bit-identical to Predict on the same history.
 package predict
 
 import "fmt"
@@ -91,9 +97,11 @@ func (LastValue) Predict(history []float64) float64 {
 	return history[len(history)-1]
 }
 
-// normalizeMax rescales s by its maximum, returning the scale. A zero or
-// empty series returns scale 1.
-func normalizeMax(s []float64) ([]float64, float64) {
+// maxScale returns the scale a series is normalised by: its maximum, or 1
+// for an empty or all-zero series. Callers divide by it at use.
+//
+//s2c2:noalloc
+func maxScale(s []float64) float64 {
 	max := 0.0
 	for _, v := range s {
 		if v > max {
@@ -103,9 +111,5 @@ func normalizeMax(s []float64) ([]float64, float64) {
 	if max == 0 {
 		max = 1
 	}
-	out := make([]float64, len(s))
-	for i, v := range s {
-		out[i] = v / max
-	}
-	return out, max
+	return max
 }

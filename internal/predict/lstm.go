@@ -44,6 +44,10 @@ type LSTM struct {
 	by        float64
 
 	adam *adamState
+	fits int // completed Fit calls; carried stream state is per fit
+
+	// scratch is the state pair the stateless Predict runs in.
+	scratch cellPair
 }
 
 // NewLSTM builds an untrained LSTM.
@@ -66,6 +70,7 @@ func NewLSTM(cfg LSTMConfig) *LSTM {
 	}
 	m.wy = randSlice(h, scale, rng)
 	m.adam = newAdamState(m.numParams(), cfg.LR)
+	m.scratch = newCellPair(h)
 	return m
 }
 
@@ -108,22 +113,40 @@ func (m *LSTM) unflatten(src []float64) {
 	m.by = src[at]
 }
 
-// cellState captures one forward step's activations for BPTT.
+// cellState holds one cell step's activations: (h, c) is what the next
+// step consumes, the rest is what BPTT needs to differentiate the step.
+// The caller owns it; step only writes into it.
 type cellState struct {
 	x          float64
 	i, f, o, g []float64
 	c, h, tc   []float64 // cell, hidden, tanh(cell)
 }
 
-// step runs one LSTM cell update from (hPrev, cPrev) on input x.
-func (m *LSTM) step(x float64, hPrev, cPrev []float64) cellState {
+// carve cuts the next h-element vector off the front of *buf.
+func carve(buf *[]float64, h int) []float64 {
+	v := (*buf)[:h:h]
+	*buf = (*buf)[h:]
+	return v
+}
+
+// cellStateOver carves a cell state for hidden size h out of buf's first
+// 7h elements.
+func cellStateOver(buf []float64, h int) cellState {
+	b := &buf
+	return cellState{i: carve(b, h), f: carve(b, h), o: carve(b, h), g: carve(b, h),
+		c: carve(b, h), h: carve(b, h), tc: carve(b, h)}
+}
+
+func newCellState(h int) cellState { return cellStateOver(make([]float64, 7*h), h) }
+
+// step runs one LSTM cell update from (hPrev, cPrev) on input x, writing
+// the activations into st. st must not alias the state hPrev and cPrev
+// belong to: every row reads all of hPrev.
+//
+//s2c2:noalloc
+func (m *LSTM) step(st *cellState, x float64, hPrev, cPrev []float64) {
 	h := m.cfg.Hidden
-	st := cellState{
-		x: x,
-		i: make([]float64, h), f: make([]float64, h),
-		o: make([]float64, h), g: make([]float64, h),
-		c: make([]float64, h), h: make([]float64, h), tc: make([]float64, h),
-	}
+	st.x = x
 	for j := 0; j < h; j++ {
 		var pre [numGates]float64
 		for g := 0; g < numGates; g++ {
@@ -142,10 +165,11 @@ func (m *LSTM) step(x float64, hPrev, cPrev []float64) cellState {
 		st.tc[j] = math.Tanh(st.c[j])
 		st.h[j] = st.o[j] * st.tc[j]
 	}
-	return st
 }
 
 // output applies the scalar head to a hidden state.
+//
+//s2c2:noalloc
 func (m *LSTM) output(h []float64) float64 {
 	y := m.by
 	for j, v := range h {
@@ -154,20 +178,181 @@ func (m *LSTM) output(h []float64) float64 {
 	return y
 }
 
+// cellPair is the two states a forward-only run ping-pongs between, and
+// which of them is current.
+type cellPair struct {
+	st  [2]cellState
+	cur int
+}
+
+func newCellPair(h int) cellPair {
+	buf := make([]float64, 14*h)
+	return cellPair{st: [2]cellState{cellStateOver(buf, h), cellStateOver(buf[7*h:], h)}}
+}
+
+// reset returns the pair to the zero state every forecast starts from.
+//
+//s2c2:noalloc
+func (p *cellPair) reset() {
+	clear(p.st[0].h)
+	clear(p.st[0].c)
+	p.cur = 0
+}
+
+// run advances the pair one cell step per element of xs, each divided by
+// scale on the way in. It is the only forward-only loop: the stateless
+// Predict runs it from reset over a whole history, a stream runs it over
+// the observations it has not consumed yet.
+//
+//s2c2:noalloc
+func (m *LSTM) run(p *cellPair, xs []float64, scale float64) {
+	for _, v := range xs {
+		from, to := &p.st[p.cur], &p.st[1-p.cur]
+		m.step(to, v/scale, from.h, from.c)
+		p.cur = 1 - p.cur
+	}
+}
+
+// forecast rescales the head's output on the pair's current state.
+//
+//s2c2:noalloc
+func (m *LSTM) forecast(p *cellPair, scale float64) float64 {
+	y := m.output(p.st[p.cur].h) * scale
+	if y < 0 {
+		y = 0
+	}
+	return y
+}
+
+// tail bounds a forecast's work: only the trailing 4·Window observations
+// are replayed (older ones matter immaterially), though the scale is the
+// maximum of the whole history.
+//
+//s2c2:noalloc
+func (m *LSTM) tail(history []float64) []float64 {
+	if bound := 4 * m.cfg.Window; len(history) > bound {
+		return history[len(history)-bound:]
+	}
+	return history
+}
+
+// Predict runs the trained cell over the (max-normalised) history from a
+// zero state and rescales the one-step-ahead output. It allocates nothing
+// and uses scratch owned by the model, so one LSTM must not be asked for
+// forecasts from two goroutines at once.
+//
+//s2c2:noalloc
+func (m *LSTM) Predict(history []float64) float64 {
+	if len(history) == 0 {
+		return 0
+	}
+	scale := maxScale(history)
+	m.scratch.reset()
+	m.run(&m.scratch, m.tail(history), scale)
+	return m.forecast(&m.scratch, scale)
+}
+
+// lstmStream is one series' carried cell state: Predict(history) without
+// re-running the cell over observations already consumed.
+//
+// Exactness: the stateless Predict feeds history[i]/scale through the
+// cell from a zero state, where scale is the maximum of the whole history
+// and i starts at max(0, len−4·Window). The carried state equals the
+// state that loop reaches as long as neither the scale nor the start
+// index has moved since it was computed, and then one step per new
+// observation continues the very same sequence of operations. When a new
+// maximum arrives, or the history outgrows the 4·Window bound (the start
+// index then moves every round), the state is rebuilt by replaying the
+// stored history through the same run — as it is when the model has been
+// refitted since — so every forecast is the stateless one bit for bit, and
+// only the work differs.
+type lstmStream struct {
+	m        *LSTM
+	pair     cellPair
+	consumed int     // observations folded into pair
+	max      float64 // running maximum of those observations
+	scale    float64 // the scale they were divided by (0 before the first)
+	fits     int     // the model's fit the state was computed under
+}
+
+func (m *LSTM) newStream() stream {
+	return &lstmStream{m: m, pair: newCellPair(m.cfg.Hidden)}
+}
+
+// predict implements stream.
+//
+//s2c2:noalloc
+func (s *lstmStream) predict(history []float64) float64 {
+	if len(history) == 0 {
+		return 0
+	}
+	fresh := history[s.consumed:]
+	for _, v := range fresh {
+		if v > s.max {
+			s.max = v
+		}
+	}
+	scale := s.max
+	if scale == 0 {
+		scale = 1
+	}
+	if tail := s.m.tail(history); scale != s.scale || s.fits != s.m.fits || len(tail) < len(history) {
+		s.pair.reset()
+		fresh = tail
+	}
+	s.m.run(&s.pair, fresh, scale)
+	s.consumed, s.scale, s.fits = len(history), scale, s.m.fits
+	return s.m.forecast(&s.pair, scale)
+}
+
+// bpttWorkspace is what one forward+backward pass over a window needs
+// besides the parameters: a cell state per step and the backward pass's
+// running derivatives. Fit allocates one and every window of every epoch
+// reuses it.
+type bpttWorkspace struct {
+	states         []cellState // grown to the longest window seen
+	preds          []float64
+	zero           []float64 // h and c before step 0; never written
+	dh             []float64
+	dhNext, dcNext []float64 // ∂loss/∂(h, c) flowing in from step t+1
+	dhPrev, dcPrev []float64 // … and out to step t−1
+}
+
+func (m *LSTM) newBPTTWorkspace() *bpttWorkspace {
+	h := m.cfg.Hidden
+	buf := make([]float64, 6*h)
+	b := &buf
+	return &bpttWorkspace{
+		zero: carve(b, h), dh: carve(b, h),
+		dhNext: carve(b, h), dcNext: carve(b, h),
+		dhPrev: carve(b, h), dcPrev: carve(b, h),
+	}
+}
+
+// grow makes room for a T-step window.
+func (ws *bpttWorkspace) grow(T, h int) {
+	for len(ws.states) < T {
+		ws.states = append(ws.states, newCellState(h))
+	}
+	if cap(ws.preds) < T {
+		ws.preds = make([]float64, T)
+	}
+}
+
 // lossAndGrad runs forward+BPTT on one window. xs has length T+1: inputs
 // are xs[0..T-1], targets xs[1..T]. It returns the mean squared error and
-// accumulates gradients into grad (flattened layout).
-func (m *LSTM) lossAndGrad(xs []float64, grad []float64) float64 {
+// adds the gradient to grad (flattened parameter layout), which the
+// caller zeroes.
+func (m *LSTM) lossAndGrad(xs []float64, grad []float64, ws *bpttWorkspace) float64 {
 	h := m.cfg.Hidden
 	T := len(xs) - 1
-	states := make([]cellState, T)
-	hPrev := make([]float64, h)
-	cPrev := make([]float64, h)
-	preds := make([]float64, T)
+	ws.grow(T, h)
+	states, preds := ws.states[:T], ws.preds[:T]
+	hPrev, cPrev := ws.zero, ws.zero
 	loss := 0.0
 	for t := 0; t < T; t++ {
-		st := m.step(xs[t], hPrev, cPrev)
-		states[t] = st
+		st := &states[t]
+		m.step(st, xs[t], hPrev, cPrev)
 		preds[t] = m.output(st.h)
 		d := preds[t] - xs[t+1]
 		loss += d * d
@@ -175,38 +360,32 @@ func (m *LSTM) lossAndGrad(xs []float64, grad []float64) float64 {
 	}
 	loss /= float64(T)
 
-	// Gradient accumulators mirroring the parameter layout.
-	gwx := make([][]float64, numGates)
-	gwh := make([][]float64, numGates)
-	gb := make([][]float64, numGates)
+	// Views of grad mirroring the parameter layout (see flatten).
+	var gwx, gwh, gb [numGates][]float64
+	at := 0
 	for g := 0; g < numGates; g++ {
-		gwx[g] = make([]float64, h)
-		gwh[g] = make([]float64, h*h)
-		gb[g] = make([]float64, h)
+		gwx[g], at = grad[at:at+h], at+h
+		gwh[g], at = grad[at:at+h*h], at+h*h
+		gb[g], at = grad[at:at+h], at+h
 	}
-	gwy := make([]float64, h)
-	gby := 0.0
+	gwy, gby := grad[at:at+h], &grad[at+h]
 
-	dhNext := make([]float64, h)
-	dcNext := make([]float64, h)
+	dh, dhNext, dcNext, dhPrev, dcPrev := ws.dh, ws.dhNext, ws.dcNext, ws.dhPrev, ws.dcPrev
+	clear(dhNext)
+	clear(dcNext)
 	for t := T - 1; t >= 0; t-- {
-		st := states[t]
+		st := &states[t]
 		dy := 2 * (preds[t] - xs[t+1]) / float64(T)
-		gby += dy
-		dh := make([]float64, h)
-		copy(dh, dhNext)
+		*gby += dy
 		for j := 0; j < h; j++ {
 			gwy[j] += dy * st.h[j]
-			dh[j] += dy * m.wy[j]
+			dh[j] = dhNext[j] + dy*m.wy[j]
 		}
-		var hPrevT, cPrevT []float64
+		hPrevT, cPrevT := ws.zero, ws.zero
 		if t > 0 {
 			hPrevT, cPrevT = states[t-1].h, states[t-1].c
-		} else {
-			hPrevT, cPrevT = make([]float64, h), make([]float64, h)
 		}
-		dhPrev := make([]float64, h)
-		dcPrev := make([]float64, h)
+		clear(dhPrev)
 		for j := 0; j < h; j++ {
 			do := dh[j] * st.tc[j]
 			dc := dh[j]*st.o[j]*(1-st.tc[j]*st.tc[j]) + dcNext[j]
@@ -230,28 +409,31 @@ func (m *LSTM) lossAndGrad(xs []float64, grad []float64) float64 {
 				}
 			}
 		}
-		dhNext, dcNext = dhPrev, dcPrev
+		dhNext, dhPrev = dhPrev, dhNext
+		dcNext, dcPrev = dcPrev, dcNext
 	}
-
-	// Flatten gradient into grad.
-	at := 0
-	for g := 0; g < numGates; g++ {
-		at += copy(grad[at:], gwx[g])
-		at += copy(grad[at:], gwh[g])
-		at += copy(grad[at:], gb[g])
-	}
-	at += copy(grad[at:], gwy)
-	grad[at] += gby
 	return loss
 }
 
 // Fit trains the LSTM on the given series (normalised per-series by max)
-// using sliding windows of cfg.Window.
+// using sliding windows of cfg.Window. Its allocations are the normalised
+// copy of the series, the window list and one BPTT workspace — none of
+// them grows with Epochs.
 func (m *LSTM) Fit(series [][]float64) error {
-	var windows [][]float64
+	total := 0
 	for _, s := range series {
-		norm, _ := normalizeMax(s)
-		w := m.cfg.Window
+		total += len(s)
+	}
+	flat := make([]float64, 0, total)
+	var windows [][]float64
+	w := m.cfg.Window
+	for _, s := range series {
+		scale := maxScale(s)
+		norm := flat[len(flat) : len(flat)+len(s)]
+		flat = flat[:len(flat)+len(s)]
+		for i, v := range s {
+			norm[i] = v / scale
+		}
 		if len(norm) < w+1 {
 			if len(norm) >= 3 {
 				windows = append(windows, norm)
@@ -268,13 +450,13 @@ func (m *LSTM) Fit(series [][]float64) error {
 	rng := rand.New(rand.NewSource(m.cfg.Seed + 17))
 	params := make([]float64, m.numParams())
 	grad := make([]float64, m.numParams())
+	perm := make([]int, len(windows))
+	ws := m.newBPTTWorkspace()
 	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
-		perm := rng.Perm(len(windows))
+		permInto(perm, rng)
 		for _, wi := range perm {
-			for i := range grad {
-				grad[i] = 0
-			}
-			m.lossAndGrad(windows[wi], grad)
+			clear(grad)
+			m.lossAndGrad(windows[wi], grad, ws)
 			if m.cfg.ClipNorm > 0 {
 				clipNorm(grad, m.cfg.ClipNorm)
 			}
@@ -283,32 +465,19 @@ func (m *LSTM) Fit(series [][]float64) error {
 			m.unflatten(params)
 		}
 	}
+	m.fits++
 	return nil
 }
 
-// Predict runs the trained cell over the (max-normalised) history and
-// rescales the one-step-ahead output.
-func (m *LSTM) Predict(history []float64) float64 {
-	if len(history) == 0 {
-		return 0
+// permInto is rand.Perm writing into p: the same draws in the same order
+// (math/rand's generators and algorithms are frozen), so a fitted model
+// does not depend on which of the two shuffled its windows.
+func permInto(p []int, rng *rand.Rand) {
+	for i := range p {
+		j := rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
 	}
-	norm, scale := normalizeMax(history)
-	// Only the trailing window matters materially; bound the work.
-	if len(norm) > 4*m.cfg.Window {
-		norm = norm[len(norm)-4*m.cfg.Window:]
-	}
-	h := make([]float64, m.cfg.Hidden)
-	c := make([]float64, m.cfg.Hidden)
-	var st cellState
-	for _, x := range norm {
-		st = m.step(x, h, c)
-		h, c = st.h, st.c
-	}
-	y := m.output(h) * scale
-	if y < 0 {
-		y = 0
-	}
-	return y
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

@@ -129,7 +129,8 @@ func TestLSTMGradientCheck(t *testing.T) {
 	}
 	n := m.numParams()
 	analytic := make([]float64, n)
-	m.lossAndGrad(xs, analytic)
+	ws := m.newBPTTWorkspace()
+	m.lossAndGrad(xs, analytic, ws)
 
 	params := make([]float64, n)
 	m.flatten(params)
@@ -139,10 +140,10 @@ func TestLSTMGradientCheck(t *testing.T) {
 		orig := params[i]
 		params[i] = orig + eps
 		m.unflatten(params)
-		lp := m.lossAndGrad(xs, make([]float64, n))
+		lp := m.lossAndGrad(xs, make([]float64, n), ws)
 		params[i] = orig - eps
 		m.unflatten(params)
-		lm := m.lossAndGrad(xs, make([]float64, n))
+		lm := m.lossAndGrad(xs, make([]float64, n), ws)
 		params[i] = orig
 		grad[i] = (lp - lm) / (2 * eps)
 	}
@@ -178,9 +179,14 @@ func TestLSTMTrainingReducesLoss(t *testing.T) {
 func windowLoss(m *LSTM, series [][]float64) float64 {
 	total := 0.0
 	grad := make([]float64, m.numParams())
+	ws := m.newBPTTWorkspace()
 	for _, s := range series {
-		norm, _ := normalizeMax(s)
-		total += m.lossAndGrad(norm, grad)
+		scale := maxScale(s)
+		norm := make([]float64, len(s))
+		for i, v := range s {
+			norm[i] = v / scale
+		}
+		total += m.lossAndGrad(norm, grad, ws)
 	}
 	return total
 }

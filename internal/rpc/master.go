@@ -1653,7 +1653,7 @@ func (j *Job) runRound(ctx context.Context, iter, phase int, x []float64, w int,
 		case <-ctx.Done():
 			return nil, nil, fmt.Errorf("rpc: round (%d,%d) canceled: %w", iter, phase, ctx.Err())
 		case <-hard.C:
-			return nil, nil, fmt.Errorf("rpc: round (%d,%d) stalled waiting for %d responders", iter, phase, k)
+			return nil, nil, ws.stallError(fmt.Sprintf("round (%d,%d) stalled waiting for %d responders", iter, phase, k))
 		}
 	}
 	if ws.needed == 0 {
@@ -1710,7 +1710,7 @@ func (j *Job) runRound(ctx context.Context, iter, phase int, x []float64, w int,
 				}
 			}
 		case <-hard.C:
-			return nil, nil, fmt.Errorf("rpc: round (%d,%d) stalled", iter, phase)
+			return nil, nil, ws.stallError(fmt.Sprintf("round (%d,%d) stalled", iter, phase))
 		}
 	}
 	m.noteRoundOutcome(&ws.roundCore, workers)
@@ -1853,7 +1853,7 @@ func (j *Job) runGFRound(ctx context.Context, iter, phase int, x []gf.Elem, w in
 		case <-ctx.Done():
 			return nil, nil, fmt.Errorf("rpc: GF round (%d,%d) canceled: %w", iter, phase, ctx.Err())
 		case <-hard.C:
-			return nil, nil, fmt.Errorf("rpc: GF round (%d,%d) stalled waiting for %d responders", iter, phase, k)
+			return nil, nil, ws.stallError(fmt.Sprintf("GF round (%d,%d) stalled waiting for %d responders", iter, phase, k))
 		}
 	}
 	if ws.needed == 0 {
@@ -1905,7 +1905,7 @@ func (j *Job) runGFRound(ctx context.Context, iter, phase int, x []gf.Elem, w in
 				}
 			}
 		case <-hard.C:
-			return nil, nil, fmt.Errorf("rpc: GF round (%d,%d) stalled", iter, phase)
+			return nil, nil, ws.stallError(fmt.Sprintf("GF round (%d,%d) stalled", iter, phase))
 		}
 	}
 	m.noteRoundOutcome(&ws.roundCore, workers)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"time"
 
@@ -630,11 +631,24 @@ func (c *roundCore) aliveWorkers() int {
 	return alive
 }
 
+// givenUp reports whether the grace reassignment already wrote worker w
+// off: it is in stats.TimedOut and has still not responded. planExtras
+// re-routed its rows to responders then, so the rows are no longer
+// in-flight potential — if one of those responders dies, only the silent
+// worker would be left holding them. Its late result is still accepted.
+//
+//s2c2:noalloc
+func (c *roundCore) givenUp(w int) bool {
+	return !c.responded[w] && slices.Contains(c.stats.TimedOut, w)
+}
+
 // planRepair folds dead workers' undelivered rows back into the round:
 // for every row whose confirmed coverage plus in-flight potential (alive
-// workers still expected to deliver it) falls short of k, it routes the
-// deficit to the least-loaded alive workers that do not already cover or
-// compute the row. Unlike planExtras — which re-executes stragglers' rows
+// workers still expected to deliver it, and not given up on) falls short
+// of k, it routes the deficit to the least-loaded alive workers that do
+// not already cover or compute the row; only when no such worker is left
+// does a given-up worker's assignment count as potential again. Unlike
+// planExtras — which re-executes stragglers' rows
 // on responders only — repair may assign to any alive worker, responder
 // or not: a dead worker's rows are gone, not merely late, so idle
 // capacity is fair game. Every worker holds its full partition from the
@@ -648,10 +662,14 @@ func (c *roundCore) planRepair() error {
 		if c.cov[r] >= c.k {
 			continue
 		}
-		pot := 0
+		pot, late := 0, 0
 		for w := 0; w < c.n; w++ {
 			idx := w*c.blockRows + r
-			if !c.dead[w] && c.asgMark[idx] && !c.coveredBy[idx] {
+			switch {
+			case c.dead[w] || !c.asgMark[idx] || c.coveredBy[idx]:
+			case c.givenUp(w):
+				late++
+			default:
 				pot++
 			}
 		}
@@ -665,6 +683,12 @@ func (c *roundCore) planRepair() error {
 				if best < 0 || c.stats.AssignedRows[w]+c.extraRows[w] < c.stats.AssignedRows[best]+c.extraRows[best] {
 					best = w
 				}
+			}
+			if best < 0 && late > 0 {
+				// Nobody else can compute the row: the round is left to wait
+				// for a timed-out worker's late result after all.
+				late--
+				continue
 			}
 			if best < 0 {
 				return fmt.Errorf("rpc: cannot re-cover row %d after worker failure (%d alive, need %d distinct)",
@@ -749,6 +773,26 @@ func (j *Job) repairGFRound(ws *gfRoundWorkspace, workers []*workerConn, iter, p
 			return nil
 		}
 	}
+}
+
+// stallError reports a round cut short by the hard stall deadline, naming
+// what it was still waiting for: the alive workers that owe it assigned
+// rows, and how many rows are short of coverage k. what is the caller's
+// "round (iter,phase) stalled…" prefix.
+//
+//s2c2:noalloc-waive
+func (c *roundCore) stallError(what string) error {
+	var owed []int
+	for w := 0; w < c.n; w++ {
+		for r := 0; r < c.blockRows && !c.dead[w]; r++ {
+			if idx := w*c.blockRows + r; c.asgMark[idx] && !c.coveredBy[idx] {
+				owed = append(owed, w)
+				break
+			}
+		}
+	}
+	return fmt.Errorf("rpc: %s: %d of %d workers responded; workers %v still owe results (timed out: %v, dead: %v); %d of %d rows short of coverage %d",
+		what, c.nResponded, c.n, owed, c.stats.TimedOut, c.stats.Recovery.DeadWorkers, c.needed, c.blockRows, c.k)
 }
 
 // roundLostError reports a round that lost so many workers that coverage

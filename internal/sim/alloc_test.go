@@ -1,0 +1,114 @@
+package sim
+
+import (
+	"math/rand"
+	"testing"
+
+	"github.com/coded-computing/s2c2/internal/coding"
+	"github.com/coded-computing/s2c2/internal/kernel"
+	"github.com/coded-computing/s2c2/internal/mat"
+	"github.com/coded-computing/s2c2/internal/predict"
+	"github.com/coded-computing/s2c2/internal/sched"
+	"github.com/coded-computing/s2c2/internal/trace"
+)
+
+// roundCluster builds the sim-paper logistic-regression phase-0 shape:
+// n = 12, k = 6, general S2C2 over a 480×60 matrix, kernels inline.
+func roundCluster(tb testing.TB, tr *trace.Trace, fc predict.Forecaster) (*CodedCluster, []float64) {
+	tb.Helper()
+	const n, k = 12, 6
+	rng := rand.New(rand.NewSource(7))
+	code, err := coding.NewMDSCode(n, k)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	code.SetExec(kernel.Exec{MaxFan: 1})
+	enc := code.Encode(mat.Rand(480, 60, rng))
+	return &CodedCluster{
+		Enc:          enc,
+		Strategy:     &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows},
+		Forecaster:   fc,
+		Trace:        tr,
+		Comm:         DefaultComm(),
+		Timeout:      DefaultTimeout(),
+		Numeric:      true,
+		ReuseBuffers: true,
+	}, randTestVec(60, rng)
+}
+
+func TestRunIterationZeroAllocsSteadyState(t *testing.T) {
+	// Constant speeds, known to the planner: every round repeats the first
+	// one's plan and worker set, so nothing — not the Round, not a cached
+	// factorization — is left to allocate.
+	speeds := make([][]float64, 12)
+	for w := range speeds {
+		speeds[w] = []float64{1 + 0.1*float64(w%4)}
+	}
+	c, x := roundCluster(t, &trace.Trace{Speeds: speeds}, nil)
+	iter := 0
+	run := func() {
+		if _, err := c.RunIteration(iter, x); err != nil {
+			t.Fatal(err)
+		}
+		iter++
+	}
+	run()
+	if a := testing.AllocsPerRun(50, run); a != 0 {
+		t.Fatalf("RunIteration allocates %v objects per round after the first, want 0", a)
+	}
+	if c.speeds.tracker != nil {
+		t.Fatal("an oracle-mode cluster keeps a speed history nobody reads")
+	}
+}
+
+func TestReuseBuffersRecyclesRound(t *testing.T) {
+	c, x := roundCluster(t, trace.ControlledCluster(12, 2, 8, 5), nil)
+	first, err := c.RunIteration(0, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.RunIteration(1, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second || second.Iter != 1 {
+		t.Fatalf("ReuseBuffers must hand back the one recycled Round (iter %d)", second.Iter)
+	}
+	c.ReuseBuffers = false
+	third, err := c.RunIteration(2, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fourth, err := c.RunIteration(3, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third == second || third == fourth || &third.ComputedRows[0] == &fourth.ComputedRows[0] {
+		t.Fatal("without ReuseBuffers every Round must own its storage")
+	}
+}
+
+// BenchmarkSimRound is one simulated coded round at the sim-paper shape,
+// planned from an LSTM's forecasts on the volatile cloud trace — predict,
+// plan, timing model, worker kernels, decode.
+func BenchmarkSimRound(b *testing.B) {
+	const steps = 15
+	cfg := predict.DefaultLSTMConfig()
+	cfg.Epochs = 5
+	fc := predict.NewLSTM(cfg)
+	if err := fc.Fit(trace.CloudVolatile(12, 120, 1001).Speeds); err != nil {
+		b.Fatal(err)
+	}
+	tr := trace.CloudVolatile(12, steps, 11)
+	c, x := roundCluster(b, tr, fc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%steps == 0 {
+			c.speeds = speedSource{} // a new job: histories start empty
+		}
+		if _, err := c.RunIteration(i%steps, x); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

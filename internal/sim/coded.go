@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/coded-computing/s2c2/internal/coding"
 	"github.com/coded-computing/s2c2/internal/kernel"
@@ -38,22 +39,23 @@ type CodedCluster struct {
 	// the master really decodes (true: end-to-end verification) or only
 	// the timing model runs (false: fast latency sweeps).
 	Numeric bool
-	// ReuseBuffers lets the cluster return Round.Result slices backed by
-	// per-cluster storage that the NEXT RunIteration overwrites. Drivers
-	// that consume each round before requesting the next (sim.RunIterative,
-	// benchmarks) set it to avoid a per-round result allocation; leave it
-	// false if round results must outlive the following iteration.
+	// ReuseBuffers lets the cluster return a Round — the struct, its
+	// per-worker slices and Result — backed by per-cluster storage that the
+	// NEXT RunIteration overwrites. Drivers that consume each round before
+	// requesting the next (sim.RunIterative, benchmarks) set it so a
+	// steady-state round allocates nothing; leave it false if rounds must
+	// outlive the following iteration.
 	ReuseBuffers bool
 
-	history [][]float64 // observed speed per worker per iteration
-
+	speeds  speedSource
 	scratch clusterScratch
 }
 
 // clusterScratch is per-cluster round state recycled across iterations:
 // speed vectors, coverage counters, finish-time records, worker partials,
-// and the decode workspace (which also caches LU factorizations of
-// recurring worker sets across rounds).
+// the decode workspace (which also caches LU factorizations of recurring
+// worker sets across rounds), the mis-prediction recovery's working state
+// and, under ReuseBuffers, the Round handed back to the caller.
 type clusterScratch struct {
 	predicted, actual, observed []float64
 	cov                         []int
@@ -64,6 +66,8 @@ type clusterScratch struct {
 	decodeWS                    *coding.DecodeWorkspace
 	result                      []float64
 	planBuf                     sched.PlanBuffer // double-buffered round plans
+	recovery                    recoveryScratch
+	round                       Round
 }
 
 // Round captures one iteration's outcome and accounting.
@@ -94,59 +98,43 @@ func (r *Round) WastedFraction(w int) float64 {
 	return float64(r.ComputedRows[w]-r.UsedRows[w]) / float64(r.ComputedRows[w])
 }
 
-// PredictSpeeds returns the strategy input for the given iteration: 1.0
-// for every worker on the first round (the paper's bootstrap assumption),
-// otherwise the forecaster's one-step-ahead estimates — or the true trace
-// speeds when no forecaster is configured (oracle mode).
+// PredictSpeeds returns the strategy input for the coming iteration: the
+// true trace speeds when no forecaster is configured (oracle mode),
+// otherwise what the cluster's predict.Tracker says — 1.0 for every
+// worker on the first round (the paper's bootstrap assumption), then the
+// forecaster's one-step-ahead estimates.
 func (c *CodedCluster) PredictSpeeds(iter int) []float64 {
-	return c.predictSpeedsInto(make([]float64, c.Trace.NumWorkers()), iter)
+	return c.speeds.planInto(make([]float64, c.Trace.NumWorkers()), c.Forecaster, c.Trace, iter)
 }
 
-// predictSpeedsInto is PredictSpeeds writing into caller scratch.
-func (c *CodedCluster) predictSpeedsInto(speeds []float64, iter int) []float64 {
-	n := c.Trace.NumWorkers()
-	if c.Forecaster == nil {
-		for w := 0; w < n; w++ {
-			speeds[w] = c.Trace.At(w, iter)
-		}
-		return speeds
-	}
-	if len(c.history) == 0 || len(c.history[0]) == 0 {
-		for w := 0; w < n; w++ {
-			speeds[w] = 1
-		}
-		return speeds
-	}
-	for w := 0; w < n; w++ {
-		speeds[w] = c.Forecaster.Predict(c.history[w])
-		if speeds[w] <= 0 {
-			speeds[w] = c.history[w][len(c.history[w])-1]
-		}
-		if speeds[w] <= 0 {
-			speeds[w] = 0.01
-		}
-	}
-	return speeds
+// speedSource is where a cluster's planning speeds come from. With a
+// forecaster it is a predict.Tracker, created on first use; in oracle
+// mode it stays empty — nobody would read the history it kept.
+type speedSource struct {
+	tracker *predict.Tracker
 }
 
-// observe records per-worker observed speeds (ℓ/t, as §6.2) after a round.
-func (c *CodedCluster) observe(observed []float64) {
-	n := len(observed)
-	if c.history == nil {
-		c.history = make([][]float64, n)
-	}
-	for w := 0; w < n; w++ {
-		v := observed[w]
-		if v <= 0 {
-			// No observation (idle worker): carry the last estimate so the
-			// forecaster keeps a continuous series.
-			if len(c.history[w]) > 0 {
-				v = c.history[w][len(c.history[w])-1]
-			} else {
-				v = 1
-			}
+// planInto fills dst with the speeds round iter is planned from: the
+// trace's true speeds when f is nil (oracle), otherwise the tracker's
+// forecasts.
+func (s *speedSource) planInto(dst []float64, f predict.Forecaster, tr *trace.Trace, iter int) []float64 {
+	if f == nil {
+		for w := range dst {
+			dst[w] = tr.At(w, iter)
 		}
-		c.history[w] = append(c.history[w], v)
+		return dst
+	}
+	if s.tracker == nil {
+		s.tracker = predict.NewTracker(f, len(dst))
+	}
+	return s.tracker.PredictInto(dst)
+}
+
+// observe records a round's observed per-worker speeds (≤ 0: the worker
+// was not observed).
+func (s *speedSource) observe(observed []float64) {
+	if s.tracker != nil {
+		s.tracker.Observe(observed)
 	}
 }
 
@@ -157,7 +145,7 @@ func (c *CodedCluster) observe(observed []float64) {
 func (c *CodedCluster) RunIteration(iter int, x []float64) (*Round, error) {
 	n := c.Trace.NumWorkers()
 	c.scratch.predicted = kernel.Grow(c.scratch.predicted, n)
-	predicted := c.predictSpeedsInto(c.scratch.predicted, iter)
+	predicted := c.speeds.planInto(c.scratch.predicted, c.Forecaster, c.Trace, iter)
 	plan, err := c.scratch.planBuf.Next(c.Strategy, predicted)
 	if err != nil {
 		return nil, fmt.Errorf("sim: iteration %d: %w", iter, err)
@@ -172,7 +160,7 @@ func (c *CodedCluster) RunIteration(iter int, x []float64) (*Round, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.observe(observed)
+	c.speeds.observe(observed) // per-worker ℓ/t, as §6.2
 	return round, nil
 }
 
@@ -183,14 +171,27 @@ type workerFinish struct {
 	rows   int
 }
 
+func byFinish(a, b workerFinish) int { return cmp.Compare(a.finish, b.finish) }
+
+// growCounters returns s as n zeroed counters.
+func growCounters(s []int, n int) []int {
+	s = kernel.GrowInts(s, n)
+	clear(s)
+	return s
+}
+
 func (c *CodedCluster) simulateRound(iter int, plan *sched.Plan, actual, predicted []float64, k int, x []float64) (*Round, []float64, error) {
 	n := len(actual)
 	blockRows := c.Enc.BlockRows
-	round := &Round{
-		Iter:         iter,
-		ComputedRows: make([]int, n),
-		UsedRows:     make([]int, n),
+	round := &c.scratch.round
+	if c.ReuseBuffers {
+		*round = Round{ComputedRows: round.ComputedRows, UsedRows: round.UsedRows, TimedOut: round.TimedOut[:0]}
+	} else {
+		round = &Round{}
 	}
+	round.Iter = iter
+	round.ComputedRows = growCounters(round.ComputedRows, n)
+	round.UsedRows = growCounters(round.UsedRows, n)
 	// Broadcast of x to all workers (concurrent sends; one transfer time).
 	xBytes := float64(8 * len(x))
 	broadcast := c.Comm.TransferTime(xBytes)
@@ -210,13 +211,12 @@ func (c *CodedCluster) simulateRound(iter int, plan *sched.Plan, actual, predict
 	if len(finishes) < k {
 		return nil, nil, fmt.Errorf("sim: plan uses %d workers, need at least %d", len(finishes), k)
 	}
-	sort.Slice(finishes, func(i, j int) bool { return finishes[i].finish < finishes[j].finish })
+	// pdqsort, like sort.Slice: the order among tied finish times decides
+	// which workers' partials are decoded.
+	slices.SortFunc(finishes, byFinish)
 
 	// Find when per-row coverage k is first satisfied, walking arrivals.
-	cov := kernel.GrowInts(c.scratch.cov, blockRows)
-	for i := range cov {
-		cov[i] = 0
-	}
+	cov := growCounters(c.scratch.cov, blockRows)
 	c.scratch.cov = cov
 	needed := blockRows
 	coveredAt := -1.0
@@ -287,79 +287,23 @@ func (c *CodedCluster) simulateRound(iter int, plan *sched.Plan, actual, predict
 			used[finishes[i].w] = true
 			round.UsedRows[finishes[i].w] = finishes[i].rows
 		}
-		// Workers finishing later had their results ignored (conventional
-		// MDS's discarded stragglers).
-		for i := usedUpTo + 1; i < len(finishes); i++ {
-			round.UsedRows[finishes[i].w] = 0
-		}
+		// Workers finishing later have their results ignored (conventional
+		// MDS's discarded stragglers): their UsedRows stay 0.
 	} else {
 		// Mis-prediction: some assigned workers blew the deadline. Their
 		// pending coverage is re-executed by finished workers.
 		round.Mispredicted = true
-		completed := map[int]bool{}
 		for _, f := range finishes {
 			if f.finish <= deadline {
-				completed[f.w] = true
 				used[f.w] = true
 				round.UsedRows[f.w] = f.rows
 			} else {
 				round.TimedOut = append(round.TimedOut, f.w)
 			}
 		}
-		// Recompute coverage counting only completed workers.
-		for r := range cov {
-			cov[r] = 0
-		}
-		for w := range completed {
-			for _, rg := range plan.Assignments[w] {
-				for r := rg.Lo; r < rg.Hi; r++ {
-					cov[r]++
-				}
-			}
-		}
-		// Assign missing coverage row-by-row to completed workers that do
-		// not already cover the row, balancing by projected extra time.
-		type helper struct {
-			w     int
-			extra int
-			has   []bool
-		}
-		var helpers []helper
-		for w := range completed {
-			has := make([]bool, blockRows)
-			for _, rg := range plan.Assignments[w] {
-				for r := rg.Lo; r < rg.Hi; r++ {
-					has[r] = true
-				}
-			}
-			helpers = append(helpers, helper{w: w, has: has})
-		}
-		sort.Slice(helpers, func(i, j int) bool { return helpers[i].w < helpers[j].w })
-		reassigned := 0
-		for r := 0; r < blockRows; r++ {
-			for cov[r] < k {
-				// Pick the helper with the least projected extra work that
-				// can still add coverage for this row.
-				best := -1
-				bestLoad := 0.0
-				for hi := range helpers {
-					h := &helpers[hi]
-					if h.has[r] {
-						continue
-					}
-					load := float64(h.extra+1) / maxf(actual[h.w], 1e-9)
-					if best < 0 || load < bestLoad {
-						best, bestLoad = hi, load
-					}
-				}
-				if best < 0 {
-					return nil, nil, fmt.Errorf("sim: iteration %d: cannot re-cover row %d", iter, r)
-				}
-				helpers[best].has[r] = true
-				helpers[best].extra++
-				cov[r]++
-				reassigned++
-			}
+		helpers, reassigned, err := c.scratch.recovery.reassign(plan, used, cov, k, actual)
+		if err != nil {
+			return nil, nil, fmt.Errorf("sim: iteration %d: %w", iter, err)
 		}
 		round.ReassignedRows = reassigned
 		// Completion: deadline + assignment message + helper compute+reply.
@@ -380,9 +324,8 @@ func (c *CodedCluster) simulateRound(iter int, plan *sched.Plan, actual, predict
 	}
 
 	// Result bytes from used workers.
-	for w, used := range round.UsedRows {
-		round.BytesMoved += float64(8 * used)
-		_ = w
+	for _, rows := range round.UsedRows {
+		round.BytesMoved += float64(8 * rows)
 	}
 
 	// Observed speeds from response times (§6.2: ℓ/t). A timed-out
@@ -411,12 +354,12 @@ func (c *CodedCluster) simulateRound(iter int, plan *sched.Plan, actual, predict
 				partials = append(partials, c.scratch.partialBuf[w])
 			}
 		}
-		c.scratch.partials = partials
 		if round.Mispredicted {
 			// The timing pass reassigned coverage from timed-out workers to
 			// finished ones; mirror that here so the decode has coverage k.
-			partials = c.numericRecovery(partials, k, x)
+			partials = c.scratch.recovery.compute(c.Enc, x, partials)
 		}
+		c.scratch.partials = partials
 		if c.scratch.decodeWS == nil {
 			c.scratch.decodeWS = c.Enc.NewDecodeWorkspace()
 		}
@@ -433,52 +376,105 @@ func (c *CodedCluster) simulateRound(iter int, plan *sched.Plan, actual, predict
 	return round, observed, nil
 }
 
-// numericRecovery adds helper partials so that every row reaches coverage
-// k among the supplied partials, mirroring the timing-model reassignment.
-func (c *CodedCluster) numericRecovery(partials []*coding.Partial, k int, x []float64) []*coding.Partial {
-	blockRows := c.Enc.BlockRows
-	cov := make([]int, blockRows)
-	has := map[int][]bool{}
-	for _, p := range partials {
-		h := has[p.Worker]
-		if h == nil {
-			h = make([]bool, blockRows)
-			has[p.Worker] = h
+// helper is a finished worker taking on re-executed rows after a timeout.
+type helper struct {
+	w      int
+	extra  int            // rows taken on
+	ranges []coding.Range // … as normalized ranges
+	has    []bool         // rows it covers, assigned or taken on
+}
+
+// recoveryScratch is the working state of the §4.3 recovery, recycled
+// across rounds and shared by the mat-vec and bilinear clusters.
+type recoveryScratch struct {
+	helpers  []helper
+	has      []bool            // n×blockRows, backing helpers' row sets
+	ranges   [][]coding.Range  // per-worker backing of helpers' ranges
+	partials []*coding.Partial // per-worker reusable extra partials
+}
+
+// reassign is the timing model's reassignment: with only the workers in
+// used (those that met the deadline) counted, every row short of coverage
+// need is handed, row by row, to the finished worker with the least
+// projected extra time that does not cover it yet. It leaves cov at the
+// final coverage and returns the finished workers in ascending order with
+// what each took on.
+func (s *recoveryScratch) reassign(plan *sched.Plan, used []bool, cov []int, need int, actual []float64) ([]helper, int, error) {
+	n, blockRows := len(used), len(cov)
+	s.has = kernel.GrowSlice(s.has, n*blockRows)
+	clear(s.has)
+	if len(s.ranges) < n {
+		s.ranges = make([][]coding.Range, n)
+		s.partials = make([]*coding.Partial, n)
+	}
+	clear(cov)
+	helpers := s.helpers[:0]
+	for w, done := range used {
+		if !done {
+			continue
 		}
-		for _, rg := range p.Ranges {
+		h := helper{w: w, ranges: s.ranges[w][:0], has: s.has[w*blockRows : (w+1)*blockRows]}
+		for _, rg := range plan.Assignments[w] {
 			for r := rg.Lo; r < rg.Hi; r++ {
-				if !h[r] {
-					h[r] = true
-					cov[r]++
-				}
+				h.has[r] = true
+				cov[r]++
 			}
 		}
+		helpers = append(helpers, h)
 	}
-	extraRows := map[int][]coding.Range{}
-	workers := make([]int, 0, len(has))
-	for w := range has {
-		workers = append(workers, w)
-	}
-	sort.Ints(workers)
-	for r := 0; r < blockRows; r++ {
-		for cov[r] < k {
-			placed := false
-			for _, w := range workers {
-				if !has[w][r] {
-					has[w][r] = true
-					cov[r]++
-					extraRows[w] = append(extraRows[w], coding.Range{Lo: r, Hi: r + 1})
-					placed = true
-					break
+	reassigned := 0
+	for r := range cov {
+		for cov[r] < need {
+			best := -1
+			bestLoad := 0.0
+			for hi := range helpers {
+				h := &helpers[hi]
+				if h.has[r] {
+					continue
+				}
+				load := float64(h.extra+1) / maxf(actual[h.w], 1e-9)
+				if best < 0 || load < bestLoad {
+					best, bestLoad = hi, load
 				}
 			}
-			if !placed {
-				break // cannot recover; decode will surface the error
+			if best < 0 {
+				return nil, 0, fmt.Errorf("cannot re-cover row %d", r)
 			}
+			h := &helpers[best]
+			h.has[r] = true
+			h.extra++
+			// Rows are visited in ascending order, so ranges stay normalized.
+			if last := len(h.ranges) - 1; last >= 0 && h.ranges[last].Hi == r {
+				h.ranges[last].Hi = r + 1
+			} else {
+				h.ranges = append(h.ranges, coding.Range{Lo: r, Hi: r + 1})
+			}
+			cov[r]++
+			reassigned++
 		}
 	}
-	for w, ranges := range extraRows {
-		partials = append(partials, c.Enc.WorkerCompute(w, x, ranges))
+	for _, h := range helpers {
+		s.ranges[h.w] = h.ranges // keep what append grew
+	}
+	s.helpers = helpers
+	return helpers, reassigned, nil
+}
+
+// encoded is what the recovery needs of a coded dataset, mat-vec or
+// bilinear: worker w's kernel over some of its rows.
+type encoded interface {
+	WorkerComputeInto(w int, x []float64, ranges []coding.Range, dst *coding.Partial) *coding.Partial
+}
+
+// compute is the numeric mirror of the last reassign: each helper really
+// computes the rows it took on, and the resulting partials are appended,
+// so the decode sees the coverage the latency was charged for.
+func (s *recoveryScratch) compute(enc encoded, x []float64, partials []*coding.Partial) []*coding.Partial {
+	for _, h := range s.helpers {
+		if h.extra > 0 {
+			s.partials[h.w] = enc.WorkerComputeInto(h.w, x, h.ranges, s.partials[h.w])
+			partials = append(partials, s.partials[h.w])
+		}
 	}
 	return partials
 }

@@ -1,10 +1,10 @@
 // Package sim is the discrete-event cluster substrate that stands in for
 // the paper's physical testbeds (local Xeon cluster, Digital Ocean
-// droplets — see DESIGN.md §2). Workers actually execute their coded
-// kernels on real data, so decoded results are verifiably correct, while
-// elapsed time is *virtual*: it is derived from per-worker speed traces
-// and a communication model rather than wall-clock measurement. That
-// makes every experiment deterministic, seedable, and fast.
+// droplets). Workers actually execute their coded kernels on real data,
+// so decoded results are verifiably correct, while elapsed time is
+// *virtual*: it is derived from per-worker speed traces and a
+// communication model rather than wall-clock measurement. That makes
+// every experiment deterministic, seedable, and fast.
 //
 // The package provides four engines matching the paper's evaluation:
 //
@@ -17,6 +17,11 @@
 //   - OverDecomposition: the Charm++-style baseline combining 4×
 //     over-decomposition, partial replication and prediction-driven
 //     partition migration.
+//
+// Every engine that plans from a forecaster keeps one predict.Tracker
+// (observed speeds in, planning speeds out — the bootstrap and fallback
+// rules are the tracker's, not the engines'); with no forecaster an
+// engine plans from the trace's true speeds and keeps no history.
 package sim
 
 // CommModel is the network cost model: every message pays Latency, and

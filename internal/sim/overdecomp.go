@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/coded-computing/s2c2/internal/kernel"
 	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/predict"
 	"github.com/coded-computing/s2c2/internal/trace"
@@ -33,7 +34,9 @@ type OverDecomposition struct {
 	partBytes float64
 	holds     []map[int]bool // holds[w] = partitions worker w stores
 	assigned  [][]int        // assigned[w] = partitions worker w computes
-	history   [][]float64
+	speeds    speedSource
+
+	actual, predicted, observed []float64 // per-round scratch
 }
 
 // Name identifies the baseline in experiment output.
@@ -93,11 +96,13 @@ type OverDecompRound struct {
 func (o *OverDecomposition) RunIteration(iter int, x []float64) (*OverDecompRound, error) {
 	o.init()
 	n := o.Trace.NumWorkers()
-	actual := make([]float64, n)
+	o.actual = kernel.Grow(o.actual, n)
+	actual := o.actual
 	for w := 0; w < n; w++ {
 		actual[w] = o.Trace.At(w, iter)
 	}
-	predicted := o.predictSpeeds(iter, actual)
+	o.predicted = kernel.Grow(o.predicted, n)
+	predicted := o.speeds.planInto(o.predicted, o.Forecaster, o.Trace, iter)
 
 	round := &OverDecompRound{Iter: iter}
 	xBytes := float64(8 * len(x))
@@ -146,6 +151,7 @@ func (o *OverDecomposition) RunIteration(iter int, x []float64) (*OverDecompRoun
 
 	// Execute at true speeds; migrations are on the critical path (§7.2.2).
 	broadcast := o.Comm.TransferTime(xBytes)
+	o.observed = kernel.GrowZeroed(o.observed, n) // 0: idle, not observed
 	latest := 0.0
 	for w := 0; w < n; w++ {
 		rows := len(o.assigned[w]) * o.rowsPer
@@ -158,9 +164,13 @@ func (o *OverDecomposition) RunIteration(iter int, x []float64) (*OverDecompRoun
 		}
 		round.BytesMoved += float64(8 * rows)
 		// Observed speed for the forecaster.
-		o.recordObservation(w, rows, ft-broadcast-moveCost[w])
+		o.observed[w] = 1
+		if compute := ft - broadcast - moveCost[w]; compute > 0 {
+			o.observed[w] = float64(rows*o.A.Cols()) / compute / ElemRate
+		}
 	}
 	round.Latency = latest
+	o.speeds.observe(o.observed)
 
 	if o.Numeric {
 		padded := mat.PadRows(o.A, o.nParts)
@@ -174,44 +184,6 @@ func (o *OverDecomposition) RunIteration(iter int, x []float64) (*OverDecompRoun
 		round.Result = y[:o.A.Rows()]
 	}
 	return round, nil
-}
-
-func (o *OverDecomposition) predictSpeeds(iter int, actual []float64) []float64 {
-	n := len(actual)
-	if o.Forecaster == nil {
-		return actual
-	}
-	out := make([]float64, n)
-	if len(o.history) == 0 || len(o.history[0]) == 0 {
-		for i := range out {
-			out[i] = 1
-		}
-		return out
-	}
-	for w := 0; w < n; w++ {
-		out[w] = o.Forecaster.Predict(o.history[w])
-		if out[w] <= 0 {
-			out[w] = o.history[w][len(o.history[w])-1]
-		}
-		if out[w] <= 0 {
-			out[w] = 0.01
-		}
-	}
-	return out
-}
-
-func (o *OverDecomposition) recordObservation(w, rows int, compute float64) {
-	if o.Forecaster == nil {
-		return
-	}
-	if o.history == nil {
-		o.history = make([][]float64, o.Trace.NumWorkers())
-	}
-	v := 1.0
-	if compute > 0 {
-		v = float64(rows*o.A.Cols()) / compute / ElemRate
-	}
-	o.history[w] = append(o.history[w], v)
 }
 
 // StorageFractions returns, per worker, the fraction of the full data

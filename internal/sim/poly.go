@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/coded-computing/s2c2/internal/coding"
 	"github.com/coded-computing/s2c2/internal/kernel"
@@ -25,11 +25,12 @@ type PolyCluster struct {
 	Comm       CommModel
 	Timeout    TimeoutPolicy
 	Numeric    bool
-	// ReuseBuffers lets the cluster back Round.Result with per-cluster
-	// storage overwritten by the next RunIteration (see CodedCluster).
+	// ReuseBuffers lets the cluster back the returned PolyRound with
+	// per-cluster storage overwritten by the next RunIteration (see
+	// CodedCluster).
 	ReuseBuffers bool
 
-	history [][]float64
+	speeds speedSource
 
 	// Per-round scratch recycled across iterations (see clusterScratch).
 	predictBuf []float64
@@ -43,6 +44,8 @@ type PolyCluster struct {
 	decodeWS   *coding.PolyDecodeWorkspace
 	result     *mat.Dense
 	planBuf    sched.PlanBuffer // double-buffered round plans
+	recovery   recoveryScratch
+	round      PolyRound
 }
 
 // PolyRound reports one bilinear iteration.
@@ -57,33 +60,6 @@ type PolyRound struct {
 	BytesMoved     float64
 }
 
-// predictSpeeds mirrors CodedCluster.predictSpeedsInto, writing into the
-// cluster's reusable speed scratch.
-func (c *PolyCluster) predictSpeeds(iter int) []float64 {
-	n := c.Trace.NumWorkers()
-	c.predictBuf = kernel.Grow(c.predictBuf, n)
-	speeds := c.predictBuf
-	if c.Forecaster == nil {
-		for w := 0; w < n; w++ {
-			speeds[w] = c.Trace.At(w, iter)
-		}
-		return speeds
-	}
-	if len(c.history) == 0 || len(c.history[0]) == 0 {
-		for w := range speeds {
-			speeds[w] = 1
-		}
-		return speeds
-	}
-	for w := 0; w < n; w++ {
-		speeds[w] = c.Forecaster.Predict(c.history[w])
-		if speeds[w] <= 0 {
-			speeds[w] = 0.01
-		}
-	}
-	return speeds
-}
-
 // RunIteration executes one Hessian round on the diagonal vector d.
 //
 // Every assigned row costs RowsM·BlockColsB multiply-accumulates — far
@@ -91,7 +67,8 @@ func (c *PolyCluster) predictSpeeds(iter int) []float64 {
 // in multiply-accumulates (ElemRate units).
 func (c *PolyCluster) RunIteration(iter int, d []float64) (*PolyRound, error) {
 	n := c.Trace.NumWorkers()
-	predicted := c.predictSpeeds(iter)
+	c.predictBuf = kernel.Grow(c.predictBuf, n)
+	predicted := c.speeds.planInto(c.predictBuf, c.Forecaster, c.Trace, iter)
 	plan, err := c.planBuf.Next(c.Strategy, predicted)
 	if err != nil {
 		return nil, fmt.Errorf("sim: poly iteration %d: %w", iter, err)
@@ -103,11 +80,15 @@ func (c *PolyCluster) RunIteration(iter int, d []float64) (*PolyRound, error) {
 		actual[w] = c.Trace.At(w, iter)
 	}
 	blockRows := c.Enc.BlockColsA
-	round := &PolyRound{
-		Iter:         iter,
-		ComputedRows: make([]int, n),
-		UsedRows:     make([]int, n),
+	round := &c.round
+	if c.ReuseBuffers {
+		*round = PolyRound{ComputedRows: round.ComputedRows, UsedRows: round.UsedRows}
+	} else {
+		round = &PolyRound{}
 	}
+	round.Iter = iter
+	round.ComputedRows = growCounters(round.ComputedRows, n)
+	round.UsedRows = growCounters(round.UsedRows, n)
 	dBytes := float64(8 * len(d))
 	broadcast := c.Comm.TransferTime(dBytes)
 	round.BytesMoved += dBytes * float64(n)
@@ -130,12 +111,9 @@ func (c *PolyCluster) RunIteration(iter int, d []float64) (*PolyRound, error) {
 	if len(finishes) < threshold {
 		return nil, fmt.Errorf("sim: poly plan uses %d workers, need %d", len(finishes), threshold)
 	}
-	sort.Slice(finishes, func(i, j int) bool { return finishes[i].finish < finishes[j].finish })
+	slices.SortFunc(finishes, byFinish)
 
-	cov := kernel.GrowInts(c.cov, blockRows)
-	for i := range cov {
-		cov[i] = 0
-	}
+	cov := growCounters(c.cov, blockRows)
 	c.cov = cov
 	needed := blockRows
 	coveredAt := -1.0
@@ -198,62 +176,18 @@ func (c *PolyCluster) RunIteration(iter int, d []float64) (*PolyRound, error) {
 		}
 	} else {
 		round.Mispredicted = true
-		for r := range cov {
-			cov[r] = 0
-		}
 		for _, f := range finishes {
 			if f.finish <= deadline {
 				usedWorkers[f.w] = true
 				round.UsedRows[f.w] = f.rows
-				for _, rg := range plan.Assignments[f.w] {
-					for r := rg.Lo; r < rg.Hi; r++ {
-						cov[r]++
-					}
-				}
 			}
 		}
 		// Reassign deficient rows among finished workers.
-		type helper struct {
-			w     int
-			extra int
-			has   []bool
+		helpers, reassigned, err := c.recovery.reassign(plan, usedWorkers, cov, threshold, actual)
+		if err != nil {
+			return nil, fmt.Errorf("sim: poly iteration %d: %w", iter, err)
 		}
-		var helpers []helper
-		for w, u := range usedWorkers {
-			if !u {
-				continue
-			}
-			has := make([]bool, blockRows)
-			for _, rg := range plan.Assignments[w] {
-				for r := rg.Lo; r < rg.Hi; r++ {
-					has[r] = true
-				}
-			}
-			helpers = append(helpers, helper{w: w, has: has})
-		}
-		for r := 0; r < blockRows; r++ {
-			for cov[r] < threshold {
-				best := -1
-				bestLoad := 0.0
-				for hi := range helpers {
-					h := &helpers[hi]
-					if h.has[r] {
-						continue
-					}
-					load := float64(h.extra+1) / maxf(actual[h.w], 1e-9)
-					if best < 0 || load < bestLoad {
-						best, bestLoad = hi, load
-					}
-				}
-				if best < 0 {
-					return nil, fmt.Errorf("sim: poly iteration %d: cannot re-cover row %d", iter, r)
-				}
-				helpers[best].has[r] = true
-				helpers[best].extra++
-				cov[r]++
-				round.ReassignedRows++
-			}
-		}
+		round.ReassignedRows = reassigned
 		latest := deadline
 		for _, h := range helpers {
 			if h.extra == 0 {
@@ -283,20 +217,7 @@ func (c *PolyCluster) RunIteration(iter int, d []float64) (*PolyRound, error) {
 		}
 		observed[f.w] = float64(f.rows) * rowWeight / ct / ElemRate
 	}
-	if c.history == nil {
-		c.history = make([][]float64, n)
-	}
-	for w := 0; w < n; w++ {
-		v := observed[w]
-		if v <= 0 {
-			if len(c.history[w]) > 0 {
-				v = c.history[w][len(c.history[w])-1]
-			} else {
-				v = 1
-			}
-		}
-		c.history[w] = append(c.history[w], v)
-	}
+	c.speeds.observe(observed)
 
 	if c.Numeric {
 		if c.partialBuf == nil {
@@ -309,10 +230,10 @@ func (c *PolyCluster) RunIteration(iter int, d []float64) (*PolyRound, error) {
 				partials = append(partials, c.partialBuf[w])
 			}
 		}
-		c.partials = partials
 		if round.Mispredicted {
-			partials = c.numericRecovery(partials, threshold, d)
+			partials = c.recovery.compute(c.Enc, d, partials)
 		}
+		c.partials = partials
 		if c.decodeWS == nil {
 			c.decodeWS = c.Enc.NewDecodeWorkspace()
 		}
@@ -329,54 +250,4 @@ func (c *PolyCluster) RunIteration(iter int, d []float64) (*PolyRound, error) {
 		round.Result = dec
 	}
 	return round, nil
-}
-
-// numericRecovery mirrors CodedCluster.numericRecovery for the bilinear
-// backend.
-func (c *PolyCluster) numericRecovery(partials []*coding.Partial, threshold int, d []float64) []*coding.Partial {
-	blockRows := c.Enc.BlockColsA
-	cov := make([]int, blockRows)
-	has := map[int][]bool{}
-	for _, p := range partials {
-		h := has[p.Worker]
-		if h == nil {
-			h = make([]bool, blockRows)
-			has[p.Worker] = h
-		}
-		for _, rg := range p.Ranges {
-			for r := rg.Lo; r < rg.Hi; r++ {
-				if !h[r] {
-					h[r] = true
-					cov[r]++
-				}
-			}
-		}
-	}
-	workers := make([]int, 0, len(has))
-	for w := range has {
-		workers = append(workers, w)
-	}
-	sort.Ints(workers)
-	extraRows := map[int][]coding.Range{}
-	for r := 0; r < blockRows; r++ {
-		for cov[r] < threshold {
-			placed := false
-			for _, w := range workers {
-				if !has[w][r] {
-					has[w][r] = true
-					cov[r]++
-					extraRows[w] = append(extraRows[w], coding.Range{Lo: r, Hi: r + 1})
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				break
-			}
-		}
-	}
-	for w, ranges := range extraRows {
-		partials = append(partials, c.Enc.WorkerCompute(w, d, ranges))
-	}
-	return partials
 }

@@ -8,7 +8,7 @@
 // order of magnitude slower. This package generates synthetic traces with
 // exactly those statistics, replays them deterministically, and
 // exports/imports them as CSV. It is the substitute substrate for the
-// paper's cloud measurements (see DESIGN.md §2).
+// paper's cloud measurements.
 package trace
 
 import (

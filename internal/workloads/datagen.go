@@ -3,7 +3,7 @@
 // and SVM (§7.1.1), PageRank power iteration and n-hop graph filtering
 // (§7.1.2), and the polynomial-coded Hessian computation (§7.2.3), plus
 // the synthetic dataset generators that stand in for the gisette and
-// CS-Toronto datasets (see DESIGN.md §2).
+// CS-Toronto datasets.
 //
 // Every workload is expressed as an iterative sequence of coded mat-vec
 // phases (Iterative), so the same simulator/runtime drives all of them.
