@@ -28,7 +28,6 @@ func main() {
 		slowdown = flag.Float64("slowdown", 1, "artificial slowdown factor (straggler emulation)")
 		perRow   = flag.Duration("per-row-delay", 0, "fixed extra cost per computed row")
 		maxFan   = flag.Int("max-fan", 0, "cap on kernel-pool fan-out per operation (0 = all cores; set when co-hosting workers)")
-		useGob   = flag.Bool("gob", false, "speak the legacy gob transport instead of the binary wire protocol")
 		writeTO  = flag.Duration("write-timeout", 0, "base per-send write deadline, scaled with payload (0 = 30s; raise with the master's -stall-timeout on slow links)")
 		rejoin   = flag.Duration("rejoin", 0, "on a lost connection, redial the master at this interval instead of exiting (0 = exit); rejoined workers park as spares until the master admits them")
 	)
@@ -39,7 +38,6 @@ func main() {
 		Slowdown:     *slowdown,
 		PerRowDelay:  *perRow,
 		Exec:         kernel.Exec{MaxFan: *maxFan},
-		UseGob:       *useGob,
 		WriteTimeout: *writeTO,
 	}
 	for {

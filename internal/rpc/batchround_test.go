@@ -3,7 +3,7 @@ package rpc
 // batchround_test.go covers the batched multi-x round path end to end:
 // the acceptance property (a width-w distributed round is bit-exact per
 // lane against w independent local computes on GF, and within rounding on
-// float64, on both transports), the master-side zero-allocation bar for
+// float64), the master-side zero-allocation bar for
 // batched frames, and the hostile-input guards on the new batch frame
 // types (widths and value counts rejected before allocation, all lanes
 // land or none do).
@@ -31,7 +31,7 @@ var batchWidths = []int{1, 2, 4, 8}
 // timeout + reassignment path, then requires the width-w distributed
 // round to decode bit-exactly, lane by lane, against w independent local
 // ground-truth products.
-func runGFBatchTrial(t *testing.T, rng *rand.Rand, useGob bool, w int) {
+func runGFBatchTrial(t *testing.T, rng *rand.Rand, w int) {
 	t.Helper()
 	n := 2 + rng.Intn(4)
 	k := 1 + rng.Intn(n)
@@ -47,7 +47,7 @@ func runGFBatchTrial(t *testing.T, rng *rand.Rand, useGob bool, w int) {
 	m := startTestCluster(t, n, clusterConfig{
 		master: MasterConfig{StallTimeout: 20 * time.Second, ReuseRound: rng.Intn(2) == 0},
 		worker: func(i int) WorkerConfig {
-			cfg := WorkerConfig{UseGob: useGob, Slowdown: 1, PerRowDelay: 200 * time.Microsecond}
+			cfg := WorkerConfig{Slowdown: 1, PerRowDelay: 200 * time.Microsecond}
 			if i == straggler {
 				cfg.Slowdown = 100
 			}
@@ -85,8 +85,8 @@ func runGFBatchTrial(t *testing.T, rng *rand.Rand, useGob bool, w int) {
 		}
 		partials, _, err := m.RunGFRoundBatch(iter, 0, xs, w, plan, k, frac)
 		if err != nil {
-			t.Fatalf("n=%d k=%d rows=%d cols=%d w=%d straggler=%d gob=%v: %v",
-				n, k, rows, cols, w, straggler, useGob, err)
+			t.Fatalf("n=%d k=%d rows=%d cols=%d w=%d straggler=%d: %v",
+				n, k, rows, cols, w, straggler, err)
 		}
 		// Every delivered partial is bit-identical to recomputing the same
 		// batched ranges locally (worker kernel == local kernel).
@@ -112,8 +112,8 @@ func runGFBatchTrial(t *testing.T, rng *rand.Rand, useGob bool, w int) {
 			want := gfGroundTruth(rows, cols, data, xs[l*cols:(l+1)*cols])
 			for r := range want {
 				if got[r*w+l] != want[r] {
-					t.Fatalf("n=%d k=%d rows=%d cols=%d w=%d lane=%d gob=%v iter=%d: row %d decodes to %d, local compute says %d",
-						n, k, rows, cols, w, l, useGob, iter, r, got[r*w+l], want[r])
+					t.Fatalf("n=%d k=%d rows=%d cols=%d w=%d lane=%d iter=%d: row %d decodes to %d, local compute says %d",
+						n, k, rows, cols, w, l, iter, r, got[r*w+l], want[r])
 				}
 			}
 		}
@@ -122,119 +122,102 @@ func runGFBatchTrial(t *testing.T, rng *rand.Rand, useGob bool, w int) {
 
 // TestGFRoundBatchExactness is the batched acceptance property on the
 // exact path: a width-w distributed GF round equals w independent local
-// products bit-exactly, per lane, across widths, transports, and
-// straggler patterns.
+// products bit-exactly, per lane, across widths and straggler patterns.
 func TestGFRoundBatchExactness(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		useGob bool
-	}{
-		{"wire", false},
-		{"gob", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(210))
-			trials := 2
-			if testing.Short() {
-				trials = 1
+	t.Run("wire", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(210))
+		trials := 2
+		if testing.Short() {
+			trials = 1
+		}
+		for _, w := range batchWidths {
+			for trial := 0; trial < trials; trial++ {
+				runGFBatchTrial(t, rng, w)
 			}
-			for _, w := range batchWidths {
-				for trial := 0; trial < trials; trial++ {
-					runGFBatchTrial(t, rng, tc.useGob, w)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestRoundBatchExactness is the float64 counterpart: every lane of a
 // width-w distributed round approximates A·x_l, each delivered partial is
-// bit-identical to a local recompute of the same batched ranges, and both
-// transports agree with the direct product within rounding.
+// bit-identical to a local recompute of the same batched ranges, and the
+// decode agrees with the direct product within rounding.
 func TestRoundBatchExactness(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		useGob bool
-	}{
-		{"wire", false},
-		{"gob", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(211))
-			for _, w := range batchWidths {
-				n := 3 + rng.Intn(3)
-				k := 1 + rng.Intn(n)
-				rows := 4 + rng.Intn(40)
-				cols := 1 + rng.Intn(9)
-				m := startTestCluster(t, n, clusterConfig{
-					worker: func(i int) WorkerConfig {
-						return WorkerConfig{UseGob: tc.useGob, Slowdown: 1, PerRowDelay: 100 * time.Microsecond}
-					},
-				})
-				a := mat.Rand(rows, cols, rng)
-				code, err := coding.NewMDSCode(n, k)
-				if err != nil {
-					t.Fatal(err)
+	t.Run("wire", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(211))
+		for _, w := range batchWidths {
+			n := 3 + rng.Intn(3)
+			k := 1 + rng.Intn(n)
+			rows := 4 + rng.Intn(40)
+			cols := 1 + rng.Intn(9)
+			m := startTestCluster(t, n, clusterConfig{
+				worker: func(i int) WorkerConfig {
+					return WorkerConfig{Slowdown: 1, PerRowDelay: 100 * time.Microsecond}
+				},
+			})
+			a := mat.Rand(rows, cols, rng)
+			code, err := coding.NewMDSCode(n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := code.Encode(a)
+			if err := m.DistributePartitions(0, enc); err != nil {
+				t.Fatal(err)
+			}
+			strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
+			speeds := make([]float64, n)
+			for i := range speeds {
+				speeds[i] = 1
+			}
+			plan, err := strat.Plan(speeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xs := make([]float64, w*cols)
+			for i := range xs {
+				xs[i] = rng.NormFloat64()
+			}
+			partials, _, err := m.RunRoundBatch(0, 0, xs, w, plan, k, 10.0)
+			if err != nil {
+				t.Fatalf("n=%d k=%d w=%d: %v", n, k, w, err)
+			}
+			for _, p := range partials {
+				// Width 1 rides the legacy single-x kernel on the worker;
+				// mirror that path locally so the comparison is bit-exact.
+				var local *coding.Partial
+				if w == 1 {
+					local = enc.WorkerCompute(p.Worker, xs, p.Ranges)
+				} else {
+					local = enc.WorkerComputeBatchInto(p.Worker, xs, w, p.Ranges, nil)
 				}
-				enc := code.Encode(a)
-				if err := m.DistributePartitions(0, enc); err != nil {
-					t.Fatal(err)
+				if len(local.Values) != len(p.Values) {
+					t.Fatalf("worker %d: rpc delivered %d values, local compute %d", p.Worker, len(p.Values), len(local.Values))
 				}
-				strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
-				speeds := make([]float64, n)
-				for i := range speeds {
-					speeds[i] = 1
-				}
-				plan, err := strat.Plan(speeds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				xs := make([]float64, w*cols)
-				for i := range xs {
-					xs[i] = rng.NormFloat64()
-				}
-				partials, _, err := m.RunRoundBatch(0, 0, xs, w, plan, k, 10.0)
-				if err != nil {
-					t.Fatalf("n=%d k=%d w=%d gob=%v: %v", n, k, w, tc.useGob, err)
-				}
-				for _, p := range partials {
-					// Width 1 rides the legacy single-x kernel on the worker;
-					// mirror that path locally so the comparison is bit-exact.
-					var local *coding.Partial
-					if w == 1 {
-						local = enc.WorkerCompute(p.Worker, xs, p.Ranges)
-					} else {
-						local = enc.WorkerComputeBatchInto(p.Worker, xs, w, p.Ranges, nil)
-					}
-					if len(local.Values) != len(p.Values) {
-						t.Fatalf("worker %d: rpc delivered %d values, local compute %d", p.Worker, len(p.Values), len(local.Values))
-					}
-					for q := range p.Values {
-						if p.Values[q] != local.Values[q] {
-							t.Fatalf("worker %d value %d: rpc %v != local %v", p.Worker, q, p.Values[q], local.Values[q])
-						}
-					}
-				}
-				got, err := enc.DecodeMatVec(partials)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != rows*w {
-					t.Fatalf("w=%d: decode length %d want %d", w, len(got), rows*w)
-				}
-				lane := make([]float64, rows)
-				for l := 0; l < w; l++ {
-					want := mat.MatVec(a, xs[l*cols:(l+1)*cols])
-					for r := 0; r < rows; r++ {
-						lane[r] = got[r*w+l]
-					}
-					if !mat.VecApproxEqual(lane, want, 1e-8) {
-						t.Fatalf("n=%d k=%d w=%d lane=%d gob=%v: decode drifted from A·x_l", n, k, w, l, tc.useGob)
+				for q := range p.Values {
+					if p.Values[q] != local.Values[q] {
+						t.Fatalf("worker %d value %d: rpc %v != local %v", p.Worker, q, p.Values[q], local.Values[q])
 					}
 				}
 			}
-		})
-	}
+			got, err := enc.DecodeMatVec(partials)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != rows*w {
+				t.Fatalf("w=%d: decode length %d want %d", w, len(got), rows*w)
+			}
+			lane := make([]float64, rows)
+			for l := 0; l < w; l++ {
+				want := mat.MatVec(a, xs[l*cols:(l+1)*cols])
+				for r := 0; r < rows; r++ {
+					lane[r] = got[r*w+l]
+				}
+				if !mat.VecApproxEqual(lane, want, 1e-8) {
+					t.Fatalf("n=%d k=%d w=%d lane=%d: decode drifted from A·x_l", n, k, w, l)
+				}
+			}
+		}
+	})
 }
 
 // TestGFRoundBatchTimeoutReassignment forces the §4.3 timeout on a

@@ -1,8 +1,8 @@
 package rpc
 
 // gfround_test.go covers the exact GF(2³¹−1) distributed round path: the
-// acceptance property (distributed == local, bit-exact, on both
-// transports, under randomized shapes and straggler patterns) and the
+// acceptance property (distributed == local, bit-exact, under randomized
+// shapes and straggler patterns) and the
 // master-side zero-allocation bar mirroring the float64 wire round.
 
 import (
@@ -34,11 +34,11 @@ func gfGroundTruth(rows, cols int, data, x []gf.Elem) []gf.Elem {
 }
 
 // runGFTrial runs one randomized cluster trial: random (n,k), partition
-// shape, chunking, transport, result splitting, and optionally a
+// shape, chunking, result splitting, and optionally a
 // mis-predicted straggler that forces the §4.3 timeout + reassignment —
 // then requires every round to decode bit-exactly against the local
 // ground truth.
-func runGFTrial(t *testing.T, rng *rand.Rand, useGob bool) {
+func runGFTrial(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	n := 2 + rng.Intn(4) // 2..5 workers
 	k := 1 + rng.Intn(n) // 1..n threshold
@@ -51,7 +51,7 @@ func runGFTrial(t *testing.T, rng *rand.Rand, useGob bool) {
 		frac = 0.15
 	}
 	mcfg := MasterConfig{StallTimeout: 20 * time.Second}
-	if !useGob && rng.Intn(2) == 0 {
+	if rng.Intn(2) == 0 {
 		mcfg.ChunkRows = 1 + rng.Intn(3)
 		mcfg.ChunkWindow = 1 + rng.Intn(4)
 	}
@@ -61,7 +61,7 @@ func runGFTrial(t *testing.T, rng *rand.Rand, useGob bool) {
 	m := startTestCluster(t, n, clusterConfig{
 		master: mcfg,
 		worker: func(i int) WorkerConfig {
-			cfg := WorkerConfig{UseGob: useGob, Slowdown: 1, PerRowDelay: 200 * time.Microsecond}
+			cfg := WorkerConfig{Slowdown: 1, PerRowDelay: 200 * time.Microsecond}
 			if i == straggler {
 				cfg.Slowdown = 100
 			}
@@ -104,8 +104,8 @@ func runGFTrial(t *testing.T, rng *rand.Rand, useGob bool) {
 		}
 		partials, stats, err := m.RunGFRound(iter, 0, x, plan, k, frac)
 		if err != nil {
-			t.Fatalf("n=%d k=%d rows=%d cols=%d straggler=%d gob=%v: %v",
-				n, k, rows, cols, straggler, useGob, err)
+			t.Fatalf("n=%d k=%d rows=%d cols=%d straggler=%d: %v",
+				n, k, rows, cols, straggler, err)
 		}
 		got, err := enc.DecodeMatVecInto(dst, partials, decWS)
 		if err != nil {
@@ -113,8 +113,8 @@ func runGFTrial(t *testing.T, rng *rand.Rand, useGob bool) {
 		}
 		for r := range want {
 			if got[r] != want[r] {
-				t.Fatalf("n=%d k=%d rows=%d cols=%d straggler=%d gob=%v reuse=%v split=%v iter=%d: row %d decodes to %d, local compute says %d (reassigned %d)",
-					n, k, rows, cols, straggler, useGob, reuse, splitResults, iter, r, got[r], want[r], stats.Reassigned)
+				t.Fatalf("n=%d k=%d rows=%d cols=%d straggler=%d reuse=%v split=%v iter=%d: row %d decodes to %d, local compute says %d (reassigned %d)",
+					n, k, rows, cols, straggler, reuse, splitResults, iter, r, got[r], want[r], stats.Reassigned)
 			}
 		}
 	}
@@ -122,27 +122,18 @@ func runGFTrial(t *testing.T, rng *rand.Rand, useGob bool) {
 
 // TestGFRoundExactness is the acceptance property: a distributed GF round
 // decodes bit-exactly to the local GFMDSCode compute across randomized
-// (n,k), partition shapes, straggler/timeout patterns, and both
-// transports.
+// (n,k), partition shapes and straggler/timeout patterns.
 func TestGFRoundExactness(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		useGob bool
-	}{
-		{"wire", false},
-		{"gob", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(200))
-			trials := 4
-			if testing.Short() {
-				trials = 2
-			}
-			for trial := 0; trial < trials; trial++ {
-				runGFTrial(t, rng, tc.useGob)
-			}
-		})
-	}
+	t.Run("wire", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(200))
+		trials := 4
+		if testing.Short() {
+			trials = 2
+		}
+		for trial := 0; trial < trials; trial++ {
+			runGFTrial(t, rng)
+		}
+	})
 }
 
 // TestGFRoundTimeoutReassignmentExact deterministically forces the §4.3
@@ -397,56 +388,5 @@ func TestMasterGFWireRoundZeroAllocsSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, runRound)
 	if allocs != 0 {
 		t.Fatalf("steady-state GF wire round allocates %v/op on the master, want 0", allocs)
-	}
-}
-
-// TestGFGobWireDecodeBitIdentical runs the same deterministic full-
-// coverage GF round over both transports; being field arithmetic, the
-// decoded outputs must be identical element for element.
-func TestGFGobWireDecodeBitIdentical(t *testing.T) {
-	run := func(useGob bool) []gf.Elem {
-		const n = 3
-		m := startTestCluster(t, n, clusterConfig{
-			worker: func(i int) WorkerConfig { return WorkerConfig{UseGob: useGob} },
-		})
-		rng := rand.New(rand.NewSource(204))
-		rows, cols := 31, 6
-		data := randElems(rng, rows*cols)
-		code, err := coding.NewGFMDSCode(n, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, err := code.Encode(rows, cols, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.DistributeGFPartitions(0, enc.Parts); err != nil {
-			t.Fatal(err)
-		}
-		strat := &sched.GeneralS2C2{N: n, K: n, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
-		plan, err := strat.Plan([]float64{1, 1, 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := randElems(rng, cols)
-		partials, _, err := m.RunGFRound(0, 0, x, plan, n, 10.0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := enc.DecodeMatVec(partials)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	gob := run(true)
-	wireOut := run(false)
-	if len(gob) != len(wireOut) {
-		t.Fatalf("length mismatch: gob %d, wire %d", len(gob), len(wireOut))
-	}
-	for i := range gob {
-		if gob[i] != wireOut[i] {
-			t.Fatalf("row %d: gob %d != wire %d", i, gob[i], wireOut[i])
-		}
 	}
 }

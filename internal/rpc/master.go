@@ -38,8 +38,8 @@ type MasterConfig struct {
 	// before and after reassignment) and how long a streamed partition
 	// transfer waits for a chunk credit. Zero selects 30 seconds.
 	StallTimeout time.Duration
-	// ChunkRows is the row granularity of streamed partition transfers
-	// on the wire transport. Zero sizes chunks to ~256 KiB of row data.
+	// ChunkRows is the row granularity of streamed partition transfers.
+	// Zero sizes chunks to ~256 KiB of row data.
 	ChunkRows int
 	// ChunkWindow is the credit window of a streamed partition transfer:
 	// the number of unacknowledged chunks the master keeps in flight per
@@ -129,11 +129,11 @@ func (m *Master) chunkWindow() int {
 	return w
 }
 
-// workerConn is the master's per-worker connection state: the transport
-// plus the channels its readLoop uses to route flow-control credits and
-// signal connection loss.
+// workerConn is the master's per-worker connection state: the framed
+// connection plus the channels its readLoop uses to route flow-control
+// credits and signal connection loss.
 type workerConn struct {
-	t transport
+	t *wireConn
 	// acks receives one (phase, seq) credit per stored partition chunk;
 	// the streaming sender blocks on it when its window is exhausted.
 	acks chan PartitionAck
@@ -299,11 +299,10 @@ const maxConcurrentAdmits = 32
 
 // WaitForWorkers accepts worker connections (assigning worker IDs in
 // admission-completion order) until n are connected or the deadline
-// expires. Each connection performs the wire handshake; its version byte
-// selects the binary frame transport or the gob fallback, so one cluster
-// may mix both. Connections that fail the handshake or hello — wrong
-// magic, an unsupported version, a stalled client — are rejected and
-// accepting continues; they cannot wedge the master.
+// expires. Each connection performs the wire handshake. Connections that
+// fail the handshake or hello — wrong magic, any version but
+// wire.VersionWire, a stalled client — are rejected and accepting
+// continues; they cannot wedge the master.
 //
 // Handshakes are admitted concurrently: accepting never waits on an
 // in-flight handshake, so one slow or stalled dialer delays later workers
@@ -570,11 +569,11 @@ func (m *Master) admit(c net.Conn) (*workerConn, error) {
 		c.Close()
 		return nil, err
 	}
-	t, err := newTransport(c, version, m.stallTimeout())
-	if err != nil {
-		c.Close()
-		return nil, err // version mismatch: reject this conn, keep serving
+	if version != wire.VersionWire {
+		c.Close() // reject this conn at once, keep serving
+		return nil, fmt.Errorf("rpc: unsupported protocol version %d", version)
 	}
+	t := newWireConn(c, m.stallTimeout())
 	var msg Msg
 	if err := t.recv(&msg); err != nil {
 		t.close()
@@ -766,12 +765,11 @@ func distributeAll(workers []*workerConn, ship func(w int, wc *workerConn) error
 }
 
 // DistributePartitions ships phase p's coded partitions (partition w to
-// worker w), all workers in parallel. On the wire transport each partition
-// is streamed in ChunkRows-row chunks under a ChunkWindow credit window —
-// the worker acknowledges every chunk it has stored, so peak transport
-// memory is O(chunk), not O(partition), on both ends. Gob-fallback workers
-// receive their partition as one monolithic message. Failures name the
-// broken workers (*PartitionError, aggregated across workers); with
+// worker w), all workers in parallel. Each partition is streamed in
+// ChunkRows-row chunks under a ChunkWindow credit window — the worker
+// acknowledges every chunk it has stored, so peak transport memory is
+// O(chunk), not O(partition), on both ends. Failures name the broken
+// workers (*PartitionError, aggregated across workers); with
 // MasterConfig.Retry enabled, only the failed workers' partitions are
 // re-streamed — to a warm spare promoted into the slot when one is parked
 // — under bounded exponential backoff before any error is returned.
@@ -907,14 +905,10 @@ func (j *Job) DistributeGFPartitionsContext(ctx context.Context, phase int, part
 	return nil
 }
 
-// shipPartition delivers one float64 partition over the connection's
-// transport: chunked with credit-based flow control on the wire transport,
-// monolithic on the gob fallback.
+// shipPartition streams one float64 partition over the connection in
+// chunks, under credit-based flow control.
 func (m *Master) shipPartition(wc *workerConn, phase int, part *mat.Dense, stall time.Duration) error {
 	rows, cols := part.Dims()
-	if !wc.t.streamsPartitions() {
-		return wc.t.sendPartition(&Partition{Phase: phase, Rows: rows, Cols: cols, Data: part.Data()})
-	}
 	chunkRows := m.chunkRowsFor(cols, 8)
 	data := part.Data()
 	return m.streamPartition(wc, phase, rows, chunkRows, stall,
@@ -931,9 +925,6 @@ func (m *Master) shipPartition(wc *workerConn, phase int, part *mat.Dense, stall
 // shipGFPartition is shipPartition for field-element partitions.
 func (m *Master) shipGFPartition(wc *workerConn, phase int, part *gf.Matrix, stall time.Duration) error {
 	rows, cols := part.Dims()
-	if !wc.t.streamsPartitions() {
-		return wc.t.sendGFPartition(&GFPartition{Phase: phase, Rows: rows, Cols: cols, Data: part.Data()})
-	}
 	chunkRows := m.chunkRowsFor(cols, 4)
 	data := part.Data()
 	return m.streamPartition(wc, phase, rows, chunkRows, stall,

@@ -38,247 +38,239 @@ func flatSpeeds(n int) []float64 {
 // job, and a batched GF job, every one using phase 0 of its own namespace
 // — run rounds concurrently over one shared cluster, under a concurrency
 // cap that forces the wait queue into play, and each decode matches a
-// local recompute (bit-exact on the GF paths). Runs on both transports;
-// the race detector covers the demux and queue machinery.
+// local recompute (bit-exact on the GF paths). The race detector covers
+// the demux and queue machinery.
 func TestConcurrentJobsExactness(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		useGob bool
-	}{
-		{"wire", false},
-		{"gob", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const (
-				n, k  = 4, 3
-				iters = 3
-			)
-			m := startTestCluster(t, n, clusterConfig{
-				master: MasterConfig{MaxConcurrentRounds: 2},
-				worker: func(i int) WorkerConfig {
-					return WorkerConfig{UseGob: tc.useGob, PerRowDelay: 50 * time.Microsecond}
-				},
-			})
-			rng := rand.New(rand.NewSource(1019))
-			strat := &sched.GeneralS2C2{N: n, K: k}
-			speeds := flatSpeeds(n)
-
-			var wg sync.WaitGroup
-			errCh := make(chan error, 4)
-			fail := func(format string, args ...any) {
-				errCh <- fmt.Errorf(format, args...)
-			}
-
-			// Job 1 of 4: the default float64 job on the legacy frames.
-			{
-				a := mat.Rand(36, 5, rng)
-				code, err := coding.NewMDSCode(n, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				enc := code.Encode(a)
-				if err := m.DistributePartitions(0, enc); err != nil {
-					t.Fatal(err)
-				}
-				x := make([]float64, 5)
-				for i := range x {
-					x[i] = rng.NormFloat64()
-				}
-				want := mat.MatVec(a, x)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					s := *strat
-					s.BlockRows, s.Granularity = enc.BlockRows, enc.BlockRows
-					for iter := 0; iter < iters; iter++ {
-						plan, err := s.Plan(speeds)
-						if err != nil {
-							fail("default job plan: %v", err)
-							return
-						}
-						partials, _, err := m.RunRound(iter, 0, x, plan, k, 10.0)
-						if err != nil {
-							fail("default job round %d: %v", iter, err)
-							return
-						}
-						got, err := enc.DecodeMatVec(partials)
-						if err != nil {
-							fail("default job decode %d: %v", iter, err)
-							return
-						}
-						if !mat.VecApproxEqual(got, want, 1e-8) {
-							fail("default job iter %d: decode drifted from A·x", iter)
-							return
-						}
-					}
-				}()
-			}
-
-			// Job 2 of 4: exact GF(2³¹−1), width 1 — must be bit-exact.
-			{
-				j := m.OpenJob(JobConfig{})
-				defer j.Close()
-				rows, cols := 30, 4
-				data := randElems(rng, rows*cols)
-				code, err := coding.NewGFMDSCode(n, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				enc, err := code.Encode(rows, cols, data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := j.DistributeGFPartitions(0, enc.Parts); err != nil {
-					t.Fatal(err)
-				}
-				x := randElems(rng, cols)
-				want := gfGroundTruth(rows, cols, data, x)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					s := *strat
-					s.BlockRows, s.Granularity = enc.BlockRows, enc.BlockRows
-					for iter := 0; iter < iters; iter++ {
-						plan, err := s.Plan(speeds)
-						if err != nil {
-							fail("gf job plan: %v", err)
-							return
-						}
-						partials, _, err := j.RunGFRound(iter, 0, x, plan, k, 10.0)
-						if err != nil {
-							fail("gf job round %d: %v", iter, err)
-							return
-						}
-						got, err := enc.DecodeMatVec(partials)
-						if err != nil {
-							fail("gf job decode %d: %v", iter, err)
-							return
-						}
-						for r := range want {
-							if got[r] != want[r] {
-								fail("gf job iter %d row %d: %d != local %d", iter, r, got[r], want[r])
-								return
-							}
-						}
-					}
-				}()
-			}
-
-			// Job 3 of 4: batched float64, width 3.
-			{
-				const w = 3
-				j := m.OpenJob(JobConfig{})
-				defer j.Close()
-				a := mat.Rand(24, 6, rng)
-				code, err := coding.NewMDSCode(n, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				enc := code.Encode(a)
-				if err := j.DistributePartitions(0, enc); err != nil {
-					t.Fatal(err)
-				}
-				xs := make([]float64, w*6)
-				for i := range xs {
-					xs[i] = rng.NormFloat64()
-				}
-				rows := 24
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					s := *strat
-					s.BlockRows, s.Granularity = enc.BlockRows, enc.BlockRows
-					lane := make([]float64, rows)
-					for iter := 0; iter < iters; iter++ {
-						plan, err := s.Plan(speeds)
-						if err != nil {
-							fail("batch job plan: %v", err)
-							return
-						}
-						partials, _, err := j.RunRoundBatch(iter, 0, xs, w, plan, k, 10.0)
-						if err != nil {
-							fail("batch job round %d: %v", iter, err)
-							return
-						}
-						got, err := enc.DecodeMatVec(partials)
-						if err != nil {
-							fail("batch job decode %d: %v", iter, err)
-							return
-						}
-						for l := 0; l < w; l++ {
-							want := mat.MatVec(a, xs[l*6:(l+1)*6])
-							for r := 0; r < rows; r++ {
-								lane[r] = got[r*w+l]
-							}
-							if !mat.VecApproxEqual(lane, want, 1e-8) {
-								fail("batch job iter %d lane %d drifted from A·x_l", iter, l)
-								return
-							}
-						}
-					}
-				}()
-			}
-
-			// Job 4 of 4: batched GF, width 2 — bit-exact per lane.
-			{
-				const w = 2
-				j := m.OpenJob(JobConfig{})
-				defer j.Close()
-				rows, cols := 20, 5
-				data := randElems(rng, rows*cols)
-				code, err := coding.NewGFMDSCode(n, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				enc, err := code.Encode(rows, cols, data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := j.DistributeGFPartitions(0, enc.Parts); err != nil {
-					t.Fatal(err)
-				}
-				xs := randElems(rng, w*cols)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					s := *strat
-					s.BlockRows, s.Granularity = enc.BlockRows, enc.BlockRows
-					for iter := 0; iter < iters; iter++ {
-						plan, err := s.Plan(speeds)
-						if err != nil {
-							fail("gf batch job plan: %v", err)
-							return
-						}
-						partials, _, err := j.RunGFRoundBatch(iter, 0, xs, w, plan, k, 10.0)
-						if err != nil {
-							fail("gf batch job round %d: %v", iter, err)
-							return
-						}
-						got, err := enc.DecodeMatVec(partials)
-						if err != nil {
-							fail("gf batch job decode %d: %v", iter, err)
-							return
-						}
-						for l := 0; l < w; l++ {
-							want := gfGroundTruth(rows, cols, data, xs[l*cols:(l+1)*cols])
-							for r := range want {
-								if got[r*w+l] != want[r] {
-									fail("gf batch job iter %d lane %d row %d: %d != %d", iter, l, r, got[r*w+l], want[r])
-									return
-								}
-							}
-						}
-					}
-				}()
-			}
-
-			wg.Wait()
-			close(errCh)
-			for err := range errCh {
-				t.Error(err)
-			}
+	t.Run("wire", func(t *testing.T) {
+		const (
+			n, k  = 4, 3
+			iters = 3
+		)
+		m := startTestCluster(t, n, clusterConfig{
+			master: MasterConfig{MaxConcurrentRounds: 2},
+			worker: func(i int) WorkerConfig {
+				return WorkerConfig{PerRowDelay: 50 * time.Microsecond}
+			},
 		})
-	}
+		rng := rand.New(rand.NewSource(1019))
+		strat := &sched.GeneralS2C2{N: n, K: k}
+		speeds := flatSpeeds(n)
+
+		var wg sync.WaitGroup
+		errCh := make(chan error, 4)
+		fail := func(format string, args ...any) {
+			errCh <- fmt.Errorf(format, args...)
+		}
+
+		// Job 1 of 4: the default float64 job on the legacy frames.
+		{
+			a := mat.Rand(36, 5, rng)
+			code, err := coding.NewMDSCode(n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := code.Encode(a)
+			if err := m.DistributePartitions(0, enc); err != nil {
+				t.Fatal(err)
+			}
+			x := make([]float64, 5)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			want := mat.MatVec(a, x)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := *strat
+				s.BlockRows, s.Granularity = enc.BlockRows, enc.BlockRows
+				for iter := 0; iter < iters; iter++ {
+					plan, err := s.Plan(speeds)
+					if err != nil {
+						fail("default job plan: %v", err)
+						return
+					}
+					partials, _, err := m.RunRound(iter, 0, x, plan, k, 10.0)
+					if err != nil {
+						fail("default job round %d: %v", iter, err)
+						return
+					}
+					got, err := enc.DecodeMatVec(partials)
+					if err != nil {
+						fail("default job decode %d: %v", iter, err)
+						return
+					}
+					if !mat.VecApproxEqual(got, want, 1e-8) {
+						fail("default job iter %d: decode drifted from A·x", iter)
+						return
+					}
+				}
+			}()
+		}
+
+		// Job 2 of 4: exact GF(2³¹−1), width 1 — must be bit-exact.
+		{
+			j := m.OpenJob(JobConfig{})
+			defer j.Close()
+			rows, cols := 30, 4
+			data := randElems(rng, rows*cols)
+			code, err := coding.NewGFMDSCode(n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, err := code.Encode(rows, cols, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.DistributeGFPartitions(0, enc.Parts); err != nil {
+				t.Fatal(err)
+			}
+			x := randElems(rng, cols)
+			want := gfGroundTruth(rows, cols, data, x)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := *strat
+				s.BlockRows, s.Granularity = enc.BlockRows, enc.BlockRows
+				for iter := 0; iter < iters; iter++ {
+					plan, err := s.Plan(speeds)
+					if err != nil {
+						fail("gf job plan: %v", err)
+						return
+					}
+					partials, _, err := j.RunGFRound(iter, 0, x, plan, k, 10.0)
+					if err != nil {
+						fail("gf job round %d: %v", iter, err)
+						return
+					}
+					got, err := enc.DecodeMatVec(partials)
+					if err != nil {
+						fail("gf job decode %d: %v", iter, err)
+						return
+					}
+					for r := range want {
+						if got[r] != want[r] {
+							fail("gf job iter %d row %d: %d != local %d", iter, r, got[r], want[r])
+							return
+						}
+					}
+				}
+			}()
+		}
+
+		// Job 3 of 4: batched float64, width 3.
+		{
+			const w = 3
+			j := m.OpenJob(JobConfig{})
+			defer j.Close()
+			a := mat.Rand(24, 6, rng)
+			code, err := coding.NewMDSCode(n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := code.Encode(a)
+			if err := j.DistributePartitions(0, enc); err != nil {
+				t.Fatal(err)
+			}
+			xs := make([]float64, w*6)
+			for i := range xs {
+				xs[i] = rng.NormFloat64()
+			}
+			rows := 24
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := *strat
+				s.BlockRows, s.Granularity = enc.BlockRows, enc.BlockRows
+				lane := make([]float64, rows)
+				for iter := 0; iter < iters; iter++ {
+					plan, err := s.Plan(speeds)
+					if err != nil {
+						fail("batch job plan: %v", err)
+						return
+					}
+					partials, _, err := j.RunRoundBatch(iter, 0, xs, w, plan, k, 10.0)
+					if err != nil {
+						fail("batch job round %d: %v", iter, err)
+						return
+					}
+					got, err := enc.DecodeMatVec(partials)
+					if err != nil {
+						fail("batch job decode %d: %v", iter, err)
+						return
+					}
+					for l := 0; l < w; l++ {
+						want := mat.MatVec(a, xs[l*6:(l+1)*6])
+						for r := 0; r < rows; r++ {
+							lane[r] = got[r*w+l]
+						}
+						if !mat.VecApproxEqual(lane, want, 1e-8) {
+							fail("batch job iter %d lane %d drifted from A·x_l", iter, l)
+							return
+						}
+					}
+				}
+			}()
+		}
+
+		// Job 4 of 4: batched GF, width 2 — bit-exact per lane.
+		{
+			const w = 2
+			j := m.OpenJob(JobConfig{})
+			defer j.Close()
+			rows, cols := 20, 5
+			data := randElems(rng, rows*cols)
+			code, err := coding.NewGFMDSCode(n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, err := code.Encode(rows, cols, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.DistributeGFPartitions(0, enc.Parts); err != nil {
+				t.Fatal(err)
+			}
+			xs := randElems(rng, w*cols)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := *strat
+				s.BlockRows, s.Granularity = enc.BlockRows, enc.BlockRows
+				for iter := 0; iter < iters; iter++ {
+					plan, err := s.Plan(speeds)
+					if err != nil {
+						fail("gf batch job plan: %v", err)
+						return
+					}
+					partials, _, err := j.RunGFRoundBatch(iter, 0, xs, w, plan, k, 10.0)
+					if err != nil {
+						fail("gf batch job round %d: %v", iter, err)
+						return
+					}
+					got, err := enc.DecodeMatVec(partials)
+					if err != nil {
+						fail("gf batch job decode %d: %v", iter, err)
+						return
+					}
+					for l := 0; l < w; l++ {
+						want := gfGroundTruth(rows, cols, data, xs[l*cols:(l+1)*cols])
+						for r := range want {
+							if got[r*w+l] != want[r] {
+								fail("gf batch job iter %d lane %d row %d: %d != %d", iter, l, r, got[r*w+l], want[r])
+								return
+							}
+						}
+					}
+				}
+			}()
+		}
+
+		wg.Wait()
+		close(errCh)
+		for err := range errCh {
+			t.Error(err)
+		}
+	})
 }
 
 // TestQueuedRoundsObserveShutdown pins the wait-queue half of the

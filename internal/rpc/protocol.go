@@ -8,14 +8,12 @@
 // per-worker response times (the predictor's input), applies the §4.3
 // timeout, reassigns pending coverage, and decodes.
 //
-// Transport: every connection opens with the wire-package handshake. The
-// default encoding (wire.VersionWire) is the length-prefixed binary frame
-// format of internal/wire — per-connection send/receive buffers are reused
-// across messages, payloads decode straight into caller-owned storage, and
-// the steady-state network round allocates nothing on the master. The
-// legacy encoding/gob envelope stream (wire.VersionGob) remains available
-// behind the handshake version byte as a compatibility fallback; a single
-// master serves both kinds of worker at once.
+// Transport: every connection opens with the wire-package handshake, and
+// the one accepted version (wire.VersionWire) selects the length-prefixed
+// binary frame format of internal/wire — per-connection send/receive
+// buffers are reused across messages, payloads decode straight into
+// caller-owned storage, and the steady-state network round allocates
+// nothing on the master. Any other version is rejected at admit.
 //
 // Workers accept an artificial slowdown factor so straggler scenarios are
 // reproducible on a laptop (the controlled-cluster methodology of §6.5).
@@ -23,7 +21,6 @@ package rpc
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
@@ -35,61 +32,48 @@ import (
 	"github.com/coded-computing/s2c2/internal/wire"
 )
 
-// Kind discriminates protocol messages.
+// Kind discriminates received messages.
 type Kind int
 
-// Protocol message kinds. The first five keep their historical values so
-// the gob envelope encoding stays stable; note that cross-version
-// compatibility is governed by the handshake (pre-handshake peers are
-// rejected at admit), not by these values. The GF kinds are the exact
-// GF(2³¹−1) mirror of the float64 round messages. They are an in-version
-// extension of VersionWire/VersionGob, not a new handshake version: the
+// Message kinds: what recv decoded a frame to. A Kind never travels on the
+// wire — several frame types (single-x, batched, job-tagged) decode to the
+// same Kind. The GF kinds are the exact GF(2³¹−1) mirror of the float64
+// round messages and an in-version extension of wire.VersionWire: the
 // handshake gates the *framing*, not the message set, so a peer built
-// before the GF kinds existed rejects the first GF frame as unknown and
-// drops the connection (surfacing as a worker error / transfer failure
-// on the master). Masters therefore only drive the GF path against
-// workers from the same build generation — acceptable while both
-// binaries ship from one tree; a capability bit in the hello would be
-// the upgrade path if that ever loosens.
+// before the GF frames existed rejects the first one as unknown and drops
+// the connection (surfacing as a worker error / transfer failure on the
+// master). Masters therefore only drive the GF path against workers from
+// the same build generation — acceptable while both binaries ship from one
+// tree; a capability bit in the hello would be the upgrade path if that
+// ever loosens.
 const (
-	KindHello     Kind = iota + 1
-	KindPartition      // monolithic partition (gob fallback only)
+	KindHello Kind = iota + 1
 	KindWork
 	KindResult
 	KindShutdown
-	KindPartitionStart   // begin a streamed partition (wire transport)
+	KindPartitionStart   // begin a streamed partition
 	KindPartitionChunk   // one row band of a streamed partition
 	KindPartitionAck     // chunk stored; returns one flow-control credit
-	KindGFPartition      // monolithic GF partition (gob fallback only)
 	KindGFWork           // field-element row assignment
 	KindGFResult         // computed field-element rows
-	KindGFPartitionStart // begin a streamed GF partition (wire transport)
+	KindGFPartitionStart // begin a streamed GF partition
 	KindGFPartitionChunk // one row band of field elements
 	KindPing             // master → worker liveness probe
 	KindPong             // worker → master liveness answer
-	KindPartitionDrop    // master → worker: free a phase's partition (wire transport)
+	KindPartitionDrop    // master → worker: free a phase's partition
 )
 
-// Hello is the worker's first message after the transport handshake.
+// Hello is the worker's first message after the handshake.
 type Hello struct {
 	// Slowdown is the worker's self-reported artificial slowdown factor
 	// (1 = full speed); used only for logging/experiments.
 	Slowdown float64
 }
 
-// Partition carries one phase's whole coded partition in a single message.
-// Only the gob fallback ships partitions this way; the wire transport
-// streams PartitionStart + PartitionChunk instead so peak transport memory
-// is O(chunk), not O(partition).
-type Partition struct {
-	Phase int
-	Rows  int
-	Cols  int
-	Data  []float64
-}
-
 // PartitionStart announces a streamed partition: the worker allocates the
 // Rows×Cols destination matrix and expects chunks covering every row.
+// Partitions only ever travel this way, so peak transport memory is
+// O(chunk), not O(partition).
 // Seq identifies this transfer; chunks carry it and acks echo it, so
 // credits from an aborted earlier transfer can never be mistaken for this
 // one's (they would otherwise inflate the flow-control window or fail a
@@ -105,9 +89,7 @@ type PartitionStart struct {
 // PartitionChunk carries rows [Lo, Hi) of a streamed partition. Only the
 // header is received with the message: the row data stays in the
 // connection's stream until the worker, having validated the header, reads
-// it straight into the partition matrix (Msg.ChunkInto). Only the wire
-// transport streams chunks; the gob fallback ships partitions
-// monolithically.
+// it straight into the partition matrix (Msg.ChunkInto).
 type PartitionChunk struct {
 	Phase  int
 	Seq    int
@@ -124,9 +106,9 @@ type PartitionAck struct {
 // Work assigns row ranges for one round. W is the round's batch width:
 // the number of input vectors concatenated in X (x_l at
 // X[l*cols : (l+1)*cols]). W ≤ 1 is the classic single-x round; batched
-// rounds (W > 1) ship as a distinct frame type on the wire transport so
-// the single-x encoding stays byte-identical across versions. recv
-// normalizes W to 1 on single-x messages.
+// rounds (W > 1) ship as a distinct frame type so the single-x encoding
+// stays byte-identical across versions. recv normalizes W to 1 on
+// single-x messages.
 //
 // Job names the serving job the round belongs to. Job 0 — the master's
 // default job — travels on the pre-serving frame types, byte-identical to
@@ -168,16 +150,6 @@ type Result struct {
 	ComputeNanos int64
 }
 
-// GFPartition carries one phase's whole coded GF(2³¹−1) partition in a
-// single message (gob fallback only; the wire transport streams
-// GFPartitionStart + GFPartitionChunk instead).
-type GFPartition struct {
-	Phase int
-	Rows  int
-	Cols  int
-	Data  []gf.Elem
-}
-
 // GFWork assigns field-element row ranges for one exact round. X is the
 // round's input vector over GF(2³¹−1) — or, when W > 1, the round's W
 // input vectors concatenated (the batched mirror of Work.W). Job follows
@@ -206,40 +178,25 @@ type GFResult struct {
 	ComputeNanos int64
 }
 
-// Envelope is the gob fallback's single wire type; exactly one payload
-// field is set, per Kind. The wire transport does not use it.
-type Envelope struct {
-	Kind        Kind
-	Hello       *Hello
-	Partition   *Partition
-	Work        *Work
-	Result      *Result
-	GFPartition *GFPartition
-	GFWork      *GFWork
-	GFResult    *GFResult
-}
-
-// Msg is a reusable receive slot: transport.recv decodes the next message
+// Msg is a reusable receive slot: wireConn.recv decodes the next message
 // into it, overwriting slice fields in place (capacity is retained across
 // messages). A message that must outlive the next recv — a Work handed to
 // a concurrent handler, a Result queued for the round — is transferred out
 // by swapping structs with a pooled instance, which moves slice ownership
 // without copying.
 type Msg struct {
-	Kind        Kind
-	Hello       Hello
-	Partition   Partition
-	PartStart   PartitionStart
-	PartChunk   PartitionChunk
-	PartAck     PartitionAck
-	DropPhase   int // KindPartitionDrop: the wire phase to free
-	Work        Work
-	Result      Result
-	GFPartition GFPartition
-	GFWork      GFWork
-	GFResult    GFResult
+	Kind      Kind
+	Hello     Hello
+	PartStart PartitionStart
+	PartChunk PartitionChunk
+	PartAck   PartitionAck
+	DropPhase int // KindPartitionDrop: the wire phase to free
+	Work      Work
+	Result    Result
+	GFWork    GFWork
+	GFResult  GFResult
 
-	// chunk is the cursor over the unread row payload of a wire-transport
+	// chunk is the cursor over the unread row payload of a
 	// PartitionChunk or GFPartitionChunk until ChunkInto/GFChunkInto
 	// drains it into the destination rows. (GF chunks reuse the PartStart/
 	// PartChunk header structs; the Kind disambiguates.)
@@ -278,42 +235,6 @@ func (m *Msg) GFChunkInto(dst []gf.Elem) error {
 	return p.Uint32sInto(gf.AsUint32s(dst))
 }
 
-// transport is the message layer spoken over one connection. Sends may be
-// called from multiple goroutines (implementations serialize internally);
-// recv must only be called from the connection's single reader goroutine.
-type transport interface {
-	sendHello(h *Hello) error
-	sendWork(w *Work) error
-	sendResult(r *Result) error
-	sendShutdown() error
-	sendPartition(p *Partition) error
-	sendPartitionStart(p *PartitionStart) error
-	sendPartitionChunk(phase, seq, lo, hi int, data []float64) error
-	sendPartitionAck(phase, seq int) error
-	sendGFWork(w *GFWork) error
-	sendGFResult(r *GFResult) error
-	sendGFPartition(p *GFPartition) error
-	sendGFPartitionStart(p *PartitionStart) error
-	sendGFPartitionChunk(phase, seq, lo, hi int, data []gf.Elem) error
-	// sendPartitionDrop tells the worker to free whatever it holds for a
-	// wire phase (Job.Close). The gob fallback has no such message: there
-	// it is a documented no-op and the worker keeps the partition.
-	sendPartitionDrop(phase int) error
-	// sendPing/sendPong are the heartbeat pair: the master probes
-	// liveness (registered and parked connections alike), the worker
-	// answers. Both frames are empty-bodied on both transports, so the
-	// heartbeat costs a few bytes per interval.
-	sendPing() error
-	sendPong() error
-	// streamsPartitions reports whether partitions ship as
-	// PartitionStart/Chunk streams (true) or as one monolithic
-	// Partition message (false) — the capability the master's
-	// distribution path dispatches on.
-	streamsPartitions() bool
-	recv(m *Msg) error
-	close() error
-}
-
 // maxRPCFrame is the frame-body cap the rpc transport accepts — larger
 // than wire.DefaultMaxFrame so a single partition row, work broadcast, or
 // result segment of an extremely wide matrix (up to 128 Mi float64s)
@@ -321,30 +242,12 @@ type transport interface {
 // still rejected before any buffer is sized to them.
 const maxRPCFrame = 1 << 30
 
-// newTransport wraps an accepted/dialed connection in the transport
-// selected by the handshake version byte. writeTimeout bounds every frame
-// write: a peer that stops reading (frozen process, full socket buffer)
-// makes sends fail with a deadline error instead of blocking forever
-// while holding the connection's write mutex — which would otherwise
-// wedge rounds, partition transfers, and even Shutdown's best-effort
-// goodbye.
-func newTransport(c net.Conn, version byte, writeTimeout time.Duration) (transport, error) {
-	switch version {
-	case wire.VersionWire:
-		return newWireConn(c, writeTimeout), nil
-	case wire.VersionGob:
-		return newGobConn(c, writeTimeout), nil
-	default:
-		return nil, fmt.Errorf("rpc: unsupported protocol version %d", version)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// wire transport
-
-// wireConn frames messages with internal/wire. One Writer (guarded by mu)
-// and one Reader per connection; both reuse their buffers across messages,
-// so a steady-state round performs no per-message allocation.
+// wireConn is the message layer spoken over one connection, framing
+// messages with internal/wire. One Writer (guarded by mu) and one Reader
+// per connection; both reuse their buffers across messages, so a
+// steady-state round performs no per-message allocation. Sends may be
+// called from multiple goroutines; recv must only be called from the
+// connection's single reader goroutine.
 type wireConn struct {
 	c            net.Conn
 	br           *bufio.Reader
@@ -358,6 +261,12 @@ type wireConn struct {
 	closeErr  error
 }
 
+// newWireConn wraps an accepted or dialed connection whose handshake chose
+// wire.VersionWire. writeTimeout bounds every frame write: a peer that
+// stops reading (frozen process, full socket buffer) makes sends fail with
+// a deadline error instead of blocking forever while holding the
+// connection's write mutex — which would otherwise wedge rounds, partition
+// transfers, and even Shutdown's best-effort goodbye.
 func newWireConn(c net.Conn, writeTimeout time.Duration) *wireConn {
 	br := bufio.NewReaderSize(c, 64<<10)
 	r := wire.NewReader(br)
@@ -491,6 +400,11 @@ func (c *wireConn) sendShutdown() error {
 	return c.end()
 }
 
+// sendPing/sendPong are the heartbeat pair: the master probes liveness
+// (registered and parked connections alike), the worker answers. Both
+// frames are empty-bodied, so the heartbeat costs a few bytes per
+// interval.
+//
 //s2c2:noalloc
 func (c *wireConn) sendPing() error {
 	c.mu.Lock()
@@ -506,15 +420,6 @@ func (c *wireConn) sendPong() error {
 	c.w.Begin(wire.TypePong)
 	return c.end()
 }
-
-// sendPartition is the monolithic form; the wire transport streams
-// partitions instead, so shipping one as a single oversized frame would
-// defeat the bounded-memory design.
-func (c *wireConn) sendPartition(p *Partition) error {
-	return fmt.Errorf("rpc: wire transport streams partitions; use sendPartitionStart/Chunk")
-}
-
-func (c *wireConn) streamsPartitions() bool { return true }
 
 func (c *wireConn) sendPartitionStart(p *PartitionStart) error {
 	c.mu.Lock()
@@ -545,6 +450,8 @@ func (c *wireConn) sendPartitionChunk(phase, seq, lo, hi int, data []float64) er
 	return c.end()
 }
 
+// sendPartitionDrop tells the worker to free whatever it holds for a wire
+// phase (Job.Close).
 func (c *wireConn) sendPartitionDrop(phase int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -635,12 +542,6 @@ func (c *wireConn) sendGFResult(r *GFResult) error {
 	writeRanges(c.w, r.Ranges)
 	c.w.Uint32s(gf.AsUint32s(r.Values))
 	return c.end()
-}
-
-// sendGFPartition is the monolithic form; like float64 partitions, the
-// wire transport streams GF partitions instead.
-func (c *wireConn) sendGFPartition(p *GFPartition) error {
-	return fmt.Errorf("rpc: wire transport streams partitions; use sendGFPartitionStart/Chunk")
 }
 
 func (c *wireConn) sendGFPartitionStart(p *PartitionStart) error {
@@ -947,168 +848,4 @@ func readRanges(p *wire.Payload, dst []coding.Range) []coding.Range {
 		dst[i].Hi = p.Int()
 	}
 	return dst
-}
-
-// ---------------------------------------------------------------------------
-// gob fallback transport
-
-// gobConn is the legacy envelope stream. Each message is one gob-encoded
-// Envelope; decode allocates per message (that is the fallback's cost).
-type gobConn struct {
-	c            net.Conn
-	enc          *gob.Encoder
-	dec          *gob.Decoder
-	writeTimeout time.Duration
-
-	mu        sync.Mutex
-	closeOnce sync.Once
-	closeErr  error
-}
-
-func newGobConn(c net.Conn, writeTimeout time.Duration) *gobConn {
-	return &gobConn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c), writeTimeout: writeTimeout}
-}
-
-func (c *gobConn) send(e *Envelope) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.c != nil && c.writeTimeout > 0 {
-		// The gob fallback ships partitions monolithically, so the
-		// deadline must scale with the payload or a multi-GiB partition
-		// on a slow link would fail where the pre-deadline code worked.
-		bytes := 0
-		switch {
-		case e.Partition != nil:
-			bytes = 8 * len(e.Partition.Data)
-		case e.Work != nil:
-			bytes = 8 * len(e.Work.X)
-		case e.Result != nil:
-			bytes = 8 * len(e.Result.Values)
-		case e.GFPartition != nil:
-			bytes = 4 * len(e.GFPartition.Data)
-		case e.GFWork != nil:
-			bytes = 4 * len(e.GFWork.X)
-		case e.GFResult != nil:
-			bytes = 4 * len(e.GFResult.Values)
-		}
-		d := writeDeadlineFor(c.writeTimeout, bytes)
-		c.c.SetWriteDeadline(time.Now().Add(d)) //nolint:errcheck
-	}
-	return c.enc.Encode(e)
-}
-
-func (c *gobConn) sendHello(h *Hello) error { return c.send(&Envelope{Kind: KindHello, Hello: h}) }
-func (c *gobConn) sendWork(w *Work) error   { return c.send(&Envelope{Kind: KindWork, Work: w}) }
-func (c *gobConn) sendResult(r *Result) error {
-	return c.send(&Envelope{Kind: KindResult, Result: r})
-}
-func (c *gobConn) sendShutdown() error { return c.send(&Envelope{Kind: KindShutdown}) }
-func (c *gobConn) sendPing() error     { return c.send(&Envelope{Kind: KindPing}) }
-func (c *gobConn) sendPong() error     { return c.send(&Envelope{Kind: KindPong}) }
-func (c *gobConn) sendPartition(p *Partition) error {
-	return c.send(&Envelope{Kind: KindPartition, Partition: p})
-}
-
-func (c *gobConn) sendGFWork(w *GFWork) error {
-	return c.send(&Envelope{Kind: KindGFWork, GFWork: w})
-}
-func (c *gobConn) sendGFResult(r *GFResult) error {
-	return c.send(&Envelope{Kind: KindGFResult, GFResult: r})
-}
-func (c *gobConn) sendGFPartition(p *GFPartition) error {
-	return c.send(&Envelope{Kind: KindGFPartition, GFPartition: p})
-}
-
-// The streamed-partition messages exist only on the wire transport; the
-// gob fallback ships partitions monolithically.
-func (c *gobConn) sendPartitionStart(*PartitionStart) error {
-	return fmt.Errorf("rpc: gob transport does not stream partitions")
-}
-func (c *gobConn) sendPartitionChunk(int, int, int, int, []float64) error {
-	return fmt.Errorf("rpc: gob transport does not stream partitions")
-}
-func (c *gobConn) sendPartitionAck(int, int) error {
-	return fmt.Errorf("rpc: gob transport does not stream partitions")
-}
-func (c *gobConn) sendGFPartitionStart(*PartitionStart) error {
-	return fmt.Errorf("rpc: gob transport does not stream partitions")
-}
-func (c *gobConn) sendGFPartitionChunk(int, int, int, int, []gf.Elem) error {
-	return fmt.Errorf("rpc: gob transport does not stream partitions")
-}
-
-// sendPartitionDrop is a no-op on the gob fallback: its envelope has no
-// drop message, so a gob worker keeps a closed job's partition until it
-// exits.
-func (c *gobConn) sendPartitionDrop(int) error { return nil }
-
-func (c *gobConn) streamsPartitions() bool { return false }
-
-func (c *gobConn) recv(m *Msg) error {
-	var e Envelope
-	if err := c.dec.Decode(&e); err != nil {
-		return err
-	}
-	m.Kind = e.Kind
-	m.chunk = nil
-	switch e.Kind {
-	case KindHello:
-		if e.Hello == nil {
-			return fmt.Errorf("rpc: envelope missing hello payload")
-		}
-		m.Hello = *e.Hello
-	case KindPartition:
-		if e.Partition == nil {
-			return fmt.Errorf("rpc: envelope missing partition payload")
-		}
-		m.Partition = *e.Partition
-	case KindWork:
-		if e.Work == nil {
-			return fmt.Errorf("rpc: envelope missing work payload")
-		}
-		m.Work = *e.Work
-		// gob omits zero fields, so a single-x peer's Work decodes with
-		// W == 0; normalize to the single-x width like the wire transport.
-		if m.Work.W < 1 {
-			m.Work.W = 1
-		}
-	case KindResult:
-		if e.Result == nil {
-			return fmt.Errorf("rpc: envelope missing result payload")
-		}
-		m.Result = *e.Result
-		if m.Result.RowWidth < 1 {
-			m.Result.RowWidth = 1
-		}
-	case KindGFPartition:
-		if e.GFPartition == nil {
-			return fmt.Errorf("rpc: envelope missing GF partition payload")
-		}
-		m.GFPartition = *e.GFPartition
-	case KindGFWork:
-		if e.GFWork == nil {
-			return fmt.Errorf("rpc: envelope missing GF work payload")
-		}
-		m.GFWork = *e.GFWork
-		if m.GFWork.W < 1 {
-			m.GFWork.W = 1
-		}
-	case KindGFResult:
-		if e.GFResult == nil {
-			return fmt.Errorf("rpc: envelope missing GF result payload")
-		}
-		m.GFResult = *e.GFResult
-		if m.GFResult.RowWidth < 1 {
-			m.GFResult.RowWidth = 1
-		}
-	case KindShutdown, KindPing, KindPong:
-	default:
-		return fmt.Errorf("rpc: envelope missing kind")
-	}
-	return nil
-}
-
-func (c *gobConn) close() error {
-	c.closeOnce.Do(func() { c.closeErr = c.c.Close() })
-	return c.closeErr
 }

@@ -4,7 +4,7 @@ package rpc
 // contracts: eager discard of dead parked spares, distribute-path retries
 // that re-stream only the lost worker's partition to a warm spare, rounds
 // that survive a worker dying mid-round by folding its rows back into the
-// plan (both transports, both element types, batched included), the
+// plan (both element types, batched included), the
 // EvictAfter round-failure policy with RepairWorkers promotion, and the
 // heartbeat liveness watch.
 
@@ -120,7 +120,7 @@ func distributeRetryFixture(t *testing.T) *Master {
 }
 
 // TestDistributeRetryReStreamsToSpare is the distribution half of the
-// acceptance criterion on the wire transport: a worker dying during
+// acceptance criterion: a worker dying during
 // partition distribution is replaced by a warm spare, only its partition
 // is re-streamed, and the subsequent round decodes bit-exactly.
 func TestDistributeRetryReStreamsToSpare(t *testing.T) {
@@ -217,19 +217,20 @@ func TestDistributeGFRetryReStreamsToSpare(t *testing.T) {
 	}
 }
 
-// TestGobDistributeRetryAfterWorkerDeath covers the distribution half on
-// the gob fallback: the victim's process dies before distribution (its
-// connection is torn down), the monolithic send fails, and the retry
-// engine promotes a gob spare and re-sends. The partition is sized ~1 MiB
-// so the send cannot vanish into socket buffers.
-func TestGobDistributeRetryAfterWorkerDeath(t *testing.T) {
+// TestDistributeRetryAfterWorkerDeath covers a death that precedes
+// distribution: the victim is killed through its handle (its connection
+// is torn down), so its transfer fails on the dead connection rather than
+// being cut mid-stream, and the retry engine promotes a spare and
+// re-streams. Whatever of the ~1 MiB partition the socket buffers absorb,
+// the transfer fails at its first credit wait on the dead connection.
+func TestDistributeRetryAfterWorkerDeath(t *testing.T) {
 	const n, k = 3, 2
 	m, handles := startHandleCluster(t, n, MasterConfig{
 		StallTimeout: 10 * time.Second,
 		Retry:        RetryConfig{MaxAttempts: 5, BaseBackoff: 5 * time.Millisecond, AttemptTimeout: 5 * time.Second},
-	}, func(i int) WorkerConfig { return WorkerConfig{UseGob: true} })
+	}, func(i int) WorkerConfig { return WorkerConfig{} })
 	m.StartAdmissions()
-	addSpare(t, m, WorkerConfig{UseGob: true})
+	addSpare(t, m, WorkerConfig{})
 	if err := handles[1].Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestGobDistributeRetryAfterWorkerDeath(t *testing.T) {
 	}
 	enc := code.Encode(a)
 	if err := m.DistributePartitions(0, enc); err != nil {
-		t.Fatalf("gob distribute did not recover via retry: %v", err)
+		t.Fatalf("distribute did not recover via retry: %v", err)
 	}
 	if totals := m.RecoveryTotals(); totals.ReplacementAdmits != 1 {
 		t.Fatalf("ReplacementAdmits = %d, want 1: %+v", totals.ReplacementAdmits, totals)
@@ -268,7 +269,7 @@ func TestGobDistributeRetryAfterWorkerDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !mat.VecApproxEqual(got, mat.MatVec(a, x), 1e-8) {
-		t.Fatal("decode mismatch after gob re-stream to replacement")
+		t.Fatal("decode mismatch after re-stream to replacement")
 	}
 }
 
@@ -430,15 +431,16 @@ func TestBatchRoundSurvivesWorkerDeathMidRound(t *testing.T) {
 	}
 }
 
-// TestGobRoundSurvivesWorkerDeath kills a slow gob worker mid-round via
-// its handle (the in-process stand-in for a process death) and requires
-// the round to complete with the death attributed and the decode exact.
-func TestGobRoundSurvivesWorkerDeath(t *testing.T) {
+// TestGFRoundSurvivesWorkerDeathByClose kills a slow worker mid-round via
+// its handle (the in-process stand-in for a process death, where the
+// proxy-cut tests above sever the link) and requires the round to
+// complete with the death attributed and the decode exact.
+func TestGFRoundSurvivesWorkerDeathByClose(t *testing.T) {
 	const n, k = 4, 2
 	// Every worker takes ~48ms per block (24 rows × 2ms), so the kill at
 	// 15ms lands while the whole round is still in flight.
 	m, handles := startHandleCluster(t, n, MasterConfig{StallTimeout: 10 * time.Second}, func(i int) WorkerConfig {
-		return WorkerConfig{UseGob: true, Slowdown: 1, PerRowDelay: 2 * time.Millisecond}
+		return WorkerConfig{Slowdown: 1, PerRowDelay: 2 * time.Millisecond}
 	})
 	rng := rand.New(rand.NewSource(100))
 	rows, cols := 48, 6
@@ -464,7 +466,7 @@ func TestGobRoundSurvivesWorkerDeath(t *testing.T) {
 	defer kill.Stop()
 	partials, stats, err := m.RunGFRound(0, 0, x, plan, k, 10.0)
 	if err != nil {
-		t.Fatalf("gob round did not survive the worker death: %v", err)
+		t.Fatalf("round did not survive the worker death: %v", err)
 	}
 	if len(stats.Recovery.DeadWorkers) != 1 || stats.Recovery.DeadWorkers[0] != 1 {
 		t.Fatalf("Recovery.DeadWorkers = %v, want [1]", stats.Recovery.DeadWorkers)
@@ -476,7 +478,7 @@ func TestGobRoundSurvivesWorkerDeath(t *testing.T) {
 	want := gfGroundTruth(rows, cols, data, x)
 	for r := range want {
 		if got[r] != want[r] {
-			t.Fatalf("row %d: decode %d != local %d after gob mid-round recovery", r, got[r], want[r])
+			t.Fatalf("row %d: decode %d != local %d after mid-round recovery", r, got[r], want[r])
 		}
 	}
 }
@@ -589,7 +591,7 @@ func TestHeartbeatEvictsSilentConnection(t *testing.T) {
 	// its first frame (the first ping) and swallows the rest: it looks
 	// connected but never answers again.
 	addSpare(t, m, WorkerConfig{})
-	silentAddr := startFaultProxy(t, m.Addr(), &workerFault{stallAfterFrames: 1}, false)
+	silentAddr := startFaultProxy(t, m.Addr(), &workerFault{stallAfterFrames: 1})
 	sw, err := NewWorker(WorkerConfig{MasterAddr: silentAddr})
 	if err != nil {
 		t.Fatal(err)

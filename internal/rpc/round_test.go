@@ -312,8 +312,8 @@ func gatherFixture(tb testing.TB) (*coding.EncodedMatrix, []*Result, []float64) 
 
 // TestGatherAndDecodeZeroAllocsSteadyState is the acceptance criterion:
 // a steady-state round's master-side gather bookkeeping plus the decode
-// must allocate nothing. (The gob receive path allocates per network
-// message by nature; this pins everything the master itself does.)
+// must allocate nothing. (TestMasterWireRoundZeroAllocsSteadyState adds
+// the frame send and receive on top of this.)
 func TestGatherAndDecodeZeroAllocsSteadyState(t *testing.T) {
 	enc, results, want := gatherFixture(t)
 	m := &Master{cfg: MasterConfig{ReuseRound: true}}

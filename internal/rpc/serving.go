@@ -119,11 +119,10 @@ func (j *Job) Exec() kernel.Exec {
 
 // Close deregisters the job, drops its retained partitions from the
 // master's re-stream store, and tells every worker to free the partitions
-// it holds for the job (one PartitionDrop frame per wire phase; a no-op for
-// gob-fallback workers, which keep theirs until they exit). Results still
-// in flight for the job are discarded by the readLoops, and a later round
-// on the closed job fails as one on an undistributed phase does. Closing
-// the default job is a no-op — it lives as long as the master.
+// it holds for the job (one PartitionDrop frame per wire phase). Results
+// still in flight for the job are discarded by the readLoops, and a later
+// round on the closed job fails as one on an undistributed phase does.
+// Closing the default job is a no-op — it lives as long as the master.
 func (j *Job) Close() {
 	if j.id == 0 {
 		return

@@ -10,10 +10,8 @@ package rpc
 // Faults are injected by a byte-level TCP proxy spliced into the faulted
 // worker's link. The worker→master direction is forwarded transparently
 // (handshake included); the master→worker direction is re-framed one
-// message at a time so faults can trigger on message boundaries — wire
-// frames (uvarint length + body) on the wire transport, gob segments
-// (gob's unsigned count + body) on the gob fallback — so drop/stall/slow
-// faults run against mixed clusters too.
+// frame (uvarint length + body) at a time so faults trigger on frame
+// boundaries.
 
 import (
 	"bufio"
@@ -77,7 +75,7 @@ func startTestCluster(t *testing.T, n int, cc clusterConfig) *Master {
 		}
 		cfg.MasterAddr = m.Addr()
 		if f := cc.faults[i]; f != nil {
-			cfg.MasterAddr = startFaultProxy(t, m.Addr(), f, cfg.UseGob)
+			cfg.MasterAddr = startFaultProxy(t, m.Addr(), f)
 		}
 		go func() {
 			w, err := NewWorker(cfg)
@@ -97,9 +95,8 @@ func startTestCluster(t *testing.T, n int, cc clusterConfig) *Master {
 
 // startFaultProxy listens for exactly one worker connection and splices it
 // to the master through the fault spec, returning the address the worker
-// should dial. useGob selects the gob-segment pump for the master→worker
-// direction (the worker's transport choice decides the stream's framing).
-func startFaultProxy(t *testing.T, masterAddr string, f *workerFault, useGob bool) string {
+// should dial.
+func startFaultProxy(t *testing.T, masterAddr string, f *workerFault) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -129,12 +126,8 @@ func startFaultProxy(t *testing.T, masterAddr string, f *workerFault, useGob boo
 			defer closeBoth()
 			io.Copy(mc, wc) //nolint:errcheck
 		}()
-		// master → worker: message-parsed pump with fault injection.
-		if useGob {
-			pumpFaultedGobMessages(wc, mc, f, closeBoth)
-		} else {
-			pumpFaultedFrames(wc, mc, f, closeBoth)
-		}
+		// master → worker: frame-parsed pump with fault injection.
+		pumpFaultedFrames(wc, mc, f, closeBoth)
 	}()
 	return ln.Addr().String()
 }
@@ -180,77 +173,6 @@ func pumpFaultedFrames(dst, src net.Conn, f *workerFault, closeBoth func()) {
 		}
 		forwarded++
 	}
-}
-
-// pumpFaultedGobMessages is pumpFaultedFrames for the gob fallback: it
-// forwards master→worker gob segments (type definitions and values alike)
-// one at a time, applying the fault spec at segment boundaries. Each gob
-// segment is an unsigned byte count followed by that many bytes; the
-// count's original encoding is preserved verbatim so the forwarded stream
-// is byte-identical to the original.
-func pumpFaultedGobMessages(dst, src net.Conn, f *workerFault, closeBoth func()) {
-	defer closeBoth()
-	br := bufio.NewReader(src)
-	var buf []byte
-	forwarded := 0
-	for {
-		prefix, size, err := readGobCount(br)
-		if err != nil || size > maxRPCFrame {
-			return
-		}
-		if cap(buf) < int(size) {
-			buf = make([]byte, size)
-		}
-		buf = buf[:size]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return
-		}
-		if f.dropAfterFrames > 0 && forwarded >= f.dropAfterFrames {
-			return // the deferred close severs both directions mid-stream
-		}
-		if f.stallAfterFrames > 0 && forwarded >= f.stallAfterFrames {
-			io.Copy(io.Discard, br) //nolint:errcheck
-			return
-		}
-		if f.frameDelay > 0 {
-			time.Sleep(f.frameDelay)
-		}
-		if _, err := dst.Write(prefix); err != nil {
-			return
-		}
-		if _, err := dst.Write(buf); err != nil {
-			return
-		}
-		forwarded++
-	}
-}
-
-// readGobCount decodes one gob unsigned count (the segment length prefix)
-// and returns both its raw bytes — for transparent re-emission — and its
-// value. Gob encodes an unsigned integer as a single byte when it fits in
-// 7 bits; otherwise the first byte is 256-n where n ∈ [1,8] is the count
-// of big-endian value bytes that follow.
-func readGobCount(br *bufio.Reader) (prefix []byte, size uint64, err error) {
-	b, err := br.ReadByte()
-	if err != nil {
-		return nil, 0, err
-	}
-	if b <= 0x7f {
-		return []byte{b}, uint64(b), nil
-	}
-	n := 256 - int(b)
-	if n < 1 || n > 8 {
-		return nil, 0, errors.New("testcluster: invalid gob count prefix")
-	}
-	prefix = make([]byte, 1+n)
-	prefix[0] = b
-	if _, err := io.ReadFull(br, prefix[1:]); err != nil {
-		return nil, 0, err
-	}
-	for _, vb := range prefix[1:] {
-		size = size<<8 | uint64(vb)
-	}
-	return prefix, size, nil
 }
 
 // ---------------------------------------------------------------------------

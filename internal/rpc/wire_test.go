@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -18,108 +20,11 @@ import (
 )
 
 // startClusterCfg is startCluster with explicit master and worker config
-// control (transport selection, streaming knobs, stall deadline) — a thin
+// control (streaming knobs, stall deadline, worker delays) — a thin
 // wrapper over the shared testcluster harness.
 func startClusterCfg(t *testing.T, n int, mcfg MasterConfig, wcfg func(i int) WorkerConfig) *Master {
 	t.Helper()
 	return startTestCluster(t, n, clusterConfig{master: mcfg, worker: wcfg})
-}
-
-// runDeterministicRound runs one full-coverage (k = n) round on a fresh
-// cluster and returns the decoded product. With k = n every worker's
-// result enters the decode, so the output is independent of arrival order
-// — the property that makes transport comparisons bit-exact.
-func runDeterministicRound(t *testing.T, useGob bool, mcfg MasterConfig) []float64 {
-	t.Helper()
-	const n = 3
-	m := startClusterCfg(t, n, mcfg, func(i int) WorkerConfig {
-		return WorkerConfig{UseGob: useGob}
-	})
-	rng := rand.New(rand.NewSource(77))
-	a := mat.Rand(47, 6, rng)
-	x := make([]float64, 6)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	code, err := coding.NewMDSCode(n, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
-		t.Fatal(err)
-	}
-	strat := &sched.GeneralS2C2{N: n, K: n, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
-	plan, err := strat.Plan([]float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	partials, _, err := m.RunRound(0, 0, x, plan, n, 10.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := enc.DecodeMatVec(partials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
-
-// TestGobWireDecodeBitIdentical is the transport-equivalence acceptance
-// criterion: the same round run over the gob fallback and over the wire
-// protocol must decode to bit-identical outputs (the wire format ships
-// raw IEEE-754 bits, so no value may change in transit).
-func TestGobWireDecodeBitIdentical(t *testing.T) {
-	gob := runDeterministicRound(t, true, MasterConfig{})
-	wireOut := runDeterministicRound(t, false, MasterConfig{})
-	if len(gob) != len(wireOut) {
-		t.Fatalf("length mismatch: gob %d, wire %d", len(gob), len(wireOut))
-	}
-	for i := range gob {
-		if gob[i] != wireOut[i] {
-			t.Fatalf("row %d: gob %v != wire %v", i, gob[i], wireOut[i])
-		}
-	}
-}
-
-// TestMixedTransportCluster runs one cluster where half the workers speak
-// the wire protocol and half the gob fallback: the handshake version byte
-// selects per connection, and rounds must decode correctly across both.
-func TestMixedTransportCluster(t *testing.T) {
-	n, k := 4, 3
-	m := startClusterCfg(t, n, MasterConfig{}, func(i int) WorkerConfig {
-		return WorkerConfig{UseGob: i%2 == 0, PerRowDelay: 50 * time.Microsecond}
-	})
-	rng := rand.New(rand.NewSource(78))
-	a := mat.Rand(36, 5, rng)
-	x := make([]float64, 5)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	code, _ := coding.NewMDSCode(n, k)
-	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
-		t.Fatal(err)
-	}
-	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
-	want := mat.MatVec(a, x)
-	for iter := 0; iter < 3; iter++ {
-		plan, err := strat.Plan([]float64{1, 1, 1, 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		partials, _, err := m.RunRound(iter, 0, x, plan, k, 10.0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := enc.DecodeMatVec(partials)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !mat.VecApproxEqual(got, want, 1e-8) {
-			t.Fatalf("iteration %d: mixed-transport decode mismatch", iter)
-		}
-	}
 }
 
 // TestChunkedDistributionTinyChunks forces many-chunk streams (one row
@@ -154,8 +59,9 @@ func TestChunkedDistributionTinyChunks(t *testing.T) {
 }
 
 // TestHandshakeVersionMismatch pins the handshake rejection path: clients
-// with the wrong magic or an unsupported version byte are turned away
-// without wedging the master, which keeps serving well-formed workers.
+// with the wrong magic or any version byte but wire.VersionWire (0
+// included) are turned away at once, without wedging the master, which
+// keeps serving well-formed workers.
 func TestHandshakeVersionMismatch(t *testing.T) {
 	m, err := NewMaster("127.0.0.1:0")
 	if err != nil {
@@ -172,7 +78,16 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	if _, err := badVersion.Write([]byte{'S', '2', 'C', '2', 99}); err != nil {
 		t.Fatal(err)
 	}
-	// Client 2: wrong magic entirely.
+	// Client 2: right magic, version 0.
+	versionZero, err := net.Dial("tcp", m.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer versionZero.Close()
+	if _, err := versionZero.Write([]byte{'S', '2', 'C', '2', 0}); err != nil {
+		t.Fatal(err)
+	}
+	// Client 3: wrong magic entirely.
 	badMagic, err := net.Dial("tcp", m.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +97,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A real worker must still be admitted after both rejects.
+	// A real worker must still be admitted after the rejects.
 	go func() {
 		w, err := NewWorker(WorkerConfig{MasterAddr: m.Addr()})
 		if err != nil {
@@ -198,11 +113,17 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 		t.Fatalf("NumWorkers = %d, want 1 (rejected conns must not register)", got)
 	}
 
-	// Both rejected connections must have been closed by the master.
-	for name, c := range map[string]net.Conn{"bad version": badVersion, "bad magic": badMagic} {
-		c.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-		if _, err := c.Read(make([]byte, 1)); err == nil {
+	// Every rejected connection must have been closed by the master
+	// promptly: within 1 s, well inside handshakeTimeout, which a conn held
+	// open awaiting a hello would run out instead.
+	for name, c := range map[string]net.Conn{"bad version": badVersion, "version 0": versionZero, "bad magic": badMagic} {
+		c.SetReadDeadline(time.Now().Add(time.Second)) //nolint:errcheck
+		_, err := c.Read(make([]byte, 1))
+		if err == nil {
 			t.Fatalf("%s conn still open after reject", name)
+		}
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s conn not closed within 1s (handshake timeout is %v)", name, handshakeTimeout)
 		}
 	}
 }

@@ -30,10 +30,6 @@ type WorkerConfig struct {
 	// on a single-core host); co-tenant workers in one process should cap
 	// MaxFan or bring their own pool.
 	Exec kernel.Exec
-	// UseGob selects the legacy gob envelope transport instead of the
-	// binary wire protocol — the compatibility fallback behind the
-	// handshake version byte.
-	UseGob bool
 	// MaxResultRows bounds one Result message's row count so result
 	// frames stay well under the receiver's frame limit no matter how
 	// large the partition is; larger results are split into several
@@ -77,9 +73,9 @@ var maxPartitionElems = func() int64 {
 	return want
 }()
 
-// validPartitionDims is the one shape guard both partition ingest paths
-// (monolithic and streamed) apply: non-negative rows, positive cols, and
-// a Rows·Cols product bounded by division so a hostile header cannot
+// validPartitionDims is the shape guard every partition start header
+// (float64 and GF) must pass: non-negative rows, positive cols, and a
+// Rows·Cols product bounded by division so a hostile header cannot
 // overflow the check into passing.
 func validPartitionDims(rows, cols int) bool {
 	return rows >= 0 && cols > 0 && int64(rows) <= maxPartitionElems/int64(cols)
@@ -89,7 +85,7 @@ func validPartitionDims(rows, cols int) bool {
 // and executes assigned row ranges on demand.
 type Worker struct {
 	cfg WorkerConfig
-	c   transport
+	c   *wireConn
 
 	mu           sync.Mutex
 	partitions   map[int]*mat.Dense   // phase → coded partition
@@ -103,9 +99,8 @@ type Worker struct {
 	gfResPool  sync.Pool // *GFResult send slots
 }
 
-// NewWorker dials the master, performs the transport handshake (the
-// binary wire protocol by default, gob when cfg.UseGob is set), and sends
-// the hello.
+// NewWorker dials the master, performs the wire handshake, and sends the
+// hello.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Slowdown <= 0 {
 		cfg.Slowdown = 1
@@ -120,19 +115,11 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial master: %w", err)
 	}
-	version := wire.VersionWire
-	if cfg.UseGob {
-		version = wire.VersionGob
-	}
-	if err := wire.WriteHandshake(nc, version); err != nil {
+	if err := wire.WriteHandshake(nc, wire.VersionWire); err != nil {
 		nc.Close()
 		return nil, err
 	}
-	t, err := newTransport(nc, version, cfg.WriteTimeout)
-	if err != nil {
-		nc.Close()
-		return nil, err
-	}
+	t := newWireConn(nc, cfg.WriteTimeout)
 	w := &Worker{
 		cfg:          cfg,
 		c:            t,
@@ -181,16 +168,6 @@ func (w *Worker) serve() error {
 			return err
 		}
 		switch msg.Kind {
-		case KindPartition:
-			// Monolithic partition (gob fallback): the decoded data is a
-			// fresh allocation, adopted as the matrix storage directly.
-			p := &msg.Partition
-			if !validPartitionDims(p.Rows, p.Cols) || len(p.Data) != p.Rows*p.Cols {
-				return fmt.Errorf("rpc: partition %dx%d with %d values", p.Rows, p.Cols, len(p.Data))
-			}
-			w.mu.Lock()
-			w.partitions[p.Phase] = mat.NewFromData(p.Rows, p.Cols, p.Data)
-			w.mu.Unlock()
 		case KindPartitionStart:
 			if err := w.startPartition(&msg.PartStart); err != nil {
 				return err
@@ -199,19 +176,6 @@ func (w *Worker) serve() error {
 			if err := w.storeChunk(msg); err != nil {
 				return err
 			}
-		case KindGFPartition:
-			// Monolithic GF partition (gob fallback): adopt the decoded
-			// element slice as the matrix storage directly.
-			p := &msg.GFPartition
-			if !validPartitionDims(p.Rows, p.Cols) || len(p.Data) != p.Rows*p.Cols {
-				return fmt.Errorf("rpc: GF partition %dx%d with %d values", p.Rows, p.Cols, len(p.Data))
-			}
-			if !gf.Valid(p.Data) {
-				return fmt.Errorf("rpc: GF partition %d carries non-canonical field elements", p.Phase)
-			}
-			w.mu.Lock()
-			w.gfPartitions[p.Phase] = gf.NewMatrixFromData(p.Rows, p.Cols, p.Data)
-			w.mu.Unlock()
 		case KindGFPartitionStart:
 			if err := w.startGFPartition(&msg.PartStart); err != nil {
 				return err

@@ -26,8 +26,8 @@
 // stream directly into the destination rows.
 //
 // Connections open with a 5-byte handshake — the 4-byte magic "S2C2"
-// followed by a version byte — letting one listener speak both this format
-// (VersionWire) and the legacy gob encoding (VersionGob) per connection.
+// followed by a version byte. VersionWire, this format, is the one version
+// defined; a listener rejects any other byte before reading a frame.
 package wire
 
 import (
@@ -39,15 +39,10 @@ import (
 	"net"
 )
 
-// Handshake versions. The version byte follows the 4-byte magic and
-// selects the message encoding for the rest of the connection.
-const (
-	// VersionGob selects the legacy encoding/gob envelope stream, kept as
-	// a compatibility fallback.
-	VersionGob byte = 0
-	// VersionWire selects this package's binary frame format.
-	VersionWire byte = 1
-)
+// VersionWire is the handshake version of this package's binary frame
+// format. The version byte follows the 4-byte magic and fixes the message
+// encoding for the rest of the connection; every other value is rejected.
+const VersionWire byte = 1
 
 // magic opens every connection, before the version byte.
 var magic = [4]byte{'S', '2', 'C', '2'}
