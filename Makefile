@@ -50,13 +50,14 @@ bench:
 # BenchmarkChunkStream on the data path; BenchmarkLSTMPredict,
 # BenchmarkLSTMFit, BenchmarkSimRound on the prediction path), then the
 # harness: its own vet + smoke test (benchmark/ is a separate module, so
-# ./... skips it) and short gf-batch-serve, dram-matvec and sim-paper runs,
-# which fail on any wrong decode.
+# ./... skips it) and short runs of all four workloads, which fail on any
+# wrong decode.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 	cd benchmark && $(GO) vet . && $(GO) test .
 	bash benchmark/run.sh --workload gf-batch-serve --seconds 4
 	bash benchmark/run.sh --workload dram-matvec --seconds 4
+	bash benchmark/run.sh --workload straggler-mix --seconds 4
 	bash benchmark/run.sh --workload sim-paper --seconds 4
 
 ci: lint test test-noasm race bench-smoke

@@ -347,6 +347,7 @@ func (l *Loader) check(path string, files []string, note func(*ast.File, string)
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
+		Instances:  make(map[*ast.Ident]types.Instance),
 	}
 	var firstErr error
 	conf := types.Config{

@@ -26,9 +26,13 @@ import (
 //   - //s2c2:noalloc-waive on a line (or a whole function's doc comment)
 //     waives findings there; every waive is an auditable in-source record.
 //
-// Calls the walk cannot resolve statically — interface methods, function
-// values, the kernel backend's struct function fields — are not followed;
-// the AllocsPerRun tests remain the runtime backstop behind those seams.
+// Explicit instantiations (f[T](…)) are followed like any named call, and
+// a method called on a type-parameter receiver is followed into that
+// method of every type argument the parameter is instantiated with
+// anywhere in the load. Calls the walk cannot resolve statically —
+// interface methods, function values, the kernel backend's struct function
+// fields — are not followed; the AllocsPerRun tests remain the runtime
+// backstop behind those seams.
 var NoAlloc = &Analyzer{
 	Name:      "noalloc",
 	Doc:       "flag allocation-inducing constructs reachable from //s2c2:noalloc functions",
@@ -173,9 +177,14 @@ func (na *noallocWalk) checkCall(call *ast.CallExpr, info *types.Info, root, ctx
 		na.checkBoxing(call, sig, info, ctx, flag)
 	}
 
-	// Same-module recursion.
-	if callee != nil {
-		if decl, pkg := na.idx.lookup(callee); decl != nil {
+	// Same-module recursion; a method called on a type parameter recurses
+	// into that method of every type argument the parameter takes.
+	callees := []*types.Func{callee}
+	if callee == nil {
+		callees = na.idx.typeParamCallees(info, call)
+	}
+	for _, fn := range callees {
+		if decl, pkg := na.idx.lookup(fn); decl != nil {
 			na.visit(decl, pkg, root)
 		}
 	}

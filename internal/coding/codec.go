@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/coded-computing/s2c2/internal/gf"
 	"github.com/coded-computing/s2c2/internal/kernel"
 )
 
@@ -79,24 +80,45 @@ func AppendNormalizeRanges(dst []Range, ranges []Range) []Range {
 	return out
 }
 
-// Partial is the result a worker returns for one round: the values of its
-// assigned rows of the coded computation. Values holds the computed rows
-// concatenated in range order; for vector results each row contributes one
-// float64, for matrix results RowWidth values per row.
-type Partial struct {
+// Element is the value type of a coded computation: float64 for the MDS
+// and polynomial codecs, gf.Elem for the exact-field codec.
+type Element interface{ float64 | gf.Elem }
+
+// PartialOf is the result a worker returns for one round: the values of
+// its assigned rows of the coded computation. Values holds the computed
+// rows concatenated in range order, RowWidth values per row (lane l of
+// row r at Values[r*RowWidth+l]): one for vector results, the batch width
+// or matrix width otherwise.
+type PartialOf[T Element] struct {
 	Worker   int
 	Ranges   []Range
 	RowWidth int
-	Values   []float64
+	Values   []T
 }
 
+// Partial is a float64 partial result.
+type Partial = PartialOf[float64]
+
+// GFPartial is an exact GF(2³¹−1) partial result. Its decoders read
+// RowWidth 0 as 1 (Width), so zero-valued partials from single-x paths
+// stay valid.
+type GFPartial = PartialOf[gf.Elem]
+
 // NumRows returns how many partition rows the partial covers.
-func (p *Partial) NumRows() int { return TotalRows(p.Ranges) }
+func (p *PartialOf[T]) NumRows() int { return TotalRows(p.Ranges) }
 
 // Validate checks internal consistency of the partial. It applies the
 // same checks rowTable.add runs when the partial enters a decode.
-func (p *Partial) Validate(blockRows int) error {
+func (p *PartialOf[T]) Validate(blockRows int) error {
 	return validatePartial(p.Worker, p.Ranges, len(p.Values), p.RowWidth, blockRows)
+}
+
+// Width returns the partial's row width, treating the zero value as 1.
+func (p *PartialOf[T]) Width() int {
+	if p.RowWidth <= 0 {
+		return 1
+	}
+	return p.RowWidth
 }
 
 // validatePartial is the single validation rule shared by Partial.Validate

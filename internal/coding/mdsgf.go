@@ -128,25 +128,6 @@ func (e *GFEncodedMatrix) WorkerMatVecBatch(w int, xs []gf.Elem, width int, rang
 	return &GFPartial{Worker: w, Ranges: ranges, RowWidth: width, Values: vals}, nil
 }
 
-// GFPartial is a worker's exact partial result: RowWidth field elements
-// per covered row (lane l of row r at Values[r*RowWidth+l], rows in range
-// order). RowWidth 0 is read as 1 so zero-valued partials from single-x
-// paths stay valid.
-type GFPartial struct {
-	Worker   int
-	Ranges   []Range
-	RowWidth int
-	Values   []gf.Elem
-}
-
-// Width returns the partial's row width, treating the zero value as 1.
-func (p *GFPartial) Width() int {
-	if p.RowWidth <= 0 {
-		return 1
-	}
-	return p.RowWidth
-}
-
 // gfInvSet caches one inverted decode system per distinct worker set.
 type gfInvSet struct {
 	workers []int

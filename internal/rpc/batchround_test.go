@@ -335,8 +335,8 @@ func TestMasterWireBatchRoundZeroAllocsSteadyState(t *testing.T) {
 	msg := &Msg{}
 
 	runRound := func() {
-		ws := &m.def.round
-		m.recycleRound(ws)
+		ws := &m.def.float.round
+		m.def.float.recycle()
 		ws.begin(n, enc.BlockRows, k, bw)
 		for w := 0; w < n; w++ {
 			ws.workMsg = Work{Iter: 0, Phase: 0, W: bw, X: xs, Ranges: assignment}
@@ -353,7 +353,7 @@ func TestMasterWireBatchRoundZeroAllocsSteadyState(t *testing.T) {
 			if msg.Kind != KindResult {
 				t.Fatalf("kind %d", msg.Kind)
 			}
-			r := m.getResult()
+			r := fromPool[Result](&m.def.float.pool)
 			*r, msg.Result = msg.Result, *r
 			if err := ws.addResult(r, time.Millisecond); err != nil {
 				t.Fatal(err)
@@ -363,7 +363,7 @@ func TestMasterWireBatchRoundZeroAllocsSteadyState(t *testing.T) {
 		if ws.needed != 0 {
 			t.Fatal("fixture round did not reach coverage")
 		}
-		partials, _, err := m.finishRound(ws)
+		partials, _, err := ws.finish(m.cfg.ReuseRound)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -417,7 +417,7 @@ func TestMasterGFWireBatchRoundZeroAllocsSteadyState(t *testing.T) {
 	var stream bytes.Buffer
 	sender := &wireConn{w: wire.NewWriter(&stream)}
 	for _, r := range results {
-		if err := sender.sendGFResult(r); err != nil {
+		if err := sender.sendResult(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -431,12 +431,12 @@ func TestMasterGFWireBatchRoundZeroAllocsSteadyState(t *testing.T) {
 	msg := &Msg{}
 
 	runRound := func() {
-		ws := &m.def.gfRound
-		m.recycleGFRound(ws)
+		ws := &m.def.exact.round
+		m.def.exact.recycle()
 		ws.begin(n, enc.BlockRows, k, bw)
 		for w := 0; w < n; w++ {
 			ws.workMsg = GFWork{Iter: 0, Phase: 0, W: bw, X: xs, Ranges: assignment}
-			if err := tc.sendGFWork(&ws.workMsg); err != nil {
+			if err := tc.sendWork(&ws.workMsg); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -449,7 +449,7 @@ func TestMasterGFWireBatchRoundZeroAllocsSteadyState(t *testing.T) {
 			if msg.Kind != KindGFResult {
 				t.Fatalf("kind %d", msg.Kind)
 			}
-			r := m.getGFResult()
+			r := fromPool[GFResult](&m.def.exact.pool)
 			*r, msg.GFResult = msg.GFResult, *r
 			if err := ws.addResult(r, time.Millisecond); err != nil {
 				t.Fatal(err)
@@ -459,7 +459,7 @@ func TestMasterGFWireBatchRoundZeroAllocsSteadyState(t *testing.T) {
 		if ws.needed != 0 {
 			t.Fatal("fixture round did not reach coverage")
 		}
-		partials, _, err := m.finishGFRound(ws)
+		partials, _, err := ws.finish(m.cfg.ReuseRound)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -498,7 +498,7 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 	singleRes := &Result{Iter: 3, Phase: 0, Worker: 1,
 		Ranges: []coding.Range{{Lo: 0, Hi: 1}}, Values: []float64{42}}
 	for _, err := range []error{
-		c.sendWork(work), c.sendResult(res), c.sendGFWork(gfw), c.sendGFResult(gfr), c.sendResult(singleRes),
+		c.sendWork(work), c.sendResult(res), c.sendWork(gfw), c.sendResult(gfr), c.sendResult(singleRes),
 	} {
 		if err != nil {
 			t.Fatal(err)
@@ -592,7 +592,7 @@ func TestBatchFrameHostileElementCount(t *testing.T) {
 // then advances coverage normally.
 func TestBatchGatherAllLanesOrNothing(t *testing.T) {
 	m := &Master{cfg: MasterConfig{ReuseRound: true}}
-	ws := &m.def.round
+	ws := &m.def.float.round
 	ws.begin(3, 4, 2, 2)
 	// 4 rows at width 2 need 8 values; 7 is a missing lane.
 	bad := &Result{Worker: 0, RowWidth: 2, Ranges: []coding.Range{{Lo: 0, Hi: 4}}, Values: make([]float64, 7)}
@@ -655,7 +655,7 @@ func buildBatchResultStream(tb testing.TB) []byte {
 		Ranges: []coding.Range{{Lo: 0, Hi: 3}},
 		Values: []gf.Elem{1, 2, 3, 4, 5, gf.Elem(gf.P - 1)},
 	}
-	if err := c.sendGFResult(res); err != nil {
+	if err := c.sendResult(res); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()

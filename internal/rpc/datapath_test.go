@@ -31,14 +31,8 @@ import (
 func streamVictim(src io.Reader, maxFrame int) *Worker {
 	r := wire.NewReader(src)
 	r.SetMaxFrame(maxFrame)
-	return &Worker{
-		cfg:          WorkerConfig{Slowdown: 1, MaxResultRows: 4 << 20},
-		c:            &wireConn{w: wire.NewWriter(io.Discard), r: r},
-		partitions:   map[int]*mat.Dense{},
-		pending:      map[int]*partBuild{},
-		gfPartitions: map[int]*gf.Matrix{},
-		gfPending:    map[int]*gfPartBuild{},
-	}
+	return newWorker(WorkerConfig{Slowdown: 1, MaxResultRows: 4 << 20},
+		&wireConn{w: wire.NewWriter(io.Discard), r: r})
 }
 
 // TestChunksLandIntactThroughFragmentedReads streams a float64 and a GF
@@ -61,15 +55,15 @@ func TestChunksLandIntactThroughFragmentedReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(sender.sendPartitionStart(&PartitionStart{Phase: 2, Seq: 9, Rows: rows, Cols: cols, ChunkRows: chunkRows}))
+	must(sender.sendPartitionStart(wire.TypePartitionStart, &PartitionStart{Phase: 2, Seq: 9, Rows: rows, Cols: cols, ChunkRows: chunkRows}))
 	for lo := 0; lo < rows; lo += chunkRows {
 		hi := min(lo+chunkRows, rows)
-		must(sender.sendPartitionChunk(2, 9, lo, hi, part.Data()[lo*cols:hi*cols]))
+		must(sendPartitionChunk[floatCodec](sender, 2, 9, lo, hi, part.Data()[lo*cols:hi*cols]))
 	}
-	must(sender.sendGFPartitionStart(&PartitionStart{Phase: 3, Seq: 10, Rows: rows, Cols: cols, ChunkRows: chunkRows}))
+	must(sender.sendPartitionStart(wire.TypeGFPartitionStart, &PartitionStart{Phase: 3, Seq: 10, Rows: rows, Cols: cols, ChunkRows: chunkRows}))
 	for lo := 0; lo < rows; lo += chunkRows {
 		hi := min(lo+chunkRows, rows)
-		must(sender.sendGFPartitionChunk(3, 10, lo, hi, gfPart.Data()[lo*cols:hi*cols]))
+		must(sendPartitionChunk[gfCodec](sender, 3, 10, lo, hi, gfPart.Data()[lo*cols:hi*cols]))
 	}
 	for name, wrap := range map[string]func(io.Reader) io.Reader{
 		"onebyte": iotest.OneByteReader,
@@ -80,11 +74,11 @@ func TestChunksLandIntactThroughFragmentedReads(t *testing.T) {
 		if err := w.serve(); err != io.EOF {
 			t.Fatalf("%s: serve = %v, want a clean EOF after the last chunk", name, err)
 		}
-		got, gfGot := w.partitions[2], w.gfPartitions[3]
+		got, gfGot := w.float.partitions[2], w.exact.partitions[3]
 		if got == nil || gfGot == nil {
 			t.Fatalf("%s: partitions not published (float64 %v, GF %v)", name, got != nil, gfGot != nil)
 		}
-		if !got.ApproxEqual(part, 0) {
+		if !got.(*mat.Dense).ApproxEqual(part, 0) {
 			t.Fatalf("%s: float64 partition differs from what was sent", name)
 		}
 		for i, v := range gfGot.Data() {
@@ -92,7 +86,7 @@ func TestChunksLandIntactThroughFragmentedReads(t *testing.T) {
 				t.Fatalf("%s: GF partition element %d = %d, sent %d", name, i, v, gfPart.Data()[i])
 			}
 		}
-		if len(w.pending)+len(w.gfPending) != 0 {
+		if len(w.float.pending)+len(w.exact.pending) != 0 {
 			t.Fatalf("%s: completed transfers left pending builds behind", name)
 		}
 	}
@@ -135,7 +129,7 @@ func TestRejectedChunkLeavesRowsUntouched(t *testing.T) {
 		var stream bytes.Buffer
 		ww := wire.NewWriter(&stream)
 		sender := &wireConn{w: ww}
-		if err := sender.sendPartitionStart(&PartitionStart{Phase: 0, Seq: 1, Rows: rows, Cols: cols, ChunkRows: 2}); err != nil {
+		if err := sender.sendPartitionStart(wire.TypePartitionStart, &PartitionStart{Phase: 0, Seq: 1, Rows: rows, Cols: cols, ChunkRows: 2}); err != nil {
 			t.Fatal(err)
 		}
 		tc.send(ww)
@@ -144,10 +138,10 @@ func TestRejectedChunkLeavesRowsUntouched(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: serve = %v, want an error containing %q", tc.name, err, tc.want)
 		}
-		if w.partitions[0] != nil {
+		if w.float.partitions[0] != nil {
 			t.Fatalf("%s: a rejected chunk published the partition", tc.name)
 		}
-		b := w.pending[0]
+		b := w.float.pending[0]
 		if b == nil || b.remaining != rows {
 			t.Fatalf("%s: rejected chunk was counted toward the build", tc.name)
 		}
@@ -177,20 +171,20 @@ func TestTruncatedChunkBodyNeverPublishes(t *testing.T) {
 		ps := &PartitionStart{Phase: 0, Seq: 1, Rows: rows, Cols: cols, ChunkRows: 2}
 		var err error
 		if exact {
-			err = errors.Join(sender.sendGFPartitionStart(ps),
-				sender.sendGFPartitionChunk(0, 1, 0, 2, elems[:2*cols]))
+			err = errors.Join(sender.sendPartitionStart(wire.TypeGFPartitionStart, ps),
+				sendPartitionChunk[gfCodec](sender, 0, 1, 0, 2, elems[:2*cols]))
 		} else {
-			err = errors.Join(sender.sendPartitionStart(ps),
-				sender.sendPartitionChunk(0, 1, 0, 2, vals[:2*cols]))
+			err = errors.Join(sender.sendPartitionStart(wire.TypePartitionStart, ps),
+				sendPartitionChunk[floatCodec](sender, 0, 1, 0, 2, vals[:2*cols]))
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		lastChunkAt := stream.Len()
 		if exact {
-			err = sender.sendGFPartitionChunk(0, 1, 2, 4, elems[2*cols:])
+			err = sendPartitionChunk[gfCodec](sender, 0, 1, 2, 4, elems[2*cols:])
 		} else {
-			err = sender.sendPartitionChunk(0, 1, 2, 4, vals[2*cols:])
+			err = sendPartitionChunk[floatCodec](sender, 0, 1, 2, 4, vals[2*cols:])
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -201,7 +195,7 @@ func TestTruncatedChunkBodyNeverPublishes(t *testing.T) {
 			if err := w.serve(); !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("exact=%v cut at %d of %d: serve = %v, want ErrUnexpectedEOF", exact, cut, len(full), err)
 			}
-			if len(w.partitions)+len(w.gfPartitions) != 0 {
+			if len(w.float.partitions)+len(w.exact.partitions) != 0 {
 				t.Fatalf("exact=%v cut at %d: a truncated chunk published the partition", exact, cut)
 			}
 		}
@@ -323,7 +317,7 @@ func TestJobCloseFreesWorkerPartitions(t *testing.T) {
 	held := func(w *Worker) (float64Parts, gfParts int) {
 		w.mu.Lock()
 		defer w.mu.Unlock()
-		return len(w.partitions), len(w.gfPartitions)
+		return len(w.float.partitions), len(w.exact.partitions)
 	}
 	// A worker acknowledges a partition's last chunk before it publishes
 	// the partition (both on its serve loop, so no later frame can overtake
@@ -344,9 +338,9 @@ func TestJobCloseFreesWorkerPartitions(t *testing.T) {
 			return f == 1 && g == 0
 		})
 		w.mu.Lock()
-		_, stillFloat := w.partitions[wp0]
-		_, stillGF := w.gfPartitions[wp1]
-		_, def := w.partitions[0]
+		_, stillFloat := w.float.partitions[wp0]
+		_, stillGF := w.exact.partitions[wp1]
+		_, def := w.float.partitions[0]
 		w.mu.Unlock()
 		if stillFloat || stillGF || !def {
 			t.Fatalf("worker %d after Close: job float64 %v, job GF %v, default job %v", i, stillFloat, stillGF, def)
@@ -398,12 +392,12 @@ func TestWorkerHandleWorkZeroAllocsSteadyState(t *testing.T) {
 	const rows, cols = 600, 40
 	rng := rand.New(rand.NewSource(3))
 	w := streamVictim(bytes.NewReader(nil), maxRPCFrame)
-	w.partitions[0] = mat.Rand(rows, cols, rng)
+	w.float.partitions[0] = mat.Rand(rows, cols, rng)
 	gfPart := gf.NewMatrix(rows, cols)
 	for i := range gfPart.Data() {
 		gfPart.Data()[i] = gf.New(rng.Uint64())
 	}
-	w.gfPartitions[0] = gfPart
+	w.exact.partitions[0] = gfPart
 	// On a single-participant Exec every range is swept by the handler
 	// itself; on the default one only ranges within one chunk are — a range
 	// that fans out pays for the closure it hands the pool.
@@ -419,16 +413,16 @@ func TestWorkerHandleWorkZeroAllocsSteadyState(t *testing.T) {
 			x := make([]float64, bw*cols)
 			gx := make([]gf.Elem, bw*cols)
 			round := func() {
-				job := w.getWork()
+				job := fromPool[Work](&w.float.works)
 				job.Job, job.Iter, job.Phase, job.W = 1, 4, 0, bw
 				job.X = append(job.X[:0], x...)
 				job.Ranges = append(job.Ranges[:0], c.ranges...)
-				w.handleWork(job)
-				gjob := w.getGFWork()
+				w.float.handle(job)
+				gjob := fromPool[GFWork](&w.exact.works)
 				gjob.Job, gjob.Iter, gjob.Phase, gjob.W = 1, 4, 0, bw
 				gjob.X = append(gjob.X[:0], gx...)
 				gjob.Ranges = append(gjob.Ranges[:0], c.ranges...)
-				w.handleGFWork(gjob)
+				w.exact.handle(gjob)
 			}
 			round() // warm: pooled slots, result buffers, the writer's scratch
 			if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
@@ -462,7 +456,7 @@ func BenchmarkChunkStream(b *testing.B) {
 	b.SetBytes(8 * rows * cols)
 	b.ReportAllocs()
 	for b.Loop() {
-		if err := m.shipPartition(wc, 0, part, m.stallTimeout()); err != nil {
+		if err := ship[floatCodec](m, wc, 0, part, m.stallTimeout()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,7 +16,6 @@ import (
 
 	"github.com/coded-computing/s2c2/internal/coding"
 	"github.com/coded-computing/s2c2/internal/gf"
-	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/wire"
 )
 
@@ -142,7 +141,7 @@ func buildGFResultStream(tb testing.TB) []byte {
 		Ranges: []coding.Range{{Lo: 0, Hi: 4}},
 		Values: []gf.Elem{1, 2, 3, gf.Elem(gf.P - 1)},
 	}
-	if err := c.sendGFResult(res); err != nil {
+	if err := c.sendResult(res); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -280,14 +279,7 @@ func FuzzGFChunkStream(f *testing.F) {
 		maxPartitionElems = 1 << 14
 		defer func() { maxPartitionElems = old }()
 		tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(bytes.NewReader(data))}
-		w := &Worker{
-			cfg:          WorkerConfig{Slowdown: 1, MaxResultRows: 4 << 20},
-			c:            tc,
-			partitions:   map[int]*mat.Dense{},
-			pending:      map[int]*partBuild{},
-			gfPartitions: map[int]*gf.Matrix{},
-			gfPending:    map[int]*gfPartBuild{},
-		}
+		w := newWorker(WorkerConfig{Slowdown: 1, MaxResultRows: 4 << 20}, tc)
 		// serve, not Run: Run releases the partition maps on return, and the
 		// invariant below inspects them.
 		w.serve() //nolint:errcheck // any error is a valid outcome; panics fail the fuzz
@@ -295,7 +287,7 @@ func FuzzGFChunkStream(f *testing.F) {
 		// canonical (the guards must make partial publication impossible).
 		w.mu.Lock()
 		defer w.mu.Unlock()
-		for phase, p := range w.gfPartitions {
+		for phase, p := range w.exact.partitions {
 			if !gf.Valid(p.Data()) {
 				t.Fatalf("phase %d published a non-canonical partition", phase)
 			}

@@ -323,7 +323,7 @@ func TestMasterGFWireRoundZeroAllocsSteadyState(t *testing.T) {
 	var stream bytes.Buffer
 	sender := &wireConn{w: wire.NewWriter(&stream)}
 	for _, r := range results {
-		if err := sender.sendGFResult(r); err != nil {
+		if err := sender.sendResult(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -337,13 +337,13 @@ func TestMasterGFWireRoundZeroAllocsSteadyState(t *testing.T) {
 	msg := &Msg{}
 
 	runRound := func() {
-		ws := &m.def.gfRound
-		m.recycleGFRound(ws)
+		ws := &m.def.exact.round
+		m.def.exact.recycle()
 		ws.begin(n, enc.BlockRows, k, 1)
 		// Send tasks: one GF work frame per active worker.
 		for w := 0; w < n; w++ {
 			ws.workMsg = GFWork{Iter: 0, Phase: 0, X: x, Ranges: assignment}
-			if err := tc.sendGFWork(&ws.workMsg); err != nil {
+			if err := tc.sendWork(&ws.workMsg); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -358,7 +358,7 @@ func TestMasterGFWireRoundZeroAllocsSteadyState(t *testing.T) {
 			if msg.Kind != KindGFResult {
 				t.Fatalf("kind %d", msg.Kind)
 			}
-			r := m.getGFResult()
+			r := fromPool[GFResult](&m.def.exact.pool)
 			*r, msg.GFResult = msg.GFResult, *r
 			if err := ws.addResult(r, time.Millisecond); err != nil {
 				t.Fatal(err)
@@ -368,7 +368,7 @@ func TestMasterGFWireRoundZeroAllocsSteadyState(t *testing.T) {
 		if ws.needed != 0 {
 			t.Fatal("fixture round did not reach coverage")
 		}
-		partials, stats, err := m.finishGFRound(ws)
+		partials, stats, err := ws.finish(m.cfg.ReuseRound)
 		if err != nil {
 			t.Fatal(err)
 		}

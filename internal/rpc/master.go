@@ -13,7 +13,6 @@ import (
 	"github.com/coded-computing/s2c2/internal/coding"
 	"github.com/coded-computing/s2c2/internal/gf"
 	"github.com/coded-computing/s2c2/internal/kernel"
-	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/sched"
 	"github.com/coded-computing/s2c2/internal/wire"
 )
@@ -183,12 +182,12 @@ type Master struct {
 	// failStreak[w] counts worker w's consecutive failed rounds (timed out
 	// or dead, never responding in between); EvictAfter reads it.
 	failStreak []int
-	// parts/gfParts retain the distributed partitions per wire phase —
-	// across every job — so a replacement worker promoted into a slot can
-	// be brought up to the incumbent's state by re-streaming
+	// parts/gfParts retain the distributed float64/GF partitions per wire
+	// phase — across every job — so a replacement worker promoted into a
+	// slot can be brought up to the incumbent's state by re-streaming
 	// (retryPartitions, RepairWorkers).
-	parts   map[int][]*mat.Dense
-	gfParts map[int][]*gf.Matrix
+	parts   map[int][]matrix[float64]
+	gfParts map[int][]matrix[gf.Elem]
 	// totals accumulates lifetime recovery counters (RecoveryTotals).
 	totals RecoveryStats
 
@@ -215,10 +214,8 @@ type Master struct {
 	ticketSeq    int
 	ticketView   []JobTicket // reused policy snapshot
 
-	wg        sync.WaitGroup // readLoops
-	resPool   sync.Pool      // *Result receive slots recycled across rounds
-	gfResPool sync.Pool      // *GFResult receive slots
-	xferSeq   atomic.Int64   // partition-transfer sequence (stale-ack fencing)
+	wg      sync.WaitGroup // readLoops
+	xferSeq atomic.Int64   // partition-transfer sequence (stale-ack fencing)
 }
 
 // NewMaster listens on addr (e.g. "127.0.0.1:0") with a default config.
@@ -236,8 +233,8 @@ func NewMasterWithConfig(cfg MasterConfig) (*Master, error) {
 		cfg:          cfg,
 		ln:           ln,
 		quit:         make(chan struct{}),
-		parts:        map[int][]*mat.Dense{},
-		gfParts:      map[int][]*gf.Matrix{},
+		parts:        map[int][]matrix[float64]{},
+		gfParts:      map[int][]matrix[gf.Elem]{},
 		pendingReady: make(chan struct{}, 1),
 	}
 	initJob(&m.def, m, 0, JobConfig{})
@@ -257,37 +254,6 @@ func (m *Master) Addr() string { return m.ln.Addr().String() }
 // drivers pass it to the codecs they pair with the master (SetExec) so
 // one process can host several masters without pool contention.
 func (m *Master) Exec() kernel.Exec { return m.cfg.Exec }
-
-// getResult returns a pooled receive slot (readLoops decode results into
-// these; RunRound recycles them once the round's partials are released).
-//
-//s2c2:noalloc
-func (m *Master) getResult() *Result {
-	if v := m.resPool.Get(); v != nil {
-		return v.(*Result)
-	}
-	// Pool miss: mints the slot the pool will recycle from then on.
-	//s2c2:waive noalloc
-	return &Result{}
-}
-
-//s2c2:recycler
-func (m *Master) putResult(r *Result) { m.resPool.Put(r) }
-
-// getGFResult / putGFResult are the GF mirror of the pooled receive slots.
-//
-//s2c2:noalloc
-func (m *Master) getGFResult() *GFResult {
-	if v := m.gfResPool.Get(); v != nil {
-		return v.(*GFResult)
-	}
-	// Pool miss: mints the slot the pool will recycle from then on.
-	//s2c2:waive noalloc
-	return &GFResult{}
-}
-
-//s2c2:recycler
-func (m *Master) putGFResult(r *GFResult) { m.gfResPool.Put(r) }
 
 // handshakeTimeout bounds how long one accepted connection may take to
 // complete its handshake and hello before WaitForWorkers moves on.
@@ -591,7 +557,7 @@ func (m *Master) admit(c net.Conn) (*workerConn, error) {
 }
 
 // readLoop pumps one connection's messages into the master until the
-// connection drops or the master shuts down: results go to the shared
+// connection drops or the master shuts down: results go to their job's
 // round channel (decoded into pooled slots — the steady-state receive path
 // allocates nothing), partition acks return credits to the streaming
 // sender, pongs feed the liveness watch. One loop serves the connection
@@ -629,41 +595,16 @@ func (m *Master) readLoop(wc *workerConn) {
 			m.broadcastWorkerError(&WorkerError{Worker: id, Err: err, conn: wc})
 			return
 		}
+		// Results go to the owning job's lane; a parked spare has no slot to
+		// attribute them to, and a closed or unknown job's frames drop.
 		id := int(wc.id.Load())
 		switch msg.Kind {
 		case KindResult:
-			if id < 0 {
-				continue // a parked spare has no slot to attribute results to
-			}
-			j := m.jobFor(msg.Result.Job)
-			if j == nil {
-				continue // closed or unknown job: drop the frame
-			}
-			r := m.getResult()
-			// Swap structs: the pooled slot takes the decoded message
-			// (slices included), the message slot inherits the pooled
-			// capacity for the next decode. No copying, no allocation.
-			*r, msg.Result = msg.Result, *r
-			r.Worker = id
-			select {
-			case j.results <- r:
-			case <-m.quit:
+			if j := m.jobFor(msg.Result.Job); id >= 0 && j != nil && !j.float.deliver(&msg.Result, id, m.quit) {
 				return
 			}
 		case KindGFResult:
-			if id < 0 {
-				continue
-			}
-			j := m.jobFor(msg.GFResult.Job)
-			if j == nil {
-				continue // closed or unknown job: drop the frame
-			}
-			r := m.getGFResult()
-			*r, msg.GFResult = msg.GFResult, *r
-			r.Worker = id
-			select {
-			case j.gfResults <- r:
-			case <-m.quit:
+			if j := m.jobFor(msg.GFResult.Job); id >= 0 && j != nil && !j.exact.deliver(&msg.GFResult, id, m.quit) {
 				return
 			}
 		case KindPong:
@@ -812,30 +753,7 @@ func (j *Job) DistributePartitions(phase int, enc *coding.EncodedMatrix) error {
 //
 //s2c2:partition-attrib
 func (j *Job) DistributePartitionsContext(ctx context.Context, phase int, enc *coding.EncodedMatrix) error {
-	m := j.m
-	workers := m.conns()
-	if len(enc.Parts) != len(workers) {
-		return fmt.Errorf("%w: %d partitions for %d workers", ErrDistributeShape, len(enc.Parts), len(workers))
-	}
-	wp := j.wirePhase(phase)
-	err := distributeAll(workers, func(w int, wc *workerConn) error {
-		return m.shipPartition(wc, wp, enc.Parts[w], m.stallTimeout())
-	})
-	if err != nil {
-		err = m.retryPartitions(ctx, err, func(w int, wc *workerConn, stall time.Duration) error {
-			return m.shipPartition(wc, wp, enc.Parts[w], stall)
-		})
-	}
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	j.blockRows[phase] = enc.BlockRows
-	j.mu.Unlock()
-	m.mu.Lock()
-	m.parts[wp] = enc.Parts
-	m.mu.Unlock()
-	return nil
+	return j.float.distribute(ctx, phase, matrices[float64](enc.Parts))
 }
 
 // DistributeGFPartitions is DistributePartitions for the exact path: it
@@ -870,82 +788,65 @@ func (j *Job) DistributeGFPartitions(phase int, parts []*gf.Matrix) error {
 //
 //s2c2:partition-attrib
 func (j *Job) DistributeGFPartitionsContext(ctx context.Context, phase int, parts []*gf.Matrix) error {
-	m := j.m
+	return j.exact.distribute(ctx, phase, matrices[gf.Elem](parts))
+}
+
+// distribute is the Distribute*Context body of both element types: it
+// checks that parts hold one partition of a shared shape per worker,
+// streams them in parallel, hands failures to the retry engine, and
+// records the phase — its rows on the job, the partitions in the master's
+// re-stream store.
+//
+//s2c2:partition-attrib
+func (l *jobLane[C, T]) distribute(ctx context.Context, phase int, parts []matrix[T]) error {
+	var ec C
+	label := ec.spec().label
+	j, m := l.j, l.j.m
 	workers := m.conns()
 	if len(parts) != len(workers) {
-		return fmt.Errorf("%w: %d GF partitions for %d workers", ErrDistributeShape, len(parts), len(workers))
+		return fmt.Errorf("%w: %d %spartitions for %d workers", ErrDistributeShape, len(parts), label, len(workers))
 	}
 	if len(parts) == 0 {
-		return fmt.Errorf("%w: no GF partitions to distribute", ErrDistributeShape)
+		return fmt.Errorf("%w: no %spartitions to distribute", ErrDistributeShape, label)
 	}
 	rows, cols := parts[0].Dims()
 	for w, p := range parts {
 		if r, c := p.Dims(); r != rows || c != cols {
-			return fmt.Errorf("%w: GF partition %d is %dx%d, want %dx%d", ErrDistributeShape, w, r, c, rows, cols)
+			return fmt.Errorf("%w: %spartition %d is %dx%d, want %dx%d", ErrDistributeShape, label, w, r, c, rows, cols)
 		}
 	}
 	wp := j.wirePhase(phase)
 	err := distributeAll(workers, func(w int, wc *workerConn) error {
-		return m.shipGFPartition(wc, wp, parts[w], m.stallTimeout())
+		return ship[C](m, wc, wp, parts[w], m.stallTimeout())
 	})
 	if err != nil {
 		err = m.retryPartitions(ctx, err, func(w int, wc *workerConn, stall time.Duration) error {
-			return m.shipGFPartition(wc, wp, parts[w], stall)
+			return ship[C](m, wc, wp, parts[w], stall)
 		})
 	}
 	if err != nil {
 		return err
 	}
 	j.mu.Lock()
-	j.gfBlockRows[phase] = rows
+	l.blockRows[phase] = rows
 	j.mu.Unlock()
 	m.mu.Lock()
-	m.gfParts[wp] = parts
+	l.retained[wp] = parts
 	m.mu.Unlock()
 	return nil
 }
 
-// shipPartition streams one float64 partition over the connection in
-// chunks, under credit-based flow control.
-func (m *Master) shipPartition(wc *workerConn, phase int, part *mat.Dense, stall time.Duration) error {
+// ship streams one partition over the connection in chunks under
+// credit-based flow control: it serializes the transfer on the
+// connection, fences it with a fresh sequence number, and ships rows
+// chunk by chunk within the configured credit window. stall bounds each
+// credit wait — the configured StallTimeout on the first attempt, the
+// retry engine's per-attempt deadline on re-streams.
+func ship[C codec[T], T coding.Element](m *Master, wc *workerConn, phase int, part matrix[T], stall time.Duration) error {
+	var ec C
 	rows, cols := part.Dims()
-	chunkRows := m.chunkRowsFor(cols, 8)
+	chunkRows := m.chunkRowsFor(cols, ec.spec().size)
 	data := part.Data()
-	return m.streamPartition(wc, phase, rows, chunkRows, stall,
-		func(seq int) error {
-			return wc.t.sendPartitionStart(&PartitionStart{
-				Phase: phase, Seq: seq, Rows: rows, Cols: cols, ChunkRows: chunkRows,
-			})
-		},
-		func(seq, lo, hi int) error {
-			return wc.t.sendPartitionChunk(phase, seq, lo, hi, data[lo*cols:hi*cols])
-		})
-}
-
-// shipGFPartition is shipPartition for field-element partitions.
-func (m *Master) shipGFPartition(wc *workerConn, phase int, part *gf.Matrix, stall time.Duration) error {
-	rows, cols := part.Dims()
-	chunkRows := m.chunkRowsFor(cols, 4)
-	data := part.Data()
-	return m.streamPartition(wc, phase, rows, chunkRows, stall,
-		func(seq int) error {
-			return wc.t.sendGFPartitionStart(&PartitionStart{
-				Phase: phase, Seq: seq, Rows: rows, Cols: cols, ChunkRows: chunkRows,
-			})
-		},
-		func(seq, lo, hi int) error {
-			return wc.t.sendGFPartitionChunk(phase, seq, lo, hi, data[lo*cols:hi*cols])
-		})
-}
-
-// streamPartition is the shared credit-controlled streaming engine of both
-// element types: it serializes the transfer on the connection, fences it
-// with a fresh sequence number, and ships rows chunk by chunk under the
-// configured credit window via the provided start/chunk senders. stall
-// bounds each credit wait — the configured StallTimeout on the first
-// attempt, the retry engine's per-attempt deadline on re-streams.
-func (m *Master) streamPartition(wc *workerConn, phase, rows, chunkRows int, stall time.Duration,
-	start func(seq int) error, chunk func(seq, lo, hi int) error) error {
 	// One transfer at a time per connection: the credit channel is shared,
 	// so interleaved transfers would steal each other's acks.
 	wc.xfer.Lock()
@@ -967,7 +868,8 @@ drain:
 	// dropped below instead of inflating this transfer's window or failing
 	// it spuriously.
 	seq := int(m.xferSeq.Add(1))
-	if err := start(seq); err != nil {
+	start := &PartitionStart{Phase: phase, Seq: seq, Rows: rows, Cols: cols, ChunkRows: chunkRows}
+	if err := wc.t.sendPartitionStart(ec.spec().partStart, start); err != nil {
 		return err
 	}
 	timer := time.NewTimer(stall)
@@ -994,23 +896,20 @@ drain:
 	window := m.chunkWindow()
 	outstanding := 0
 	for lo := 0; lo < rows; lo += chunkRows {
-		hi := lo + chunkRows
-		if hi > rows {
-			hi = rows
-		}
+		hi := min(lo+chunkRows, rows)
 		for outstanding >= window {
 			if err := awaitCredit(); err != nil {
 				return err
 			}
 			outstanding--
 		}
-		if err := chunk(seq, lo, hi); err != nil {
+		if err := sendPartitionChunk[C](wc.t, phase, seq, lo, hi, data[lo*cols:hi*cols]); err != nil {
 			return err
 		}
 		outstanding++
 	}
-	// Wait until the worker has stored every chunk: when streamPartition
-	// returns, the partition is usable, not merely in flight.
+	// Wait until the worker has stored every chunk: when ship returns, the
+	// partition is usable, not merely in flight.
 	for outstanding > 0 {
 		if err := awaitCredit(); err != nil {
 			return err
@@ -1045,9 +944,9 @@ type RoundStats struct {
 // roundCore is the element-type-independent heart of a round's gather
 // state: coverage counters, a per-(worker,row) delivery bitmap that makes
 // duplicate deliveries idempotent, response bookkeeping, reassignment
-// scratch, and the round's reusable timers. The float64 and exact-GF
-// round workspaces embed it — the seam that gives both element types one
-// gather/timeout/reassignment semantics instead of two diverging copies.
+// scratch, and the round's reusable timers. The generic roundWorkspace
+// embeds it; nothing here depends on the element type, so it is compiled
+// once rather than per instantiation.
 type roundCore struct {
 	stats RoundStats
 
@@ -1095,6 +994,18 @@ func armTimer(t **time.Timer, d time.Duration) *time.Timer {
 	(*t).Stop()
 	(*t).Reset(d)
 	return *t
+}
+
+// stopTimers stops the workspace's timers when a round ends.
+//
+//s2c2:noalloc
+func (c *roundCore) stopTimers() {
+	if c.hardTimer != nil {
+		c.hardTimer.Stop()
+	}
+	if c.graceTimer != nil {
+		c.graceTimer.Stop()
+	}
 }
 
 // begin resets the core for a round of n workers over blockRows-row
@@ -1339,30 +1250,30 @@ func (c *roundCore) copyStats() *RoundStats {
 	}
 }
 
-// roundWorkspace is the master's reusable float64-round gather state: the
-// shared core plus the partial structs handed to the float64 decoder, the
-// pooled result slots the round retains, and the reusable send struct.
-// One warm workspace makes the whole steady-state round — sending work,
-// receiving results, decoding — allocation-free.
-type roundWorkspace struct {
+// roundWorkspace is a job lane's reusable round gather state: the shared
+// core plus the partial structs handed to the decoder, the pooled result
+// slots the round retains, and the reusable send struct. One warm
+// workspace makes the whole steady-state round — sending work, receiving
+// results, decoding — allocation-free.
+type roundWorkspace[T coding.Element] struct {
 	roundCore
 
-	partialSeq []coding.Partial
+	partialSeq []coding.PartialOf[T]
 	nPartials  int
-	partials   []*coding.Partial
+	partials   []*coding.PartialOf[T]
 	// retained lists the pooled result slots whose slices this round's
 	// partials alias; they recycle at the start of the next round.
-	retained []*Result
+	retained []*ResultOf[T]
 	// workMsg is the reusable master→worker send struct (sends are
 	// synchronous, so one slot serves the whole round).
-	workMsg Work
+	workMsg WorkOf[T]
 }
 
 // begin resets the workspace for a round of n workers over blockRows-row
 // partitions with decode threshold k and batch width w.
 //
 //s2c2:noalloc
-func (ws *roundWorkspace) begin(n, blockRows, k, w int) {
+func (ws *roundWorkspace[T]) begin(n, blockRows, k, w int) {
 	ws.roundCore.begin(n, blockRows, k, w)
 	ws.nPartials = 0
 	// A worker normally sends one result per Work message, and a round
@@ -1374,13 +1285,13 @@ func (ws *roundWorkspace) begin(n, blockRows, k, w int) {
 	// multi-gigabyte partitions.
 	if cap(ws.partialSeq) < 2*n {
 		//s2c2:waive noalloc — capacity growth, first round at this n only
-		ws.partialSeq = make([]coding.Partial, 2*n)
+		ws.partialSeq = make([]coding.PartialOf[T], 2*n)
 	}
 	ws.partialSeq = ws.partialSeq[:2*n]
 	ws.partials = ws.partials[:0]
 	if cap(ws.retained) < 2*n {
 		//s2c2:waive noalloc — capacity growth, first round at this n only
-		ws.retained = make([]*Result, 0, 2*n)
+		ws.retained = make([]*ResultOf[T], 0, 2*n)
 	}
 }
 
@@ -1388,18 +1299,18 @@ func (ws *roundWorkspace) begin(n, blockRows, k, w int) {
 // as a decoder partial and advances per-row coverage through the core.
 //
 //s2c2:noalloc
-func (ws *roundWorkspace) addResult(r *Result, elapsed time.Duration) error {
+func (ws *roundWorkspace[T]) addResult(r *ResultOf[T], elapsed time.Duration) error {
 	if err := ws.checkResult(r.Worker, r.Ranges, r.RowWidth, len(r.Values)); err != nil {
 		return err
 	}
-	var p *coding.Partial
+	var p *coding.PartialOf[T]
 	if ws.nPartials < len(ws.partialSeq) {
 		p = &ws.partialSeq[ws.nPartials]
 	} else {
 		// Result-split overflow past 2n partials: falls back to the heap
 		// (see begin); bounded frames beat the 0-alloc property here.
 		//s2c2:waive noalloc
-		p = &coding.Partial{}
+		p = &coding.PartialOf[T]{}
 	}
 	ws.nPartials++
 	p.Worker = r.Worker
@@ -1413,56 +1324,36 @@ func (ws *roundWorkspace) addResult(r *Result, elapsed time.Duration) error {
 	return nil
 }
 
-// gfRoundWorkspace is roundWorkspace for the exact GF(2³¹−1) path.
-type gfRoundWorkspace struct {
-	roundCore
-
-	partialSeq []coding.GFPartial
-	nPartials  int
-	partials   []*coding.GFPartial
-	retained   []*GFResult
-	workMsg    GFWork
+// finish hands the gathered round to the caller: workspace-backed when
+// reuse (MasterConfig.ReuseRound) is set, deep copies otherwise (the
+// pooled receive slots the workspace-backed form aliases are overwritten
+// by the next round, so the default mode must not alias them).
+//
+//s2c2:noalloc
+func (ws *roundWorkspace[T]) finish(reuse bool) ([]*coding.PartialOf[T], *RoundStats, error) {
+	if reuse {
+		return ws.partials, &ws.stats, nil
+	}
+	return copyPartials(ws.partials), ws.copyStats(), nil
 }
 
-//s2c2:noalloc
-func (ws *gfRoundWorkspace) begin(n, blockRows, k, w int) {
-	ws.roundCore.begin(n, blockRows, k, w)
-	ws.nPartials = 0
-	if cap(ws.partialSeq) < 2*n {
-		//s2c2:waive noalloc — capacity growth, first round at this n only
-		ws.partialSeq = make([]coding.GFPartial, 2*n)
+// copyPartials deep-copies a round's partials for the default contract.
+// Deliberately allocating: the copies must survive the next round
+// overwriting the pooled slots ws.partials alias; allocation-free rounds
+// opt into ReuseRound instead.
+//
+//s2c2:noalloc-waive
+func copyPartials[T coding.Element](src []*coding.PartialOf[T]) []*coding.PartialOf[T] {
+	out := make([]*coding.PartialOf[T], len(src))
+	for i, p := range src {
+		out[i] = &coding.PartialOf[T]{
+			Worker:   p.Worker,
+			RowWidth: p.RowWidth,
+			Ranges:   append([]coding.Range(nil), p.Ranges...),
+			Values:   append([]T(nil), p.Values...),
+		}
 	}
-	ws.partialSeq = ws.partialSeq[:2*n]
-	ws.partials = ws.partials[:0]
-	if cap(ws.retained) < 2*n {
-		//s2c2:waive noalloc — capacity growth, first round at this n only
-		ws.retained = make([]*GFResult, 0, 2*n)
-	}
-}
-
-//s2c2:noalloc
-func (ws *gfRoundWorkspace) addResult(r *GFResult, elapsed time.Duration) error {
-	if err := ws.checkResult(r.Worker, r.Ranges, r.RowWidth, len(r.Values)); err != nil {
-		return err
-	}
-	var p *coding.GFPartial
-	if ws.nPartials < len(ws.partialSeq) {
-		p = &ws.partialSeq[ws.nPartials]
-	} else {
-		// Result-split overflow past 2n partials (see begin).
-		//s2c2:waive noalloc
-		p = &coding.GFPartial{}
-	}
-	ws.nPartials++
-	p.Worker = r.Worker
-	p.RowWidth = ws.width
-	p.Ranges = r.Ranges
-	p.Values = r.Values
-	// Amortized: reset to length 0 each round, capacity retained.
-	//s2c2:waive noalloc
-	ws.partials = append(ws.partials, p)
-	ws.noteResult(r.Worker, r.Ranges, elapsed, time.Duration(r.ComputeNanos), r.Partial)
-	return nil
+	return out
 }
 
 // PlanRound builds the next round's plan from the default job's double-
@@ -1482,7 +1373,7 @@ func (j *Job) PlanRound(s sched.Strategy, speeds []float64) (*sched.Plan, error)
 
 // RunRound is RunRoundContext with a background context.
 func (m *Master) RunRound(iter, phase int, x []float64, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return m.def.RunRoundContext(context.Background(), iter, phase, x, plan, k, timeoutFrac)
+	return m.def.float.runRound(context.Background(), iter, phase, x, 1, plan, k, timeoutFrac)
 }
 
 // RunRoundContext sends the plan's assignments for (iter, phase), gathers
@@ -1491,7 +1382,8 @@ func (m *Master) RunRound(iter, phase int, x []float64, plan *sched.Plan, k int,
 // response time before their pending rows are reassigned to finished
 // workers. It returns the collected partials (decode with the encoder)
 // and the round's stats. With ReuseRound set, both alias the master's
-// round workspace and are valid until the next RunRound.
+// round workspace and are valid until the next RunRound. A threshold k
+// outside [1, workers] is an error before anything is sent.
 //
 // The context cancels the round between messages: when ctx is done the
 // round returns its error, abandoning any stragglers (their late results
@@ -1500,12 +1392,12 @@ func (m *Master) RunRound(iter, phase int, x []float64, plan *sched.Plan, k int,
 // parked in the serving wait queue (MaxConcurrentRounds) observes ctx and
 // Shutdown while queued.
 func (m *Master) RunRoundContext(ctx context.Context, iter, phase int, x []float64, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return m.def.runRound(ctx, iter, phase, x, 1, plan, k, timeoutFrac)
+	return m.def.float.runRound(ctx, iter, phase, x, 1, plan, k, timeoutFrac)
 }
 
 // RunRoundBatch is RunRoundBatchContext with a background context.
 func (m *Master) RunRoundBatch(iter, phase int, xs []float64, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return m.def.RunRoundBatchContext(context.Background(), iter, phase, xs, w, plan, k, timeoutFrac)
+	return m.def.float.runRound(context.Background(), iter, phase, xs, w, plan, k, timeoutFrac)
 }
 
 // RunRoundBatchContext runs one batched round: w input vectors
@@ -1517,7 +1409,7 @@ func (m *Master) RunRoundBatch(iter, phase int, xs []float64, w int, plan *sched
 // identical to the single-x round — the same gather core runs both —
 // with coverage counting a row only when all w of its lanes landed.
 func (m *Master) RunRoundBatchContext(ctx context.Context, iter, phase int, xs []float64, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return m.def.RunRoundBatchContext(ctx, iter, phase, xs, w, plan, k, timeoutFrac)
+	return m.def.float.runRound(ctx, iter, phase, xs, w, plan, k, timeoutFrac)
 }
 
 // RunRound / RunRoundContext / RunRoundBatch / RunRoundBatchContext run
@@ -1527,213 +1419,28 @@ func (m *Master) RunRoundBatchContext(ctx context.Context, iter, phase int, xs [
 // ReuseRound set, the returned partials alias this job's own workspace,
 // valid until the job's next round.
 func (j *Job) RunRound(iter, phase int, x []float64, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return j.runRound(context.Background(), iter, phase, x, 1, plan, k, timeoutFrac)
+	return j.float.runRound(context.Background(), iter, phase, x, 1, plan, k, timeoutFrac)
 }
 
 // RunRoundContext is RunRound under a caller context.
 func (j *Job) RunRoundContext(ctx context.Context, iter, phase int, x []float64, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return j.runRound(ctx, iter, phase, x, 1, plan, k, timeoutFrac)
+	return j.float.runRound(ctx, iter, phase, x, 1, plan, k, timeoutFrac)
 }
 
 // RunRoundBatch is RunRoundBatchContext with a background context.
 func (j *Job) RunRoundBatch(iter, phase int, xs []float64, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return j.RunRoundBatchContext(context.Background(), iter, phase, xs, w, plan, k, timeoutFrac)
+	return j.float.runRound(context.Background(), iter, phase, xs, w, plan, k, timeoutFrac)
 }
 
 // RunRoundBatchContext runs one batched round for this job (see
 // Master.RunRoundBatchContext for the width contract).
 func (j *Job) RunRoundBatchContext(ctx context.Context, iter, phase int, xs []float64, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	if err := checkBatchArgs(w, len(xs)); err != nil {
-		return nil, nil, err
-	}
-	return j.runRound(ctx, iter, phase, xs, w, plan, k, timeoutFrac)
-}
-
-// checkBatchArgs validates a batched round's width against the
-// concatenated input length.
-func checkBatchArgs(w, xsLen int) error {
-	if w < 1 || w > maxBatchWidth {
-		return fmt.Errorf("rpc: batch width %d outside [1,%d]", w, maxBatchWidth)
-	}
-	if xsLen%w != 0 {
-		return fmt.Errorf("rpc: batched input length %d not divisible by width %d", xsLen, w)
-	}
-	return nil
-}
-
-//s2c2:noalloc
-func (j *Job) runRound(ctx context.Context, iter, phase int, x []float64, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	m := j.m
-	j.mu.Lock()
-	blockRows := j.blockRows[phase]
-	j.mu.Unlock()
-	if blockRows == 0 {
-		return nil, nil, fmt.Errorf("rpc: phase %d has no distributed partitions", phase)
-	}
-	wp := j.wirePhase(phase)
-	if err := m.acquireRoundSlot(ctx, j); err != nil {
-		return nil, nil, err
-	}
-	defer m.releaseRoundSlot()
-	workers := m.conns()
-	n := len(workers)
-	ws := &j.round
-	m.recycleRound(ws)
-	ws.begin(n, blockRows, k, w)
-	start := time.Now()
-	active := 0
-	for wk, wc := range workers {
-		ranges := plan.Assignments[wk]
-		rows := coding.TotalRows(ranges)
-		if rows == 0 {
-			continue
-		}
-		ws.stats.AssignedRows[wk] = rows
-		ws.workMsg = Work{Job: j.id, Iter: iter, Phase: wp, W: w, X: x, Ranges: ranges}
-		if err := wc.t.sendWork(&ws.workMsg); err != nil {
-			// A send failure is a worker death, not a round abort: note it
-			// and fold its rows back into the plan once every healthy send
-			// is out (repairing mid-loop would misplan — later workers'
-			// assignments are not marked yet).
-			ws.stats.AssignedRows[wk] = 0
-			ws.noteDead(wk)
-			continue
-		}
-		ws.markAssigned(wk, ranges)
-		active++
-	}
-	if len(ws.stats.Recovery.DeadWorkers) > 0 {
-		if err := j.repairRound(ws, workers, iter, wp, x, w); err != nil {
-			return nil, nil, err
-		}
-	} else if active < k {
-		return nil, nil, fmt.Errorf("rpc: plan activates %d workers, decoding needs %d", active, k)
-	}
-
-	// Phase 1: wait for the first k responders (coded computing cannot
-	// decode with fewer).
-	hard := armTimer(&ws.hardTimer, m.stallTimeout())
-	defer hard.Stop()
-	for ws.nResponded < k {
-		select {
-		case r := <-j.results:
-			if r.Iter != iter || r.Phase != wp {
-				m.putResult(r) // stale result from an abandoned round
-				continue
-			}
-			if err := ws.addResult(r, time.Since(start)); err != nil {
-				return nil, nil, err
-			}
-			// Amortized: recycled and reset each round, capacity retained.
-			//s2c2:waive noalloc
-			ws.retained = append(ws.retained, r)
-		case err := <-j.errs:
-			we, ok := err.(*WorkerError)
-			if !ok {
-				return nil, nil, err
-			}
-			if we.Worker >= n || workers[we.Worker] != we.conn {
-				continue // stale: a conn no longer serving this round's slots
-			}
-			ws.noteDead(we.Worker)
-			if err := j.repairRound(ws, workers, iter, wp, x, w); err != nil {
-				return nil, nil, err
-			}
-		case <-m.quit:
-			return nil, nil, fmt.Errorf("rpc: master shut down during round (%d,%d)", iter, phase)
-		case <-ctx.Done():
-			return nil, nil, fmt.Errorf("rpc: round (%d,%d) canceled: %w", iter, phase, ctx.Err())
-		case <-hard.C:
-			return nil, nil, ws.stallError(fmt.Sprintf("round (%d,%d) stalled waiting for %d responders", iter, phase, k))
-		}
-	}
-	if ws.needed == 0 {
-		m.noteRoundOutcome(&ws.roundCore, workers)
-		return m.finishRound(ws)
-	}
-
-	// Phase 2: grace window = timeoutFrac × mean response of the first k;
-	// when it expires, pending coverage is reassigned to responders and
-	// the round keeps collecting until coverage completes.
-	grace := armTimer(&ws.graceTimer, ws.graceWindow(k, timeoutFrac))
-	defer grace.Stop()
-	for ws.needed > 0 {
-		select {
-		case r := <-j.results:
-			if r.Iter != iter || r.Phase != wp {
-				m.putResult(r)
-				continue
-			}
-			if err := ws.addResult(r, time.Since(start)); err != nil {
-				return nil, nil, err
-			}
-			// Amortized: recycled and reset each round, capacity retained.
-			//s2c2:waive noalloc
-			ws.retained = append(ws.retained, r)
-		case err := <-j.errs:
-			we, ok := err.(*WorkerError)
-			if !ok {
-				return nil, nil, err
-			}
-			if we.Worker >= n || workers[we.Worker] != we.conn {
-				continue // stale: a conn no longer serving this round's slots
-			}
-			ws.noteDead(we.Worker)
-			if err := j.repairRound(ws, workers, iter, wp, x, w); err != nil {
-				return nil, nil, err
-			}
-		case <-m.quit:
-			return nil, nil, fmt.Errorf("rpc: master shut down during round (%d,%d)", iter, phase)
-		case <-ctx.Done():
-			return nil, nil, fmt.Errorf("rpc: round (%d,%d) canceled: %w", iter, phase, ctx.Err())
-		case <-grace.C:
-			// Timeout fired: reassign pending coverage to responders
-			// (reassigned results arrive tagged with the same iter/phase,
-			// so the same collection loop finishes the round). A send that
-			// fails here is a death, absorbed by the repair planner.
-			lost, err := j.reassign(ws, workers, iter, wp, x, w)
-			if err != nil {
-				return nil, nil, err
-			}
-			if lost {
-				if err := j.repairRound(ws, workers, iter, wp, x, w); err != nil {
-					return nil, nil, err
-				}
-			}
-		case <-hard.C:
-			return nil, nil, ws.stallError(fmt.Sprintf("round (%d,%d) stalled", iter, phase))
-		}
-	}
-	m.noteRoundOutcome(&ws.roundCore, workers)
-	return m.finishRound(ws)
+	return j.float.runRound(ctx, iter, phase, xs, w, plan, k, timeoutFrac)
 }
 
 // RunGFRound is RunGFRoundContext with a background context.
 func (m *Master) RunGFRound(iter, phase int, x []gf.Elem, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return m.RunGFRoundContext(context.Background(), iter, phase, x, plan, k, timeoutFrac)
-}
-
-// RunGFRound runs one exact GF(2³¹−1) round for this job.
-func (j *Job) RunGFRound(iter, phase int, x []gf.Elem, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return j.RunGFRoundContext(context.Background(), iter, phase, x, plan, k, timeoutFrac)
-}
-
-// RunGFRoundContext runs one exact GF(2³¹−1) round for this job under ctx.
-func (j *Job) RunGFRoundContext(ctx context.Context, iter, phase int, x []gf.Elem, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return j.runGFRound(ctx, iter, phase, x, 1, plan, k, timeoutFrac)
-}
-
-// RunGFRoundBatch runs one batched exact round for this job.
-func (j *Job) RunGFRoundBatch(iter, phase int, xs []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return j.RunGFRoundBatchContext(context.Background(), iter, phase, xs, w, plan, k, timeoutFrac)
-}
-
-// RunGFRoundBatchContext runs one batched exact round for this job under ctx.
-func (j *Job) RunGFRoundBatchContext(ctx context.Context, iter, phase int, xs []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	if err := checkBatchArgs(w, len(xs)); err != nil {
-		return nil, nil, err
-	}
-	return j.runGFRound(ctx, iter, phase, xs, w, plan, k, timeoutFrac)
+	return m.def.exact.runRound(context.Background(), iter, phase, x, 1, plan, k, timeoutFrac)
 }
 
 // RunGFRoundContext is RunRoundContext over GF(2³¹−1): it broadcasts the
@@ -1744,12 +1451,12 @@ func (j *Job) RunGFRoundBatchContext(ctx context.Context, iter, phase int, xs []
 // coding.CompleteGFShares). With ReuseRound set, the partials and stats
 // alias the master's GF round workspace until the next RunGFRound.
 func (m *Master) RunGFRoundContext(ctx context.Context, iter, phase int, x []gf.Elem, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return m.def.runGFRound(ctx, iter, phase, x, 1, plan, k, timeoutFrac)
+	return m.def.exact.runRound(ctx, iter, phase, x, 1, plan, k, timeoutFrac)
 }
 
 // RunGFRoundBatch is RunGFRoundBatchContext with a background context.
 func (m *Master) RunGFRoundBatch(iter, phase int, xs []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return m.RunGFRoundBatchContext(context.Background(), iter, phase, xs, w, plan, k, timeoutFrac)
+	return m.def.exact.runRound(context.Background(), iter, phase, xs, w, plan, k, timeoutFrac)
 }
 
 // RunGFRoundBatchContext is RunRoundBatchContext over GF(2³¹−1): one
@@ -1758,20 +1465,64 @@ func (m *Master) RunGFRoundBatch(iter, phase int, xs []gf.Elem, w int, plan *sch
 // equal to a single-x round over xs[l*cols : (l+1)*cols] — batching
 // changes throughput, never values.
 func (m *Master) RunGFRoundBatchContext(ctx context.Context, iter, phase int, xs []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	if err := checkBatchArgs(w, len(xs)); err != nil {
-		return nil, nil, err
-	}
-	return m.def.runGFRound(ctx, iter, phase, xs, w, plan, k, timeoutFrac)
+	return m.def.exact.runRound(ctx, iter, phase, xs, w, plan, k, timeoutFrac)
 }
 
+// RunGFRound runs one exact GF(2³¹−1) round for this job.
+func (j *Job) RunGFRound(iter, phase int, x []gf.Elem, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
+	return j.exact.runRound(context.Background(), iter, phase, x, 1, plan, k, timeoutFrac)
+}
+
+// RunGFRoundContext runs one exact GF(2³¹−1) round for this job under ctx.
+func (j *Job) RunGFRoundContext(ctx context.Context, iter, phase int, x []gf.Elem, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
+	return j.exact.runRound(ctx, iter, phase, x, 1, plan, k, timeoutFrac)
+}
+
+// RunGFRoundBatch runs one batched exact round for this job.
+func (j *Job) RunGFRoundBatch(iter, phase int, xs []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
+	return j.exact.runRound(context.Background(), iter, phase, xs, w, plan, k, timeoutFrac)
+}
+
+// RunGFRoundBatchContext runs one batched exact round for this job under ctx.
+func (j *Job) RunGFRoundBatchContext(ctx context.Context, iter, phase int, xs []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
+	return j.exact.runRound(ctx, iter, phase, xs, w, plan, k, timeoutFrac)
+}
+
+// checkBatchArgs validates a round's batch width against the
+// concatenated input length (width 1 is the single-x round).
+func checkBatchArgs(w, xsLen int) error {
+	if w < 1 || w > maxBatchWidth {
+		return fmt.Errorf("rpc: batch width %d outside [1,%d]", w, maxBatchWidth)
+	}
+	if xsLen%w != 0 {
+		return fmt.Errorf("rpc: batched input length %d not divisible by width %d", xsLen, w)
+	}
+	return nil
+}
+
+// runRound is the round engine behind every Run*Round* method, over
+// either element type: send the plan, gather to coverage k under the
+// §4.3 grace timeout and reassignment, fold dead workers' rows back in.
+//
 //s2c2:noalloc
-func (j *Job) runGFRound(ctx context.Context, iter, phase int, x []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	m := j.m
+func (l *jobLane[C, T]) runRound(ctx context.Context, iter, phase int, x []T, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.PartialOf[T], *RoundStats, error) {
+	if err := checkBatchArgs(w, len(x)); err != nil {
+		return nil, nil, err
+	}
+	var ec C
+	label := ec.spec().label
+	j, m := l.j, l.j.m
+	// A threshold outside [1, n] could never be met: k < 1 would divide
+	// the grace window by zero or never plan extras, k > n would wait out
+	// the stall timeout.
+	if n := len(m.conns()); k < 1 || k > n {
+		return nil, nil, fmt.Errorf("rpc: decode threshold k=%d outside [1,%d]", k, n)
+	}
 	j.mu.Lock()
-	blockRows := j.gfBlockRows[phase]
+	blockRows := l.blockRows[phase]
 	j.mu.Unlock()
 	if blockRows == 0 {
-		return nil, nil, fmt.Errorf("rpc: phase %d has no distributed GF partitions", phase)
+		return nil, nil, fmt.Errorf("rpc: phase %d has no distributed %spartitions", phase, label)
 	}
 	wp := j.wirePhase(phase)
 	if err := m.acquireRoundSlot(ctx, j); err != nil {
@@ -1780,9 +1531,10 @@ func (j *Job) runGFRound(ctx context.Context, iter, phase int, x []gf.Elem, w in
 	defer m.releaseRoundSlot()
 	workers := m.conns()
 	n := len(workers)
-	ws := &j.gfRound
-	m.recycleGFRound(ws)
+	ws := &l.round
+	l.recycle()
 	ws.begin(n, blockRows, k, w)
+	defer ws.stopTimers()
 	start := time.Now()
 	active := 0
 	for wk, wc := range workers {
@@ -1792,75 +1544,39 @@ func (j *Job) runGFRound(ctx context.Context, iter, phase int, x []gf.Elem, w in
 			continue
 		}
 		ws.stats.AssignedRows[wk] = rows
-		ws.workMsg = GFWork{Job: j.id, Iter: iter, Phase: wp, W: w, X: x, Ranges: ranges}
-		if err := wc.t.sendGFWork(&ws.workMsg); err != nil {
-			// Send failure = worker death; fold its rows back in after the
-			// healthy sends are out (see runRound).
+		if !l.send(wc, wk, iter, wp, x, w, ranges) {
+			// A send failure is a worker death, not a round abort: fold its
+			// rows back into the plan once every healthy send is out
+			// (repairing mid-loop would misplan — later workers'
+			// assignments are not marked yet).
 			ws.stats.AssignedRows[wk] = 0
-			ws.noteDead(wk)
 			continue
 		}
-		ws.markAssigned(wk, ranges)
 		active++
 	}
 	if len(ws.stats.Recovery.DeadWorkers) > 0 {
-		if err := j.repairGFRound(ws, workers, iter, wp, x, w); err != nil {
+		if err := l.repair(workers, iter, wp, x, w); err != nil {
 			return nil, nil, err
 		}
 	} else if active < k {
 		return nil, nil, fmt.Errorf("rpc: plan activates %d workers, decoding needs %d", active, k)
 	}
 
-	// Phase 1: wait for the first k responders.
+	// Phase 1 waits for the first k responders (coded computing cannot
+	// decode with fewer). Phase 2 then arms the grace window — timeoutFrac
+	// × mean response of the first k — and, when it expires, reassigns
+	// pending coverage to responders; the round keeps collecting until
+	// coverage completes.
 	hard := armTimer(&ws.hardTimer, m.stallTimeout())
-	defer hard.Stop()
-	for ws.nResponded < k {
-		select {
-		case r := <-j.gfResults:
-			if r.Iter != iter || r.Phase != wp {
-				m.putGFResult(r) // stale result from an abandoned round
-				continue
-			}
-			if err := ws.addResult(r, time.Since(start)); err != nil {
-				return nil, nil, err
-			}
-			// Amortized: recycled and reset each round, capacity retained.
-			//s2c2:waive noalloc
-			ws.retained = append(ws.retained, r)
-		case err := <-j.errs:
-			we, ok := err.(*WorkerError)
-			if !ok {
-				return nil, nil, err
-			}
-			if we.Worker >= n || workers[we.Worker] != we.conn {
-				continue // stale: a conn no longer serving this round's slots
-			}
-			ws.noteDead(we.Worker)
-			if err := j.repairGFRound(ws, workers, iter, wp, x, w); err != nil {
-				return nil, nil, err
-			}
-		case <-m.quit:
-			return nil, nil, fmt.Errorf("rpc: master shut down during GF round (%d,%d)", iter, phase)
-		case <-ctx.Done():
-			return nil, nil, fmt.Errorf("rpc: GF round (%d,%d) canceled: %w", iter, phase, ctx.Err())
-		case <-hard.C:
-			return nil, nil, ws.stallError(fmt.Sprintf("GF round (%d,%d) stalled waiting for %d responders", iter, phase, k))
+	var grace <-chan time.Time // nil (blocking) until phase 2
+	for ws.nResponded < k || ws.needed > 0 {
+		if grace == nil && ws.nResponded >= k {
+			grace = armTimer(&ws.graceTimer, ws.graceWindow(k, timeoutFrac)).C
 		}
-	}
-	if ws.needed == 0 {
-		m.noteRoundOutcome(&ws.roundCore, workers)
-		return m.finishGFRound(ws)
-	}
-
-	// Phase 2: grace window, reassignment, and collection to coverage —
-	// the same semantics as the float64 round, through the shared core.
-	grace := armTimer(&ws.graceTimer, ws.graceWindow(k, timeoutFrac))
-	defer grace.Stop()
-	for ws.needed > 0 {
 		select {
-		case r := <-j.gfResults:
+		case r := <-l.results:
 			if r.Iter != iter || r.Phase != wp {
-				m.putGFResult(r)
+				l.putResult(r) // stale result from an abandoned round
 				continue
 			}
 			if err := ws.addResult(r, time.Since(start)); err != nil {
@@ -1878,165 +1594,74 @@ func (j *Job) runGFRound(ctx context.Context, iter, phase int, x []gf.Elem, w in
 				continue // stale: a conn no longer serving this round's slots
 			}
 			ws.noteDead(we.Worker)
-			if err := j.repairGFRound(ws, workers, iter, wp, x, w); err != nil {
+			if err := l.repair(workers, iter, wp, x, w); err != nil {
 				return nil, nil, err
 			}
 		case <-m.quit:
-			return nil, nil, fmt.Errorf("rpc: master shut down during GF round (%d,%d)", iter, phase)
+			return nil, nil, fmt.Errorf("rpc: master shut down during %sround (%d,%d)", label, iter, phase)
 		case <-ctx.Done():
-			return nil, nil, fmt.Errorf("rpc: GF round (%d,%d) canceled: %w", iter, phase, ctx.Err())
-		case <-grace.C:
-			lost, err := j.reassignGF(ws, workers, iter, wp, x, w)
-			if err != nil {
+			return nil, nil, fmt.Errorf("rpc: %sround (%d,%d) canceled: %w", label, iter, phase, ctx.Err())
+		case <-grace:
+			// Timeout fired: reassign pending coverage to responders
+			// (reassigned results arrive tagged with the same iter/phase,
+			// so the same collection loop finishes the round). Reassigned
+			// rows are recomputed at the round's batch width, every lane. A
+			// send that fails here is a death, absorbed by the repair
+			// planner.
+			if err := ws.planExtras(); err != nil {
 				return nil, nil, err
 			}
+			rows, lost := l.sendExtras(workers, iter, wp, x, w)
+			ws.stats.Reassigned += rows
 			if lost {
-				if err := j.repairGFRound(ws, workers, iter, wp, x, w); err != nil {
+				if err := l.repair(workers, iter, wp, x, w); err != nil {
 					return nil, nil, err
 				}
 			}
 		case <-hard.C:
-			return nil, nil, ws.stallError(fmt.Sprintf("GF round (%d,%d) stalled", iter, phase))
+			return nil, nil, ws.stallError(fmt.Sprintf("%sround (%d,%d) stalled", label, iter, phase))
 		}
 	}
 	m.noteRoundOutcome(&ws.roundCore, workers)
-	return m.finishGFRound(ws)
+	return ws.finish(m.cfg.ReuseRound)
 }
 
-// recycleRound returns the previous round's pooled result slots to the
-// receive pool. Callers of the previous RunRound have released its
-// partials by contract (ReuseRound) or received copies (default), so the
-// slots are free for the readLoops to decode into again.
+// send ships one assignment to worker wk through the workspace's reusable
+// send struct and marks the rows assigned; a failed send notes the worker
+// dead and reports false.
 //
 //s2c2:noalloc
-func (m *Master) recycleRound(ws *roundWorkspace) {
-	for i, r := range ws.retained {
-		m.putResult(r)
-		ws.retained[i] = nil
+func (l *jobLane[C, T]) send(wc *workerConn, wk, iter, phase int, x []T, bw int, ranges []coding.Range) bool {
+	ws := &l.round
+	ws.workMsg = WorkOf[T]{Job: l.j.id, Iter: iter, Phase: phase, W: bw, X: x, Ranges: ranges}
+	if err := wc.t.sendWork(&ws.workMsg); err != nil {
+		ws.noteDead(wk)
+		return false
 	}
-	ws.retained = ws.retained[:0]
+	ws.markAssigned(wk, ranges)
+	return true
 }
 
-// recycleGFRound is recycleRound for the GF workspace.
+// sendExtras sends the extra ranges planExtras or planRepair put in the
+// workspace, folding each delivered worker's rows into its assignment. It
+// returns the rows sent and whether a send failed — that worker is noted
+// dead and its extras skipped, for the repair planner to re-cover.
 //
 //s2c2:noalloc
-func (m *Master) recycleGFRound(ws *gfRoundWorkspace) {
-	for i, r := range ws.retained {
-		m.putGFResult(r)
-		ws.retained[i] = nil
-	}
-	ws.retained = ws.retained[:0]
-}
-
-// finishRound hands the gathered round to the caller: workspace-backed
-// when ReuseRound is set, deep copies otherwise (the pooled receive slots
-// the workspace-backed form aliases are overwritten by the next round, so
-// the default mode must not alias them).
-//
-//s2c2:noalloc
-func (m *Master) finishRound(ws *roundWorkspace) ([]*coding.Partial, *RoundStats, error) {
-	if m.cfg.ReuseRound {
-		return ws.partials, &ws.stats, nil
-	}
-	return copyPartials(ws.partials), ws.copyStats(), nil
-}
-
-// copyPartials deep-copies a round's partials for the default contract.
-// Deliberately allocating: the copies must survive the next round
-// overwriting the pooled slots ws.partials alias; allocation-free rounds
-// opt into ReuseRound instead.
-//
-//s2c2:noalloc-waive
-func copyPartials(src []*coding.Partial) []*coding.Partial {
-	out := make([]*coding.Partial, len(src))
-	for i, p := range src {
-		out[i] = &coding.Partial{
-			Worker:   p.Worker,
-			RowWidth: p.RowWidth,
-			Ranges:   append([]coding.Range(nil), p.Ranges...),
-			Values:   append([]float64(nil), p.Values...),
-		}
-	}
-	return out
-}
-
-// finishGFRound is finishRound for the exact path.
-//
-//s2c2:noalloc
-func (m *Master) finishGFRound(ws *gfRoundWorkspace) ([]*coding.GFPartial, *RoundStats, error) {
-	if m.cfg.ReuseRound {
-		return ws.partials, &ws.stats, nil
-	}
-	return copyGFPartials(ws.partials), ws.copyStats(), nil
-}
-
-// copyGFPartials is copyPartials for the exact path.
-//
-//s2c2:noalloc-waive
-func copyGFPartials(src []*coding.GFPartial) []*coding.GFPartial {
-	out := make([]*coding.GFPartial, len(src))
-	for i, p := range src {
-		out[i] = &coding.GFPartial{
-			Worker:   p.Worker,
-			RowWidth: p.RowWidth,
-			Ranges:   append([]coding.Range(nil), p.Ranges...),
-			Values:   append([]gf.Elem(nil), p.Values...),
-		}
-	}
-	return out
-}
-
-// reassign routes uncovered rows to responders via the core's plan and
-// sends the extra float64 work assignments (at the round's batch width —
-// reassigned rows need all their lanes recomputed like any others). A
-// responder that dies at send time is noted dead and its extras skipped;
-// lost reports whether that happened so the caller can run the repair
-// planner over the remaining deficit.
-//
-//s2c2:noalloc
-func (j *Job) reassign(ws *roundWorkspace, workers []*workerConn, iter, phase int, x []float64, bw int) (lost bool, err error) {
-	if err := ws.planExtras(); err != nil {
-		return false, err
-	}
+func (l *jobLane[C, T]) sendExtras(workers []*workerConn, iter, phase int, x []T, bw int) (rows int, lost bool) {
+	ws := &l.round
 	for w, ranges := range ws.extraRanges {
 		if len(ranges) == 0 {
 			continue
 		}
-		ws.workMsg = Work{Job: j.id, Iter: iter, Phase: phase, W: bw, X: x, Ranges: ranges}
-		if err := workers[w].t.sendWork(&ws.workMsg); err != nil {
-			ws.noteDead(w)
+		if !l.send(workers[w], w, iter, phase, x, bw, ranges) {
 			lost = true
 			continue
 		}
-		ws.markAssigned(w, ranges)
 		ws.stats.AssignedRows[w] += ws.extraRows[w]
-		ws.stats.Reassigned += ws.extraRows[w]
+		rows += ws.extraRows[w]
 	}
-	return lost, nil
-}
-
-// reassignGF is reassign for the exact path.
-//
-//s2c2:noalloc
-func (j *Job) reassignGF(ws *gfRoundWorkspace, workers []*workerConn, iter, phase int, x []gf.Elem, bw int) (lost bool, err error) {
-	if err := ws.planExtras(); err != nil {
-		return false, err
-	}
-	for w, ranges := range ws.extraRanges {
-		if len(ranges) == 0 {
-			continue
-		}
-		ws.workMsg = GFWork{Job: j.id, Iter: iter, Phase: phase, W: bw, X: x, Ranges: ranges}
-		if err := workers[w].t.sendGFWork(&ws.workMsg); err != nil {
-			ws.noteDead(w)
-			lost = true
-			continue
-		}
-		ws.markAssigned(w, ranges)
-		ws.stats.AssignedRows[w] += ws.extraRows[w]
-		ws.stats.Reassigned += ws.extraRows[w]
-	}
-	return lost, nil
+	return rows, lost
 }
 
 // sortDurations is an ascending insertion sort (short slices, no closure

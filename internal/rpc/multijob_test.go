@@ -528,8 +528,8 @@ func TestMultiJobWireRoundZeroAllocsSteadyState(t *testing.T) {
 	runRound := func(i int) {
 		j := jobs[i]
 		wp := j.wirePhase(0)
-		ws := &j.round
-		m.recycleRound(ws)
+		ws := &j.float.round
+		j.float.recycle()
 		ws.begin(n, enc.BlockRows, k, 1)
 		for w := 0; w < n; w++ {
 			ws.workMsg = Work{Job: j.id, Iter: 0, Phase: wp, X: x, Ranges: assignment}
@@ -550,7 +550,7 @@ func TestMultiJobWireRoundZeroAllocsSteadyState(t *testing.T) {
 			if owner != j {
 				t.Fatalf("result for job %d routed to job %d", j.id, owner.id)
 			}
-			r := m.getResult()
+			r := fromPool[Result](&j.float.pool)
 			*r, msg.Result = msg.Result, *r
 			if err := ws.addResult(r, time.Millisecond); err != nil {
 				t.Fatal(err)
@@ -560,7 +560,7 @@ func TestMultiJobWireRoundZeroAllocsSteadyState(t *testing.T) {
 		if ws.needed != 0 {
 			t.Fatal("fixture round did not reach coverage")
 		}
-		partials, _, err := m.finishRound(ws)
+		partials, _, err := ws.finish(m.cfg.ReuseRound)
 		if err != nil {
 			t.Fatal(err)
 		}

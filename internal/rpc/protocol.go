@@ -89,7 +89,7 @@ type PartitionStart struct {
 // PartitionChunk carries rows [Lo, Hi) of a streamed partition. Only the
 // header is received with the message: the row data stays in the
 // connection's stream until the worker, having validated the header, reads
-// it straight into the partition matrix (Msg.ChunkInto).
+// it straight into the partition matrix (workerLane.store).
 type PartitionChunk struct {
 	Phase  int
 	Seq    int
@@ -103,7 +103,7 @@ type PartitionAck struct {
 	Seq   int
 }
 
-// Work assigns row ranges for one round. W is the round's batch width:
+// WorkOf assigns row ranges for one round. W is the round's batch width:
 // the number of input vectors concatenated in X (x_l at
 // X[l*cols : (l+1)*cols]). W ≤ 1 is the classic single-x round; batched
 // rounds (W > 1) ship as a distinct frame type so the single-x encoding
@@ -115,16 +115,23 @@ type PartitionAck struct {
 // the pre-job encoding; other jobs use the TypeJob* frames, which always
 // carry both the job id and the width. recv normalizes Job to 0 on
 // untagged messages.
-type Work struct {
+type WorkOf[T coding.Element] struct {
 	Job    int
 	Iter   int
 	Phase  int
 	W      int
-	X      []float64
+	X      []T
 	Ranges []coding.Range
 }
 
-// Result returns the computed rows. A result larger than the worker's
+// Work is a float64 assignment; GFWork assigns rows of a GF(2³¹−1)
+// partition against field-element input vectors.
+type (
+	Work   = WorkOf[float64]
+	GFWork = WorkOf[gf.Elem]
+)
+
+// ResultOf returns the computed rows. A result larger than the worker's
 // MaxResultRows arrives as several messages; every segment but the last
 // sets Partial, so the master counts the worker as responded — and
 // records its response time for the §4.3 timeout and the speed predictor
@@ -138,7 +145,7 @@ type Work struct {
 // Job echoes the Work's job id so the master's read loop can route the
 // result to the owning job's round; it is 0 (and normalized to 0 by recv)
 // on untagged traffic.
-type Result struct {
+type ResultOf[T coding.Element] struct {
 	Job          int
 	Iter         int
 	Phase        int
@@ -146,37 +153,15 @@ type Result struct {
 	Partial      bool
 	RowWidth     int
 	Ranges       []coding.Range
-	Values       []float64
+	Values       []T
 	ComputeNanos int64
 }
 
-// GFWork assigns field-element row ranges for one exact round. X is the
-// round's input vector over GF(2³¹−1) — or, when W > 1, the round's W
-// input vectors concatenated (the batched mirror of Work.W). Job follows
-// the same tagging contract as Work.Job.
-type GFWork struct {
-	Job    int
-	Iter   int
-	Phase  int
-	W      int
-	X      []gf.Elem
-	Ranges []coding.Range
-}
-
-// GFResult returns the computed field-element rows — the exact mirror of
-// Result, including the split-result Partial contract, the RowWidth
-// batched-values layout, and the Job routing tag.
-type GFResult struct {
-	Job          int
-	Iter         int
-	Phase        int
-	Worker       int
-	Partial      bool
-	RowWidth     int
-	Ranges       []coding.Range
-	Values       []gf.Elem
-	ComputeNanos int64
-}
+// Result carries float64 rows; GFResult carries field-element rows.
+type (
+	Result   = ResultOf[float64]
+	GFResult = ResultOf[gf.Elem]
+)
 
 // Msg is a reusable receive slot: wireConn.recv decodes the next message
 // into it, overwriting slice fields in place (capacity is retained across
@@ -196,43 +181,22 @@ type Msg struct {
 	GFWork    GFWork
 	GFResult  GFResult
 
-	// chunk is the cursor over the unread row payload of a
-	// PartitionChunk or GFPartitionChunk until ChunkInto/GFChunkInto
-	// drains it into the destination rows. (GF chunks reuse the PartStart/
-	// PartChunk header structs; the Kind disambiguates.)
+	// chunk is the cursor over the unread row payload of a partition chunk
+	// (either element type; the Kind disambiguates) until the worker's
+	// store drains it into the destination rows.
 	chunk *wire.Payload
 }
 
-// ChunkInto reads the pending partition chunk's row data into dst, the
-// caller-owned matrix rows [Lo, Hi): the element count is checked against
-// len(dst) and against the frame's size first, then the bytes move from
-// the connection's read buffer — and, past what it holds, from the socket
-// — directly into dst. A body that ends short is an error with dst partly
-// written; the caller must not publish it. ChunkInto drains the chunk: a
-// second call (or a call on a message that is not a partition chunk) is
-// an error.
+// fromPool returns a recycled slot from p, or a fresh one on a pool miss.
 //
 //s2c2:noalloc
-func (m *Msg) ChunkInto(dst []float64) error {
-	if m.chunk == nil {
-		return fmt.Errorf("rpc: no pending chunk payload")
+func fromPool[V any](p *sync.Pool) *V {
+	if v := p.Get(); v != nil {
+		return v.(*V)
 	}
-	p := m.chunk
-	m.chunk = nil
-	return p.Float64sInto(dst)
-}
-
-// GFChunkInto is ChunkInto for a GF partition chunk: the pending uint32
-// payload lands straight in the destination field-element rows.
-//
-//s2c2:noalloc
-func (m *Msg) GFChunkInto(dst []gf.Elem) error {
-	if m.chunk == nil {
-		return fmt.Errorf("rpc: no pending chunk payload")
-	}
-	p := m.chunk
-	m.chunk = nil
-	return p.Uint32sInto(gf.AsUint32s(dst))
+	// Pool miss: mints the slot the pool will recycle from then on.
+	//s2c2:waive noalloc
+	return new(V)
 }
 
 // maxRPCFrame is the frame-body cap the rpc transport accepts — larger
@@ -306,91 +270,99 @@ func (c *wireConn) sendHello(h *Hello) error {
 	return c.end()
 }
 
-// sendWork frames a single-x assignment as TypeWork — byte-identical to
-// the pre-batch encoding — and a batched one (W > 1) as TypeWorkBatch
-// with the width field ahead of the concatenated x-vectors. A non-default
-// job's assignment (Job != 0) travels as TypeJobWork, which carries the
-// job id and the width at every width, so job 0's traffic never changes
-// shape for old workers.
+// sendWork frames an assignment of either element type (*Work or
+// *GFWork; the element type picks the frame family once per frame). A
+// single-x assignment travels as TypeWork/TypeGFWork — byte-identical to
+// the pre-batch encoding — and a batched one (W > 1) as the family's
+// batch frame with the width field ahead of the concatenated x-vectors. A
+// non-default job's assignment (Job != 0) travels as the family's job
+// frame, which carries the job id and the width at every width, so job
+// 0's traffic never changes shape for old workers.
 //
 //s2c2:noalloc
-func (c *wireConn) sendWork(wk *Work) error {
+func (c *wireConn) sendWork(wk any) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if wk.Job != 0 {
-		c.w.Begin(wire.TypeJobWork)
-		c.w.Int(wk.Job)
-		c.w.Int(wk.Iter)
-		c.w.Int(wk.Phase)
-		c.w.Int(wk.W)
-		c.w.Float64s(wk.X)
-		writeRanges(c.w, wk.Ranges)
-		return c.end()
+	switch wk := wk.(type) {
+	case *Work:
+		putWork[floatCodec](c.w, wk)
+	case *GFWork:
+		putWork[gfCodec](c.w, wk)
+	default:
+		return fmt.Errorf("rpc: sendWork of %T", wk)
 	}
-	if wk.W > 1 {
-		c.w.Begin(wire.TypeWorkBatch)
-		c.w.Int(wk.Iter)
-		c.w.Int(wk.Phase)
-		c.w.Int(wk.W)
-		c.w.Float64s(wk.X)
-		writeRanges(c.w, wk.Ranges)
-		return c.end()
-	}
-	c.w.Begin(wire.TypeWork)
-	c.w.Int(wk.Iter)
-	c.w.Int(wk.Phase)
-	c.w.Float64s(wk.X)
-	writeRanges(c.w, wk.Ranges)
 	return c.end()
 }
 
-// sendResult frames a single-x result as TypeResult (unchanged encoding)
-// and a batched one (RowWidth > 1) as TypeResultBatch with the width
-// field ahead of the ranges and row-major width-wide values. A tagged
-// job's result (Job != 0) echoes the job id on TypeJobResult, width field
-// always present.
+func putWork[C codec[T], T coding.Element](w *wire.Writer, wk *WorkOf[T]) {
+	var ec C
+	f := ec.spec()
+	switch {
+	case wk.Job != 0:
+		w.Begin(f.jobWork)
+		w.Int(wk.Job)
+	case wk.W > 1:
+		w.Begin(f.workBatch)
+	default:
+		w.Begin(f.work)
+	}
+	w.Int(wk.Iter)
+	w.Int(wk.Phase)
+	if wk.Job != 0 || wk.W > 1 {
+		w.Int(wk.W)
+	}
+	ec.put(w, wk.X)
+	writeRanges(w, wk.Ranges)
+}
+
+// sendResult frames a result of either element type (*Result or
+// *GFResult): single-x as TypeResult/TypeGFResult (unchanged encoding),
+// batched (RowWidth > 1) as the family's batch frame with the width field
+// ahead of the ranges and row-major width-wide values. A tagged job's
+// result (Job != 0) echoes the job id on the family's job frame, width
+// field always present.
 //
 //s2c2:noalloc
-func (c *wireConn) sendResult(r *Result) error {
+func (c *wireConn) sendResult(r any) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if r.Job != 0 {
-		c.w.Begin(wire.TypeJobResult)
-		c.w.Int(r.Job)
-		c.w.Int(r.Iter)
-		c.w.Int(r.Phase)
-		c.w.Int(r.Worker)
-		if r.Partial {
-			c.w.Uvarint(1)
-		} else {
-			c.w.Uvarint(0)
-		}
-		c.w.Uvarint(uint64(r.ComputeNanos))
-		c.w.Int(r.RowWidth)
-		writeRanges(c.w, r.Ranges)
-		c.w.Float64s(r.Values)
-		return c.end()
+	switch r := r.(type) {
+	case *Result:
+		putResult[floatCodec](c.w, r)
+	case *GFResult:
+		putResult[gfCodec](c.w, r)
+	default:
+		return fmt.Errorf("rpc: sendResult of %T", r)
 	}
-	if r.RowWidth > 1 {
-		c.w.Begin(wire.TypeResultBatch)
-	} else {
-		c.w.Begin(wire.TypeResult)
-	}
-	c.w.Int(r.Iter)
-	c.w.Int(r.Phase)
-	c.w.Int(r.Worker)
-	if r.Partial {
-		c.w.Uvarint(1)
-	} else {
-		c.w.Uvarint(0)
-	}
-	c.w.Uvarint(uint64(r.ComputeNanos))
-	if r.RowWidth > 1 {
-		c.w.Int(r.RowWidth)
-	}
-	writeRanges(c.w, r.Ranges)
-	c.w.Float64s(r.Values)
 	return c.end()
+}
+
+func putResult[C codec[T], T coding.Element](w *wire.Writer, r *ResultOf[T]) {
+	var ec C
+	f := ec.spec()
+	switch {
+	case r.Job != 0:
+		w.Begin(f.jobResult)
+		w.Int(r.Job)
+	case r.RowWidth > 1:
+		w.Begin(f.resultBatch)
+	default:
+		w.Begin(f.result)
+	}
+	w.Int(r.Iter)
+	w.Int(r.Phase)
+	w.Int(r.Worker)
+	partial := uint64(0)
+	if r.Partial {
+		partial = 1
+	}
+	w.Uvarint(partial)
+	w.Uvarint(uint64(r.ComputeNanos))
+	if r.Job != 0 || r.RowWidth > 1 {
+		w.Int(r.RowWidth)
+	}
+	writeRanges(w, r.Ranges)
+	ec.put(w, r.Values)
 }
 
 func (c *wireConn) sendShutdown() error {
@@ -421,10 +393,12 @@ func (c *wireConn) sendPong() error {
 	return c.end()
 }
 
-func (c *wireConn) sendPartitionStart(p *PartitionStart) error {
+// sendPartitionStart announces a streamed partition on typ, its element
+// type's start frame.
+func (c *wireConn) sendPartitionStart(typ wire.Type, p *PartitionStart) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.w.Begin(wire.TypePartitionStart)
+	c.w.Begin(typ)
 	c.w.Int(p.Phase)
 	c.w.Int(p.Seq)
 	c.w.Int(p.Rows)
@@ -434,19 +408,20 @@ func (c *wireConn) sendPartitionStart(p *PartitionStart) error {
 }
 
 // sendPartitionChunk frames the chunk header in the Writer and borrows the
-// row bytes straight from the partition: header and rows leave in one
+// row elements straight from the partition: header and rows leave in one
 // vectored write under one deadline, with no staging copy of the rows.
 //
 //s2c2:noalloc
-func (c *wireConn) sendPartitionChunk(phase, seq, lo, hi int, data []float64) error {
+func sendPartitionChunk[C codec[T], T coding.Element](c *wireConn, phase, seq, lo, hi int, data []T) error {
+	var ec C
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.w.Begin(wire.TypePartitionChunk)
+	c.w.Begin(ec.spec().partChunk)
 	c.w.Int(phase)
 	c.w.Int(seq)
 	c.w.Int(lo)
 	c.w.Int(hi)
-	c.w.Float64sTail(data)
+	ec.putTail(c.w, data)
 	return c.end()
 }
 
@@ -471,105 +446,6 @@ func (c *wireConn) sendPartitionAck(phase, seq int) error {
 }
 
 //s2c2:noalloc
-func (c *wireConn) sendGFWork(wk *GFWork) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if wk.Job != 0 {
-		c.w.Begin(wire.TypeJobGFWork)
-		c.w.Int(wk.Job)
-		c.w.Int(wk.Iter)
-		c.w.Int(wk.Phase)
-		c.w.Int(wk.W)
-		c.w.Uint32s(gf.AsUint32s(wk.X))
-		writeRanges(c.w, wk.Ranges)
-		return c.end()
-	}
-	if wk.W > 1 {
-		c.w.Begin(wire.TypeGFWorkBatch)
-		c.w.Int(wk.Iter)
-		c.w.Int(wk.Phase)
-		c.w.Int(wk.W)
-		c.w.Uint32s(gf.AsUint32s(wk.X))
-		writeRanges(c.w, wk.Ranges)
-		return c.end()
-	}
-	c.w.Begin(wire.TypeGFWork)
-	c.w.Int(wk.Iter)
-	c.w.Int(wk.Phase)
-	c.w.Uint32s(gf.AsUint32s(wk.X))
-	writeRanges(c.w, wk.Ranges)
-	return c.end()
-}
-
-//s2c2:noalloc
-func (c *wireConn) sendGFResult(r *GFResult) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r.Job != 0 {
-		c.w.Begin(wire.TypeJobGFResult)
-		c.w.Int(r.Job)
-		c.w.Int(r.Iter)
-		c.w.Int(r.Phase)
-		c.w.Int(r.Worker)
-		if r.Partial {
-			c.w.Uvarint(1)
-		} else {
-			c.w.Uvarint(0)
-		}
-		c.w.Uvarint(uint64(r.ComputeNanos))
-		c.w.Int(r.RowWidth)
-		writeRanges(c.w, r.Ranges)
-		c.w.Uint32s(gf.AsUint32s(r.Values))
-		return c.end()
-	}
-	if r.RowWidth > 1 {
-		c.w.Begin(wire.TypeGFResultBatch)
-	} else {
-		c.w.Begin(wire.TypeGFResult)
-	}
-	c.w.Int(r.Iter)
-	c.w.Int(r.Phase)
-	c.w.Int(r.Worker)
-	if r.Partial {
-		c.w.Uvarint(1)
-	} else {
-		c.w.Uvarint(0)
-	}
-	c.w.Uvarint(uint64(r.ComputeNanos))
-	if r.RowWidth > 1 {
-		c.w.Int(r.RowWidth)
-	}
-	writeRanges(c.w, r.Ranges)
-	c.w.Uint32s(gf.AsUint32s(r.Values))
-	return c.end()
-}
-
-func (c *wireConn) sendGFPartitionStart(p *PartitionStart) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.w.Begin(wire.TypeGFPartitionStart)
-	c.w.Int(p.Phase)
-	c.w.Int(p.Seq)
-	c.w.Int(p.Rows)
-	c.w.Int(p.Cols)
-	c.w.Int(p.ChunkRows)
-	return c.end()
-}
-
-//s2c2:noalloc
-func (c *wireConn) sendGFPartitionChunk(phase, seq, lo, hi int, data []gf.Elem) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.w.Begin(wire.TypeGFPartitionChunk)
-	c.w.Int(phase)
-	c.w.Int(seq)
-	c.w.Int(lo)
-	c.w.Int(hi)
-	c.w.Uint32sTail(gf.AsUint32s(data))
-	return c.end()
-}
-
-//s2c2:noalloc
 func (c *wireConn) recv(m *Msg) error {
 	typ, p, err := c.r.Next()
 	if err != nil {
@@ -580,72 +456,33 @@ func (c *wireConn) recv(m *Msg) error {
 	case wire.TypeHello:
 		m.Kind = KindHello
 		m.Hello.Slowdown = p.Float64()
-	case wire.TypeWork:
+	case wire.TypeWork, wire.TypeWorkBatch, wire.TypeJobWork:
 		m.Kind = KindWork
-		m.Work.Job = 0 // pooled slot may carry a stale job tag
-		m.Work.Iter = p.Int()
-		m.Work.Phase = p.Int()
-		m.Work.W = 1 // pooled slot may carry a stale batch width
-		m.Work.X = p.Float64s(m.Work.X)
-		m.Work.Ranges = readRanges(p, m.Work.Ranges)
-	case wire.TypeWorkBatch:
-		m.Kind = KindWork
-		m.Work.Job = 0
-		m.Work.Iter = p.Int()
-		m.Work.Phase = p.Int()
-		m.Work.W = readBatchWidth(p)
-		m.Work.X = p.Float64s(m.Work.X)
-		m.Work.Ranges = readRanges(p, m.Work.Ranges)
-	case wire.TypeJobWork:
-		m.Kind = KindWork
-		m.Work.Job = readJobID(p)
-		m.Work.Iter = p.Int()
-		m.Work.Phase = p.Int()
-		m.Work.W = readJobWidth(p)
-		m.Work.X = p.Float64s(m.Work.X)
-		m.Work.Ranges = readRanges(p, m.Work.Ranges)
-	case wire.TypeResult:
+		readWork[floatCodec](p, typ, &m.Work)
+	case wire.TypeGFWork, wire.TypeGFWorkBatch, wire.TypeJobGFWork:
+		m.Kind = KindGFWork
+		readWork[gfCodec](p, typ, &m.GFWork)
+	case wire.TypeResult, wire.TypeResultBatch, wire.TypeJobResult:
 		m.Kind = KindResult
-		m.Result.Job = 0 // pooled slot may carry a stale job tag
-		m.Result.Iter = p.Int()
-		m.Result.Phase = p.Int()
-		m.Result.Worker = p.Int()
-		m.Result.Partial = p.Uvarint() != 0
-		m.Result.ComputeNanos = int64(p.Uvarint())
-		m.Result.RowWidth = 1 // pooled slot may carry a stale batch width
-		m.Result.Ranges = readRanges(p, m.Result.Ranges)
-		m.Result.Values = p.Float64s(m.Result.Values)
-	case wire.TypeResultBatch:
-		m.Kind = KindResult
-		m.Result.Job = 0
-		m.Result.Iter = p.Int()
-		m.Result.Phase = p.Int()
-		m.Result.Worker = p.Int()
-		m.Result.Partial = p.Uvarint() != 0
-		m.Result.ComputeNanos = int64(p.Uvarint())
-		m.Result.RowWidth = readBatchWidth(p)
-		m.Result.Ranges = readRanges(p, m.Result.Ranges)
-		m.Result.Values = p.Float64s(m.Result.Values)
-	case wire.TypeJobResult:
-		m.Kind = KindResult
-		m.Result.Job = readJobID(p)
-		m.Result.Iter = p.Int()
-		m.Result.Phase = p.Int()
-		m.Result.Worker = p.Int()
-		m.Result.Partial = p.Uvarint() != 0
-		m.Result.ComputeNanos = int64(p.Uvarint())
-		m.Result.RowWidth = readJobWidth(p)
-		m.Result.Ranges = readRanges(p, m.Result.Ranges)
-		m.Result.Values = p.Float64s(m.Result.Values)
-	case wire.TypePartitionStart:
+		readResult[floatCodec](p, typ, &m.Result)
+	case wire.TypeGFResult, wire.TypeGFResultBatch, wire.TypeJobGFResult:
+		m.Kind = KindGFResult
+		readResult[gfCodec](p, typ, &m.GFResult)
+	case wire.TypePartitionStart, wire.TypeGFPartitionStart:
 		m.Kind = KindPartitionStart
+		if typ == wire.TypeGFPartitionStart {
+			m.Kind = KindGFPartitionStart
+		}
 		m.PartStart.Phase = p.Int()
 		m.PartStart.Seq = p.Int()
 		m.PartStart.Rows = p.Int()
 		m.PartStart.Cols = p.Int()
 		m.PartStart.ChunkRows = p.Int()
-	case wire.TypePartitionChunk:
+	case wire.TypePartitionChunk, wire.TypeGFPartitionChunk:
 		m.Kind = KindPartitionChunk
+		if typ == wire.TypeGFPartitionChunk {
+			m.Kind = KindGFPartitionChunk
+		}
 		m.PartChunk.Phase = p.Int()
 		m.PartChunk.Seq = p.Int()
 		m.PartChunk.Lo = p.Int()
@@ -653,93 +490,15 @@ func (c *wireConn) recv(m *Msg) error {
 		if err := p.Err(); err != nil {
 			return err
 		}
-		// The cursor is consumed by ChunkInto before the next recv on this
-		// conn; recv's single-goroutine ownership makes the stash safe.
+		// The worker drains the cursor before the next recv on this conn;
+		// recv's single-goroutine ownership makes the stash safe.
 		//s2c2:waive payloadescape
-		m.chunk = p // row payload still in the stream; ChunkInto lands it in the matrix
+		m.chunk = p // row payload still in the stream; the worker lands it in the matrix
 		return nil
 	case wire.TypePartitionAck:
 		m.Kind = KindPartitionAck
 		m.PartAck.Phase = p.Int()
 		m.PartAck.Seq = p.Int()
-	case wire.TypeGFWork:
-		m.Kind = KindGFWork
-		m.GFWork.Job = 0 // pooled slot may carry a stale job tag
-		m.GFWork.Iter = p.Int()
-		m.GFWork.Phase = p.Int()
-		m.GFWork.W = 1 // pooled slot may carry a stale batch width
-		m.GFWork.X = gf.AsElems(p.Uint32s(gf.AsUint32s(m.GFWork.X)))
-		m.GFWork.Ranges = readRanges(p, m.GFWork.Ranges)
-	case wire.TypeGFWorkBatch:
-		m.Kind = KindGFWork
-		m.GFWork.Job = 0
-		m.GFWork.Iter = p.Int()
-		m.GFWork.Phase = p.Int()
-		m.GFWork.W = readBatchWidth(p)
-		m.GFWork.X = gf.AsElems(p.Uint32s(gf.AsUint32s(m.GFWork.X)))
-		m.GFWork.Ranges = readRanges(p, m.GFWork.Ranges)
-	case wire.TypeJobGFWork:
-		m.Kind = KindGFWork
-		m.GFWork.Job = readJobID(p)
-		m.GFWork.Iter = p.Int()
-		m.GFWork.Phase = p.Int()
-		m.GFWork.W = readJobWidth(p)
-		m.GFWork.X = gf.AsElems(p.Uint32s(gf.AsUint32s(m.GFWork.X)))
-		m.GFWork.Ranges = readRanges(p, m.GFWork.Ranges)
-	case wire.TypeGFResult:
-		m.Kind = KindGFResult
-		m.GFResult.Job = 0 // pooled slot may carry a stale job tag
-		m.GFResult.Iter = p.Int()
-		m.GFResult.Phase = p.Int()
-		m.GFResult.Worker = p.Int()
-		m.GFResult.Partial = p.Uvarint() != 0
-		m.GFResult.ComputeNanos = int64(p.Uvarint())
-		m.GFResult.RowWidth = 1 // pooled slot may carry a stale batch width
-		m.GFResult.Ranges = readRanges(p, m.GFResult.Ranges)
-		m.GFResult.Values = gf.AsElems(p.Uint32s(gf.AsUint32s(m.GFResult.Values)))
-	case wire.TypeGFResultBatch:
-		m.Kind = KindGFResult
-		m.GFResult.Job = 0
-		m.GFResult.Iter = p.Int()
-		m.GFResult.Phase = p.Int()
-		m.GFResult.Worker = p.Int()
-		m.GFResult.Partial = p.Uvarint() != 0
-		m.GFResult.ComputeNanos = int64(p.Uvarint())
-		m.GFResult.RowWidth = readBatchWidth(p)
-		m.GFResult.Ranges = readRanges(p, m.GFResult.Ranges)
-		m.GFResult.Values = gf.AsElems(p.Uint32s(gf.AsUint32s(m.GFResult.Values)))
-	case wire.TypeJobGFResult:
-		m.Kind = KindGFResult
-		m.GFResult.Job = readJobID(p)
-		m.GFResult.Iter = p.Int()
-		m.GFResult.Phase = p.Int()
-		m.GFResult.Worker = p.Int()
-		m.GFResult.Partial = p.Uvarint() != 0
-		m.GFResult.ComputeNanos = int64(p.Uvarint())
-		m.GFResult.RowWidth = readJobWidth(p)
-		m.GFResult.Ranges = readRanges(p, m.GFResult.Ranges)
-		m.GFResult.Values = gf.AsElems(p.Uint32s(gf.AsUint32s(m.GFResult.Values)))
-	case wire.TypeGFPartitionStart:
-		m.Kind = KindGFPartitionStart
-		m.PartStart.Phase = p.Int()
-		m.PartStart.Seq = p.Int()
-		m.PartStart.Rows = p.Int()
-		m.PartStart.Cols = p.Int()
-		m.PartStart.ChunkRows = p.Int()
-	case wire.TypeGFPartitionChunk:
-		m.Kind = KindGFPartitionChunk
-		m.PartChunk.Phase = p.Int()
-		m.PartChunk.Seq = p.Int()
-		m.PartChunk.Lo = p.Int()
-		m.PartChunk.Hi = p.Int()
-		if err := p.Err(); err != nil {
-			return err
-		}
-		// Same contract as the float chunk above: GFChunkInto drains the
-		// cursor before the conn reads another frame.
-		//s2c2:waive payloadescape
-		m.chunk = p // element payload still in the stream; GFChunkInto lands it
-		return nil
 	case wire.TypePartitionDrop:
 		m.Kind = KindPartitionDrop
 		m.DropPhase = p.Int()
@@ -753,6 +512,51 @@ func (c *wireConn) recv(m *Msg) error {
 		return fmt.Errorf("rpc: unknown frame type %d", typ)
 	}
 	return p.Err()
+}
+
+// readWork decodes an assignment frame of C's family into wk; typ picks
+// the header layout. The pooled slot may carry a stale job tag or batch
+// width, so both are reset for the untagged frames.
+func readWork[C codec[T], T coding.Element](p *wire.Payload, typ wire.Type, wk *WorkOf[T]) {
+	var ec C
+	f := ec.spec()
+	wk.Job, wk.W = 0, 1
+	if typ == f.jobWork {
+		wk.Job = readJobID(p)
+	}
+	wk.Iter = p.Int()
+	wk.Phase = p.Int()
+	switch typ {
+	case f.jobWork:
+		wk.W = readJobWidth(p)
+	case f.workBatch:
+		wk.W = readBatchWidth(p)
+	}
+	wk.X = ec.get(p, wk.X)
+	wk.Ranges = readRanges(p, wk.Ranges)
+}
+
+// readResult decodes a result frame of C's family into r (see readWork).
+func readResult[C codec[T], T coding.Element](p *wire.Payload, typ wire.Type, r *ResultOf[T]) {
+	var ec C
+	f := ec.spec()
+	r.Job, r.RowWidth = 0, 1
+	if typ == f.jobResult {
+		r.Job = readJobID(p)
+	}
+	r.Iter = p.Int()
+	r.Phase = p.Int()
+	r.Worker = p.Int()
+	r.Partial = p.Uvarint() != 0
+	r.ComputeNanos = int64(p.Uvarint())
+	switch typ {
+	case f.jobResult:
+		r.RowWidth = readJobWidth(p)
+	case f.resultBatch:
+		r.RowWidth = readBatchWidth(p)
+	}
+	r.Ranges = readRanges(p, r.Ranges)
+	r.Values = ec.get(p, r.Values)
 }
 
 func (c *wireConn) close() error {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/coded-computing/s2c2/internal/coding"
-	"github.com/coded-computing/s2c2/internal/gf"
 )
 
 // This file is the elastic-membership and failure-recovery layer: the
@@ -252,39 +251,33 @@ func (m *Master) replaceWorker(w int) (wc *workerConn, replaced bool) {
 //
 //s2c2:partition-attrib
 func (m *Master) streamRetained(w int, wc *workerConn) error {
-	m.mu.Lock()
-	phases := make([]int, 0, len(m.parts))
-	for p := range m.parts {
-		phases = append(phases, p)
+	if err := restream[floatCodec](m, w, wc, m.parts); err != nil {
+		return err
 	}
-	gfPhases := make([]int, 0, len(m.gfParts))
-	for p := range m.gfParts {
-		gfPhases = append(gfPhases, p)
+	return restream[gfCodec](m, w, wc, m.gfParts)
+}
+
+// restream is streamRetained for one element type's store.
+//
+//s2c2:partition-attrib
+func restream[C codec[T], T coding.Element](m *Master, w int, wc *workerConn, retained map[int][]matrix[T]) error {
+	var ec C
+	m.mu.Lock()
+	phases := make([]int, 0, len(retained))
+	for p := range retained {
+		phases = append(phases, p)
 	}
 	m.mu.Unlock()
 	sort.Ints(phases)
-	sort.Ints(gfPhases)
 	for _, p := range phases {
 		m.mu.Lock()
-		parts := m.parts[p]
+		parts := retained[p]
 		m.mu.Unlock()
 		if w >= len(parts) {
 			continue
 		}
-		if err := m.shipPartition(wc, p, parts[w], m.attemptTimeout()); err != nil {
-			return &PartitionError{Worker: w, Err: fmt.Errorf("re-stream phase %d: %w", p, err)}
-		}
-		m.bumpTotals(0, 1, 0)
-	}
-	for _, p := range gfPhases {
-		m.mu.Lock()
-		parts := m.gfParts[p]
-		m.mu.Unlock()
-		if w >= len(parts) {
-			continue
-		}
-		if err := m.shipGFPartition(wc, p, parts[w], m.attemptTimeout()); err != nil {
-			return &PartitionError{Worker: w, Err: fmt.Errorf("re-stream GF phase %d: %w", p, err)}
+		if err := ship[C](m, wc, p, parts[w], m.attemptTimeout()); err != nil {
+			return &PartitionError{Worker: w, Err: fmt.Errorf("re-stream %sphase %d: %w", ec.spec().label, p, err)}
 		}
 		m.bumpTotals(0, 1, 0)
 	}
@@ -708,13 +701,14 @@ func (c *roundCore) planRepair() error {
 	return nil
 }
 
-// repairRound replans and re-sends the coverage lost to dead workers,
+// repair replans and re-sends the coverage lost to dead workers,
 // absorbing send-time deaths by replanning until every extra sticks or
 // too few workers remain. Each iteration that fails marks at least one
 // more worker dead, so the loop runs at most n times.
 //
 //s2c2:noalloc-waive
-func (j *Job) repairRound(ws *roundWorkspace, workers []*workerConn, iter, phase int, x []float64, bw int) error {
+func (l *jobLane[C, T]) repair(workers []*workerConn, iter, phase int, x []T, bw int) error {
+	ws := &l.round
 	for {
 		if ws.aliveWorkers() < ws.k {
 			return roundLostError(&ws.roundCore, iter, phase)
@@ -722,54 +716,9 @@ func (j *Job) repairRound(ws *roundWorkspace, workers []*workerConn, iter, phase
 		if err := ws.planRepair(); err != nil {
 			return err
 		}
-		failed := false
-		for w, ranges := range ws.extraRanges {
-			if len(ranges) == 0 {
-				continue
-			}
-			ws.workMsg = Work{Job: j.id, Iter: iter, Phase: phase, W: bw, X: x, Ranges: ranges}
-			if err := workers[w].t.sendWork(&ws.workMsg); err != nil {
-				ws.noteDead(w)
-				failed = true
-				continue
-			}
-			ws.markAssigned(w, ranges)
-			ws.stats.AssignedRows[w] += ws.extraRows[w]
-			ws.stats.Recovery.RecoveredRows += ws.extraRows[w]
-		}
-		if !failed {
-			return nil
-		}
-	}
-}
-
-// repairGFRound is repairRound for the exact path.
-//
-//s2c2:noalloc-waive
-func (j *Job) repairGFRound(ws *gfRoundWorkspace, workers []*workerConn, iter, phase int, x []gf.Elem, bw int) error {
-	for {
-		if ws.aliveWorkers() < ws.k {
-			return roundLostError(&ws.roundCore, iter, phase)
-		}
-		if err := ws.planRepair(); err != nil {
-			return err
-		}
-		failed := false
-		for w, ranges := range ws.extraRanges {
-			if len(ranges) == 0 {
-				continue
-			}
-			ws.workMsg = GFWork{Job: j.id, Iter: iter, Phase: phase, W: bw, X: x, Ranges: ranges}
-			if err := workers[w].t.sendGFWork(&ws.workMsg); err != nil {
-				ws.noteDead(w)
-				failed = true
-				continue
-			}
-			ws.markAssigned(w, ranges)
-			ws.stats.AssignedRows[w] += ws.extraRows[w]
-			ws.stats.Recovery.RecoveredRows += ws.extraRows[w]
-		}
-		if !failed {
+		rows, lost := l.sendExtras(workers, iter, phase, x, bw)
+		ws.stats.Recovery.RecoveredRows += rows
+		if !lost {
 			return nil
 		}
 	}

@@ -321,7 +321,7 @@ func TestGatherAndDecodeZeroAllocsSteadyState(t *testing.T) {
 	decWS := enc.NewDecodeWorkspace()
 	dst := make([]float64, enc.OrigRows)
 	runRound := func() {
-		ws := &m.def.round
+		ws := &m.def.float.round
 		ws.begin(n, enc.BlockRows, k, 1)
 		for _, r := range results {
 			if err := ws.addResult(r, time.Millisecond); err != nil {
@@ -331,7 +331,7 @@ func TestGatherAndDecodeZeroAllocsSteadyState(t *testing.T) {
 		if ws.needed != 0 {
 			t.Fatal("fixture round did not reach coverage")
 		}
-		partials, stats, err := m.finishRound(ws)
+		partials, stats, err := ws.finish(m.cfg.ReuseRound)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +357,7 @@ func TestGatherAndDecodeZeroAllocsSteadyState(t *testing.T) {
 // so the master can never hand the decoder a round it cannot decode.
 func TestGatherDeduplicatesCoverage(t *testing.T) {
 	m := &Master{cfg: MasterConfig{ReuseRound: true}}
-	ws := &m.def.round
+	ws := &m.def.float.round
 	ws.begin(3, 4, 2, 1)
 	r := &Result{Worker: 0, Ranges: []coding.Range{{Lo: 0, Hi: 4}}, Values: []float64{1, 2, 3, 4}}
 	if err := ws.addResult(r, time.Millisecond); err != nil {

@@ -5,20 +5,22 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/coded-computing/s2c2/internal/coding"
+	"github.com/coded-computing/s2c2/internal/gf"
 	"github.com/coded-computing/s2c2/internal/kernel"
 	"github.com/coded-computing/s2c2/internal/sched"
 )
 
 // This file is the multi-job serving layer: one master holds any number
-// of jobs, each with its own encoded datasets (float64 and GF), round
-// workspaces, plan buffer, and result channels, all multiplexed over the
-// same worker connections. Job 0 — the built-in default job every
-// promoted Master method acts on — travels on the untagged legacy wire
-// frames, so a single-tenant master is byte-identical on the wire to the
-// pre-serving one. Rounds across jobs run concurrently: the per-worker
-// readLoops demux results by (job, iter, phase) to the owning job's
-// channels, so worker compute for one job overlaps master decode for
-// another. A wait queue in front of the round path (MaxConcurrentRounds,
+// of jobs, each with its own plan buffer and, per element type (float64
+// and GF), its own lane of encoded datasets, result channel and round
+// workspace, all multiplexed over the same worker connections. Job 0 — the
+// built-in default job every promoted Master method acts on — travels on
+// the untagged legacy wire frames, so a single-tenant master is
+// byte-identical on the wire to the pre-serving one. Rounds across jobs
+// run concurrently: the per-worker readLoops demux results by (job, iter,
+// phase) to the owning job's channels, so worker compute for one job
+// overlaps master decode for another. A wait queue in front of the round path (MaxConcurrentRounds,
 // PriorityPolicy) bounds that concurrency for co-tenancy.
 
 // jobPhaseBase is the floor of the wire-phase namespace handed to
@@ -52,24 +54,78 @@ type Job struct {
 	id  int
 	cfg JobConfig
 
-	mu sync.Mutex
-	// blockRows/gfBlockRows record each distributed phase's partition
-	// rows, keyed by the job's own (user) phase numbers.
-	blockRows   map[int]int
-	gfBlockRows map[int]int
+	mu sync.Mutex // guards phaseMap and both lanes' blockRows
 	// phaseMap translates this job's user phases to master-wide wire
 	// phases (nil for the default job, whose mapping is identity).
 	phaseMap map[int]int
-
-	// results/gfResults/errs receive this job's demuxed traffic from the
-	// shared readLoops.
-	results   chan *Result
-	gfResults chan *GFResult
-	errs      chan error
-
-	round   roundWorkspace
-	gfRound gfRoundWorkspace
+	// float and exact are the job's float64 and GF(2³¹−1) datasets and
+	// rounds; one dataset of each type may live under the same phase.
+	float jobLane[floatCodec, float64]
+	exact jobLane[gfCodec, gf.Elem]
+	// errs receives worker deaths from the shared readLoops.
+	errs    chan error
 	planBuf sched.PlanBuffer
+}
+
+// jobLane is one element type's share of a job: its distributed phases,
+// the demuxed result channel the shared readLoops feed, the pooled
+// receive slots, and the round workspace.
+type jobLane[C codec[T], T coding.Element] struct {
+	j *Job
+	// blockRows records each distributed phase's partition rows, keyed by
+	// the job's own (user) phase numbers.
+	blockRows map[int]int
+	// retained is the master's re-stream store for this element type
+	// (Master.parts or Master.gfParts), shared by every job.
+	retained map[int][]matrix[T]
+	results  chan *ResultOf[T]
+	pool     sync.Pool // *ResultOf[T] receive slots recycled across rounds
+	round    roundWorkspace[T]
+}
+
+func (l *jobLane[C, T]) init(j *Job, retained map[int][]matrix[T]) {
+	l.j = j
+	l.blockRows = map[int]int{}
+	l.retained = retained
+	// Deep enough that a full cluster's round responses never block a
+	// readLoop in steady state.
+	l.results = make(chan *ResultOf[T], 1024)
+}
+
+// deliver hands one decoded result to the lane's round: the pooled slot
+// takes the decoded message (slices included) and the message slot
+// inherits the pooled capacity for the next decode — no copying, no
+// allocation. It reports false when the master shut down instead.
+//
+//s2c2:noalloc
+func (l *jobLane[C, T]) deliver(msg *ResultOf[T], worker int, quit <-chan struct{}) bool {
+	r := fromPool[ResultOf[T]](&l.pool)
+	*r, *msg = *msg, *r
+	r.Worker = worker
+	select {
+	case l.results <- r:
+		return true
+	case <-quit:
+		return false
+	}
+}
+
+//s2c2:recycler
+func (l *jobLane[C, T]) putResult(r *ResultOf[T]) { l.pool.Put(r) }
+
+// recycle returns the previous round's pooled result slots to the receive
+// pool. Callers of the previous round have released its partials by
+// contract (ReuseRound) or received copies (default), so the slots are
+// free for the readLoops to decode into again.
+//
+//s2c2:noalloc
+func (l *jobLane[C, T]) recycle() {
+	ws := &l.round
+	for i, r := range ws.retained {
+		l.putResult(r)
+		ws.retained[i] = nil
+	}
+	ws.retained = ws.retained[:0]
 }
 
 // initJob readies a (possibly embedded) Job in place.
@@ -77,16 +133,11 @@ func initJob(j *Job, m *Master, id int, cfg JobConfig) {
 	j.m = m
 	j.id = id
 	j.cfg = cfg
-	j.blockRows = map[int]int{}
-	j.gfBlockRows = map[int]int{}
 	if id != 0 {
 		j.phaseMap = map[int]int{}
 	}
-	// Capacities match the pre-serving master's single channel set: deep
-	// enough that a full cluster's round responses never block a readLoop
-	// in steady state.
-	j.results = make(chan *Result, 1024)
-	j.gfResults = make(chan *GFResult, 1024)
+	j.float.init(j, m.parts)
+	j.exact.init(j, m.gfParts)
 	j.errs = make(chan error, 16)
 }
 
@@ -160,8 +211,8 @@ func (j *Job) forgetPhases() []int {
 	for _, wp := range j.phaseMap {
 		wps = append(wps, wp)
 	}
-	clear(j.blockRows)
-	clear(j.gfBlockRows)
+	clear(j.float.blockRows)
+	clear(j.exact.blockRows)
 	clear(j.phaseMap)
 	return wps
 }

@@ -495,8 +495,8 @@ func TestMasterWireRoundZeroAllocsSteadyState(t *testing.T) {
 	msg := &Msg{}
 
 	runRound := func() {
-		ws := &m.def.round
-		m.recycleRound(ws)
+		ws := &m.def.float.round
+		m.def.float.recycle()
 		ws.begin(n, enc.BlockRows, k, 1)
 		// Send tasks: one work frame per active worker.
 		for w := 0; w < n; w++ {
@@ -516,7 +516,7 @@ func TestMasterWireRoundZeroAllocsSteadyState(t *testing.T) {
 			if msg.Kind != KindResult {
 				t.Fatalf("kind %d", msg.Kind)
 			}
-			r := m.getResult()
+			r := fromPool[Result](&m.def.float.pool)
 			*r, msg.Result = msg.Result, *r
 			if err := ws.addResult(r, time.Millisecond); err != nil {
 				t.Fatal(err)
@@ -526,7 +526,7 @@ func TestMasterWireRoundZeroAllocsSteadyState(t *testing.T) {
 		if ws.needed != 0 {
 			t.Fatal("fixture round did not reach coverage")
 		}
-		partials, stats, err := m.finishRound(ws)
+		partials, stats, err := ws.finish(m.cfg.ReuseRound)
 		if err != nil {
 			t.Fatal(err)
 		}
