@@ -4,14 +4,15 @@ package rpc
 // the acceptance property (a width-w distributed round is bit-exact per
 // lane against w independent local computes on GF, and within rounding on
 // float64), the master-side zero-allocation bar for
-// batched frames, and the hostile-input guards on the new batch frame
-// types (widths and value counts rejected before allocation, all lanes
-// land or none do).
+// batched frames, the Work/Result frame table and golden, and the
+// hostile-input guards on those frames (elems, jobs, widths and value
+// counts rejected before allocation, all lanes land or none do).
 
 import (
 	"bytes"
 	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ import (
 )
 
 // batchWidths are the round widths the exactness properties sweep. Width
-// 1 is included deliberately: it must ride the legacy single-x frames.
+// 1 is included deliberately: the single-x round is the same path.
 var batchWidths = []int{1, 2, 4, 8}
 
 // runGFBatchTrial runs one randomized batched GF cluster trial: random
@@ -482,106 +483,180 @@ func TestMasterGFWireBatchRoundZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// TestBatchFrameRoundTrip pins the frame encodings: width > 1 emits the
-// batch frame types and survives a round trip; a width-1 message after a
-// batched one must reset the pooled slot's width back to 1 (the stale
-// batch-width regression).
+// frameCase builds one Work and one Result of element type T for a frame
+// table row, every field a function of (job, width) so consecutive rows
+// decode to different values.
+func frameCase[T coding.Element](job, width int) (*WorkOf[T], *ResultOf[T]) {
+	x := make([]T, 2*width)
+	vals := make([]T, 2*width)
+	for i := range x {
+		x[i] = T(job + width + i + 1)
+		vals[i] = T(3*i + width)
+	}
+	rg := []coding.Range{{Lo: width, Hi: width + 2}}
+	return &WorkOf[T]{Job: job, Iter: width + 1, Phase: job + 2, W: width, X: x, Ranges: rg},
+		&ResultOf[T]{Job: job, Iter: width + 1, Phase: job + 2, Worker: width, Partial: job != 0,
+			RowWidth: width, Ranges: rg, Values: vals, ComputeNanos: int64(100*job + width)}
+}
+
+// sendFrame frames a *Work, *GFWork, *Result or *GFResult.
+func sendFrame(c *wireConn, m any) error {
+	switch m.(type) {
+	case *Work, *GFWork:
+		return c.sendWork(m)
+	}
+	return c.sendResult(m)
+}
+
+// TestBatchFrameRoundTrip runs the elem × width {1, 3} × job {0, 5} table
+// of Work and Result frames through one reused Msg. Every frame follows
+// one with a different elem, and each Msg slot's previous frame differs in
+// width or job — so a field left stale in a pooled slot (a batch width
+// after a width-1 frame, a job tag after a default-job frame) shows.
 func TestBatchFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	c := &wireConn{w: wire.NewWriter(&buf)}
-	work := &Work{Iter: 2, Phase: 1, W: 3, X: []float64{1, 2, 3, 4, 5, 6}, Ranges: []coding.Range{{Lo: 0, Hi: 2}}}
-	res := &Result{Iter: 2, Phase: 1, Worker: 4, RowWidth: 3, ComputeNanos: 9,
-		Ranges: []coding.Range{{Lo: 0, Hi: 2}}, Values: []float64{1, 2, 3, 4, 5, 6}}
-	gfw := &GFWork{Iter: 2, Phase: 1, W: 2, X: []gf.Elem{7, 8, 9, 10}, Ranges: []coding.Range{{Lo: 1, Hi: 3}}}
-	gfr := &GFResult{Iter: 2, Phase: 1, Worker: 5, RowWidth: 2, ComputeNanos: 11,
-		Ranges: []coding.Range{{Lo: 1, Hi: 3}}, Values: []gf.Elem{4, 5, 6, 7}}
-	singleRes := &Result{Iter: 3, Phase: 0, Worker: 1,
-		Ranges: []coding.Range{{Lo: 0, Hi: 1}}, Values: []float64{42}}
-	for _, err := range []error{
-		c.sendWork(work), c.sendResult(res), c.sendWork(gfw), c.sendResult(gfr), c.sendResult(singleRes),
-	} {
-		if err != nil {
-			t.Fatal(err)
+	var sent []any
+	for _, row := range []struct{ width, job int }{{1, 5}, {3, 5}, {3, 0}, {1, 0}} {
+		fw, fr := frameCase[float64](row.job, row.width)
+		gw, gr := frameCase[gf.Elem](row.job, row.width)
+		for _, m := range []any{fw, gw, fr, gr} {
+			if err := sendFrame(c, m); err != nil {
+				t.Fatal(err)
+			}
+			sent = append(sent, m)
 		}
 	}
 	tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(bytes.NewReader(buf.Bytes()))}
 	msg := &Msg{}
-	if err := tc.recv(msg); err != nil || msg.Kind != KindWork {
-		t.Fatalf("work: kind %d err %v", msg.Kind, err)
-	}
-	if msg.Work.W != 3 || len(msg.Work.X) != 6 {
-		t.Fatalf("work round trip: W=%d len(X)=%d", msg.Work.W, len(msg.Work.X))
-	}
-	if err := tc.recv(msg); err != nil || msg.Kind != KindResult {
-		t.Fatalf("result: kind %d err %v", msg.Kind, err)
-	}
-	if msg.Result.RowWidth != 3 || len(msg.Result.Values) != 6 || msg.Result.ComputeNanos != 9 {
-		t.Fatalf("result round trip: %+v", msg.Result)
-	}
-	if err := tc.recv(msg); err != nil || msg.Kind != KindGFWork {
-		t.Fatalf("gfwork: kind %d err %v", msg.Kind, err)
-	}
-	if msg.GFWork.W != 2 || len(msg.GFWork.X) != 4 {
-		t.Fatalf("gfwork round trip: W=%d len(X)=%d", msg.GFWork.W, len(msg.GFWork.X))
-	}
-	if err := tc.recv(msg); err != nil || msg.Kind != KindGFResult {
-		t.Fatalf("gfresult: kind %d err %v", msg.Kind, err)
-	}
-	if msg.GFResult.RowWidth != 2 || len(msg.GFResult.Values) != 4 {
-		t.Fatalf("gfresult round trip: %+v", msg.GFResult)
-	}
-	// The width-1 frame arrives into the same pooled Msg whose Result slot
-	// still says RowWidth=3; recv must reset it.
-	if err := tc.recv(msg); err != nil || msg.Kind != KindResult {
-		t.Fatalf("single result: kind %d err %v", msg.Kind, err)
-	}
-	if msg.Result.RowWidth != 1 || len(msg.Result.Values) != 1 || msg.Result.Values[0] != 42 {
-		t.Fatalf("stale batch width leaked into single-x frame: %+v", msg.Result)
+	for i, want := range sent {
+		if err := tc.recv(msg); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		var kind Kind
+		var got any
+		switch want.(type) {
+		case *Work:
+			kind, got = KindWork, &msg.Work
+		case *GFWork:
+			kind, got = KindGFWork, &msg.GFWork
+		case *Result:
+			kind, got = KindResult, &msg.Result
+		case *GFResult:
+			kind, got = KindGFResult, &msg.GFResult
+		}
+		if msg.Kind != kind || !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d: kind %d, decoded %+v, sent %+v", i, msg.Kind, got, want)
+		}
 	}
 }
 
-// hostileBatchFrame encodes a GF result batch frame with an arbitrary
-// declared width and value count.
-func hostileBatchFrame(tb testing.TB, width, count int) []byte {
+// TestWorkFrameGolden pins the version-2 Work layout byte for byte —
+// elem · job · iter · phase · width · x · ranges — on the commonest frame,
+// a default-job width-1 float64 assignment.
+func TestWorkFrameGolden(t *testing.T) {
+	golden := []byte{
+		0x13,       // body length 19
+		0x02,       // wire.TypeWork
+		0x00,       // elem: float64
+		0x00,       // job 0
+		0xac, 0x02, // iter 300
+		0x01,                               // phase 1
+		0x01,                               // width 1
+		0x01, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f, // x: one float64, 1.5
+		0x01, 0x02, 0x09, // ranges: [2, 9)
+	}
+	wk := &Work{Iter: 300, Phase: 1, W: 1, X: []float64{1.5}, Ranges: []coding.Range{{Lo: 2, Hi: 9}}}
+	var buf bytes.Buffer
+	if err := (&wireConn{w: wire.NewWriter(&buf)}).sendWork(wk); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("work frame\n got %x\nwant %x", buf.Bytes(), golden)
+	}
+	tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(bytes.NewReader(golden))}
+	msg := &Msg{}
+	if err := tc.recv(msg); err != nil || msg.Kind != KindWork || !reflect.DeepEqual(&msg.Work, wk) {
+		t.Fatalf("golden frame decoded to kind %d %+v, err %v", msg.Kind, msg.Work, err)
+	}
+}
+
+// hostileFrame hand-builds a Work or Result frame with arbitrary elem,
+// job, width and element-count fields, no ranges and no payload bytes
+// behind the count.
+func hostileFrame(tb testing.TB, typ wire.Type, elem, job, width int, count uint64) []byte {
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf)
-	w.Begin(wire.TypeGFResultBatch)
-	w.Int(0)     // iter
-	w.Int(0)     // phase
-	w.Int(0)     // worker
-	w.Uvarint(0) // partial
-	w.Uvarint(0) // nanos
-	w.Int(width)
-	w.Int(0) // no ranges
-	w.Uvarint(uint64(count))
+	w.Begin(typ)
+	w.Int(elem)
+	w.Int(job)
+	w.Int(0) // iter
+	w.Int(0) // phase
+	if typ == wire.TypeResult {
+		w.Int(0)     // worker
+		w.Uvarint(0) // partial
+		w.Uvarint(0) // nanos
+		w.Int(width)
+		w.Int(0) // no ranges
+		w.Uvarint(count)
+	} else {
+		w.Int(width)
+		w.Uvarint(count)
+		w.Int(0) // no ranges
+	}
 	if err := w.End(); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// TestBatchFrameHostileWidths pins readBatchWidth: a batch frame claiming
-// width < 2 (the single-x types own that) or width beyond the bound is a
-// protocol error, decoded into nothing.
+// recvFrame decodes the first frame of data through a fresh Msg.
+func recvFrame(data []byte) error {
+	tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(bytes.NewReader(data))}
+	return tc.recv(&Msg{})
+}
+
+// TestBatchFrameHostileWidths pins the header guards of the Work and
+// Result frames: a width outside [1, maxBatchWidth], an elem other than
+// float64 or GF, or a job above maxJobID is a protocol error, decoded into
+// nothing. The bounds themselves are legal.
 func TestBatchFrameHostileWidths(t *testing.T) {
-	for _, width := range []int{-1, 0, 1, maxBatchWidth + 1, 1 << 30} {
-		data := hostileBatchFrame(t, width, 0)
-		tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(bytes.NewReader(data))}
-		msg := &Msg{}
-		if err := tc.recv(msg); err == nil {
-			t.Fatalf("width %d decoded without error", width)
+	for _, typ := range []wire.Type{wire.TypeWork, wire.TypeResult} {
+		for _, tc := range []struct {
+			elem, job, width int
+			ok               bool
+		}{
+			{0, 0, 1, true},
+			{1, 0, 1, true},
+			{1, maxJobID, maxBatchWidth, true},
+			{0, 0, 0, false},
+			{1, 0, 0, false},
+			{0, 0, maxBatchWidth + 1, false},
+			{1, 0, 1 << 30, false},
+			{2, 0, 1, false},
+			{255, 0, 1, false},
+			{0, maxJobID + 1, 1, false},
+		} {
+			err := recvFrame(hostileFrame(t, typ, tc.elem, tc.job, tc.width, 0))
+			if (err == nil) != tc.ok {
+				t.Errorf("type %d elem %d job %d width %d: err %v, want ok=%v", typ, tc.elem, tc.job, tc.width, err, tc.ok)
+			}
 		}
 	}
 }
 
 // TestBatchFrameHostileElementCount declares a value count the frame
-// cannot hold: the division-based guard rejects it before sizing.
+// cannot hold, on both frames, both elems, width 1 and batched: the
+// division-based guard rejects it before sizing anything.
 func TestBatchFrameHostileElementCount(t *testing.T) {
-	data := hostileBatchFrame(t, 4, 1<<40)
-	tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(bytes.NewReader(data))}
-	msg := &Msg{}
-	if err := tc.recv(msg); err == nil {
-		t.Fatal("hostile batched element count decoded without error")
+	for _, typ := range []wire.Type{wire.TypeWork, wire.TypeResult} {
+		for elem := 0; elem <= 1; elem++ {
+			for _, width := range []int{1, 4} {
+				if err := recvFrame(hostileFrame(t, typ, elem, 0, width, 1<<40)); err == nil {
+					t.Errorf("type %d elem %d width %d: hostile element count decoded without error", typ, elem, width)
+				}
+			}
+		}
 	}
 }
 
@@ -646,59 +721,57 @@ func TestRunRoundBatchValidatesArgs(t *testing.T) {
 	}
 }
 
-// buildBatchResultStream encodes one valid batched GF result frame.
-func buildBatchResultStream(tb testing.TB) []byte {
-	var buf bytes.Buffer
-	c := &wireConn{w: wire.NewWriter(&buf)}
-	res := &GFResult{
-		Iter: 1, Phase: 0, Worker: 2, RowWidth: 2, ComputeNanos: 77,
-		Ranges: []coding.Range{{Lo: 0, Hi: 3}},
-		Values: []gf.Elem{1, 2, 3, 4, 5, gf.Elem(gf.P - 1)},
+// FuzzResultFrame feeds arbitrary byte streams to the master-side
+// decoder: recv must terminate without panicking, whatever decodes must be
+// a known kind, and every decoded Work or Result must carry a width in
+// [1, maxBatchWidth] and a job ≤ maxJobID.
+func FuzzResultFrame(f *testing.F) {
+	for _, job := range []int{0, 3} {
+		for _, width := range []int{1, 2} {
+			var buf bytes.Buffer
+			c := &wireConn{w: wire.NewWriter(&buf)}
+			fw, fr := frameCase[float64](job, width)
+			gw, gr := frameCase[gf.Elem](job, width)
+			for _, m := range []any{fw, fr, gw, gr} {
+				if err := sendFrame(c, m); err != nil {
+					f.Fatal(err)
+				}
+			}
+			valid := buf.Bytes()
+			f.Add(valid)
+			for _, cut := range []int{1, len(valid) / 2, len(valid) - 1} {
+				f.Add(append([]byte(nil), valid[:cut]...))
+			}
+		}
 	}
-	if err := c.sendResult(res); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// FuzzBatchResultFrame feeds arbitrary byte streams to the master-side
-// decoder seeded with batched frames: recv must terminate without
-// panicking, and whatever decodes must carry a sane width.
-func FuzzBatchResultFrame(f *testing.F) {
-	valid := buildBatchResultStream(f)
-	f.Add(valid)
-	for _, cut := range []int{1, len(valid) / 2, len(valid) - 1} {
-		f.Add(append([]byte(nil), valid[:cut]...))
-	}
-	f.Add(hostileBatchFrame(f, 1, 4))
-	f.Add(hostileBatchFrame(f, maxBatchWidth+1, 0))
-	f.Add(hostileBatchFrame(f, 4, 1<<40))
+	f.Add([]byte{})
+	f.Add(hostileFrame(f, wire.TypeResult, 1, 0, 0, 0))
+	f.Add(hostileFrame(f, wire.TypeResult, 1, 0, maxBatchWidth+1, 0))
+	f.Add(hostileFrame(f, wire.TypeWork, 2, 0, 1, 0))
+	f.Add(hostileFrame(f, wire.TypeResult, 0, maxJobID+1, 1, 0))
+	f.Add(hostileFrame(f, wire.TypeResult, 1, 0, 4, 1<<40))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(bytes.NewReader(data))}
 		msg := &Msg{}
 		for {
 			if err := tc.recv(msg); err != nil {
-				return
+				return // any error ends the stream; panics fail the fuzz
 			}
+			job, width := 0, 1
 			switch msg.Kind {
-			case KindResult:
-				if msg.Result.RowWidth < 1 || msg.Result.RowWidth > maxBatchWidth {
-					t.Fatalf("decoded result width %d", msg.Result.RowWidth)
-				}
-			case KindGFResult:
-				if msg.GFResult.RowWidth < 1 || msg.GFResult.RowWidth > maxBatchWidth {
-					t.Fatalf("decoded GF result width %d", msg.GFResult.RowWidth)
-				}
 			case KindWork:
-				if msg.Work.W < 1 || msg.Work.W > maxBatchWidth {
-					t.Fatalf("decoded work width %d", msg.Work.W)
-				}
+				job, width = msg.Work.Job, msg.Work.W
 			case KindGFWork:
-				if msg.GFWork.W < 1 || msg.GFWork.W > maxBatchWidth {
-					t.Fatalf("decoded GF work width %d", msg.GFWork.W)
-				}
+				job, width = msg.GFWork.Job, msg.GFWork.W
+			case KindResult:
+				job, width = msg.Result.Job, msg.Result.RowWidth
+			case KindGFResult:
+				job, width = msg.GFResult.Job, msg.GFResult.RowWidth
 			case 0:
 				t.Fatal("recv succeeded with zero kind")
+			}
+			if width < 1 || width > maxBatchWidth || job > maxJobID {
+				t.Fatalf("kind %d decoded with width %d, job %d", msg.Kind, width, job)
 			}
 		}
 	})

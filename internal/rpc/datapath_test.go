@@ -55,12 +55,12 @@ func TestChunksLandIntactThroughFragmentedReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(sender.sendPartitionStart(wire.TypePartitionStart, &PartitionStart{Phase: 2, Seq: 9, Rows: rows, Cols: cols, ChunkRows: chunkRows}))
+	must(sendPartitionStart[floatCodec](sender, &PartitionStart{Phase: 2, Seq: 9, Rows: rows, Cols: cols, ChunkRows: chunkRows}))
 	for lo := 0; lo < rows; lo += chunkRows {
 		hi := min(lo+chunkRows, rows)
 		must(sendPartitionChunk[floatCodec](sender, 2, 9, lo, hi, part.Data()[lo*cols:hi*cols]))
 	}
-	must(sender.sendPartitionStart(wire.TypeGFPartitionStart, &PartitionStart{Phase: 3, Seq: 10, Rows: rows, Cols: cols, ChunkRows: chunkRows}))
+	must(sendPartitionStart[gfCodec](sender, &PartitionStart{Phase: 3, Seq: 10, Rows: rows, Cols: cols, ChunkRows: chunkRows}))
 	for lo := 0; lo < rows; lo += chunkRows {
 		hi := min(lo+chunkRows, rows)
 		must(sendPartitionChunk[gfCodec](sender, 3, 10, lo, hi, gfPart.Data()[lo*cols:hi*cols]))
@@ -104,6 +104,7 @@ func TestRejectedChunkLeavesRowsUntouched(t *testing.T) {
 	}
 	chunk := func(w *wire.Writer, seq, lo, hi int, vals []float64) {
 		w.Begin(wire.TypePartitionChunk)
+		w.Elem(wire.ElemFloat64)
 		w.Int(0)
 		w.Int(seq)
 		w.Int(lo)
@@ -129,7 +130,7 @@ func TestRejectedChunkLeavesRowsUntouched(t *testing.T) {
 		var stream bytes.Buffer
 		ww := wire.NewWriter(&stream)
 		sender := &wireConn{w: ww}
-		if err := sender.sendPartitionStart(wire.TypePartitionStart, &PartitionStart{Phase: 0, Seq: 1, Rows: rows, Cols: cols, ChunkRows: 2}); err != nil {
+		if err := sendPartitionStart[floatCodec](sender, &PartitionStart{Phase: 0, Seq: 1, Rows: rows, Cols: cols, ChunkRows: 2}); err != nil {
 			t.Fatal(err)
 		}
 		tc.send(ww)
@@ -171,10 +172,10 @@ func TestTruncatedChunkBodyNeverPublishes(t *testing.T) {
 		ps := &PartitionStart{Phase: 0, Seq: 1, Rows: rows, Cols: cols, ChunkRows: 2}
 		var err error
 		if exact {
-			err = errors.Join(sender.sendPartitionStart(wire.TypeGFPartitionStart, ps),
+			err = errors.Join(sendPartitionStart[gfCodec](sender, ps),
 				sendPartitionChunk[gfCodec](sender, 0, 1, 0, 2, elems[:2*cols]))
 		} else {
-			err = errors.Join(sender.sendPartitionStart(wire.TypePartitionStart, ps),
+			err = errors.Join(sendPartitionStart[floatCodec](sender, ps),
 				sendPartitionChunk[floatCodec](sender, 0, 1, 0, 2, vals[:2*cols]))
 		}
 		if err != nil {

@@ -30,34 +30,20 @@ func matrices[T coding.Element, M matrix[T]](parts []M) []matrix[T] {
 	return out
 }
 
-// elemSpec is the wire-level description of one element type: its frame
-// family and payload element size.
+// elemSpec is the wire-level description of one element type: the elem
+// field its bulk frames carry and its payload element size.
 type elemSpec struct {
-	label string // message prefix: "" or "GF "
-	size  int    // payload bytes per element
-
-	work, workBatch, jobWork       wire.Type
-	result, resultBatch, jobResult wire.Type
-	partStart, partChunk           wire.Type
+	label string    // message prefix: "" or "GF "
+	size  int       // payload bytes per element
+	elem  wire.Elem // first field of its Work, Result and partition frames
 }
 
 var (
-	floatSpec = elemSpec{
-		size: 8,
-		work: wire.TypeWork, workBatch: wire.TypeWorkBatch, jobWork: wire.TypeJobWork,
-		result: wire.TypeResult, resultBatch: wire.TypeResultBatch, jobResult: wire.TypeJobResult,
-		partStart: wire.TypePartitionStart, partChunk: wire.TypePartitionChunk,
-	}
-	gfSpec = elemSpec{
-		label: "GF ",
-		size:  4,
-		work:  wire.TypeGFWork, workBatch: wire.TypeGFWorkBatch, jobWork: wire.TypeJobGFWork,
-		result: wire.TypeGFResult, resultBatch: wire.TypeGFResultBatch, jobResult: wire.TypeJobGFResult,
-		partStart: wire.TypeGFPartitionStart, partChunk: wire.TypeGFPartitionChunk,
-	}
+	floatSpec = elemSpec{size: 8, elem: wire.ElemFloat64}
+	gfSpec    = elemSpec{label: "GF ", size: 4, elem: wire.ElemGF}
 )
 
-// codec is the per-element descriptor: frame types, the payload codec,
+// codec is the per-element descriptor: the elem field, the payload codec,
 // the partition allocator, the worker's mat-vec sweep, and the ingest
 // check on stored partition rows.
 type codec[T coding.Element] interface {

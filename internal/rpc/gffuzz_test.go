@@ -1,10 +1,10 @@
 package rpc
 
-// gffuzz_test.go: native fuzz targets and deterministic edge-case tests
-// for the GF(2³¹−1) frame decoders, mirroring the float64 wire edge-case
-// suite — hostile element counts, truncation at every cut point, and
-// duplicate/out-of-order chunk streams must surface as protocol errors,
-// never as panics or silently-corrupt partitions.
+// gffuzz_test.go: the partition-stream fuzz target and deterministic
+// edge-case tests for GF(2³¹−1) frames, mirroring the float64 wire
+// edge-case suite — truncation at every cut point, non-canonical lanes,
+// and duplicate/out-of-order chunk streams must surface as protocol
+// errors, never as panics or silently-corrupt partitions.
 
 import (
 	"bytes"
@@ -55,7 +55,8 @@ func dialGFVictim(t *testing.T) (net.Conn, *wire.Writer, chan error) {
 
 func sendGFStart(t *testing.T, w *wire.Writer, phase, seq, rows, cols, chunkRows int) {
 	t.Helper()
-	w.Begin(wire.TypeGFPartitionStart)
+	w.Begin(wire.TypePartitionStart)
+	w.Elem(wire.ElemGF)
 	w.Int(phase)
 	w.Int(seq)
 	w.Int(rows)
@@ -68,7 +69,8 @@ func sendGFStart(t *testing.T, w *wire.Writer, phase, seq, rows, cols, chunkRows
 
 func sendGFChunk(t *testing.T, w *wire.Writer, phase, seq, lo, hi int, vals []uint32) {
 	t.Helper()
-	w.Begin(wire.TypeGFPartitionChunk)
+	w.Begin(wire.TypePartitionChunk)
+	w.Elem(wire.ElemGF)
 	w.Int(phase)
 	w.Int(seq)
 	w.Int(lo)
@@ -137,7 +139,7 @@ func buildGFResultStream(tb testing.TB) []byte {
 	var buf bytes.Buffer
 	c := &wireConn{w: wire.NewWriter(&buf)}
 	res := &GFResult{
-		Iter: 3, Phase: 1, Worker: 2, ComputeNanos: 12345,
+		Iter: 3, Phase: 1, Worker: 2, RowWidth: 1, ComputeNanos: 12345,
 		Ranges: []coding.Range{{Lo: 0, Hi: 4}},
 		Values: []gf.Elem{1, 2, 3, gf.Elem(gf.P - 1)},
 	}
@@ -170,107 +172,66 @@ func TestGFResultFrameTruncatedAtEveryCut(t *testing.T) {
 	}
 }
 
-// TestGFResultHostileElementCount declares a value count the frame cannot
-// hold: the division-based guard must reject it before sizing anything.
-func TestGFResultHostileElementCount(t *testing.T) {
+// buildChunkSeed builds one seed stream of elem's partition frames for
+// the chunk-assembly fuzzer. variant 0 is a fully valid stream; the others
+// are canonical corruptions (duplicate chunk, gap, count mismatch, and for
+// GF a non-canonical lane).
+func buildChunkSeed(tb testing.TB, elem wire.Elem, variant int) []byte {
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf)
-	w.Begin(wire.TypeGFResult)
-	w.Int(0)           // iter
-	w.Int(0)           // phase
-	w.Int(0)           // worker
-	w.Uvarint(0)       // partial
-	w.Uvarint(0)       // nanos
-	w.Int(0)           // no ranges
-	w.Uvarint(1 << 40) // hostile element count, no bytes behind it
-	if err := w.End(); err != nil {
-		t.Fatal(err)
-	}
-	tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(bytes.NewReader(buf.Bytes()))}
-	msg := &Msg{}
-	if err := tc.recv(msg); err == nil {
-		t.Fatal("hostile element count decoded without error")
-	}
-}
-
-// FuzzGFResultFrame feeds arbitrary byte streams to the master-side wire
-// decoder: it must terminate without panicking on any input, and whatever
-// decodes successfully must be a known frame kind.
-func FuzzGFResultFrame(f *testing.F) {
-	valid := buildGFResultStream(f)
-	f.Add(valid)
-	for _, cut := range []int{1, len(valid) / 2, len(valid) - 1} {
-		f.Add(append([]byte(nil), valid[:cut]...))
-	}
-	f.Add([]byte{})
-	f.Add([]byte{0x01, byte(wire.TypeGFResult)})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(bytes.NewReader(data))}
-		msg := &Msg{}
-		for {
-			if err := tc.recv(msg); err != nil {
-				return // any error ends the stream; panics fail the fuzz
-			}
-			if msg.Kind == 0 {
-				t.Fatal("recv succeeded with zero kind")
-			}
+	frame := func(typ wire.Type, fields ...int) {
+		w.Begin(typ)
+		w.Elem(elem)
+		for _, f := range fields {
+			w.Int(f)
 		}
-	})
-}
-
-// buildGFChunkSeed builds one seed stream for the chunk-assembly fuzzer.
-// variant 0 is a fully valid stream; the others are canonical corruptions
-// (duplicate chunk, gap, count mismatch, non-canonical lane).
-func buildGFChunkSeed(tb testing.TB, variant int) []byte {
-	var buf bytes.Buffer
-	w := wire.NewWriter(&buf)
-	start := func(rows, cols int) {
-		w.Begin(wire.TypeGFPartitionStart)
-		w.Int(0)
-		w.Int(1)
-		w.Int(rows)
-		w.Int(cols)
-		w.Int(2)
+	}
+	end := func() {
 		if err := w.End(); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	chunk := func(lo, hi int, vals []uint32) {
-		w.Begin(wire.TypeGFPartitionChunk)
-		w.Int(0)
-		w.Int(1)
-		w.Int(lo)
-		w.Int(hi)
-		w.Uint32s(vals)
-		if err := w.End(); err != nil {
-			tb.Fatal(err)
+	chunk := func(lo, hi int, vals ...uint32) {
+		frame(wire.TypePartitionChunk, 0, 1, lo, hi) // phase, seq, lo, hi
+		if elem == wire.ElemGF {
+			w.Uint32s(vals)
+		} else {
+			fs := make([]float64, len(vals))
+			for i, v := range vals {
+				fs[i] = float64(v)
+			}
+			w.Float64s(fs)
 		}
+		end()
 	}
-	start(4, 1)
+	frame(wire.TypePartitionStart, 0, 1, 4, 1, 2) // phase, seq, rows, cols, chunk rows
+	end()
 	switch variant {
 	case 0:
-		chunk(0, 2, []uint32{1, 2})
-		chunk(2, 4, []uint32{3, 4})
+		chunk(0, 2, 1, 2)
+		chunk(2, 4, 3, 4)
 	case 1:
-		chunk(0, 2, []uint32{1, 2})
-		chunk(0, 2, []uint32{1, 2}) // duplicate
+		chunk(0, 2, 1, 2)
+		chunk(0, 2, 1, 2) // duplicate
 	case 2:
-		chunk(2, 4, []uint32{3, 4}) // gap: starts past row 0
+		chunk(2, 4, 3, 4) // gap: starts past row 0
 	case 3:
-		chunk(0, 2, []uint32{1, 2, 3}) // count mismatch
+		chunk(0, 2, 1, 2, 3) // count mismatch
 	case 4:
-		chunk(0, 2, []uint32{uint32(gf.P), 1}) // non-canonical lane
+		chunk(0, 2, uint32(gf.P), 1) // non-canonical lane (a valid float64)
 	}
 	return buf.Bytes()
 }
 
-// FuzzGFChunkStream drives a real Worker's receive loop over arbitrary
-// inbound byte streams (GF partition starts, chunks, work, anything):
-// Run must terminate without panicking, and a published partition can
-// only ever come from a complete in-order stream.
-func FuzzGFChunkStream(f *testing.F) {
-	for v := 0; v <= 4; v++ {
-		f.Add(buildGFChunkSeed(f, v))
+// FuzzChunkStream drives a real Worker's receive loop over arbitrary
+// inbound byte streams (partition starts and chunks of either elem, work,
+// anything): Run must terminate without panicking, and a published
+// partition can only ever come from a complete in-order stream.
+func FuzzChunkStream(f *testing.F) {
+	for _, elem := range []wire.Elem{wire.ElemFloat64, wire.ElemGF} {
+		for v := 0; v <= 4; v++ {
+			f.Add(buildChunkSeed(f, elem, v))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Cap the partition allocation bound so a fuzzed header cannot ask

@@ -300,7 +300,7 @@ func gfGatherFixture(tb testing.TB) (*coding.GFEncodedMatrix, []*GFResult, []gf.
 			tb.Fatal(err)
 		}
 		results = append(results, &GFResult{
-			Iter: 0, Phase: 0, Worker: w, Ranges: p.Ranges, Values: p.Values,
+			Iter: 0, Phase: 0, Worker: w, RowWidth: 1, Ranges: p.Ranges, Values: p.Values,
 		})
 	}
 	return enc, results, x, gfGroundTruth(rows, cols, data, x)
@@ -342,7 +342,7 @@ func TestMasterGFWireRoundZeroAllocsSteadyState(t *testing.T) {
 		ws.begin(n, enc.BlockRows, k, 1)
 		// Send tasks: one GF work frame per active worker.
 		for w := 0; w < n; w++ {
-			ws.workMsg = GFWork{Iter: 0, Phase: 0, X: x, Ranges: assignment}
+			ws.workMsg = GFWork{Iter: 0, Phase: 0, W: 1, X: x, Ranges: assignment}
 			if err := tc.sendWork(&ws.workMsg); err != nil {
 				t.Fatal(err)
 			}

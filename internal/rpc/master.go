@@ -197,8 +197,7 @@ type Master struct {
 	pendingReady chan struct{}
 
 	// def is the built-in default job (id 0): the one every promoted
-	// Master round/distribute method acts on, whose traffic stays on the
-	// untagged legacy frames.
+	// Master round/distribute method acts on.
 	def Job
 	// jobsMu guards the job registry; the readLoops take it per result to
 	// route by job id, so it is an RWMutex written only on OpenJob/Close.
@@ -869,7 +868,7 @@ drain:
 	// it spuriously.
 	seq := int(m.xferSeq.Add(1))
 	start := &PartitionStart{Phase: phase, Seq: seq, Rows: rows, Cols: cols, ChunkRows: chunkRows}
-	if err := wc.t.sendPartitionStart(ec.spec().partStart, start); err != nil {
+	if err := sendPartitionStart[C](wc.t, start); err != nil {
 		return err
 	}
 	timer := time.NewTimer(stall)
@@ -1086,9 +1085,6 @@ func (c *roundCore) begin(n, blockRows, k, w int) {
 func (c *roundCore) checkResult(worker int, ranges []coding.Range, rowWidth, numValues int) error {
 	if worker < 0 || worker >= c.n {
 		return fmt.Errorf("rpc: result from unknown worker %d", worker)
-	}
-	if rowWidth < 1 {
-		rowWidth = 1
 	}
 	if rowWidth != c.width {
 		return fmt.Errorf("rpc: worker %d result row width %d, round width %d", worker, rowWidth, c.width)

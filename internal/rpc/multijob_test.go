@@ -62,7 +62,7 @@ func TestConcurrentJobsExactness(t *testing.T) {
 			errCh <- fmt.Errorf(format, args...)
 		}
 
-		// Job 1 of 4: the default float64 job on the legacy frames.
+		// Job 1 of 4: the default float64 job (job 0).
 		{
 			a := mat.Rand(36, 5, rng)
 			code, err := coding.NewMDSCode(n, k)
@@ -509,7 +509,6 @@ func TestMultiJobWireRoundZeroAllocsSteadyState(t *testing.T) {
 			tagged := *r
 			tagged.Job = j.id
 			tagged.Phase = j.wirePhase(0)
-			tagged.RowWidth = 1 // workers always stamp the width on tagged frames
 			if err := sender.sendResult(&tagged); err != nil {
 				t.Fatal(err)
 			}
@@ -532,7 +531,7 @@ func TestMultiJobWireRoundZeroAllocsSteadyState(t *testing.T) {
 		j.float.recycle()
 		ws.begin(n, enc.BlockRows, k, 1)
 		for w := 0; w < n; w++ {
-			ws.workMsg = Work{Job: j.id, Iter: 0, Phase: wp, X: x, Ranges: assignment}
+			ws.workMsg = Work{Job: j.id, Iter: 0, Phase: wp, W: 1, X: x, Ranges: assignment}
 			if err := tc.sendWork(&ws.workMsg); err != nil {
 				t.Fatal(err)
 			}
@@ -580,48 +579,5 @@ func TestMultiJobWireRoundZeroAllocsSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state multi-job round allocates %v/op per job, want 0", allocs)
-	}
-}
-
-// TestLegacyWireTrafficByteIdentical pins the compatibility acceptance
-// criterion: the default job's work frames — the only frames a single-job
-// master sends during a round — are byte-identical to the pre-serving
-// encoding (TypeWork, no job tag), and only non-default jobs move to the
-// tagged frame types.
-func TestLegacyWireTrafficByteIdentical(t *testing.T) {
-	assignment := []coding.Range{{Lo: 0, Hi: 7}}
-	x := []float64{1.5, -2.25, 3}
-
-	var legacy bytes.Buffer
-	c := &wireConn{w: wire.NewWriter(&legacy)}
-	if err := c.sendWork(&Work{Iter: 3, Phase: 0, W: 1, X: x, Ranges: assignment}); err != nil {
-		t.Fatal(err)
-	}
-	// Hand-build the pre-serving frame: TypeWork, iter, phase, x, ranges.
-	var want bytes.Buffer
-	w := wire.NewWriter(&want)
-	w.Begin(wire.TypeWork)
-	w.Int(3)
-	w.Int(0)
-	w.Float64s(x)
-	w.Int(1)
-	w.Int(assignment[0].Lo)
-	w.Int(assignment[0].Hi)
-	if err := w.End(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(legacy.Bytes(), want.Bytes()) {
-		t.Fatalf("default-job work frame is not byte-identical to the legacy encoding:\n got %x\nwant %x",
-			legacy.Bytes(), want.Bytes())
-	}
-
-	// A tagged job must leave the legacy frame type.
-	var tagged bytes.Buffer
-	c2 := &wireConn{w: wire.NewWriter(&tagged)}
-	if err := c2.sendWork(&Work{Job: 2, Iter: 3, Phase: 0, W: 1, X: x, Ranges: assignment}); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(tagged.Bytes(), want.Bytes()) {
-		t.Fatal("tagged work frame collided with the legacy encoding")
 	}
 }

@@ -36,16 +36,9 @@ import (
 type Kind int
 
 // Message kinds: what recv decoded a frame to. A Kind never travels on the
-// wire — several frame types (single-x, batched, job-tagged) decode to the
-// same Kind. The GF kinds are the exact GF(2³¹−1) mirror of the float64
-// round messages and an in-version extension of wire.VersionWire: the
-// handshake gates the *framing*, not the message set, so a peer built
-// before the GF frames existed rejects the first one as unknown and drops
-// the connection (surfacing as a worker error / transfer failure on the
-// master). Masters therefore only drive the GF path against workers from
-// the same build generation — acceptable while both binaries ship from one
-// tree; a capability bit in the hello would be the upgrade path if that
-// ever loosens.
+// wire. Each frame type has one kind, except that a Work, Result,
+// PartitionStart or PartitionChunk whose elem field says GF(2³¹−1)
+// decodes to the matching KindGF* kind, which names Msg's GF slot.
 const (
 	KindHello Kind = iota + 1
 	KindWork
@@ -105,16 +98,9 @@ type PartitionAck struct {
 
 // WorkOf assigns row ranges for one round. W is the round's batch width:
 // the number of input vectors concatenated in X (x_l at
-// X[l*cols : (l+1)*cols]). W ≤ 1 is the classic single-x round; batched
-// rounds (W > 1) ship as a distinct frame type so the single-x encoding
-// stays byte-identical across versions. recv normalizes W to 1 on
-// single-x messages.
-//
-// Job names the serving job the round belongs to. Job 0 — the master's
-// default job — travels on the pre-serving frame types, byte-identical to
-// the pre-job encoding; other jobs use the TypeJob* frames, which always
-// carry both the job id and the width. recv normalizes Job to 0 on
-// untagged messages.
+// X[l*cols : (l+1)*cols]), 1 for a single-x round and at most
+// maxBatchWidth. Job names the serving job the round belongs to, 0 for
+// the master's default job.
 type WorkOf[T coding.Element] struct {
 	Job    int
 	Iter   int
@@ -137,14 +123,9 @@ type (
 // records its response time for the §4.3 timeout and the speed predictor
 // — only when the full result has been delivered.
 //
-// RowWidth is the values-per-row width: 1 for single-x rounds, the
-// round's W for batched rounds, where Values is row-major RowWidth-wide
-// (lane l of covered row r at Values[r*RowWidth+l]). recv normalizes it
-// to 1 on single-x messages.
-//
-// Job echoes the Work's job id so the master's read loop can route the
-// result to the owning job's round; it is 0 (and normalized to 0 by recv)
-// on untagged traffic.
+// RowWidth is the Work's W: Values is row-major RowWidth-wide (lane l of
+// covered row r at Values[r*RowWidth+l]). Job echoes the Work's job id so
+// the master's read loop can route the result to the owning job's round.
 type ResultOf[T coding.Element] struct {
 	Job          int
 	Iter         int
@@ -271,13 +252,8 @@ func (c *wireConn) sendHello(h *Hello) error {
 }
 
 // sendWork frames an assignment of either element type (*Work or
-// *GFWork; the element type picks the frame family once per frame). A
-// single-x assignment travels as TypeWork/TypeGFWork — byte-identical to
-// the pre-batch encoding — and a batched one (W > 1) as the family's
-// batch frame with the width field ahead of the concatenated x-vectors. A
-// non-default job's assignment (Job != 0) travels as the family's job
-// frame, which carries the job id and the width at every width, so job
-// 0's traffic never changes shape for old workers.
+// *GFWork; the Go type picks the elem field once per frame) as
+// elem · job · iter · phase · width · x · ranges.
 //
 //s2c2:noalloc
 func (c *wireConn) sendWork(wk any) error {
@@ -296,31 +272,19 @@ func (c *wireConn) sendWork(wk any) error {
 
 func putWork[C codec[T], T coding.Element](w *wire.Writer, wk *WorkOf[T]) {
 	var ec C
-	f := ec.spec()
-	switch {
-	case wk.Job != 0:
-		w.Begin(f.jobWork)
-		w.Int(wk.Job)
-	case wk.W > 1:
-		w.Begin(f.workBatch)
-	default:
-		w.Begin(f.work)
-	}
+	w.Begin(wire.TypeWork)
+	w.Elem(ec.spec().elem)
+	w.Int(wk.Job)
 	w.Int(wk.Iter)
 	w.Int(wk.Phase)
-	if wk.Job != 0 || wk.W > 1 {
-		w.Int(wk.W)
-	}
+	w.Int(wk.W)
 	ec.put(w, wk.X)
 	writeRanges(w, wk.Ranges)
 }
 
 // sendResult frames a result of either element type (*Result or
-// *GFResult): single-x as TypeResult/TypeGFResult (unchanged encoding),
-// batched (RowWidth > 1) as the family's batch frame with the width field
-// ahead of the ranges and row-major width-wide values. A tagged job's
-// result (Job != 0) echoes the job id on the family's job frame, width
-// field always present.
+// *GFResult) as elem · job · iter · phase · worker · partial · nanos ·
+// width · ranges · values, the values row-major width-wide.
 //
 //s2c2:noalloc
 func (c *wireConn) sendResult(r any) error {
@@ -339,16 +303,9 @@ func (c *wireConn) sendResult(r any) error {
 
 func putResult[C codec[T], T coding.Element](w *wire.Writer, r *ResultOf[T]) {
 	var ec C
-	f := ec.spec()
-	switch {
-	case r.Job != 0:
-		w.Begin(f.jobResult)
-		w.Int(r.Job)
-	case r.RowWidth > 1:
-		w.Begin(f.resultBatch)
-	default:
-		w.Begin(f.result)
-	}
+	w.Begin(wire.TypeResult)
+	w.Elem(ec.spec().elem)
+	w.Int(r.Job)
 	w.Int(r.Iter)
 	w.Int(r.Phase)
 	w.Int(r.Worker)
@@ -358,9 +315,7 @@ func putResult[C codec[T], T coding.Element](w *wire.Writer, r *ResultOf[T]) {
 	}
 	w.Uvarint(partial)
 	w.Uvarint(uint64(r.ComputeNanos))
-	if r.Job != 0 || r.RowWidth > 1 {
-		w.Int(r.RowWidth)
-	}
+	w.Int(r.RowWidth)
 	writeRanges(w, r.Ranges)
 	ec.put(w, r.Values)
 }
@@ -393,12 +348,13 @@ func (c *wireConn) sendPong() error {
 	return c.end()
 }
 
-// sendPartitionStart announces a streamed partition on typ, its element
-// type's start frame.
-func (c *wireConn) sendPartitionStart(typ wire.Type, p *PartitionStart) error {
+// sendPartitionStart announces a streamed partition of C's element type.
+func sendPartitionStart[C codec[T], T coding.Element](c *wireConn, p *PartitionStart) error {
+	var ec C
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.w.Begin(typ)
+	c.w.Begin(wire.TypePartitionStart)
+	c.w.Elem(ec.spec().elem)
 	c.w.Int(p.Phase)
 	c.w.Int(p.Seq)
 	c.w.Int(p.Rows)
@@ -416,7 +372,8 @@ func sendPartitionChunk[C codec[T], T coding.Element](c *wireConn, phase, seq, l
 	var ec C
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.w.Begin(ec.spec().partChunk)
+	c.w.Begin(wire.TypePartitionChunk)
+	c.w.Elem(ec.spec().elem)
 	c.w.Int(phase)
 	c.w.Int(seq)
 	c.w.Int(lo)
@@ -456,21 +413,25 @@ func (c *wireConn) recv(m *Msg) error {
 	case wire.TypeHello:
 		m.Kind = KindHello
 		m.Hello.Slowdown = p.Float64()
-	case wire.TypeWork, wire.TypeWorkBatch, wire.TypeJobWork:
-		m.Kind = KindWork
-		readWork[floatCodec](p, typ, &m.Work)
-	case wire.TypeGFWork, wire.TypeGFWorkBatch, wire.TypeJobGFWork:
-		m.Kind = KindGFWork
-		readWork[gfCodec](p, typ, &m.GFWork)
-	case wire.TypeResult, wire.TypeResultBatch, wire.TypeJobResult:
-		m.Kind = KindResult
-		readResult[floatCodec](p, typ, &m.Result)
-	case wire.TypeGFResult, wire.TypeGFResultBatch, wire.TypeJobGFResult:
-		m.Kind = KindGFResult
-		readResult[gfCodec](p, typ, &m.GFResult)
-	case wire.TypePartitionStart, wire.TypeGFPartitionStart:
+	case wire.TypeWork:
+		if p.Elem() == wire.ElemGF {
+			m.Kind = KindGFWork
+			readWork[gfCodec](p, &m.GFWork)
+		} else {
+			m.Kind = KindWork
+			readWork[floatCodec](p, &m.Work)
+		}
+	case wire.TypeResult:
+		if p.Elem() == wire.ElemGF {
+			m.Kind = KindGFResult
+			readResult[gfCodec](p, &m.GFResult)
+		} else {
+			m.Kind = KindResult
+			readResult[floatCodec](p, &m.Result)
+		}
+	case wire.TypePartitionStart:
 		m.Kind = KindPartitionStart
-		if typ == wire.TypeGFPartitionStart {
+		if p.Elem() == wire.ElemGF {
 			m.Kind = KindGFPartitionStart
 		}
 		m.PartStart.Phase = p.Int()
@@ -478,9 +439,9 @@ func (c *wireConn) recv(m *Msg) error {
 		m.PartStart.Rows = p.Int()
 		m.PartStart.Cols = p.Int()
 		m.PartStart.ChunkRows = p.Int()
-	case wire.TypePartitionChunk, wire.TypeGFPartitionChunk:
+	case wire.TypePartitionChunk:
 		m.Kind = KindPartitionChunk
-		if typ == wire.TypeGFPartitionChunk {
+		if p.Elem() == wire.ElemGF {
 			m.Kind = KindGFPartitionChunk
 		}
 		m.PartChunk.Phase = p.Int()
@@ -514,47 +475,27 @@ func (c *wireConn) recv(m *Msg) error {
 	return p.Err()
 }
 
-// readWork decodes an assignment frame of C's family into wk; typ picks
-// the header layout. The pooled slot may carry a stale job tag or batch
-// width, so both are reset for the untagged frames.
-func readWork[C codec[T], T coding.Element](p *wire.Payload, typ wire.Type, wk *WorkOf[T]) {
+// readWork decodes the fields of a Work frame after its elem into wk.
+func readWork[C codec[T], T coding.Element](p *wire.Payload, wk *WorkOf[T]) {
 	var ec C
-	f := ec.spec()
-	wk.Job, wk.W = 0, 1
-	if typ == f.jobWork {
-		wk.Job = readJobID(p)
-	}
+	wk.Job = readJobID(p)
 	wk.Iter = p.Int()
 	wk.Phase = p.Int()
-	switch typ {
-	case f.jobWork:
-		wk.W = readJobWidth(p)
-	case f.workBatch:
-		wk.W = readBatchWidth(p)
-	}
+	wk.W = readWidth(p)
 	wk.X = ec.get(p, wk.X)
 	wk.Ranges = readRanges(p, wk.Ranges)
 }
 
-// readResult decodes a result frame of C's family into r (see readWork).
-func readResult[C codec[T], T coding.Element](p *wire.Payload, typ wire.Type, r *ResultOf[T]) {
+// readResult decodes the fields of a Result frame after its elem into r.
+func readResult[C codec[T], T coding.Element](p *wire.Payload, r *ResultOf[T]) {
 	var ec C
-	f := ec.spec()
-	r.Job, r.RowWidth = 0, 1
-	if typ == f.jobResult {
-		r.Job = readJobID(p)
-	}
+	r.Job = readJobID(p)
 	r.Iter = p.Int()
 	r.Phase = p.Int()
 	r.Worker = p.Int()
 	r.Partial = p.Uvarint() != 0
 	r.ComputeNanos = int64(p.Uvarint())
-	switch typ {
-	case f.jobResult:
-		r.RowWidth = readJobWidth(p)
-	case f.resultBatch:
-		r.RowWidth = readBatchWidth(p)
-	}
+	r.RowWidth = readWidth(p)
 	r.Ranges = readRanges(p, r.Ranges)
 	r.Values = ec.get(p, r.Values)
 }
@@ -570,56 +511,40 @@ func (c *wireConn) close() error {
 	return c.closeErr
 }
 
-// maxBatchWidth bounds the per-row width a batch frame may declare. Real
-// rounds batch a handful of x-vectors (DRAM-bandwidth amortization stops
-// paying long before this); the bound exists so a corrupt or hostile
-// width is rejected at decode, before any consistency arithmetic uses it.
+// maxBatchWidth bounds the per-row width a frame may declare. Real rounds
+// batch a handful of x-vectors (DRAM-bandwidth amortization stops paying
+// long before this); the bound exists so a corrupt or hostile width is
+// rejected at decode, before any consistency arithmetic uses it.
 const maxBatchWidth = 4096
 
-// readBatchWidth decodes the width field of a batch frame. Batch frames
-// exist only for widths ≥ 2 (width-1 traffic uses the classic frames), so
-// anything else is malformed — rejected through the payload's sticky
+// readWidth decodes a Work or Result width field: anything outside
+// [1, maxBatchWidth] is malformed — rejected through the payload's sticky
 // error, like every other corrupt field.
 //
 //s2c2:noalloc
-func readBatchWidth(p *wire.Payload) int {
-	w := p.Int()
-	if w < 2 || w > maxBatchWidth {
-		p.Reject()
-		return 0
-	}
-	return w
-}
-
-// maxJobID bounds the job tag a TypeJob* frame may declare, rejecting
-// corrupt or hostile ids before any routing structure is consulted.
-const maxJobID = 1 << 30
-
-// readJobID decodes the job tag of a TypeJob* frame. Tagged frames exist
-// only for jobs ≥ 1 (the default job travels untagged), so anything else
-// is malformed.
-//
-//s2c2:noalloc
-func readJobID(p *wire.Payload) int {
-	id := p.Int()
-	if id < 1 || id > maxJobID {
-		p.Reject()
-		return 0
-	}
-	return id
-}
-
-// readJobWidth decodes the width field of a TypeJob* frame, which —
-// unlike the batch frames — is present at every width including 1.
-//
-//s2c2:noalloc
-func readJobWidth(p *wire.Payload) int {
+func readWidth(p *wire.Payload) int {
 	w := p.Int()
 	if w < 1 || w > maxBatchWidth {
 		p.Reject()
 		return 0
 	}
 	return w
+}
+
+// maxJobID bounds the job tag a frame may declare, rejecting corrupt or
+// hostile ids before any routing structure is consulted.
+const maxJobID = 1 << 30
+
+// readJobID decodes a Work or Result job field (0 is the default job).
+//
+//s2c2:noalloc
+func readJobID(p *wire.Payload) int {
+	id := p.Int()
+	if id > maxJobID {
+		p.Reject()
+		return 0
+	}
+	return id
 }
 
 // writeRanges appends a count-prefixed list of [lo, hi) varint pairs.

@@ -304,7 +304,7 @@ func gatherFixture(tb testing.TB) (*coding.EncodedMatrix, []*Result, []float64) 
 	for _, w := range []int{0, 1, 2, 3, 4, 5, 8, 9} {
 		p := enc.WorkerCompute(w, x, []coding.Range{{Lo: 0, Hi: enc.BlockRows}})
 		results = append(results, &Result{
-			Iter: 0, Phase: 0, Worker: w, Ranges: p.Ranges, Values: p.Values,
+			Iter: 0, Phase: 0, Worker: w, RowWidth: 1, Ranges: p.Ranges, Values: p.Values,
 		})
 	}
 	return enc, results, mat.MatVec(a, x)
@@ -359,7 +359,7 @@ func TestGatherDeduplicatesCoverage(t *testing.T) {
 	m := &Master{cfg: MasterConfig{ReuseRound: true}}
 	ws := &m.def.float.round
 	ws.begin(3, 4, 2, 1)
-	r := &Result{Worker: 0, Ranges: []coding.Range{{Lo: 0, Hi: 4}}, Values: []float64{1, 2, 3, 4}}
+	r := &Result{Worker: 0, RowWidth: 1, Ranges: []coding.Range{{Lo: 0, Hi: 4}}, Values: []float64{1, 2, 3, 4}}
 	if err := ws.addResult(r, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestGatherDeduplicatesCoverage(t *testing.T) {
 		}
 	}
 	// A second distinct worker completes coverage at k=2.
-	r2 := &Result{Worker: 2, Ranges: []coding.Range{{Lo: 0, Hi: 4}}, Values: []float64{5, 6, 7, 8}}
+	r2 := &Result{Worker: 2, RowWidth: 1, Ranges: []coding.Range{{Lo: 0, Hi: 4}}, Values: []float64{5, 6, 7, 8}}
 	if err := ws.addResult(r2, 3*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestGatherDeduplicatesCoverage(t *testing.T) {
 		t.Fatalf("coverage incomplete after second worker: needed=%d", ws.needed)
 	}
 	// Malformed ranges are rejected, not indexed out of bounds.
-	bad := &Result{Worker: 1, Ranges: []coding.Range{{Lo: 2, Hi: 9}}, Values: make([]float64, 7)}
+	bad := &Result{Worker: 1, RowWidth: 1, Ranges: []coding.Range{{Lo: 2, Hi: 9}}, Values: make([]float64, 7)}
 	if err := ws.addResult(bad, time.Millisecond); err == nil {
 		t.Fatal("out-of-partition result range must be rejected")
 	}

@@ -14,19 +14,18 @@ import (
 // This file is the multi-job serving layer: one master holds any number
 // of jobs, each with its own plan buffer and, per element type (float64
 // and GF), its own lane of encoded datasets, result channel and round
-// workspace, all multiplexed over the same worker connections. Job 0 — the
-// built-in default job every promoted Master method acts on — travels on
-// the untagged legacy wire frames, so a single-tenant master is
-// byte-identical on the wire to the pre-serving one. Rounds across jobs
-// run concurrently: the per-worker readLoops demux results by (job, iter,
-// phase) to the owning job's channels, so worker compute for one job
-// overlaps master decode for another. A wait queue in front of the round path (MaxConcurrentRounds,
-// PriorityPolicy) bounds that concurrency for co-tenancy.
+// workspace, all multiplexed over the same worker connections. Job 0 is
+// the built-in default job every promoted Master method acts on. Rounds
+// across jobs run concurrently: the per-worker readLoops demux results by
+// (job, iter, phase) to the owning job's channels, so worker compute for
+// one job overlaps master decode for another. A wait queue in front of the
+// round path (MaxConcurrentRounds, PriorityPolicy) bounds that concurrency
+// for co-tenancy.
 
 // jobPhaseBase is the floor of the wire-phase namespace handed to
-// non-default jobs. The default job's user phases pass through verbatim
-// (identity, preserving legacy traffic), so any user phase below this
-// bound can never collide with an allocated one.
+// non-default jobs. The default job's user phases pass through verbatim,
+// so any user phase below this bound can never collide with an allocated
+// one.
 const jobPhaseBase = 1 << 20
 
 // JobConfig configures one served job.
@@ -219,8 +218,7 @@ func (j *Job) forgetPhases() []int {
 
 // wirePhase translates one of the job's user phases to the master-wide
 // wire phase that names the dataset on the workers. The default job is
-// identity — its traffic must stay byte-identical to a pre-serving
-// master's — while other jobs allocate from the shared namespace above
+// identity, while other jobs allocate from the shared namespace above
 // jobPhaseBase on first use.
 //
 //s2c2:noalloc
@@ -240,8 +238,8 @@ func (j *Job) wirePhase(phase int) int {
 
 // jobFor routes a result frame's job tag to the owning job, or nil when
 // the job is closed or was never opened (the frame is dropped). The
-// default job skips the registry lock: it always exists, and legacy
-// single-job traffic must not contend with OpenJob/Close.
+// default job skips the registry lock: it always exists, and single-job
+// traffic must not contend with OpenJob/Close.
 //
 //s2c2:noalloc
 func (m *Master) jobFor(id int) *Job {

@@ -59,7 +59,7 @@ func TestChunkedDistributionTinyChunks(t *testing.T) {
 }
 
 // TestHandshakeVersionMismatch pins the handshake rejection path: clients
-// with the wrong magic or any version byte but wire.VersionWire (0
+// with the wrong magic or any version byte but wire.VersionWire (0 and 1
 // included) are turned away at once, without wedging the master, which
 // keeps serving well-formed workers.
 func TestHandshakeVersionMismatch(t *testing.T) {
@@ -69,32 +69,22 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	}
 	t.Cleanup(m.Shutdown)
 
-	// Client 1: right magic, unknown version byte.
-	badVersion, err := net.Dial("tcp", m.Addr())
-	if err != nil {
-		t.Fatal(err)
+	dial := func(hello []byte) net.Conn {
+		c, err := net.Dial("tcp", m.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if _, err := c.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	defer badVersion.Close()
-	if _, err := badVersion.Write([]byte{'S', '2', 'C', '2', 99}); err != nil {
-		t.Fatal(err)
-	}
-	// Client 2: right magic, version 0.
-	versionZero, err := net.Dial("tcp", m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer versionZero.Close()
-	if _, err := versionZero.Write([]byte{'S', '2', 'C', '2', 0}); err != nil {
-		t.Fatal(err)
-	}
-	// Client 3: wrong magic entirely.
-	badMagic, err := net.Dial("tcp", m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer badMagic.Close()
-	if _, err := badMagic.Write([]byte("GARBAGE!!")); err != nil {
-		t.Fatal(err)
+	rejected := map[string]net.Conn{
+		"bad version": dial([]byte{'S', '2', 'C', '2', 99}),
+		"version 0":   dial([]byte{'S', '2', 'C', '2', 0}),
+		"version 1":   dial([]byte{'S', '2', 'C', '2', 1}),
+		"bad magic":   dial([]byte("GARBAGE!!")),
 	}
 
 	// A real worker must still be admitted after the rejects.
@@ -116,7 +106,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	// Every rejected connection must have been closed by the master
 	// promptly: within 1 s, well inside handshakeTimeout, which a conn held
 	// open awaiting a hello would run out instead.
-	for name, c := range map[string]net.Conn{"bad version": badVersion, "version 0": versionZero, "bad magic": badMagic} {
+	for name, c := range rejected {
 		c.SetReadDeadline(time.Now().Add(time.Second)) //nolint:errcheck
 		_, err := c.Read(make([]byte, 1))
 		if err == nil {
@@ -272,6 +262,7 @@ func TestWorkerRejectsOutOfOrderChunks(t *testing.T) {
 	}
 	w := wire.NewWriter(c)
 	w.Begin(wire.TypePartitionStart)
+	w.Elem(wire.ElemFloat64)
 	w.Int(0) // phase
 	w.Int(1) // seq
 	w.Int(4) // rows
@@ -282,6 +273,7 @@ func TestWorkerRejectsOutOfOrderChunks(t *testing.T) {
 	}
 	sendChunk := func(lo, hi int) {
 		w.Begin(wire.TypePartitionChunk)
+		w.Elem(wire.ElemFloat64)
 		w.Int(0) // phase
 		w.Int(1) // seq
 		w.Int(lo)
@@ -349,6 +341,7 @@ func TestDistributePartitionsConnDropMidStream(t *testing.T) {
 			if typ != wire.TypePartitionChunk {
 				continue
 			}
+			p.Elem()
 			phase, seq := p.Int(), p.Int()
 			if acked >= 2 {
 				return // defer closes the conn mid-stream
@@ -500,7 +493,7 @@ func TestMasterWireRoundZeroAllocsSteadyState(t *testing.T) {
 		ws.begin(n, enc.BlockRows, k, 1)
 		// Send tasks: one work frame per active worker.
 		for w := 0; w < n; w++ {
-			ws.workMsg = Work{Iter: 0, Phase: 0, X: x, Ranges: assignment}
+			ws.workMsg = Work{Iter: 0, Phase: 0, W: 1, X: x, Ranges: assignment}
 			if err := tc.sendWork(&ws.workMsg); err != nil {
 				t.Fatal(err)
 			}

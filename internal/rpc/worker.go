@@ -331,7 +331,7 @@ func (l *workerLane[C, T]) handle(job *WorkOf[T]) {
 		return // partition not yet delivered; master will time us out
 	}
 	_, cols := part.Dims()
-	bw := max(job.W, 1)
+	bw := job.W
 	if len(job.X) != bw*cols {
 		return // corrupt assignment; master will time us out and reassign
 	}
@@ -387,7 +387,7 @@ func (l *workerLane[C, T]) handle(job *WorkOf[T]) {
 // the worker as responded on it.
 func (l *workerLane[C, T]) sendBounded(res *ResultOf[T]) error {
 	c := l.w.c
-	wd := max(res.RowWidth, 1)
+	wd := res.RowWidth
 	maxRows := max(l.w.cfg.MaxResultRows/wd, 1)
 	total := coding.TotalRows(res.Ranges)
 	if total <= maxRows {

@@ -15,12 +15,17 @@ import (
 // codec file the build selects (default, or -tags noasm for the portable
 // one).
 
-// chunkFrame frames one chunk the way rpc does — four scalar header
-// fields, then the payload — staged (Float64s) or as a borrowed tail.
+// chunkHead is the scalar header of an rpc partition chunk: elem, phase,
+// seq, lo, hi.
+const chunkHead = 5
+
+// chunkFrame frames one chunk the way rpc does — the chunkHead scalar
+// header fields, then the payload — staged (Float64s) or as a borrowed
+// tail.
 func chunkFrame(t *testing.T, w *Writer, vals []float64, tail bool) {
 	t.Helper()
 	w.Begin(TypePartitionChunk)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < chunkHead; i++ {
 		w.Int(1000 * i)
 	}
 	if tail {
@@ -66,8 +71,8 @@ func TestTailFrameByteIdenticalToStagedFrame(t *testing.T) {
 			tail bool
 		}{{&staged, false}, {&tailed, true}} {
 			w := NewWriter(c.buf)
-			w.Begin(TypeGFPartitionChunk)
-			w.Int(3)
+			w.Begin(TypePartitionChunk)
+			w.Elem(ElemGF)
 			if c.tail {
 				w.Uint32sTail(words)
 			} else {
@@ -106,7 +111,7 @@ func TestChunkBodyStreamsIntoDestination(t *testing.T) {
 			if err != nil || typ != TypePartitionChunk {
 				t.Fatalf("%s/%d: Next = %v, %v", name, n, typ, err)
 			}
-			for i := 0; i < 4; i++ {
+			for i := 0; i < chunkHead; i++ {
 				if got := p.Int(); got != 1000*i {
 					t.Fatalf("%s/%d: header field %d = %d", name, n, i, got)
 				}
@@ -149,7 +154,7 @@ func TestChunkBodyIgnoredKeepsFraming(t *testing.T) {
 	if err != nil || typ != TypePartitionChunk {
 		t.Fatalf("second chunk: %v, %v", typ, err)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < chunkHead; i++ {
 		p.Int()
 	}
 	if got := p.Float64s(nil); len(got) != 3 || p.Err() != nil {
@@ -171,7 +176,7 @@ func TestChunkBodyTruncatedAtEveryCut(t *testing.T) {
 		r := NewReader(bytes.NewReader(full[:cut]))
 		_, p, err := r.Next()
 		if err == nil {
-			for i := 0; i < 4; i++ {
+			for i := 0; i < chunkHead; i++ {
 				p.Int()
 			}
 			err = p.Float64sInto(make([]float64, 40))
@@ -193,7 +198,7 @@ func TestChunkCountCheckedBeforeAnyByteLands(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 4; i++ {
+		for i := 0; i < chunkHead; i++ {
 			p.Int()
 		}
 		return p
@@ -220,7 +225,7 @@ func TestChunkCountCheckedBeforeAnyByteLands(t *testing.T) {
 	var hostile bytes.Buffer
 	w := NewWriter(&hostile)
 	w.Begin(TypePartitionChunk)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < chunkHead; i++ {
 		w.Int(i)
 	}
 	w.Uvarint(500)
@@ -234,7 +239,7 @@ func TestChunkCountCheckedBeforeAnyByteLands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < chunkHead; i++ {
 		p.Int()
 	}
 	dst := make([]float64, 500)

@@ -10,7 +10,9 @@
 //
 // where multi-byte integers are unsigned varints and numeric bulk payloads
 // are raw element bytes (float64 as IEEE-754 bits, field elements as
-// uint32, both little-endian) prefixed by an element count. A Writer owns
+// uint32, both little-endian) prefixed by an element count. The frames
+// that carry a payload — Work, Result, PartitionStart, PartitionChunk —
+// open with an Elem field naming its element type. A Writer owns
 // one scratch buffer reused across frames; a Reader owns one receive
 // buffer plus a Payload cursor that decodes fields in place, so the only
 // per-message cost is the copy into caller-owned storage (matrices, pooled
@@ -42,7 +44,7 @@ import (
 // VersionWire is the handshake version of this package's binary frame
 // format. The version byte follows the 4-byte magic and fixes the message
 // encoding for the rest of the connection; every other value is rejected.
-const VersionWire byte = 1
+const VersionWire byte = 2
 
 // magic opens every connection, before the version byte.
 var magic = [4]byte{'S', '2', 'C', '2'}
@@ -78,33 +80,36 @@ func ReadHandshake(r io.Reader) (byte, error) {
 // can never masquerade as a message.
 type Type byte
 
-// Frame types of the master↔worker protocol. The GF(2³¹−1) variants carry
-// uint32 field elements instead of float64 rows — the exact distributed
-// round path; acks are shared (a PartitionAck credits whichever transfer
-// its sequence number fences, float64 or GF).
+// Frame types of the master↔worker protocol. Work, Result,
+// PartitionStart and PartitionChunk serve both element types: their first
+// field is an Elem. A PartitionAck credits whichever transfer its sequence
+// number fences, float64 or GF.
 const (
-	TypeHello            Type = 1 + iota // worker → master: join
-	TypeWork                             // master → worker: row assignment
-	TypeResult                           // worker → master: computed rows
-	TypePartitionStart                   // master → worker: begin streamed partition
-	TypePartitionChunk                   // master → worker: one row band
-	TypePartitionAck                     // worker → master: chunk stored (credit return)
-	TypeShutdown                         // master → worker: exit
-	TypeGFWork                           // master → worker: field-element row assignment
-	TypeGFResult                         // worker → master: computed field-element rows
-	TypeGFPartitionStart                 // master → worker: begin streamed GF partition
-	TypeGFPartitionChunk                 // master → worker: one row band of field elements
-	TypeWorkBatch                        // master → worker: row assignment over w x-vectors
-	TypeResultBatch                      // worker → master: computed rows, w values per row
-	TypeGFWorkBatch                      // master → worker: field-element batch assignment
-	TypeGFResultBatch                    // worker → master: field-element rows, w values per row
-	TypePing                             // master → worker: liveness probe (empty body)
-	TypePong                             // worker → master: liveness answer (empty body)
-	TypeJobWork                          // master → worker: row assignment tagged with a job id
-	TypeJobResult                        // worker → master: computed rows for a tagged job
-	TypeJobGFWork                        // master → worker: field-element assignment for a tagged job
-	TypeJobGFResult                      // worker → master: field-element rows for a tagged job
-	TypePartitionDrop                    // master → worker: free a phase's partition (job closed)
+	TypeHello          Type = 1 + iota // worker → master: join
+	TypeWork                           // master → worker: row assignment
+	TypeResult                         // worker → master: computed rows
+	TypePartitionStart                 // master → worker: begin streamed partition
+	TypePartitionChunk                 // master → worker: one row band
+	TypePartitionAck                   // worker → master: chunk stored (credit return)
+	TypePartitionDrop                  // master → worker: free a phase's partition (job closed)
+	TypeShutdown                       // master → worker: exit
+	TypePing                           // master → worker: liveness probe (empty body)
+	TypePong                           // worker → master: liveness answer (empty body)
+)
+
+// Names the benchmark harness frames its replayed traffic with.
+const (
+	TypeJobWork   = TypeWork   // only user: benchmark/replay.go
+	TypeJobResult = TypeResult // only user: benchmark/replay.go
+)
+
+// Elem is the element type of a bulk frame's payload, sent as a varint.
+type Elem byte
+
+// Element types. Every other value is malformed.
+const (
+	ElemFloat64 Elem = 0 // IEEE-754 float64, 8 bytes per element
+	ElemGF      Elem = 1 // GF(2³¹−1) field element as uint32, 4 bytes per element
 )
 
 // DefaultMaxFrame bounds accepted frame bodies. Partitions are streamed in
@@ -175,6 +180,11 @@ func (w *Writer) Uvarint(v uint64) {
 //
 //s2c2:noalloc
 func (w *Writer) Int(v int) { w.Uvarint(uint64(v)) }
+
+// Elem appends a bulk frame's element-type field.
+//
+//s2c2:noalloc
+func (w *Writer) Elem(e Elem) { w.Uvarint(uint64(e)) }
 
 // Float64 appends one float64 as raw IEEE-754 bits.
 //
@@ -251,17 +261,16 @@ func (r *Reader) ReadByte() (byte, error) {
 }
 
 // streamedHead is how much of a body-streamed frame Next reads eagerly:
-// room for the largest scalar header such a frame can carry (five varint
-// fields — phase, seq, lo, hi, element count). Everything past it stays in
-// the stream for the payload decoder to land in caller-owned storage.
-const streamedHead = 5 * binary.MaxVarintLen64
+// room for the largest scalar header such a frame can carry (six varint
+// fields — elem, phase, seq, lo, hi, element count). Everything past it
+// stays in the stream for the payload decoder to land in caller-owned
+// storage.
+const streamedHead = 6 * binary.MaxVarintLen64
 
 // streamsBody reports whether a frame of this type is handed over
 // header-first: partition chunks, whose bulk payload is large and has
 // exactly one destination (the partition's rows).
-func (t Type) streamsBody() bool {
-	return t == TypePartitionChunk || t == TypeGFPartitionChunk
-}
+func (t Type) streamsBody() bool { return t == TypePartitionChunk }
 
 // Next reads one frame, returning its type and a Payload cursor over the
 // body. The cursor (and any byte view it exposes) is valid only until the
@@ -424,6 +433,19 @@ func (p *Payload) Int() int {
 		return 0
 	}
 	return int(v)
+}
+
+// Elem decodes a bulk frame's element-type field, rejecting any value but
+// ElemFloat64 and ElemGF as malformed (ElemFloat64 after a failure).
+//
+//s2c2:noalloc
+func (p *Payload) Elem() Elem {
+	v := p.Uvarint()
+	if v > uint64(ElemGF) {
+		p.Reject()
+		return ElemFloat64
+	}
+	return Elem(v)
 }
 
 // Float64s decodes a count-prefixed float64 payload, reusing dst's

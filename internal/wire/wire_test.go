@@ -189,7 +189,7 @@ func TestFloat64sIntoCountMismatch(t *testing.T) {
 func TestUint32sIntoCountMismatch(t *testing.T) {
 	var net bytes.Buffer
 	w := NewWriter(&net)
-	w.Begin(TypeGFPartitionChunk)
+	w.Begin(TypePartitionChunk)
 	w.Uint32s([]uint32{1, 2, 3})
 	if err := w.End(); err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestUint32sIntoCountMismatch(t *testing.T) {
 	// A declared count the body cannot hold is rejected by division, so a
 	// hostile count cannot overflow the guard.
 	var body []byte
-	body = append(body, byte(TypeGFPartitionChunk))
+	body = append(body, byte(TypePartitionChunk))
 	body = binary.AppendUvarint(body, 1<<61)
 	var hostile bytes.Buffer
 	hostile.Write(binary.AppendUvarint(nil, uint64(len(body))))
