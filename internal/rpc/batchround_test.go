@@ -645,19 +645,23 @@ func TestBatchFrameHostileWidths(t *testing.T) {
 	}
 }
 
-// TestBatchFrameHostileElementCount declares a value count the frame
-// cannot hold, on both frames, both elems, width 1 and batched: the
-// division-based guard rejects it before sizing anything.
-func TestBatchFrameHostileElementCount(t *testing.T) {
+// checkHostileElementCount declares a value count the frame cannot hold
+// on elem's Work and Result frames, width 1 and batched: the
+// division-based guard must reject it before sizing anything.
+func checkHostileElementCount(t *testing.T, elem wire.Elem) {
 	for _, typ := range []wire.Type{wire.TypeWork, wire.TypeResult} {
-		for elem := 0; elem <= 1; elem++ {
-			for _, width := range []int{1, 4} {
-				if err := recvFrame(hostileFrame(t, typ, elem, 0, width, 1<<40)); err == nil {
-					t.Errorf("type %d elem %d width %d: hostile element count decoded without error", typ, elem, width)
-				}
+		for _, width := range []int{1, 4} {
+			if err := recvFrame(hostileFrame(t, typ, int(elem), 0, width, 1<<40)); err == nil {
+				t.Errorf("type %d elem %d width %d: hostile element count decoded without error", typ, elem, width)
 			}
 		}
 	}
+}
+
+// TestBatchFrameHostileElementCount runs the hostile count on the float64
+// frames; TestGFResultHostileElementCount runs it on the GF ones.
+func TestBatchFrameHostileElementCount(t *testing.T) {
+	checkHostileElementCount(t, wire.ElemFloat64)
 }
 
 // TestBatchGatherAllLanesOrNothing pins the master-side dedup contract: a
@@ -721,11 +725,13 @@ func TestRunRoundBatchValidatesArgs(t *testing.T) {
 	}
 }
 
-// FuzzResultFrame feeds arbitrary byte streams to the master-side
-// decoder: recv must terminate without panicking, whatever decodes must be
-// a known kind, and every decoded Work or Result must carry a width in
-// [1, maxBatchWidth] and a job ≤ maxJobID.
-func FuzzResultFrame(f *testing.F) {
+// FuzzBatchResultFrame feeds arbitrary byte streams to the master-side
+// decoder, seeded with Work and Result frames of both elems × width
+// {1, 2} × job {0, 3}, their truncations and hostile width, elem, job and
+// count fields. Every Result frame carries a width, so this is the one
+// target over the whole frame family; FuzzGFResultFrame reruns the same
+// checks from a GF-only corpus.
+func FuzzBatchResultFrame(f *testing.F) {
 	for _, job := range []int{0, 3} {
 		for _, width := range []int{1, 2} {
 			var buf bytes.Buffer
@@ -750,6 +756,13 @@ func FuzzResultFrame(f *testing.F) {
 	f.Add(hostileFrame(f, wire.TypeWork, 2, 0, 1, 0))
 	f.Add(hostileFrame(f, wire.TypeResult, 0, maxJobID+1, 1, 0))
 	f.Add(hostileFrame(f, wire.TypeResult, 1, 0, 4, 1<<40))
+	fuzzFrameDecoder(f)
+}
+
+// fuzzFrameDecoder runs f over recv: it must terminate without panicking,
+// whatever decodes must be a known kind, and every decoded Work or Result
+// must carry a width in [1, maxBatchWidth] and a job ≤ maxJobID.
+func fuzzFrameDecoder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(bytes.NewReader(data))}
 		msg := &Msg{}

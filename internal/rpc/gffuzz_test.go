@@ -172,6 +172,27 @@ func TestGFResultFrameTruncatedAtEveryCut(t *testing.T) {
 	}
 }
 
+// TestGFResultHostileElementCount runs the hostile value count on the GF
+// Work and Result frames.
+func TestGFResultHostileElementCount(t *testing.T) {
+	checkHostileElementCount(t, wire.ElemGF)
+}
+
+// FuzzGFResultFrame runs the frame-decoder checks of FuzzBatchResultFrame
+// from a GF corpus: one width-1 GF result, its truncations, an empty
+// stream, and GF frames with a hostile count or elem.
+func FuzzGFResultFrame(f *testing.F) {
+	valid := buildGFResultStream(f)
+	f.Add(valid)
+	for _, cut := range []int{1, len(valid) / 2, len(valid) - 1} {
+		f.Add(append([]byte(nil), valid[:cut]...))
+	}
+	f.Add([]byte{})
+	f.Add(hostileFrame(f, wire.TypeResult, int(wire.ElemGF), 0, 1, 1<<40))
+	f.Add(hostileFrame(f, wire.TypeResult, int(wire.ElemGF)+1, 0, 1, 0))
+	fuzzFrameDecoder(f)
+}
+
 // buildChunkSeed builds one seed stream of elem's partition frames for
 // the chunk-assembly fuzzer. variant 0 is a fully valid stream; the others
 // are canonical corruptions (duplicate chunk, gap, count mismatch, and for
