@@ -1,6 +1,7 @@
 package coding
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -67,16 +68,76 @@ func TestDecodeMatVecIntoMatchesDecodeMatVec(t *testing.T) {
 	}
 }
 
+// The workspace keeps no per-worker-set state: a recurring set decodes
+// to the same bits, and a round over a set never seen before allocates
+// nothing either — more distinct sets than any per-set cache would hold.
 func TestDecodeWorkspaceCachesFactorizations(t *testing.T) {
 	enc, partials := mdsDecodeFixture(t)
 	ws := enc.NewDecodeWorkspace()
-	for round := 0; round < 3; round++ {
-		if _, err := enc.DecodeMatVecInto(nil, partials, ws); err != nil {
+	first, err := enc.DecodeMatVecInto(nil, partials, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, enc.OrigRows)
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := enc.DecodeMatVecInto(dst, partials, ws); err != nil {
 			t.Fatal(err)
 		}
+	})
+	if allocs != 0 {
+		t.Fatalf("identical rounds allocate %v/op after the first, want 0", allocs)
 	}
-	if len(ws.sets) != 1 {
-		t.Fatalf("workspace holds %d factored sets after 3 identical rounds, want 1", len(ws.sets))
+	for i := range first {
+		if dst[i] != first[i] {
+			t.Fatalf("row %d: repeated round decodes %v, first round %v", i, dst[i], first[i])
+		}
+	}
+
+	// MDS(12,6) has 924 decode sets; walk 70 of them, all distinct.
+	rng := rand.New(rand.NewSource(44))
+	a := mat.Rand(120, 9, rng)
+	code, err := NewMDSCode(12, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc = code.Encode(a)
+	x := randVec(9, rng)
+	all := make([]*Partial, 12)
+	for w := range all {
+		all[w] = enc.WorkerCompute(w, x, []Range{{0, enc.BlockRows}})
+	}
+	var sets [][]*Partial
+	for mask := 0; mask < 1<<12 && len(sets) < 71; mask++ {
+		if bits.OnesCount(uint(mask)) != 6 {
+			continue
+		}
+		var set []*Partial
+		for w := 0; w < 12; w++ {
+			if mask&(1<<w) != 0 {
+				set = append(set, all[w])
+			}
+		}
+		sets = append(sets, set)
+	}
+	want := mat.MatVec(a, x)
+	ws = enc.NewDecodeWorkspace()
+	dst = make([]float64, enc.OrigRows)
+	// Warm up on the all-parity set, the largest parity system there is.
+	if _, err := enc.DecodeMatVecInto(dst, all[6:], ws); err != nil {
+		t.Fatal(err)
+	}
+	round := 0
+	allocs = testing.AllocsPerRun(len(sets)-1, func() {
+		if _, err := enc.DecodeMatVecInto(dst, sets[round], ws); err != nil {
+			t.Fatal(err)
+		}
+		if !mat.VecApproxEqual(dst, want, 1e-9) {
+			t.Fatalf("set %d decodes the wrong product", round)
+		}
+		round++
+	})
+	if allocs != 0 {
+		t.Fatalf("rounds over %d distinct worker sets allocate %v/op, want 0", len(sets), allocs)
 	}
 }
 

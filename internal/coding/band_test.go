@@ -264,3 +264,79 @@ func TestRowTableBandsIndependentOfBandRows(t *testing.T) {
 		t.Fatalf("second band = rows from %d, workers %v; want from 8, [0 2]", small.list[1].lo, got)
 	}
 }
+
+// At the codes the benchmark workloads run — dram-matvec's (4,3),
+// straggler-mix's (6,4), sim-paper's (12,6) and (12,10) — and for every
+// parity count p a decode set can hold, the parity-only band decode must
+// land as close to A·x as the per-row k×k reference does on the same
+// partials: over five sets per p, its worst error within twice the
+// reference's (plus a few ulps of the output scale, for the sets both
+// decode to rounding level). (12,6) at p = 6 is the all-parity set {6…11},
+// a full 6×6 Cauchy system, which the random-coverage test above never
+// reaches.
+func TestParityDecodeAccuracyAtBenchmarkCodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(213))
+	for _, c := range []struct{ n, k int }{{4, 3}, {6, 4}, {12, 6}, {12, 10}} {
+		code, err := NewMDSCode(c.n, c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := mat.Rand(c.k*40, 48, rng)
+		x := randVec(48, rng)
+		enc := code.Encode(a)
+		truth := mat.MatVec(a, x)
+		scale := 0.0
+		for _, v := range truth {
+			scale = math.Max(scale, math.Abs(v))
+		}
+		maxErr := func(worst float64, got []float64) float64 {
+			for i, v := range got {
+				worst = math.Max(worst, math.Abs(v-truth[i])/scale)
+			}
+			return worst
+		}
+		for p := 0; p <= min(c.k, c.n-c.k); p++ {
+			// The last p parity workers with the first k−p data blocks, then
+			// random sets of the same parity count.
+			sets := [][]int{append(seq(0, c.k-p), seq(c.n-p, c.n)...)}
+			for trial := 0; trial < 4; trial++ {
+				sys := rng.Perm(c.k)[:c.k-p]
+				par := rng.Perm(c.n - c.k)[:p]
+				for i := range par {
+					par[i] += c.k
+				}
+				sets = append(sets, append(sys, par...))
+			}
+			gotErr, refErr := 0.0, 0.0
+			for _, set := range sets {
+				var partials []*Partial
+				for _, w := range set {
+					partials = append(partials, enc.WorkerCompute(w, x, []Range{{0, enc.BlockRows}}))
+				}
+				got, err := enc.DecodeMatVec(partials)
+				if err != nil {
+					t.Fatalf("(%d,%d) set %v: %v", c.n, c.k, set, err)
+				}
+				ref, err := refDecodeMatVec(enc, partials)
+				if err != nil {
+					t.Fatalf("(%d,%d) set %v: reference: %v", c.n, c.k, set, err)
+				}
+				gotErr, refErr = maxErr(gotErr, got), maxErr(refErr, ref)
+			}
+			t.Logf("(%d,%d) p=%d: relative error %.3g parity-only, %.3g k×k reference", c.n, c.k, p, gotErr, refErr)
+			if gotErr > 2*refErr+4*0x1p-52 {
+				t.Errorf("(%d,%d) p=%d: parity-only error %.3g exceeds twice the k×k reference's %.3g",
+					c.n, c.k, p, gotErr, refErr)
+			}
+		}
+	}
+}
+
+// seq returns lo, lo+1, …, hi−1.
+func seq(lo, hi int) []int {
+	s := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		s = append(s, i)
+	}
+	return s
+}

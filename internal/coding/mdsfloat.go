@@ -219,32 +219,27 @@ func (e *EncodedMatrix) WorkerComputeBatchInto(worker int, xs []float64, w int, 
 	return dst
 }
 
-// decodeSet is a factored k×k decode system for one set of workers.
-type decodeSet struct {
-	workers []int // owned copy, identifies the set
-	sub     *mat.Dense
-	lu      *mat.LU
-}
-
-// decodeChunkLanes bounds the refinement scratch of the band-wise float64
-// decode: a band is solved in pieces of at most this many right-hand-side
-// lanes (rows × RowWidth), so the workspace holds 2·k·decodeChunkLanes
-// floats however long a band is. The solve is elementwise, so where a
-// band is cut changes no bit.
+// decodeChunkLanes bounds the scratch of the band-wise float64 decode: a
+// band is solved in pieces of at most this many right-hand-side lanes
+// (rows × RowWidth), so the workspace holds at most 4·min(k, n−k)·
+// decodeChunkLanes floats however long a band is. The solve is
+// elementwise, so where a band is cut changes no bit.
 const decodeChunkLanes = 2048
 
 // DecodeWorkspace holds the reusable state of DecodeMatVec rounds: the
-// band table, factored decode systems (cached across rounds, so a
-// recurring worker set is factored exactly once per workspace lifetime),
-// and solve scratch. A workspace belongs to one EncodedMatrix and must not
-// be shared between concurrent decodes.
+// band table, the per-band parity system and its factorization, and solve
+// scratch. Nothing in it depends on which workers answered, so rounds
+// whose worker sets churn reuse it without allocating. A workspace belongs
+// to one EncodedMatrix and must not be shared between concurrent decodes.
 type DecodeWorkspace struct {
 	table   rowTable[float64]
-	sets    []*decodeSet
 	workers []int
-	rhs     [][]float64 // the k right-hand-side rows of the piece being solved
-	res     [][]float64 // their residuals, views into r
-	r, dx   []float64   // iterative-refinement scratch, k·lanes each
+	missing []int       // data blocks the band's systematic workers do not hold
+	sys     mat.Dense   // the band's p×p parity system
+	lu      mat.LU      // its factorization
+	rhs     [][]float64 // per parity worker: its values less the known blocks' share
+	res     [][]float64 // their residuals
+	scratch []float64   // rhs, solution, residual and correction storage
 	out     []float64
 }
 
@@ -260,63 +255,8 @@ func (e *EncodedMatrix) NewDecodeWorkspace() *DecodeWorkspace {
 	}
 }
 
-// setFor returns the factored decode system for the worker set, reusing a
-// cached factorization when the set has been seen before. Lookup compares
-// worker slices directly (the distinct-set count is tiny), so the steady
-// state allocates nothing. The cache-miss branch below factors a fresh
-// system — once per distinct worker set, never in a warm round.
-//
-//s2c2:noalloc-waive
-func (ws *DecodeWorkspace) setFor(e *EncodedMatrix, workers []int) (*decodeSet, error) {
-	for _, ds := range ws.sets {
-		if sameWorkers(ds.workers, workers) {
-			return ds, nil
-		}
-	}
-	k := e.Code.k
-	sub := mat.New(k, k)
-	for i, w := range workers {
-		copy(sub.Row(i), e.Code.gen.Row(w))
-	}
-	lu, err := mat.FactorLU(sub)
-	if err != nil {
-		return nil, fmt.Errorf("coding: decode set %v singular: %w", workers, err)
-	}
-	ds := &decodeSet{workers: append([]int(nil), workers...), sub: sub, lu: lu}
-	if len(ws.sets) >= maxCachedSets {
-		ws.sets = ws.sets[:0] // churn guard: drop rather than grow unbounded
-	}
-	ws.sets = append(ws.sets, ds)
-	return ds, nil
-}
-
-// solveLanes solves the decode system for m = len(b[0]) right-hand sides
-// at once — LU solve plus one iterative-refinement sweep, the same
-// arithmetic per right-hand side as a scalar solve, run as whole-vector
-// sweeps: unknown j lands in x[j*stride : j*stride+m], b[i] is equation
-// i's m right-hand values, res (views of k·m scratch) and dx (k·m) are
-// the refinement scratch.
-//
-//s2c2:noalloc
-func (d *decodeSet) solveLanes(x []float64, stride int, b, res [][]float64, dx []float64) {
-	k, m := len(b), len(b[0])
-	d.lu.SolveLanesInto(x, stride, b)
-	for i, ri := range res {
-		copy(ri, b[i])
-		for j, g := range d.sub.Row(i) {
-			kernel.Axpy(-g, x[j*stride:j*stride+m], ri)
-		}
-	}
-	d.lu.SolveLanesInto(dx, m, res)
-	for j := 0; j < k; j++ {
-		kernel.Axpy(1, dx[j*m:(j+1)*m], x[j*stride:j*stride+m])
-	}
-}
-
 // DecodeMatVec reconstructs y = A·x (length OrigRows) from worker partials.
-// Every partition row index must be covered by at least k workers. Decode
-// systems are LU-factored once per distinct worker set and reused across
-// bands, so chunk-aligned assignments decode in O(rows·k²) after O(sets·k³).
+// Every partition row index must be covered by at least k workers.
 func (e *EncodedMatrix) DecodeMatVec(partials []*Partial) ([]float64, error) {
 	return e.DecodeMatVecInto(nil, partials, nil)
 }
@@ -324,14 +264,18 @@ func (e *EncodedMatrix) DecodeMatVec(partials []*Partial) ([]float64, error) {
 // DecodeMatVecInto is DecodeMatVec writing into dst (length OrigRows ×
 // the partials' RowWidth; nil allocates it) using ws for all scratch
 // state. Passing the same workspace across rounds makes the steady-state
-// decode allocation-free and amortises LU factorizations of recurring
-// worker sets.
+// decode allocation-free, whichever workers answer.
 //
 // The decode is band-wise: rows between two consecutive range boundaries
 // of the partials share one decode set (the first k workers in arrival
-// order covering them), so each band is one multi-right-hand-side solve
-// over vectors of rows × RowWidth lanes read in place from the partials.
-// A band whose k workers are all systematic is a copy. Every operation on
+// order covering them), so each band is solved once over vectors of
+// rows × RowWidth lanes read in place from the partials. The code is
+// systematic, so a band's s systematic workers hand over their data
+// blocks as they are (a copy); its p = k − s parity workers' values, less
+// the known blocks' share, leave a p×p Cauchy system in the p missing
+// blocks, factored per band and solved with one refinement step: a lane
+// costs p·s + 3p² + p vector sweeps, and a band of systematic workers only
+// (p = 0) is a copy. Every operation on
 // a lane is elementwise, so a value depends only on its own row's decode
 // set and inputs: lane l of a batched round is bit-identical to decoding
 // that lane's partials alone, and splitting or duplicating partials that
@@ -354,40 +298,32 @@ func (e *EncodedMatrix) DecodeMatVecInto(dst []float64, partials []*Partial, ws 
 	if dst != nil && len(dst) != e.OrigRows*width {
 		return nil, fmt.Errorf("coding: decode dst length %d want %d", len(dst), e.OrigRows*width)
 	}
-	ws.out = kernel.Grow(ws.out, e.BlockRows*k*width)
+	stride := e.BlockRows * width // data block j of row r at out[j*stride + r*width]
+	ws.out = kernel.Grow(ws.out, k*stride)
 	ws.rhs = kernel.GrowSlice(ws.rhs, k)
 	ws.res = kernel.GrowSlice(ws.res, k)
 	pieceRows := max(decodeChunkLanes/width, 1)
-	var ds *decodeSet
 	for _, band := range ws.table.list {
 		ws.workers = ws.table.workers(ws.workers, band)
-		if ws.workers[0] == 0 && ws.workers[k-1] == k-1 {
-			// Ascending and distinct, so exactly the systematic workers
-			// 0…k−1: the decode system is the identity and data block j
-			// is worker j's result.
-			for j := 0; j < k; j++ {
-				copy(ws.out[(j*e.BlockRows+band.lo)*width:], ws.table.values(band, j, band.lo, band.hi))
-			}
+		// Ascending, so the systematic workers (ids below k) come first.
+		s := 0
+		for s < k && ws.workers[s] < k {
+			j := ws.workers[s]
+			copy(ws.out[j*stride+band.lo*width:], ws.table.values(band, s, band.lo, band.hi))
+			s++
+		}
+		if s == k {
 			continue
 		}
-		if ds == nil || !sameWorkers(ds.workers, ws.workers) {
-			var err error
-			if ds, err = ws.setFor(e, ws.workers); err != nil {
-				return nil, err
-			}
+		// Sized for the largest parity system and piece there can be, so
+		// no later band or round grows it.
+		ws.scratch = kernel.Grow(ws.scratch, 4*min(k, e.Code.n-k)*min(pieceRows, e.BlockRows)*width)
+		if err := ws.factorParity(e, s); err != nil {
+			return nil, err
 		}
 		for lo := band.lo; lo < band.hi; lo += pieceRows {
 			hi := min(lo+pieceRows, band.hi)
-			m := (hi - lo) * width
-			ws.r = kernel.Grow(ws.r, k*m)
-			ws.dx = kernel.Grow(ws.dx, k*m)
-			for i := 0; i < k; i++ {
-				ws.rhs[i] = ws.table.values(band, i, lo, hi)
-				ws.res[i] = ws.r[i*m : (i+1)*m]
-			}
-			// Unknown j of rows [lo, hi) is exactly ws.out's contiguous run
-			// for data block j, so the solve writes its result in place.
-			ds.solveLanes(ws.out[lo*width:], e.BlockRows*width, ws.rhs, ws.res, ws.dx)
+			ws.solvePiece(e, band, s, lo, hi, width)
 		}
 	}
 	if dst == nil {
@@ -397,6 +333,78 @@ func (e *EncodedMatrix) DecodeMatVecInto(dst []float64, partials []*Partial, ws 
 	}
 	copy(dst, ws.out[:e.OrigRows*width])
 	return dst, nil
+}
+
+// factorParity sets up the parity system of the band whose workers are
+// ws.workers, the first s of them systematic: the missing data blocks, and
+// the LU factorization of the p×p generator submatrix whose rows are the
+// parity workers and whose columns are the missing blocks. Any square
+// submatrix of a Cauchy matrix is nonsingular, so only float64 rounding
+// can make it fail.
+//
+//s2c2:noalloc
+func (ws *DecodeWorkspace) factorParity(e *EncodedMatrix, s int) error {
+	k, p := e.Code.k, len(ws.workers)-s
+	ws.missing = kernel.GrowInts(ws.missing, p)
+	have, m := ws.workers[:s], 0
+	for j := 0; j < k; j++ {
+		if len(have) > 0 && have[0] == j {
+			have = have[1:]
+			continue
+		}
+		ws.missing[m] = j
+		m++
+	}
+	ws.sys.Reshape(p, p)
+	for i, w := range ws.workers[s:] {
+		g, row := e.Code.gen.Row(w), ws.sys.Row(i)
+		for c, j := range ws.missing {
+			row[c] = g[j]
+		}
+	}
+	if err := ws.lu.Factor(&ws.sys); err != nil {
+		return fmt.Errorf("coding: decode set %v singular: %w", ws.workers, err)
+	}
+	return nil
+}
+
+// solvePiece decodes rows [lo, hi) of band b's missing blocks into ws.out:
+// each parity value less the known blocks' share is the right-hand side of
+// the factored parity system, solved for all m = (hi−lo)·width lanes at
+// once — LU solve plus one iterative-refinement sweep, the same arithmetic
+// per lane as a scalar solve, run as whole-vector sweeps.
+//
+//s2c2:noalloc
+func (ws *DecodeWorkspace) solvePiece(e *EncodedMatrix, b rowBand, s, lo, hi, width int) {
+	p, m := len(ws.missing), (hi-lo)*width
+	// Data block j of rows [lo, hi) is out[j*stride+at : j*stride+at+m].
+	stride, at := e.BlockRows*width, lo*width
+	buf := ws.scratch[:4*p*m]
+	y, dx := buf[p*m:2*p*m], buf[3*p*m:]
+	for i, w := range ws.workers[s:] {
+		bi := buf[i*m : (i+1)*m]
+		copy(bi, ws.table.values(b, s+i, lo, hi))
+		g := e.Code.gen.Row(w)
+		for _, j := range ws.workers[:s] {
+			kernel.Axpy(-g[j], ws.out[j*stride+at:j*stride+at+m], bi)
+		}
+		ws.rhs[i] = bi
+		ws.res[i] = buf[(2*p+i)*m : (2*p+i+1)*m]
+	}
+	rhs, res := ws.rhs[:p], ws.res[:p]
+	ws.lu.SolveLanesInto(y, m, rhs)
+	for i, ri := range res {
+		copy(ri, rhs[i])
+		for t, c := range ws.sys.Row(i) {
+			kernel.Axpy(-c, y[t*m:(t+1)*m], ri)
+		}
+	}
+	ws.lu.SolveLanesInto(dx, m, res)
+	for t, j := range ws.missing {
+		out := ws.out[j*stride+at : j*stride+at+m]
+		copy(out, y[t*m:(t+1)*m])
+		kernel.Axpy(1, dx[t*m:(t+1)*m], out)
+	}
 }
 
 // DecodeFullPartitions reconstructs A·x the conventional-MDS way, from k

@@ -81,6 +81,111 @@ dot512_reduce:
 	VZEROUPPER
 	RET
 
+// DOT512_REDUCE folds a row's four ZMM accumulators a0..a3 into its dot
+// product and stores it at off(AX), in dotAVX512's order: (a0+a1) +
+// (a2+a3), then the upper 256 bits onto the lower, the upper 128 onto the
+// lower, and the high lane onto the low one. Only the row's own registers
+// serve as temporaries.
+#define DOT512_REDUCE(a0, a1, a2, a3, y0, y1, x0, x1, off) \
+	VADDPD        a1, a0, a0; \
+	VADDPD        a3, a2, a2; \
+	VADDPD        a2, a0, a0; \
+	VEXTRACTF64X4 $1, a0, y1; \
+	VADDPD        y1, y0, y0; \
+	VEXTRACTF128  $1, y0, x1; \
+	VADDPD        x1, x0, x0; \
+	VUNPCKHPD     x0, x0, x1; \
+	VADDSD        x1, x0, x0; \
+	VMOVSD        x0, off(AX)
+
+// func dot4AVX512(dst, a *float64, lda int, x *float64, n int)
+//
+// Four rows of a mat-vec per sweep of x: dst[r] = a[r*lda : r*lda+n] · x
+// for r < 4, n a multiple of 8. Each 32-element chunk of x is loaded once
+// (Z16–Z19) and shared by the four rows; row r keeps dotAVX512's four
+// accumulators (Z4r…Z4r+3), its 8-element tail blocks drain into the
+// first of them and its reduction is DOT512_REDUCE, so every row's sum is
+// bit-identical to dotAVX512 on that row alone.
+TEXT ·dot4AVX512(SB), NOSPLIT, $0-40
+	MOVQ   dst+0(FP), AX
+	MOVQ   a+8(FP), SI
+	MOVQ   lda+16(FP), BX
+	SHLQ   $3, BX
+	LEAQ   (SI)(BX*2), R8
+	ADDQ   BX, R8              // R8 = a + 3*lda
+	MOVQ   x+24(FP), DI
+	MOVQ   n+32(FP), CX
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	MOVQ   CX, DX
+	SHRQ   $5, DX
+	JZ     dot4_tail
+
+dot4_loop32:
+	VMOVUPD     (DI), Z16
+	VMOVUPD     64(DI), Z17
+	VMOVUPD     128(DI), Z18
+	VMOVUPD     192(DI), Z19
+	VFMADD231PD (SI), Z16, Z0
+	VFMADD231PD 64(SI), Z17, Z1
+	VFMADD231PD 128(SI), Z18, Z2
+	VFMADD231PD 192(SI), Z19, Z3
+	VFMADD231PD (SI)(BX*1), Z16, Z4
+	VFMADD231PD 64(SI)(BX*1), Z17, Z5
+	VFMADD231PD 128(SI)(BX*1), Z18, Z6
+	VFMADD231PD 192(SI)(BX*1), Z19, Z7
+	VFMADD231PD (SI)(BX*2), Z16, Z8
+	VFMADD231PD 64(SI)(BX*2), Z17, Z9
+	VFMADD231PD 128(SI)(BX*2), Z18, Z10
+	VFMADD231PD 192(SI)(BX*2), Z19, Z11
+	VFMADD231PD (R8), Z16, Z12
+	VFMADD231PD 64(R8), Z17, Z13
+	VFMADD231PD 128(R8), Z18, Z14
+	VFMADD231PD 192(R8), Z19, Z15
+	ADDQ        $256, SI
+	ADDQ        $256, R8
+	ADDQ        $256, DI
+	DECQ        DX
+	JNZ         dot4_loop32
+
+dot4_tail:
+	ANDQ $24, CX
+	JZ   dot4_reduce
+
+dot4_tail8:
+	VMOVUPD     (DI), Z16
+	VFMADD231PD (SI), Z16, Z0
+	VFMADD231PD (SI)(BX*1), Z16, Z4
+	VFMADD231PD (SI)(BX*2), Z16, Z8
+	VFMADD231PD (R8), Z16, Z12
+	ADDQ        $64, SI
+	ADDQ        $64, R8
+	ADDQ        $64, DI
+	SUBQ        $8, CX
+	JNZ         dot4_tail8
+
+dot4_reduce:
+	DOT512_REDUCE(Z0, Z1, Z2, Z3, Y0, Y1, X0, X1, 0)
+	DOT512_REDUCE(Z4, Z5, Z6, Z7, Y4, Y5, X4, X5, 8)
+	DOT512_REDUCE(Z8, Z9, Z10, Z11, Y8, Y9, X8, X9, 16)
+	DOT512_REDUCE(Z12, Z13, Z14, Z15, Y12, Y13, X12, X13, 24)
+	VZEROUPPER
+	RET
+
 // func axpyAVX512(a float64, x, y *float64, n int)
 //
 // y += a*x over two ZMM lanes per iteration (fused multiply-add, one

@@ -60,6 +60,80 @@ dot_reduce:
 	VZEROUPPER
 	RET
 
+// func dot2AVX2(dst, a *float64, lda int, x *float64, n int)
+//
+// Two rows of a mat-vec per sweep of x: dst[r] = a[r*lda : r*lda+n] · x
+// for r < 2, n a multiple of 8. Each 16-element chunk of x is loaded once
+// (Y8–Y11) and shared by both rows; row r keeps dotAVX2's four
+// accumulators (Y4r…Y4r+3), its 8-element tail and its reduction, so every
+// row's sum is bit-identical to dotAVX2 on that row alone.
+TEXT ·dot2AVX2(SB), NOSPLIT, $0-40
+	MOVQ   dst+0(FP), AX
+	MOVQ   a+8(FP), SI
+	MOVQ   lda+16(FP), BX
+	SHLQ   $3, BX
+	MOVQ   x+24(FP), DI
+	MOVQ   n+32(FP), CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   CX, DX
+	SHRQ   $4, DX
+	JZ     dot2_tail8
+
+dot2_loop16:
+	VMOVUPD     (DI), Y8
+	VMOVUPD     32(DI), Y9
+	VMOVUPD     64(DI), Y10
+	VMOVUPD     96(DI), Y11
+	VFMADD231PD (SI), Y8, Y0
+	VFMADD231PD 32(SI), Y9, Y1
+	VFMADD231PD 64(SI), Y10, Y2
+	VFMADD231PD 96(SI), Y11, Y3
+	VFMADD231PD (SI)(BX*1), Y8, Y4
+	VFMADD231PD 32(SI)(BX*1), Y9, Y5
+	VFMADD231PD 64(SI)(BX*1), Y10, Y6
+	VFMADD231PD 96(SI)(BX*1), Y11, Y7
+	ADDQ        $128, SI
+	ADDQ        $128, DI
+	DECQ        DX
+	JNZ         dot2_loop16
+
+dot2_tail8:
+	TESTQ       $8, CX
+	JZ          dot2_reduce
+	VMOVUPD     (DI), Y8
+	VMOVUPD     32(DI), Y9
+	VFMADD231PD (SI), Y8, Y0
+	VFMADD231PD 32(SI), Y9, Y1
+	VFMADD231PD (SI)(BX*1), Y8, Y4
+	VFMADD231PD 32(SI)(BX*1), Y9, Y5
+
+dot2_reduce:
+	VADDPD       Y1, Y0, Y0
+	VADDPD       Y3, Y2, Y2
+	VADDPD       Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD       X1, X0, X0
+	VUNPCKHPD    X0, X0, X1
+	VADDSD       X1, X0, X0
+	VMOVSD       X0, (AX)
+	VADDPD       Y5, Y4, Y4
+	VADDPD       Y7, Y6, Y6
+	VADDPD       Y6, Y4, Y4
+	VEXTRACTF128 $1, Y4, X5
+	VADDPD       X5, X4, X4
+	VUNPCKHPD    X4, X4, X5
+	VADDSD       X5, X4, X4
+	VMOVSD       X4, 8(AX)
+	VZEROUPPER
+	RET
+
 // func axpyAVX2(a float64, x, y *float64, n int)
 //
 // y += a*x over four YMM lanes per iteration (fused multiply-add, one

@@ -39,6 +39,12 @@ var avx2Backend = &backendImpl{
 //go:noescape
 func dotAVX2(x, y *float64, n int) float64
 
+// dot2AVX2 computes dst[r] = a[r*lda : r*lda+n] · x for r < 2 (n must be
+// a multiple of 8), each row bit-identical to dotAVX2 on it alone.
+//
+//go:noescape
+func dot2AVX2(dst, a *float64, lda int, x *float64, n int)
+
 // axpyAVX2 computes y[0:n] += a*x[0:n]; n must be a multiple of 8.
 //
 //go:noescape
@@ -86,7 +92,15 @@ func dotVec(x, y []float64) float64 {
 	if nv := n &^ 7; nv > 0 {
 		s = dotAVX2(&x[0], &y[0], nv)
 	}
-	for i := n &^ 7; i < n; i++ {
+	return dotTail(s, x, y, n&^7)
+}
+
+// dotTail folds elements [from, len(x)) of x·y into the vector kernel's
+// sum s, sequentially — the one tail order of every vector dot, so the
+// multi-row tiles land on the single-row bits.
+func dotTail(s float64, x, y []float64, from int) float64 {
+	y = y[:len(x)]
+	for i := from; i < len(x); i++ {
 		s += x[i] * y[i]
 	}
 	return s
@@ -110,9 +124,24 @@ func axpyVec(a float64, x, y []float64) {
 	}
 }
 
+// matVecRangeVec sweeps two rows per dot2AVX2 call, which loads each
+// chunk of x once for both, then folds each row's up-to-7-column tail in
+// as dotVec does: every row is bit-identical to dotVec on that row. A
+// remainder row, and rows shorter than 8, take dotVec.
+//
 //s2c2:noalloc
 func matVecRangeVec(dst, a []float64, cols int, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	i := lo
+	if nv := cols &^ 7; nv > 0 {
+		x = x[:cols]
+		for ; i+2 <= hi; i += 2 {
+			out := dst[i-lo : i-lo+2]
+			dot2AVX2(&out[0], &a[i*cols : (i+2)*cols][0], cols, &x[0], nv)
+			out[0] = dotTail(out[0], a[i*cols:(i+1)*cols], x, nv)
+			out[1] = dotTail(out[1], a[(i+1)*cols:(i+2)*cols], x, nv)
+		}
+	}
+	for ; i < hi; i++ {
 		dst[i-lo] = dotVec(a[i*cols:(i+1)*cols], x)
 	}
 }

@@ -49,6 +49,12 @@ var avx512Backend = &backendImpl{
 //go:noescape
 func dotAVX512(x, y *float64, n int) float64
 
+// dot4AVX512 computes dst[r] = a[r*lda : r*lda+n] · x for r < 4 (n must
+// be a multiple of 8), each row bit-identical to dotAVX512 on it alone.
+//
+//go:noescape
+func dot4AVX512(dst, a *float64, lda int, x *float64, n int)
+
 // axpyAVX512 computes y[0:n] += a*x[0:n]; n must be a multiple of 8.
 //
 //go:noescape
@@ -106,10 +112,7 @@ func dotVec512(x, y []float64) float64 {
 	if nv := n &^ 7; nv > 0 {
 		s = dotAVX512(&x[0], &y[0], nv)
 	}
-	for i := n &^ 7; i < n; i++ {
-		s += x[i] * y[i]
-	}
-	return s
+	return dotTail(s, x, y, n&^7)
 }
 
 // axpyVec512 must be elementwise position-independent: callers band flat
@@ -129,9 +132,25 @@ func axpyVec512(a float64, x, y []float64) {
 	}
 }
 
+// matVecRangeVec512 sweeps four rows per dot4AVX512 call, which loads
+// each chunk of x once for all four, then folds each row's up-to-7-column
+// tail in as dotVec512 does: every row is bit-identical to dotVec512 on
+// that row. Remainder rows, and rows shorter than 8, take dotVec512.
+//
 //s2c2:noalloc
 func matVecRangeVec512(dst, a []float64, cols int, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	i := lo
+	if nv := cols &^ 7; nv > 0 {
+		x = x[:cols]
+		for ; i+4 <= hi; i += 4 {
+			out := dst[i-lo : i-lo+4]
+			dot4AVX512(&out[0], &a[i*cols : (i+4)*cols][0], cols, &x[0], nv)
+			for r := range out {
+				out[r] = dotTail(out[r], a[(i+r)*cols:(i+r+1)*cols], x, nv)
+			}
+		}
+	}
+	for ; i < hi; i++ {
 		dst[i-lo] = dotVec512(a[i*cols:(i+1)*cols], x)
 	}
 }

@@ -177,6 +177,37 @@ func TestMatVecBackendsMatchReference(t *testing.T) {
 	}
 }
 
+// TestMatVecRangeTilesMatchRowDot pins the multi-row mat-vec tiles —
+// dot4AVX512 behind avx512's matVecRange, dot2AVX2 behind avx2's — to the
+// single-row dot bit for bit: each tiled row keeps Dot's accumulators,
+// tail order and reduction. Row counts cover every remainder modulo both
+// tile heights, column counts every vector-tail length around the 8-, 16-
+// and 32-element steps, and lo is odd so tiles start off any alignment.
+// The generic backend (and every -tags noasm build) is the per-row
+// reference itself.
+func TestMatVecRangeTilesMatchRowDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for _, cols := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 48, 63, 64, 240, 600, 1031} {
+		const lo = 3
+		a, x := randSlice((lo+19)*cols, rng), randSlice(cols, rng)
+		for _, backend := range Backends() {
+			withBackend(t, backend, func() {
+				for rows := 0; rows <= 19; rows++ {
+					got := make([]float64, rows)
+					MatVecRange(got, a, cols, x, lo, lo+rows)
+					for r := range got {
+						want := Dot(a[(lo+r)*cols:(lo+r+1)*cols], x)
+						if math.Float64bits(got[r]) != math.Float64bits(want) {
+							t.Fatalf("backend=%s cols=%d rows=%d row %d: MatVecRange %v, Dot %v (must be bit-identical)",
+								backend, cols, rows, r, got[r], want)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestMatMulBackendsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	// Shapes straddling micro-kernel row tails (m % 4), vector column

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -26,6 +27,28 @@ func benchMatVec(b *testing.B, f func(dst, a []float64, rows, cols int, x []floa
 
 func BenchmarkMatVecKernel1024(b *testing.B) { benchMatVec(b, MatVec) }
 func BenchmarkMatVecNaive1024(b *testing.B)  { benchMatVec(b, naiveMatVec) }
+
+// BenchmarkMatVecRangeShapes times the single-x mat-vec at the shapes the
+// benchmark workloads run it: sim-paper's three phase partitions (100×48,
+// 8×600, 40×240) and dram-matvec's 1024-column rows, reporting ns per
+// row — where the multi-row tiles pay off and where the sweep is
+// bandwidth-bound.
+func BenchmarkMatVecRangeShapes(b *testing.B) {
+	for _, sh := range [][2]int{{100, 48}, {8, 600}, {40, 240}, {1024, 1024}} {
+		rows, cols := sh[0], sh[1]
+		b.Run(fmt.Sprintf("%dx%d", rows, cols), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(4))
+			a, x := randSlice(rows*cols, rng), randSlice(cols, rng)
+			dst := make([]float64, rows)
+			b.SetBytes(int64(8 * rows * cols))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatVecRange(dst, a, cols, x, 0, rows)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
+	}
+}
 
 func benchMatMul(b *testing.B, size int, f func(dst, a []float64, m, k int, bb []float64, n int)) {
 	rng := rand.New(rand.NewSource(2))

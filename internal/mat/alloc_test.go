@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -56,6 +57,40 @@ func TestLUSolveIntoZeroAllocs(t *testing.T) {
 	x := make([]float64, 12)
 	if allocs := testing.AllocsPerRun(100, func() { f.SolveInto(x, b) }); allocs != 0 {
 		t.Fatalf("LU.SolveInto allocates %v/op, want 0", allocs)
+	}
+}
+
+// An LU that has held a 6×6 factorization refactors smaller systems in
+// place, and solves them exactly as a fresh FactorLU does.
+func TestLUFactorReusesStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	var f LU
+	if err := f.Factor(Rand(6, 6, rng)); err != nil {
+		t.Fatal(err)
+	}
+	a := Rand(3, 3, rng)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := f.Factor(a); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("LU.Factor allocates %v/op reusing storage, want 0", allocs)
+	}
+	fresh, err := FactorLU(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := randVec(3, rng)
+	got, want := make([]float64, 3), make([]float64, 3)
+	f.SolveInto(got, b)
+	fresh.SolveInto(want, b)
+	for i := range want {
+		if got[i] != want[i] || f.Det() != fresh.Det() {
+			t.Fatalf("refactored LU solves %v (det %v), fresh %v (det %v)", got, f.Det(), want, fresh.Det())
+		}
+	}
+	if err := f.Factor(NewFromRows([][]float64{{1, 2}, {2, 4}})); !errors.Is(err, ErrSingular) {
+		t.Fatalf("Factor of a singular matrix = %v, want ErrSingular", err)
 	}
 }
 

@@ -107,6 +107,19 @@ func (m *Dense) checkIndex(i, j int) {
 	}
 }
 
+// Reshape resizes m to r×c in place, reusing its backing storage when it
+// has room, so scratch matrices reshape per use without allocating once
+// they have held their largest shape. Entries are unspecified afterwards.
+//
+//s2c2:noalloc
+func (m *Dense) Reshape(r, c int) {
+	if r < 0 || c < 0 {
+		panic(fmt.Sprintf("mat: negative dimension %dx%d", r, c))
+	}
+	m.rows, m.cols = r, c
+	m.data = kernel.Grow(m.data, r*c)
+}
+
 // Row returns row i as a slice aliasing the matrix storage.
 // Mutating the returned slice mutates the matrix.
 func (m *Dense) Row(i int) []float64 {

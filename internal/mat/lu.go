@@ -12,21 +12,40 @@ import (
 var ErrSingular = errors.New("mat: matrix is singular to working precision")
 
 // LU holds an LU factorization with partial pivoting of a square matrix:
-// P·A = L·U, stored compactly in lu with the permutation in piv.
+// P·A = L·U, stored compactly in lu with the permutation in piv. The zero
+// value is an empty factorization ready for Factor.
 type LU struct {
-	lu   *Dense
+	lu   Dense
 	piv  []int
 	sign int
 }
 
 // FactorLU computes the LU factorization of square A with partial pivoting.
 func FactorLU(a *Dense) (*LU, error) {
+	f := &LU{}
+	if err := f.Factor(a); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Factor computes the LU factorization of square A with partial pivoting
+// into f, reusing f's storage: a factorization that has once held an n×n
+// system factors any system up to n×n without allocating, so a decoder
+// can factor a fresh small system per band. On ErrSingular f holds no
+// usable factorization.
+//
+//s2c2:noalloc
+func (f *LU) Factor(a *Dense) error {
 	if a.rows != a.cols {
-		panic(fmt.Sprintf("mat: FactorLU non-square %dx%d", a.rows, a.cols))
+		panic(fmt.Sprintf("mat: LU.Factor non-square %dx%d", a.rows, a.cols))
 	}
 	n := a.rows
-	lu := a.Clone()
-	piv := make([]int, n)
+	lu := &f.lu
+	lu.Reshape(n, n)
+	copy(lu.data, a.data)
+	f.piv = kernel.GrowInts(f.piv, n)
+	piv := f.piv
 	for i := range piv {
 		piv[i] = i
 	}
@@ -41,7 +60,7 @@ func FactorLU(a *Dense) (*LU, error) {
 			}
 		}
 		if max == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != col {
 			rp := lu.data[p*n : (p+1)*n]
@@ -54,19 +73,20 @@ func FactorLU(a *Dense) (*LU, error) {
 		}
 		pivVal := lu.data[col*n+col]
 		for r := col + 1; r < n; r++ {
-			f := lu.data[r*n+col] / pivVal
-			lu.data[r*n+col] = f
-			if f == 0 {
+			l := lu.data[r*n+col] / pivVal
+			lu.data[r*n+col] = l
+			if l == 0 {
 				continue
 			}
 			rr := lu.data[r*n : (r+1)*n]
 			rc := lu.data[col*n : (col+1)*n]
 			for j := col + 1; j < n; j++ {
-				rr[j] -= f * rc[j]
+				rr[j] -= l * rc[j]
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	f.sign = sign
+	return nil
 }
 
 // Solve solves A·x = b for x given the factorization.

@@ -61,6 +61,35 @@ func TestRunIterationZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// TestRunIterationZeroAllocsUnderChurn is the steady-state pin with the
+// worker sets moving: oracle speeds drawn afresh every iteration rotate
+// the plan's ranges and every band's decode set, round after round, and
+// still nothing is left to allocate once the first round has sized the
+// scratch.
+func TestRunIterationZeroAllocsUnderChurn(t *testing.T) {
+	const n, steps = 12, 64
+	rng := rand.New(rand.NewSource(8))
+	speeds := make([][]float64, n)
+	for w := range speeds {
+		speeds[w] = make([]float64, steps)
+		for i := range speeds[w] {
+			speeds[w][i] = 0.5 + rng.Float64()
+		}
+	}
+	c, x := roundCluster(t, &trace.Trace{Speeds: speeds}, nil)
+	iter := 0
+	run := func() {
+		if _, err := c.RunIteration(iter, x); err != nil {
+			t.Fatal(err)
+		}
+		iter++
+	}
+	run()
+	if a := testing.AllocsPerRun(steps-2, run); a != 0 {
+		t.Fatalf("RunIteration allocates %v objects per round under worker-set churn, want 0", a)
+	}
+}
+
 func TestReuseBuffersRecyclesRound(t *testing.T) {
 	c, x := roundCluster(t, trace.ControlledCluster(12, 2, 8, 5), nil)
 	first, err := c.RunIteration(0, x)
