@@ -3,9 +3,10 @@
 //
 // Two legs run against the same four-worker cluster (one 8× straggler):
 //
-//  1. An exact (4,3)-MDS round: a field matrix is Vandermonde-encoded,
-//     streamed to the workers as uint32 partitions, and each round's
-//     distributed A·x is compared element-for-element — not within a
+//  1. An exact (4,3)-MDS round: a field matrix is encoded by a
+//     systematic Cauchy code (the encoding borrows the matrix, which is
+//     never modified afterwards), streamed to the workers as uint32
+//     partitions, and each round's distributed A·x is compared element-for-element — not within a
 //     tolerance — against the local field compute, including rounds where
 //     the straggler trips the §4.3 timeout and rows are reassigned.
 //

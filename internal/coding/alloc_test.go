@@ -3,6 +3,7 @@ package coding
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/coded-computing/s2c2/internal/gf"
@@ -272,5 +273,81 @@ func TestGFDecodeIntoMatchesDecode(t *testing.T) {
 				t.Fatalf("round %d: GF workspace decode differs at %d", round, i)
 			}
 		}
+	}
+}
+
+// The exact decode keeps no per-worker-set state either: rounds whose
+// responding sets churn through far more distinct decode sets than any
+// per-set cache would hold — systematic and parity workers mixed, every
+// worker skipping one segment so each band has its own set — allocate
+// nothing after one warm-up round and decode bit-identically to a fresh
+// DecodeMatVec.
+func TestGFDecodeZeroAllocsUnderChurn(t *testing.T) {
+	const n, k, cols, seg = 12, 6, 9, 5
+	rng := rand.New(rand.NewSource(45))
+	code, err := NewGFMDSCode(n, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := k * (k + 1) * seg // BlockRows = (k+1)·seg: one segment per responder
+	data, x := randGFData(rows*cols, rng), randGFData(cols, rng)
+	enc, err := code.Encode(rows, cols, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rounds [][]*GFPartial
+	var wants [][]gf.Elem
+	distinct := map[[k]int]bool{}
+	for mask, m := 0, 0; mask < 1<<n; mask++ {
+		if bits.OnesCount(uint(mask)) != k+1 {
+			continue
+		}
+		if m++; m%9 != 0 {
+			continue // spread the rounds over the whole subset space
+		}
+		var set []int
+		for w := 0; w < n; w++ {
+			if mask&(1<<w) != 0 {
+				set = append(set, w)
+			}
+		}
+		var partials []*GFPartial
+		for q, w := range set {
+			// The q-th responder skips segment q, so the band of segment q
+			// decodes from the other k.
+			p, err := enc.WorkerMatVec(w, x, []Range{{0, q * seg}, {(q + 1) * seg, enc.BlockRows}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			partials = append(partials, p)
+			var dec [k]int
+			copy(dec[:], slices.Delete(slices.Clone(set), q, q+1))
+			distinct[dec] = true
+		}
+		want, err := enc.DecodeMatVec(partials)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds, wants = append(rounds, partials), append(wants, want)
+	}
+	if len(distinct) <= maxCachedSets {
+		t.Fatalf("only %d distinct decode sets, want more than %d", len(distinct), maxCachedSets)
+	}
+	truth := gfMatVec(rows, cols, data, x)
+	ws := enc.NewDecodeWorkspace()
+	dst := make([]gf.Elem, enc.OrigRows)
+	round := 0
+	// AllocsPerRun's own warm-up call decodes round 0.
+	allocs := testing.AllocsPerRun(len(rounds)-1, func() {
+		if _, err := enc.DecodeMatVecInto(dst, rounds[round], ws); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(dst, wants[round]) || !slices.Equal(dst, truth) {
+			t.Fatalf("round %d decodes differently from DecodeMatVec or the local product", round)
+		}
+		round++
+	})
+	if allocs != 0 {
+		t.Fatalf("rounds over %d distinct decode sets allocate %v/op, want 0", len(distinct), allocs)
 	}
 }

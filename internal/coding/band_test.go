@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/coded-computing/s2c2/internal/gf"
@@ -260,7 +261,7 @@ func TestRowTableBandsIndependentOfBandRows(t *testing.T) {
 	if len(small.list) != 2 || len(large.list) != 2 {
 		t.Fatalf("bands: %d at scale 1, %d at scale 64, want 2 and 2", len(small.list), len(large.list))
 	}
-	if got := small.workers(nil, small.list[1]); !sameWorkers(got, []int{0, 2}) || small.list[1].lo != 8 {
+	if got := small.workers(nil, small.list[1]); !slices.Equal(got, []int{0, 2}) || small.list[1].lo != 8 {
 		t.Fatalf("second band = rows from %d, workers %v; want from 8, [0 2]", small.list[1].lo, got)
 	}
 }

@@ -349,23 +349,3 @@ func buildPartials(t *rowTable[float64], partials []*Partial, blockRows, k int) 
 	}
 	return t.bands(k)
 }
-
-// maxCachedSets bounds every per-workspace decode-system cache. Worker
-// sets are canonicalized (sorted) before lookup, so the cache only grows
-// when the *membership* of responding workers churns; if it still
-// overflows, the whole cache is dropped rather than letting a long-lived
-// workspace accumulate factorizations without bound.
-const maxCachedSets = 64
-
-// sameWorkers reports whether a and b hold identical worker sequences.
-func sameWorkers(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -7,13 +7,15 @@ import (
 	"github.com/coded-computing/s2c2/internal/kernel"
 )
 
-// GFMDSCode is the exact (n,k) MDS code over GF(2³¹−1). Its generator is a
-// Vandermonde matrix with distinct evaluation points, so any k rows are
-// provably invertible and decoding is bit-exact. It backs property tests
+// GFMDSCode is the exact (n,k) MDS code over GF(2³¹−1), the float64
+// code's systematic form in the field: partitions 0..k-1 are the raw data
+// blocks and partitions k..n-1 Cauchy-coded parity. Every square
+// submatrix of a Cauchy matrix is nonsingular, so any k partitions
+// reconstruct the data, and decoding is bit-exact. It backs property tests
 // and offers an exact coding path for integer payloads.
 type GFMDSCode struct {
 	n, k int
-	gen  *gf.Matrix // n×k Vandermonde
+	gen  *gf.Matrix // n×k generator [I; C]
 	exec kernel.Exec
 }
 
@@ -22,11 +24,19 @@ func NewGFMDSCode(n, k int) (*GFMDSCode, error) {
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("coding: invalid GF MDS parameters n=%d k=%d", n, k)
 	}
-	xs := make([]gf.Elem, n)
-	for i := range xs {
-		xs[i] = gf.Elem(i + 1) // distinct nonzero points
+	gen := gf.NewMatrix(n, k)
+	for j := 0; j < k; j++ {
+		gen.Set(j, j, 1)
 	}
-	return &GFMDSCode{n: n, k: k, gen: gf.Vandermonde(xs, k)}, nil
+	// Parity rows: Cauchy C[i][j] = 1/(x_i − y_j) with x_i = i ∈ [k, n) and
+	// y_j = j ∈ [0, k). The two point sets are disjoint, so every entry is
+	// defined and every square submatrix of C is nonsingular.
+	for i := k; i < n; i++ {
+		for j := 0; j < k; j++ {
+			gen.Set(i, j, gf.Inv(gf.Elem(i-j)))
+		}
+	}
+	return &GFMDSCode{n: n, k: k, gen: gen}, nil
 }
 
 // SetExec pins the code's parallel encode loops to the given pool and
@@ -41,6 +51,13 @@ func (c *GFMDSCode) K() int { return c.k }
 
 // GFEncodedMatrix holds the coded partitions of a field-valued matrix,
 // stored as n slices of row-major blocks.
+//
+// The encoding borrows its input: the code is systematic, so partitions
+// 0..k-1 are capacity-capped views of the data's own row blocks, not
+// copies (only a block that runs past the last row — rows % k != 0 — is
+// copied and zero-padded). Mutating the data therefore mutates the
+// systematic partitions and stales the parity; keep it alive and
+// unchanged for as long as the encoding is in use.
 type GFEncodedMatrix struct {
 	Code      *GFMDSCode
 	OrigRows  int
@@ -50,38 +67,37 @@ type GFEncodedMatrix struct {
 }
 
 // Encode splits the rows*cols data (row-major) into k row blocks, padding
-// with zeros, and emits n Vandermonde-coded partitions. The generator is
-// not systematic — every partition mixes all k blocks — so the partitions
-// own their storage and data is only read: blocks are mixed in place from
-// data, and only a block that runs past the last row is staged, zero-
-// padded, in scratch.
+// with zeros, and emits the n coded partitions. The result borrows data
+// (see GFEncodedMatrix): only the n−k parity partitions, and a padded last
+// block, own their storage, and data itself is only read.
 func (c *GFMDSCode) Encode(rows, cols int, data []gf.Elem) (*GFEncodedMatrix, error) {
 	if len(data) != rows*cols {
 		return nil, fmt.Errorf("coding: data length %d want %d", len(data), rows*cols)
 	}
 	blockRows := (rows + c.k - 1) / c.k
-	blocks := make([][]gf.Elem, c.k)
-	for j := range blocks {
+	parts := make([]*gf.Matrix, c.n)
+	for j := 0; j < c.k; j++ {
 		lo, hi := j*blockRows*cols, (j+1)*blockRows*cols
 		if hi <= len(data) {
-			blocks[j] = data[lo:hi]
+			// Capacity-capped, so nothing appended through the view can
+			// reach the next block's rows.
+			parts[j] = gf.NewMatrixFromData(blockRows, cols, data[lo:hi:hi])
 			continue
 		}
-		blocks[j] = make([]gf.Elem, blockRows*cols)
-		copy(blocks[j], data[min(lo, len(data)):])
+		parts[j] = gf.NewMatrix(blockRows, cols)
+		copy(parts[j].Data(), data[min(lo, len(data)):])
 	}
-	parts := make([]*gf.Matrix, c.n)
-	for i := range parts {
+	for i := c.k; i < c.n; i++ {
 		parts[i] = gf.NewMatrix(blockRows, cols)
 	}
-	// Band-split the field mixing across the pool: each participant owns
-	// rows [lo, hi) of every partition. The inner sweep is the gf.Axpy
-	// mul-accumulate kernel over the whole band, not a scalar Add/Mul chain.
+	// Band-split the parity mixing across the pool: each participant owns
+	// rows [lo, hi) of every parity partition and reads the data blocks in
+	// place through the systematic partitions.
 	c.exec.For(blockRows, encodeChunk(c.n, c.k, cols), func(lo, hi int) {
-		for i, p := range parts {
-			band := p.Data()[lo*cols : hi*cols]
+		for i := c.k; i < c.n; i++ {
+			band := parts[i].Data()[lo*cols : hi*cols]
 			for j, g := range c.gen.Row(i) {
-				gf.Axpy(band, g, blocks[j][lo*cols:hi*cols])
+				gf.Axpy(band, g, parts[j].Data()[lo*cols:hi*cols])
 			}
 		}
 	})
@@ -128,30 +144,19 @@ func (e *GFEncodedMatrix) WorkerMatVecBatch(w int, xs []gf.Elem, width int, rang
 	return &GFPartial{Worker: w, Ranges: ranges, RowWidth: width, Values: vals}, nil
 }
 
-// gfInvSet caches one inverted decode system per distinct worker set.
-type gfInvSet struct {
-	workers []int
-	inv     *gf.Matrix
-}
-
-// gfDecodeGroupLanes bounds the gather scratch of the band-wise decode
-// solve: a band is split so one piece's right-hand-side block holds at
-// most this many lanes (columns), keeping ws.bm at k·gfDecodeGroupLanes
-// elements regardless of BlockRows.
-const gfDecodeGroupLanes = 4096
-
-// GFDecodeWorkspace holds reusable decode state for one GFEncodedMatrix:
-// the band table (the shared generic rowTable), cached inverted systems,
-// and the solve scratch (bm gathers the right-hand-side block of a band
-// piece, bmat is the reused matrix view over bm). Not safe for concurrent
-// decodes.
+// GFDecodeWorkspace holds the reusable state of exact decode rounds: the
+// band table (the shared generic rowTable), the band's parity system, its
+// inverse and folded coefficients, and the decoded blocks. Nothing in it
+// depends on which workers answered, so rounds whose worker sets churn
+// reuse it without allocating. Not safe for concurrent decodes.
 type GFDecodeWorkspace struct {
-	table   rowTable[gf.Elem]
-	sets    []*gfInvSet
-	workers []int
-	bm      []gf.Elem
-	bmat    gf.Matrix
-	out     []gf.Elem
+	table    rowTable[gf.Elem]
+	workers  []int
+	missing  []int     // data blocks the band's systematic workers do not hold
+	sys, inv gf.Matrix // the band's p×p parity system and its inverse
+	fold     []gf.Elem // p×s: −(inv · the parity rows' systematic columns)
+	coef     []gf.Elem // storage of sys, inv, fold and the inversion scratch
+	out      []gf.Elem
 }
 
 // NewDecodeWorkspace returns an empty decode workspace for e.
@@ -166,34 +171,6 @@ func (e *GFEncodedMatrix) NewDecodeWorkspace() *GFDecodeWorkspace {
 	}
 }
 
-// setFor returns the inverted decode system for the (ascending) worker
-// set, cached per distinct set. The cache-miss branch inverts a fresh
-// system — once per distinct worker set, never in a warm round.
-//
-//s2c2:noalloc-waive
-func (ws *GFDecodeWorkspace) setFor(e *GFEncodedMatrix, workers []int) (*gfInvSet, error) {
-	for _, s := range ws.sets {
-		if sameWorkers(s.workers, workers) {
-			return s, nil
-		}
-	}
-	k := e.Code.k
-	sub := gf.NewMatrix(k, k)
-	for i, w := range workers {
-		copy(sub.Row(i), e.Code.gen.Row(w))
-	}
-	inv, invertible := gf.Invert(sub)
-	if !invertible {
-		return nil, fmt.Errorf("coding: GF decode set %v singular", workers)
-	}
-	s := &gfInvSet{workers: append([]int(nil), workers...), inv: inv}
-	if len(ws.sets) >= maxCachedSets {
-		ws.sets = ws.sets[:0]
-	}
-	ws.sets = append(ws.sets, s)
-	return s, nil
-}
-
 // DecodeMatVec reconstructs A·x exactly from partials covering every
 // partition row with at least k workers.
 func (e *GFEncodedMatrix) DecodeMatVec(partials []*GFPartial) ([]gf.Elem, error) {
@@ -202,19 +179,23 @@ func (e *GFEncodedMatrix) DecodeMatVec(partials []*GFPartial) ([]gf.Elem, error)
 
 // DecodeMatVecInto is DecodeMatVec writing into dst (length
 // OrigRows·width, where width is the partials' common RowWidth; nil
-// allocates it), reusing ws across rounds: inverted decode systems are
-// cached per distinct worker set and table/scratch storage is recycled.
+// allocates it), using ws for all scratch state. Passing the same
+// workspace across rounds makes the steady-state decode allocation-free,
+// whichever workers answer.
 //
 // The decode is band-wise: rows between two consecutive range boundaries
 // of the partials share one decode set (the first k workers in arrival
-// order covering them), so each band applies its cached inverse to all of
-// its rows and lanes as one k×k · k×(rows·width) mat-mul
-// (gf.Matrix.MulRangeInto — the vectorized exact kernel), each output row
-// written straight into its data block. The only per-band bookkeeping is
-// one contiguous copy per selected worker. Field arithmetic is exact, so
-// banding cannot change any value: lane l of the result is bit-identical
-// to decoding that lane's partials alone; dst is row-major width-wide
-// (lane l of row r at dst[r*width+l]).
+// order covering them), so each band is solved once over vectors of
+// rows × width lanes read in place from the partials. The code is
+// systematic, so a band's s systematic workers hand over their data
+// blocks as they are (a copy); its p = k − s parity workers' values, less
+// the known blocks' share, leave a p×p Cauchy system in the p missing
+// blocks, inverted exactly per band. A lane costs p² + p·s gf.Axpy
+// sweeps, and a band of systematic workers only (p = 0) is a copy. Field
+// arithmetic is exact, so neither banding nor the order of operations can
+// change any value: lane l of the result is bit-identical to decoding
+// that lane's partials alone; dst is row-major width-wide (lane l of row
+// r at dst[r*width+l]).
 //
 //s2c2:noalloc
 func (e *GFEncodedMatrix) DecodeMatVecInto(dst []gf.Elem, partials []*GFPartial, ws *GFDecodeWorkspace) ([]gf.Elem, error) {
@@ -238,32 +219,29 @@ func (e *GFEncodedMatrix) DecodeMatVecInto(dst []gf.Elem, partials []*GFPartial,
 	if dst != nil && len(dst) != e.OrigRows*width {
 		return nil, fmt.Errorf("coding: decode dst length %d want %d", len(dst), e.OrigRows*width)
 	}
-	ws.out = kernel.GrowSlice(ws.out, e.BlockRows*k*width)
-	pieceRows := max(gfDecodeGroupLanes/width, 1)
-	var cur *gfInvSet
+	stride := e.BlockRows * width // data block j of row r at out[j*stride + r*width]
+	ws.out = kernel.GrowSlice(ws.out, k*stride)
+	pieceRows := max(decodeChunkLanes/width, 1)
 	for _, band := range ws.table.list {
 		ws.workers = ws.table.workers(ws.workers, band)
-		if cur == nil || !sameWorkers(cur.workers, ws.workers) {
-			var err error
-			if cur, err = ws.setFor(e, ws.workers); err != nil {
-				return nil, err
-			}
+		// Ascending, so the systematic workers (ids below k) come first.
+		s := 0
+		for s < k && ws.workers[s] < k {
+			j := ws.workers[s]
+			copy(ws.out[j*stride+band.lo*width:], ws.table.values(band, s, band.lo, band.hi))
+			s++
 		}
+		if s == k {
+			continue
+		}
+		if err := ws.invertParity(e, s); err != nil {
+			return nil, err
+		}
+		// Pieces keep each missing block's run cache-resident across its
+		// p + s sweeps.
 		for lo := band.lo; lo < band.hi; lo += pieceRows {
 			hi := min(lo+pieceRows, band.hi)
-			gw := (hi - lo) * width // right-hand-side lanes in this piece
-			ws.bm = kernel.GrowSlice(ws.bm, k*gw)
-			// Gather: bm row i is the i-th selected worker's values for
-			// rows [lo, hi) — one contiguous run of its partial.
-			for i := 0; i < k; i++ {
-				copy(ws.bm[i*gw:(i+1)*gw], ws.table.values(band, i, lo, hi))
-			}
-			ws.bmat.Reshape(k, gw, ws.bm)
-			// Row j of inv·bm is exactly ws.out's contiguous run for data
-			// block j, rows [lo, hi).
-			for j := 0; j < k; j++ {
-				cur.inv.MulRangeInto(ws.out[(j*e.BlockRows+lo)*width:][:gw], &ws.bmat, j, j+1)
-			}
+			ws.solvePiece(e, band, s, lo, hi, width)
 		}
 	}
 	if dst == nil {
@@ -273,4 +251,75 @@ func (e *GFEncodedMatrix) DecodeMatVecInto(dst []gf.Elem, partials []*GFPartial,
 	}
 	copy(dst, ws.out[:e.OrigRows*width])
 	return dst, nil
+}
+
+// invertParity sets up the parity system of the band whose workers are
+// ws.workers, the first s of them systematic: the missing data blocks, the
+// inverse of the p×p generator submatrix whose rows are the parity workers
+// and whose columns are the missing blocks, and fold, the known blocks'
+// share carried through that inverse. Any square submatrix of a Cauchy
+// matrix is nonsingular, so the inversion cannot fail on a valid set.
+//
+//s2c2:noalloc
+func (ws *GFDecodeWorkspace) invertParity(e *GFEncodedMatrix, s int) error {
+	k, p := e.Code.k, len(ws.workers)-s
+	// Sized for the largest parity system there can be, so no later band
+	// or round grows them.
+	q := min(k, e.Code.n-k)
+	ws.missing = kernel.GrowInts(ws.missing, q)[:p]
+	ws.coef = kernel.GrowSlice(ws.coef, q*(3*q+k))
+	have, m := ws.workers[:s], 0
+	for j := 0; j < k; j++ {
+		if len(have) > 0 && have[0] == j {
+			have = have[1:]
+			continue
+		}
+		ws.missing[m] = j
+		m++
+	}
+	ws.sys.Reshape(p, p, ws.coef[:p*p])
+	ws.inv.Reshape(p, p, ws.coef[p*p:2*p*p])
+	for i, w := range ws.workers[s:] {
+		g, row := e.Code.gen.Row(w), ws.sys.Row(i)
+		for c, j := range ws.missing {
+			row[c] = g[j]
+		}
+	}
+	if !gf.InvertInto(&ws.inv, &ws.sys, ws.coef[2*p*p:3*p*p]) {
+		return fmt.Errorf("coding: GF decode set %v singular", ws.workers)
+	}
+	// Missing block t = Σ_i inv[t][i]·(v_i − Σ_c G[w_i][j_c]·block j_c)
+	// = Σ_i inv[t][i]·v_i + Σ_c fold[t][c]·block j_c.
+	ws.fold = ws.coef[3*p*p : 3*p*p+p*s]
+	for t := 0; t < p; t++ {
+		for c, j := range ws.workers[:s] {
+			var acc gf.Elem
+			for i, w := range ws.workers[s:] {
+				acc = gf.Add(acc, gf.Mul(ws.inv.At(t, i), e.Code.gen.At(w, j)))
+			}
+			ws.fold[t*s+c] = gf.Neg(acc)
+		}
+	}
+	return nil
+}
+
+// solvePiece decodes rows [lo, hi) of band b's missing blocks into ws.out:
+// each is the inverse's combination of the parity workers' values, read in
+// place from their partials, plus the folded share of the systematic
+// blocks already copied — p + s sweeps over m = (hi−lo)·width lanes.
+//
+//s2c2:noalloc
+func (ws *GFDecodeWorkspace) solvePiece(e *GFEncodedMatrix, b rowBand, s, lo, hi, width int) {
+	// Data block j of rows [lo, hi) is out[j*stride+at : j*stride+at+m].
+	stride, at, m := e.BlockRows*width, lo*width, (hi-lo)*width
+	for t, j := range ws.missing {
+		out := ws.out[j*stride+at : j*stride+at+m]
+		clear(out)
+		for i, c := range ws.inv.Row(t) {
+			gf.Axpy(out, c, ws.table.values(b, s+i, lo, hi))
+		}
+		for c, known := range ws.workers[:s] {
+			gf.Axpy(out, ws.fold[t*s+c], ws.out[known*stride+at:known*stride+at+m])
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package coding
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -115,12 +116,11 @@ func TestGFMDSPartialCoverageExact(t *testing.T) {
 	}
 }
 
-// TestGFMDSBatchDecodeGrouped drives the grouped decode solve through
-// both of its boundary kinds: worker-set changes mid-block (short runs,
-// including single-row groups) and a uniform-set block whose lane count
-// forces the gfDecodeGroupLanes cap to split one run into several
-// mat-mul applications. Every lane must decode bit-identical to the
-// scalar reference.
+// TestGFMDSBatchDecodeGrouped drives the band-wise decode through both of
+// its boundary kinds: worker-set changes mid-block (short bands, including
+// single-row ones) and a uniform-set block whose lane count forces the
+// decodeChunkLanes cap to split one band's parity solve into several
+// pieces. Every lane must decode bit-identical to the scalar reference.
 func TestGFMDSBatchDecodeGrouped(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	check := func(t *testing.T, n, k, rows, cols, width int, assign func(br int) map[int][]Range) {
@@ -156,8 +156,8 @@ func TestGFMDSBatchDecodeGrouped(t *testing.T) {
 				}
 			}
 		}
-		// A second decode through the same workspace must reuse the cached
-		// inverses and scratch and still be exact.
+		// A second decode through the same workspace must reuse its
+		// storage and still be exact.
 		got2, err := enc.DecodeMatVecInto(got, partials, ws)
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +173,8 @@ func TestGFMDSBatchDecodeGrouped(t *testing.T) {
 	}
 	t.Run("alternating-sets", func(t *testing.T) {
 		// Rows flip between {0,1} and {1,2} coverage every few rows, plus a
-		// region all three cover — groups of length 1..4 with cache hits.
+		// region all three cover — bands of 1..4 rows, systematic-only and
+		// mixed.
 		check(t, 3, 2, 24, 3, 5, func(br int) map[int][]Range {
 			return map[int][]Range{
 				0: {{0, 3}, {6, 9}, {12, br}},
@@ -184,10 +185,10 @@ func TestGFMDSBatchDecodeGrouped(t *testing.T) {
 	})
 	t.Run("cap-split", func(t *testing.T) {
 		// One worker set covers the whole block at width 256: with
-		// BlockRows 32 the run holds 8192 lanes, above gfDecodeGroupLanes,
-		// so the uniform run must split into multiple groups.
+		// BlockRows 32 the band holds 8192 lanes, above decodeChunkLanes,
+		// so its parity solve must split into several pieces.
 		check(t, 3, 2, 64, 2, 256, func(br int) map[int][]Range {
-			if br*256 <= gfDecodeGroupLanes {
+			if br*256 <= decodeChunkLanes {
 				t.Fatalf("shape does not exceed the group cap: %d lanes", br*256)
 			}
 			return map[int][]Range{
@@ -196,6 +197,67 @@ func TestGFMDSBatchDecodeGrouped(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestGFCauchyParitySubmatricesNonsingular checks the MDS property of the
+// systematic generator at its source: every square submatrix of the parity
+// block C inverts through gf.InvertInto, and the product with the original
+// is I, exhaustively over every row and column subset.
+func TestGFCauchyParitySubmatricesNonsingular(t *testing.T) {
+	for _, nk := range [][2]int{{4, 3}, {6, 4}, {8, 6}, {12, 6}, {12, 10}} {
+		n, k := nk[0], nk[1]
+		c, err := NewGFMDSCode(n, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for rmask := 1; rmask < 1<<(n-k); rmask++ {
+			for cmask := 1; cmask < 1<<k; cmask++ {
+				r := bits.OnesCount(uint(rmask))
+				if bits.OnesCount(uint(cmask)) != r {
+					continue
+				}
+				sub := gf.NewMatrix(r, r)
+				i := 0
+				for pr := 0; pr < n-k; pr++ {
+					if rmask&(1<<pr) == 0 {
+						continue
+					}
+					q := 0
+					for j := 0; j < k; j++ {
+						if cmask&(1<<j) != 0 {
+							sub.Set(i, q, c.gen.At(k+pr, j))
+							q++
+						}
+					}
+					i++
+				}
+				inv := gf.NewMatrix(r, r)
+				if !gf.InvertInto(inv, sub, make([]gf.Elem, r*r)) {
+					t.Fatalf("(%d,%d): parity rows %b, blocks %b: singular", n, k, rmask, cmask)
+				}
+				for i := 0; i < r; i++ {
+					for j := 0; j < r; j++ {
+						var acc gf.Elem
+						for q := 0; q < r; q++ {
+							acc = gf.Add(acc, gf.Mul(sub.At(i, q), inv.At(q, j)))
+						}
+						want := gf.Elem(0)
+						if i == j {
+							want = 1
+						}
+						if acc != want {
+							t.Fatalf("(%d,%d): parity rows %b, blocks %b: (C·C⁻¹)[%d,%d] = %d", n, k, rmask, cmask, i, j, acc)
+						}
+					}
+				}
+				checked++
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("(%d,%d): no submatrix checked", n, k)
+		}
+	}
 }
 
 func TestGFMDSInsufficient(t *testing.T) {

@@ -305,8 +305,8 @@ func BenchmarkMDSEncode(b *testing.B) {
 }
 
 // BenchmarkGFMDSEncode is a fresh exact encode at the benchmark's
-// gf-batch-serve shape. The Vandermonde generator is not systematic, so
-// B/op is all n partitions — but no staged copy of the k data blocks.
+// gf-batch-serve shape. B/op is the parity partition alone (data/k): the k
+// systematic partitions are views of the data.
 func BenchmarkGFMDSEncode(b *testing.B) {
 	const rows, cols = 1536, 256
 	rng := rand.New(rand.NewSource(79))

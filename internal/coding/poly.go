@@ -3,6 +3,7 @@ package coding
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/coded-computing/s2c2/internal/kernel"
 	"github.com/coded-computing/s2c2/internal/mat"
@@ -150,6 +151,13 @@ func (e *EncodedBilinear) WorkerComputeInto(w int, d []float64, ranges []Range, 
 	}
 	return dst
 }
+
+// maxCachedSets bounds a PolyDecodeWorkspace's inverse cache. Worker sets
+// are canonicalized (sorted) before lookup, so the cache only grows when
+// the *membership* of responding workers churns; if it still overflows,
+// the whole cache is dropped rather than letting a long-lived workspace
+// accumulate inverses without bound.
+const maxCachedSets = 64
 
 // polyInvSet caches one inverted interpolation system per worker set.
 type polyInvSet struct {
@@ -303,7 +311,7 @@ func (e *EncodedBilinear) scatterBand(ws *PolyDecodeWorkspace, bi int, out *mat.
 // distinct-set count per decode is tiny).
 func (e *EncodedBilinear) interpInverse(ws *PolyDecodeWorkspace, workers []int) (*mat.Dense, error) {
 	for _, s := range ws.sets {
-		if sameWorkers(s.workers, workers) {
+		if slices.Equal(s.workers, workers) {
 			return s.inv, nil
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // references: every partition row is indexed on its own, its decode set is
 // the first k workers in arrival order that computed it (sorted), and the
 // row is solved one lane at a time — LU solve plus one refinement step
-// for float64, the inverted decode system for GF(2³¹−1).
+// for float64, the inverted k×k decode system for GF(2³¹−1).
 
 // refRowIndex is the per-row coverage index: rows[w][r] holds the values
 // worker w computed for row r (nil if none; the last registered copy
@@ -127,8 +127,8 @@ func refGFDecodeMatVec(e *GFEncodedMatrix, partials []*GFPartial) ([]gf.Elem, er
 		for i, w := range workers {
 			copy(sub.Row(i), e.Code.gen.Row(w))
 		}
-		inv, ok := gf.Invert(sub)
-		if !ok {
+		inv := gf.NewMatrix(k, k)
+		if !gf.InvertInto(inv, sub, make([]gf.Elem, k*k)) {
 			return nil, fmt.Errorf("coding: GF decode set %v singular", workers)
 		}
 		for l := 0; l < t.width; l++ {

@@ -116,13 +116,18 @@ func TestEncodeIntoRepointsViews(t *testing.T) {
 	}
 }
 
+// TestGFEncodeInPlaceBitIdenticalToStagedEncode pins the exact code's
+// borrow contract: full systematic partitions are capacity-capped views of
+// the input, a padded last block and every parity partition own their
+// storage, every value equals the staged encoder's, and the input is only
+// read.
 func TestGFEncodeInPlaceBitIdenticalToStagedEncode(t *testing.T) {
 	const n, k, cols = 6, 4, 7
 	code, err := NewGFMDSCode(n, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rows := range []int{40, 41, 43, 3} {
+	for _, rows := range []int{40, 41, 43, 3} { // rows % k = 0, 1, k-1; fewer rows than blocks
 		rng := rand.New(rand.NewSource(int64(rows)))
 		data := make([]gf.Elem, rows*cols)
 		for i := range data {
@@ -149,10 +154,16 @@ func TestGFEncodeInPlaceBitIdenticalToStagedEncode(t *testing.T) {
 					t.Fatalf("rows %d: GF partition %d element %d = %d, staged encode %d", rows, i, e, v, want.Data()[e])
 				}
 			}
-			// The Vandermonde generator is not systematic: every partition
-			// is a mix and must own its storage.
-			if aliases(p.Data(), data) {
-				t.Fatalf("rows %d: GF partition %d shares storage with the input", rows, i)
+			switch {
+			case i < k && (i+1)*blockRows <= rows:
+				if &p.Data()[0] != &data[i*blockRows*cols] {
+					t.Fatalf("rows %d: systematic partition %d is not a view of its data block", rows, i)
+				}
+				if cap(p.Data()) != len(p.Data()) {
+					t.Fatalf("rows %d: view %d has capacity %d past its %d elements", rows, i, cap(p.Data()), len(p.Data()))
+				}
+			case aliases(p.Data(), data):
+				t.Fatalf("rows %d: GF partition %d (parity or padded) shares storage with the input", rows, i)
 			}
 		}
 		for e, v := range data {

@@ -193,15 +193,6 @@ func (m *Matrix) Row(i int) []Elem { return m.data[i*m.cols : (i+1)*m.cols] }
 // Data returns the row-major backing storage, aliasing the matrix.
 func (m *Matrix) Data() []Elem { return m.data }
 
-// Clone deep-copies the matrix.
-//
-//s2c2:noalloc-waive
-func (m *Matrix) Clone() *Matrix {
-	d := make([]Elem, len(m.data))
-	copy(d, m.data)
-	return &Matrix{rows: m.rows, cols: m.cols, data: d}
-}
-
 // MulVec computes y = M·x over the field.
 func (m *Matrix) MulVec(x []Elem) []Elem {
 	y := make([]Elem, m.rows)
@@ -271,9 +262,8 @@ func (m *Matrix) MulVecBatchRangeInto(y, xs []Elem, w, lo, hi int) {
 }
 
 // MulRangeInto computes rows [lo, hi) of the matrix product M·B into y
-// (band-relative row-major, length (hi−lo)·B.cols) — the decode-solve
-// kernel of the exact path, where one cached k×k inverse is applied to a
-// k-row right-hand-side block covering many lanes at once. It dispatches
+// (band-relative row-major, length (hi−lo)·B.cols): one small matrix
+// applied to a block of right-hand sides covering many lanes. It dispatches
 // through kernel.GFMatMulAccMod31: an axpy sweep per row on the portable
 // backends, a fused in-register k sweep per 8-column block on the AVX-512
 // backend. Results are exactly the field values on every backend.
@@ -293,130 +283,62 @@ func (m *Matrix) MulRangeInto(y []Elem, b *Matrix, lo, hi int) {
 	kernel.GFMatMulAccMod31(asU32(y), asU32(m.data), m.cols, asU32(b.data), b.cols, lo, hi)
 }
 
-// Vandermonde returns the r-by-c matrix V[i][j] = xs[i]^j. The xs must be
-// distinct and r == len(xs); any c rows of the matrix are then linearly
-// independent, which is the MDS generator property.
-func Vandermonde(xs []Elem, c int) *Matrix {
-	m := NewMatrix(len(xs), c)
-	for i, x := range xs {
-		v := Elem(1)
-		for j := 0; j < c; j++ {
-			m.Set(i, j, v)
-			v = Mul(v, x)
-		}
-	}
-	return m
-}
-
-// Solve solves the square system M·x = b by Gauss–Jordan elimination,
-// destroying a copy of M. It returns false if M is singular.
+// InvertInto writes M⁻¹ into dst (n×n for an n×n M) and reports whether
+// M is invertible; on false dst holds no meaningful value. One Gauss–Jordan
+// elimination runs on a copy of M in scratch (at least n² elements), its
+// row operations mirrored on dst, which starts as I — O(n³), the updates
+// through the vectorized Axpy kernel. M is only read; neither dst nor
+// scratch may alias it. Nothing is allocated, so a decode can invert a
+// fresh system every band into workspace storage.
 //
-//s2c2:noalloc-waive
-func Solve(m *Matrix, b []Elem) ([]Elem, bool) {
-	if m.rows != m.cols || len(b) != m.rows {
-		panic("gf: Solve shape mismatch")
-	}
+//s2c2:noalloc
+func InvertInto(dst, m *Matrix, scratch []Elem) bool {
 	n := m.rows
-	a := m.Clone()
-	x := make([]Elem, n)
-	copy(x, b)
+	if m.cols != n || dst.rows != n || dst.cols != n || len(scratch) < n*n {
+		panic(fmt.Sprintf("gf: InvertInto %dx%d into %dx%d with %d scratch", m.rows, m.cols, dst.rows, dst.cols, len(scratch)))
+	}
+	a := scratch[:n*n]
+	copy(a, m.data)
+	clear(dst.data)
+	for i := 0; i < n; i++ {
+		dst.data[i*n+i] = 1
+	}
 	for col := 0; col < n; col++ {
-		// Find a nonzero pivot.
-		p := -1
-		for r := col; r < n; r++ {
-			if a.At(r, col) != 0 {
-				p = r
-				break
-			}
+		p := col
+		for p < n && a[p*n+col] == 0 {
+			p++
 		}
-		if p < 0 {
-			return nil, false
+		if p == n {
+			return false
 		}
+		ac, dc := a[col*n:(col+1)*n], dst.Row(col)
 		if p != col {
-			rp, rc := a.Row(p), a.Row(col)
-			for j := 0; j < n; j++ {
-				rp[j], rc[j] = rc[j], rp[j]
+			// Rows at or below col are zero left of col in a, so its swap
+			// starts at col; dst's rows swap whole.
+			ap, dp := a[p*n:(p+1)*n], dst.Row(p)
+			for j := col; j < n; j++ {
+				ap[j], ac[j] = ac[j], ap[j]
 			}
-			x[p], x[col] = x[col], x[p]
+			for j := range dp {
+				dp[j], dc[j] = dc[j], dp[j]
+			}
 		}
-		inv := Inv(a.At(col, col))
-		rowc := a.Row(col)
+		inv := Inv(ac[col])
 		for j := col; j < n; j++ {
-			rowc[j] = Mul(rowc[j], inv)
+			ac[j] = Mul(ac[j], inv)
 		}
-		x[col] = Mul(x[col], inv)
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := a.At(r, col)
-			if f == 0 {
-				continue
-			}
-			// rr += (P−f)·rowc ≡ rr − f·rowc: the elimination update is an
-			// axpy with the negated factor, so it rides the vectorized
-			// field kernel instead of a scalar Sub/Mul loop.
-			Axpy(a.Row(r)[col:], Neg(f), rowc[col:])
-			x[r] = Sub(x[r], Mul(f, x[col]))
-		}
-	}
-	return x, true
-}
-
-// Invert returns M⁻¹, or false if M is singular. One Gauss–Jordan
-// elimination of the augmented matrix [M | I] — O(n³), with the
-// elimination updates running through the vectorized Axpy kernel —
-// rather than n independent Solve calls (O(n⁴)).
-//
-//s2c2:noalloc-waive
-func Invert(m *Matrix) (*Matrix, bool) {
-	if m.rows != m.cols {
-		panic("gf: Invert non-square")
-	}
-	n := m.rows
-	aug := NewMatrix(n, 2*n)
-	for i := 0; i < n; i++ {
-		copy(aug.Row(i)[:n], m.Row(i))
-		aug.Set(i, n+i, 1)
-	}
-	for col := 0; col < n; col++ {
-		p := -1
-		for r := col; r < n; r++ {
-			if aug.At(r, col) != 0 {
-				p = r
-				break
-			}
-		}
-		if p < 0 {
-			return nil, false
-		}
-		if p != col {
-			// Rows at or below col are zero left of col, so swapping from
-			// col covers every nonzero entry (including the right half).
-			rp, rc := aug.Row(p), aug.Row(col)
-			for j := col; j < 2*n; j++ {
-				rp[j], rc[j] = rc[j], rp[j]
-			}
-		}
-		inv := Inv(aug.At(col, col))
-		rowc := aug.Row(col)
-		for j := col; j < 2*n; j++ {
-			rowc[j] = Mul(rowc[j], inv)
+		for j := range dc {
+			dc[j] = Mul(dc[j], inv)
 		}
 		for r := 0; r < n; r++ {
-			if r == col {
+			f := a[r*n+col]
+			if r == col || f == 0 {
 				continue
 			}
-			f := aug.At(r, col)
-			if f == 0 {
-				continue
-			}
-			Axpy(aug.Row(r)[col:], Neg(f), rowc[col:])
+			// row r −= f·row col, as an axpy with the negated factor.
+			Axpy(a[r*n+col:(r+1)*n], Neg(f), ac[col:])
+			Axpy(dst.Row(r), Neg(f), dc)
 		}
 	}
-	out := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		copy(out.Row(i), aug.Row(i)[n:])
-	}
-	return out, true
+	return true
 }

@@ -2,6 +2,7 @@ package gf
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -331,6 +332,8 @@ func TestInvZeroPanics(t *testing.T) {
 	Inv(0)
 }
 
+// TestSolveRoundTripProperty solves M·x = b through InvertInto, the
+// package's one solver, and recovers x exactly.
 func TestSolveRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f := func(seed int64) bool {
@@ -338,16 +341,17 @@ func TestSolveRoundTripProperty(t *testing.T) {
 		n := 1 + r.Intn(8)
 		// Vandermonde systems with distinct nodes are always nonsingular.
 		xs := distinctElems(n, r)
-		m := Vandermonde(xs, n)
+		m := vandermonde(xs, n)
 		want := make([]Elem, n)
 		for i := range want {
 			want[i] = New(r.Uint64())
 		}
 		b := m.MulVec(want)
-		got, ok := Solve(m, b)
+		inv, ok := invert(m)
 		if !ok {
 			return false
 		}
+		got := inv.MulVec(b)
 		for i := range want {
 			if got[i] != want[i] {
 				return false
@@ -366,7 +370,7 @@ func TestSolveSingular(t *testing.T) {
 	m.Set(0, 1, 2)
 	m.Set(1, 0, 2)
 	m.Set(1, 1, 4)
-	if _, ok := Solve(m, []Elem{1, 2}); ok {
+	if _, ok := invert(m); ok {
 		t.Fatal("expected singular")
 	}
 }
@@ -374,8 +378,8 @@ func TestSolveSingular(t *testing.T) {
 func TestInvert(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	xs := distinctElems(5, rng)
-	m := Vandermonde(xs, 5)
-	inv, ok := Invert(m)
+	m := vandermonde(xs, 5)
+	inv, ok := invert(m)
 	if !ok {
 		t.Fatal("Vandermonde must be invertible")
 	}
@@ -400,14 +404,14 @@ func TestVandermondeAnyRowsInvertible(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n, k := 8, 4
 	xs := distinctElems(n, rng)
-	v := Vandermonde(xs, k)
+	v := vandermonde(xs, k)
 	for trial := 0; trial < 50; trial++ {
 		rows := rng.Perm(n)[:k]
 		sub := NewMatrix(k, k)
 		for i, r := range rows {
 			copy(sub.Row(i), v.Row(r))
 		}
-		if _, ok := Invert(sub); !ok {
+		if _, ok := invert(sub); !ok {
 			t.Fatalf("rows %v gave singular submatrix", rows)
 		}
 	}
@@ -475,13 +479,12 @@ func TestMulRangeIntoMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestInvertMatchesEntrywise pins the augmented-elimination Invert to the
-// defining identities M·M⁻¹ = M⁻¹·M = I, entry by entry via MulRangeInto.
+// TestInvertMatchesEntrywise pins InvertInto to the defining identities M·M⁻¹ = M⁻¹·M = I, entry by entry via MulRangeInto.
 func TestInvertMatchesEntrywise(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{1, 2, 3, 5, 8, 12} {
-		m := Vandermonde(distinctElems(n, rng), n)
-		inv, ok := Invert(m)
+		m := vandermonde(distinctElems(n, rng), n)
+		inv, ok := invert(m)
 		if !ok {
 			t.Fatalf("n=%d: Vandermonde must be invertible", n)
 		}
@@ -502,6 +505,10 @@ func TestInvertMatchesEntrywise(t *testing.T) {
 		}
 		check(m, inv, "M·M⁻¹")
 		check(inv, m, "M⁻¹·M")
+		scratch := make([]Elem, n*n)
+		if allocs := testing.AllocsPerRun(10, func() { InvertInto(inv, m, scratch) }); allocs != 0 {
+			t.Fatalf("n=%d: InvertInto allocates %v/op, want 0", n, allocs)
+		}
 	}
 }
 
@@ -512,20 +519,47 @@ func TestInvertSingular(t *testing.T) {
 	for i, row := range vals {
 		copy(m.Row(i), row)
 	}
-	if _, ok := Invert(m); ok {
+	if _, ok := invert(m); ok {
 		t.Fatal("expected singular")
 	}
 	// The pivot search must survive needing a row swap: leading zero block.
 	sw := NewMatrix(2, 2)
 	sw.Set(0, 1, 3)
 	sw.Set(1, 0, 5)
-	inv, ok := Invert(sw)
+	inv, ok := invert(sw)
 	if !ok {
 		t.Fatal("antidiagonal matrix must be invertible")
 	}
 	if got := Mul(inv.At(0, 1), 5); got != 1 {
 		t.Fatalf("inv[0,1]·5 = %d want 1", got)
 	}
+}
+
+// vandermonde returns the r-by-c matrix V[i][j] = xs[i]^j, r = len(xs).
+// With distinct xs any c of its rows are linearly independent, which makes
+// it the test suite's source of invertible systems.
+func vandermonde(xs []Elem, c int) *Matrix {
+	m := NewMatrix(len(xs), c)
+	for i, x := range xs {
+		v := Elem(1)
+		for j := 0; j < c; j++ {
+			m.Set(i, j, v)
+			v = Mul(v, x)
+		}
+	}
+	return m
+}
+
+// invert is InvertInto into fresh storage, leaving m untouched.
+func invert(m *Matrix) (*Matrix, bool) {
+	n, _ := m.Dims()
+	before := slices.Clone(m.Data())
+	inv := NewMatrix(n, n)
+	ok := InvertInto(inv, m, make([]Elem, n*n))
+	if !slices.Equal(m.Data(), before) {
+		panic("InvertInto modified its input")
+	}
+	return inv, ok
 }
 
 func distinctElems(n int, rng *rand.Rand) []Elem {

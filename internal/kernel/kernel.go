@@ -191,8 +191,8 @@ func GFMatVecBatchMod31(dst, a []uint32, cols int, xs []uint32, w, lo, hi int) {
 // GFMatMulAccMod31 accumulates rows [lo, hi) of A·B over GF(2³¹−1) into
 // dst: dst[(i-lo)*n+j] += Σ_t A[i,t]·B[t,j] mod 2³¹−1 for row-major A
 // (rows×k) and B (k×n). dst is band-relative ((hi-lo)×n) — unlike the
-// float64 MatMulAccRange's absolute indexing — because the decode solves
-// it backs (gf.Matrix.MulRangeInto) write compact per-band outputs.
+// float64 MatMulAccRange's absolute indexing — so the products it backs
+// (gf.Matrix.MulRangeInto) write compact per-band outputs.
 // Inputs must be fully reduced; results are exact and identical on every
 // backend.
 //

@@ -129,9 +129,11 @@ func NewGFElem(v uint64) GFElem { return gf.New(v) }
 
 // GFEncodedMatrix holds the n exact coded partitions of a field matrix;
 // its Parts distribute over a cluster with Master.DistributeGFPartitions.
-// The exact code is not systematic, so the partitions own their storage
-// (GFMDSCode.Encode only reads its input); a Master they were distributed
-// through retains them — unchanged, please — until the job closes.
+// The exact code is systematic, so the encoding borrows its input:
+// partitions 0..k-1 are views of the data's row blocks and only the parity
+// (and a zero-padded last block) is new storage. Keep the data alive and
+// unchanged while the encoding is in use, and while a Master the
+// partitions were distributed through retains them — until the job closes.
 type GFEncodedMatrix = coding.GFEncodedMatrix
 
 // GFPartial is a worker's exact partial result over GF(2³¹−1) — what
