@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-noasm race lint vet-tool fmt bench bench-smoke ci
+.PHONY: all build test test-noasm race lint vet-tool fmt linked-symbols bench bench-smoke ci
 
 all: lint test
 
@@ -39,6 +39,18 @@ vet-tool:
 
 fmt:
 	gofmt -w .
+
+# linked-symbols prints the sorted union of the module's text symbols
+# that some binary links: every cmd, every example and the benchmark
+# harness, built without inlining so each function keeps its symbol.
+# Diff its output at a parent and at a change to see what a deletion
+# removed from the binaries.
+linked-symbols:
+	@d=$$(mktemp -d); trap 'rm -rf $$d' EXIT; \
+	$(GO) build -gcflags=all=-l -o $$d/ ./cmd/... ./examples/... && \
+	$(GO) build -C benchmark -gcflags=all=-l -o $$d/benchmark . && \
+	for f in $$d/*; do $(GO) tool nm $$f; done | \
+	awk '$$2 ~ /^[Tt]$$/ && $$3 ~ /^github.com\/coded-computing\/s2c2/ { print $$3 }' | sort -u
 
 # bench runs the repo's one benchmark (BENCHMARK.json): all four
 # workloads, end-to-end metrics; see benchmark/README.md for flags.

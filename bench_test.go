@@ -1,14 +1,11 @@
 package s2c2_test
 
-// The benchmark harness regenerates every evaluation artifact of the
-// paper (one Benchmark per entry of experiments.Registry, which
-// `s2c2-exp -list` prints) and measures the throughput-critical kernels
-// of the stack. Run with:
+// Stack benchmarks: decode bands and workspaces, the polynomial and
+// Lagrange codes, planning and one end-to-end simulated round. Each
+// layer's own kernels are benchmarked in its package; the paper's figures
+// are regenerated by `s2c2-exp -exp <id>`. Run with:
 //
-//	go test -bench=. -benchmem
-//
-// Figure benches report the experiment's tables through -v logs on the
-// first iteration; cmd/s2c2-exp prints them directly.
+//	go test -run '^$' -bench=. -benchmem .
 
 import (
 	"math/rand"
@@ -16,114 +13,12 @@ import (
 
 	s2c2 "github.com/coded-computing/s2c2"
 	"github.com/coded-computing/s2c2/internal/coding"
-	"github.com/coded-computing/s2c2/internal/experiments"
 	"github.com/coded-computing/s2c2/internal/gf"
 	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/predict"
 	"github.com/coded-computing/s2c2/internal/sched"
 	"github.com/coded-computing/s2c2/internal/trace"
 )
-
-// ---- Paper figures -----------------------------------------------------
-
-func benchFigure(b *testing.B, id string) {
-	cfg := experiments.Config{Scale: 1, Iterations: 8, Seed: 42}
-	run := experiments.Registry[id]
-	if run == nil {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	for i := 0; i < b.N; i++ {
-		tables, err := run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, t := range tables {
-				b.Log("\n" + t.Render())
-			}
-		}
-	}
-}
-
-func BenchmarkPredictorTraining(b *testing.B)       { benchFigure(b, "predict") }
-func BenchmarkFig1_MotivationLR(b *testing.B)       { benchFigure(b, "fig1") }
-func BenchmarkFig2_SpeedTraces(b *testing.B)        { benchFigure(b, "fig2") }
-func BenchmarkFig3_StorageOverhead(b *testing.B)    { benchFigure(b, "fig3") }
-func BenchmarkFig6_LogisticRegression(b *testing.B) { benchFigure(b, "fig6") }
-func BenchmarkFig7_PageRank(b *testing.B)           { benchFigure(b, "fig7") }
-func BenchmarkFig8_CloudLowMispred(b *testing.B)    { benchFigure(b, "fig8") }
-func BenchmarkFig9_WasteLowMispred(b *testing.B)    { benchFigure(b, "fig9") }
-func BenchmarkFig10_CloudHighMispred(b *testing.B)  { benchFigure(b, "fig10") }
-func BenchmarkFig11_WasteHighMispred(b *testing.B)  { benchFigure(b, "fig11") }
-func BenchmarkFig12_PolynomialS2C2(b *testing.B)    { benchFigure(b, "fig12") }
-func BenchmarkFig13_Scale50(b *testing.B)           { benchFigure(b, "fig13") }
-
-// ---- Ablations (internal/experiments/ablations.go) ----------------------
-
-func BenchmarkAblateTimeout(b *testing.B)     { benchFigure(b, "ablate-timeout") }
-func BenchmarkAblateMultiCode(b *testing.B)   { benchFigure(b, "ablate-multicode") }
-func BenchmarkTailLatency(b *testing.B)       { benchFigure(b, "tail") }
-func BenchmarkFig6SVM(b *testing.B)           { benchFigure(b, "fig6-svm") }
-func BenchmarkFig7GraphFilter(b *testing.B)   { benchFigure(b, "fig7-filter") }
-func BenchmarkAblateGranularity(b *testing.B) { benchFigure(b, "ablate-gran") }
-func BenchmarkAblatePredictor(b *testing.B)   { benchFigure(b, "ablate-pred") }
-func BenchmarkAblateLayout(b *testing.B)      { benchFigure(b, "ablate-layout") }
-
-// ---- Kernel micro-benchmarks ---------------------------------------------
-
-func BenchmarkMatVec1024(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := mat.Rand(1024, 1024, rng)
-	x := make([]float64, 1024)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	y := make([]float64, 1024)
-	b.SetBytes(8 * 1024 * 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mat.MatVecInto(a, x, y)
-	}
-}
-
-func BenchmarkParallelMatVec1024(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := mat.Rand(1024, 1024, rng)
-	x := make([]float64, 1024)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	y := make([]float64, 1024)
-	b.SetBytes(8 * 1024 * 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mat.ParallelMatVecInto(a, x, y, 0)
-	}
-}
-
-func BenchmarkMatMul256(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	x := mat.Rand(256, 256, rng)
-	y := mat.Rand(256, 256, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mat.MatMul(x, y)
-	}
-}
-
-func BenchmarkMatMul1024(b *testing.B) {
-	// The acceptance benchmark for the kernel refactor: the cache-blocked
-	// packed kernel vs the seed's naive ikj loop (see internal/kernel's
-	// BenchmarkMatMulNaive1024 for the baseline).
-	rng := rand.New(rand.NewSource(2))
-	x := mat.Rand(1024, 1024, rng)
-	y := mat.Rand(1024, 1024, rng)
-	c := mat.New(1024, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mat.MatMulInto(x, y, c)
-	}
-}
 
 func BenchmarkMDSDecodeWorkspace(b *testing.B) {
 	// DecodeMatVecInto with a reused workspace: the steady-state decode of
@@ -147,16 +42,6 @@ func BenchmarkMDSDecodeWorkspace(b *testing.B) {
 		if _, err := enc.DecodeMatVecInto(dst, partials, ws); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkMDSEncode(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	a := mat.Rand(2000, 200, rng)
-	code, _ := coding.NewMDSCode(12, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		code.Encode(a)
 	}
 }
 
@@ -430,21 +315,6 @@ func BenchmarkLSTMTrainEpoch(b *testing.B) {
 		if err := m.Fit(tr.Speeds); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkLSTMPredict(b *testing.B) {
-	tr := trace.CloudStable(1, 200, 11)
-	cfg := predict.DefaultLSTMConfig()
-	cfg.Epochs = 5
-	m := predict.NewLSTM(cfg)
-	if err := m.Fit(tr.Speeds); err != nil {
-		b.Fatal(err)
-	}
-	hist := tr.Speeds[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Predict(hist)
 	}
 }
 

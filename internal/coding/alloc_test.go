@@ -217,11 +217,16 @@ func TestEncodeIntoReusesPartitions(t *testing.T) {
 	for i := range x {
 		x[i] = rng.Float64()
 	}
-	results := map[int][]float64{}
+	var partials []*Partial
 	for w := 0; w < 4; w++ {
-		results[w] = mat.MatVec(enc2.Parts[w], x)
+		partials = append(partials, &Partial{
+			Worker:   w,
+			Ranges:   []Range{{0, enc2.BlockRows}},
+			RowWidth: 1,
+			Values:   mat.MatVec(enc2.Parts[w], x),
+		})
 	}
-	got, err := enc2.DecodeFullPartitions(results)
+	got, err := enc2.DecodeMatVec(partials)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,9 +104,6 @@ type Partial = PartialOf[float64]
 // stay valid.
 type GFPartial = PartialOf[gf.Elem]
 
-// NumRows returns how many partition rows the partial covers.
-func (p *PartialOf[T]) NumRows() int { return TotalRows(p.Ranges) }
-
 // Validate checks internal consistency of the partial. It applies the
 // same checks rowTable.add runs when the partial enters a decode.
 func (p *PartialOf[T]) Validate(blockRows int) error {

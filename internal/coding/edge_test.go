@@ -107,7 +107,7 @@ func TestWorkerComputeEmptyRanges(t *testing.T) {
 	c, _ := NewMDSCode(4, 2)
 	enc := c.Encode(a)
 	p := enc.WorkerCompute(0, []float64{1, 1}, nil)
-	if p.NumRows() != 0 || len(p.Values) != 0 {
+	if TotalRows(p.Ranges) != 0 || len(p.Values) != 0 {
 		t.Fatal("empty assignment should produce an empty partial")
 	}
 }

@@ -76,15 +76,6 @@ func (c *LagrangeCode) RecoveryThreshold(degree int) int {
 	return (c.k-1)*degree + 1
 }
 
-// MaxDegree returns the largest polynomial degree this (n,k) code can
-// decode.
-func (c *LagrangeCode) MaxDegree() int {
-	if c.k == 1 {
-		return 1 << 30 // a single block is recoverable from any 1 share
-	}
-	return (c.n - 1) / (c.k - 1)
-}
-
 // Encode produces the n shares u(α_i) from k equal-length data blocks,
 // elementwise. Share i has the same length as each block.
 func (c *LagrangeCode) Encode(blocks [][]gf.Elem) ([][]gf.Elem, error) {

@@ -24,9 +24,6 @@ func TestLagrangeValidation(t *testing.T) {
 	if c.RecoveryThreshold(2) != 5 {
 		t.Fatalf("threshold(2) = %d want (3-1)*2+1 = 5", c.RecoveryThreshold(2))
 	}
-	if c.MaxDegree() != 4 {
-		t.Fatalf("MaxDegree = %d want (9-1)/(3-1) = 4", c.MaxDegree())
-	}
 }
 
 func TestLagrangeSystematicPrefix(t *testing.T) {

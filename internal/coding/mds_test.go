@@ -63,12 +63,11 @@ func TestMDSFullPartitionRoundTrip(t *testing.T) {
 	c, _ := NewMDSCode(6, 4)
 	enc := c.Encode(a)
 	// Use the last k workers (all parity mixed in) — hardest case.
-	results := map[int][]float64{}
+	var partials []*Partial
 	for w := 2; w < 6; w++ {
-		p := enc.WorkerCompute(w, x, []Range{{0, enc.BlockRows}})
-		results[w] = p.Values
+		partials = append(partials, enc.WorkerCompute(w, x, []Range{{0, enc.BlockRows}}))
 	}
-	got, err := enc.DecodeFullPartitions(results)
+	got, err := enc.DecodeMatVec(partials)
 	if err != nil {
 		t.Fatal(err)
 	}

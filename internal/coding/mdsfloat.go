@@ -406,22 +406,3 @@ func (ws *DecodeWorkspace) solvePiece(e *EncodedMatrix, b rowBand, s, lo, hi, wi
 		kernel.Axpy(1, dx[t*m:(t+1)*m], out)
 	}
 }
-
-// DecodeFullPartitions reconstructs A·x the conventional-MDS way, from k
-// workers that each computed their whole partition. It is a convenience
-// wrapper over DecodeMatVec.
-func (e *EncodedMatrix) DecodeFullPartitions(results map[int][]float64) ([]float64, error) {
-	partials := make([]*Partial, 0, len(results))
-	for w, vals := range results {
-		if len(vals) != e.BlockRows {
-			return nil, fmt.Errorf("coding: worker %d returned %d rows, partition has %d", w, len(vals), e.BlockRows)
-		}
-		partials = append(partials, &Partial{
-			Worker:   w,
-			Ranges:   []Range{{0, e.BlockRows}},
-			RowWidth: 1,
-			Values:   vals,
-		})
-	}
-	return e.DecodeMatVec(partials)
-}

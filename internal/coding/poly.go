@@ -56,9 +56,6 @@ func (c *PolyCode) N() int { return c.n }
 // per output row.
 func (c *PolyCode) RecoveryThreshold() int { return c.a * c.b }
 
-// Alpha returns worker i's evaluation point.
-func (c *PolyCode) Alpha(i int) float64 { return c.alphas[i] }
-
 // EncodedBilinear holds the per-worker encoded partitions for a bilinear
 // computation Aᵀ·diag(d)·B.
 type EncodedBilinear struct {

@@ -24,7 +24,7 @@ func TestPolyCodeValidation(t *testing.T) {
 	}
 	seen := map[float64]bool{}
 	for i := 0; i < 5; i++ {
-		a := c.Alpha(i)
+		a := c.alphas[i]
 		if a <= -1 || a >= 1 || seen[a] {
 			t.Fatalf("alpha %d = %v not distinct in (-1,1)", i, a)
 		}

@@ -24,15 +24,6 @@ type Elem uint32
 // New reduces an arbitrary uint64 into the field.
 func New(v uint64) Elem { return Elem(v % P) }
 
-// NewInt reduces a signed integer into the field.
-func NewInt(v int64) Elem {
-	m := v % int64(P)
-	if m < 0 {
-		m += int64(P)
-	}
-	return Elem(m)
-}
-
 // Add returns a+b mod P.
 func Add(a, b Elem) Elem {
 	s := uint64(a) + uint64(b)
@@ -86,9 +77,6 @@ func Inv(a Elem) Elem {
 	// Fermat: a^(P-2) mod P.
 	return Pow(a, P-2)
 }
-
-// Div returns a/b mod P.
-func Div(a, b Elem) Elem { return Mul(a, Inv(b)) }
 
 // asU32 reinterprets a slice of field elements as raw uint32 lanes for the
 // kernel layer (Elem is defined as uint32, so the layouts are identical).
@@ -259,28 +247,6 @@ func (m *Matrix) MulVecBatchRangeInto(y, xs []Elem, w, lo, hi int) {
 		panic(fmt.Sprintf("gf: MulVecBatchRange dst length %d want %d", len(y), (hi-lo)*w))
 	}
 	kernel.GFMatVecBatchMod31(asU32(y), asU32(m.data), m.cols, asU32(xs), w, lo, hi)
-}
-
-// MulRangeInto computes rows [lo, hi) of the matrix product M·B into y
-// (band-relative row-major, length (hi−lo)·B.cols): one small matrix
-// applied to a block of right-hand sides covering many lanes. It dispatches
-// through kernel.GFMatMulAccMod31: an axpy sweep per row on the portable
-// backends, a fused in-register k sweep per 8-column block on the AVX-512
-// backend. Results are exactly the field values on every backend.
-//
-//s2c2:noalloc
-func (m *Matrix) MulRangeInto(y []Elem, b *Matrix, lo, hi int) {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("gf: MulRange %dx%d · %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	if lo < 0 || hi > m.rows || lo > hi {
-		panic(fmt.Sprintf("gf: MulRange rows [%d,%d) outside [0,%d)", lo, hi, m.rows))
-	}
-	if len(y) != (hi-lo)*b.cols {
-		panic(fmt.Sprintf("gf: MulRange dst length %d want %d", len(y), (hi-lo)*b.cols))
-	}
-	clear(y)
-	kernel.GFMatMulAccMod31(asU32(y), asU32(m.data), m.cols, asU32(b.data), b.cols, lo, hi)
 }
 
 // InvertInto writes M⁻¹ into dst (n×n for an n×n M) and reports whether

@@ -677,75 +677,3 @@ gfaxpy512_tail8:
 gfaxpy512_done:
 	VZEROUPPER
 	RET
-
-// func gfMatMulRowAccAVX512(dst *uint32, a *uint32, k int, b *uint32, n int)
-//
-// One fused row of the exact mat-mul accumulate: for every 8-column
-// block j of dst, widen dst[j..j+8) into a qword accumulator (opmasked
-// at the row tail), then sweep all k terms — broadcast a[t], widen the
-// masked B row slice b[t*n+j..), VPMULUDQ, add, one Mersenne fold —
-// keeping the accumulator in registers across the whole k sweep instead
-// of a load/reduce/store round trip per term. A final fold plus opmasked
-// subtract lands in [0, p) and VPMOVQD stores through the same column
-// mask. The accumulator obeys the standard invariant: dst < 2³¹ to
-// start, < 2³³ after every fold, so adding the next 62-bit product
-// cannot overflow 64 bits.
-TEXT ·gfMatMulRowAccAVX512(SB), NOSPLIT, $0-40
-	MOVQ         dst+0(FP), DI
-	MOVQ         b+24(FP), R8
-	MOVQ         n+32(FP), R9
-	MOVQ         R9, R11
-	SHLQ         $2, R11       // B row stride in bytes
-	VPBROADCASTQ gfP31q<>(SB), Z14
-	VPBROADCASTQ gfP31m1q<>(SB), Z13
-	XORQ         R10, R10      // j = 0
-
-gfmm_jloop:
-	// column mask for this block: 0xFF, or (1<<w)-1 at the row tail
-	MOVQ  R9, DX
-	SUBQ  R10, DX
-	MOVQ  $0xFF, AX
-	CMPQ  DX, $8
-	JGE   gfmm_maskdone
-	MOVQ  $1, AX
-	MOVQ  DX, CX
-	SHLQ  CX, AX
-	DECQ  AX
-
-gfmm_maskdone:
-	KMOVW       AX, K1
-	LEAQ        (DI)(R10*4), R13
-	VPMOVZXDQ.Z (R13), K1, Z0
-	MOVQ        a+8(FP), SI
-	LEAQ        (R8)(R10*4), R12
-	MOVQ        k+16(FP), CX
-	TESTQ       CX, CX
-	JZ          gfmm_store
-
-gfmm_tloop:
-	VPBROADCASTD (SI), Z1
-	VPMOVZXDQ.Z  (R12), K1, Z2
-	VPMULUDQ     Z2, Z1, Z2
-	VPADDQ       Z2, Z0, Z0
-	VPSRLQ       $31, Z0, Z3
-	VPANDQ       Z14, Z0, Z0
-	VPADDQ       Z3, Z0, Z0
-	ADDQ         $4, SI
-	ADDQ         R11, R12
-	DECQ         CX
-	JNZ          gfmm_tloop
-
-	// final reduction: one more fold + conditional subtract
-	VPSRLQ   $31, Z0, Z3
-	VPANDQ   Z14, Z0, Z0
-	VPADDQ   Z3, Z0, Z0
-	VPCMPGTQ Z13, Z0, K2
-	VPSUBQ   Z14, Z0, K2, Z0
-
-gfmm_store:
-	VPMOVQD Z0, K1, (R13)
-	ADDQ    $8, R10
-	CMPQ    R10, R9
-	JL      gfmm_jloop
-	VZEROUPPER
-	RET

@@ -29,7 +29,6 @@ var avx2Backend = &backendImpl{
 	gfAxpy:           gfAxpyVec,
 	gfMatVec:         gfMatVecVec,
 	gfMatVecBatch:    gfMatVecBatchVec,
-	gfMatMulAccRange: gfMatMulAccRangeVec,
 	chunkFlops:       64 * 1024,
 }
 
@@ -426,29 +425,6 @@ func gfMatVecBatchVec(dst, a []uint32, cols int, xs []uint32, w, lo, hi int) {
 		}
 		if l < w {
 			gfDot4Vec(out[l:w], row, xs[l*cols:], cols)
-		}
-	}
-}
-
-// gfMatMulAccRangeVec accumulates rows [lo, hi) of A·B over the field into
-// band-relative dst as k vectorized axpy sweeps per row. Sweep order is
-// irrelevant to the result (modular reduction is order-independent), so
-// this is exactly the generic backend's value with the 4-lane folded
-// gfAxpy kernel doing the streaming.
-//
-//s2c2:noalloc
-func gfMatMulAccRangeVec(dst, a []uint32, k int, b []uint32, n, lo, hi int) {
-	if n == 0 {
-		return
-	}
-	for i := lo; i < hi; i++ {
-		row := dst[(i-lo)*n : (i-lo+1)*n]
-		for t := 0; t < k; t++ {
-			c := a[i*k+t]
-			if c == 0 {
-				continue
-			}
-			gfAxpyVec(row, c, b[t*n:(t+1)*n])
 		}
 	}
 }

@@ -39,7 +39,6 @@ var avx512Backend = &backendImpl{
 	gfAxpy:           gfAxpyVec512,
 	gfMatVec:         gfMatVecVec512,
 	gfMatVecBatch:    gfMatVecBatchVec512,
-	gfMatMulAccRange: gfMatMulAccRangeVec512,
 	chunkFlops:       128 * 1024,
 }
 
@@ -93,13 +92,6 @@ func gfTile8AVX512(dst, a *uint32, cols int, pack *uint64, stride int, mask uint
 //
 //go:noescape
 func gfDot4AVX512(dst, s, o0, o1, o2, o3 *uint32, n int, mask uint64)
-
-// gfMatMulRowAccAVX512 accumulates one row of A·B over GF(2³¹−1) into
-// dst (length n): dst[j] += Σ_t a[t]·B[t,j] mod 2³¹−1, with the k sweep
-// fused in registers per 8-column block and opmasked column tails.
-//
-//go:noescape
-func gfMatMulRowAccAVX512(dst *uint32, a *uint32, k int, b *uint32, n int)
 
 // dotVec512 sums the vectorized prefix in the assembly kernel, then folds
 // the up-to-7-element tail in sequentially — one fixed order per length.
@@ -325,22 +317,5 @@ func gfAxpyVec512(dst []uint32, c uint32, src []uint32) {
 	}
 	for i := len(dst) &^ 7; i < len(dst); i++ {
 		dst[i] = gfMulAdd31(dst[i], c, src[i])
-	}
-}
-
-// gfMatMulAccRangeVec512 accumulates rows [lo, hi) of A·B over the field
-// into band-relative dst through the fused row kernel: the whole k sweep
-// of each 8-column block stays in one ZMM accumulator (one fold per
-// term), instead of the k separate load/reduce/store round trips the
-// axpy-sweep backends make. Opmasked column tails need no padding, and
-// the result is exactly the field value — identical on every backend.
-//
-//s2c2:noalloc
-func gfMatMulAccRangeVec512(dst, a []uint32, k int, b []uint32, n, lo, hi int) {
-	if hi <= lo || n == 0 || k == 0 {
-		return
-	}
-	for i := lo; i < hi; i++ {
-		gfMatMulRowAccAVX512(&dst[(i-lo)*n], &a[i*k], k, &b[0], n)
 	}
 }

@@ -52,13 +52,6 @@ type backendImpl struct {
 	// row-major w-wide output, mirroring matVecRangeBatch.
 	gfMatVecBatch func(dst, a []uint32, cols int, xs []uint32, w, lo, hi int)
 
-	// gfMatMulAccRange accumulates rows [lo, hi) of A·B over GF(2³¹−1)
-	// into dst, band-relative: dst[(i-lo)*n+j] += Σ_t A[i,t]·B[t,j]
-	// (unlike the float64 matMulAccRange's absolute dst indexing — the
-	// decode solves it backs write compact per-band outputs). Inputs
-	// fully reduced; exact on every backend.
-	gfMatMulAccRange func(dst, a []uint32, k int, b []uint32, n, lo, hi int)
-
 	// chunkFlops is the per-chunk flop target the pool sizes row chunks
 	// for: wider backends retire flops faster, so they want bigger chunks.
 	chunkFlops int

@@ -236,9 +236,9 @@ func TestMatMulBackendsMatchReference(t *testing.T) {
 					for i := range accWant {
 						accWant[i] = acc[i] + want[i]
 					}
-					MatMulAccRange(acc, a, m, k, b, n, 0, m)
+					active.Load().matMulAccRange(acc, a, k, b, n, 0, m)
 					if d := maxAbsDiff(acc, accWant); d > 1e-9*float64(k+1) {
-						t.Errorf("backend=%s %dx%dx%d: MatMulAccRange max diff %g", backend, m, k, n, d)
+						t.Errorf("backend=%s %dx%dx%d: matMulAccRange max diff %g", backend, m, k, n, d)
 					}
 				}
 			})

@@ -30,9 +30,9 @@ func TestMatVecBatchBackendsMatchReference(t *testing.T) {
 			for _, backend := range Backends() {
 				withBackend(t, backend, func() {
 					got := make([]float64, rows*w)
-					MatVecBatch(got, a, rows, cols, xs, w)
+					MatVecRangeBatch(got, a, cols, xs, w, 0, rows)
 					if d := maxAbsDiff(got, want); d > 1e-11*float64(cols+1) {
-						t.Errorf("backend=%s %dx%d w=%d: MatVecBatch max diff %g", backend, rows, cols, w, d)
+						t.Errorf("backend=%s %dx%d w=%d: MatVecRangeBatch max diff %g", backend, rows, cols, w, d)
 					}
 					// Every lane must match the same backend's result for that
 					// lane computed alone — within rounding (the avx2 batch
@@ -68,7 +68,7 @@ func TestMatVecBatchBandInvariant(t *testing.T) {
 		for _, backend := range Backends() {
 			withBackend(t, backend, func() {
 				whole := make([]float64, rows*w)
-				MatVecBatch(whole, a, rows, cols, xs, w)
+				MatVecRangeBatch(whole, a, cols, xs, w, 0, rows)
 				for _, band := range []int{1, 2, 3, 5, 7, 16} {
 					banded := make([]float64, rows*w)
 					for lo := 0; lo < rows; lo += band {
@@ -279,13 +279,13 @@ func TestMatVecBatchVectorSpeedup(t *testing.T) {
 	xs := randSlice(w*cols, rng)
 	batchDst := make([]float64, rows*w)
 	singleDst := make([]float64, rows)
-	batch := bestOf(5, 3, func() { MatVecBatch(batchDst, a, rows, cols, xs, w) })
+	batch := bestOf(5, 3, func() { MatVecRangeBatch(batchDst, a, cols, xs, w, 0, rows) })
 	single := bestOf(5, 3, func() {
 		for l := 0; l < w; l++ {
 			MatVec(singleDst, a, rows, cols, xs[l*cols:(l+1)*cols])
 		}
 	})
-	t.Logf("MatVecBatch %dx%d w=%d: batch %v, %d singles %v (%.2fx)",
+	t.Logf("MatVecRangeBatch %dx%d w=%d: batch %v, %d singles %v (%.2fx)",
 		rows, cols, w, batch, w, single, float64(single)/float64(batch))
 	if float64(single) < 2*float64(batch) {
 		t.Fatalf("batched sweep only %.2fx over %d single sweeps, want >= 2x", float64(single)/float64(batch), w)
@@ -318,7 +318,7 @@ func BenchmarkBatchKernels(b *testing.B) {
 		b.Run("MatVecBatch512w8/"+backend, func(b *testing.B) {
 			b.SetBytes(8 * rows * cols)
 			for i := 0; i < b.N; i++ {
-				MatVecBatch(dst, a, rows, cols, xs, w)
+				MatVecRangeBatch(dst, a, cols, xs, w, 0, rows)
 			}
 		})
 		b.Run("GFMatVec512/"+backend, func(b *testing.B) {

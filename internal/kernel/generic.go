@@ -15,7 +15,6 @@ var genericBackend = &backendImpl{
 	gfAxpy:           gfAxpyGeneric,
 	gfMatVec:         gfMatVecGeneric,
 	gfMatVecBatch:    gfMatVecBatchGeneric,
-	gfMatMulAccRange: gfMatMulAccRangeGeneric,
 	chunkFlops:       16 * 1024,
 }
 
@@ -357,30 +356,6 @@ func gfMatVecBatchGeneric(dst, a []uint32, cols int, xs []uint32, w, lo, hi int)
 		}
 		for ; l < w; l++ {
 			out[l] = gfDotGeneric(row, xs[l*cols:(l+1)*cols])
-		}
-	}
-}
-
-// gfMatMulAccRangeGeneric accumulates rows [lo, hi) of A·B over the field
-// into band-relative dst as k axpy sweeps per row: dst_row += A[i,t]·B_t.
-// Each sweep lands fully reduced values, so the reduced-inputs invariant
-// of gfMulAdd31 holds at every step, and modular reduction being
-// order-independent makes the result exactly Σ_t A[i,t]·B[t,j] mod p on
-// every backend regardless of sweep order.
-//
-//s2c2:noalloc
-func gfMatMulAccRangeGeneric(dst, a []uint32, k int, b []uint32, n, lo, hi int) {
-	if n == 0 {
-		return
-	}
-	for i := lo; i < hi; i++ {
-		row := dst[(i-lo)*n : (i-lo+1)*n]
-		for t := 0; t < k; t++ {
-			c := a[i*k+t]
-			if c == 0 {
-				continue
-			}
-			gfAxpyGeneric(row, c, b[t*n:(t+1)*n])
 		}
 	}
 }

@@ -6,12 +6,24 @@ import (
 	"time"
 )
 
-// Tests for the exact GF(2³¹−1) mat-mul accumulate kernel and the
-// masked-tail paths of the AVX-512 backend: cross-backend exactness over
-// shapes straddling every 8-lane boundary, fold-bound stress at c = P−1,
-// fuzz harnesses, and the gated avx512 speedup acceptance tests.
+// Tests for the exact GF(2³¹−1) mat-mul accumulate the GF decode runs
+// (rows of A·B as k GFAxpyMod31 sweeps) and the masked-tail paths of the
+// AVX-512 backend: cross-backend exactness over shapes straddling every
+// 8-lane boundary, fold-bound stress at c = P−1, fuzz harnesses, and the
+// gated avx512 speedup acceptance tests.
 
-// gfMatMulRef is the scalar reference for GFMatMulAccMod31: per-element
+// gfMatMulAcc accumulates rows [lo, hi) of A·B over GF(2³¹−1) into
+// band-relative dst (dst[(i-lo)*n+j] += Σ_t A[i,t]·B[t,j]) as k
+// GFAxpyMod31 sweeps per row, on the dispatched backend.
+func gfMatMulAcc(dst, a []uint32, k int, b []uint32, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		for t := 0; t < k; t++ {
+			GFAxpyMod31(dst[(i-lo)*n:(i-lo+1)*n], a[i*k+t], b[t*n:(t+1)*n])
+		}
+	}
+}
+
+// gfMatMulRef is the scalar reference for gfMatMulAcc: per-element
 // canonical fold chain, band-relative dst.
 func gfMatMulRef(dst, a []uint32, k int, b []uint32, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
@@ -26,9 +38,9 @@ func gfMatMulRef(dst, a []uint32, k int, b []uint32, n, lo, hi int) {
 }
 
 // TestGFMatMulBackendsExact sweeps shapes covering every masked-tail
-// residue (n ≡ 1..7 mod 8) and k straddling the fused kernel's sweep,
-// with boundary values (0, 1, P−1) mixed into random data. Results must
-// be exactly equal on every backend.
+// residue (n ≡ 1..7 mod 8) and k from 0 to 40, with boundary values
+// (0, 1, P−1) mixed into random data. Results must be exactly equal on
+// every backend.
 func TestGFMatMulBackendsExact(t *testing.T) {
 	const p = uint32(p31)
 	rng := rand.New(rand.NewSource(61))
@@ -66,7 +78,7 @@ func TestGFMatMulBackendsExact(t *testing.T) {
 		for _, backend := range Backends() {
 			withBackend(t, backend, func() {
 				got := append([]uint32(nil), dst0...)
-				GFMatMulAccMod31(got, a, k, b, n, 0, rows)
+				gfMatMulAcc(got, a, k, b, n, 0, rows)
 				for i := range got {
 					if got[i] != want[i] {
 						t.Fatalf("backend=%s rows=%d k=%d n=%d i=%d: %d want %d",
@@ -76,7 +88,7 @@ func TestGFMatMulBackendsExact(t *testing.T) {
 				// Band splits must hit the same values (band-relative dst).
 				if rows > 2 {
 					band := append([]uint32(nil), dst0[n:(rows-1)*n]...)
-					GFMatMulAccMod31(band, a, k, b, n, 1, rows-1)
+					gfMatMulAcc(band, a, k, b, n, 1, rows-1)
 					for i := range band {
 						if band[i] != want[n+i] {
 							t.Fatalf("backend=%s rows=%d k=%d n=%d: band row value %d want %d",
@@ -89,11 +101,11 @@ func TestGFMatMulBackendsExact(t *testing.T) {
 	}
 }
 
-// TestGFMatMulFoldBounds drives the fused kernel's accumulator invariant
-// as hard as the field allows: every operand P−1 over a long shared
-// dimension, where each step adds the maximal 62-bit product to the
-// accumulator. Any fold-chain overflow shows up as an exactness break
-// against the scalar reference.
+// TestGFMatMulFoldBounds drives the axpy kernels' fold chain as hard as
+// the field allows: every operand P−1 over a long shared dimension, where
+// each sweep adds the maximal 62-bit product to a P−1 accumulator. Any
+// fold-chain overflow shows up as an exactness break against the scalar
+// reference.
 func TestGFMatMulFoldBounds(t *testing.T) {
 	const p = uint32(p31)
 	for _, n := range []int{1, 3, 7, 8, 9, 16, 23} {
@@ -116,7 +128,7 @@ func TestGFMatMulFoldBounds(t *testing.T) {
 			for _, backend := range Backends() {
 				withBackend(t, backend, func() {
 					got := append([]uint32(nil), dst0...)
-					GFMatMulAccMod31(got, a, k, b, n, 0, rows)
+					gfMatMulAcc(got, a, k, b, n, 0, rows)
 					for i := range got {
 						if got[i] != want[i] {
 							t.Fatalf("backend=%s k=%d n=%d i=%d: %d want %d (fold bound)",
@@ -151,7 +163,7 @@ func TestMatMulMaskedTailBoundaries(t *testing.T) {
 					guard := append([]float64(nil), padded...)
 					got := padded[n : (m+1)*n]
 					Zero(got)
-					MatMulAccRange(got, a, m, k, b, n, 0, m)
+					active.Load().matMulAccRange(got, a, k, b, n, 0, m)
 					if d := maxAbsDiff(got, want); d > 1e-9*float64(k+1) {
 						t.Errorf("backend=%s m=%d k=%d n=%d: max diff %g", backend, m, k, n, d)
 					}
@@ -189,7 +201,7 @@ func FuzzMatMulAccRangeBackends(f *testing.F) {
 		for _, backend := range Backends() {
 			withBackend(t, backend, func() {
 				got := make([]float64, m*n)
-				MatMul(got, a, m, k, b, n)
+				active.Load().matMulAccRange(got, a, k, b, n, 0, m)
 				for i := range got {
 					if !floatsEquivalent(got[i], want[i], 1e-9*float64(k+1)) {
 						t.Errorf("backend=%s m=%d k=%d n=%d i=%d: %v want %v", backend, m, k, n, i, got[i], want[i])
@@ -230,7 +242,7 @@ func FuzzGFMatMulBackends(f *testing.F) {
 		for _, backend := range Backends() {
 			withBackend(t, backend, func() {
 				got := append([]uint32(nil), dst0...)
-				GFMatMulAccMod31(got, a, k, b, n, 0, rows)
+				gfMatMulAcc(got, a, k, b, n, 0, rows)
 				for i := range got {
 					if got[i] != want[i] {
 						t.Fatalf("backend=%s rows=%d k=%d n=%d i=%d: %d != ref %d", backend, rows, k, n, i, got[i], want[i])
@@ -303,9 +315,9 @@ func TestMatMulAVX512Speedup(t *testing.T) {
 }
 
 // TestGFDecodeSolveAVX512Speedup asserts the exact-path acceptance
-// criterion: the fused avx512 GF mat-mul accumulate at least 1.5× over
-// the scalar backend on the decode-solve shape (a cached k×k inverse
-// applied to every row-group right-hand side at once).
+// criterion: the avx512 GF axpy sweeps of a decode solve at least 1.5×
+// over the scalar backend on the decode-solve shape (a k×k inverse
+// applied to every row-group right-hand side at once, one gfMatMulAcc).
 func TestGFDecodeSolveAVX512Speedup(t *testing.T) {
 	skipUnlessAVX512Dispatched(t)
 	const k, n = 12, 4096
@@ -321,7 +333,7 @@ func TestGFDecodeSolveAVX512Speedup(t *testing.T) {
 	run := func(name string) time.Duration {
 		var d time.Duration
 		withBackend(t, name, func() {
-			d = bestOf(5, 20, func() { GFMatMulAccMod31(dst, a, k, b, n, 0, k) })
+			d = bestOf(5, 20, func() { gfMatMulAcc(dst, a, k, b, n, 0, k) })
 		})
 		return d
 	}

@@ -92,39 +92,15 @@ func MatVecRange(dst, a []float64, cols int, x []float64, lo, hi int) {
 	active.Load().matVecRange(dst, a, cols, x, lo, hi)
 }
 
-// MatVecBatch computes dst = A·[x_0 … x_{w-1}] for row-major A
-// (rows×cols): one sweep of A serving w x-vectors. xs holds the vectors
-// concatenated (x_l at xs[l*cols : (l+1)*cols]); dst is row-major w-wide
-// (dst[i*w+l] = (A·x_l)[i]).
-//
-//s2c2:noalloc
-func MatVecBatch(dst, a []float64, rows, cols int, xs []float64, w int) {
-	active.Load().matVecRangeBatch(dst, a, cols, xs, w, 0, rows)
-}
-
 // MatVecRangeBatch computes dst[(i-lo)*w+l] = (A·x_l)[i] for i in
-// [lo, hi); layouts as in MatVecBatch. Row bands are independent:
-// splitting a range at any row boundary is bit-identical to the unbanded
-// call on the same backend.
+// [lo, hi): one sweep of A serving w x-vectors. xs holds the vectors
+// concatenated (x_l at xs[l*cols : (l+1)*cols]); dst is row-major
+// w-wide. Row bands are independent: splitting a range at any row
+// boundary is bit-identical to the unbanded call on the same backend.
 //
 //s2c2:noalloc
 func MatVecRangeBatch(dst, a []float64, cols int, xs []float64, w, lo, hi int) {
 	active.Load().matVecRangeBatch(dst, a, cols, xs, w, lo, hi)
-}
-
-// VecMat computes dst = xᵀ·A (length cols) for row-major A (rows×cols),
-// streaming row-wise. dst is overwritten.
-//
-//s2c2:noalloc
-func VecMat(dst, x, a []float64, rows, cols int) {
-	Zero(dst)
-	bk := active.Load()
-	for i := 0; i < rows; i++ {
-		if x[i] == 0 {
-			continue
-		}
-		bk.axpy(x[i], a[i*cols:(i+1)*cols], dst)
-	}
 }
 
 // MatMul computes dst = A·B for row-major A (m×k) and B (k×n), overwriting
@@ -144,14 +120,6 @@ func MatMul(dst, a []float64, m, k int, b []float64, n int) {
 func MatMulRange(dst, a []float64, m, k int, b []float64, n int, lo, hi int) {
 	_ = m
 	Zero(dst[lo*n : hi*n])
-	active.Load().matMulAccRange(dst, a, k, b, n, lo, hi)
-}
-
-// MatMulAccRange accumulates rows [lo, hi) of A·B into dst (dst += A·B).
-//
-//s2c2:noalloc
-func MatMulAccRange(dst, a []float64, m, k int, b []float64, n int, lo, hi int) {
-	_ = m
 	active.Load().matMulAccRange(dst, a, k, b, n, lo, hi)
 }
 
@@ -180,25 +148,12 @@ func GFMatVecMod31(dst, a []uint32, cols int, x []uint32, lo, hi int) {
 }
 
 // GFMatVecBatchMod31 is GFMatVecMod31 over w concatenated x-vectors with
-// row-major w-wide output (layouts as in MatVecBatch). Exact on every
+// row-major w-wide output (layouts as in MatVecRangeBatch). Exact on every
 // backend.
 //
 //s2c2:noalloc
 func GFMatVecBatchMod31(dst, a []uint32, cols int, xs []uint32, w, lo, hi int) {
 	active.Load().gfMatVecBatch(dst, a, cols, xs, w, lo, hi)
-}
-
-// GFMatMulAccMod31 accumulates rows [lo, hi) of A·B over GF(2³¹−1) into
-// dst: dst[(i-lo)*n+j] += Σ_t A[i,t]·B[t,j] mod 2³¹−1 for row-major A
-// (rows×k) and B (k×n). dst is band-relative ((hi-lo)×n) — unlike the
-// float64 MatMulAccRange's absolute indexing — so the products it backs
-// (gf.Matrix.MulRangeInto) write compact per-band outputs.
-// Inputs must be fully reduced; results are exact and identical on every
-// backend.
-//
-//s2c2:noalloc
-func GFMatMulAccMod31(dst, a []uint32, k int, b []uint32, n, lo, hi int) {
-	active.Load().gfMatMulAccRange(dst, a, k, b, n, lo, hi)
 }
 
 // ATDiagBRange accumulates rows [lo, hi) of Aᵀ·diag(d)·B into dst, the

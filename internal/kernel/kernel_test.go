@@ -95,23 +95,6 @@ func TestMatVecRangeMatchesFull(t *testing.T) {
 	}
 }
 
-func TestVecMatMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	rows, cols := 23, 17
-	a, x := randSlice(rows*cols, rng), randSlice(rows, rng)
-	got := make([]float64, cols)
-	VecMat(got, x, a, rows, cols)
-	want := make([]float64, cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			want[j] += x[i] * a[i*cols+j]
-		}
-	}
-	if maxAbsDiff(got, want) > 1e-10 {
-		t.Fatal("VecMat mismatch")
-	}
-}
-
 func TestMatMulMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	// Shapes straddling every blocking boundary: micro-kernel tails,

@@ -177,9 +177,9 @@ func TestWorkspaceBufReuse(t *testing.T) {
 	}
 	b.F[0] = 42
 	b.Put()
-	c := GetBufZeroed(100)
-	if len(c.F) != 100 || c.F[0] != 0 {
-		t.Fatal("GetBufZeroed returned dirty buffer")
+	c := GetBuf(100)
+	if len(c.F) != 100 {
+		t.Fatalf("reused len=%d", len(c.F))
 	}
 	c.Put()
 	// Oversize requests fall through to plain allocation but still work.

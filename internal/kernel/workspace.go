@@ -41,7 +41,7 @@ func classFor(n int) int {
 }
 
 // GetBuf returns a pooled buffer with b.F of length n. Contents are
-// arbitrary; use GetBufZeroed when zeros are required.
+// arbitrary.
 //
 //s2c2:noalloc
 func GetBuf(n int) *Buf {
@@ -60,15 +60,6 @@ func GetBuf(n int) *Buf {
 	// recycle forever after.
 	//s2c2:waive noalloc
 	return &Buf{F: make([]float64, n, 1<<(minClass+c))}
-}
-
-// GetBufZeroed returns a pooled buffer of length n with all elements zero.
-//
-//s2c2:noalloc
-func GetBufZeroed(n int) *Buf {
-	b := GetBuf(n)
-	Zero(b.F)
-	return b
 }
 
 // Put returns the buffer to its size-class pool. The caller must not use

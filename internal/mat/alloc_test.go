@@ -93,13 +93,3 @@ func TestLUFactorReusesStorage(t *testing.T) {
 		t.Fatalf("Factor of a singular matrix = %v, want ErrSingular", err)
 	}
 }
-
-func TestVecMatIntoZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	a := Rand(100, 50, rng)
-	x := randVec(100, rng)
-	y := make([]float64, 50)
-	if allocs := testing.AllocsPerRun(100, func() { VecMatInto(x, a, y) }); allocs != 0 {
-		t.Fatalf("VecMatInto allocates %v/op, want 0", allocs)
-	}
-}

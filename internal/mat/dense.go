@@ -154,39 +154,6 @@ func (m *Dense) Fill(v float64) {
 	}
 }
 
-// Scale multiplies every entry by a in place and returns m.
-func (m *Dense) Scale(a float64) *Dense {
-	kernel.Scale(a, m.data)
-	return m
-}
-
-// Add accumulates b into m in place (m += b) and returns m.
-func (m *Dense) Add(b *Dense) *Dense {
-	m.checkSameShape(b)
-	kernel.Axpy(1, b.data, m.data)
-	return m
-}
-
-// Sub subtracts b from m in place (m -= b) and returns m.
-func (m *Dense) Sub(b *Dense) *Dense {
-	m.checkSameShape(b)
-	kernel.Axpy(-1, b.data, m.data)
-	return m
-}
-
-// AddScaled accumulates a*b into m in place (m += a*b) and returns m.
-func (m *Dense) AddScaled(a float64, b *Dense) *Dense {
-	m.checkSameShape(b)
-	kernel.Axpy(a, b.data, m.data)
-	return m
-}
-
-func (m *Dense) checkSameShape(b *Dense) {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(fmt.Sprintf("mat: shape mismatch %dx%d vs %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-}
-
 // Equal reports whether m and b have identical shape and entries.
 func (m *Dense) Equal(b *Dense) bool {
 	if m.rows != b.rows || m.cols != b.cols {
@@ -223,26 +190,6 @@ func approxEqual(a, b, tol float64) bool {
 	return diff <= tol*scale
 }
 
-// MaxAbs returns the largest absolute entry (0 for an empty matrix).
-func (m *Dense) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Dense) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // String renders small matrices for debugging; large ones are summarised.
 func (m *Dense) String() string {
 	const limit = 8
@@ -261,52 +208,4 @@ func (m *Dense) String() string {
 		b.WriteString("]\n")
 	}
 	return b.String()
-}
-
-// VStack concatenates the given matrices vertically (all must share a
-// column count) into a newly allocated matrix.
-func VStack(blocks ...*Dense) *Dense {
-	if len(blocks) == 0 {
-		return New(0, 0)
-	}
-	c := blocks[0].cols
-	total := 0
-	for _, b := range blocks {
-		if b.cols != c {
-			panic(fmt.Sprintf("mat: VStack column mismatch %d vs %d", b.cols, c))
-		}
-		total += b.rows
-	}
-	out := New(total, c)
-	at := 0
-	for _, b := range blocks {
-		copy(out.data[at*c:], b.data)
-		at += b.rows
-	}
-	return out
-}
-
-// HStack concatenates the given matrices horizontally (all must share a
-// row count) into a newly allocated matrix.
-func HStack(blocks ...*Dense) *Dense {
-	if len(blocks) == 0 {
-		return New(0, 0)
-	}
-	r := blocks[0].rows
-	total := 0
-	for _, b := range blocks {
-		if b.rows != r {
-			panic(fmt.Sprintf("mat: HStack row mismatch %d vs %d", b.rows, r))
-		}
-		total += b.cols
-	}
-	out := New(r, total)
-	at := 0
-	for _, b := range blocks {
-		for i := 0; i < r; i++ {
-			copy(out.data[i*total+at:], b.data[i*b.cols:(i+1)*b.cols])
-		}
-		at += b.cols
-	}
-	return out
 }

@@ -168,16 +168,6 @@ func (f *LU) SolveLanesInto(x []float64, stride int, b [][]float64) {
 	}
 }
 
-// SolveMany solves A·X = B column-block-wise where each element of bs is an
-// independent right-hand side. It amortises the factorization.
-func (f *LU) SolveMany(bs [][]float64) [][]float64 {
-	out := make([][]float64, len(bs))
-	for i, b := range bs {
-		out[i] = f.Solve(b)
-	}
-	return out
-}
-
 // Det returns the determinant of the factored matrix.
 func (f *LU) Det() float64 {
 	n := f.lu.rows
@@ -186,28 +176,6 @@ func (f *LU) Det() float64 {
 		d *= f.lu.data[i*n+i]
 	}
 	return d
-}
-
-// Solve solves the square system A·x = b with one step of iterative
-// refinement, which substantially tightens residuals for the moderately
-// ill-conditioned Cauchy systems arising in MDS decoding.
-func Solve(a *Dense, b []float64) ([]float64, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	x := f.Solve(b)
-	// One iterative-refinement sweep: r = b - A·x, x += A⁻¹ r.
-	r := make([]float64, len(b))
-	MatVecInto(a, x, r)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	dx := f.Solve(r)
-	for i := range x {
-		x[i] += dx[i]
-	}
-	return x, nil
 }
 
 // Invert returns A⁻¹ for square A.

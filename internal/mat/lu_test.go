@@ -9,7 +9,7 @@ import (
 
 func TestSolveKnownSystem(t *testing.T) {
 	a := NewFromRows([][]float64{{2, 1}, {1, 3}})
-	x, err := Solve(a, []float64{5, 10})
+	x, err := luSolve(a, []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestSolveKnownSystem(t *testing.T) {
 
 func TestSolveSingular(t *testing.T) {
 	a := NewFromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := Solve(a, []float64{1, 2}); err == nil {
+	if _, err := luSolve(a, []float64{1, 2}); err == nil {
 		t.Fatal("expected ErrSingular")
 	}
 }
@@ -38,7 +38,7 @@ func TestSolveResidualProperty(t *testing.T) {
 		}
 		xTrue := randVec(n, r)
 		b := MatVec(a, xTrue)
-		x, err := Solve(a, b)
+		x, err := luSolve(a, b)
 		if err != nil {
 			return false
 		}
@@ -90,11 +90,14 @@ func TestSolveMany(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := f.SolveMany([][]float64{{5, 4}, {9, 7}})
-	for i, b := range [][]float64{{5, 4}, {9, 7}} {
-		got := MatVec(a, xs[i])
+	// Two right-hand sides, {5, 4} and {9, 7}, solved as two lanes.
+	rhs := [][]float64{{5, 4}, {9, 7}}
+	x := make([]float64, 2*2)
+	f.SolveLanesInto(x, 2, [][]float64{{5, 9}, {4, 7}})
+	for l, b := range rhs {
+		got := MatVec(a, []float64{x[l], x[2+l]})
 		if !VecApproxEqual(got, b, 1e-10) {
-			t.Fatalf("rhs %d: A·x = %v want %v", i, got, b)
+			t.Fatalf("rhs %d: A·x = %v want %v", l, got, b)
 		}
 	}
 }
@@ -153,4 +156,15 @@ func TestSolveLanesIntoMatchesSolveInto(t *testing.T) {
 			}
 		}
 	}
+}
+
+// luSolve solves the square system A·x = b through FactorLU and SolveInto.
+func luSolve(a *Dense, b []float64) ([]float64, error) {
+	f, err := FactorLU(a)
+	if err != nil {
+		return nil, err
+	}
+	x := make([]float64, len(b))
+	f.SolveInto(x, b)
+	return x, nil
 }

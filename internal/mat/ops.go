@@ -60,27 +60,6 @@ func MatVecRowsInto(a *Dense, x, y []float64, lo, hi int) {
 	kernel.MatVecRange(y, a.data, a.cols, x, lo, hi)
 }
 
-// VecMat computes y = xᵀ·A (a row vector) into a new slice of length
-// A.Cols(). It streams row-wise for cache efficiency.
-func VecMat(x []float64, a *Dense) []float64 {
-	y := make([]float64, a.cols)
-	VecMatInto(x, a, y)
-	return y
-}
-
-// VecMatInto is VecMat writing into a caller slice of length A.Cols().
-//
-//s2c2:noalloc
-func VecMatInto(x []float64, a *Dense, y []float64) {
-	if len(x) != a.rows {
-		panic(fmt.Sprintf("mat: VecMat x length %d want %d", len(x), a.rows))
-	}
-	if len(y) != a.cols {
-		panic(fmt.Sprintf("mat: VecMat y length %d want %d", len(y), a.cols))
-	}
-	kernel.VecMat(y, x, a.data, a.rows, a.cols)
-}
-
 // MatMul computes C = A·B into a new matrix using the cache-blocked kernel.
 func MatMul(a, b *Dense) *Dense {
 	c := New(a.rows, b.cols)
@@ -124,18 +103,6 @@ func TransposeInto(a, t *Dense) {
 	}
 }
 
-// MulDiagLeft computes diag(d)·A into a new matrix (scales row i by d[i]).
-func MulDiagLeft(d []float64, a *Dense) *Dense {
-	if len(d) != a.rows {
-		panic(fmt.Sprintf("mat: MulDiagLeft d length %d want %d", len(d), a.rows))
-	}
-	out := a.Clone()
-	for i := 0; i < a.rows; i++ {
-		kernel.Scale(d[i], out.data[i*a.cols:(i+1)*a.cols])
-	}
-	return out
-}
-
 // ATDiagA computes Aᵀ·diag(d)·A — the Hessian-style bilinear form used by
 // the polynomial-coding workload. A is m-by-n, d has length m, and the
 // result is n-by-n.
@@ -163,31 +130,21 @@ func ATDiagB(a *Dense, d []float64, b *Dense) *Dense {
 	return out
 }
 
-// ATDiagBRows computes only rows [lo,hi) of Aᵀ·diag(d)·B, the partial
-// bilinear kernel an S2C2 worker runs under polynomial coding. Row p of the
-// output depends on column p of A, i.e. entry a[i][p] for all i.
-func ATDiagBRows(a *Dense, d []float64, b *Dense, lo, hi int) *Dense {
-	if lo < 0 || hi > a.cols || lo > hi {
-		panic(fmt.Sprintf("mat: ATDiagBRows range [%d,%d) out of %d", lo, hi, a.cols))
-	}
-	out := New(hi-lo, b.cols)
-	ATDiagBRowsInto(a, d, b, lo, hi, out.data)
-	return out
-}
-
-// ATDiagBRowsInto is ATDiagBRows writing row-major into a caller slice of
-// length (hi-lo)·B.Cols().
+// ATDiagBRowsInto computes rows [lo,hi) of Aᵀ·diag(d)·B, the partial
+// bilinear kernel an S2C2 worker runs under polynomial coding, row-major
+// into a caller slice of length (hi-lo)·B.Cols(). Row p of the output
+// depends on column p of A, i.e. entry a[i][p] for all i.
 //
 //s2c2:noalloc
 func ATDiagBRowsInto(a *Dense, d []float64, b *Dense, lo, hi int, dst []float64) {
 	if lo < 0 || hi > a.cols || lo > hi {
-		panic(fmt.Sprintf("mat: ATDiagBRows range [%d,%d) out of %d", lo, hi, a.cols))
+		panic(fmt.Sprintf("mat: ATDiagBRowsInto range [%d,%d) out of %d", lo, hi, a.cols))
 	}
 	if a.rows != b.rows || len(d) != a.rows {
-		panic("mat: ATDiagBRows shape mismatch")
+		panic("mat: ATDiagBRowsInto shape mismatch")
 	}
 	if len(dst) != (hi-lo)*b.cols {
-		panic(fmt.Sprintf("mat: ATDiagBRows dst length %d want %d", len(dst), (hi-lo)*b.cols))
+		panic(fmt.Sprintf("mat: ATDiagBRowsInto dst length %d want %d", len(dst), (hi-lo)*b.cols))
 	}
 	kernel.ATDiagBRange(dst, a.data, d, b.data, a.rows, a.cols, b.cols, lo, hi)
 }

@@ -18,41 +18,9 @@ func Dot(x, y []float64) float64 {
 	return kernel.Dot(x, y)
 }
 
-// Axpy computes y += a*x in place.
-func Axpy(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: Axpy length mismatch %d vs %d", len(x), len(y)))
-	}
-	kernel.Axpy(a, x, y)
-}
-
 // ScaleVec multiplies every element of x by a in place.
 func ScaleVec(a float64, x []float64) {
 	kernel.Scale(a, x)
-}
-
-// AddVec computes z = x + y into a new slice.
-func AddVec(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: AddVec length mismatch %d vs %d", len(x), len(y)))
-	}
-	z := make([]float64, len(x))
-	for i := range x {
-		z[i] = x[i] + y[i]
-	}
-	return z
-}
-
-// SubVec computes z = x - y into a new slice.
-func SubVec(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: SubVec length mismatch %d vs %d", len(x), len(y)))
-	}
-	z := make([]float64, len(x))
-	for i := range x {
-		z[i] = x[i] - y[i]
-	}
-	return z
 }
 
 // Norm2 returns the Euclidean norm of x.
@@ -102,15 +70,4 @@ func VecApproxEqual(x, y []float64, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// Normalize scales x to unit 1-norm in place (no-op on a zero vector).
-// It returns the original norm.
-func Normalize(x []float64) float64 {
-	n := Norm1(x)
-	if n == 0 {
-		return 0
-	}
-	ScaleVec(1/n, x)
-	return n
 }

@@ -87,34 +87,3 @@ func (e *Ensemble) Predict(history []float64) float64 {
 	}
 	return e.Models[best].Predict(history)
 }
-
-// BestModel reports which candidate the ensemble would select for a
-// history (for diagnostics and tests).
-func (e *Ensemble) BestModel(history []float64) string {
-	if len(history) < 3 || len(e.Models) == 0 {
-		return "last-value"
-	}
-	w := e.Window
-	if w <= 0 {
-		w = 10
-	}
-	start := len(history) - w
-	if start < 2 {
-		start = 2
-	}
-	best := 0
-	bestErr := math.Inf(1)
-	for mi, m := range e.Models {
-		errSum := 0.0
-		count := 0
-		for t := start; t < len(history); t++ {
-			errSum += math.Abs(m.Predict(history[:t]) - history[t])
-			count++
-		}
-		if count > 0 && errSum/float64(count) < bestErr {
-			bestErr = errSum / float64(count)
-			best = mi
-		}
-	}
-	return e.Models[best].Name()
-}

@@ -49,8 +49,9 @@ func TestEnsemblePredictEdgeCases(t *testing.T) {
 	if e.Predict([]float64{2}) != 2 {
 		t.Fatal("short history should fall back to persistence")
 	}
-	if e.BestModel([]float64{1}) != "last-value" {
-		t.Fatal("short history best model should be persistence")
+	two := &Ensemble{Models: []Forecaster{&AR1{}, LastValue{}}}
+	if h := []float64{1, 3}; two.Predict(h) != (LastValue{}).Predict(h) {
+		t.Fatal("short history should be persistence whatever the candidates")
 	}
 }
 
@@ -70,9 +71,9 @@ func TestEnsembleBestModelSwitches(t *testing.T) {
 	if err := e.Fit([][]float64{series}); err != nil {
 		t.Fatal(err)
 	}
-	name := e.BestModel(series)
-	if name != "arima(1,0,0)" {
-		t.Logf("selected %s (AR1 expected on oscillating mean-reverting data; acceptable if scores tie)", name)
+	// The ensemble must forecast exactly what AR(1) does, not persistence.
+	if got, want := e.Predict(series), e.Models[0].Predict(series); got != want {
+		t.Fatalf("ensemble predicts %v, AR(1) %v, last-value %v", got, want, e.Models[1].Predict(series))
 	}
 	// A random-walk-like trending series should favour persistence.
 	walk := make([]float64, 120)

@@ -222,12 +222,6 @@ func appendChunkRows(dst []coding.Range, begin, end, blockRows, m int) []coding.
 	return dst
 }
 
-// ChunkRowBounds exposes the chunk→row banding for callers that must
-// reason about chunk-aligned reassignment.
-func ChunkRowBounds(chunk, blockRows, m int) coding.Range {
-	return coding.Range{Lo: chunk * blockRows / m, Hi: (chunk + 1) * blockRows / m}
-}
-
 // BasicS2C2 is the §4.1 special case: every node is classified as either
 // a straggler (assigned nothing) or a full-speed worker (assigned an equal
 // share), ignoring fine-grained speed differences. A node is a straggler

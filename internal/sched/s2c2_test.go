@@ -203,13 +203,14 @@ func TestAllocationMonotonicityProperty(t *testing.T) {
 }
 
 func TestChunkRowBounds(t *testing.T) {
-	// Bands must partition [0, blockRows).
+	// The planner's chunk bands must partition [0, blockRows).
 	blockRows, m := 10, 4
 	covered := make([]int, blockRows)
 	for c := 0; c < m; c++ {
-		r := ChunkRowBounds(c, blockRows, m)
-		for i := r.Lo; i < r.Hi; i++ {
-			covered[i]++
+		for _, r := range appendChunkRows(nil, c, c+1, blockRows, m) {
+			for i := r.Lo; i < r.Hi; i++ {
+				covered[i]++
+			}
 		}
 	}
 	for i, c := range covered {

@@ -98,15 +98,6 @@ func (r *Round) WastedFraction(w int) float64 {
 	return float64(r.ComputedRows[w]-r.UsedRows[w]) / float64(r.ComputedRows[w])
 }
 
-// PredictSpeeds returns the strategy input for the coming iteration: the
-// true trace speeds when no forecaster is configured (oracle mode),
-// otherwise what the cluster's predict.Tracker says — 1.0 for every
-// worker on the first round (the paper's bootstrap assumption), then the
-// forecaster's one-step-ahead estimates.
-func (c *CodedCluster) PredictSpeeds(iter int) []float64 {
-	return c.speeds.planInto(make([]float64, c.Trace.NumWorkers()), c.Forecaster, c.Trace, iter)
-}
-
 // speedSource is where a cluster's planning speeds come from. With a
 // forecaster it is a predict.Tracker, created on first use; in oracle
 // mode it stays empty — nobody would read the history it kept.

@@ -124,7 +124,7 @@ func TestCodedClusterBootstrapEqualSpeeds(t *testing.T) {
 		Comm:       DefaultComm(),
 		Timeout:    DefaultTimeout(),
 	}
-	speeds := c.PredictSpeeds(0)
+	speeds := c.speeds.planInto(make([]float64, n), c.Forecaster, c.Trace, 0)
 	for _, s := range speeds {
 		if s != 1 {
 			t.Fatalf("bootstrap speeds %v, want all 1", speeds)
@@ -134,7 +134,7 @@ func TestCodedClusterBootstrapEqualSpeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After one observation the forecaster takes over.
-	speeds = c.PredictSpeeds(1)
+	speeds = c.speeds.planInto(make([]float64, n), c.Forecaster, c.Trace, 1)
 	for _, s := range speeds {
 		if s != 0.5 {
 			t.Fatalf("post-bootstrap speeds %v, want forecaster's 0.5", speeds)

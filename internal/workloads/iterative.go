@@ -234,22 +234,6 @@ func (s *SVM) Update(state []float64, outputs [][]float64) ([]float64, bool) {
 	return next, math.Sqrt(gn) < s.Tol
 }
 
-// HingeLoss returns the regularised hinge loss at w.
-func (s *SVM) HingeLoss(w []float64) float64 {
-	z := mat.MatVec(s.Data.X, w)
-	loss := 0.0
-	for i, zi := range z {
-		if h := 1 - s.Data.Y[i]*zi; h > 0 {
-			loss += h
-		}
-	}
-	loss /= float64(len(z))
-	for _, wj := range w {
-		loss += 0.5 * s.Lambda * wj * wj
-	}
-	return loss
-}
-
 // PageRank is power iteration on the damped column-stochastic transition
 // matrix: x ← d·M·x + (1−d)/N.
 type PageRank struct {
