@@ -11,11 +11,15 @@ test:
 	$(GO) test ./...
 
 # test-noasm also proves the portable wire codec — the only one a
-# big-endian target has — still compiles there.
+# big-endian target has — still compiles there, and so does the
+# off-Linux twin of kernel.Alloc (plus its Linux file on arm64).
 test-noasm:
 	$(GO) build -tags noasm ./...
 	$(GO) test -tags noasm ./...
 	GOARCH=s390x $(GO) vet ./internal/wire
+	GOOS=darwin $(GO) vet ./internal/kernel ./internal/mat ./internal/gf
+	GOOS=windows $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/kernel
 
 race:
 	$(GO) test -race ./...

@@ -142,7 +142,7 @@ type Matrix struct {
 //
 //s2c2:noalloc-waive
 func NewMatrix(r, c int) *Matrix {
-	return &Matrix{rows: r, cols: c, data: make([]Elem, r*c)}
+	return &Matrix{rows: r, cols: c, data: kernel.Alloc[Elem](r * c)}
 }
 
 // NewMatrixFromData adopts data (row-major, length r·c) as the backing

@@ -33,7 +33,7 @@ func New(r, c int) *Dense {
 	if r < 0 || c < 0 {
 		panic(fmt.Sprintf("mat: negative dimension %dx%d", r, c))
 	}
-	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
+	return &Dense{rows: r, cols: c, data: kernel.Alloc[float64](r * c)}
 }
 
 // NewFromData wraps data (taking ownership) as an r-by-c matrix.
