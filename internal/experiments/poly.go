@@ -51,7 +51,7 @@ func runPolyComparison(c Config, gen func(workers, steps int, seed int64) *trace
 			if err != nil {
 				return 0, 0, err
 			}
-			agg.AddPolyRound(r)
+			agg.Add(&r.Accounting)
 		}
 		return agg.MeanLatency(), agg.MispredictionRate(), nil
 	}

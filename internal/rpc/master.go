@@ -969,10 +969,9 @@ type roundCore struct {
 	// repair never re-covers rows a healthy worker is already computing.
 	asgMark []bool
 
-	// Reassignment scratch, grown lazily on the first timeout.
-	extraMark   []bool // n×blockRows: row r reassigned to worker w this round
-	extraRows   []int
-	extraRanges [][]coding.Range
+	// route plans the extras of a timeout or a repair; it is sized
+	// lazily, so only rounds that time out or lose a worker pay for it.
+	route sched.Router
 
 	// hardTimer and graceTimer are reused across rounds (Go 1.23 timer
 	// semantics: Stop+Reset without draining is race-free).
@@ -1157,10 +1156,10 @@ func (c *roundCore) graceWindow(k int, timeoutFrac float64) time.Duration {
 }
 
 // planExtras computes the timeout reassignment: every row short of
-// coverage k is routed to the least-loaded responder that does not
-// already cover it (delivered rows and rows just reassigned both
-// disqualify), filling stats.TimedOut and the per-worker extra ranges.
-// The caller sends the typed work messages and folds extraRows into the
+// coverage k is routed to the responder with the fewest extra rows that
+// does not already cover it (delivered rows and rows just reassigned both
+// disqualify), filling stats.TimedOut and the router's per-worker extras.
+// The caller sends the typed work messages and folds the extras into the
 // assignment stats as each send succeeds.
 //
 //s2c2:noalloc-waive
@@ -1172,62 +1171,19 @@ func (c *roundCore) planExtras() error {
 			c.stats.TimedOut = append(c.stats.TimedOut, w)
 		}
 	}
-	c.resetExtras()
-	for r := 0; r < c.blockRows; r++ {
-		for cv := c.cov[r]; cv < c.k; cv++ {
-			// Least-loaded live responder that can still add coverage for r.
-			best := -1
-			for w := 0; w < c.n; w++ {
-				if !c.responded[w] || c.dead[w] || c.coveredBy[w*c.blockRows+r] || c.extraMark[w*c.blockRows+r] {
-					continue
-				}
-				if best < 0 || c.extraRows[w] < c.extraRows[best] {
-					best = w
-				}
-			}
-			if best < 0 {
-				return fmt.Errorf("rpc: cannot re-cover row %d", r)
-			}
-			c.extraMark[best*c.blockRows+r] = true
-			c.extraRows[best]++
-			// Rows are visited in ascending order, so per-worker ranges
-			// stay normalized by construction.
-			rs := c.extraRanges[best]
-			if len(rs) > 0 && rs[len(rs)-1].Hi == r {
-				rs[len(rs)-1].Hi = r + 1
-			} else {
-				rs = append(rs, coding.Range{Lo: r, Hi: r + 1})
-			}
-			c.extraRanges[best] = rs
-		}
+	rt := &c.route
+	rt.Reset(c.n, c.blockRows)
+	for w := range rt.Eligible {
+		rt.Eligible[w] = c.responded[w] && !c.dead[w]
+	}
+	copy(rt.Holds, c.coveredBy)
+	for r, cv := range c.cov {
+		rt.Need[r] = c.k - cv
+	}
+	if err := rt.Route(nil, nil); err != nil {
+		return fmt.Errorf("rpc: %w", err)
 	}
 	return nil
-}
-
-// resetExtras clears the reassignment scratch shared by planExtras and
-// planRepair. Lazily sized: only rounds that time out or lose a worker
-// pay for it.
-//
-//s2c2:noalloc-waive
-func (c *roundCore) resetExtras() {
-	if cap(c.extraMark) < c.n*c.blockRows {
-		c.extraMark = make([]bool, c.n*c.blockRows)
-	}
-	c.extraMark = c.extraMark[:c.n*c.blockRows]
-	for i := range c.extraMark {
-		c.extraMark[i] = false
-	}
-	c.extraRows = kernel.GrowInts(c.extraRows, c.n)
-	for i := range c.extraRows {
-		c.extraRows[i] = 0
-	}
-	if cap(c.extraRanges) < c.n {
-		c.extraRanges = make([][]coding.Range, c.n)
-	}
-	c.extraRanges = c.extraRanges[:c.n]
-	for i := range c.extraRanges {
-		c.extraRanges[i] = c.extraRanges[i][:0]
-	}
 }
 
 // copyStats deep-copies the round stats (the non-ReuseRound contract).
@@ -1646,7 +1602,7 @@ func (l *jobLane[C, T]) send(wc *workerConn, wk, iter, phase int, x []T, bw int,
 //s2c2:noalloc
 func (l *jobLane[C, T]) sendExtras(workers []*workerConn, iter, phase int, x []T, bw int) (rows int, lost bool) {
 	ws := &l.round
-	for w, ranges := range ws.extraRanges {
+	for w, ranges := range ws.route.Ranges {
 		if len(ranges) == 0 {
 			continue
 		}
@@ -1654,8 +1610,8 @@ func (l *jobLane[C, T]) sendExtras(workers []*workerConn, iter, phase int, x []T
 			lost = true
 			continue
 		}
-		ws.stats.AssignedRows[w] += ws.extraRows[w]
-		rows += ws.extraRows[w]
+		ws.stats.AssignedRows[w] += ws.route.Extra[w]
+		rows += ws.route.Extra[w]
 	}
 	return rows, lost
 }

@@ -636,69 +636,64 @@ func (c *roundCore) givenUp(w int) bool {
 }
 
 // planRepair folds dead workers' undelivered rows back into the round:
-// for every row whose confirmed coverage plus in-flight potential (alive
-// workers still expected to deliver it, and not given up on) falls short
-// of k, it routes the deficit to the least-loaded alive workers that do
-// not already cover or compute the row; only when no such worker is left
-// does a given-up worker's assignment count as potential again. Unlike
-// planExtras — which re-executes stragglers' rows
-// on responders only — repair may assign to any alive worker, responder
-// or not: a dead worker's rows are gone, not merely late, so idle
-// capacity is fair game. Every worker holds its full partition from the
-// distribute phase, so any alive worker can compute any of its own
-// partition's rows.
+// for every row whose confirmed coverage plus in-flight potential falls
+// short of k, it routes the deficit to the alive workers with the fewest
+// assigned plus extra rows that do not already cover or compute the row.
+// Only when no such worker is left does a given-up worker's assignment
+// count as potential again. Unlike planExtras — which re-executes
+// stragglers' rows on responders only — repair may assign to any alive
+// worker, responder or not: a dead worker's rows are gone, not merely
+// late, so idle capacity is fair game. Every worker holds its full
+// partition from the distribute phase, so any alive worker can compute
+// any of its own partition's rows.
 //
 //s2c2:noalloc-waive
 func (c *roundCore) planRepair() error {
-	c.resetExtras()
-	for r := 0; r < c.blockRows; r++ {
-		if c.cov[r] >= c.k {
-			continue
+	rt := &c.route
+	rt.Reset(c.n, c.blockRows)
+	for w := range rt.Eligible {
+		rt.Eligible[w] = !c.dead[w]
+	}
+	for i := range rt.Holds {
+		rt.Holds[i] = c.asgMark[i] || c.coveredBy[i]
+	}
+	for r, cv := range c.cov {
+		if cv < c.k {
+			pot, _ := c.potential(r)
+			rt.Need[r] = c.k - cv - pot
 		}
-		pot, late := 0, 0
-		for w := 0; w < c.n; w++ {
-			idx := w*c.blockRows + r
-			switch {
-			case c.dead[w] || !c.asgMark[idx] || c.coveredBy[idx]:
-			case c.givenUp(w):
-				late++
-			default:
-				pot++
-			}
-		}
-		for have := c.cov[r] + pot; have < c.k; have++ {
-			best := -1
-			for w := 0; w < c.n; w++ {
-				idx := w*c.blockRows + r
-				if c.dead[w] || c.asgMark[idx] || c.coveredBy[idx] || c.extraMark[idx] {
-					continue
-				}
-				if best < 0 || c.stats.AssignedRows[w]+c.extraRows[w] < c.stats.AssignedRows[best]+c.extraRows[best] {
-					best = w
-				}
-			}
-			if best < 0 && late > 0 {
-				// Nobody else can compute the row: the round is left to wait
-				// for a timed-out worker's late result after all.
-				late--
-				continue
-			}
-			if best < 0 {
-				return fmt.Errorf("rpc: cannot re-cover row %d after worker failure (%d alive, need %d distinct)",
-					r, c.aliveWorkers(), c.k)
-			}
-			c.extraMark[best*c.blockRows+r] = true
-			c.extraRows[best]++
-			rs := c.extraRanges[best]
-			if len(rs) > 0 && rs[len(rs)-1].Hi == r {
-				rs[len(rs)-1].Hi = r + 1
-			} else {
-				rs = append(rs, coding.Range{Lo: r, Hi: r + 1})
-			}
-			c.extraRanges[best] = rs
+	}
+	if rt.Route(c.stats.AssignedRows, nil) == nil {
+		return nil
+	}
+	for r, short := range rt.Need {
+		// Nobody else can compute the rest of row r: the round waits for
+		// given-up workers' late results after all, if enough hold it.
+		if _, late := c.potential(r); short > late {
+			return fmt.Errorf("rpc: cannot re-cover row %d after worker failure (%d alive, need %d distinct)",
+				r, c.aliveWorkers(), c.k)
 		}
 	}
 	return nil
+}
+
+// potential counts row r's coverage in flight: pot alive workers are
+// still expected to deliver it, and late more are too but were given up
+// on by the grace reassignment.
+//
+//s2c2:noalloc
+func (c *roundCore) potential(r int) (pot, late int) {
+	for w := 0; w < c.n; w++ {
+		idx := w*c.blockRows + r
+		switch {
+		case c.dead[w] || !c.asgMark[idx] || c.coveredBy[idx]:
+		case c.givenUp(w):
+			late++
+		default:
+			pot++
+		}
+	}
+	return pot, late
 }
 
 // repair replans and re-sends the coverage lost to dead workers,

@@ -50,7 +50,7 @@ func TestPlanRepairDoesNotCountGivenUpWorkers(t *testing.T) {
 		t.Fatalf("TimedOut = %v, want [4]", c.stats.TimedOut)
 	}
 	reExecutor, row := -1, -1
-	for w, ranges := range c.extraRanges {
+	for w, ranges := range c.route.Ranges {
 		if len(ranges) > 0 {
 			c.markAssigned(w, ranges)
 			if reExecutor < 0 {
@@ -71,7 +71,7 @@ func TestPlanRepairDoesNotCountGivenUpWorkers(t *testing.T) {
 		inFlight := 0
 		for w := 0; w < n; w++ {
 			idx := w*rows + r
-			if !c.dead[w] && w != 4 && (c.asgMark[idx] || c.extraMark[idx]) && !c.coveredBy[idx] {
+			if !c.dead[w] && w != 4 && (c.asgMark[idx] || c.route.Holds[idx]) && !c.coveredBy[idx] {
 				inFlight++
 			}
 		}
@@ -80,7 +80,7 @@ func TestPlanRepairDoesNotCountGivenUpWorkers(t *testing.T) {
 				r, c.cov[r], inFlight, k)
 		}
 	}
-	if got := c.extraRows[4] + c.extraRows[reExecutor]; got != 0 {
+	if got := c.route.Extra[4] + c.route.Extra[reExecutor]; got != 0 {
 		t.Errorf("repair routed %d rows to the silent or the dead worker", got)
 	}
 

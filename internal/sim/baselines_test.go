@@ -208,8 +208,8 @@ func TestPolyS2C2BeatsConventionalPoly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aggC.AddPolyRound(rc)
-		aggS.AddPolyRound(rs)
+		aggC.Add(&rc.Accounting)
+		aggS.Add(&rs.Accounting)
 	}
 	if aggS.MeanLatency() >= aggC.MeanLatency() {
 		t.Fatalf("poly S2C2 (%.4f) should beat conventional (%.4f)",

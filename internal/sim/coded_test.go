@@ -72,7 +72,7 @@ func TestCodedClusterConventionalMDSWaste(t *testing.T) {
 		if !mat.VecApproxEqual(r.Result, want, 1e-6) {
 			t.Fatalf("iteration %d: decode mismatch", iter)
 		}
-		agg.AddRound(r)
+		agg.Add(&r.Accounting)
 	}
 	wf := agg.TotalWastedFraction()
 	if wf < 0.2 || wf > 0.45 {
@@ -102,8 +102,8 @@ func TestS2C2FasterThanConventionalWithNoStragglers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aggM.AddRound(rm)
-		aggS.AddRound(rs)
+		aggM.Add(&rm.Accounting)
+		aggS.Add(&rs.Accounting)
 	}
 	speedup := aggM.MeanLatency() / aggS.MeanLatency()
 	// Ideal is n/k ≈ 1.43; comm overheads shave a little off.
@@ -208,8 +208,8 @@ func TestCodedClusterForecasterLoop(t *testing.T) {
 
 func TestAggregateAccounting(t *testing.T) {
 	a := &Aggregate{}
-	a.AddRound(&Round{Latency: 2, ComputedRows: []int{10, 10}, UsedRows: []int{10, 5}, Mispredicted: true, ReassignedRows: 3, BytesMoved: 100})
-	a.AddRound(&Round{Latency: 4, ComputedRows: []int{10, 10}, UsedRows: []int{10, 10}, BytesMoved: 50})
+	a.Add(&Accounting{Latency: 2, ComputedRows: []int{10, 10}, UsedRows: []int{10, 5}, Mispredicted: true, ReassignedRows: 3, BytesMoved: 100})
+	a.Add(&Accounting{Latency: 4, ComputedRows: []int{10, 10}, UsedRows: []int{10, 10}, BytesMoved: 50})
 	if a.MeanLatency() != 3 {
 		t.Fatalf("MeanLatency = %v", a.MeanLatency())
 	}

@@ -11,7 +11,8 @@
 //   - CodedCluster: MDS-coded mat-vec rounds under any sched.Strategy
 //     (conventional MDS, basic S2C2, general S2C2), with the §4.3
 //     timeout/reassignment recovery.
-//   - PolyCluster: polynomial-coded bilinear (Hessian) rounds ± S2C2.
+//   - PolyCluster: polynomial-coded bilinear (Hessian) rounds ± S2C2,
+//     run through the same round timing model as CodedCluster.
 //   - UncodedReplication: the Hadoop/LATE-style 3-replication baseline
 //     with speculative re-execution.
 //   - OverDecomposition: the Charm++-style baseline combining 4×

@@ -106,15 +106,13 @@ func RunIterative(w workloads.Iterative, cfg JobConfig) (*JobResult, error) {
 	// (in timing-only mode) the locally computed products.
 	outputs := make([][]float64, len(matrices))
 	local := make([][]float64, len(matrices))
-	var iterComputed, iterUsed []int
+	// iterSum sums an iteration's phases into the one round Aggregate sees.
+	var iterSum Accounting
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		for p := range outputs {
 			outputs[p] = nil
 		}
-		iterLatency := 0.0
-		mispred := false
-		reassigned := 0
-		bytes := 0.0
+		iterSum.reset(iter, cfg.Trace.NumWorkers())
 		for p := range matrices {
 			in := w.PhaseInput(p, state, outputs[:p])
 			round, err := clusters[p].RunIteration(iter, in)
@@ -128,25 +126,17 @@ func RunIterative(w workloads.Iterative, cfg JobConfig) (*JobResult, error) {
 				mat.MatVecInto(matrices[p], in, local[p])
 				outputs[p] = local[p]
 			}
-			iterLatency += round.Latency
-			if iterComputed == nil {
-				iterComputed = make([]int, len(round.ComputedRows))
-				iterUsed = make([]int, len(round.UsedRows))
-			}
+			iterSum.Latency += round.Latency
 			for i := range round.ComputedRows {
-				iterComputed[i] += round.ComputedRows[i]
-				iterUsed[i] += round.UsedRows[i]
+				iterSum.ComputedRows[i] += round.ComputedRows[i]
+				iterSum.UsedRows[i] += round.UsedRows[i]
 			}
-			mispred = mispred || round.Mispredicted
-			reassigned += round.ReassignedRows
-			bytes += round.BytesMoved
-			res.PerPhase[p].AddRound(round)
+			iterSum.Mispredicted = iterSum.Mispredicted || round.Mispredicted
+			iterSum.ReassignedRows += round.ReassignedRows
+			iterSum.BytesMoved += round.BytesMoved
+			res.PerPhase[p].Add(&round.Accounting)
 		}
-		res.Aggregate.addCommon(iterLatency, iterComputed, iterUsed, mispred, reassigned, bytes)
-		for i := range iterComputed {
-			iterComputed[i] = 0
-			iterUsed[i] = 0
-		}
+		res.Aggregate.Add(&iterSum)
 		var done bool
 		state, done = w.Update(state, outputs)
 		res.Iterations = iter + 1

@@ -12,33 +12,25 @@ type Aggregate struct {
 	Latencies         []float64
 }
 
-// AddRound folds one MDS round into the aggregate.
-func (a *Aggregate) AddRound(r *Round) {
-	a.addCommon(r.Latency, r.ComputedRows, r.UsedRows, r.Mispredicted, r.ReassignedRows, r.BytesMoved)
-}
-
-// AddPolyRound folds one polynomial-code round into the aggregate.
-func (a *Aggregate) AddPolyRound(r *PolyRound) {
-	a.addCommon(r.Latency, r.ComputedRows, r.UsedRows, r.Mispredicted, r.ReassignedRows, r.BytesMoved)
-}
-
-func (a *Aggregate) addCommon(latency float64, computed, used []int, mispred bool, reassigned int, bytes float64) {
+// Add folds one round — a Round's or a PolyRound's Accounting — into the
+// aggregate.
+func (a *Aggregate) Add(r *Accounting) {
 	a.Rounds++
-	a.TotalLatency += latency
-	a.Latencies = append(a.Latencies, latency)
+	a.TotalLatency += r.Latency
+	a.Latencies = append(a.Latencies, r.Latency)
 	if a.PerWorkerComputed == nil {
-		a.PerWorkerComputed = make([]int, len(computed))
-		a.PerWorkerUsed = make([]int, len(used))
+		a.PerWorkerComputed = make([]int, len(r.ComputedRows))
+		a.PerWorkerUsed = make([]int, len(r.UsedRows))
 	}
-	for w := range computed {
-		a.PerWorkerComputed[w] += computed[w]
-		a.PerWorkerUsed[w] += used[w]
+	for w := range r.ComputedRows {
+		a.PerWorkerComputed[w] += r.ComputedRows[w]
+		a.PerWorkerUsed[w] += r.UsedRows[w]
 	}
-	if mispred {
+	if r.Mispredicted {
 		a.Mispredictions++
 	}
-	a.ReassignedRows += reassigned
-	a.BytesMoved += bytes
+	a.ReassignedRows += r.ReassignedRows
+	a.BytesMoved += r.BytesMoved
 }
 
 // MeanLatency returns the average round latency.

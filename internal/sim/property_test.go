@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -205,6 +206,9 @@ func TestPolyClusterMispredictionRecovery(t *testing.T) {
 	}
 	if !r.Result.ApproxEqual(want, 1e-6) {
 		t.Fatal("poly decode after recovery mismatch")
+	}
+	if !slices.Equal(r.TimedOut, []int{0}) {
+		t.Fatalf("TimedOut = %v, want [0]", r.TimedOut)
 	}
 }
 
