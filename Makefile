@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-noasm race lint vet-tool fmt linked-symbols bench bench-smoke ci
+.PHONY: all build test test-noasm race lint vet-tool fmt linked-symbols flake-census bench bench-smoke ci
 
 all: lint test
 
@@ -55,6 +55,15 @@ linked-symbols:
 	$(GO) build -C benchmark -gcflags=all=-l -o $$d/benchmark . && \
 	for f in $$d/*; do $(GO) tool nm $$f; done | \
 	awk '$$2 ~ /^[Tt]$$/ && $$3 ~ /^github.com\/coded-computing\/s2c2/ { print $$3 }' | sort -u
+
+# flake-census builds one package's test binary and runs it N times in
+# fresh processes and once with -test.count=N, then prints, per test that
+# failed, its failures out of N in each mode and each distinct first
+# failure line (scripts/flake-census.sh). It exits non-zero on any failure.
+PKG ?= ./internal/rpc
+N ?= 20
+flake-census:
+	bash scripts/flake-census.sh $(PKG) $(N)
 
 # bench runs the repo's one benchmark (BENCHMARK.json): all four
 # workloads, end-to-end metrics; see benchmark/README.md for flags.

@@ -67,6 +67,10 @@ func TestDecodeMatVecIntoMatchesDecodeMatVec(t *testing.T) {
 			t.Fatalf("round %d: workspace decode disagrees with one-shot decode", round)
 		}
 	}
+	// A zero-value workspace is as good as a constructed one.
+	if got, err := enc.DecodeMatVecInto(nil, partials, &DecodeWorkspace{}); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("zero-value workspace: %v", err)
+	}
 }
 
 // The workspace keeps no per-worker-set state: a recurring set decodes
@@ -232,6 +236,88 @@ func TestEncodeIntoReusesPartitions(t *testing.T) {
 	}
 	if !mat.VecApproxEqual(got, mat.MatVec(b, x), 1e-9) {
 		t.Fatal("EncodeInto-reencoded matrix decodes wrong product")
+	}
+}
+
+// The GF mirror of TestEncodeIntoReusesPartitions, with a padded last
+// block and parity workers in the decode set: the re-encode keeps the
+// parity and padding storage, views the new data, and decodes its product.
+func TestGFEncodeIntoReusesPartitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	code, err := NewGFMDSCode(6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows, cols = 42, 8 // BlockRows 11: block 3 is padded
+	enc, err := code.Encode(rows, cols, randGFData(rows*cols, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parity, pad := enc.Parts[4], enc.Parts[3]
+	b := randGFData(rows*cols, rng)
+	enc2, err := code.EncodeInto(rows, cols, b, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc2 != enc || enc2.Parts[4] != parity || enc2.Parts[3] != pad {
+		t.Fatal("EncodeInto did not reuse parity and padding storage")
+	}
+	if &enc2.Parts[0].Data()[0] != &b[0] {
+		t.Fatal("EncodeInto left systematic partition 0 viewing the previous data")
+	}
+	x := randGFData(cols, rng)
+	var partials []*GFPartial
+	for w := 2; w < 6; w++ {
+		partials = append(partials, &GFPartial{
+			Worker:   w,
+			Ranges:   []Range{{0, enc2.BlockRows}},
+			RowWidth: 1,
+			Values:   enc2.Parts[w].MulVec(x),
+		})
+	}
+	got, err := enc2.DecodeMatVec(partials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, gfMatVec(rows, cols, b, x)) {
+		t.Fatal("EncodeInto-reencoded data decodes a wrong product")
+	}
+}
+
+// The GF worker computes share the float64 ones' Into bodies: after one
+// warm-up call, reusing the partial allocates nothing, single-x or
+// batched, and the values are WorkerMatVec's.
+func TestGFWorkerComputeIntoZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	code, err := NewGFMDSCode(6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows, cols, width = 40, 12, 4
+	enc, err := code.Encode(rows, cols, randGFData(rows*cols, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, xs := randGFData(cols, rng), randGFData(width*cols, rng)
+	ranges := []Range{{6, enc.BlockRows}, {0, 3}}
+	single := enc.WorkerComputeInto(5, x, ranges, nil)
+	batch := enc.WorkerComputeBatchInto(5, xs, width, ranges, nil)
+	if a := testing.AllocsPerRun(50, func() { single = enc.WorkerComputeInto(5, x, ranges, single) }); a != 0 {
+		t.Fatalf("WorkerComputeInto allocates %v/op after warm-up, want 0", a)
+	}
+	if a := testing.AllocsPerRun(50, func() { batch = enc.WorkerComputeBatchInto(5, xs, width, ranges, batch) }); a != 0 {
+		t.Fatalf("WorkerComputeBatchInto allocates %v/op after warm-up, want 0", a)
+	}
+	wantSingle, err := enc.WorkerMatVec(5, x, ranges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBatch, err := enc.WorkerMatVecBatch(5, xs, width, ranges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(single.Values, wantSingle.Values) || !slices.Equal(batch.Values, wantBatch.Values) {
+		t.Fatal("reused partials differ from WorkerMatVec's")
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package coding implements the erasure-coding layer of the S2C2 stack:
 //
-//   - an (n,k) MDS code over float64 with a systematic Cauchy-parity
-//     generator (any k of the n coded partitions suffice to decode),
-//   - the same code over the exact prime field GF(2³¹−1) for bit-exact
-//     round trips and property tests, and
-//   - polynomial codes (Yu et al., NIPS'17) for bilinear computations
-//     such as the Hessian form Aᵀ·diag(x)·B.
+//   - one systematic (n,k) MDS code with a Cauchy-parity generator (any k
+//     of the n coded partitions suffice to decode), written once over two
+//     fields: float64 (MDSCode) and the exact prime field GF(2³¹−1)
+//     (GFMDSCode) for bit-exact round trips and property tests, and
+//   - polynomial and Lagrange codes (Yu et al.) for bilinear and
+//     polynomial computations such as the Hessian form Aᵀ·diag(x)·B.
 //
 // All codecs share the partial-result model of the paper: a worker holds
 // one coded partition and may return results for an arbitrary subset of
@@ -14,12 +14,17 @@
 package coding
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
 	"github.com/coded-computing/s2c2/internal/gf"
 	"github.com/coded-computing/s2c2/internal/kernel"
 )
+
+// ErrInsufficient is returned when a row is covered by fewer worker
+// results than the code requires.
+var ErrInsufficient = errors.New("coding: insufficient results to decode")
 
 // Range is a half-open row-index interval [Lo, Hi) within a partition.
 type Range struct {
@@ -80,8 +85,8 @@ func AppendNormalizeRanges(dst []Range, ranges []Range) []Range {
 	return out
 }
 
-// Element is the value type of a coded computation: float64 for the MDS
-// and polynomial codecs, gf.Elem for the exact-field codec.
+// Element is the value type of a coded computation: float64, or gf.Elem
+// for the MDS code's exact field.
 type Element interface{ float64 | gf.Elem }
 
 // PartialOf is the result a worker returns for one round: the values of
@@ -99,32 +104,24 @@ type PartialOf[T Element] struct {
 // Partial is a float64 partial result.
 type Partial = PartialOf[float64]
 
-// GFPartial is an exact GF(2³¹−1) partial result. Its decoders read
-// RowWidth 0 as 1 (Width), so zero-valued partials from single-x paths
-// stay valid.
+// GFPartial is an exact GF(2³¹−1) partial result.
 type GFPartial = PartialOf[gf.Elem]
 
 // Validate checks internal consistency of the partial. It applies the
-// same checks rowTable.add runs when the partial enters a decode.
+// same checks rowTable.add runs when the partial enters a decode, which
+// reads RowWidth 0 as 1 (Width), so zero-valued partials from single-x
+// paths stay valid.
 func (p *PartialOf[T]) Validate(blockRows int) error {
-	return validatePartial(p.Worker, p.Ranges, len(p.Values), p.RowWidth, blockRows)
+	return validatePartial(p.Worker, p.Ranges, len(p.Values), p.Width(), blockRows)
 }
 
 // Width returns the partial's row width, treating the zero value as 1.
-func (p *PartialOf[T]) Width() int {
-	if p.RowWidth <= 0 {
-		return 1
-	}
-	return p.RowWidth
-}
+func (p *PartialOf[T]) Width() int { return max(p.RowWidth, 1) }
 
 // validatePartial is the single validation rule shared by Partial.Validate
-// and rowTable.add: positive row width, in-bounds ranges, and a value
-// count matching rows × width.
+// and rowTable.add: in-bounds ranges, and a value count matching rows ×
+// width.
 func validatePartial(worker int, ranges []Range, numValues, rowWidth, blockRows int) error {
-	if rowWidth <= 0 {
-		return fmt.Errorf("coding: partial from worker %d has RowWidth %d", worker, rowWidth)
-	}
 	rows := 0
 	for _, r := range ranges {
 		if r.Lo < 0 || r.Hi > blockRows || r.Lo > r.Hi {
@@ -155,14 +152,13 @@ type rowBand struct {
 	sel    int // offset of the band's k span indices in rowTable.sel
 }
 
-// rowTable turns the partial results of one decode pass into bands,
-// generic over the value element (float64 for the MDS/polynomial codecs,
-// gf.Elem for the exact-field codec — one implementation of the
-// trickiest bookkeeping instead of two). Rows between two consecutive
-// range boundaries of the registered partials are covered by exactly the
-// same spans, so coverage is decided once per band, never per row:
-// building costs O(#ranges · log #ranges + #bands · coverage depth) and
-// is independent of how many rows a band holds.
+// rowTable turns the partial results of one decode pass into bands, one
+// implementation of the trickiest bookkeeping for both MDS fields and the
+// polynomial decode. Rows between two consecutive range boundaries of the
+// registered partials are covered by exactly the same spans, so coverage
+// is decided once per band, never per row: building costs
+// O(#ranges · log #ranges + #bands · coverage depth) and is independent
+// of how many rows a band holds.
 //
 // Each band is decoded from the first k workers, in arrival order, that
 // cover it — the rule the per-row decoders applied to every row — then
@@ -334,13 +330,19 @@ func (t *rowTable[T]) values(b rowBand, i, lo, hi int) []T {
 	return s.vals[(lo-s.lo)*t.rowWidth : (hi-s.lo)*t.rowWidth]
 }
 
-// buildPartials populates the table from float64 partials and builds its
-// bands for a k-of-n decode, the shared entry point of the MDS and
-// polynomial decode paths.
-func buildPartials(t *rowTable[float64], partials []*Partial, blockRows, k int) error {
+// encodeChunk sizes encode bands to the active backend's per-chunk flop
+// target for axpy work across n partitions and k blocks.
+func encodeChunk(n, k, cols int) int {
+	return kernel.ChunkRows(2 * n * k * cols)
+}
+
+// buildPartials populates the table from partials and builds its bands
+// for a k-of-n decode, the shared entry point of the MDS decode (both
+// fields) and the polynomial one. A partial's RowWidth 0 reads as 1.
+func buildPartials[T Element](t *rowTable[T], partials []*PartialOf[T], blockRows, k int) error {
 	t.reset(blockRows)
 	for _, p := range partials {
-		if err := t.add(p.Worker, p.Ranges, p.Values, p.RowWidth); err != nil {
+		if err := t.add(p.Worker, p.Ranges, p.Values, p.Width()); err != nil {
 			return err
 		}
 	}

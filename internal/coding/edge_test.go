@@ -1,7 +1,10 @@
 package coding
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/coded-computing/s2c2/internal/mat"
@@ -112,16 +115,47 @@ func TestWorkerComputeEmptyRanges(t *testing.T) {
 	}
 }
 
+// Two partials that cover every row k = 2 times over but disagree on
+// RowWidth (2 and 1) fail on the widths, not on coverage. RowWidth 0
+// reads as 1 on both fields: such partials decode to the width-1 result.
 func TestDecodeRejectsWrongRowWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	a := mat.Rand(8, 2, rng)
 	c, _ := NewMDSCode(4, 2)
 	enc := c.Encode(a)
-	p := enc.WorkerCompute(0, []float64{1, 1}, []Range{{0, enc.BlockRows}})
-	p.RowWidth = 2
-	p.Values = append(p.Values, p.Values...)
-	if _, err := enc.DecodeMatVec([]*Partial{p}); err == nil {
-		t.Fatal("RowWidth != 1 must be rejected by DecodeMatVec")
+	all := []Range{{0, enc.BlockRows}}
+	wide := enc.WorkerComputeBatchInto(0, []float64{1, 1, 2, 2}, 2, all, nil)
+	narrow := enc.WorkerCompute(3, []float64{1, 1}, all)
+	_, err := enc.DecodeMatVec([]*Partial{wide, narrow})
+	if err == nil || errors.Is(err, ErrInsufficient) || !strings.Contains(err.Error(), "widths 2 and 1") {
+		t.Fatalf("mixed widths 2 and 1: error %v, want one naming both widths", err)
+	}
+
+	zero := []*Partial{enc.WorkerCompute(0, []float64{1, 1}, all), narrow}
+	want, err := enc.DecodeMatVec(zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range zero {
+		p.RowWidth = 0
+	}
+	if got, err := enc.DecodeMatVec(zero); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("float64 RowWidth 0: %v, %v; want the width-1 decode %v", got, err, want)
+	}
+
+	gc, _ := NewGFMDSCode(4, 2)
+	data := randGFData(8*2, rng)
+	genc, err := gc.Encode(8, 2, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := randGFData(2, rng)
+	gzero := []*GFPartial{genc.WorkerCompute(1, x, all), genc.WorkerCompute(2, x, all)}
+	for _, p := range gzero {
+		p.RowWidth = 0
+	}
+	if got, err := genc.DecodeMatVec(gzero); err != nil || !slices.Equal(got, gfMatVec(8, 2, data, x)) {
+		t.Fatalf("GF RowWidth 0: %v, %v; want A·x", got, err)
 	}
 }
 

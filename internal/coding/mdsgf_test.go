@@ -226,7 +226,7 @@ func TestGFCauchyParitySubmatricesNonsingular(t *testing.T) {
 					q := 0
 					for j := 0; j < k; j++ {
 						if cmask&(1<<j) != 0 {
-							sub.Set(i, q, c.gen.At(k+pr, j))
+							sub.Set(i, q, c.GeneratorRow(k + pr)[j])
 							q++
 						}
 					}

@@ -82,7 +82,7 @@ func refDecodeMatVec(e *EncodedMatrix, partials []*Partial) ([]float64, error) {
 		}
 		sub := mat.New(k, k)
 		for i, w := range workers {
-			copy(sub.Row(i), e.Code.gen.Row(w))
+			copy(sub.Row(i), e.Code.GeneratorRow(w))
 		}
 		lu, err := mat.FactorLU(sub)
 		if err != nil {
@@ -125,7 +125,7 @@ func refGFDecodeMatVec(e *GFEncodedMatrix, partials []*GFPartial) ([]gf.Elem, er
 		}
 		sub := gf.NewMatrix(k, k)
 		for i, w := range workers {
-			copy(sub.Row(i), e.Code.gen.Row(w))
+			copy(sub.Row(i), e.Code.GeneratorRow(w))
 		}
 		inv := gf.NewMatrix(k, k)
 		if !gf.InvertInto(inv, sub, make([]gf.Elem, k*k)) {

@@ -98,8 +98,10 @@ type Range = coding.Range
 // Partial is a worker's partial result over its assigned row ranges.
 type Partial = coding.Partial
 
-// MDSCode is the systematic (n,k) MDS code over float64. Encode and
-// EncodeInto borrow the data matrix: see EncodedMatrix.
+// MDSCode is the systematic (n,k) MDS code over float64. It and GFMDSCode
+// are one implementation over two fields: the same generator, encode,
+// worker compute and band-wise decode. Encode and EncodeInto borrow the
+// data matrix: see EncodedMatrix.
 type MDSCode = coding.MDSCode
 
 // EncodedMatrix holds the n coded partitions of a data matrix A. It
@@ -113,12 +115,16 @@ type EncodedMatrix = coding.EncodedMatrix
 // NewMDSCode builds an (n,k) MDS code (any k of n partitions decode).
 func NewMDSCode(n, k int) (*MDSCode, error) { return coding.NewMDSCode(n, k) }
 
-// DecodeWorkspace holds reusable MDS decode state (cached factorizations,
-// index tables, scratch); pass one to EncodedMatrix.DecodeMatVecInto to
-// make steady-state decoding allocation-free.
+// DecodeWorkspace holds reusable float64 MDS decode state (the band
+// table, each band's parity system and its solve scratch; nothing per
+// worker set); pass one to EncodedMatrix.DecodeMatVecInto to make
+// steady-state decoding allocation-free.
 type DecodeWorkspace = coding.DecodeWorkspace
 
-// GFMDSCode is the bit-exact MDS code over GF(2³¹−1).
+// GFMDSCode is the same systematic MDS code as MDSCode over GF(2³¹−1):
+// decodes are bit-exact. Its encodings reuse parity storage (EncodeInto)
+// and compute into reused partials (WorkerComputeInto,
+// WorkerComputeBatchInto) as the float64 ones do.
 type GFMDSCode = coding.GFMDSCode
 
 // GFElem is an element of GF(2³¹−1).
