@@ -13,6 +13,10 @@
 // handle sub-8 tails in Go; the mat-mul tile kernels instead take an
 // explicit 8-bit column mask, so partial C tiles are written with masked
 // stores rather than through zero-padded scratch tiles.
+//
+// Every kernel here runs on the backend's AVX512F/DQ/BW/VL base except
+// gfTile8IFMA, which also needs AVX512-IFMA (VPMADD52LUQ/VPMADD52HUQ);
+// gfMatVecBatchVec512 calls it only when cpuHasIFMA held at init.
 
 // GF(2³¹−1) constants, broadcast to all qword lanes via VPBROADCASTQ:
 // the prime for the Mersenne fold mask, p−1 for the final conditional
@@ -337,12 +341,7 @@ tile1x8_store:
 //
 // GF512_FOLD is one Mersenne fold x → (x>>31) + (x&p) of a qword
 // accumulator (p broadcast in Z31): any 64-bit value lands below
-// 2³³ + 2³¹. Folds are lazy — an accumulator that has just been folded
-// absorbs three products of at most (2³¹−1)² < 2⁶² before the next fold,
-// and 3·2⁶² + 2³³ + 2³¹ < 2⁶⁴, so it cannot wrap. Every loop below keeps
-// that phase: fold after each third column block, and at most two full
-// blocks plus the masked tail block (three products) before the final
-// fold.
+// 2³³ + 2³¹.
 #define GF512_FOLD(acc, tmp) \
 	VPSRLQ $31, acc, tmp; \
 	VPANDQ Z31, acc, acc; \
@@ -355,58 +354,87 @@ tile1x8_store:
 	VPUNPCKHQDQ b, a, tmp; \
 	VPADDQ      tmp, dst, dst
 
-// GF512_FINISH reduces the qword sums in r (each below 2³⁷) to canonical
-// field elements: one fold (< 2³¹ + 2⁶) and an opmasked subtract of p.
+// GF512_FINISH reduces the qword sums in r (each below 2⁴⁷) to canonical
+// field elements: one fold (< 2³¹ + 2¹⁶) and an opmasked subtract of p.
 #define GF512_FINISH(r, tmp) \
 	GF512_FOLD(r, tmp); \
 	VPCMPGTQ Z30, r, K3; \
 	VPSUBQ   Z31, r, K3, r
 
-// GF512_LANE multiplies the widened A chunk in Z8 against one lane's
-// pre-widened x chunk (a memory operand out of the pack) and accumulates.
-#define GF512_LANE(off, acc, tmp) \
-	VPMULUDQ off(DI), Z8, tmp; \
-	VPADDQ   tmp, acc, acc
+// GF512_IFMA_LANE loads one lane's pre-widened x chunk out of the pack
+// into x and accumulates both halves of its 104-bit products with the
+// widened A chunk in Z16: bits 0–51 into lo and bits 52–103 into hi.
+// Operands are below 2³¹, so every product is below 2⁶², its low half
+// below 2⁵² and its high half below 2¹⁰.
+#define GF512_IFMA_LANE(off, x, lo, hi) \
+	VMOVDQU64   off(DI), x; \
+	VPMADD52LUQ x, Z16, lo; \
+	VPMADD52HUQ x, Z16, hi
 
-#define GF512_TILE8_LANES \
-	GF512_LANE(0, Z0, Z16); \
-	GF512_LANE(64, Z1, Z17); \
-	GF512_LANE(128, Z2, Z18); \
-	GF512_LANE(192, Z3, Z19); \
-	GF512_LANE(256, Z4, Z20); \
-	GF512_LANE(320, Z5, Z21); \
-	GF512_LANE(384, Z6, Z22); \
-	GF512_LANE(448, Z7, Z23)
+#define GF512_IFMA_LANES \
+	GF512_IFMA_LANE(0, Z17, Z0, Z8); \
+	GF512_IFMA_LANE(64, Z18, Z1, Z9); \
+	GF512_IFMA_LANE(128, Z19, Z2, Z10); \
+	GF512_IFMA_LANE(192, Z20, Z3, Z11); \
+	GF512_IFMA_LANE(256, Z21, Z4, Z12); \
+	GF512_IFMA_LANE(320, Z22, Z5, Z13); \
+	GF512_IFMA_LANE(384, Z23, Z6, Z14); \
+	GF512_IFMA_LANE(448, Z24, Z7, Z15)
 
-#define GF512_TILE8_BLOCK \
-	VPMOVZXDQ (SI), Z8; \
-	GF512_TILE8_LANES; \
+#define GF512_IFMA_BLOCK \
+	VPMOVZXDQ (SI), Z16; \
+	GF512_IFMA_LANES; \
 	ADDQ $32, SI; \
 	ADDQ R8, DI
 
-#define GF512_TILE8_FOLD \
-	GF512_FOLD(Z0, Z16); \
-	GF512_FOLD(Z1, Z17); \
-	GF512_FOLD(Z2, Z18); \
-	GF512_FOLD(Z3, Z19); \
-	GF512_FOLD(Z4, Z20); \
-	GF512_FOLD(Z5, Z21); \
-	GF512_FOLD(Z6, Z22); \
-	GF512_FOLD(Z7, Z23)
+// GF512_IFMA_MERGE folds one lane's lo accumulator below 2³⁴ and adds
+// its hi accumulator shifted left by 21, since 2⁵² = 2²¹·2³¹ ≡ 2²¹
+// (mod p): lo becomes congruent to the lane's sum of products. hi holds
+// at most 4 095 high halves, so hi ≪ 21 < 2⁴³ and lo ends below 2⁴⁴.
+#define GF512_IFMA_MERGE(lo, hi, tmp) \
+	GF512_FOLD(lo, tmp); \
+	VPSLLQ $21, hi, hi; \
+	VPADDQ hi, lo, lo
 
-// func gfTile8AVX512(dst, a *uint32, cols int, pack *uint64, stride int, mask uint64)
+#define GF512_IFMA_MERGE8 \
+	GF512_IFMA_MERGE(Z0, Z8, Z17); \
+	GF512_IFMA_MERGE(Z1, Z9, Z18); \
+	GF512_IFMA_MERGE(Z2, Z10, Z19); \
+	GF512_IFMA_MERGE(Z3, Z11, Z20); \
+	GF512_IFMA_MERGE(Z4, Z12, Z21); \
+	GF512_IFMA_MERGE(Z5, Z13, Z22); \
+	GF512_IFMA_MERGE(Z6, Z14, Z23); \
+	GF512_IFMA_MERGE(Z7, Z15, Z24)
+
+#define GF512_IFMA_ZERO_HI \
+	VPXORQ Z8, Z8, Z8; \
+	VPXORQ Z9, Z9, Z9; \
+	VPXORQ Z10, Z10, Z10; \
+	VPXORQ Z11, Z11, Z11; \
+	VPXORQ Z12, Z12, Z12; \
+	VPXORQ Z13, Z13, Z13; \
+	VPXORQ Z14, Z14, Z14; \
+	VPXORQ Z15, Z15, Z15
+
+// func gfTile8IFMA(dst, a *uint32, cols int, pack *uint64, stride int, mask uint64)
 //
 // The lane-fused batch tile: one A row against eight x lanes. Each
 // 8-column chunk of the row is widened once (VPMOVZXDQ) and multiplied
 // against all eight lanes, whose chunks come pre-widened from the pack
-// ([col-block][lane][8]uint64, stride bytes between column blocks) as
-// VPMULUDQ memory operands — two vector µops per eight products plus one
-// lazy fold in three, against seven for a widen/widen/mul/add/fold dot.
-// The eight lane accumulators live in Z0–Z7 across the whole row; the
-// column tail is an opmask-zeroed A chunk, and the eight lane sums are
-// transposed, finished and stored through the lane opmask, so a partial
-// lane tile never writes past its w-wide output row.
-TEXT ·gfTile8AVX512(SB), NOSPLIT, $0-48
+// ([col-block][lane][8]uint64, stride bytes between column blocks). Each
+// lane chunk is loaded once and feeds a VPMADD52LUQ and a VPMADD52HUQ,
+// which multiply and accumulate in one µop each: eight lo accumulators
+// (Z0–Z7) and eight hi accumulators (Z8–Z15) live across the whole row.
+// A lo accumulator absorbs one product half below 2⁵² per column block,
+// and after a merge it is below 2⁴⁴; since 4095·(2⁵²−1) + 2⁴⁴ < 2⁶⁴, the
+// accumulators are merged (and hi cleared) once per 4 094 full column
+// blocks, leaving at most 4 094 full blocks plus the masked tail block
+// for the final merge — no fold inside the sweep of any row below
+// 32 760 columns. The column tail is an opmask-zeroed A chunk, and the
+// eight merged lane sums are transposed, finished and stored through the
+// lane opmask, so a partial lane tile never writes past its w-wide
+// output row.
+TEXT ·gfTile8IFMA(SB), NOSPLIT, $0-48
 	MOVQ         dst+0(FP), R9
 	MOVQ         a+8(FP), SI
 	MOVQ         cols+16(FP), CX
@@ -424,44 +452,44 @@ TEXT ·gfTile8AVX512(SB), NOSPLIT, $0-48
 	VPXORQ       Z5, Z5, Z5
 	VPXORQ       Z6, Z6, Z6
 	VPXORQ       Z7, Z7, Z7
+	GF512_IFMA_ZERO_HI
 	MOVQ         CX, BX
 	SHRQ         $3, BX
-	CMPQ         BX, $3
-	JL           gftile8_rem
 
-gftile8_loop3:
-	GF512_TILE8_BLOCK
-	GF512_TILE8_BLOCK
-	GF512_TILE8_BLOCK
-	GF512_TILE8_FOLD
-	SUBQ $3, BX
-	CMPQ BX, $3
-	JGE  gftile8_loop3
+gfifma_run:
+	// DX = min(BX, 4094) full blocks before the next merge.
+	MOVQ    $4094, DX
+	CMPQ    BX, DX
+	CMOVQLT BX, DX
+	SUBQ    DX, BX
+	TESTQ   DX, DX
+	JZ      gfifma_tail
 
-gftile8_rem:
+gfifma_blocks:
+	GF512_IFMA_BLOCK
+	DECQ  DX
+	JNZ   gfifma_blocks
 	TESTQ BX, BX
-	JZ    gftile8_tail
+	JZ    gfifma_tail
+	GF512_IFMA_MERGE8
+	GF512_IFMA_ZERO_HI
+	JMP   gfifma_run
 
-gftile8_rem1:
-	GF512_TILE8_BLOCK
-	DECQ BX
-	JNZ  gftile8_rem1
-
-gftile8_tail:
+gfifma_tail:
 	ANDQ        $7, CX
-	JZ          gftile8_reduce
+	JZ          gfifma_reduce
 	MOVQ        $1, AX
 	SHLQ        CX, AX
 	DECQ        AX
 	KMOVW       AX, K2
-	VPMOVZXDQ.Z (SI), K2, Z8
-	GF512_TILE8_LANES
+	VPMOVZXDQ.Z (SI), K2, Z16
+	GF512_IFMA_LANES
 
-gftile8_reduce:
-	GF512_TILE8_FOLD
+gfifma_reduce:
+	GF512_IFMA_MERGE8
 
 	// Transpose-reduce: qword l of Z0 becomes the sum of all eight
-	// qwords of lane accumulator l (eight values below 2³⁴ each).
+	// qwords of lane accumulator l (eight values below 2⁴⁴ each).
 	GF512_PAIRSUM(Z0, Z1, Z16, Z20)
 	GF512_PAIRSUM(Z2, Z3, Z17, Z21)
 	GF512_PAIRSUM(Z4, Z5, Z18, Z22)
@@ -517,9 +545,14 @@ gftile8_reduce:
 // GF(2³¹−1) for the t selected by the low four mask bits. The shared
 // chunk is widened once per 8 columns for all four o_t — the multi-row
 // tile of the single-x mat-vec (s = x, o_t = four A rows) and the
-// pack-free path for lane groups too narrow for gfTile8AVX512 (s = the A
-// row, o_t = up to four x lanes). Same lazy fold and opmasked column
-// tail; callers alias unused o_t onto a valid one.
+// pack-free path of the batch sweep (s = the A row, o_t = up to four x
+// lanes): lane groups too narrow for gfTile8IFMA, and every lane group on
+// a CPU without AVX512-IFMA. Folds are lazy: after a fold an accumulator
+// is below 2³³ + 2³¹, a product of two elements is below 2⁶², and
+// 3·2⁶² + 2³³ + 2³¹ < 2⁶⁴, so the loop folds after every third column
+// block and at most two full blocks plus the masked tail block reach the
+// final fold. The column tail is opmasked; callers alias unused o_t onto
+// a valid one.
 TEXT ·gfDot4AVX512(SB), NOSPLIT, $0-64
 	MOVQ         dst+0(FP), R9
 	MOVQ         s+8(FP), SI

@@ -327,8 +327,9 @@ func gfPackLen(cols, lanes int) int { return (cols + 7) / 8 * lanes * 8 }
 // gfPackLanes widens the first w x-vectors of xs into the batch tiles'
 // operand pack, laid out [col-block][lane][8]uint64 over lanes lanes per
 // block: lane l's columns 8b … 8b+7 sit zero-extended at
-// pack[(b*lanes+l)*8:], so a tile reads each lane chunk as one aligned-
-// stride VPMULUDQ memory operand instead of re-widening it per row.
+// pack[(b*lanes+l)*8:], so a tile reads each lane chunk with one
+// fixed-stride load (a VPMULUDQ memory operand on avx2, one register
+// feeding both IFMA halves on avx512) instead of re-widening it per row.
 // Columns past cols and lanes past w are zero. The pack borrows buf's
 // storage (uint64 and float64 share size and alignment) and lives for
 // one kernel call.
@@ -341,12 +342,18 @@ func gfPackLanes(buf *Buf, xs []uint32, cols, w, lanes int) []uint64 {
 			x = xs[l*cols : (l+1)*cols]
 		}
 		for b := 0; b < blocks; b++ {
-			d := pack[(b*lanes+l)*8 : (b*lanes+l)*8+8]
-			src := x[min(b*8, len(x)):min(b*8+8, len(x))]
+			d := (*[8]uint64)(pack[(b*lanes+l)*8:])
+			src := x[min(b*8, len(x)):]
+			if len(src) >= 8 {
+				s := (*[8]uint32)(src)
+				d[0], d[1], d[2], d[3] = uint64(s[0]), uint64(s[1]), uint64(s[2]), uint64(s[3])
+				d[4], d[5], d[6], d[7] = uint64(s[4]), uint64(s[5]), uint64(s[6]), uint64(s[7])
+				continue
+			}
+			*d = [8]uint64{}
 			for j, v := range src {
 				d[j] = uint64(v)
 			}
-			clear(d[len(src):])
 		}
 	}
 	return pack

@@ -10,6 +10,7 @@ import "math"
 // partial mat-mul tiles through zero-padded scratch, this backend passes
 // an explicit column mask to the tile kernels and lets EVEX masked
 // loads/stores handle the edges — no scratch tile, no store amplification.
+// The GF batch tile alone also needs AVX512-IFMA (see gfTileIFMA).
 // Accumulation order is fixed (see each wrapper), so results are
 // bit-identical run to run on this backend; versus the generic backend,
 // float64 results differ only by accumulated rounding and GF results are
@@ -78,13 +79,13 @@ func mulTile1x8AVX512(c, a0, bt *float64, kc int, mask uint64)
 //go:noescape
 func gfAxpyAVX512(dst *uint32, c uint32, src *uint32, n int)
 
-// gfTile8AVX512 computes one A row against eight x lanes taken from the
+// gfTile8IFMA computes one A row against eight x lanes taken from the
 // pre-widened pack (see gfPackLanes; stride is the byte distance between
 // column blocks): dst[l] = a · x_l over GF(2³¹−1) for the lanes selected
-// by the low 8 bits of mask.
+// by the low 8 bits of mask. It needs AVX512-IFMA (see gfTileIFMA).
 //
 //go:noescape
-func gfTile8AVX512(dst, a *uint32, cols int, pack *uint64, stride int, mask uint64)
+func gfTile8IFMA(dst, a *uint32, cols int, pack *uint64, stride int, mask uint64)
 
 // gfDot4AVX512 computes dst[t] = s · o_t over GF(2³¹−1) (all operands n
 // long) for the t selected by the low 4 bits of mask; unselected o_t
@@ -265,16 +266,24 @@ func gfMatVecVec512(dst, a []uint32, cols int, x []uint32, lo, hi int) {
 	}
 }
 
+// gfTileIFMA reports whether gfMatVecBatchVec512 runs its lane tiles on
+// gfTile8IFMA. The CPU probe runs once at init; tests clear the flag to
+// drive the pack-free route an AVX-512 CPU without IFMA takes.
+var gfTileIFMA = cpuHasIFMA()
+
 // gfMatVecBatchVec512 is the lane-fused batch sweep: every 8-column chunk
 // of an A row is widened once and multiplied against a whole tile of
-// eight x lanes, read pre-widened from a per-call pack as memory
-// operands, with the tile's eight accumulators resident in ZMM registers
-// across the row and one lazy Mersenne fold per three column blocks. A
-// final group of six or seven lanes runs as an opmasked tile; narrower
-// groups take the pack-free shared-operand kernel, four lanes a call
-// (a tile costs its eight lanes whatever the mask, ≈ 25 vector µops a
-// column block against ≈ 4¼ per lane there, so it wins from six up).
-// Modular reduction is order-independent, so every output is exactly the
+// eight x lanes, read pre-widened from a per-call pack, with the tile's
+// sixteen accumulators (the low and high 52-bit product halves of each
+// lane) resident in ZMM registers across the row and no Mersenne fold
+// inside rows below 32 760 columns. A final group of five to seven
+// lanes runs as an opmasked tile; narrower groups take the pack-free
+// shared-operand kernel, four lanes a call. A tile costs its eight lanes
+// whatever the mask (17 vector µops and 9 loads a column block) and a
+// shared-operand call its four (≈ 4¼ vector µops per lane), so the tile
+// wins once the group needs two calls (BenchmarkGFMatVecBatch's w5 rows).
+// Without IFMA every lane group takes the shared-operand kernel. Modular
+// reduction is order-independent, so every output is exactly the
 // canonical inner product — identical to the generic backend.
 //
 //s2c2:noalloc
@@ -286,9 +295,12 @@ func gfMatVecBatchVec512(dst, a []uint32, cols int, xs []uint32, w, lo, hi int) 
 		clear(dst[:(hi-lo)*w])
 		return
 	}
-	tiled := w &^ 7 // lanes served by 8-lane tiles
-	if w-tiled >= 6 {
-		tiled += 8
+	tiled := 0 // lanes served by 8-lane tiles
+	if gfTileIFMA {
+		tiled = w &^ 7
+		if w-tiled >= 5 {
+			tiled += 8
+		}
 	}
 	var pack []uint64
 	if tiled > 0 {
@@ -301,7 +313,7 @@ func gfMatVecBatchVec512(dst, a []uint32, cols int, xs []uint32, w, lo, hi int) 
 		out := dst[(i-lo)*w : (i-lo+1)*w]
 		l := 0
 		for ; l < tiled; l += 8 {
-			gfTile8AVX512(&out[l], &row[0], cols, &pack[l*8], tiled*64, 1<<uint(min(8, w-l))-1)
+			gfTile8IFMA(&out[l], &row[0], cols, &pack[l*8], tiled*64, 1<<uint(min(8, w-l))-1)
 		}
 		for ; l < w; l += 4 {
 			gfDot4Vec512(out[l:min(l+4, w)], row, xs[l*cols:], cols)

@@ -42,6 +42,7 @@ func vectorBackendNames() []string {
 func TestBackendSelectionObservable(t *testing.T) {
 	names := Backends()
 	t.Logf("kernel backends: available=%v active=%s", names, ActiveBackend())
+	t.Logf("avx512 GF batch sweep route: %s", gfTileRouteNote())
 	found := false
 	for _, n := range names {
 		if n == ActiveBackend() {
@@ -487,20 +488,37 @@ func FuzzGFAxpyBackends(f *testing.F) {
 	})
 }
 
-// bestOf times fn (run iters times per trial) over several trials and
-// returns the fastest per-run duration.
-func bestOf(trials, iters int, fn func()) time.Duration {
-	best := time.Duration(1 << 62)
-	for t := 0; t < trials; t++ {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			fn()
-		}
-		if d := time.Since(start) / time.Duration(iters); d < best {
-			best = d
-		}
+// timeRuns returns fn's mean duration over iters back-to-back runs.
+func timeRuns(iters int, fn func()) time.Duration {
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		fn()
 	}
-	return best
+	return time.Since(start) / time.Duration(iters)
+}
+
+// bestOfAlternating times the two sides of a speedup gate trial by trial
+// — one trial of a, then one of b, trials times — and returns each side's
+// fastest trial. Other processes share the machine: timing every trial of
+// one side before the other lets a burst of contention land on one side
+// only, while alternating exposes both to the same spells.
+func bestOfAlternating(trials int, a, b func() time.Duration) (bestA, bestB time.Duration) {
+	bestA, bestB = 1<<62, 1<<62
+	for range trials {
+		bestA = min(bestA, a())
+		bestB = min(bestB, b())
+	}
+	return bestA, bestB
+}
+
+// onBackend returns a trial that times iters runs of fn on the named
+// backend.
+func onBackend(t testing.TB, name string, iters int, fn func()) func() time.Duration {
+	return func() time.Duration {
+		var d time.Duration
+		withBackend(t, name, func() { d = timeRuns(iters, fn) })
+		return d
+	}
 }
 
 // skipUnlessVectorDispatched gates the speedup acceptance tests the same
@@ -527,15 +545,8 @@ func TestMatMulVectorSpeedup(t *testing.T) {
 	a, b := randSlice(size*size, rng), randSlice(size*size, rng)
 	dst := make([]float64, size*size)
 	vec := ActiveBackend()
-	run := func(name string) time.Duration {
-		var d time.Duration
-		withBackend(t, name, func() {
-			d = bestOf(3, 1, func() { MatMul(dst, a, size, size, b, size) })
-		})
-		return d
-	}
-	scalar := run("generic")
-	vector := run(vec)
+	mm := func() { MatMul(dst, a, size, size, b, size) }
+	scalar, vector := bestOfAlternating(3, onBackend(t, "generic", 1, mm), onBackend(t, vec, 1, mm))
 	t.Logf("MatMul %d³: generic %v, %s %v (%.2fx)", size, scalar, vec, vector, float64(scalar)/float64(vector))
 	if float64(scalar) < 2*float64(vector) {
 		t.Fatalf("vector MatMul only %.2fx over scalar, want >= 2x", float64(scalar)/float64(vector))
@@ -553,15 +564,8 @@ func TestMatVecVectorSpeedup(t *testing.T) {
 	a, x := randSlice(rows*cols, rng), randSlice(cols, rng)
 	dst := make([]float64, rows)
 	vec := ActiveBackend()
-	run := func(name string) time.Duration {
-		var d time.Duration
-		withBackend(t, name, func() {
-			d = bestOf(7, 20, func() { MatVec(dst, a, rows, cols, x) })
-		})
-		return d
-	}
-	scalar := run("generic")
-	vector := run(vec)
+	mv := func() { MatVec(dst, a, rows, cols, x) }
+	scalar, vector := bestOfAlternating(7, onBackend(t, "generic", 20, mv), onBackend(t, vec, 20, mv))
 	t.Logf("MatVec %dx%d: generic %v, %s %v (%.2fx)", rows, cols, scalar, vec, vector, float64(scalar)/float64(vector))
 	if float64(scalar) < 1.5*float64(vector) {
 		t.Fatalf("vector MatVec only %.2fx over scalar, want >= 1.5x", float64(scalar)/float64(vector))
@@ -580,15 +584,8 @@ func TestGFAxpyVectorSpeedup(t *testing.T) {
 		dst[i] = (uint32(i) * 40503) % uint32(p31)
 	}
 	vec := ActiveBackend()
-	run := func(name string) time.Duration {
-		var d time.Duration
-		withBackend(t, name, func() {
-			d = bestOf(7, 200, func() { GFAxpyMod31(dst, 123456789, src) })
-		})
-		return d
-	}
-	scalar := run("generic")
-	vector := run(vec)
+	axpy := func() { GFAxpyMod31(dst, 123456789, src) }
+	scalar, vector := bestOfAlternating(7, onBackend(t, "generic", 200, axpy), onBackend(t, vec, 200, axpy))
 	t.Logf("GFAxpy %d: generic %v, %s %v (%.2fx)", n, scalar, vec, vector, float64(scalar)/float64(vector))
 	if float64(scalar) < 1.5*float64(vector) {
 		t.Fatalf("vector GFAxpy only %.2fx over scalar, want >= 1.5x", float64(scalar)/float64(vector))

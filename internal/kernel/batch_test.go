@@ -251,15 +251,8 @@ func TestGFMatVecVectorSpeedup(t *testing.T) {
 	}
 	dst := make([]uint32, rows)
 	vec := ActiveBackend()
-	run := func(name string) time.Duration {
-		var d time.Duration
-		withBackend(t, name, func() {
-			d = bestOf(7, 20, func() { GFMatVecMod31(dst, a, cols, x, 0, rows) })
-		})
-		return d
-	}
-	scalar := run("generic")
-	vector := run(vec)
+	mv := func() { GFMatVecMod31(dst, a, cols, x, 0, rows) }
+	scalar, vector := bestOfAlternating(7, onBackend(t, "generic", 20, mv), onBackend(t, vec, 20, mv))
 	t.Logf("GFMatVec %dx%d: generic %v, %s %v (%.2fx)", rows, cols, scalar, vec, vector, float64(scalar)/float64(vector))
 	if float64(scalar) < 1.5*float64(vector) {
 		t.Fatalf("vector GFMatVec only %.2fx over scalar, want >= 1.5x", float64(scalar)/float64(vector))
@@ -279,12 +272,17 @@ func TestMatVecBatchVectorSpeedup(t *testing.T) {
 	xs := randSlice(w*cols, rng)
 	batchDst := make([]float64, rows*w)
 	singleDst := make([]float64, rows)
-	batch := bestOf(5, 3, func() { MatVecRangeBatch(batchDst, a, cols, xs, w, 0, rows) })
-	single := bestOf(5, 3, func() {
-		for l := 0; l < w; l++ {
-			MatVec(singleDst, a, rows, cols, xs[l*cols:(l+1)*cols])
-		}
-	})
+	batch, single := bestOfAlternating(5,
+		func() time.Duration {
+			return timeRuns(3, func() { MatVecRangeBatch(batchDst, a, cols, xs, w, 0, rows) })
+		},
+		func() time.Duration {
+			return timeRuns(3, func() {
+				for l := 0; l < w; l++ {
+					MatVec(singleDst, a, rows, cols, xs[l*cols:(l+1)*cols])
+				}
+			})
+		})
 	t.Logf("MatVecRangeBatch %dx%d w=%d: batch %v, %d singles %v (%.2fx)",
 		rows, cols, w, batch, w, single, float64(single)/float64(batch))
 	if float64(single) < 2*float64(batch) {

@@ -116,8 +116,11 @@ func BenchmarkParallelMatVecSpawn(b *testing.B) {
 
 // BenchmarkGFMatVecBatch times the fused GF(2³¹−1) sweeps at the
 // gf-batch-serve worker shape (a 384×256 partition, cache-resident) on
-// every backend: w=1 is the multi-row single-x tile behind GFMatVecMod31,
-// w=8 the lane-fused batch tile behind GFMatVecBatchMod31.
+// every backend: w1 is the multi-row single-x tile behind GFMatVecMod31,
+// w5–w8 the lane-fused batch sweep behind GFMatVecBatchMod31 on either
+// side of the width where the avx512 sweep switches a lane group from the
+// pack-free kernel to the 8-lane tile. On an IFMA CPU the avx512-dot4
+// rows force the pack-free route an AVX-512 CPU without IFMA takes.
 func BenchmarkGFMatVecBatch(b *testing.B) {
 	const rows, cols = 384, 256
 	a := make([]uint32, rows*cols)
@@ -137,10 +140,14 @@ func BenchmarkGFMatVecBatch(b *testing.B) {
 					GFMatVecMod31(dst[:rows], a, cols, xs[:cols], 0, rows)
 				}
 			})
-			b.Run("w8/"+backend, func(b *testing.B) {
-				b.SetBytes(4 * rows * cols)
-				for i := 0; i < b.N; i++ {
-					GFMatVecBatchMod31(dst, a, cols, xs, 8, 0, rows)
+			forEachGFTileRoute(backend, func(route string) {
+				for w := 5; w <= 8; w++ {
+					b.Run(fmt.Sprintf("w%d/%s%s", w, backend, route), func(b *testing.B) {
+						b.SetBytes(4 * rows * cols)
+						for i := 0; i < b.N; i++ {
+							GFMatVecBatchMod31(dst, a, cols, xs, w, 0, rows)
+						}
+					})
 				}
 			})
 		})

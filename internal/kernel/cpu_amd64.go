@@ -70,3 +70,15 @@ func cpuHasAVX512() bool {
 	lo, _ := xgetbv()
 	return lo&zmmState == zmmState
 }
+
+// cpuHasIFMA reports whether the AVX-512 backend's GF batch sweep can run
+// its IFMA tile: the AVX512_IFMA subset (leaf 7 EBX bit 21,
+// VPMADD52LUQ/VPMADD52HUQ) on top of everything cpuHasAVX512 requires.
+func cpuHasIFMA() bool {
+	if !cpuHasAVX512() {
+		return false
+	}
+	const avx512ifmaBit = 1 << 21 // leaf 7 EBX
+	_, b7, _, _ := cpuid(7, 0)
+	return b7&avx512ifmaBit != 0
+}

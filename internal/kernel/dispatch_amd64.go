@@ -8,7 +8,9 @@ package kernel
 // a backend can never be registered on hardware that cannot execute it.
 // The AVX2 backend needs AVX2+FMA and OS-enabled YMM state; the AVX-512
 // backend additionally needs AVX512F/DQ/BW/VL and OS-enabled
-// OPMASK/ZMM/Hi16-ZMM state.
+// OPMASK/ZMM/Hi16-ZMM state. AVX512-IFMA is not required: it only selects
+// the route of the avx512 GF batch sweep (cpuHasIFMA, read once at init
+// into gfTileIFMA), and without it that sweep takes the pack-free kernel.
 func archBackends() []*backendImpl {
 	var out []*backendImpl
 	if cpuHasAVX2FMA() {

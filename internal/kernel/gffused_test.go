@@ -21,41 +21,45 @@ func gfBatchRef(a []uint32, cols int, xs []uint32, w, lo, hi int) []uint32 {
 	return out
 }
 
-// checkGFSweeps compares both dispatched sweeps on every backend against
-// the reference over rows [lo, hi). Destinations carry a guard element so
-// a masked store that overruns its tile is caught.
+// checkGFSweeps compares both dispatched sweeps on every backend, and on
+// every batch-sweep route the backend can take here, against the
+// reference over rows [lo, hi). Destinations carry a guard element so a
+// masked store that overruns its tile is caught.
 func checkGFSweeps(t *testing.T, a []uint32, cols int, xs []uint32, w, lo, hi int) {
 	t.Helper()
 	const guard = 0xDEADBEEF
 	want := gfBatchRef(a, cols, xs, w, lo, hi)
 	for _, backend := range Backends() {
 		withBackend(t, backend, func() {
-			got := make([]uint32, (hi-lo)*w+1)
-			got[len(got)-1] = guard
-			GFMatVecBatchMod31(got[:len(got)-1], a, cols, xs, w, lo, hi)
-			if got[len(got)-1] != guard {
-				t.Fatalf("backend=%s cols=%d w=%d [%d,%d): batch sweep wrote past dst", backend, cols, w, lo, hi)
-			}
-			for i, v := range want {
-				if got[i] != v {
-					t.Fatalf("backend=%s cols=%d w=%d [%d,%d): batch row %d lane %d = %d, reference %d",
-						backend, cols, w, lo, hi, lo+i/w, i%w, got[i], v)
+			forEachGFTileRoute(backend, func(route string) {
+				backend := backend + route
+				got := make([]uint32, (hi-lo)*w+1)
+				got[len(got)-1] = guard
+				GFMatVecBatchMod31(got[:len(got)-1], a, cols, xs, w, lo, hi)
+				if got[len(got)-1] != guard {
+					t.Fatalf("backend=%s cols=%d w=%d [%d,%d): batch sweep wrote past dst", backend, cols, w, lo, hi)
 				}
-			}
-			single := make([]uint32, hi-lo+1)
-			for l := 0; l < w; l++ {
-				single[hi-lo] = guard
-				GFMatVecMod31(single[:hi-lo], a, cols, xs[l*cols:(l+1)*cols], lo, hi)
-				if single[hi-lo] != guard {
-					t.Fatalf("backend=%s cols=%d [%d,%d): single-x sweep wrote past dst", backend, cols, lo, hi)
-				}
-				for i := 0; i < hi-lo; i++ {
-					if single[i] != want[i*w+l] {
-						t.Fatalf("backend=%s cols=%d lane=%d [%d,%d): single-x row %d = %d, reference %d",
-							backend, cols, l, lo, hi, lo+i, single[i], want[i*w+l])
+				for i, v := range want {
+					if got[i] != v {
+						t.Fatalf("backend=%s cols=%d w=%d [%d,%d): batch row %d lane %d = %d, reference %d",
+							backend, cols, w, lo, hi, lo+i/w, i%w, got[i], v)
 					}
 				}
-			}
+				single := make([]uint32, hi-lo+1)
+				for l := 0; l < w; l++ {
+					single[hi-lo] = guard
+					GFMatVecMod31(single[:hi-lo], a, cols, xs[l*cols:(l+1)*cols], lo, hi)
+					if single[hi-lo] != guard {
+						t.Fatalf("backend=%s cols=%d [%d,%d): single-x sweep wrote past dst", backend, cols, lo, hi)
+					}
+					for i := 0; i < hi-lo; i++ {
+						if single[i] != want[i*w+l] {
+							t.Fatalf("backend=%s cols=%d lane=%d [%d,%d): single-x row %d = %d, reference %d",
+								backend, cols, l, lo, hi, lo+i, single[i], want[i*w+l])
+						}
+					}
+				}
+			})
 		})
 	}
 }
@@ -90,28 +94,49 @@ func TestGFFusedSweepsMatchPerLaneReference(t *testing.T) {
 	}
 }
 
-// TestGFFusedSweepsFoldBudget drives the lazy fold at its limit: every
-// operand at p−1 (and at the non-canonical p callers may hold
-// transiently) keeps every product at its maximum, so an accumulator
-// folded later than its three-product budget allows — in the unrolled
-// loop, the remainder blocks or the masked tail — would wrap 64 bits and
-// miss the reference. Column counts cover each fold phase with and
-// without a tail chunk, and a long row many fold periods deep.
+// TestGFFusedSweepsFoldBudget drives every fold at its limit: operands
+// that keep every product, or every product's low 52-bit half, at its
+// maximum make an accumulator folded later than its budget allows wrap
+// 64 bits and miss the reference.
 func TestGFFusedSweepsFoldBudget(t *testing.T) {
 	const p = uint32(p31)
+	check := func(av, xv uint32, cols, w int) {
+		t.Helper()
+		const rows = 5
+		a := make([]uint32, rows*cols)
+		xs := make([]uint32, w*cols)
+		for i := range a {
+			a[i] = av
+		}
+		for i := range xs {
+			xs[i] = xv
+		}
+		checkGFSweeps(t, a, cols, xs, w, 0, rows)
+	}
+	// The three-product lazy folds: every operand at p−1 (and at the
+	// non-canonical p callers may hold transiently) keeps every product
+	// at its maximum. Column counts cover each fold phase — in the
+	// unrolled loop, the remainder blocks or the masked tail — with and
+	// without a tail chunk, and a long row many fold periods deep.
 	for _, v := range []uint32{p - 1, p} {
 		for _, cols := range []int{8, 16, 23, 24, 25, 31, 32, 33, 40, 47, 48, 49, 71, 72, 73, 10007} {
 			for _, w := range []int{1, 5, 8, 15} {
-				const rows = 5
-				a := make([]uint32, rows*cols)
-				xs := make([]uint32, w*cols)
-				for i := range a {
-					a[i] = v
-				}
-				for i := range xs {
-					xs[i] = v
-				}
-				checkGFSweeps(t, a, cols, xs, w, 0, rows)
+				check(v, v, cols, w)
+			}
+		}
+	}
+	// The IFMA tile's accumulators, merged once per 4 094 full column
+	// blocks: rows one block either side of the merge interval, one merge
+	// plus a tail, and two merge periods deep. (2²⁶−1)·(2²⁶+1) = 2⁵²−1 is
+	// the largest low half a product can leave, so with those operands
+	// the last row segment — 4 094 full blocks after a merge, plus the
+	// masked tail — sits at the 64-bit limit, and merging every 4 095 or
+	// 4 096 blocks wraps at 2·8·4 095+7 or 8·4 096+1 columns.
+	const merge = 8 * 4094
+	for _, op := range [][2]uint32{{p - 1, p - 1}, {p, p}, {1<<26 - 1, 1<<26 + 1}} {
+		for _, cols := range []int{merge - 1, merge, merge + 1, 8*4095 + 7, 8*4096 + 1, 2*merge + 7, 2*merge + 9, 2*8*4095 + 7} {
+			for _, w := range []int{6, 8, 15} {
+				check(op[0], op[1], cols, w)
 			}
 		}
 	}

@@ -287,23 +287,18 @@ func TestMatMulAVX512Speedup(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	a, b := randSlice(size*size, rng), randSlice(size*size, rng)
 	dst := make([]float64, size*size)
-	run := func(name string) time.Duration {
-		var d time.Duration
-		withBackend(t, name, func() {
-			d = bestOf(1, 1, func() { MatMul(dst, a, size, size, b, size) })
-		})
-		return d
-	}
+	mm := func() { MatMul(dst, a, size, size, b, size) }
+	avx2, avx512 := onBackend(t, "avx2", 1, mm), onBackend(t, "avx512", 1, mm)
 	// Paired trials, best ratio: other test binaries share this machine,
 	// and back-to-back runs see the same contention, so the ratio within
 	// a pair is far more stable than two independently-timed bests. One
 	// untimed warm run per backend first (page-in, 512-bit power-up).
-	run("avx2")
-	run("avx512")
+	avx2()
+	avx512()
 	best, bestA2, bestA5 := 0.0, time.Duration(0), time.Duration(0)
 	for trial := 0; trial < 5; trial++ {
-		a2 := run("avx2")
-		a5 := run("avx512")
+		a2 := avx2()
+		a5 := avx512()
 		if r := float64(a2) / float64(a5); r > best {
 			best, bestA2, bestA5 = r, a2, a5
 		}
@@ -330,15 +325,8 @@ func TestGFDecodeSolveAVX512Speedup(t *testing.T) {
 	for i := range b {
 		b[i] = (uint32(i) * 40503) % uint32(p31)
 	}
-	run := func(name string) time.Duration {
-		var d time.Duration
-		withBackend(t, name, func() {
-			d = bestOf(5, 20, func() { gfMatMulAcc(dst, a, k, b, n, 0, k) })
-		})
-		return d
-	}
-	scalar := run("generic")
-	vector := run("avx512")
+	solve := func() { gfMatMulAcc(dst, a, k, b, n, 0, k) }
+	scalar, vector := bestOfAlternating(5, onBackend(t, "generic", 20, solve), onBackend(t, "avx512", 20, solve))
 	t.Logf("GF decode solve %dx%d·%dx%d: generic %v, avx512 %v (%.2fx)",
 		k, k, k, n, scalar, vector, float64(scalar)/float64(vector))
 	if float64(scalar) < 1.5*float64(vector) {
