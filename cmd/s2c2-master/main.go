@@ -24,6 +24,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -127,6 +128,7 @@ func runExact(cfg rpc.MasterConfig, n, k, iters, rows, cols int, timeoutFrac flo
 	// retry and eviction paths.
 	m.StartAdmissions()
 	defer reportRecovery(m)
+	ctx, job := context.Background(), m.DefaultJob()
 
 	rng := rand.New(rand.NewSource(1))
 	data := make([]gf.Elem, rows*cols)
@@ -142,7 +144,7 @@ func runExact(cfg rpc.MasterConfig, n, k, iters, rows, cols int, timeoutFrac flo
 	if err != nil {
 		return err
 	}
-	if err := m.DistributeGFPartitions(0, enc.Parts); err != nil {
+	if err := rpc.Distribute(ctx, job, 0, enc.Parts); err != nil {
 		return err
 	}
 	fmt.Printf("distributed %d exact GF(2^31-1) partitions of %dx%d\n", n, enc.BlockRows, cols)
@@ -161,12 +163,12 @@ func runExact(cfg rpc.MasterConfig, n, k, iters, rows, cols int, timeoutFrac flo
 			x[i] = gf.New(rng.Uint64())
 		}
 		local.MulVecInto(want, x)
-		plan, err := m.PlanRound(strat, speeds)
+		plan, err := job.PlanRound(strat, speeds)
 		if err != nil {
 			return err
 		}
 		start := time.Now()
-		partials, stats, err := m.RunGFRound(iter, 0, x, plan, k, timeoutFrac)
+		partials, stats, err := rpc.Run(ctx, job, rpc.RoundSpec[gf.Elem]{Iter: iter, X: x, Plan: plan, K: k, TimeoutFrac: timeoutFrac})
 		if err != nil {
 			return err
 		}
@@ -207,6 +209,7 @@ func run(cfg rpc.MasterConfig, n, k, iters, samples, feats int, timeoutFrac floa
 	fmt.Printf("all %d workers connected\n", n)
 	m.StartAdmissions()
 	defer reportRecovery(m)
+	ctx, job := context.Background(), m.DefaultJob()
 
 	data := workloads.SyntheticClassification(samples, feats, 1)
 	lr := &workloads.LogisticRegression{Data: data, LR: 0.5, Lambda: 1e-4, Tol: 0}
@@ -222,7 +225,7 @@ func run(cfg rpc.MasterConfig, n, k, iters, samples, feats int, timeoutFrac floa
 	for p, mtx := range matrices {
 		encs[p] = code.Encode(mtx)
 		strategies[p] = &sched.GeneralS2C2{N: n, K: k, BlockRows: encs[p].BlockRows}
-		if err := m.DistributePartitions(p, encs[p]); err != nil {
+		if err := rpc.Distribute(ctx, job, p, encs[p].Parts); err != nil {
 			return err
 		}
 		fmt.Printf("phase %d: distributed %d coded partitions of %dx%d\n",
@@ -242,11 +245,11 @@ func run(cfg rpc.MasterConfig, n, k, iters, samples, feats int, timeoutFrac floa
 		var compute, resp time.Duration // slowest worker's, summed over the phases
 		for p := range matrices {
 			in := lr.PhaseInput(p, state, outputs[:p])
-			plan, err := m.PlanRound(strategies[p], speeds)
+			plan, err := job.PlanRound(strategies[p], speeds)
 			if err != nil {
 				return err
 			}
-			partials, stats, err := m.RunRound(iter, p, in, plan, k, timeoutFrac)
+			partials, stats, err := rpc.Run(ctx, job, rpc.RoundSpec[float64]{Iter: iter, Phase: p, X: in, Plan: plan, K: k, TimeoutFrac: timeoutFrac})
 			if err != nil {
 				return err
 			}

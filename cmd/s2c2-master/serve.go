@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -55,7 +56,7 @@ func runServe(cfg rpc.MasterConfig, n, k, iters, rows, cols int, timeoutFrac flo
 			return err
 		}
 		j := m.OpenJob(rpc.JobConfig{Priority: i})
-		if err := j.DistributeGFPartitions(0, enc.Parts); err != nil {
+		if err := rpc.Distribute(context.Background(), j, 0, enc.Parts); err != nil {
 			return err
 		}
 		tenants[i] = &tenant{
@@ -97,7 +98,7 @@ func runServe(cfg rpc.MasterConfig, n, k, iters, rows, cols int, timeoutFrac flo
 					errs[i] = err
 					return
 				}
-				partials, stats, err := t.job.RunGFRound(iter, 0, x, plan, k, timeoutFrac)
+				partials, stats, err := rpc.Run(context.Background(), t.job, rpc.RoundSpec[gf.Elem]{Iter: iter, X: x, Plan: plan, K: k, TimeoutFrac: timeoutFrac})
 				if err != nil {
 					errs[i] = fmt.Errorf("job %d iter %d: %w", t.job.ID(), iter, err)
 					return

@@ -36,6 +36,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer master.Shutdown()
+	// A single-tenant master runs every round on its default job.
+	job := master.DefaultJob()
 
 	// Launch workers sequentially so IDs are deterministic; worker 3 is a
 	// straggler with an 8x artificial slowdown.
@@ -69,7 +71,7 @@ func main() {
 		log.Fatal(err)
 	}
 	enc := code.Encode(data.X)
-	if err := master.DistributePartitions(0, enc); err != nil {
+	if err := s2c2.Distribute(context.Background(), job, 0, enc.Parts); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("distributed %d coded partitions of %d rows\n", n, enc.BlockRows)
@@ -92,7 +94,7 @@ func main() {
 		// straggling round and move on instead of waiting out the stall
 		// deadline.
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		partials, stats, err := master.RunRoundContext(ctx, iter, 0, w, plan, k, 0.15)
+		partials, stats, err := s2c2.Run(ctx, job, s2c2.RoundSpec[float64]{Iter: iter, X: w, Plan: plan, K: k, TimeoutFrac: 0.15})
 		cancel()
 		if err != nil {
 			log.Fatal(err)

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -44,6 +45,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer master.Shutdown()
+	// A single-tenant master runs every round on its default job.
+	ctx, job := context.Background(), master.DefaultJob()
 
 	for i := 0; i < n; i++ {
 		slow := 1.0
@@ -86,7 +89,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := master.DistributeGFPartitions(0, enc.Parts); err != nil {
+	if err := s2c2.Distribute(ctx, job, 0, enc.Parts); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("distributed %d exact GF(2^31-1) partitions of %d rows\n", n, enc.BlockRows)
@@ -105,7 +108,7 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		partials, stats, err := master.RunGFRound(iter, 0, x, plan, k, 0.15)
+		partials, stats, err := s2c2.Run(ctx, job, s2c2.RoundSpec[s2c2.GFElem]{Iter: iter, X: x, Plan: plan, K: k, TimeoutFrac: 0.15})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -152,7 +155,7 @@ func main() {
 	for i, s := range shares {
 		parts[i] = s2c2.NewGFMatrixFromData(blockRows, cols, s)
 	}
-	if err := master.DistributeGFPartitions(1, parts); err != nil {
+	if err := s2c2.Distribute(ctx, job, 1, parts); err != nil {
 		log.Fatal(err)
 	}
 	// Every worker evaluates its whole share; any threshold-many complete
@@ -167,7 +170,7 @@ func main() {
 		x[i] = s2c2.NewGFElem(rng.Uint64())
 	}
 	local.MulVecInto(want, x)
-	partials, _, err := master.RunGFRound(0, 1, x, plan, threshold, 10.0)
+	partials, _, err := s2c2.Run(ctx, job, s2c2.RoundSpec[s2c2.GFElem]{Phase: 1, X: x, Plan: plan, K: threshold, TimeoutFrac: 10.0})
 	if err != nil {
 		log.Fatal(err)
 	}

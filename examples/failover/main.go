@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -66,6 +67,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer master.Shutdown()
+	// A single-tenant master runs every round on its default job.
+	ctx, job := context.Background(), master.DefaultJob()
 
 	workers := make([]*s2c2.Worker, n)
 	for i := 0; i < n; i++ {
@@ -84,7 +87,7 @@ func main() {
 		log.Fatal(err)
 	}
 	enc := code.Encode(data.X)
-	if err := master.DistributePartitions(0, enc); err != nil {
+	if err := s2c2.Distribute(ctx, job, 0, enc.Parts); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("distributed %d coded partitions of %d rows\n", n, enc.BlockRows)
@@ -112,7 +115,7 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		partials, stats, err := master.RunRound(iter, 0, x, plan, k, 10.0)
+		partials, stats, err := s2c2.Run(ctx, job, s2c2.RoundSpec[float64]{Iter: iter, X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -23,7 +23,7 @@ import (
 // an argument. Minting a fresh root context below an entry point detaches
 // the call from the caller's deadline and cancellation; the straggler
 // cutoff stops propagating. Root entry points without a ctx parameter
-// (RunRound) are free to mint one.
+// (a program's main, a test) are free to mint one.
 //
 // Rule 3 — retry loops must not swallow the loop's error: inside a
 // //s2c2:partition-attrib function, an error variable declared outside a

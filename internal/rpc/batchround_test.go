@@ -10,6 +10,7 @@ package rpc
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math/rand"
 	"reflect"
@@ -68,7 +69,7 @@ func runGFBatchTrial(t *testing.T, rng *rand.Rand, w int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DistributeGFPartitions(0, enc.Parts); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
@@ -84,7 +85,7 @@ func runGFBatchTrial(t *testing.T, rng *rand.Rand, w int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		partials, _, err := m.RunGFRoundBatch(iter, 0, xs, w, plan, k, frac)
+		partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[gf.Elem]{Iter: iter, X: xs, Width: w, Plan: plan, K: k, TimeoutFrac: frac})
 		if err != nil {
 			t.Fatalf("n=%d k=%d rows=%d cols=%d w=%d straggler=%d: %v",
 				n, k, rows, cols, w, straggler, err)
@@ -162,7 +163,7 @@ func TestRoundBatchExactness(t *testing.T) {
 				t.Fatal(err)
 			}
 			enc := code.Encode(a)
-			if err := m.DistributePartitions(0, enc); err != nil {
+			if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 				t.Fatal(err)
 			}
 			strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
@@ -178,7 +179,7 @@ func TestRoundBatchExactness(t *testing.T) {
 			for i := range xs {
 				xs[i] = rng.NormFloat64()
 			}
-			partials, _, err := m.RunRoundBatch(0, 0, xs, w, plan, k, 10.0)
+			partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: xs, Width: w, Plan: plan, K: k, TimeoutFrac: 10.0})
 			if err != nil {
 				t.Fatalf("n=%d k=%d w=%d: %v", n, k, w, err)
 			}
@@ -246,7 +247,7 @@ func TestGFRoundBatchTimeoutReassignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DistributeGFPartitions(0, enc.Parts); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
@@ -255,7 +256,7 @@ func TestGFRoundBatchTimeoutReassignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := randElems(rng, w*cols)
-	partials, stats, err := m.RunGFRoundBatch(0, 0, xs, w, plan, k, 0.15)
+	partials, stats, err := Run(context.Background(), m.DefaultJob(), RoundSpec[gf.Elem]{X: xs, Width: w, Plan: plan, K: k, TimeoutFrac: 0.15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -709,18 +710,19 @@ func TestBatchGatherAllLanesOrNothing(t *testing.T) {
 }
 
 // TestRunRoundBatchValidatesArgs pins the public API guard: widths
-// outside [1, maxBatchWidth] and xs lengths that do not divide by the
-// width are errors before any network traffic.
+// outside [1, maxBatchWidth] (a RoundSpec Width of 0 reads as 1) and xs
+// lengths that do not divide by the width are errors before any network
+// traffic.
 func TestRunRoundBatchValidatesArgs(t *testing.T) {
 	m := &Master{}
 	plan := &sched.Plan{BlockRows: 1, Assignments: [][]coding.Range{{{Lo: 0, Hi: 1}}}}
-	if _, _, err := m.RunRoundBatch(0, 0, make([]float64, 3), 2, plan, 1, 1.0); err == nil {
+	if _, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: make([]float64, 3), Width: 2, Plan: plan, K: 1, TimeoutFrac: 1.0}); err == nil {
 		t.Fatal("xs length not divisible by width accepted")
 	}
-	if _, _, err := m.RunRoundBatch(0, 0, nil, 0, plan, 1, 1.0); err == nil {
-		t.Fatal("width 0 accepted")
+	if _, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{Width: -1, Plan: plan, K: 1, TimeoutFrac: 1.0}); err == nil {
+		t.Fatal("width -1 accepted")
 	}
-	if _, _, err := m.RunGFRoundBatch(0, 0, make([]gf.Elem, 4), maxBatchWidth+1, plan, 1, 1.0); err == nil {
+	if _, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[gf.Elem]{X: make([]gf.Elem, 4), Width: maxBatchWidth + 1, Plan: plan, K: 1, TimeoutFrac: 1.0}); err == nil {
 		t.Fatal("oversized width accepted")
 	}
 }

@@ -3,6 +3,7 @@ package rpc
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math/rand"
@@ -256,7 +257,7 @@ func TestShutdownReleasesDataset(t *testing.T) {
 			t.Fatal(err)
 		}
 		enc := code.Encode(mat.New(rows, cols))
-		if err := m.DistributePartitions(0, enc); err != nil {
+		if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 			t.Fatal(err)
 		}
 		if held := heap() - before; held < 64<<20 {
@@ -291,12 +292,12 @@ func TestJobCloseFreesWorkerPartitions(t *testing.T) {
 	}
 	a := mat.Rand(rows, cols, rng)
 	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	j := m.OpenJob(JobConfig{})
 	jobEnc := code.Encode(mat.Rand(rows, cols, rng))
-	if err := j.DistributePartitions(0, jobEnc); err != nil {
+	if err := Distribute(context.Background(), j, 0, jobEnc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	gfCode, err := coding.NewGFMDSCode(n, k)
@@ -311,7 +312,7 @@ func TestJobCloseFreesWorkerPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.DistributeGFPartitions(1, gfEnc.Parts); err != nil {
+	if err := Distribute(context.Background(), j, 1, gfEnc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	wp0, wp1 := j.wirePhase(0), j.wirePhase(1)
@@ -353,7 +354,7 @@ func TestJobCloseFreesWorkerPartitions(t *testing.T) {
 	if retained != 1 {
 		t.Fatalf("master retains %d phases after Close, want the default job's 1", retained)
 	}
-	if _, _, err := j.RunRound(0, 0, make([]float64, cols), nil, k, 10); err == nil ||
+	if _, _, err := Run(context.Background(), j, RoundSpec[float64]{X: make([]float64, cols), Plan: nil, K: k, TimeoutFrac: 10}); err == nil ||
 		!strings.Contains(err.Error(), "no distributed partitions") {
 		t.Fatalf("round on a closed job: %v, want the undistributed-phase error", err)
 	}
@@ -368,7 +369,7 @@ func TestJobCloseFreesWorkerPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partials, _, err := m.RunRound(0, 0, x, plan, k, 10)
+	partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: x, Plan: plan, K: k, TimeoutFrac: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

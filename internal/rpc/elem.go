@@ -14,20 +14,11 @@ import (
 // the generic code holds as a type parameter C and calls through once per
 // frame or per row range, never per element.
 
-// matrix is a coded partition as both ends hold it: *mat.Dense for
-// float64, *gf.Matrix for field elements.
-type matrix[T coding.Element] interface {
+// Partition is a coded partition as Distribute ships it and a worker
+// holds it: *mat.Dense for float64, *gf.Matrix for GF(2³¹−1).
+type Partition[T coding.Element] interface {
 	Dims() (rows, cols int)
 	Data() []T
-}
-
-// matrices views a slice of concrete partitions as matrix values.
-func matrices[T coding.Element, M matrix[T]](parts []M) []matrix[T] {
-	out := make([]matrix[T], len(parts))
-	for i, p := range parts {
-		out[i] = p
-	}
-	return out
 }
 
 // elemSpec is the wire-level description of one element type: the elem
@@ -56,10 +47,10 @@ type codec[T coding.Element] interface {
 	// decodes one whose count must equal len(dst).
 	get(p *wire.Payload, dst []T) []T
 	into(p *wire.Payload, dst []T) error
-	newMatrix(rows, cols int) matrix[T]
+	newMatrix(rows, cols int) Partition[T]
 	// sweep computes rows [lo, hi) of part against bw concatenated input
 	// vectors into dst, row-major bw-wide.
-	sweep(dst []T, part matrix[T], xs []T, bw, lo, hi int)
+	sweep(dst []T, part Partition[T], xs []T, bw, lo, hi int)
 	// valid reports whether landed partition rows are safe to compute on.
 	valid(rows []T) bool
 }
@@ -72,12 +63,12 @@ func (floatCodec) put(w *wire.Writer, v []float64)              { w.Float64s(v) 
 func (floatCodec) putTail(w *wire.Writer, v []float64)          { w.Float64sTail(v) }
 func (floatCodec) get(p *wire.Payload, dst []float64) []float64 { return p.Float64s(dst) }
 func (floatCodec) into(p *wire.Payload, dst []float64) error    { return p.Float64sInto(dst) }
-func (floatCodec) newMatrix(rows, cols int) matrix[float64]     { return mat.New(rows, cols) }
+func (floatCodec) newMatrix(rows, cols int) Partition[float64]  { return mat.New(rows, cols) }
 func (floatCodec) valid([]float64) bool                         { return true }
 
 // sweep runs the fused multi-x kernel for batched rounds: one pass over
 // the band serves every lane.
-func (floatCodec) sweep(dst []float64, part matrix[float64], xs []float64, bw, lo, hi int) {
+func (floatCodec) sweep(dst []float64, part Partition[float64], xs []float64, bw, lo, hi int) {
 	_, cols := part.Dims()
 	if bw == 1 {
 		kernel.MatVecRange(dst, part.Data(), cols, xs, lo, hi)
@@ -95,15 +86,15 @@ func (gfCodec) putTail(w *wire.Writer, v []gf.Elem) { w.Uint32sTail(gf.AsUint32s
 func (gfCodec) get(p *wire.Payload, dst []gf.Elem) []gf.Elem {
 	return gf.AsElems(p.Uint32s(gf.AsUint32s(dst)))
 }
-func (gfCodec) into(p *wire.Payload, dst []gf.Elem) error { return p.Uint32sInto(gf.AsUint32s(dst)) }
-func (gfCodec) newMatrix(rows, cols int) matrix[gf.Elem]  { return gf.NewMatrix(rows, cols) }
+func (gfCodec) into(p *wire.Payload, dst []gf.Elem) error   { return p.Uint32sInto(gf.AsUint32s(dst)) }
+func (gfCodec) newMatrix(rows, cols int) Partition[gf.Elem] { return gf.NewMatrix(rows, cols) }
 
 // valid rejects non-canonical lanes: the worker's Mersenne-folded mat-vec
 // bounds its intermediate arithmetic on every element being < P, so a
 // lane ≥ P is a protocol error at ingest, not a silent wraparound later.
 func (gfCodec) valid(rows []gf.Elem) bool { return gf.Valid(rows) }
 
-func (gfCodec) sweep(dst []gf.Elem, part matrix[gf.Elem], xs []gf.Elem, bw, lo, hi int) {
+func (gfCodec) sweep(dst []gf.Elem, part Partition[gf.Elem], xs []gf.Elem, bw, lo, hi int) {
 	m := part.(*gf.Matrix)
 	if bw == 1 {
 		m.MulVecRangeInto(dst, xs, lo, hi)

@@ -5,6 +5,7 @@ package rpc
 // storage that keeps a float64 and a GF dataset of the same phase apart.
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -72,10 +73,10 @@ func TestRoundRejectsInvalidThreshold(t *testing.T) {
 	m := startTestCluster(t, n, clusterConfig{})
 	rng := rand.New(rand.NewSource(281))
 	a, enc, data, gfEnc := exactAndFloatDatasets(t, rng, n, k, rows, cols)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DistributeGFPartitions(0, gfEnc.Parts); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, gfEnc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	plan, gfPlan := evenPlan(t, n, k, enc.BlockRows), evenPlan(t, n, k, gfEnc.BlockRows)
@@ -90,9 +91,9 @@ func TestRoundRejectsInvalidThreshold(t *testing.T) {
 			start := time.Now()
 			var err error
 			if exact {
-				_, _, err = m.RunGFRound(0, 0, gx, gfPlan, bad, 1)
+				_, _, err = Run(context.Background(), m.DefaultJob(), RoundSpec[gf.Elem]{X: gx, Plan: gfPlan, K: bad, TimeoutFrac: 1})
 			} else {
-				_, _, err = m.RunRound(0, 0, x, plan, bad, 1)
+				_, _, err = Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: x, Plan: plan, K: bad, TimeoutFrac: 1})
 			}
 			if err == nil || !strings.Contains(err.Error(), "threshold") {
 				t.Fatalf("k=%d exact=%v: round returned %v, want a threshold error", bad, exact, err)
@@ -103,7 +104,7 @@ func TestRoundRejectsInvalidThreshold(t *testing.T) {
 		}
 	}
 
-	partials, _, err := m.RunRound(1, 0, x, plan, k, 10)
+	partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{Iter: 1, X: x, Plan: plan, K: k, TimeoutFrac: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestRoundRejectsInvalidThreshold(t *testing.T) {
 	if !mat.VecApproxEqual(got, mat.MatVec(a, x), 1e-9) {
 		t.Fatal("float64 round after the rejections decodes wrong")
 	}
-	gfPartials, _, err := m.RunGFRound(1, 0, gx, gfPlan, k, 10)
+	gfPartials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[gf.Elem]{Iter: 1, X: gx, Plan: gfPlan, K: k, TimeoutFrac: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +133,13 @@ func TestElementTypesIsolatedPerPhase(t *testing.T) {
 	rng := rand.New(rand.NewSource(282))
 	a, enc, data, gfEnc := exactAndFloatDatasets(t, rng, n, k, rows, cols)
 	j := m.OpenJob(JobConfig{})
-	if err := j.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), j, 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.DistributeGFPartitions(0, gfEnc.Parts); err != nil {
+	if err := Distribute(context.Background(), j, 0, gfEnc.Parts); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.DistributePartitions(1, enc); err != nil { // float64 only
+	if err := Distribute(context.Background(), j, 1, enc.Parts); err != nil { // float64 only
 		t.Fatal(err)
 	}
 
@@ -146,7 +147,7 @@ func TestElementTypesIsolatedPerPhase(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	partials, _, err := j.RunRound(0, 0, x, evenPlan(t, n, k, enc.BlockRows), k, 10)
+	partials, _, err := Run(context.Background(), j, RoundSpec[float64]{X: x, Plan: evenPlan(t, n, k, enc.BlockRows), K: k, TimeoutFrac: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,14 +160,14 @@ func TestElementTypesIsolatedPerPhase(t *testing.T) {
 	}
 	gx := randElems(rng, cols)
 	gfPlan := evenPlan(t, n, k, gfEnc.BlockRows)
-	gfPartials, _, err := j.RunGFRound(0, 0, gx, gfPlan, k, 10)
+	gfPartials, _, err := Run(context.Background(), j, RoundSpec[gf.Elem]{X: gx, Plan: gfPlan, K: k, TimeoutFrac: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGFDecode(t, gfEnc, gfPartials, rows, cols, data, gx)
 
 	start := time.Now()
-	if _, _, err := j.RunGFRound(1, 1, gx, gfPlan, k, 10); err == nil ||
+	if _, _, err := Run(context.Background(), j, RoundSpec[gf.Elem]{Iter: 1, Phase: 1, X: gx, Plan: gfPlan, K: k, TimeoutFrac: 10}); err == nil ||
 		!strings.Contains(err.Error(), "no distributed GF partitions") {
 		t.Fatalf("GF round on a float64-only phase: %v, want the undistributed-phase error", err)
 	}

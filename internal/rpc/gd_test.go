@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -34,7 +35,7 @@ func TestTCPGradientDescentEndToEnd(t *testing.T) {
 	for p, mtx := range matrices {
 		encs[p] = code.Encode(mtx)
 		strategies[p] = &sched.GeneralS2C2{N: n, K: k, BlockRows: encs[p].BlockRows}
-		if err := m.DistributePartitions(p, encs[p]); err != nil {
+		if err := Distribute(context.Background(), m.DefaultJob(), p, encs[p].Parts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,11 +47,11 @@ func TestTCPGradientDescentEndToEnd(t *testing.T) {
 		outputs := make([][]float64, len(matrices))
 		for p := range matrices {
 			in := lr.PhaseInput(p, state, outputs[:p])
-			plan, err := m.PlanRound(strategies[p], speeds)
+			plan, err := m.DefaultJob().PlanRound(strategies[p], speeds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			partials, stats, err := m.RunRound(iter, p, in, plan, k, 0.15)
+			partials, stats, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{Iter: iter, Phase: p, X: in, Plan: plan, K: k, TimeoutFrac: 0.15})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,14 +102,14 @@ func TestTCPStaleResultsIgnored(t *testing.T) {
 	a := mat.NewFromRows([][]float64{{1, 0}, {0, 1}, {2, 1}, {1, 2}})
 	code, _ := coding.NewMDSCode(n, k)
 	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
 	plan, _ := strat.Plan([]float64{1, 1, 1})
 	for iter := 0; iter < 5; iter++ {
 		x := []float64{float64(iter + 1), float64(-iter)}
-		partials, _, err := m.RunRound(iter, 0, x, plan, k, 5.0)
+		partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{Iter: iter, X: x, Plan: plan, K: k, TimeoutFrac: 5.0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +155,7 @@ func TestTCPWorkerShutdown(t *testing.T) {
 func TestRunRoundRequiresPartitions(t *testing.T) {
 	m := startCluster(t, 2, nil)
 	plan := &sched.Plan{BlockRows: 4, Assignments: [][]coding.Range{{{Lo: 0, Hi: 4}}, {{Lo: 0, Hi: 4}}}}
-	if _, _, err := m.RunRound(0, 9, []float64{1}, plan, 2, 1.0); err == nil {
+	if _, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{Phase: 9, X: []float64{1}, Plan: plan, K: 2, TimeoutFrac: 1.0}); err == nil {
 		t.Fatal("round on an undistributed phase must fail")
 	}
 }
@@ -164,14 +165,14 @@ func TestRunRoundRequiresEnoughActiveWorkers(t *testing.T) {
 	a := mat.NewFromRows([][]float64{{1}, {2}, {3}, {4}})
 	code, _ := coding.NewMDSCode(3, 2)
 	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	// A plan that only activates one worker cannot decode with k=2.
 	plan := &sched.Plan{BlockRows: enc.BlockRows, Assignments: [][]coding.Range{
 		{{Lo: 0, Hi: enc.BlockRows}}, nil, nil,
 	}}
-	if _, _, err := m.RunRound(0, 0, []float64{1}, plan, 2, 1.0); err == nil {
+	if _, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: []float64{1}, Plan: plan, K: 2, TimeoutFrac: 1.0}); err == nil {
 		t.Fatal("must reject plans with fewer than k active workers")
 	}
 }

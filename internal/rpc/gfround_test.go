@@ -7,6 +7,7 @@ package rpc
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math/rand"
 	"testing"
@@ -81,7 +82,7 @@ func runGFTrial(t *testing.T, rng *rand.Rand) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DistributeGFPartitions(0, enc.Parts); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	gran := enc.BlockRows
@@ -102,7 +103,7 @@ func runGFTrial(t *testing.T, rng *rand.Rand) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		partials, stats, err := m.RunGFRound(iter, 0, x, plan, k, frac)
+		partials, stats, err := Run(context.Background(), m.DefaultJob(), RoundSpec[gf.Elem]{Iter: iter, X: x, Plan: plan, K: k, TimeoutFrac: frac})
 		if err != nil {
 			t.Fatalf("n=%d k=%d rows=%d cols=%d straggler=%d: %v",
 				n, k, rows, cols, straggler, err)
@@ -162,7 +163,7 @@ func TestGFRoundTimeoutReassignmentExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DistributeGFPartitions(0, enc.Parts); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
@@ -171,7 +172,7 @@ func TestGFRoundTimeoutReassignmentExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randElems(rng, cols)
-	partials, stats, err := m.RunGFRound(0, 0, x, plan, k, 0.15)
+	partials, stats, err := Run(context.Background(), m.DefaultJob(), RoundSpec[gf.Elem]{X: x, Plan: plan, K: k, TimeoutFrac: 0.15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestGFRoundLagrangeExactness(t *testing.T) {
 	for i, s := range shares {
 		parts[i] = gf.NewMatrixFromData(blockRows, cols, s)
 	}
-	if err := m.DistributeGFPartitions(0, parts); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, parts); err != nil {
 		t.Fatal(err)
 	}
 	// Full-share evaluation: every worker computes all rows of its share.
@@ -254,7 +255,7 @@ func TestGFRoundLagrangeExactness(t *testing.T) {
 	plan := &sched.Plan{BlockRows: blockRows, Assignments: assignments}
 	threshold := lag.RecoveryThreshold(1)
 	x := randElems(rng, cols)
-	partials, _, err := m.RunGFRound(0, 0, x, plan, threshold, 10.0)
+	partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[gf.Elem]{X: x, Plan: plan, K: threshold, TimeoutFrac: 10.0})
 	if err != nil {
 		t.Fatal(err)
 	}

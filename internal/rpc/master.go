@@ -26,12 +26,11 @@ type MasterConfig struct {
 	// masters in one process stop contending for the shared
 	// GOMAXPROCS-sized default pool. The zero value uses the default.
 	Exec kernel.Exec
-	// ReuseRound lets RunRound return partials and stats backed by a
-	// per-master workspace that the NEXT RunRound overwrites. Drivers
-	// that decode each round before starting the next (every iterative
-	// workload) set it to make the steady-state gather path
-	// allocation-free; leave it false if round results must outlive the
-	// following round.
+	// ReuseRound lets Run return partials and stats backed by a per-job
+	// workspace that the job's NEXT round overwrites. Drivers that decode
+	// each round before starting the next (every iterative workload) set
+	// it to make the steady-state gather path allocation-free; leave it
+	// false if round results must outlive the following round.
 	ReuseRound bool
 	// StallTimeout bounds how long a round waits for responders (both
 	// before and after reassignment) and how long a streamed partition
@@ -140,7 +139,7 @@ type workerConn struct {
 	// flight fails promptly instead of waiting out the stall timeout.
 	dead chan struct{}
 	// xfer serializes partition transfers on this connection: concurrent
-	// DistributePartitions calls for different phases would otherwise
+	// Distribute calls for different phases would otherwise
 	// consume (and drop) each other's credits off the shared acks channel.
 	xfer sync.Mutex
 	// id is the worker slot this connection serves, or -1 while parked in
@@ -166,9 +165,8 @@ type workerConn struct {
 // streams coded partitions, runs assignment rounds, and decodes results.
 //
 // A master serves any number of jobs concurrently over the same worker
-// connections (OpenJob); the promoted Distribute/Run methods act on the
-// built-in default job, so single-tenant callers never see the serving
-// layer.
+// connections (OpenJob); single-tenant callers pass the built-in default
+// job (DefaultJob) to Run and Distribute and never see the serving layer.
 type Master struct {
 	cfg  MasterConfig
 	ln   net.Listener
@@ -186,8 +184,8 @@ type Master struct {
 	// phase — across every job — so a replacement worker promoted into a
 	// slot can be brought up to the incumbent's state by re-streaming
 	// (retryPartitions, RepairWorkers).
-	parts   map[int][]matrix[float64]
-	gfParts map[int][]matrix[gf.Elem]
+	parts   map[int][]Partition[float64]
+	gfParts map[int][]Partition[gf.Elem]
 	// totals accumulates lifetime recovery counters (RecoveryTotals).
 	totals RecoveryStats
 
@@ -196,8 +194,7 @@ type Master struct {
 	// parked mid-call (by a previous call's orphaned admission).
 	pendingReady chan struct{}
 
-	// def is the built-in default job (id 0): the one every promoted
-	// Master round/distribute method acts on.
+	// def is the built-in default job (id 0, DefaultJob).
 	def Job
 	// jobsMu guards the job registry; the readLoops take it per result to
 	// route by job id, so it is an RWMutex written only on OpenJob/Close.
@@ -232,8 +229,8 @@ func NewMasterWithConfig(cfg MasterConfig) (*Master, error) {
 		cfg:          cfg,
 		ln:           ln,
 		quit:         make(chan struct{}),
-		parts:        map[int][]matrix[float64]{},
-		gfParts:      map[int][]matrix[gf.Elem]{},
+		parts:        map[int][]Partition[float64]{},
+		gfParts:      map[int][]Partition[gf.Elem]{},
 		pendingReady: make(chan struct{}, 1),
 	}
 	initJob(&m.def, m, 0, JobConfig{})
@@ -650,8 +647,8 @@ func (m *Master) conns() []*workerConn {
 	return m.workers
 }
 
-// PartitionError attributes one worker's failed partition transfer. The
-// Distribute functions wrap every per-worker failure in one (joined with
+// PartitionError attributes one worker's failed partition transfer.
+// Distribute wraps every per-worker failure in one (joined with
 // errors.Join when several workers fail), so a caller — or a future
 // retry/re-stream layer — can extract exactly which transfers broke with
 // errors.As instead of parsing message text.
@@ -704,100 +701,55 @@ func distributeAll(workers []*workerConn, ship func(w int, wc *workerConn) error
 	}
 }
 
-// DistributePartitions ships phase p's coded partitions (partition w to
-// worker w), all workers in parallel. Each partition is streamed in
-// ChunkRows-row chunks under a ChunkWindow credit window — the worker
-// acknowledges every chunk it has stored, so peak transport memory is
-// O(chunk), not O(partition), on both ends. Failures name the broken
-// workers (*PartitionError, aggregated across workers); with
-// MasterConfig.Retry enabled, only the failed workers' partitions are
-// re-streamed — to a warm spare promoted into the slot when one is parked
-// — under bounded exponential backoff before any error is returned.
+// Distribute ships phase's coded partitions of element type T to job j's
+// workers (partition w to worker w, all in parallel): EncodedMatrix.Parts,
+// GFEncodedMatrix.Parts, or Lagrange shares wrapped as field matrices —
+// one partition of a shared shape per worker, else ErrDistributeShape
+// before anything ships. Phase numbers are the job's own namespace. Each
+// partition streams in ChunkRows-row chunks under a ChunkWindow credit
+// window, so transport memory is O(chunk) on both ends, and Distribute
+// returns once every worker has stored its partition. Failures name the
+// broken workers (*PartitionError, joined across workers); with
+// MasterConfig.Retry set, only the failed workers' partitions are
+// re-streamed — to a parked spare promoted into the slot when there is
+// one — under bounded exponential backoff. Cancelling ctx aborts between
+// attempts, mid-backoff included, with the attribution gathered so far.
 //
 // The partitions are retained (aliased, not copied) so RepairWorkers and
-// the retry engine can re-stream them to replacements — and the encoding's
-// systematic partitions are themselves views of the caller's data matrix
-// (coding.EncodedMatrix). So the master borrows that matrix until the job
-// closes or the master shuts down: callers must not mutate it, or a
-// distributed phase's partitions, while the master may re-stream; after a
-// change, re-encode and distribute again.
+// the retry engine can re-stream them to replacements, and an encoding's
+// systematic partitions are views of the caller's data matrix. So the
+// master borrows that matrix until the job closes or the master shuts
+// down: do not mutate it, or the partitions, meanwhile; after a change,
+// re-encode and distribute again.
 //
 //s2c2:partition-attrib
+func Distribute[T coding.Element, M Partition[T]](ctx context.Context, j *Job, phase int, parts []M) error {
+	ps := make([]Partition[T], len(parts))
+	for i, p := range parts {
+		ps[i] = p
+	}
+	return laneOf[T](j).distribute(ctx, phase, ps)
+}
+
+// DistributePartitions is Distribute on the default job. benchmark/ is its
+// last caller; ROADMAP 2(d) deletes it once the harness moves.
 func (m *Master) DistributePartitions(phase int, enc *coding.EncodedMatrix) error {
-	return m.def.DistributePartitions(phase, enc)
+	return Distribute(context.Background(), &m.def, phase, enc.Parts)
 }
 
-// DistributePartitionsContext is DistributePartitions with a caller
-// context: cancellation aborts promptly between transfer attempts —
-// including mid-backoff inside the retry engine — returning whatever
-// per-worker attribution the attempts so far produced.
-//
-//s2c2:partition-attrib
-func (m *Master) DistributePartitionsContext(ctx context.Context, phase int, enc *coding.EncodedMatrix) error {
-	return m.def.DistributePartitionsContext(ctx, phase, enc)
-}
-
-// DistributePartitions ships phase p's coded partitions for this job —
-// see Master.DistributePartitions for the transfer contract. Each job's
-// phase numbers are its own namespace: two jobs' phase 0 datasets coexist
-// on the workers without collision.
-//
-//s2c2:partition-attrib
-func (j *Job) DistributePartitions(phase int, enc *coding.EncodedMatrix) error {
-	return j.DistributePartitionsContext(context.Background(), phase, enc)
-}
-
-// DistributePartitionsContext is DistributePartitions under a caller
-// context (see Master.DistributePartitionsContext).
-//
-//s2c2:partition-attrib
-func (j *Job) DistributePartitionsContext(ctx context.Context, phase int, enc *coding.EncodedMatrix) error {
-	return j.float.distribute(ctx, phase, matrices[float64](enc.Parts))
-}
-
-// DistributeGFPartitions is DistributePartitions for the exact path: it
-// ships phase p's GF(2³¹−1) coded partitions (partition w to worker w) as
-// uint32 field-element streams. The partitions may come from
-// GFMDSCode.Encode (GFEncodedMatrix.Parts) or be Lagrange shares wrapped
-// as matrices — any per-worker field matrices of one shared shape.
-//
-//s2c2:partition-attrib
-func (m *Master) DistributeGFPartitions(phase int, parts []*gf.Matrix) error {
-	return m.def.DistributeGFPartitions(phase, parts)
-}
-
-// DistributeGFPartitionsContext is DistributeGFPartitions with a caller
-// context (see DistributePartitionsContext for the cancellation contract).
-//
-//s2c2:partition-attrib
-func (m *Master) DistributeGFPartitionsContext(ctx context.Context, phase int, parts []*gf.Matrix) error {
-	return m.def.DistributeGFPartitionsContext(ctx, phase, parts)
-}
-
-// DistributeGFPartitions ships phase p's GF(2³¹−1) partitions for this
-// job (see Master.DistributeGFPartitions).
-//
-//s2c2:partition-attrib
+// DistributeGFPartitions is Distribute of field partitions. benchmark/ is
+// its last caller; ROADMAP 2(d) deletes it once the harness moves.
 func (j *Job) DistributeGFPartitions(phase int, parts []*gf.Matrix) error {
-	return j.DistributeGFPartitionsContext(context.Background(), phase, parts)
+	return Distribute(context.Background(), j, phase, parts)
 }
 
-// DistributeGFPartitionsContext is DistributeGFPartitions under a caller
-// context.
+// distribute is Distribute's body for one element type: it checks that
+// parts hold one partition of a shared shape per worker, streams them in
+// parallel, hands failures to the retry engine, and records the phase —
+// its rows on the job, the partitions in the master's re-stream store.
 //
 //s2c2:partition-attrib
-func (j *Job) DistributeGFPartitionsContext(ctx context.Context, phase int, parts []*gf.Matrix) error {
-	return j.exact.distribute(ctx, phase, matrices[gf.Elem](parts))
-}
-
-// distribute is the Distribute*Context body of both element types: it
-// checks that parts hold one partition of a shared shape per worker,
-// streams them in parallel, hands failures to the retry engine, and
-// records the phase — its rows on the job, the partitions in the master's
-// re-stream store.
-//
-//s2c2:partition-attrib
-func (l *jobLane[C, T]) distribute(ctx context.Context, phase int, parts []matrix[T]) error {
+func (l *jobLane[C, T]) distribute(ctx context.Context, phase int, parts []Partition[T]) error {
 	var ec C
 	label := ec.spec().label
 	j, m := l.j, l.j.m
@@ -841,7 +793,7 @@ func (l *jobLane[C, T]) distribute(ctx context.Context, phase int, parts []matri
 // chunk by chunk within the configured credit window. stall bounds each
 // credit wait — the configured StallTimeout on the first attempt, the
 // retry engine's per-attempt deadline on re-streams.
-func ship[C codec[T], T coding.Element](m *Master, wc *workerConn, phase int, part matrix[T], stall time.Duration) error {
+func ship[C codec[T], T coding.Element](m *Master, wc *workerConn, phase int, part Partition[T], stall time.Duration) error {
 	var ec C
 	rows, cols := part.Dims()
 	chunkRows := m.chunkRowsFor(cols, ec.spec().size)
@@ -1308,136 +1260,78 @@ func copyPartials[T coding.Element](src []*coding.PartialOf[T]) []*coding.Partia
 	return out
 }
 
-// PlanRound builds the next round's plan from the default job's double-
-// buffered plan storage: the previous round's plan stays intact (it may
-// still be referenced by a draining round) while the new one is written
-// into the other buffer. Steady-state planning allocates nothing.
+// DefaultJob returns the master's built-in default job (id 0), the job
+// single-tenant callers pass to Run and Distribute.
+func (m *Master) DefaultJob() *Job { return &m.def }
+
+// PlanRound is the default job's PlanRound. benchmark/ is its last caller;
+// ROADMAP 2(d) deletes it once the harness moves.
 func (m *Master) PlanRound(s sched.Strategy, speeds []float64) (*sched.Plan, error) {
 	return m.def.PlanRound(s, speeds)
 }
 
-// PlanRound is Master.PlanRound against this job's own plan buffer, so
-// concurrent jobs plan without sharing (sched.PlanBuffer is not safe for
-// concurrent Next calls).
+// PlanRound builds the job's next plan in its own double-buffered plan
+// storage: the previous plan stays intact (a draining round may still
+// reference it) and concurrent jobs never share a buffer. Steady-state
+// planning allocates nothing.
 func (j *Job) PlanRound(s sched.Strategy, speeds []float64) (*sched.Plan, error) {
 	return j.planBuf.Next(s, speeds)
 }
 
-// RunRound is RunRoundContext with a background context.
-func (m *Master) RunRound(iter, phase int, x []float64, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return m.def.float.runRound(context.Background(), iter, phase, x, 1, plan, k, timeoutFrac)
+// RoundSpec is one round's input to Run.
+type RoundSpec[T coding.Element] struct {
+	Iter, Phase int         // round tag; Phase names a Distribute'd dataset
+	X           []T         // Width input vectors, x_l at X[l*cols:(l+1)*cols]
+	Width       int         // batch width; 0 reads as 1
+	Plan        *sched.Plan // each worker's row ranges (Job.PlanRound)
+	K           int         // decode threshold: distinct workers per row, in [1, workers]
+	TimeoutFrac float64     // §4.3 grace window, as a fraction of the first K's mean response
 }
 
-// RunRoundContext sends the plan's assignments for (iter, phase), gathers
-// partials until per-row coverage k is met, applying the §4.3 timeout:
-// once the first k workers respond, the rest get timeoutFrac of the mean
-// response time before their pending rows are reassigned to finished
-// workers. It returns the collected partials (decode with the encoder)
-// and the round's stats. With ReuseRound set, both alias the master's
-// round workspace and are valid until the next RunRound. A threshold k
-// outside [1, workers] is an error before anything is sent.
+// Run runs one round of job j over its dataset of element type T: it
+// sends the plan's assignments and gathers partials until K distinct
+// workers cover every row. Once the first K workers respond, the rest get
+// TimeoutFrac × those K's mean response time before their pending rows
+// are reassigned to finished workers (§4.3); a worker whose connection
+// dies mid-round has its undelivered rows folded back into the plan on
+// the survivors (RoundStats.Recovery). K outside [1, workers] fails
+// before anything is sent.
 //
-// The context cancels the round between messages: when ctx is done the
-// round returns its error, abandoning any stragglers (their late results
-// are discarded by the next round's stale filter). The configured
-// StallTimeout still bounds the round independently of ctx. A round
-// parked in the serving wait queue (MaxConcurrentRounds) observes ctx and
-// Shutdown while queued.
-func (m *Master) RunRoundContext(ctx context.Context, iter, phase int, x []float64, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return m.def.float.runRound(ctx, iter, phase, x, 1, plan, k, timeoutFrac)
+// A round of Width w ships all w input vectors in one work message per
+// worker, which sweeps its rows once through the fused multi-x kernel;
+// partials carry RowWidth w, row-major, and a row counts as covered only
+// when all w of its lanes landed. Exact partials decode bit-exactly, lane
+// by lane, through GFEncodedMatrix.DecodeMatVecInto or assemble into
+// Lagrange shares via coding.CompleteGFShares.
+//
+// With MasterConfig.ReuseRound set, the partials and stats alias the
+// job's round workspace until its next round of the same element type;
+// otherwise they are copies. Cancelling ctx ends the round between
+// messages, abandoning stragglers (the next round's stale filter drops
+// their late results); StallTimeout bounds the round regardless, and a
+// round parked in the MaxConcurrentRounds wait queue observes ctx and
+// Shutdown too. One job runs one round at a time; different jobs' rounds
+// run concurrently over the shared workers.
+//
+//s2c2:noalloc
+func Run[T coding.Element](ctx context.Context, j *Job, s RoundSpec[T]) ([]*coding.PartialOf[T], *RoundStats, error) {
+	w := s.Width
+	if w == 0 {
+		w = 1
+	}
+	return laneOf[T](j).runRound(ctx, s.Iter, s.Phase, s.X, w, s.Plan, s.K, s.TimeoutFrac)
 }
 
-// RunRoundBatch is RunRoundBatchContext with a background context.
-func (m *Master) RunRoundBatch(iter, phase int, xs []float64, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return m.def.float.runRound(context.Background(), iter, phase, xs, w, plan, k, timeoutFrac)
+// RunRound is Run on the default job. benchmark/ is its last caller;
+// ROADMAP 2(d) deletes it once the harness moves.
+func (m *Master) RunRound(iter, phase int, x []float64, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
+	return Run(context.Background(), &m.def, RoundSpec[float64]{Iter: iter, Phase: phase, X: x, Plan: plan, K: k, TimeoutFrac: timeoutFrac})
 }
 
-// RunRoundBatchContext runs one batched round: w input vectors
-// concatenated in xs (x_l at xs[l*cols : (l+1)*cols]) travel in a single
-// work message per worker, each worker sweeps its assigned rows once
-// through the fused multi-x kernel, and the returned partials carry
-// RowWidth = w with row-major w-wide values, ready for the width-general
-// decoders. Grace, timeout, reassignment, and dedup semantics are
-// identical to the single-x round — the same gather core runs both —
-// with coverage counting a row only when all w of its lanes landed.
-func (m *Master) RunRoundBatchContext(ctx context.Context, iter, phase int, xs []float64, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return m.def.float.runRound(ctx, iter, phase, xs, w, plan, k, timeoutFrac)
-}
-
-// RunRound / RunRoundContext / RunRoundBatch / RunRoundBatchContext run
-// one float64 round for this job — the per-job forms of the Master
-// methods, with identical §4.3 grace, timeout, reassignment, and repair
-// semantics. Jobs' rounds run concurrently over the shared workers; with
-// ReuseRound set, the returned partials alias this job's own workspace,
-// valid until the job's next round.
-func (j *Job) RunRound(iter, phase int, x []float64, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return j.float.runRound(context.Background(), iter, phase, x, 1, plan, k, timeoutFrac)
-}
-
-// RunRoundContext is RunRound under a caller context.
-func (j *Job) RunRoundContext(ctx context.Context, iter, phase int, x []float64, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return j.float.runRound(ctx, iter, phase, x, 1, plan, k, timeoutFrac)
-}
-
-// RunRoundBatch is RunRoundBatchContext with a background context.
-func (j *Job) RunRoundBatch(iter, phase int, xs []float64, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return j.float.runRound(context.Background(), iter, phase, xs, w, plan, k, timeoutFrac)
-}
-
-// RunRoundBatchContext runs one batched round for this job (see
-// Master.RunRoundBatchContext for the width contract).
-func (j *Job) RunRoundBatchContext(ctx context.Context, iter, phase int, xs []float64, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return j.float.runRound(ctx, iter, phase, xs, w, plan, k, timeoutFrac)
-}
-
-// RunGFRound is RunGFRoundContext with a background context.
-func (m *Master) RunGFRound(iter, phase int, x []gf.Elem, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return m.def.exact.runRound(context.Background(), iter, phase, x, 1, plan, k, timeoutFrac)
-}
-
-// RunGFRoundContext is RunRoundContext over GF(2³¹−1): it broadcasts the
-// field-element input vector with the plan's assignments, gathers exact
-// partials until per-row coverage k is met under the same §4.3 timeout and
-// reassignment semantics, and returns partials that decode bit-exactly
-// through GFMDSCode.DecodeMatVecInto (or assemble into Lagrange shares via
-// coding.CompleteGFShares). With ReuseRound set, the partials and stats
-// alias the master's GF round workspace until the next RunGFRound.
-func (m *Master) RunGFRoundContext(ctx context.Context, iter, phase int, x []gf.Elem, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return m.def.exact.runRound(ctx, iter, phase, x, 1, plan, k, timeoutFrac)
-}
-
-// RunGFRoundBatch is RunGFRoundBatchContext with a background context.
-func (m *Master) RunGFRoundBatch(iter, phase int, xs []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return m.def.exact.runRound(context.Background(), iter, phase, xs, w, plan, k, timeoutFrac)
-}
-
-// RunGFRoundBatchContext is RunRoundBatchContext over GF(2³¹−1): one
-// batched exact round whose partials carry RowWidth = w. Because field
-// arithmetic has no rounding, lane l of the decoded result is bit-exact
-// equal to a single-x round over xs[l*cols : (l+1)*cols] — batching
-// changes throughput, never values.
-func (m *Master) RunGFRoundBatchContext(ctx context.Context, iter, phase int, xs []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return m.def.exact.runRound(ctx, iter, phase, xs, w, plan, k, timeoutFrac)
-}
-
-// RunGFRound runs one exact GF(2³¹−1) round for this job.
-func (j *Job) RunGFRound(iter, phase int, x []gf.Elem, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return j.exact.runRound(context.Background(), iter, phase, x, 1, plan, k, timeoutFrac)
-}
-
-// RunGFRoundContext runs one exact GF(2³¹−1) round for this job under ctx.
-func (j *Job) RunGFRoundContext(ctx context.Context, iter, phase int, x []gf.Elem, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return j.exact.runRound(ctx, iter, phase, x, 1, plan, k, timeoutFrac)
-}
-
-// RunGFRoundBatch runs one batched exact round for this job.
+// RunGFRoundBatch is Run of a field round. benchmark/ is its last caller;
+// ROADMAP 2(d) deletes it once the harness moves.
 func (j *Job) RunGFRoundBatch(iter, phase int, xs []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return j.exact.runRound(context.Background(), iter, phase, xs, w, plan, k, timeoutFrac)
-}
-
-// RunGFRoundBatchContext runs one batched exact round for this job under ctx.
-func (j *Job) RunGFRoundBatchContext(ctx context.Context, iter, phase int, xs []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return j.exact.runRound(ctx, iter, phase, xs, w, plan, k, timeoutFrac)
+	return Run(context.Background(), j, RoundSpec[gf.Elem]{Iter: iter, Phase: phase, X: xs, Width: w, Plan: plan, K: k, TimeoutFrac: timeoutFrac})
 }
 
 // checkBatchArgs validates a round's batch width against the
@@ -1452,9 +1346,9 @@ func checkBatchArgs(w, xsLen int) error {
 	return nil
 }
 
-// runRound is the round engine behind every Run*Round* method, over
-// either element type: send the plan, gather to coverage k under the
-// §4.3 grace timeout and reassignment, fold dead workers' rows back in.
+// runRound is Run's round engine for one element type: send the plan,
+// gather to coverage k under the §4.3 grace timeout and reassignment,
+// fold dead workers' rows back in.
 //
 //s2c2:noalloc
 func (l *jobLane[C, T]) runRound(ctx context.Context, iter, phase int, x []T, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.PartialOf[T], *RoundStats, error) {

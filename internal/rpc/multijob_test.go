@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"github.com/coded-computing/s2c2/internal/coding"
+	"github.com/coded-computing/s2c2/internal/gf"
 	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/sched"
 	"github.com/coded-computing/s2c2/internal/wire"
@@ -70,7 +71,7 @@ func TestConcurrentJobsExactness(t *testing.T) {
 				t.Fatal(err)
 			}
 			enc := code.Encode(a)
-			if err := m.DistributePartitions(0, enc); err != nil {
+			if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 				t.Fatal(err)
 			}
 			x := make([]float64, 5)
@@ -89,7 +90,7 @@ func TestConcurrentJobsExactness(t *testing.T) {
 						fail("default job plan: %v", err)
 						return
 					}
-					partials, _, err := m.RunRound(iter, 0, x, plan, k, 10.0)
+					partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{Iter: iter, X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 					if err != nil {
 						fail("default job round %d: %v", iter, err)
 						return
@@ -121,7 +122,7 @@ func TestConcurrentJobsExactness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := j.DistributeGFPartitions(0, enc.Parts); err != nil {
+			if err := Distribute(context.Background(), j, 0, enc.Parts); err != nil {
 				t.Fatal(err)
 			}
 			x := randElems(rng, cols)
@@ -137,7 +138,7 @@ func TestConcurrentJobsExactness(t *testing.T) {
 						fail("gf job plan: %v", err)
 						return
 					}
-					partials, _, err := j.RunGFRound(iter, 0, x, plan, k, 10.0)
+					partials, _, err := Run(context.Background(), j, RoundSpec[gf.Elem]{Iter: iter, X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 					if err != nil {
 						fail("gf job round %d: %v", iter, err)
 						return
@@ -168,7 +169,7 @@ func TestConcurrentJobsExactness(t *testing.T) {
 				t.Fatal(err)
 			}
 			enc := code.Encode(a)
-			if err := j.DistributePartitions(0, enc); err != nil {
+			if err := Distribute(context.Background(), j, 0, enc.Parts); err != nil {
 				t.Fatal(err)
 			}
 			xs := make([]float64, w*6)
@@ -188,7 +189,7 @@ func TestConcurrentJobsExactness(t *testing.T) {
 						fail("batch job plan: %v", err)
 						return
 					}
-					partials, _, err := j.RunRoundBatch(iter, 0, xs, w, plan, k, 10.0)
+					partials, _, err := Run(context.Background(), j, RoundSpec[float64]{Iter: iter, X: xs, Width: w, Plan: plan, K: k, TimeoutFrac: 10.0})
 					if err != nil {
 						fail("batch job round %d: %v", iter, err)
 						return
@@ -227,7 +228,7 @@ func TestConcurrentJobsExactness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := j.DistributeGFPartitions(0, enc.Parts); err != nil {
+			if err := Distribute(context.Background(), j, 0, enc.Parts); err != nil {
 				t.Fatal(err)
 			}
 			xs := randElems(rng, w*cols)
@@ -242,7 +243,7 @@ func TestConcurrentJobsExactness(t *testing.T) {
 						fail("gf batch job plan: %v", err)
 						return
 					}
-					partials, _, err := j.RunGFRoundBatch(iter, 0, xs, w, plan, k, 10.0)
+					partials, _, err := Run(context.Background(), j, RoundSpec[gf.Elem]{Iter: iter, X: xs, Width: w, Plan: plan, K: k, TimeoutFrac: 10.0})
 					if err != nil {
 						fail("gf batch job round %d: %v", iter, err)
 						return
@@ -304,25 +305,25 @@ func TestQueuedRoundsObserveShutdown(t *testing.T) {
 	jobs := make([]*Job, queued)
 	for i := range jobs {
 		jobs[i] = m.OpenJob(JobConfig{})
-		if err := jobs[i].DistributePartitions(0, enc); err != nil {
+		if err := Distribute(context.Background(), jobs[i], 0, enc.Parts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 
 	errs := make(chan error, queued+1)
 	// The slot holder: a round the slow worker will not answer.
 	go func() {
-		_, _, err := m.RunRound(0, 0, x, plan, n, 10.0)
+		_, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: x, Plan: plan, K: n, TimeoutFrac: 10.0})
 		errs <- err
 	}()
 	waitUntil(t, 5*time.Second, "the slot holder to start", func() bool { return m.ActiveRounds() == 1 })
 	// The parked rounds, through the Background()-pinned wrappers.
 	for _, j := range jobs {
 		go func(j *Job) {
-			_, _, err := j.RunRound(0, 0, x, plan, n, 10.0)
+			_, _, err := Run(context.Background(), j, RoundSpec[float64]{X: x, Plan: plan, K: n, TimeoutFrac: 10.0})
 			errs <- err
 		}(j)
 	}
@@ -370,7 +371,7 @@ func TestDistributeCancelMidBackoff(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err = m.DistributePartitionsContext(ctx, 0, enc)
+	err = Distribute(ctx, m.DefaultJob(), 0, enc.Parts)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("distribute over a dropped link reported success")
@@ -443,11 +444,11 @@ func TestHighestPriorityPolicyOrdersQueue(t *testing.T) {
 	defer low.Close()
 	defer high.Close()
 	for _, j := range []*Job{low, high} {
-		if err := j.DistributePartitions(0, enc); err != nil {
+		if err := Distribute(context.Background(), j, 0, enc.Parts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 
@@ -460,7 +461,7 @@ func TestHighestPriorityPolicyOrdersQueue(t *testing.T) {
 	var wg sync.WaitGroup
 	run := func(j *Job, tag int) {
 		defer wg.Done()
-		if _, _, err := j.RunRound(0, 0, x, plan, n, 10.0); err != nil {
+		if _, _, err := Run(context.Background(), j, RoundSpec[float64]{X: x, Plan: plan, K: n, TimeoutFrac: 10.0}); err != nil {
 			t.Errorf("job %d round: %v", tag, err)
 			return
 		}

@@ -260,7 +260,7 @@ func (m *Master) streamRetained(w int, wc *workerConn) error {
 // restream is streamRetained for one element type's store.
 //
 //s2c2:partition-attrib
-func restream[C codec[T], T coding.Element](m *Master, w int, wc *workerConn, retained map[int][]matrix[T]) error {
+func restream[C codec[T], T coding.Element](m *Master, w int, wc *workerConn, retained map[int][]Partition[T]) error {
 	var ec C
 	m.mu.Lock()
 	phases := make([]int, 0, len(retained))

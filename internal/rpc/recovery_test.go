@@ -9,11 +9,13 @@ package rpc
 // heartbeat liveness watch.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
 
 	"github.com/coded-computing/s2c2/internal/coding"
+	"github.com/coded-computing/s2c2/internal/gf"
 	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/sched"
 )
@@ -133,7 +135,7 @@ func TestDistributeRetryReStreamsToSpare(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatalf("distribute did not recover via retry: %v", err)
 	}
 	totals := m.RecoveryTotals()
@@ -151,7 +153,7 @@ func TestDistributeRetryReStreamsToSpare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partials, _, err := m.RunRound(0, 0, x, plan, k, 10.0)
+	partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +191,7 @@ func TestDistributeGFRetryReStreamsToSpare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DistributeGFPartitions(0, enc.Parts); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatalf("GF distribute did not recover via retry: %v", err)
 	}
 	if totals := m.RecoveryTotals(); totals.ReStreams == 0 || totals.ReplacementAdmits != 1 {
@@ -201,7 +203,7 @@ func TestDistributeGFRetryReStreamsToSpare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partials, _, err := m.RunGFRound(0, 0, x, plan, k, 10.0)
+	partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[gf.Elem]{X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +247,7 @@ func TestDistributeRetryAfterWorkerDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatalf("distribute did not recover via retry: %v", err)
 	}
 	if totals := m.RecoveryTotals(); totals.ReplacementAdmits != 1 {
@@ -260,7 +262,7 @@ func TestDistributeRetryAfterWorkerDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partials, _, err := m.RunRound(0, 0, x, plan, k, 10.0)
+	partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +303,7 @@ func TestRoundSurvivesWorkerDeathMidRound(t *testing.T) {
 	}
 	enc := code.Encode(a)
 	m := midRoundDeathCluster(t, enc.BlockRows)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	x := make([]float64, 6)
@@ -313,7 +315,7 @@ func TestRoundSurvivesWorkerDeathMidRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partials, stats, err := m.RunRound(0, 0, x, plan, k, 10.0)
+	partials, stats, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 	if err != nil {
 		t.Fatalf("round did not survive the mid-round death: %v", err)
 	}
@@ -356,7 +358,7 @@ func TestGFRoundSurvivesWorkerDeathMidRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := midRoundDeathCluster(t, enc.BlockRows)
-	if err := m.DistributeGFPartitions(0, enc.Parts); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	x := randElems(rng, cols)
@@ -365,7 +367,7 @@ func TestGFRoundSurvivesWorkerDeathMidRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partials, stats, err := m.RunGFRound(0, 0, x, plan, k, 10.0)
+	partials, stats, err := Run(context.Background(), m.DefaultJob(), RoundSpec[gf.Elem]{X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 	if err != nil {
 		t.Fatalf("GF round did not survive the mid-round death: %v", err)
 	}
@@ -396,7 +398,7 @@ func TestBatchRoundSurvivesWorkerDeathMidRound(t *testing.T) {
 	}
 	enc := code.Encode(a)
 	m := midRoundDeathCluster(t, enc.BlockRows)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	xs := make([]float64, w*6)
@@ -408,7 +410,7 @@ func TestBatchRoundSurvivesWorkerDeathMidRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partials, stats, err := m.RunRoundBatch(0, 0, xs, w, plan, k, 10.0)
+	partials, stats, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: xs, Width: w, Plan: plan, K: k, TimeoutFrac: 10.0})
 	if err != nil {
 		t.Fatalf("batched round did not survive the mid-round death: %v", err)
 	}
@@ -453,7 +455,7 @@ func TestGFRoundSurvivesWorkerDeathByClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DistributeGFPartitions(0, enc.Parts); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	x := randElems(rng, cols)
@@ -464,7 +466,7 @@ func TestGFRoundSurvivesWorkerDeathByClose(t *testing.T) {
 	}
 	kill := time.AfterFunc(15*time.Millisecond, func() { handles[1].Close() }) //nolint:errcheck
 	defer kill.Stop()
-	partials, stats, err := m.RunGFRound(0, 0, x, plan, k, 10.0)
+	partials, stats, err := Run(context.Background(), m.DefaultJob(), RoundSpec[gf.Elem]{X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 	if err != nil {
 		t.Fatalf("round did not survive the worker death: %v", err)
 	}
@@ -505,7 +507,7 @@ func TestEvictAfterRoundFailuresAndRepair(t *testing.T) {
 		},
 		faults: map[int]*workerFault{2: {stallAfterFrames: enc.BlockRows + 1}},
 	})
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	x := []float64{1, -2, 0.5}
@@ -514,7 +516,7 @@ func TestEvictAfterRoundFailuresAndRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partials, stats, err := m.RunRound(0, 0, x, plan, k, 0.5)
+	partials, stats, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: x, Plan: plan, K: k, TimeoutFrac: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +561,7 @@ func TestEvictAfterRoundFailuresAndRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partials2, stats2, err := m.RunRound(1, 0, x, plan2, k, 10.0)
+	partials2, stats2, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{Iter: 1, X: x, Plan: plan2, K: k, TimeoutFrac: 10.0})
 	if err != nil {
 		t.Fatal(err)
 	}

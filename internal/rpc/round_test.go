@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"context"
 	"math/rand"
 	"net"
 	"testing"
@@ -127,7 +128,7 @@ func TestTimeoutReassignmentDecodesBitExact(t *testing.T) {
 	}
 	code, _ := coding.NewMDSCode(n, k)
 	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
@@ -137,7 +138,7 @@ func TestTimeoutReassignmentDecodesBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partials, stats, err := m.RunRound(0, 0, x, plan, k, 0.15)
+	partials, stats, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: x, Plan: plan, K: k, TimeoutFrac: 0.15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestShutdownDuringActiveRound(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	code, _ := coding.NewMDSCode(n, k)
 	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
@@ -216,7 +217,7 @@ func TestShutdownDuringActiveRound(t *testing.T) {
 		// The round races the shutdown: either outcome (success before
 		// the close, or an error after it) is acceptable — what matters
 		// is that it returns.
-		m.RunRound(0, 0, x, plan, k, 10.0) //nolint:errcheck
+		Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: x, Plan: plan, K: k, TimeoutFrac: 10.0}) //nolint:errcheck
 	}()
 	time.Sleep(2 * time.Millisecond) // let the work messages go out
 	m.Shutdown()
@@ -224,7 +225,7 @@ func TestShutdownDuringActiveRound(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("RunRound did not return after Shutdown")
+		t.Fatal("Run did not return after Shutdown")
 	}
 }
 
@@ -256,7 +257,7 @@ func TestRunRoundReuseRound(t *testing.T) {
 	a := mat.Rand(30, 5, rng)
 	code, _ := coding.NewMDSCode(n, k)
 	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
@@ -268,11 +269,11 @@ func TestRunRoundReuseRound(t *testing.T) {
 		for i := range x {
 			x[i] = float64(iter) + rng.Float64()
 		}
-		plan, err := m.PlanRound(strat, speeds)
+		plan, err := m.DefaultJob().PlanRound(strat, speeds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		partials, _, err := m.RunRound(iter, 0, x, plan, k, 10.0)
+		partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{Iter: iter, X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -41,7 +42,7 @@ func TestTCPClusterCodedRoundTrip(t *testing.T) {
 	}
 	code, _ := coding.NewMDSCode(n, k)
 	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
@@ -51,7 +52,7 @@ func TestTCPClusterCodedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		partials, stats, err := m.RunRound(iter, 0, x, plan, k, 10.0)
+		partials, stats, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{Iter: iter, X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,13 +82,13 @@ func TestTCPClusterConventionalMDSIgnoresStraggler(t *testing.T) {
 	x := []float64{1, -1, 0.5, 2}
 	code, _ := coding.NewMDSCode(n, k)
 	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	strat := &sched.ConventionalMDS{N: n, K: k, BlockRows: enc.BlockRows}
 	plan, _ := strat.Plan([]float64{1, 1, 1, 1})
 	start := time.Now()
-	partials, _, err := m.RunRound(0, 0, x, plan, k, 10.0)
+	partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestTCPClusterTimeoutReassignment(t *testing.T) {
 	x := []float64{0.5, 1, -0.25, 0.75}
 	code, _ := coding.NewMDSCode(n, k)
 	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
@@ -126,7 +127,7 @@ func TestTCPClusterTimeoutReassignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partials, stats, err := m.RunRound(0, 0, x, plan, k, 0.15)
+	partials, stats, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: x, Plan: plan, K: k, TimeoutFrac: 0.15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +162,10 @@ func TestTCPMultiPhase(t *testing.T) {
 	code, _ := coding.NewMDSCode(n, k)
 	encA := code.Encode(a)
 	encAT := code.Encode(at)
-	if err := m.DistributePartitions(0, encA); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, encA.Parts); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DistributePartitions(1, encAT); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 1, encAT.Parts); err != nil {
 		t.Fatal(err)
 	}
 	w := make([]float64, 6)
@@ -173,7 +174,7 @@ func TestTCPMultiPhase(t *testing.T) {
 	}
 	sA := &sched.GeneralS2C2{N: n, K: k, BlockRows: encA.BlockRows, Granularity: encA.BlockRows}
 	planA, _ := sA.Plan([]float64{1, 1, 1})
-	pA, _, err := m.RunRound(0, 0, w, planA, k, 10.0)
+	pA, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: w, Plan: planA, K: k, TimeoutFrac: 10.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestTCPMultiPhase(t *testing.T) {
 	}
 	sAT := &sched.GeneralS2C2{N: n, K: k, BlockRows: encAT.BlockRows, Granularity: encAT.BlockRows}
 	planAT, _ := sAT.Plan([]float64{1, 1, 1})
-	pAT, _, err := m.RunRound(0, 1, z, planAT, k, 10.0)
+	pAT, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{Phase: 1, X: z, Plan: planAT, K: k, TimeoutFrac: 10.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +211,14 @@ func TestRoundStatsComputeTime(t *testing.T) {
 	a := mat.Rand(30, 5, rng)
 	code, _ := coding.NewMDSCode(n, k)
 	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	plan, err := (&sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows}).Plan([]float64{1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := m.RunRound(0, 0, make([]float64, 5), plan, k, 10.0)
+	_, stats, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: make([]float64, 5), Plan: plan, K: k, TimeoutFrac: 10.0})
 	if err != nil {
 		t.Fatal(err)
 	}

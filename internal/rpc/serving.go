@@ -15,12 +15,12 @@ import (
 // of jobs, each with its own plan buffer and, per element type (float64
 // and GF), its own lane of encoded datasets, result channel and round
 // workspace, all multiplexed over the same worker connections. Job 0 is
-// the built-in default job every promoted Master method acts on. Rounds
-// across jobs run concurrently: the per-worker readLoops demux results by
-// (job, iter, phase) to the owning job's channels, so worker compute for
-// one job overlaps master decode for another. A wait queue in front of the
-// round path (MaxConcurrentRounds, PriorityPolicy) bounds that concurrency
-// for co-tenancy.
+// the built-in default job (Master.DefaultJob). Rounds across jobs run
+// concurrently: the per-worker readLoops demux results by (job, iter,
+// phase) to the owning job's channels, so worker compute for one job
+// overlaps master decode for another. A wait queue in front of the round
+// path (MaxConcurrentRounds, PriorityPolicy) bounds that concurrency for
+// co-tenancy.
 
 // jobPhaseBase is the floor of the wire-phase namespace handed to
 // non-default jobs. The default job's user phases pass through verbatim,
@@ -41,13 +41,14 @@ type JobConfig struct {
 }
 
 // Job is one tenant of a serving master: a private phase namespace of
-// encoded datasets plus the round machinery to compute over them. Its
-// Distribute/Run method set mirrors the Master's one-to-one; the Master's
-// own methods delegate to the built-in default job (id 0).
+// encoded datasets plus the round machinery to compute over them. Pass it
+// to Distribute to ship a dataset and to Run to compute over one; a
+// single-tenant master's job is its built-in default job (DefaultJob,
+// id 0).
 //
-// A Job's round methods must not be called concurrently with each other —
-// one job runs one round at a time, exactly like a pre-serving master.
-// Different jobs' rounds may (and should) run concurrently.
+// Rounds of one Job must not run concurrently with each other — one job
+// runs one round at a time, exactly like a pre-serving master. Different
+// jobs' rounds may (and should) run concurrently.
 type Job struct {
 	m   *Master
 	id  int
@@ -76,13 +77,13 @@ type jobLane[C codec[T], T coding.Element] struct {
 	blockRows map[int]int
 	// retained is the master's re-stream store for this element type
 	// (Master.parts or Master.gfParts), shared by every job.
-	retained map[int][]matrix[T]
+	retained map[int][]Partition[T]
 	results  chan *ResultOf[T]
 	pool     sync.Pool // *ResultOf[T] receive slots recycled across rounds
 	round    roundWorkspace[T]
 }
 
-func (l *jobLane[C, T]) init(j *Job, retained map[int][]matrix[T]) {
+func (l *jobLane[C, T]) init(j *Job, retained map[int][]Partition[T]) {
 	l.j = j
 	l.blockRows = map[int]int{}
 	l.retained = retained
@@ -125,6 +126,23 @@ func (l *jobLane[C, T]) recycle() {
 		ws.retained[i] = nil
 	}
 	ws.retained = ws.retained[:0]
+}
+
+// lane is a job lane with its codec parameter hidden.
+type lane[T coding.Element] interface {
+	runRound(ctx context.Context, iter, phase int, x []T, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.PartialOf[T], *RoundStats, error)
+	distribute(ctx context.Context, phase int, parts []Partition[T]) error
+}
+
+// laneOf picks j's lane for element type T: exactly one of the float and
+// exact lanes implements lane[T].
+//
+//s2c2:noalloc
+func laneOf[T coding.Element](j *Job) lane[T] {
+	if l, ok := any(&j.float).(lane[T]); ok {
+		return l
+	}
+	return any(&j.exact).(lane[T])
 }
 
 // initJob readies a (possibly embedded) Job in place.
@@ -441,13 +459,6 @@ func (m *Master) ActiveRounds() int {
 	m.qmu.Lock()
 	defer m.qmu.Unlock()
 	return m.activeRounds
-}
-
-// Jobs reports how many jobs are open, the default job included.
-func (m *Master) Jobs() int {
-	m.jobsMu.RLock()
-	defer m.jobsMu.RUnlock()
-	return len(m.jobs)
 }
 
 // Compile-time interface checks for the built-in policies.

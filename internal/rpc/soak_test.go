@@ -10,6 +10,7 @@ package rpc
 // -race.
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -74,7 +75,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	fenc := fcode.Encode(a)
-	if err := m.DistributePartitions(0, fenc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, fenc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	gdata := randElems(rng, rows*cols)
@@ -86,7 +87,7 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DistributeGFPartitions(1, genc.Parts); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 1, genc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	if fenc.BlockRows != genc.BlockRows {
@@ -105,7 +106,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	tenant := m.OpenJob(JobConfig{})
-	if err := tenant.DistributeGFPartitions(0, tenc.Parts); err != nil {
+	if err := Distribute(context.Background(), tenant, 0, tenc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	stopTenant := make(chan struct{})
@@ -128,7 +129,7 @@ func TestChaosSoak(t *testing.T) {
 				tenantRounds <- completed
 				return
 			}
-			partials, _, err := tenant.RunGFRound(iter, 0, x, plan, k, 10.0)
+			partials, _, err := Run(context.Background(), tenant, RoundSpec[gf.Elem]{Iter: iter, X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 			if err != nil {
 				t.Errorf("tenant round %d: %v", iter, err)
 				tenantRounds <- completed
@@ -208,7 +209,7 @@ func TestChaosSoak(t *testing.T) {
 			for i := range x {
 				x[i] = rng.NormFloat64()
 			}
-			partials, _, err := m.RunRound(r, 0, x, plan, k, 10.0)
+			partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{Iter: r, X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 			if err != nil {
 				t.Fatalf("round %d (float): %v", r, err)
 			}
@@ -218,21 +219,21 @@ func TestChaosSoak(t *testing.T) {
 			for i := range xs {
 				xs[i] = rng.NormFloat64()
 			}
-			partials, _, err := m.RunRoundBatch(r, 0, xs, batchW, plan, k, 10.0)
+			partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{Iter: r, X: xs, Width: batchW, Plan: plan, K: k, TimeoutFrac: 10.0})
 			if err != nil {
 				t.Fatalf("round %d (float batch): %v", r, err)
 			}
 			checkFloat(r, xs, batchW, partials)
 		case 2: // GF, single x
 			x := randElems(rng, cols)
-			partials, _, err := m.RunGFRound(r, 1, x, plan, k, 10.0)
+			partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[gf.Elem]{Iter: r, Phase: 1, X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 			if err != nil {
 				t.Fatalf("round %d (gf): %v", r, err)
 			}
 			checkGF(r, x, 1, partials)
 		case 3: // GF, batched
 			xs := randElems(rng, batchW*cols)
-			partials, _, err := m.RunGFRoundBatch(r, 1, xs, batchW, plan, k, 10.0)
+			partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[gf.Elem]{Iter: r, Phase: 1, X: xs, Width: batchW, Plan: plan, K: k, TimeoutFrac: 10.0})
 			if err != nil {
 				t.Fatalf("round %d (gf batch): %v", r, err)
 			}

@@ -15,6 +15,7 @@ package rpc
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -181,7 +182,7 @@ func pumpFaultedFrames(dst, src net.Conn, f *workerFault, closeBoth func()) {
 
 // TestDistributePartitionsNamesDroppedWorker pins the attribution fix: a
 // connection dropped mid-way through a chunked partition transfer must
-// fail DistributePartitions promptly with a *PartitionError naming the
+// fail Distribute promptly with a *PartitionError naming the
 // dropped worker, so a retry layer can re-stream exactly that transfer.
 func TestDistributePartitionsNamesDroppedWorker(t *testing.T) {
 	const n = 3
@@ -197,10 +198,10 @@ func TestDistributePartitionsNamesDroppedWorker(t *testing.T) {
 	}
 	enc := code.Encode(a)
 	start := time.Now()
-	err = m.DistributePartitions(0, enc)
+	err = Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts)
 	elapsed := time.Since(start)
 	if err == nil {
-		t.Fatal("DistributePartitions succeeded despite a mid-stream drop")
+		t.Fatal("Distribute succeeded despite a mid-stream drop")
 	}
 	var pe *PartitionError
 	if !errors.As(err, &pe) {
@@ -231,9 +232,9 @@ func TestDistributePartitionsAttributesStalledWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := code.Encode(a)
-	err = m.DistributePartitions(0, enc)
+	err = Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts)
 	if err == nil {
-		t.Fatal("DistributePartitions succeeded despite a stalled worker")
+		t.Fatal("Distribute succeeded despite a stalled worker")
 	}
 	var pe *PartitionError
 	if !errors.As(err, &pe) {
@@ -265,9 +266,9 @@ func TestDistributePartitionsAggregatesFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := code.Encode(a)
-	err = m.DistributePartitions(0, enc)
+	err = Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts)
 	if err == nil {
-		t.Fatal("DistributePartitions succeeded despite two dropped workers")
+		t.Fatal("Distribute succeeded despite two dropped workers")
 	}
 	workers := map[int]bool{}
 	var walk func(error)
@@ -307,7 +308,7 @@ func TestSlowReaderRoundStillCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
@@ -315,7 +316,7 @@ func TestSlowReaderRoundStillCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partials, _, err := m.RunRound(0, 0, x, plan, k, 10.0)
+	partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/coded-computing/s2c2/internal/coding"
+	"github.com/coded-computing/s2c2/internal/gf"
 	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/sched"
 	"github.com/coded-computing/s2c2/internal/wire"
@@ -40,12 +41,12 @@ func TestChunkedDistributionTinyChunks(t *testing.T) {
 	x := []float64{0.25, -1, 2, 0.5}
 	code, _ := coding.NewMDSCode(n, k)
 	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
 	plan, _ := strat.Plan([]float64{1, 1, 1})
-	partials, _, err := m.RunRound(0, 0, x, plan, k, 10.0)
+	partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,12 +203,12 @@ func TestLargeResultsSplitAcrossMessages(t *testing.T) {
 	x := []float64{1, -0.5, 2, 0.25}
 	code, _ := coding.NewMDSCode(n, k)
 	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
 	plan, _ := strat.Plan([]float64{1, 1, 1})
-	partials, _, err := m.RunRound(0, 0, x, plan, k, 10.0)
+	partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestWorkerRejectsOutOfOrderChunks(t *testing.T) {
 }
 
 // TestDistributePartitionsConnDropMidStream drops the connection in the
-// middle of a chunked partition transfer: DistributePartitions must fail
+// middle of a chunked partition transfer: Distribute must fail
 // promptly (the reader's death signal, not the stall deadline, ends the
 // wait) and report the transfer error.
 func TestDistributePartitionsConnDropMidStream(t *testing.T) {
@@ -363,24 +364,25 @@ func TestDistributePartitionsConnDropMidStream(t *testing.T) {
 	code, _ := coding.NewMDSCode(1, 1)
 	enc := code.Encode(a)
 	start := time.Now()
-	err = m.DistributePartitions(0, enc)
+	err = Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts)
 	elapsed := time.Since(start)
 	if err == nil {
-		t.Fatal("DistributePartitions succeeded despite a mid-stream connection drop")
+		t.Fatal("Distribute succeeded despite a mid-stream connection drop")
 	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("failure took %v — the drop was detected by the stall deadline, not the dead connection", elapsed)
 	}
 	// The partition must not have been installed for rounds.
 	plan := &sched.Plan{BlockRows: enc.BlockRows, Assignments: [][]coding.Range{{{Lo: 0, Hi: enc.BlockRows}}}}
-	if _, _, err := m.RunRound(0, 0, []float64{1}, plan, 1, 1.0); err == nil {
+	if _, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: []float64{1}, Plan: plan, K: 1, TimeoutFrac: 1.0}); err == nil {
 		t.Fatal("round ran against a partition whose transfer failed")
 	}
 }
 
 // TestRunRoundContextCancel pins per-round cancellation: a canceled
 // context must end the round promptly with the context's error while the
-// cluster stays usable for the next round.
+// cluster stays usable for the next round — for a float64 round on the
+// default job and for a width-4 GF round on an opened job.
 func TestRunRoundContextCancel(t *testing.T) {
 	n, k := 2, 2
 	m := startClusterCfg(t, n, MasterConfig{}, func(i int) WorkerConfig {
@@ -391,38 +393,86 @@ func TestRunRoundContextCancel(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	code, _ := coding.NewMDSCode(n, k)
 	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
 	plan, _ := strat.Plan([]float64{1, 1})
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, _, err := m.RunRoundContext(ctx, 0, 0, x, plan, k, 10.0)
-	if err == nil {
-		t.Fatal("canceled round returned no error")
+	const w = 4
+	data := randElems(rng, 40*4)
+	gcode, _ := coding.NewGFMDSCode(n, k)
+	genc, err := gcode.Encode(40, 4, data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "canceled") && !strings.Contains(err.Error(), "deadline") {
-		t.Fatalf("unexpected cancellation error: %v", err)
+	job := m.OpenJob(JobConfig{})
+	if err := Distribute(context.Background(), job, 0, genc.Parts); err != nil {
+		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %v", elapsed)
-	}
+	xs := randElems(rng, w*4)
 
-	// The cluster must still complete a later round (the canceled round's
-	// late results are discarded by the stale filter).
-	partials, _, err := m.RunRound(1, 0, x, plan, k, 10.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := enc.DecodeMatVec(partials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mat.VecApproxEqual(got, mat.MatVec(a, x), 1e-8) {
-		t.Fatal("decode mismatch on the round after a cancellation")
+	// Each row's run does one round under ctx and returns the round's
+	// error; a round that completes must decode to the local product.
+	for _, c := range []struct {
+		name string
+		run  func(t *testing.T, ctx context.Context, iter int) error
+	}{
+		{"float64", func(t *testing.T, ctx context.Context, iter int) error {
+			partials, _, err := Run(ctx, m.DefaultJob(), RoundSpec[float64]{Iter: iter, X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
+			if err != nil {
+				return err
+			}
+			got, err := enc.DecodeMatVec(partials)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !mat.VecApproxEqual(got, mat.MatVec(a, x), 1e-8) {
+				t.Fatal("decode mismatch on the round after a cancellation")
+			}
+			return nil
+		}},
+		{"gf-width4-job", func(t *testing.T, ctx context.Context, iter int) error {
+			partials, _, err := Run(ctx, job, RoundSpec[gf.Elem]{Iter: iter, X: xs, Width: w, Plan: plan, K: k, TimeoutFrac: 10.0})
+			if err != nil {
+				return err
+			}
+			got, err := genc.DecodeMatVec(partials)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l := 0; l < w; l++ {
+				want := gfGroundTruth(40, 4, data, xs[l*4:(l+1)*4])
+				for r := range want {
+					if got[r*w+l] != want[r] {
+						t.Fatalf("lane %d row %d decodes to %d after a cancellation, local compute says %d", l, r, got[r*w+l], want[r])
+					}
+				}
+			}
+			return nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			err := c.run(t, ctx, 0)
+			if err == nil {
+				t.Fatal("canceled round returned no error")
+			}
+			if !strings.Contains(err.Error(), "canceled") && !strings.Contains(err.Error(), "deadline") {
+				t.Fatalf("unexpected cancellation error: %v", err)
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Fatalf("cancellation took %v", elapsed)
+			}
+
+			// The cluster must still complete a later round (the canceled
+			// round's late results are discarded by the stale filter).
+			if err := c.run(t, context.Background(), 1); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -439,13 +489,13 @@ func TestMasterStallTimeoutConfigurable(t *testing.T) {
 	a := mat.Rand(20, 4, rng)
 	code, _ := coding.NewMDSCode(n, k)
 	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
+	if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 		t.Fatal(err)
 	}
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
 	plan, _ := strat.Plan([]float64{1, 1})
 	start := time.Now()
-	_, _, err := m.RunRound(0, 0, []float64{1, 1, 1, 1}, plan, k, 10.0)
+	_, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: []float64{1, 1, 1, 1}, Plan: plan, K: k, TimeoutFrac: 10.0})
 	elapsed := time.Since(start)
 	if err == nil || !strings.Contains(err.Error(), "stalled") {
 		t.Fatalf("err = %v, want stall", err)

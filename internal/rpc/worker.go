@@ -44,7 +44,7 @@ type WorkerConfig struct {
 
 // partBuild is a streamed partition being assembled from chunks.
 type partBuild[T coding.Element] struct {
-	m         matrix[T]
+	m         Partition[T]
 	seq       int // transfer sequence, echoed in every chunk ack
 	remaining int // rows not yet received
 }
@@ -90,7 +90,7 @@ type Worker struct {
 // concurrent handlers borrow.
 type workerLane[C codec[T], T coding.Element] struct {
 	w          *Worker
-	partitions map[int]matrix[T]     // phase → coded partition
+	partitions map[int]Partition[T]  // phase → coded partition
 	pending    map[int]*partBuild[T] // phase → partition mid-stream
 	works      sync.Pool             // *WorkOf[T] slots for concurrent handlers
 	results    sync.Pool             // *ResultOf[T] send slots
@@ -98,7 +98,7 @@ type workerLane[C codec[T], T coding.Element] struct {
 
 func (l *workerLane[C, T]) init(w *Worker) {
 	l.w = w
-	l.partitions = map[int]matrix[T]{}
+	l.partitions = map[int]Partition[T]{}
 	l.pending = map[int]*partBuild[T]{}
 }
 

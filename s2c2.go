@@ -36,6 +36,8 @@
 package s2c2
 
 import (
+	"context"
+
 	"github.com/coded-computing/s2c2/internal/coding"
 	"github.com/coded-computing/s2c2/internal/gf"
 	"github.com/coded-computing/s2c2/internal/kernel"
@@ -134,7 +136,7 @@ type GFElem = gf.Elem
 func NewGFElem(v uint64) GFElem { return gf.New(v) }
 
 // GFEncodedMatrix holds the n exact coded partitions of a field matrix;
-// its Parts distribute over a cluster with Master.DistributeGFPartitions.
+// its Parts distribute over a cluster with Distribute.
 // The exact code is systematic, so the encoding borrows its input:
 // partitions 0..k-1 are views of the data's row blocks and only the parity
 // (and a zero-padded last block) is new storage. Keep the data alive and
@@ -143,7 +145,8 @@ func NewGFElem(v uint64) GFElem { return gf.New(v) }
 type GFEncodedMatrix = coding.GFEncodedMatrix
 
 // GFPartial is a worker's exact partial result over GF(2³¹−1) — what
-// Master.RunGFRound gathers and GFEncodedMatrix.DecodeMatVec consumes.
+// Run gathers on a GFElem round and GFEncodedMatrix.DecodeMatVec
+// consumes.
 type GFPartial = coding.GFPartial
 
 // GFMatrix is a dense matrix over GF(2³¹−1).
@@ -354,11 +357,29 @@ func RunLocal(w Workload, maxIter int) ([]float64, int) { return workloads.RunLo
 
 // ---- TCP runtime -----------------------------------------------------------
 
-// Master coordinates a real TCP cluster. DistributePartitions retains the
-// partitions it ships (for re-streaming to replacement workers), and with
-// them borrows the data matrix an EncodedMatrix views, until the owning
-// job closes or Shutdown returns.
+// Master coordinates a real TCP cluster. Single-tenant callers pass its
+// DefaultJob to Run and Distribute.
 type Master = rpc.Master
+
+// Element is a round's element type: float64, or GFElem for exact rounds.
+type Element = coding.Element
+
+// RoundSpec is one round's input to Run (rpc.RoundSpec).
+type RoundSpec[T Element] = rpc.RoundSpec[T]
+
+// Run runs one round of job j — Master.DefaultJob on a single-tenant
+// master — and returns its partials and stats; see rpc.Run for the round
+// contract (§4.3 timeout, reassignment, batch width, ctx).
+func Run[T Element](ctx context.Context, j *Job, s RoundSpec[T]) ([]*coding.PartialOf[T], *rpc.RoundStats, error) {
+	return rpc.Run(ctx, j, s)
+}
+
+// Distribute streams phase's coded partitions to job j's workers; the
+// master retains them, and borrows the data matrix an encoding views,
+// until the job closes or Shutdown returns. See rpc.Distribute.
+func Distribute[T Element, M rpc.Partition[T]](ctx context.Context, j *Job, phase int, parts []M) error {
+	return rpc.Distribute(ctx, j, phase, parts)
+}
 
 // Worker is the TCP worker daemon.
 type Worker = rpc.Worker
@@ -382,10 +403,10 @@ type RetryConfig = rpc.RetryConfig
 type RecoveryStats = rpc.RecoveryStats
 
 // Job is one tenant of a serving master: a private phase namespace of
-// encoded datasets plus a Distribute/Run method set mirroring the
-// Master's. Different jobs' rounds run concurrently over the same
-// workers (Master.OpenJob). Close releases the job's datasets on the
-// master and on every worker.
+// encoded datasets that Distribute fills and Run computes over.
+// Different jobs' rounds run concurrently over the same workers
+// (Master.OpenJob). Close releases the job's datasets on the master and
+// on every worker.
 type Job = rpc.Job
 
 // JobConfig configures one served job (per-job Exec budget, queue
