@@ -57,9 +57,10 @@ linked-symbols:
 	awk '$$2 ~ /^[Tt]$$/ && $$3 ~ /^github.com\/coded-computing\/s2c2/ { print $$3 }' | sort -u
 
 # flake-census builds one package's test binary and runs it N times in
-# fresh processes and once with -test.count=N, then prints, per test that
-# failed, its failures out of N in each mode and each distinct first
-# failure line (scripts/flake-census.sh). It exits non-zero on any failure.
+# fresh processes, once with -test.count=N, and once per test alone with
+# -test.count=N, then prints, per test that failed, its failures out of N
+# in each mode and each distinct first failure line
+# (scripts/flake-census.sh). It exits non-zero on any failure.
 PKG ?= ./internal/rpc
 N ?= 20
 flake-census:

@@ -362,7 +362,7 @@ func TestMasterWireBatchRoundZeroAllocsSteadyState(t *testing.T) {
 			}
 			ws.retained = append(ws.retained, r)
 		}
-		if ws.needed != 0 {
+		if ws.Needed != 0 {
 			t.Fatal("fixture round did not reach coverage")
 		}
 		partials, _, err := ws.finish(m.cfg.ReuseRound)
@@ -458,7 +458,7 @@ func TestMasterGFWireBatchRoundZeroAllocsSteadyState(t *testing.T) {
 			}
 			ws.retained = append(ws.retained, r)
 		}
-		if ws.needed != 0 {
+		if ws.Needed != 0 {
 			t.Fatal("fixture round did not reach coverage")
 		}
 		partials, _, err := ws.finish(m.cfg.ReuseRound)
@@ -679,10 +679,10 @@ func TestBatchGatherAllLanesOrNothing(t *testing.T) {
 	if err := ws.addResult(bad, time.Millisecond); err == nil {
 		t.Fatal("short batched result accepted")
 	}
-	if ws.needed != 4 {
-		t.Fatalf("rejected result advanced coverage: needed=%d, want 4", ws.needed)
+	if ws.Needed != 4 {
+		t.Fatalf("rejected result advanced coverage: needed=%d, want 4", ws.Needed)
 	}
-	for _, c := range ws.cov {
+	for _, c := range ws.Cov {
 		if c != 0 {
 			t.Fatal("rejected result marked rows covered")
 		}
@@ -692,7 +692,7 @@ func TestBatchGatherAllLanesOrNothing(t *testing.T) {
 	if err := ws.addResult(wrong, time.Millisecond); err == nil {
 		t.Fatal("width-mismatched result accepted")
 	}
-	for _, c := range ws.cov {
+	for _, c := range ws.Cov {
 		if c != 0 {
 			t.Fatal("width-mismatched result marked rows covered")
 		}
@@ -704,8 +704,8 @@ func TestBatchGatherAllLanesOrNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ws.needed != 0 {
-		t.Fatalf("correct batched results did not complete coverage: needed=%d", ws.needed)
+	if ws.Needed != 0 {
+		t.Fatalf("correct batched results did not complete coverage: needed=%d", ws.Needed)
 	}
 }
 

@@ -366,7 +366,7 @@ func TestMasterGFWireRoundZeroAllocsSteadyState(t *testing.T) {
 			}
 			ws.retained = append(ws.retained, r)
 		}
-		if ws.needed != 0 {
+		if ws.Needed != 0 {
 			t.Fatal("fixture round did not reach coverage")
 		}
 		partials, stats, err := ws.finish(m.cfg.ReuseRound)

@@ -893,37 +893,18 @@ type RoundStats struct {
 }
 
 // roundCore is the element-type-independent heart of a round's gather
-// state: coverage counters, a per-(worker,row) delivery bitmap that makes
-// duplicate deliveries idempotent, response bookkeeping, reassignment
-// scratch, and the round's reusable timers. The generic roundWorkspace
-// embeds it; nothing here depends on the element type, so it is compiled
-// once rather than per instantiation.
+// state: the round's sched.Ledger (coverage, responders, deaths, the
+// timed-out list and the extras of a timeout or a repair) plus what needs
+// a clock — response and compute times, the grace window's inputs and the
+// round's reusable timers. The generic roundWorkspace embeds it; nothing
+// here depends on the element type, so it is compiled once rather than
+// per instantiation.
 type roundCore struct {
+	sched.Ledger
 	stats RoundStats
 
-	n, k, blockRows int
-	width           int // values per covered row (1 single-x, w batched)
-	needed          int // rows still below coverage k
-	nResponded      int
-
-	cov       []int  // per-row coverage by distinct workers
-	coveredBy []bool // n×blockRows: worker w delivered (or was assigned) row r
-	responded []bool
+	width     int // values per covered row (1 single-x, w batched)
 	respTimes []time.Duration
-
-	// dead marks workers whose connections failed this round (send error
-	// or a readLoop-reported *WorkerError); their undelivered rows are
-	// folded back into the plan by planRepair.
-	dead []bool
-	// asgMark is the n×blockRows assignment bitmap: row r is expected from
-	// worker w (original plan or a successfully sent extra). planRepair
-	// counts alive-but-undelivered assignments as in-flight potential so
-	// repair never re-covers rows a healthy worker is already computing.
-	asgMark []bool
-
-	// route plans the extras of a timeout or a repair; it is sized
-	// lazily, so only rounds that time out or lose a worker pay for it.
-	route sched.Router
 
 	// hardTimer and graceTimer are reused across rounds (Go 1.23 timer
 	// semantics: Stop+Reset without draining is race-free).
@@ -963,65 +944,16 @@ func (c *roundCore) stopTimers() {
 //
 //s2c2:noalloc
 func (c *roundCore) begin(n, blockRows, k, w int) {
-	c.n, c.k, c.blockRows, c.width = n, k, blockRows, w
-	c.needed = blockRows
-	c.nResponded = 0
-
+	c.Reset(n, k, blockRows)
+	c.width = w
 	c.stats.ResponseTime = kernel.GrowSlice(c.stats.ResponseTime, n)
 	clear(c.stats.ResponseTime)
 	c.stats.ComputeTime = kernel.GrowSlice(c.stats.ComputeTime, n)
 	clear(c.stats.ComputeTime)
-	c.stats.AssignedRows = kernel.GrowInts(c.stats.AssignedRows, n)
-	for i := range c.stats.AssignedRows {
-		c.stats.AssignedRows[i] = 0
-	}
+	c.stats.AssignedRows = c.AssignedRows
 	c.stats.Reassigned = 0
-	c.stats.TimedOut = c.stats.TimedOut[:0]
-	c.stats.Recovery.Retries = 0
-	c.stats.Recovery.ReStreams = 0
-	c.stats.Recovery.Evictions = 0
-	c.stats.Recovery.ReplacementAdmits = 0
-	c.stats.Recovery.RecoveredRows = 0
-	c.stats.Recovery.DeadWorkers = c.stats.Recovery.DeadWorkers[:0]
-
-	c.cov = kernel.GrowInts(c.cov, blockRows)
-	for i := range c.cov {
-		c.cov[i] = 0
-	}
-	if cap(c.coveredBy) < n*blockRows {
-		//s2c2:waive noalloc — capacity growth, first round at this shape only
-		c.coveredBy = make([]bool, n*blockRows)
-	}
-	c.coveredBy = c.coveredBy[:n*blockRows]
-	for i := range c.coveredBy {
-		c.coveredBy[i] = false
-	}
-	if cap(c.responded) < n {
-		//s2c2:waive noalloc — capacity growth, first round at this n only
-		c.responded = make([]bool, n)
-	}
-	c.responded = c.responded[:n]
-	for i := range c.responded {
-		c.responded[i] = false
-	}
+	c.stats.Recovery = RecoveryStats{}
 	c.respTimes = c.respTimes[:0]
-
-	if cap(c.dead) < n {
-		//s2c2:waive noalloc — capacity growth, first round at this n only
-		c.dead = make([]bool, n)
-	}
-	c.dead = c.dead[:n]
-	for i := range c.dead {
-		c.dead[i] = false
-	}
-	if cap(c.asgMark) < n*blockRows {
-		//s2c2:waive noalloc — capacity growth, first round at this shape only
-		c.asgMark = make([]bool, n*blockRows)
-	}
-	c.asgMark = c.asgMark[:n*blockRows]
-	for i := range c.asgMark {
-		c.asgMark[i] = false
-	}
 }
 
 // checkResult validates a result's worker index, range bounds, row width,
@@ -1034,7 +966,7 @@ func (c *roundCore) begin(n, blockRows, k, w int) {
 //
 //s2c2:noalloc
 func (c *roundCore) checkResult(worker int, ranges []coding.Range, rowWidth, numValues int) error {
-	if worker < 0 || worker >= c.n {
+	if worker < 0 || worker >= c.N {
 		return fmt.Errorf("rpc: result from unknown worker %d", worker)
 	}
 	if rowWidth != c.width {
@@ -1042,8 +974,8 @@ func (c *roundCore) checkResult(worker int, ranges []coding.Range, rowWidth, num
 	}
 	rows := 0
 	for _, rg := range ranges {
-		if rg.Lo < 0 || rg.Hi > c.blockRows || rg.Lo > rg.Hi {
-			return fmt.Errorf("rpc: worker %d result range [%d,%d) outside [0,%d)", worker, rg.Lo, rg.Hi, c.blockRows)
+		if rg.Lo < 0 || rg.Hi > c.BlockRows || rg.Lo > rg.Hi {
+			return fmt.Errorf("rpc: worker %d result range [%d,%d) outside [0,%d)", worker, rg.Lo, rg.Hi, c.BlockRows)
 		}
 		rows += rg.Hi - rg.Lo
 	}
@@ -1054,10 +986,7 @@ func (c *roundCore) checkResult(worker int, ranges []coding.Range, rowWidth, num
 }
 
 // noteResult advances coverage and response bookkeeping for one delivered
-// result. Coverage counts each (worker, row) pair once, so duplicate
-// deliveries — a slow worker's late original overlapping its reassigned
-// rows, or a buggy worker re-sending ranges — can never inflate coverage
-// past what the decoder will actually find. A Partial segment contributes
+// result through the ledger's Deliver. A Partial segment contributes
 // coverage but does not count as the worker having responded: response
 // time (the §4.3 timeout's and the predictor's input) is recorded only
 // when the final segment of a split result lands, so large results are
@@ -1070,26 +999,11 @@ func (c *roundCore) noteResult(worker int, ranges []coding.Range, elapsed, compu
 	if !partial {
 		c.stats.ComputeTime[worker] += compute
 	}
-	if !partial && !c.responded[worker] {
-		c.responded[worker] = true
-		c.nResponded++
+	if c.Deliver(worker, ranges, !partial) {
 		c.stats.ResponseTime[worker] = elapsed
 		// Amortized: reset to length 0 each round, capacity retained.
 		//s2c2:waive noalloc
 		c.respTimes = append(c.respTimes, elapsed)
-	}
-	base := worker * c.blockRows
-	for _, rg := range ranges {
-		for row := rg.Lo; row < rg.Hi; row++ {
-			if c.coveredBy[base+row] {
-				continue // duplicate (worker, row): coverage already counted
-			}
-			c.coveredBy[base+row] = true
-			c.cov[row]++
-			if c.cov[row] == c.k {
-				c.needed--
-			}
-		}
 	}
 }
 
@@ -1105,37 +1019,6 @@ func (c *roundCore) graceWindow(k int, timeoutFrac float64) time.Duration {
 	}
 	mean /= time.Duration(k)
 	return time.Duration(float64(mean) * timeoutFrac)
-}
-
-// planExtras computes the timeout reassignment: every row short of
-// coverage k is routed to the responder with the fewest extra rows that
-// does not already cover it (delivered rows and rows just reassigned both
-// disqualify), filling stats.TimedOut and the router's per-worker extras.
-// The caller sends the typed work messages and folds the extras into the
-// assignment stats as each send succeeds.
-//
-//s2c2:noalloc-waive
-func (c *roundCore) planExtras() error {
-	for w := 0; w < c.n; w++ {
-		if c.stats.AssignedRows[w] > 0 && !c.responded[w] && !c.dead[w] {
-			// Dead workers are tracked in Recovery.DeadWorkers: a torn
-			// connection is a failure, not a straggle.
-			c.stats.TimedOut = append(c.stats.TimedOut, w)
-		}
-	}
-	rt := &c.route
-	rt.Reset(c.n, c.blockRows)
-	for w := range rt.Eligible {
-		rt.Eligible[w] = c.responded[w] && !c.dead[w]
-	}
-	copy(rt.Holds, c.coveredBy)
-	for r, cv := range c.cov {
-		rt.Need[r] = c.k - cv
-	}
-	if err := rt.Route(nil, nil); err != nil {
-		return fmt.Errorf("rpc: %w", err)
-	}
-	return nil
 }
 
 // copyStats deep-copies the round stats (the non-ReuseRound contract).
@@ -1231,10 +1114,13 @@ func (ws *roundWorkspace[T]) addResult(r *ResultOf[T], elapsed time.Duration) er
 // finish hands the gathered round to the caller: workspace-backed when
 // reuse (MasterConfig.ReuseRound) is set, deep copies otherwise (the
 // pooled receive slots the workspace-backed form aliases are overwritten
-// by the next round, so the default mode must not alias them).
+// by the next round, so the default mode must not alias them). The
+// stats take the ledger's timed-out and dead lists only now: they may
+// grow, and so move, until the round ends.
 //
 //s2c2:noalloc
 func (ws *roundWorkspace[T]) finish(reuse bool) ([]*coding.PartialOf[T], *RoundStats, error) {
+	ws.stats.TimedOut, ws.stats.Recovery.DeadWorkers = ws.TimedOut, ws.DeadWorkers
 	if reuse {
 		return ws.partials, &ws.stats, nil
 	}
@@ -1385,22 +1271,19 @@ func (l *jobLane[C, T]) runRound(ctx context.Context, iter, phase int, x []T, w 
 	active := 0
 	for wk, wc := range workers {
 		ranges := plan.Assignments[wk]
-		rows := coding.TotalRows(ranges)
-		if rows == 0 {
+		if coding.TotalRows(ranges) == 0 {
 			continue
 		}
-		ws.stats.AssignedRows[wk] = rows
 		if !l.send(wc, wk, iter, wp, x, w, ranges) {
 			// A send failure is a worker death, not a round abort: fold its
 			// rows back into the plan once every healthy send is out
 			// (repairing mid-loop would misplan — later workers'
 			// assignments are not marked yet).
-			ws.stats.AssignedRows[wk] = 0
 			continue
 		}
 		active++
 	}
-	if len(ws.stats.Recovery.DeadWorkers) > 0 {
+	if len(ws.DeadWorkers) > 0 {
 		if err := l.repair(workers, iter, wp, x, w); err != nil {
 			return nil, nil, err
 		}
@@ -1415,8 +1298,8 @@ func (l *jobLane[C, T]) runRound(ctx context.Context, iter, phase int, x []T, w 
 	// coverage completes.
 	hard := armTimer(&ws.hardTimer, m.stallTimeout())
 	var grace <-chan time.Time // nil (blocking) until phase 2
-	for ws.nResponded < k || ws.needed > 0 {
-		if grace == nil && ws.nResponded >= k {
+	for ws.NResponded < k || !ws.Covered() {
+		if grace == nil && ws.NResponded >= k {
 			grace = armTimer(&ws.graceTimer, ws.graceWindow(k, timeoutFrac)).C
 		}
 		select {
@@ -1439,7 +1322,7 @@ func (l *jobLane[C, T]) runRound(ctx context.Context, iter, phase int, x []T, w 
 			if we.Worker >= n || workers[we.Worker] != we.conn {
 				continue // stale: a conn no longer serving this round's slots
 			}
-			ws.noteDead(we.Worker)
+			ws.NoteDead(we.Worker)
 			if err := l.repair(workers, iter, wp, x, w); err != nil {
 				return nil, nil, err
 			}
@@ -1454,8 +1337,8 @@ func (l *jobLane[C, T]) runRound(ctx context.Context, iter, phase int, x []T, w 
 			// rows are recomputed at the round's batch width, every lane. A
 			// send that fails here is a death, absorbed by the repair
 			// planner.
-			if err := ws.planExtras(); err != nil {
-				return nil, nil, err
+			if err := ws.PlanExtras(nil); err != nil {
+				return nil, nil, fmt.Errorf("rpc: %w", err)
 			}
 			rows, lost := l.sendExtras(workers, iter, wp, x, w)
 			ws.stats.Reassigned += rows
@@ -1473,30 +1356,30 @@ func (l *jobLane[C, T]) runRound(ctx context.Context, iter, phase int, x []T, w 
 }
 
 // send ships one assignment to worker wk through the workspace's reusable
-// send struct and marks the rows assigned; a failed send notes the worker
-// dead and reports false.
+// send struct and assigns it the rows in the ledger; a failed send notes
+// the worker dead and reports false.
 //
 //s2c2:noalloc
 func (l *jobLane[C, T]) send(wc *workerConn, wk, iter, phase int, x []T, bw int, ranges []coding.Range) bool {
 	ws := &l.round
 	ws.workMsg = WorkOf[T]{Job: l.j.id, Iter: iter, Phase: phase, W: bw, X: x, Ranges: ranges}
 	if err := wc.t.sendWork(&ws.workMsg); err != nil {
-		ws.noteDead(wk)
+		ws.NoteDead(wk)
 		return false
 	}
-	ws.markAssigned(wk, ranges)
+	ws.Assign(wk, ranges)
 	return true
 }
 
-// sendExtras sends the extra ranges planExtras or planRepair put in the
-// workspace, folding each delivered worker's rows into its assignment. It
-// returns the rows sent and whether a send failed — that worker is noted
-// dead and its extras skipped, for the repair planner to re-cover.
+// sendExtras sends the extra ranges the ledger's PlanExtras or PlanRepair
+// routed, and send assigns each delivered worker its rows. It returns the
+// rows sent and whether a send failed — that worker is noted dead and its
+// extras skipped, for the repair planner to re-cover.
 //
 //s2c2:noalloc
 func (l *jobLane[C, T]) sendExtras(workers []*workerConn, iter, phase int, x []T, bw int) (rows int, lost bool) {
 	ws := &l.round
-	for w, ranges := range ws.route.Ranges {
+	for w, ranges := range ws.Routed.Ranges {
 		if len(ranges) == 0 {
 			continue
 		}
@@ -1504,8 +1387,7 @@ func (l *jobLane[C, T]) sendExtras(workers []*workerConn, iter, phase int, x []T
 			lost = true
 			continue
 		}
-		ws.stats.AssignedRows[w] += ws.route.Extra[w]
-		rows += ws.route.Extra[w]
+		rows += ws.Routed.Extra[w]
 	}
 	return rows, lost
 }

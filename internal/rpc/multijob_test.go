@@ -557,7 +557,7 @@ func TestMultiJobWireRoundZeroAllocsSteadyState(t *testing.T) {
 			}
 			ws.retained = append(ws.retained, r)
 		}
-		if ws.needed != 0 {
+		if ws.Needed != 0 {
 			t.Fatal("fixture round did not reach coverage")
 		}
 		partials, _, err := ws.finish(m.cfg.ReuseRound)

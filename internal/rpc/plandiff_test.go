@@ -32,21 +32,22 @@ func (e *refExtras) refRoute(mark []bool, blockRows, w, r int) {
 	e.ranges[w] = rs
 }
 
-// refPlanExtras is roundCore.planExtras before the routing moved into
-// sched.Router, kept as the reference its replacement must match.
+// refPlanExtras is the timeout planner (now sched.Ledger.PlanExtras)
+// before the routing moved into sched.Router, kept as the reference its
+// replacement must match.
 func refPlanExtras(c *roundCore) refExtras {
-	e := refExtras{rows: make([]int, c.n), ranges: make([][]coding.Range, c.n), timedOut: slices.Clone(c.stats.TimedOut)}
-	for w := 0; w < c.n; w++ {
-		if c.stats.AssignedRows[w] > 0 && !c.responded[w] && !c.dead[w] {
+	e := refExtras{rows: make([]int, c.N), ranges: make([][]coding.Range, c.N), timedOut: slices.Clone(c.TimedOut)}
+	for w := 0; w < c.N; w++ {
+		if c.AssignedRows[w] > 0 && !c.Responded[w] && !c.Dead[w] {
 			e.timedOut = append(e.timedOut, w)
 		}
 	}
-	mark := make([]bool, c.n*c.blockRows)
-	for r := 0; r < c.blockRows; r++ {
-		for cv := c.cov[r]; cv < c.k; cv++ {
+	mark := make([]bool, c.N*c.BlockRows)
+	for r := 0; r < c.BlockRows; r++ {
+		for cv := c.Cov[r]; cv < c.K; cv++ {
 			best := -1
-			for w := 0; w < c.n; w++ {
-				if !c.responded[w] || c.dead[w] || c.coveredBy[w*c.blockRows+r] || mark[w*c.blockRows+r] {
+			for w := 0; w < c.N; w++ {
+				if !c.Responded[w] || c.Dead[w] || c.Delivered[w*c.BlockRows+r] || mark[w*c.BlockRows+r] {
 					continue
 				}
 				if best < 0 || e.rows[w] < e.rows[best] {
@@ -57,40 +58,41 @@ func refPlanExtras(c *roundCore) refExtras {
 				e.err = fmt.Errorf("rpc: cannot re-cover row %d", r)
 				return e
 			}
-			e.refRoute(mark, c.blockRows, best, r)
+			e.refRoute(mark, c.BlockRows, best, r)
 		}
 	}
 	return e
 }
 
-// refPlanRepair is roundCore.planRepair before the routing moved into
-// sched.Router, kept as the reference its replacement must match.
+// refPlanRepair is the repair planner (now sched.Ledger.PlanRepair)
+// before the routing moved into sched.Router, kept as the reference its
+// replacement must match.
 func refPlanRepair(c *roundCore) refExtras {
-	e := refExtras{rows: make([]int, c.n), ranges: make([][]coding.Range, c.n), timedOut: slices.Clone(c.stats.TimedOut)}
-	mark := make([]bool, c.n*c.blockRows)
-	for r := 0; r < c.blockRows; r++ {
-		if c.cov[r] >= c.k {
+	e := refExtras{rows: make([]int, c.N), ranges: make([][]coding.Range, c.N), timedOut: slices.Clone(c.TimedOut)}
+	mark := make([]bool, c.N*c.BlockRows)
+	for r := 0; r < c.BlockRows; r++ {
+		if c.Cov[r] >= c.K {
 			continue
 		}
 		pot, late := 0, 0
-		for w := 0; w < c.n; w++ {
-			idx := w*c.blockRows + r
+		for w := 0; w < c.N; w++ {
+			idx := w*c.BlockRows + r
 			switch {
-			case c.dead[w] || !c.asgMark[idx] || c.coveredBy[idx]:
-			case c.givenUp(w):
+			case c.Dead[w] || !c.Assigned[idx] || c.Delivered[idx]:
+			case c.GivenUp(w):
 				late++
 			default:
 				pot++
 			}
 		}
-		for have := c.cov[r] + pot; have < c.k; have++ {
+		for have := c.Cov[r] + pot; have < c.K; have++ {
 			best := -1
-			for w := 0; w < c.n; w++ {
-				idx := w*c.blockRows + r
-				if c.dead[w] || c.asgMark[idx] || c.coveredBy[idx] || mark[idx] {
+			for w := 0; w < c.N; w++ {
+				idx := w*c.BlockRows + r
+				if c.Dead[w] || c.Assigned[idx] || c.Delivered[idx] || mark[idx] {
 					continue
 				}
-				if best < 0 || c.stats.AssignedRows[w]+e.rows[w] < c.stats.AssignedRows[best]+e.rows[best] {
+				if best < 0 || c.AssignedRows[w]+e.rows[w] < c.AssignedRows[best]+e.rows[best] {
 					best = w
 				}
 			}
@@ -100,10 +102,10 @@ func refPlanRepair(c *roundCore) refExtras {
 			}
 			if best < 0 {
 				e.err = fmt.Errorf("rpc: cannot re-cover row %d after worker failure (%d alive, need %d distinct)",
-					r, c.aliveWorkers(), c.k)
+					r, c.AliveWorkers(), c.K)
 				return e
 			}
-			e.refRoute(mark, c.blockRows, best, r)
+			e.refRoute(mark, c.BlockRows, best, r)
 		}
 	}
 	return e
@@ -117,26 +119,27 @@ func randomRoundState(c *roundCore, rng *rand.Rand) {
 	blockRows := 1 + rng.Intn(10)
 	c.begin(n, blockRows, 1+rng.Intn(n), 1)
 	for w := 0; w < n; w++ {
-		c.stats.AssignedRows[w] = rng.Intn(blockRows + 1)
-		c.responded[w] = rng.Intn(2) == 0
-		c.dead[w] = rng.Intn(5) == 0
-		if !c.responded[w] && rng.Intn(2) == 0 {
-			c.stats.TimedOut = append(c.stats.TimedOut, w)
+		c.AssignedRows[w] = rng.Intn(blockRows + 1)
+		c.Responded[w] = rng.Intn(2) == 0
+		c.Dead[w] = rng.Intn(5) == 0
+		if !c.Responded[w] && rng.Intn(2) == 0 {
+			c.TimedOut = append(c.TimedOut, w)
 		}
 		for r := 0; r < blockRows; r++ {
 			idx := w*blockRows + r
-			c.asgMark[idx] = rng.Intn(2) == 0
+			c.Assigned[idx] = rng.Intn(2) == 0
 			if rng.Intn(3) == 0 {
-				c.coveredBy[idx] = true
-				c.cov[r]++
+				c.Delivered[idx] = true
+				c.Cov[r]++
 			}
 		}
 	}
 }
 
-// TestPlannersMatchReference holds planExtras and planRepair, now backed
-// by sched.Router, to the planners they replaced on random round states:
-// the same extras, ranges, timed-out workers and errors.
+// TestPlannersMatchReference holds the ledger's PlanExtras and PlanRepair,
+// backed by sched.Router, to the planners they replaced on random round
+// states: the same extras, ranges, timed-out workers and errors (as the
+// round path wraps them).
 func TestPlannersMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var c roundCore
@@ -150,11 +153,14 @@ func TestPlannersMatchReference(t *testing.T) {
 		var err error
 		if repair {
 			want = refPlanRepair(&c)
-			err = c.planRepair()
+			err = c.PlanRepair()
 		} else {
-			c.stats.TimedOut = c.stats.TimedOut[:0] // the grace fires once per round
+			c.TimedOut = c.TimedOut[:0] // the grace fires once per round
 			want = refPlanExtras(&c)
-			err = c.planExtras()
+			err = c.PlanExtras(nil)
+		}
+		if err != nil {
+			err = fmt.Errorf("rpc: %w", err)
 		}
 		if fmt.Sprint(err) != fmt.Sprint(want.err) {
 			t.Fatalf("state %d (repair %v): error %v, reference %v", i, repair, err, want.err)
@@ -164,19 +170,19 @@ func TestPlannersMatchReference(t *testing.T) {
 			tally[kind][0]++
 			continue // the extras of a failed plan are never sent
 		}
-		if slices.ContainsFunc(c.route.Extra, func(x int) bool { return x > 0 }) {
+		if slices.ContainsFunc(c.Routed.Extra, func(x int) bool { return x > 0 }) {
 			tally[kind][1]++
 		}
-		if slices.ContainsFunc(c.route.Need, func(x int) bool { return x > 0 }) {
+		if slices.ContainsFunc(c.Routed.Need, func(x int) bool { return x > 0 }) {
 			tally[kind][2]++
 		}
-		if !slices.Equal(c.route.Extra, want.rows) || !slices.Equal(c.stats.TimedOut, want.timedOut) {
+		if !slices.Equal(c.Routed.Extra, want.rows) || !slices.Equal(c.TimedOut, want.timedOut) {
 			t.Fatalf("state %d (repair %v): extras %v timed out %v, reference %v %v",
-				i, repair, c.route.Extra, c.stats.TimedOut, want.rows, want.timedOut)
+				i, repair, c.Routed.Extra, c.TimedOut, want.rows, want.timedOut)
 		}
 		for w := range want.ranges {
-			if !slices.Equal(c.route.Ranges[w], want.ranges[w]) {
-				t.Fatalf("state %d (repair %v): worker %d ranges %v, reference %v", i, repair, w, c.route.Ranges[w], want.ranges[w])
+			if !slices.Equal(c.Routed.Ranges[w], want.ranges[w]) {
+				t.Fatalf("state %d (repair %v): worker %d ranges %v, reference %v", i, repair, w, c.Routed.Ranges[w], want.ranges[w])
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sort"
 	"time"
 
@@ -16,10 +15,10 @@ import (
 // distribute-path retry engine (re-stream only the lost worker's
 // partition, to a warm spare when one is parked), the cluster lifecycle
 // (background admissions, heartbeat liveness watch, eviction on repeated
-// round failures), and the round repair planner that folds a dead
-// worker's rows back into the reassignment plan instead of stalling to
-// the timeout. The (n,k) coding slack the paper spends on stragglers
-// within a round becomes cluster headroom across rounds.
+// round failures), and the round repair loop that folds a dead worker's
+// rows back into the round (planned by the ledger's PlanRepair) instead
+// of stalling to the timeout. The (n,k) coding slack the paper spends on
+// stragglers within a round becomes cluster headroom across rounds.
 
 // RetryConfig bounds the distribute-path retry engine.
 type RetryConfig struct {
@@ -547,22 +546,22 @@ func (m *Master) heartbeatLoop() {
 //s2c2:noalloc-waive
 func (m *Master) noteRoundOutcome(c *roundCore, workers []*workerConn) {
 	m.mu.Lock()
-	for w := 0; w < c.n && w < len(m.failStreak); w++ {
+	for w := 0; w < c.N && w < len(m.failStreak); w++ {
 		switch {
-		case c.responded[w]:
+		case c.Responded[w]:
 			m.failStreak[w] = 0
-		case c.dead[w]:
+		case c.Dead[w]:
 			m.failStreak[w]++
 		}
 	}
-	for _, w := range c.stats.TimedOut {
+	for _, w := range c.TimedOut {
 		if w < len(m.failStreak) {
 			m.failStreak[w]++
 		}
 	}
 	var toEvict []*workerConn
 	if m.cfg.EvictAfter > 0 {
-		for w := 0; w < c.n && w < len(m.workers) && w < len(m.failStreak); w++ {
+		for w := 0; w < c.N && w < len(m.workers) && w < len(m.failStreak); w++ {
 			wc := m.workers[w]
 			if m.failStreak[w] < m.cfg.EvictAfter || wc != workers[w] || wc.evicted.Load() {
 				continue
@@ -586,130 +585,20 @@ func (m *Master) noteRoundOutcome(c *roundCore, workers []*workerConn) {
 // errRoundFailures is the eviction reason of the EvictAfter policy.
 var errRoundFailures = errors.New("rpc: evicted after repeated round failures")
 
-// markAssigned records that worker w is expected to deliver ranges (an
-// original plan assignment or a successfully sent extra); planRepair
-// counts these as in-flight potential.
-//
-//s2c2:noalloc
-func (c *roundCore) markAssigned(w int, ranges []coding.Range) {
-	base := w * c.blockRows
-	for _, rg := range ranges {
-		for r := rg.Lo; r < rg.Hi; r++ {
-			c.asgMark[base+r] = true
-		}
-	}
-}
-
-// noteDead records worker w's mid-round death (idempotent).
-//
-//s2c2:noalloc-waive
-func (c *roundCore) noteDead(w int) {
-	if w < 0 || w >= c.n || c.dead[w] {
-		return
-	}
-	c.dead[w] = true
-	c.stats.Recovery.DeadWorkers = append(c.stats.Recovery.DeadWorkers, w)
-}
-
-// aliveWorkers counts workers not marked dead this round.
-//
-//s2c2:noalloc
-func (c *roundCore) aliveWorkers() int {
-	alive := 0
-	for w := 0; w < c.n; w++ {
-		if !c.dead[w] {
-			alive++
-		}
-	}
-	return alive
-}
-
-// givenUp reports whether the grace reassignment already wrote worker w
-// off: it is in stats.TimedOut and has still not responded. planExtras
-// re-routed its rows to responders then, so the rows are no longer
-// in-flight potential — if one of those responders dies, only the silent
-// worker would be left holding them. Its late result is still accepted.
-//
-//s2c2:noalloc
-func (c *roundCore) givenUp(w int) bool {
-	return !c.responded[w] && slices.Contains(c.stats.TimedOut, w)
-}
-
-// planRepair folds dead workers' undelivered rows back into the round:
-// for every row whose confirmed coverage plus in-flight potential falls
-// short of k, it routes the deficit to the alive workers with the fewest
-// assigned plus extra rows that do not already cover or compute the row.
-// Only when no such worker is left does a given-up worker's assignment
-// count as potential again. Unlike planExtras — which re-executes
-// stragglers' rows on responders only — repair may assign to any alive
-// worker, responder or not: a dead worker's rows are gone, not merely
-// late, so idle capacity is fair game. Every worker holds its full
-// partition from the distribute phase, so any alive worker can compute
-// any of its own partition's rows.
-//
-//s2c2:noalloc-waive
-func (c *roundCore) planRepair() error {
-	rt := &c.route
-	rt.Reset(c.n, c.blockRows)
-	for w := range rt.Eligible {
-		rt.Eligible[w] = !c.dead[w]
-	}
-	for i := range rt.Holds {
-		rt.Holds[i] = c.asgMark[i] || c.coveredBy[i]
-	}
-	for r, cv := range c.cov {
-		if cv < c.k {
-			pot, _ := c.potential(r)
-			rt.Need[r] = c.k - cv - pot
-		}
-	}
-	if rt.Route(c.stats.AssignedRows, nil) == nil {
-		return nil
-	}
-	for r, short := range rt.Need {
-		// Nobody else can compute the rest of row r: the round waits for
-		// given-up workers' late results after all, if enough hold it.
-		if _, late := c.potential(r); short > late {
-			return fmt.Errorf("rpc: cannot re-cover row %d after worker failure (%d alive, need %d distinct)",
-				r, c.aliveWorkers(), c.k)
-		}
-	}
-	return nil
-}
-
-// potential counts row r's coverage in flight: pot alive workers are
-// still expected to deliver it, and late more are too but were given up
-// on by the grace reassignment.
-//
-//s2c2:noalloc
-func (c *roundCore) potential(r int) (pot, late int) {
-	for w := 0; w < c.n; w++ {
-		idx := w*c.blockRows + r
-		switch {
-		case c.dead[w] || !c.asgMark[idx] || c.coveredBy[idx]:
-		case c.givenUp(w):
-			late++
-		default:
-			pot++
-		}
-	}
-	return pot, late
-}
-
-// repair replans and re-sends the coverage lost to dead workers,
-// absorbing send-time deaths by replanning until every extra sticks or
-// too few workers remain. Each iteration that fails marks at least one
-// more worker dead, so the loop runs at most n times.
+// repair replans (the ledger's PlanRepair) and re-sends the coverage lost
+// to dead workers, absorbing send-time deaths by replanning until every
+// extra sticks or too few workers remain. Each iteration that fails marks
+// at least one more worker dead, so the loop runs at most n times.
 //
 //s2c2:noalloc-waive
 func (l *jobLane[C, T]) repair(workers []*workerConn, iter, phase int, x []T, bw int) error {
 	ws := &l.round
 	for {
-		if ws.aliveWorkers() < ws.k {
+		if ws.AliveWorkers() < ws.K {
 			return roundLostError(&ws.roundCore, iter, phase)
 		}
-		if err := ws.planRepair(); err != nil {
-			return err
+		if err := ws.PlanRepair(); err != nil {
+			return fmt.Errorf("rpc: %w", err)
 		}
 		rows, lost := l.sendExtras(workers, iter, phase, x, bw)
 		ws.stats.Recovery.RecoveredRows += rows
@@ -726,22 +615,13 @@ func (l *jobLane[C, T]) repair(workers []*workerConn, iter, phase int, x []T, bw
 //
 //s2c2:noalloc-waive
 func (c *roundCore) stallError(what string) error {
-	var owed []int
-	for w := 0; w < c.n; w++ {
-		for r := 0; r < c.blockRows && !c.dead[w]; r++ {
-			if idx := w*c.blockRows + r; c.asgMark[idx] && !c.coveredBy[idx] {
-				owed = append(owed, w)
-				break
-			}
-		}
-	}
 	return fmt.Errorf("rpc: %s: %d of %d workers responded; workers %v still owe results (timed out: %v, dead: %v); %d of %d rows short of coverage %d",
-		what, c.nResponded, c.n, owed, c.stats.TimedOut, c.stats.Recovery.DeadWorkers, c.needed, c.blockRows, c.k)
+		what, c.NResponded, c.N, c.Owing(), c.TimedOut, c.DeadWorkers, c.Needed, c.BlockRows, c.K)
 }
 
 // roundLostError reports a round that lost so many workers that coverage
 // k is unreachable.
 func roundLostError(c *roundCore, iter, phase int) error {
 	return fmt.Errorf("rpc: round (%d,%d) lost %d workers; %d alive, coverage needs %d distinct",
-		iter, phase, len(c.stats.Recovery.DeadWorkers), c.aliveWorkers(), c.k)
+		iter, phase, len(c.DeadWorkers), c.AliveWorkers(), c.K)
 }

@@ -32,55 +32,54 @@ func TestPlanRepairDoesNotCountGivenUpWorkers(t *testing.T) {
 				}
 			}
 		}
-		c.stats.AssignedRows[w] = len(ranges)
-		c.markAssigned(w, ranges)
+		c.Assign(w, ranges)
 		if w != 4 { // worker 4 never answers
 			c.noteResult(w, ranges, time.Duration(w+1)*time.Millisecond, time.Millisecond, false)
 		}
 	}
-	if c.needed == 0 {
+	if c.Needed == 0 {
 		t.Fatal("test setup: the silent worker must leave rows short of coverage")
 	}
 
 	// Grace fires: worker 4 is written off and its rows go to responders.
-	if err := c.planExtras(); err != nil {
+	if err := c.PlanExtras(nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.stats.TimedOut) != 1 || c.stats.TimedOut[0] != 4 {
-		t.Fatalf("TimedOut = %v, want [4]", c.stats.TimedOut)
+	if len(c.TimedOut) != 1 || c.TimedOut[0] != 4 {
+		t.Fatalf("TimedOut = %v, want [4]", c.TimedOut)
 	}
 	reExecutor, row := -1, -1
-	for w, ranges := range c.route.Ranges {
+	for w, ranges := range c.Routed.Ranges {
 		if len(ranges) > 0 {
-			c.markAssigned(w, ranges)
+			c.Assign(w, ranges)
 			if reExecutor < 0 {
 				reExecutor, row = w, ranges[0].Lo
 			}
 		}
 	}
 	if reExecutor < 0 {
-		t.Fatal("test setup: planExtras reassigned nothing")
+		t.Fatal("test setup: PlanExtras reassigned nothing")
 	}
 
 	// The re-executor dies before delivering its extra.
-	c.noteDead(reExecutor)
-	if err := c.planRepair(); err != nil {
+	c.NoteDead(reExecutor)
+	if err := c.PlanRepair(); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < rows; r++ {
 		inFlight := 0
 		for w := 0; w < n; w++ {
 			idx := w*rows + r
-			if !c.dead[w] && w != 4 && (c.asgMark[idx] || c.route.Holds[idx]) && !c.coveredBy[idx] {
+			if !c.Dead[w] && w != 4 && (c.Assigned[idx] || c.Routed.Holds[idx]) && !c.Delivered[idx] {
 				inFlight++
 			}
 		}
-		if c.cov[r]+inFlight < k {
+		if c.Cov[r]+inFlight < k {
 			t.Errorf("row %d: coverage %d + %d in flight from workers that answer < %d; repair left it to the silent worker",
-				r, c.cov[r], inFlight, k)
+				r, c.Cov[r], inFlight, k)
 		}
 	}
-	if got := c.route.Extra[4] + c.route.Extra[reExecutor]; got != 0 {
+	if got := c.Routed.Extra[4] + c.Routed.Extra[reExecutor]; got != 0 {
 		t.Errorf("repair routed %d rows to the silent or the dead worker", got)
 	}
 
@@ -93,10 +92,10 @@ func TestPlanRepairDoesNotCountGivenUpWorkers(t *testing.T) {
 	}
 
 	// A late result from the given-up worker is still accepted …
-	before := c.cov[row]
+	before := c.Cov[row]
 	c.noteResult(4, []coding.Range{{Lo: row, Hi: row + 1}}, time.Second, time.Millisecond, false)
-	if c.cov[row] != before+1 || c.givenUp(4) {
-		t.Errorf("late result from the timed-out worker was not folded in (cov %d → %d)", before, c.cov[row])
+	if c.Cov[row] != before+1 || c.GivenUp(4) {
+		t.Errorf("late result from the timed-out worker was not folded in (cov %d → %d)", before, c.Cov[row])
 	}
 
 	// … and when nobody else is left to compute a row, the round waits for
@@ -104,12 +103,11 @@ func TestPlanRepairDoesNotCountGivenUpWorkers(t *testing.T) {
 	var d roundCore
 	d.begin(3, 1, 3, 1)
 	for w := 0; w < 3; w++ {
-		d.stats.AssignedRows[w] = 1
-		d.markAssigned(w, []coding.Range{{Lo: 0, Hi: 1}})
+		d.Assign(w, []coding.Range{{Lo: 0, Hi: 1}})
 	}
 	d.noteResult(0, []coding.Range{{Lo: 0, Hi: 1}}, time.Millisecond, time.Millisecond, false)
-	d.stats.TimedOut = append(d.stats.TimedOut, 1, 2)
-	if err := d.planRepair(); err != nil {
+	d.TimedOut = append(d.TimedOut, 1, 2)
+	if err := d.PlanRepair(); err != nil {
 		t.Fatalf("repair with only timed-out holders left: %v", err)
 	}
 }

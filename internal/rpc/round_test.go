@@ -329,7 +329,7 @@ func TestGatherAndDecodeZeroAllocsSteadyState(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if ws.needed != 0 {
+		if ws.Needed != 0 {
 			t.Fatal("fixture round did not reach coverage")
 		}
 		partials, stats, err := ws.finish(m.cfg.ReuseRound)
@@ -367,10 +367,10 @@ func TestGatherDeduplicatesCoverage(t *testing.T) {
 	if err := ws.addResult(r, 2*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if ws.needed != 4 {
-		t.Fatalf("duplicate delivery advanced coverage: needed=%d, want 4", ws.needed)
+	if ws.Needed != 4 {
+		t.Fatalf("duplicate delivery advanced coverage: needed=%d, want 4", ws.Needed)
 	}
-	for row, c := range ws.cov {
+	for row, c := range ws.Cov {
 		if c != 1 {
 			t.Fatalf("row %d coverage %d after duplicate delivery, want 1", row, c)
 		}
@@ -380,8 +380,8 @@ func TestGatherDeduplicatesCoverage(t *testing.T) {
 	if err := ws.addResult(r2, 3*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if ws.needed != 0 {
-		t.Fatalf("coverage incomplete after second worker: needed=%d", ws.needed)
+	if ws.Needed != 0 {
+		t.Fatalf("coverage incomplete after second worker: needed=%d", ws.Needed)
 	}
 	// Malformed ranges are rejected, not indexed out of bounds.
 	bad := &Result{Worker: 1, RowWidth: 1, Ranges: []coding.Range{{Lo: 2, Hi: 9}}, Values: make([]float64, 7)}

@@ -566,7 +566,7 @@ func TestMasterWireRoundZeroAllocsSteadyState(t *testing.T) {
 			}
 			ws.retained = append(ws.retained, r)
 		}
-		if ws.needed != 0 {
+		if ws.Needed != 0 {
 			t.Fatal("fixture round did not reach coverage")
 		}
 		partials, stats, err := ws.finish(m.cfg.ReuseRound)

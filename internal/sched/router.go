@@ -8,12 +8,12 @@ import (
 )
 
 // Router is the reassignment half of §4.3, written once: it routes the
-// rows a round is still short of to workers that can compute them. The
-// simulator's timeout recovery and the runtime's grace and repair extras
-// all run it, each keeping its own rule through the values it passes. It
-// is clock-free, and allocation-free once Reset has sized it: a caller
-// Resets it to the round's shape, fills Need, Eligible and Holds, and
-// calls Route.
+// rows a round is still short of to workers that can compute them. Its one
+// caller is the round Ledger, whose timeout planner (the simulator's
+// recovery and the runtime's grace extras) and repair planner each keep
+// their own rule through the values they pass. It is clock-free, and
+// allocation-free once Reset has sized it: a caller Resets it to the
+// round's shape, fills Need, Eligible and Holds, and calls Route.
 type Router struct {
 	blockRows int
 	// Need[r] is the coverage row r still needs. Route lowers it by every

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -86,6 +87,41 @@ func TestUncodedReplicationCollapsesBeyondReplicationFactor(t *testing.T) {
 	}
 	if lat[3] <= lat[0] || lat[6] <= lat[3] {
 		t.Fatalf("latency should grow with stragglers: %v", lat)
+	}
+}
+
+// TestUncodedReplicationDeterministic runs each round of a 16-worker
+// trace, where speculation has to move data, several times over: the
+// latency must repeat to the bit. The data-move fallback picks among idle
+// workers that all start at the same trigger time, so the tie must go the
+// same way every time (to the lowest id).
+func TestUncodedReplicationDeterministic(t *testing.T) {
+	a := mat.Rand(640, 60, rand.New(rand.NewSource(34)))
+	x := make([]float64, 60)
+	moves := 0
+	for seed := int64(1); seed <= 5; seed++ {
+		tr := trace.ControlledCluster(16, 3, 40, seed)
+		for iter := 0; iter < 40; iter++ {
+			var first uint64
+			for rep := 0; rep < 5; rep++ {
+				u := &UncodedReplication{A: a, Trace: tr, Comm: DefaultComm()}
+				r, err := u.RunIteration(iter, x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bits := math.Float64bits(r.Latency)
+				if rep == 0 {
+					first = bits
+					moves += r.DataMoves
+				} else if bits != first {
+					t.Fatalf("seed %d round %d: latency %v on run %d, %v on the first",
+						seed, iter, r.Latency, rep+1, math.Float64frombits(first))
+				}
+			}
+		}
+	}
+	if moves == 0 {
+		t.Fatal("no round moved data: the test no longer reaches the fallback")
 	}
 }
 

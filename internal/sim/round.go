@@ -37,7 +37,8 @@ type Accounting struct {
 	UsedRows     []int
 	// ReassignedRows counts rows re-executed after the timeout fired.
 	ReassignedRows int
-	// TimedOut lists workers whose results were abandoned.
+	// TimedOut lists, in ascending worker id, the workers whose results
+	// were abandoned.
 	TimedOut []int
 	// Mispredicted reports whether the timeout mechanism fired.
 	Mispredicted bool
@@ -122,16 +123,14 @@ func growCounters(s []int, n int) []int {
 
 // roundModel is the timing model both simulated clusters run, with the
 // state it recycles across rounds: the speed history, the double-buffered
-// plans, speed vectors, finish-time records, coverage counters, the §4.3
-// row router and the worker partials handed to the decode.
+// plans, speed vectors, finish-time records, the §4.3 round ledger and the
+// worker partials handed to the decode.
 type roundModel struct {
 	speeds                      speedSource
 	planBuf                     sched.PlanBuffer
 	predicted, actual, observed []float64
 	finishes                    []workerFinish
-	cov                         []int
-	used                        []bool
-	router                      sched.Router
+	ledger                      sched.Ledger
 	partials                    []*coding.Partial
 	partialBuf, extraBuf        []*coding.Partial // per-worker reusable partials
 }
@@ -153,17 +152,20 @@ func (m *roundModel) plan(s sched.Strategy, f predict.Forecaster, tr *trace.Trac
 }
 
 // simulate runs the planned round in virtual time into acc: it broadcasts
-// inBytes to every worker, finishes each worker at its true speed, walks
-// the arrivals to coverage k of every one of blockRows rows, and applies
-// the §4.3 deadline. When coverage misses the deadline, the workers that
-// finished by it are used, the rest time out, and the coverage they owed
-// is routed to the used workers. Last, the forecaster observes each
-// worker's speed from its compute time (§6.2: ℓ/t).
+// inBytes to every worker, finishes each worker at its true speed, sets the
+// §4.3 deadline, and delivers the arrivals that land by it to the round
+// ledger until every one of blockRows rows has coverage k. When coverage
+// misses the deadline, the workers that finished by it are used, the rest
+// time out, and the ledger routes the coverage they owed to the used
+// workers. Last, the forecaster observes each worker's speed from its
+// compute time (§6.2: ℓ/t).
 func (m *roundModel) simulate(acc *Accounting, plan *sched.Plan, k, blockRows int, inBytes float64, cost rowCost, comm CommModel, timeout TimeoutPolicy) error {
 	n := len(m.actual)
 	broadcast := comm.TransferTime(inBytes)
 	acc.BytesMoved += inBytes * float64(n)
 
+	lg := &m.ledger
+	lg.Reset(n, k, blockRows)
 	finishes := m.finishes[:0]
 	for w := 0; w < n; w++ {
 		rows := plan.RowsFor(w)
@@ -171,6 +173,7 @@ func (m *roundModel) simulate(acc *Accounting, plan *sched.Plan, k, blockRows in
 			continue
 		}
 		acc.ComputedRows[w] = rows
+		lg.Assign(w, plan.Assignments[w])
 		finishes = append(finishes, workerFinish{w: w, finish: cost.finish(broadcast, rows, m.actual[w], comm), rows: rows})
 	}
 	m.finishes = finishes
@@ -180,28 +183,6 @@ func (m *roundModel) simulate(acc *Accounting, plan *sched.Plan, k, blockRows in
 	// pdqsort, like sort.Slice: the order among tied finish times decides
 	// which workers' partials are decoded.
 	slices.SortFunc(finishes, byFinish)
-
-	// Find when per-row coverage k is first satisfied, walking arrivals.
-	cov := growCounters(m.cov, blockRows)
-	m.cov = cov
-	needed := blockRows
-	coveredAt := -1.0
-	usedUpTo := -1 // index into finishes of last needed arrival
-	for i, f := range finishes {
-		for _, rg := range plan.Assignments[f.w] {
-			for r := rg.Lo; r < rg.Hi; r++ {
-				cov[r]++
-				if cov[r] == k {
-					needed--
-				}
-			}
-		}
-		if needed == 0 {
-			coveredAt = f.finish
-			usedUpTo = i
-			break
-		}
-	}
 
 	// The §4.3 deadline. The mean of the first k responses is the paper's
 	// rule. Two refinements keep it sound when S2C2 assigns unequal loads
@@ -224,34 +205,30 @@ func (m *roundModel) simulate(acc *Accounting, plan *sched.Plan, k, blockRows in
 	}
 	deadline = max(deadline, planned*(1+timeout.Fraction), finishes[k-1].finish)
 
-	m.used = kernel.GrowSlice(m.used, n)
-	clear(m.used)
-	if coveredAt >= 0 && coveredAt <= deadline {
-		// Coverage reached before the timeout. Workers finishing later
-		// have their results ignored (conventional MDS's discarded
-		// stragglers): their UsedRows stay 0.
-		acc.Latency = coveredAt
-		for _, f := range finishes[:usedUpTo+1] {
-			m.used[f.w] = true
-			acc.UsedRows[f.w] = f.rows
+	// Walk the arrivals up to the deadline until coverage. Workers
+	// finishing after coverage have their results ignored (conventional
+	// MDS's discarded stragglers): their UsedRows stay 0.
+	for _, f := range finishes {
+		if f.finish > deadline {
+			break
 		}
-	} else {
+		lg.Deliver(f.w, plan.Assignments[f.w], true)
+		acc.UsedRows[f.w] = f.rows
+		if lg.Covered() {
+			acc.Latency = f.finish
+			break
+		}
+	}
+	if !lg.Covered() {
 		acc.Mispredicted = true
-		for _, f := range finishes {
-			if f.finish <= deadline {
-				m.used[f.w] = true
-				acc.UsedRows[f.w] = f.rows
-			} else {
-				acc.TimedOut = append(acc.TimedOut, f.w)
-			}
-		}
-		if err := m.reassign(plan, k, blockRows); err != nil {
+		if err := lg.PlanExtras(m.actual); err != nil {
 			return err
 		}
+		acc.TimedOut = append(acc.TimedOut, lg.TimedOut...)
 		// A helper completes at the deadline plus its assignment message,
 		// its compute and its reply.
 		acc.Latency = deadline
-		for w, extra := range m.router.Extra {
+		for w, extra := range lg.Routed.Extra {
 			if extra == 0 {
 				continue
 			}
@@ -282,30 +259,6 @@ func (m *roundModel) simulate(acc *Accounting, plan *sched.Plan, k, blockRows in
 	return nil
 }
 
-// reassign routes every row the used workers cover fewer than need times,
-// row by row, to the used worker with the least projected extra time
-// (extra rows over true speed) that does not hold it yet.
-func (m *roundModel) reassign(plan *sched.Plan, need, blockRows int) error {
-	rt := &m.router
-	rt.Reset(len(m.used), blockRows)
-	for r := range rt.Need {
-		rt.Need[r] = need
-	}
-	for w, ok := range m.used {
-		if !ok {
-			continue
-		}
-		rt.Eligible[w] = true
-		for _, rg := range plan.Assignments[w] {
-			for r := rg.Lo; r < rg.Hi; r++ {
-				rt.Holds[w*blockRows+r] = true
-				rt.Need[r]--
-			}
-		}
-	}
-	return rt.Route(nil, m.actual)
-}
-
 // encoded is what the numeric round needs of a coded dataset, mat-vec or
 // bilinear: worker w's kernel over some of its rows.
 type encoded interface {
@@ -316,21 +269,22 @@ type encoded interface {
 // worker's assignment and, after a timeout, the rows routed to it, so the
 // decode sees the coverage the latency was charged for.
 func (m *roundModel) compute(enc encoded, x []float64, plan *sched.Plan, mispredicted bool) []*coding.Partial {
+	lg := &m.ledger
 	if m.partialBuf == nil {
-		m.partialBuf = make([]*coding.Partial, len(m.used))
-		m.extraBuf = make([]*coding.Partial, len(m.used))
+		m.partialBuf = make([]*coding.Partial, lg.N)
+		m.extraBuf = make([]*coding.Partial, lg.N)
 	}
 	partials := m.partials[:0]
-	for w, ok := range m.used {
-		if ok && plan.RowsFor(w) > 0 {
+	for w, ok := range lg.Responded {
+		if ok {
 			m.partialBuf[w] = enc.WorkerComputeInto(w, x, plan.Assignments[w], m.partialBuf[w])
 			partials = append(partials, m.partialBuf[w])
 		}
 	}
 	if mispredicted {
-		for w, extra := range m.router.Extra {
+		for w, extra := range lg.Routed.Extra {
 			if extra > 0 {
-				m.extraBuf[w] = enc.WorkerComputeInto(w, x, m.router.Ranges[w], m.extraBuf[w])
+				m.extraBuf[w] = enc.WorkerComputeInto(w, x, lg.Routed.Ranges[w], m.extraBuf[w])
 				partials = append(partials, m.extraBuf[w])
 			}
 		}

@@ -97,7 +97,7 @@ func TestCodedClusterTrafficCountsEachResultOnce(t *testing.T) {
 	helpers, used := 0, 0
 	for w := range r.UsedRows {
 		used += r.UsedRows[w]
-		if c.router.Extra[w] > 0 {
+		if c.ledger.Routed.Extra[w] > 0 {
 			helpers++
 		}
 	}

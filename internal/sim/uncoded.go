@@ -128,9 +128,13 @@ func (u *UncodedReplication) RunIteration(iter int, x []float64) (*UncodedRound,
 	}
 
 	// Idle workers at trigger: those whose primary task has finished.
-	// available[w] = time worker w can start speculative work.
-	available := map[int]float64{}
-	for w := 0; w < n; w++ {
+	// available[w] = time worker w can start speculative work, -1 while
+	// its own task runs. Every idle worker starts at trigger, so ties are
+	// common: scanning in id order gives them to the lowest id, and a trace
+	// always simulates the same way.
+	available := make([]float64, n)
+	for w := range available {
+		available[w] = -1
 		if finish[w] <= trigger {
 			available[w] = trigger
 		}
@@ -143,13 +147,13 @@ func (u *UncodedReplication) RunIteration(iter int, x []float64) (*UncodedRound,
 			if w == l.p {
 				continue
 			}
-			if at, ok := available[w]; ok && (bestW < 0 || at < bestStart) {
+			if at := available[w]; at >= 0 && (bestW < 0 || at < bestStart) {
 				bestW, bestStart = w, at
 			}
 		}
 		if bestW < 0 {
 			for w, at := range available {
-				if bestW < 0 || at < bestStart {
+				if at >= 0 && (bestW < 0 || at < bestStart) {
 					bestW, bestStart, needMove = w, at, true
 				}
 			}

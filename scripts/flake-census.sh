@@ -2,18 +2,22 @@
 # flake-census.sh PKG N [test-binary flags] — count how often each test of
 # one package fails.
 #
-# The package's test binary is built once and then run two ways: N times
-# in fresh processes, and once in one process with -test.count=N (a test
-# that leaks state into its own repetition fails only there). Events come
+# The package's test binary is built once and then run three ways: N
+# times in fresh processes; once in one process with -test.count=N (a
+# test that leaks state into its own repetition fails only there); and
+# per test, each test alone in its own process with -test.run '^Name$'
+# -test.count=N (a test that fails only beside its package's other tests
+# passes there). The per-test mode runs every top-level test the first two
+# modes ran, so it honours a -test.run filter too. Events come
 # from `go tool test2json`, the converter behind `go test -json`. For every
-# test that failed in either mode the census prints its failures out of
+# test that failed in any mode the census prints its failures out of
 # the runs it got, and each distinct first failure line (the first
 # file.go:NN: line the test logged, or its panic) with how often it was
 # the first. Failures are reported, never retried. Flags after N go to the
 # test binary (e.g. -test.run '^TestChaosSoak$'); GOFLAGS=-race builds a
 # race binary.
 #
-# Exit status: 0 when no test failed in either mode, 1 otherwise.
+# Exit status: 0 when no test failed in any mode, 1 otherwise.
 #
 #   bash scripts/flake-census.sh ./internal/rpc 50
 #   make flake-census PKG=./internal/rpc N=50
@@ -45,6 +49,12 @@ for ((i = 0; i < n; i++)); do
 	run fresh 1 "$@"
 done
 run count "$n" "$@"
+# Top-level tests only: a subtest runs with its parent.
+tests=$(sed -n 's/.*"Action":"run".*"Test":"\([^"/]*\)".*/\1/p' "$work/fresh.json" "$work/count.json" | sort -u)
+for t in $tests; do
+	run pertest "$n" "$@" -test.run "^$t\$"
+done
+touch "$work/pertest.json"
 
 # Each event line is one JSON object: {"Action":…,"Package":…,"Test":…,
 # "Output":…}. Output is the last field, so everything after its key up to
@@ -88,13 +98,14 @@ FNR == 1 { mode = FILENAME; sub(/.*\//, "", mode); sub(/\.json$/, "", mode) }
 	first[t] = ""
 }
 END {
-	printf "flake census: %s, N=%d (fresh: %d processes; count: one process, -test.count=%d)\n", pkg, n, n, n
+	printf "flake census: %s, N=%d (fresh: %d processes; count: one process, -test.count=%d; pertest: one process per test, -test.count=%d)\n", pkg, n, n, n, n
 	tests = 0; bad = 0
 	for (t in seen) if (t != "(package)") tests++
 	for (t in seen) {
-		if (fails["fresh", t] + fails["count", t] == 0) continue
+		if (fails["fresh", t] + fails["count", t] + fails["pertest", t] == 0) continue
 		bad++
-		printf "%s: fresh %d/%d, count %d/%d\n", t, fails["fresh", t], ran["fresh", t], fails["count", t], ran["count", t]
+		printf "%s: fresh %d/%d, count %d/%d, pertest %d/%d\n", t, fails["fresh", t], ran["fresh", t],
+			fails["count", t], ran["count", t], fails["pertest", t], ran["pertest", t]
 		for (i = 1; i <= nwhy; i++) {
 			split(order[i], f, SUBSEP)
 			if (f[2] == t) printf "    %s %dx: %s\n", f[1], why[order[i]], f[3]
@@ -102,4 +113,4 @@ END {
 	}
 	printf "%d of %d tests failed at least once\n", bad, tests
 	exit bad > 0
-}' "$work/fresh.json" "$work/count.json"
+}' "$work/fresh.json" "$work/count.json" "$work/pertest.json"
