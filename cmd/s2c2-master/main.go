@@ -124,9 +124,8 @@ func runExact(cfg rpc.MasterConfig, n, k, iters, rows, cols int, timeoutFrac flo
 		return err
 	}
 	fmt.Printf("all %d workers connected\n", n)
-	// Workers dialing in after this point park as warm spares for the
-	// retry and eviction paths.
-	m.StartAdmissions()
+	// Workers dialing in after this point keep parking as warm spares for
+	// the retry and eviction paths; the master's accept loop never stops.
 	defer reportRecovery(m)
 	ctx, job := context.Background(), m.DefaultJob()
 
@@ -207,7 +206,6 @@ func run(cfg rpc.MasterConfig, n, k, iters, samples, feats int, timeoutFrac floa
 		return err
 	}
 	fmt.Printf("all %d workers connected\n", n)
-	m.StartAdmissions()
 	defer reportRecovery(m)
 	ctx, job := context.Background(), m.DefaultJob()
 

@@ -30,7 +30,6 @@ func runServe(cfg rpc.MasterConfig, n, k, iters, rows, cols int, timeoutFrac flo
 		return err
 	}
 	fmt.Printf("all %d workers connected\n", n)
-	m.StartAdmissions()
 	defer reportRecovery(m)
 
 	code, err := coding.NewGFMDSCode(n, k)

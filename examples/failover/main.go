@@ -77,9 +77,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	// Late joiners park as warm spares instead of being turned away.
-	master.StartAdmissions()
-	fmt.Printf("cluster up: %d workers, admissions open\n", n)
+	fmt.Printf("cluster up: %d workers, late joiners park as spares\n", n)
 
 	data := s2c2.NewClassificationDataset(400, 40, 21)
 	code, err := s2c2.NewMDSCode(n, k)

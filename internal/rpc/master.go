@@ -155,10 +155,6 @@ type workerConn struct {
 	// the readLoop exits silently instead of reporting a worker failure
 	// that was already attributed elsewhere.
 	evicted atomic.Bool
-	// loopOnce guards the connection's single read loop, started when the
-	// connection is first parked or registered — whichever happens first —
-	// and owned by it until the connection dies.
-	loopOnce sync.Once
 }
 
 // Master coordinates a real TCP cluster: it accepts worker connections,
@@ -168,15 +164,22 @@ type workerConn struct {
 // connections (OpenJob); single-tenant callers pass the built-in default
 // job (DefaultJob) to Run and Distribute and never see the serving layer.
 type Master struct {
-	cfg  MasterConfig
-	ln   net.Listener
-	quit chan struct{}
+	cfg MasterConfig
+	ln  net.Listener
+	// ctx is cancelled by Shutdown; quit is its Done channel.
+	ctx    context.Context
+	cancel context.CancelFunc
+	quit   <-chan struct{}
+	// acceptDone closes when the accept loop ends; acceptErr, written
+	// before, is the Accept error that ended it.
+	acceptDone chan struct{}
+	acceptErr  error
 
 	mu         sync.Mutex
 	workers    []*workerConn
-	pending    []*workerConn // spare pool: admitted past a target, or parked by the admission loop
+	pending    []*workerConn // spare pool: every admitted connection parks here first
 	closing    bool
-	admissions bool // background admission loop running (StartAdmissions)
+	lastReject error // the latest rejected handshake, for WaitForWorkers' timeout error
 	// failStreak[w] counts worker w's consecutive failed rounds (timed out
 	// or dead, never responding in between); EvictAfter reads it.
 	failStreak []int
@@ -191,7 +194,7 @@ type Master struct {
 
 	// pendingReady holds one token when pending is non-empty, so a
 	// WaitForWorkers call already inside its wait loop notices workers
-	// parked mid-call (by a previous call's orphaned admission).
+	// parked mid-call.
 	pendingReady chan struct{}
 
 	// def is the built-in default job (id 0, DefaultJob).
@@ -210,7 +213,7 @@ type Master struct {
 	ticketSeq    int
 	ticketView   []JobTicket // reused policy snapshot
 
-	wg      sync.WaitGroup // readLoops
+	wg      sync.WaitGroup // accept loop, handshakes, readLoops, heartbeat
 	xferSeq atomic.Int64   // partition-transfer sequence (stale-ack fencing)
 }
 
@@ -219,16 +222,23 @@ func NewMaster(addr string) (*Master, error) {
 	return NewMasterWithConfig(MasterConfig{Addr: addr})
 }
 
-// NewMasterWithConfig listens according to cfg.
+// NewMasterWithConfig listens according to cfg and starts the accept
+// loop: from here on every worker that dials in and completes the
+// handshake parks in the spare pool until WaitForWorkers or a
+// replacement promotion gives it a slot.
 func NewMasterWithConfig(cfg MasterConfig) (*Master, error) {
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: listen: %w", err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	m := &Master{
 		cfg:          cfg,
 		ln:           ln,
-		quit:         make(chan struct{}),
+		ctx:          ctx,
+		cancel:       cancel,
+		quit:         ctx.Done(),
+		acceptDone:   make(chan struct{}),
 		parts:        map[int][]Partition[float64]{},
 		gfParts:      map[int][]Partition[gf.Elem]{},
 		pendingReady: make(chan struct{}, 1),
@@ -236,6 +246,8 @@ func NewMasterWithConfig(cfg MasterConfig) (*Master, error) {
 	initJob(&m.def, m, 0, JobConfig{})
 	m.jobs = map[int]*Job{0: &m.def}
 	m.wireSeq.Store(jobPhaseBase)
+	m.wg.Add(1)
+	go m.acceptLoop()
 	if cfg.Heartbeat > 0 {
 		m.wg.Add(1)
 		go m.heartbeatLoop()
@@ -252,193 +264,116 @@ func (m *Master) Addr() string { return m.ln.Addr().String() }
 func (m *Master) Exec() kernel.Exec { return m.cfg.Exec }
 
 // handshakeTimeout bounds how long one accepted connection may take to
-// complete its handshake and hello before WaitForWorkers moves on.
+// complete its handshake and hello before it is rejected.
 const handshakeTimeout = 5 * time.Second
 
 // maxConcurrentAdmits caps handshakes in flight at once; connections past
-// the cap wait in the listener backlog (see WaitForWorkers).
+// the cap wait in the listener backlog.
 const maxConcurrentAdmits = 32
 
-// WaitForWorkers accepts worker connections (assigning worker IDs in
-// admission-completion order) until n are connected or the deadline
-// expires. Each connection performs the wire handshake. Connections that
-// fail the handshake or hello — wrong magic, any version but
-// wire.VersionWire, a stalled client — are rejected and accepting
-// continues; they cannot wedge the master.
+// Accept retry bounds: start quick (a transient error burst should not
+// delay a joining worker), cap low enough that a recovering listener is
+// rediscovered promptly.
+const (
+	admitBaseBackoff = 10 * time.Millisecond
+	admitMaxBackoff  = 2 * time.Second
+)
+
+// WaitForWorkers registers parked workers, oldest first, until n are
+// connected or the timeout expires. Worker IDs therefore follow
+// admission-completion order. The accept loop parks every admitted
+// connection on its own, so the cluster never grows past n mid-call: a
+// worker admitted after the target is reached waits in the spare pool
+// for the next call (or a replacement promotion).
 //
-// Handshakes are admitted concurrently: accepting never waits on an
-// in-flight handshake, so one slow or stalled dialer delays later workers
-// by nothing instead of up to handshakeTimeout each. Registration is
-// serialized through this call, so the cluster never grows past n
-// mid-call: a handshake that completes after the target is reached (or
-// after the call returned) is parked and registered by the next
-// WaitForWorkers call — the concurrent analogue of a connection waiting
-// in the listener backlog under the old serial admission.
-//
-// The listener's accept deadline is cleared again on every return path, so
-// a later call — e.g. retrying after a timeout, or growing the cluster —
-// starts fresh instead of failing on a stale deadline.
+// If the accept loop has ended (the listener closed, or the master shut
+// down), the call returns the loop's error at once instead of waiting out
+// the timeout. A timeout wraps os.ErrDeadlineExceeded and names the last
+// rejected handshake, if any.
 func (m *Master) WaitForWorkers(n int, timeout time.Duration) error {
-	// Workers admitted past a previous call's target register first.
-	for m.NumWorkers() < n {
-		wc := m.popPending()
-		if wc == nil {
-			break
-		}
-		m.register(wc)
-	}
-	if m.NumWorkers() >= n {
-		return nil
-	}
-	if m.admissionsRunning() {
-		// The background admission loop owns the listener's accept loop;
-		// grow from its spare pool instead of competing for Accept.
-		return m.waitFromPool(n, timeout)
-	}
-	tl, _ := m.ln.(*net.TCPListener)
-	if tl != nil {
-		if err := tl.SetDeadline(time.Now().Add(timeout)); err != nil {
-			return err
-		}
-	}
-	// outcomes carries one admission verdict per accepted connection (the
-	// admitted worker, or the reject reason); acceptErr carries the
-	// accept-loop exit error (deadline or closed listener).
-	type outcome struct {
-		wc  *workerConn
-		err error
-	}
-	outcomes := make(chan outcome)
-	acceptErr := make(chan error, 1)
-	stop := make(chan struct{})
-	acceptDone := make(chan struct{})
-	// admitSlots bounds concurrent handshakes, restoring the backpressure
-	// the serial loop had: past the cap, accepting waits and surplus
-	// connections queue in the listener backlog instead of each pinning a
-	// goroutine + fd for up to handshakeTimeout (reconnect storms, port
-	// scanners).
-	admitSlots := make(chan struct{}, maxConcurrentAdmits)
-	go func() {
-		defer close(acceptDone)
-		for {
-			c, err := m.ln.Accept()
-			if err != nil {
-				select {
-				case acceptErr <- err:
-				case <-stop:
-				}
-				return
-			}
-			select {
-			case admitSlots <- struct{}{}:
-			case <-stop:
-				// The call is returning; finish this last accepted
-				// connection's handshake in the background and park it
-				// for the next call — the serial code would have left it
-				// in the listener backlog, not dropped it.
-				go func(c net.Conn) {
-					if wc, err := m.admit(c); err == nil {
-						m.enqueuePending(wc)
-					}
-				}(c)
-				return
-			}
-			go func(c net.Conn) {
-				defer func() { <-admitSlots }()
-				addr := c.RemoteAddr()
-				wc, err := m.admit(c)
-				if err != nil {
-					err = fmt.Errorf("%s: %w", addr, err)
-				}
-				select {
-				case outcomes <- outcome{wc: wc, err: err}:
-				case <-stop:
-					// The call already returned; hold the admitted worker
-					// for the next WaitForWorkers instead of registering
-					// into rounds planned for the current cluster size.
-					if wc != nil {
-						m.enqueuePending(wc)
-					}
-				}
-			}(c)
-		}
-	}()
-	defer func() {
-		close(stop)
-		if tl != nil {
-			// Force the pending Accept to return so exactly one accept
-			// loop ever runs, then clear the deadline for the next call.
-			tl.SetDeadline(time.Now()) //nolint:errcheck
-			<-acceptDone
-			tl.SetDeadline(time.Time{}) //nolint:errcheck // best-effort clear
-		}
-	}()
-	// The wait loop carries its own timer: the listener deadline only
-	// fires while the accept goroutine is blocked in Accept, and a storm
-	// of stalled handshakes holding every admit slot would otherwise
-	// stretch the caller's timeout toward handshakeTimeout.
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	var lastReject error
 	for m.NumWorkers() < n {
+		if wc := m.popPending(); wc != nil {
+			m.register(wc)
+			continue
+		}
 		select {
-		case res := <-outcomes:
-			if res.err != nil {
-				lastReject = res.err
-			} else if m.NumWorkers() < n {
-				m.register(res.wc)
-			} else {
-				m.enqueuePending(res.wc)
-			}
+		case <-m.pendingReady:
+		case <-m.acceptDone:
+			return fmt.Errorf("rpc: accept (have %d/%d workers): %w", m.NumWorkers(), n, m.acceptErr)
 		case <-timer.C:
+			m.mu.Lock()
+			lastReject := m.lastReject
+			m.mu.Unlock()
 			if lastReject != nil {
 				return fmt.Errorf("rpc: wait for workers: %w (have %d/%d workers, last rejected conn: %v)",
 					os.ErrDeadlineExceeded, m.NumWorkers(), n, lastReject)
 			}
 			return fmt.Errorf("rpc: wait for workers: %w (have %d/%d workers)",
 				os.ErrDeadlineExceeded, m.NumWorkers(), n)
-		case <-m.pendingReady:
-			// A previous call's orphaned admission parked a worker while
-			// this call was already waiting; register it now.
-			for m.NumWorkers() < n {
-				wc := m.popPending()
-				if wc == nil {
-					break
-				}
-				m.register(wc)
-			}
-		case err := <-acceptErr:
-			// A worker whose handshake completed as the deadline fired may
-			// be blocked handing over its outcome (or just parked);
-			// register what's ready before deciding this call failed.
-		drain:
-			for m.NumWorkers() < n {
-				if wc := m.popPending(); wc != nil {
-					m.register(wc)
-					continue
-				}
-				select {
-				case res := <-outcomes:
-					if res.err != nil {
-						lastReject = res.err
-					} else {
-						m.register(res.wc)
-					}
-				default:
-					break drain
-				}
-			}
-			if m.NumWorkers() >= n {
-				return nil
-			}
-			if lastReject != nil {
-				return fmt.Errorf("rpc: accept (have %d/%d workers, last rejected conn: %v): %w",
-					m.NumWorkers(), n, lastReject, err)
-			}
-			return fmt.Errorf("rpc: accept (have %d/%d workers): %w", m.NumWorkers(), n, err)
 		}
 	}
 	return nil
+}
+
+// acceptLoop accepts joining workers for the life of the master and
+// parks each admitted one in the spare pool. Handshakes run concurrently,
+// at most maxConcurrentAdmits at once, so one slow or stalled dialer
+// delays later workers by nothing; a rejected handshake is closed and the
+// loop keeps serving. Accept errors split two ways: a closed listener is
+// permanent (the loop exits, and WaitForWorkers reports the error) while
+// transient failures (EMFILE pressure, resets during the TCP handshake)
+// are retried under exponential backoff. Outside of Shutdown both kinds
+// are tallied in RecoveryStats.AcceptFailures, so a dead or misbehaving
+// listener shows up in RecoveryTotals instead of failing silently.
+func (m *Master) acceptLoop() {
+	defer m.wg.Done()
+	defer close(m.acceptDone)
+	slots := make(chan struct{}, maxConcurrentAdmits)
+	backoff := admitBaseBackoff
+	for {
+		c, err := m.ln.Accept()
+		if err != nil {
+			m.mu.Lock()
+			closing := m.closing
+			if !closing {
+				m.totals.AcceptFailures++
+			}
+			m.mu.Unlock()
+			if closing || errors.Is(err, net.ErrClosed) {
+				m.acceptErr = err
+				return
+			}
+			select {
+			case <-m.quit:
+			case <-time.After(backoff):
+			}
+			if backoff *= 2; backoff > admitMaxBackoff {
+				backoff = admitMaxBackoff
+			}
+			continue
+		}
+		backoff = admitBaseBackoff
+		slots <- struct{}{}
+		m.wg.Add(1)
+		go func() {
+			defer m.wg.Done()
+			defer func() { <-slots }()
+			// Shutdown closes a connection still mid-handshake, so no
+			// admission outlives the master by up to handshakeTimeout.
+			stop := context.AfterFunc(m.ctx, func() { c.Close() })
+			wc, err := m.admit(c)
+			stop()
+			if err != nil {
+				m.mu.Lock()
+				m.lastReject = fmt.Errorf("%s: %w", c.RemoteAddr(), err)
+				m.mu.Unlock()
+				return
+			}
+			m.enqueuePending(wc)
+		}()
+	}
 }
 
 // enqueuePending parks an admitted connection in the spare pool for a
@@ -446,12 +381,12 @@ func (m *Master) WaitForWorkers(n int, timeout time.Duration) error {
 // instead if the master is shutting down) and pulses pendingReady so a
 // call already waiting picks it up.
 //
-// A parked connection runs the same read loop a registered one does, so a
-// spare that dies while parked is discovered the moment its connection
-// errors — the loop discards it from the pool (dropParked) instead of
-// letting a later registration inherit a corpse. Promotion into a worker
-// slot is an atomic id swap observed by that same loop, not a loop
-// restart.
+// Parking starts the connection's one read loop, which serves it for
+// life, parked and registered alike. A spare that dies while parked is
+// discovered the moment its connection errors — the loop discards it
+// from the pool (dropParked) instead of letting a later registration
+// inherit a corpse. Promotion into a worker slot is an atomic id swap
+// observed by that same loop, not a loop restart.
 func (m *Master) enqueuePending(wc *workerConn) {
 	m.mu.Lock()
 	if m.closing {
@@ -460,7 +395,8 @@ func (m *Master) enqueuePending(wc *workerConn) {
 		return
 	}
 	m.pending = append(m.pending, wc)
-	m.startReadLoopLocked(wc)
+	m.wg.Add(1)
+	go m.readLoop(wc)
 	m.mu.Unlock()
 	select {
 	case m.pendingReady <- struct{}{}:
@@ -488,14 +424,11 @@ func (m *Master) popPending() *workerConn {
 	return nil
 }
 
-// register assigns the next worker ID to an admitted connection and
-// starts its read loop (unless the connection was parked first, in which
-// case the loop is already running and merely observes the id swap). A
-// handshake that completes after Shutdown began is turned away (its
+// register assigns the next worker ID to a connection popped from the
+// spare pool; its read loop, started when it parked, merely observes the
+// id swap. A connection popped after Shutdown began is turned away (its
 // connection closed) instead of registered: the worker would miss
-// Shutdown's close sweep and hang the final Wait. The wg.Add happens
-// under the same lock Shutdown sets closing under, so every read loop is
-// ordered before Shutdown's Wait.
+// Shutdown's close sweep.
 func (m *Master) register(wc *workerConn) {
 	m.mu.Lock()
 	if m.closing {
@@ -507,23 +440,12 @@ func (m *Master) register(wc *workerConn) {
 	m.workers = append(m.workers, wc)
 	m.failStreak = append(m.failStreak, 0)
 	wc.id.Store(int64(id))
-	m.startReadLoopLocked(wc)
 	m.mu.Unlock()
 }
 
-// startReadLoopLocked starts the connection's lifetime read loop exactly
-// once; callers hold m.mu (the wg.Add must be ordered before Shutdown's
-// Wait under the same lock that sets closing).
-func (m *Master) startReadLoopLocked(wc *workerConn) {
-	wc.loopOnce.Do(func() {
-		m.wg.Add(1)
-		go m.readLoop(wc)
-	})
-}
-
 // admit runs the handshake + hello exchange on a freshly accepted
-// connection under a deadline, returning the registered worker state or
-// closing the connection.
+// connection under handshakeTimeout, returning the worker state to park
+// or closing the connection.
 func (m *Master) admit(c net.Conn) (*workerConn, error) {
 	c.SetDeadline(time.Now().Add(handshakeTimeout)) //nolint:errcheck
 	version, err := wire.ReadHandshake(c)
@@ -1404,8 +1326,10 @@ func sortDurations(ds []time.Duration) {
 	}
 }
 
-// Shutdown tells all workers to exit, closes every connection and the
-// listener, and waits for the reader goroutines to drain. It is
+// Shutdown tells all workers to exit, closes every connection (handshakes
+// in flight included) and the listener, and waits for every goroutine the
+// master started (accept loop, handshakes, read loops, heartbeat) to
+// drain. It is
 // idempotent and safe to call while reads are in flight: readers observe
 // the closing flag and exit silently instead of reporting the torn
 // connection as a worker failure.
@@ -1420,7 +1344,7 @@ func (m *Master) Shutdown() {
 	pending := m.pending
 	m.pending = nil
 	m.mu.Unlock()
-	close(m.quit) // unblock readers parked on a full results channel
+	m.cancel() // unblock readers parked on a full results channel, close handshakes in flight
 	for _, wc := range workers {
 		wc.t.sendShutdown() //nolint:errcheck // best effort
 		wc.t.close()

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -398,11 +399,19 @@ func TestAdmitLoopExitsOnClosedListener(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.StartAdmissions()
 	m.ln.Close() // the listener dies out from under the loop
 	waitUntil(t, 5*time.Second, "the accept failure to be counted", func() bool {
 		return m.RecoveryTotals().AcceptFailures >= 1
 	})
+	// WaitForWorkers reports the dead listener at once instead of waiting
+	// out its timeout.
+	start := time.Now()
+	if err := m.WaitForWorkers(1, 10*time.Second); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("WaitForWorkers on a closed listener: %v, want net.ErrClosed", err)
+	}
+	if elapsed := time.Since(start); elapsed >= time.Second {
+		t.Fatalf("WaitForWorkers on a closed listener took %v, want < 1s", elapsed)
+	}
 	done := make(chan struct{})
 	go func() {
 		m.Shutdown()

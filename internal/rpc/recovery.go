@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"time"
 
@@ -14,11 +13,12 @@ import (
 // This file is the elastic-membership and failure-recovery layer: the
 // distribute-path retry engine (re-stream only the lost worker's
 // partition, to a warm spare when one is parked), the cluster lifecycle
-// (background admissions, heartbeat liveness watch, eviction on repeated
-// round failures), and the round repair loop that folds a dead worker's
-// rows back into the round (planned by the ledger's PlanRepair) instead
-// of stalling to the timeout. The (n,k) coding slack the paper spends on
-// stragglers within a round becomes cluster headroom across rounds.
+// (the spare pool the accept loop fills, heartbeat liveness watch,
+// eviction on repeated round failures), and the round repair loop that
+// folds a dead worker's rows back into the round (planned by the
+// ledger's PlanRepair) instead of stalling to the timeout. The (n,k)
+// coding slack the paper spends on stragglers within a round becomes
+// cluster headroom across rounds.
 
 // RetryConfig bounds the distribute-path retry engine.
 type RetryConfig struct {
@@ -80,8 +80,8 @@ type RecoveryStats struct {
 	// RecoveredRows counts row assignments folded back into the plan
 	// after mid-round worker deaths.
 	RecoveredRows int
-	// AcceptFailures counts Accept errors in the background admission
-	// loop (lifetime totals only; nil-equivalent zero in round scope). A
+	// AcceptFailures counts Accept errors in the master's accept loop
+	// (lifetime totals only; nil-equivalent zero in round scope). A
 	// climbing counter with no ReplacementAdmits is the signature of a
 	// dead or misconfigured listener.
 	AcceptFailures int
@@ -286,7 +286,7 @@ func restream[C codec[T], T coding.Element](m *Master, w int, wc *workerConn, re
 // RepairWorkers promotes warm spares into every dead worker slot,
 // re-streaming all retained partition phases to each replacement. It
 // returns the number of slots repaired; slots with no spare parked are
-// left dead (call again once new workers have joined — StartAdmissions
+// left dead (call again once new workers have joined — the accept loop
 // keeps the pool filling in the background). Rounds route around dead
 // slots on their own, so repair is a capacity restore between rounds, not
 // a correctness requirement — until fewer than k slots are alive, at
@@ -356,9 +356,10 @@ func (m *Master) bumpTotals(retries, restreams, evictions int) {
 	m.mu.Unlock()
 }
 
-// dropParked removes a dead connection from the spare pool; the read loop
-// calls it the moment a parked connection errors, so the pool never hands
-// out a corpse (popPending double-checks regardless).
+// dropParked removes a connection from the spare pool, if parked there,
+// and closes it. The read loop calls it the moment a parked connection
+// errors, and evictConn on every eviction, so the pool never hands out a
+// corpse (popPending double-checks regardless).
 func (m *Master) dropParked(wc *workerConn) {
 	m.mu.Lock()
 	for i, p := range m.pending {
@@ -375,122 +376,18 @@ func (m *Master) dropParked(wc *workerConn) {
 // flag keeps its read loop from reporting the teardown as a spontaneous
 // failure, and a registered worker's eviction is announced to every job's
 // error channel as a *WorkerError so any round in flight repairs
-// immediately instead of waiting out its timers.
+// immediately instead of waiting out its timers. The eviction is tallied
+// before the connection closes, so RecoveryTotals counts it by the time
+// Spares or DeadWorkers show it; an evicted spare leaves the pool.
 func (m *Master) evictConn(wc *workerConn, reason error) {
 	if wc.evicted.Swap(true) {
 		return // already being torn down
 	}
-	wc.t.close()
 	m.bumpTotals(0, 0, 1)
+	m.dropParked(wc)
 	if id := int(wc.id.Load()); id >= 0 {
 		m.broadcastWorkerError(&WorkerError{Worker: id, Err: reason, conn: wc})
 	}
-}
-
-// StartAdmissions switches the master to elastic membership: a background
-// loop accepts, handshakes, and parks new worker connections for the life
-// of the master, so replacements are warm before they are needed. After
-// this call the background loop owns the listener — WaitForWorkers grows
-// the cluster from the spare pool instead of accepting directly.
-// Idempotent.
-func (m *Master) StartAdmissions() {
-	m.mu.Lock()
-	if m.admissions || m.closing {
-		m.mu.Unlock()
-		return
-	}
-	m.admissions = true
-	m.wg.Add(1)
-	m.mu.Unlock()
-	go m.admitLoop()
-}
-
-func (m *Master) admissionsRunning() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.admissions
-}
-
-// admitLoop accepts and parks joining workers until shutdown. Handshakes
-// run serially — elastic joins are not latency-critical, and a stalled
-// dialer costs at most handshakeTimeout before the next accept. Accept
-// errors split two ways: a closed listener outside of Shutdown is
-// permanent — the loop exits rather than spinning on a socket that will
-// never accept again — while transient failures (EMFILE pressure, resets
-// during the TCP handshake) are retried under exponential backoff. Both
-// kinds are tallied in RecoveryStats.AcceptFailures so a dead or
-// misbehaving listener shows up in RecoveryTotals instead of failing
-// silently.
-func (m *Master) admitLoop() {
-	defer m.wg.Done()
-	backoff := admitBaseBackoff
-	for {
-		c, err := m.ln.Accept()
-		if err != nil {
-			if m.isClosing() {
-				return
-			}
-			m.noteAcceptFailure()
-			if errors.Is(err, net.ErrClosed) {
-				// The listener died out from under us (not a Shutdown —
-				// the closing flag is clear). No future Accept can
-				// succeed; leave rather than spin.
-				return
-			}
-			select {
-			case <-m.quit:
-				return
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > admitMaxBackoff {
-				backoff = admitMaxBackoff
-			}
-			continue
-		}
-		backoff = admitBaseBackoff
-		wc, err := m.admit(c)
-		if err != nil {
-			continue // rejected handshake; keep serving
-		}
-		m.enqueuePending(wc)
-	}
-}
-
-// Admission-loop Accept retry bounds: start quick (a transient error burst
-// should not delay a joining worker), cap low enough that a recovering
-// listener is rediscovered promptly.
-const (
-	admitBaseBackoff = 10 * time.Millisecond
-	admitMaxBackoff  = 2 * time.Second
-)
-
-// noteAcceptFailure tallies one admission-loop Accept error.
-func (m *Master) noteAcceptFailure() {
-	m.mu.Lock()
-	m.totals.AcceptFailures++
-	m.mu.Unlock()
-}
-
-// waitFromPool is WaitForWorkers' elastic-mode body: it registers workers
-// out of the spare pool the background admission loop keeps filling.
-func (m *Master) waitFromPool(n int, timeout time.Duration) error {
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for m.NumWorkers() < n {
-		if wc := m.popPending(); wc != nil {
-			m.register(wc)
-			continue
-		}
-		select {
-		case <-m.pendingReady:
-		case <-timer.C:
-			return fmt.Errorf("rpc: wait for workers: deadline exceeded (have %d/%d workers)",
-				m.NumWorkers(), n)
-		case <-m.quit:
-			return fmt.Errorf("rpc: wait for workers: master shut down")
-		}
-	}
-	return nil
 }
 
 // heartbeatLoop is the liveness watch: every interval it pings all

@@ -65,8 +65,8 @@ func startHandleCluster(t *testing.T, n int, mcfg MasterConfig, wcfg func(i int)
 	return m, handles
 }
 
-// addSpare dials one extra worker at the master (which must be running
-// StartAdmissions) and returns its handle once it is parked.
+// addSpare dials one extra worker at the master and returns its handle
+// once the accept loop has parked it in the spare pool.
 func addSpare(t *testing.T, m *Master, cfg WorkerConfig) *Worker {
 	t.Helper()
 	before := m.Spares()
@@ -86,7 +86,6 @@ func addSpare(t *testing.T, m *Master, cfg WorkerConfig) *Worker {
 // wedging.
 func TestParkedSpareDeathDiscardedEagerly(t *testing.T) {
 	m, _ := startHandleCluster(t, 1, MasterConfig{}, nil)
-	m.StartAdmissions()
 	doomed := addSpare(t, m, WorkerConfig{})
 	if err := doomed.Close(); err != nil {
 		t.Fatal(err)
@@ -116,7 +115,6 @@ func distributeRetryFixture(t *testing.T) *Master {
 		},
 		faults: map[int]*workerFault{1: {dropAfterFrames: 3}},
 	})
-	m.StartAdmissions()
 	addSpare(t, m, WorkerConfig{})
 	return m
 }
@@ -231,7 +229,6 @@ func TestDistributeRetryAfterWorkerDeath(t *testing.T) {
 		StallTimeout: 10 * time.Second,
 		Retry:        RetryConfig{MaxAttempts: 5, BaseBackoff: 5 * time.Millisecond, AttemptTimeout: 5 * time.Second},
 	}, func(i int) WorkerConfig { return WorkerConfig{} })
-	m.StartAdmissions()
 	addSpare(t, m, WorkerConfig{})
 	if err := handles[1].Close(); err != nil {
 		t.Fatal(err)
@@ -543,7 +540,6 @@ func TestEvictAfterRoundFailuresAndRepair(t *testing.T) {
 		return len(dead) == 1 && dead[0] == 2
 	})
 	// Repair: park a spare and promote it into the dead slot.
-	m.StartAdmissions()
 	addSpare(t, m, WorkerConfig{})
 	repaired, err := m.RepairWorkers()
 	if err != nil {
@@ -588,7 +584,6 @@ func TestHeartbeatEvictsSilentConnection(t *testing.T) {
 		Heartbeat:     20 * time.Millisecond,
 		HeartbeatMiss: 3,
 	}, nil)
-	m.StartAdmissions()
 	// A healthy spare and a spare whose master→worker link forwards only
 	// its first frame (the first ping) and swallows the rest: it looks
 	// connected but never answers again.
@@ -610,5 +605,42 @@ func TestHeartbeatEvictsSilentConnection(t *testing.T) {
 	}
 	if m.NumWorkers() != n {
 		t.Fatalf("NumWorkers = %d, want %d", m.NumWorkers(), n)
+	}
+}
+
+// TestHeartbeatEvictedSpareLeavesPool pins the eviction bookkeeping: a
+// parked spare evicted by the heartbeat is tallied in RecoveryTotals
+// before Spares() shows it gone, and it leaves the spare pool at once
+// instead of lingering there, connection and buffers held, until a
+// later pop skips it.
+func TestHeartbeatEvictedSpareLeavesPool(t *testing.T) {
+	m, _ := startHandleCluster(t, 1, MasterConfig{
+		Heartbeat:     25 * time.Millisecond,
+		HeartbeatMiss: 4,
+	}, nil)
+	addSpare(t, m, WorkerConfig{})
+	silentAddr := startFaultProxy(t, m.Addr(), &workerFault{stallAfterFrames: 1})
+	sw, err := NewWorker(WorkerConfig{MasterAddr: silentAddr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go sw.Run() //nolint:errcheck
+	waitUntil(t, 5*time.Second, "both spares to park", func() bool { return m.Spares() == 2 })
+	evictions := -1
+	waitUntil(t, 5*time.Second, "the silent spare to be evicted", func() bool {
+		if m.Spares() != 1 {
+			return false
+		}
+		evictions = m.RecoveryTotals().Evictions
+		return true
+	})
+	if evictions < 1 {
+		t.Fatalf("Spares() dropped to 1 with %d evictions recorded", evictions)
+	}
+	m.mu.Lock()
+	parked := len(m.pending)
+	m.mu.Unlock()
+	if parked != 1 {
+		t.Fatalf("spare pool holds %d connections after the eviction, want 1", parked)
 	}
 }

@@ -2,8 +2,12 @@ package rpc
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,6 +113,67 @@ func TestWaitForWorkersSurplusParksUntilNextCall(t *testing.T) {
 	}
 	if got := m.NumWorkers(); got != 2 {
 		t.Fatalf("NumWorkers = %d after growing, want 2", got)
+	}
+}
+
+// TestShutdownReleasesAdmissions pins that Shutdown joins everything the
+// accept loop starts: with a stalled dialer mid-handshake, a rejected
+// handshake and a parked spare, Shutdown returns well inside
+// handshakeTimeout and no goroutine outlives the master.
+func TestShutdownReleasesAdmissions(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	m, err := NewMaster("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Shutdown)
+	stalled, err := net.Dial("tcp", m.Addr()) // connects, never handshakes
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	rejected, err := net.Dial("tcp", m.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rejected.Close()
+	if _, err := rejected.Write([]byte("GARBAGE!!")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		w, err := NewWorker(WorkerConfig{MasterAddr: m.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go w.Run() //nolint:errcheck // shutdown closes the conn
+	}
+	if err := m.WaitForWorkers(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 5*time.Second, "the surplus worker to park", func() bool { return m.Spares() == 1 })
+	rejected.SetReadDeadline(time.Now().Add(time.Second)) //nolint:errcheck
+	if _, err := rejected.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("rejected handshake still open: %v", err)
+	}
+
+	start := time.Now()
+	m.Shutdown()
+	if elapsed := time.Since(start); elapsed >= time.Second {
+		t.Fatalf("Shutdown took %v with a handshake in flight (handshake timeout is %v)", elapsed, handshakeTimeout)
+	}
+	// A goroutine an earlier test left winding down can sit in the
+	// baseline and mask a leak, so the master's frames are checked too.
+	stacks := func() string {
+		buf := make([]byte, 1<<20)
+		return string(buf[:runtime.Stack(buf, true)])
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline || strings.Contains(stacks(), "rpc.(*Master)") {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines outlived Shutdown: baseline %d, now %d\n%s",
+				baseline, runtime.NumGoroutine(), stacks())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -65,7 +65,6 @@ func TestChaosSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.StartAdmissions()
 
 	// One float64 phase and one exact GF phase, both retained for
 	// re-streaming to replacements.

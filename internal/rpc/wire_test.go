@@ -117,6 +117,15 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 			t.Fatalf("%s conn not closed within 1s (handshake timeout is %v)", name, handshakeTimeout)
 		}
 	}
+
+	// A wait that times out names the last rejected handshake.
+	err = m.WaitForWorkers(2, 300*time.Millisecond)
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("WaitForWorkers past the rejects: %v, want os.ErrDeadlineExceeded", err)
+	}
+	if !strings.Contains(err.Error(), "last rejected conn: ") {
+		t.Fatalf("timeout error names no rejected handshake: %v", err)
+	}
 }
 
 // TestWorkerRejectsCorruptFrames pins the worker-side framing guards: an

@@ -397,7 +397,7 @@ type MasterConfig = rpc.MasterConfig
 type RetryConfig = rpc.RetryConfig
 
 // RecoveryStats counts failure-recovery activity — retries, partition
-// re-streams, evictions, replacement admissions, admission-loop accept
+// re-streams, evictions, replacement admissions, accept-loop Accept
 // failures, and (per round) which workers died and how many of their rows
 // were folded back into the plan.
 type RecoveryStats = rpc.RecoveryStats
