@@ -1,16 +1,24 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/<id>.golden from the current runners")
 
 // fastConfig keeps every experiment under ~1s in tests.
 func fastConfig() Config {
 	return Config{Scale: 1, Iterations: 6, Seed: 42}
 }
 
+// TestAllRunnersProduceTables runs every registered runner at fastConfig
+// and compares its rendered tables, byte for byte, with
+// testdata/<id>.golden (rewrite them with -update).
 func TestAllRunnersProduceTables(t *testing.T) {
 	for name, run := range Registry {
 		name, run := name, run
@@ -22,6 +30,7 @@ func TestAllRunnersProduceTables(t *testing.T) {
 			if len(tables) == 0 {
 				t.Fatalf("%s produced no tables", name)
 			}
+			var all strings.Builder
 			for _, tb := range tables {
 				out := tb.Render()
 				if !strings.Contains(out, tb.Title) {
@@ -30,6 +39,20 @@ func TestAllRunnersProduceTables(t *testing.T) {
 				if len(tb.Rows) == 0 {
 					t.Fatalf("%s: table %q has no rows", name, tb.Title)
 				}
+				all.WriteString(out + "\n")
+			}
+			golden := filepath.Join("testdata", name+".golden")
+			if *update {
+				if err := os.WriteFile(golden, []byte(all.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%s: %v (run go test -run TestAllRunnersProduceTables -update)", name, err)
+			}
+			if got := all.String(); got != string(want) {
+				t.Errorf("%s: tables differ from %s\ngot:\n%s\nwant:\n%s", name, golden, got, want)
 			}
 		})
 	}
