@@ -339,7 +339,7 @@ func BenchmarkEndToEndIterationS2C2(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.RunIteration(i, x); err != nil {
+		if _, _, err := cluster.RunIteration(i, x); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,10 +4,37 @@ import (
 	"fmt"
 
 	"github.com/coded-computing/s2c2/internal/coding"
+	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/sched"
 	"github.com/coded-computing/s2c2/internal/sim"
 	"github.com/coded-computing/s2c2/internal/trace"
 )
+
+// multiCode is one phase of the §3.1 strawman: it stores a (12,10) and a
+// (12,9) encoding and runs each round on the one that round's straggler
+// count picks (oracle speeds: a straggler is below the fastest/5).
+type multiCode struct {
+	tr      *trace.Trace
+	k10, k9 *sim.CodedCluster
+}
+
+func (m *multiCode) RunIteration(iter int, x []float64) (*sim.Accounting, []float64, error) {
+	n := m.tr.NumWorkers()
+	fastest := 0.0
+	for w := 0; w < n; w++ {
+		fastest = max(fastest, m.tr.At(w, iter))
+	}
+	stragglers := 0
+	for w := 0; w < n; w++ {
+		if m.tr.At(w, iter) < fastest/5 {
+			stragglers++
+		}
+	}
+	if stragglers > 2 {
+		return m.k9.RunIteration(iter, x)
+	}
+	return m.k10.RunIteration(iter, x)
+}
 
 // RunAblateMultiCode evaluates the §3.1 strawman the paper argues
 // against: storing *multiple* encoded copies (a (12,10) and a (12,9)
@@ -18,30 +45,19 @@ import (
 func RunAblateMultiCode(c Config) ([]*Table, error) {
 	iters := c.iters()
 	lr := lrWorkload(c)
-	x := lr.Init()
-	matrices := lr.Matrices()
-
-	type codedRun struct {
-		k        int
-		clusters []*sim.CodedCluster
-	}
-	mkClusters := func(k int, tr *trace.Trace) (*codedRun, error) {
-		run := &codedRun{k: k}
-		for _, m := range matrices {
-			code, err := coding.NewMDSCode(12, k)
-			if err != nil {
-				return nil, err
-			}
-			enc := code.Encode(m)
-			run.clusters = append(run.clusters, &sim.CodedCluster{
-				Enc:      enc,
-				Strategy: &sched.ConventionalMDS{N: 12, K: k, BlockRows: enc.BlockRows},
-				Trace:    tr,
-				Comm:     comm(),
-				Timeout:  timeout(),
-			})
+	conventional := func(m *mat.Dense, k int, tr *trace.Trace) (*sim.CodedCluster, error) {
+		code, err := coding.NewMDSCode(12, k)
+		if err != nil {
+			return nil, err
 		}
-		return run, nil
+		enc := code.Encode(m)
+		return &sim.CodedCluster{
+			Enc:      enc,
+			Strategy: &sched.ConventionalMDS{N: 12, K: k, BlockRows: enc.BlockRows},
+			Trace:    tr,
+			Comm:     comm(),
+			Timeout:  timeout(),
+		}, nil
 	}
 
 	t := &Table{
@@ -56,46 +72,22 @@ func RunAblateMultiCode(c Config) ([]*Table, error) {
 	var base float64
 	for s := 0; s <= 3; s++ {
 		tr := trace.ControlledCluster(12, s, iters+5, c.Seed+int64(300+s))
-		run10, err := mkClusters(10, tr)
+		var phases []sim.Cluster
+		for _, m := range lr.Matrices() {
+			k10, err := conventional(m, 10, tr)
+			if err != nil {
+				return nil, err
+			}
+			k9, err := conventional(m, 9, tr)
+			if err != nil {
+				return nil, err
+			}
+			phases = append(phases, &multiCode{tr: tr, k10: k10, k9: k9})
+		}
+		multi, err := drive(lr, phases, iters)
 		if err != nil {
 			return nil, err
 		}
-		run9, err := mkClusters(9, tr)
-		if err != nil {
-			return nil, err
-		}
-		multi := 0.0
-		for iter := 0; iter < iters; iter++ {
-			// Per-round code selection from predicted straggler count
-			// (oracle speeds: straggler = below max/5).
-			speeds := make([]float64, 12)
-			max := 0.0
-			for w := 0; w < 12; w++ {
-				speeds[w] = tr.At(w, iter)
-				if speeds[w] > max {
-					max = speeds[w]
-				}
-			}
-			stragglers := 0
-			for _, sp := range speeds {
-				if sp < max/5 {
-					stragglers++
-				}
-			}
-			chosen := run10
-			if stragglers > 2 {
-				chosen = run9
-			}
-			for p := range matrices {
-				in := x // representative round: the product input doesn't affect timing
-				r, err := chosen.clusters[p].RunIteration(iter, in)
-				if err != nil {
-					return nil, err
-				}
-				multi += r.Latency
-			}
-		}
-		multi /= float64(iters)
 
 		s2c2Agg, err := runCodedJob(lr, 12, 6, sim.S2C2Factory(12, 6, 0), nil, tr.Clone(), iters)
 		if err != nil {
@@ -105,7 +97,7 @@ func RunAblateMultiCode(c Config) ([]*Table, error) {
 			base = s2c2Agg.MeanLatency()
 		}
 		t.AddRow(fmt.Sprintf("%d", s),
-			f2(multi/base), f2(s2c2Agg.MeanLatency()/base),
+			f2(multi.MeanLatency()/base), f2(s2c2Agg.MeanLatency()/base),
 			pct(1.0/10+1.0/9), pct(1.0/6))
 	}
 	return []*Table{t}, nil

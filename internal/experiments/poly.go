@@ -47,11 +47,11 @@ func runPolyComparison(c Config, gen func(workers, steps int, seed int64) *trace
 			d[i] = rng.Float64()
 		}
 		for iter := 0; iter < iters; iter++ {
-			r, err := pc.RunIteration(iter, d)
+			r, _, err := pc.RunIteration(iter, d)
 			if err != nil {
 				return 0, 0, err
 			}
-			agg.Add(&r.Accounting)
+			agg.Add(r)
 		}
 		return agg.MeanLatency(), agg.MispredictionRate(), nil
 	}

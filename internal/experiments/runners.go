@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/predict"
 	"github.com/coded-computing/s2c2/internal/sim"
 	"github.com/coded-computing/s2c2/internal/trace"
@@ -53,83 +52,37 @@ func runCodedJob(w workloads.Iterative, n, k int, strat sim.StrategyFactory, fc 
 }
 
 // runUncodedJob executes an Iterative workload on the replication
-// baseline: one UncodedReplication engine per phase, latencies summed per
-// iteration, state advanced with locally computed products.
-func runUncodedJob(w workloads.Iterative, tr *trace.Trace, iters int) (*uncodedAggregate, error) {
-	matrices := w.Matrices()
-	engines := make([]*sim.UncodedReplication, len(matrices))
-	for p, m := range matrices {
-		engines[p] = &sim.UncodedReplication{A: m, Trace: tr, Comm: comm()}
+// baseline, one UncodedReplication per phase, driven as the coded jobs are.
+func runUncodedJob(w workloads.Iterative, tr *trace.Trace, iters int) (*sim.Aggregate, error) {
+	var phases []sim.Cluster
+	for _, m := range w.Matrices() {
+		phases = append(phases, &sim.UncodedReplication{A: m, Trace: tr, Comm: comm()})
 	}
-	agg := &uncodedAggregate{}
-	state := w.Init()
-	for iter := 0; iter < iters; iter++ {
-		outputs := make([][]float64, len(matrices))
-		lat := 0.0
-		for p, m := range matrices {
-			in := w.PhaseInput(p, state, outputs[:p])
-			r, err := engines[p].RunIteration(iter, in)
-			if err != nil {
-				return nil, err
-			}
-			outputs[p] = mat.MatVec(m, in)
-			lat += r.Latency
-			agg.Speculative += r.Speculative
-			agg.DataMoves += r.DataMoves
-			agg.BytesMoved += r.BytesMoved
-		}
-		agg.TotalLatency += lat
-		agg.Rounds++
-		state, _ = w.Update(state, outputs)
-	}
-	return agg, nil
+	return drive(w, phases, iters)
 }
 
-// runOverDecompJob is runUncodedJob for the over-decomposition baseline.
-func runOverDecompJob(w workloads.Iterative, fc predict.Forecaster, tr *trace.Trace, iters int) (*uncodedAggregate, []*sim.OverDecomposition, error) {
-	matrices := w.Matrices()
-	engines := make([]*sim.OverDecomposition, len(matrices))
-	for p, m := range matrices {
-		engines[p] = &sim.OverDecomposition{A: m, Trace: tr, Comm: comm(), Forecaster: fc}
+// runOverDecompJob is runUncodedJob for the over-decomposition baseline. It
+// also returns the per-phase engines, whose storage Figure 3 reads.
+func runOverDecompJob(w workloads.Iterative, fc predict.Forecaster, tr *trace.Trace, iters int) (*sim.Aggregate, []*sim.OverDecomposition, error) {
+	var engines []*sim.OverDecomposition
+	var phases []sim.Cluster
+	for _, m := range w.Matrices() {
+		o := &sim.OverDecomposition{A: m, Trace: tr, Comm: comm(), Forecaster: fc}
+		engines = append(engines, o)
+		phases = append(phases, o)
 	}
-	agg := &uncodedAggregate{}
-	state := w.Init()
-	for iter := 0; iter < iters; iter++ {
-		outputs := make([][]float64, len(matrices))
-		lat := 0.0
-		for p, m := range matrices {
-			in := w.PhaseInput(p, state, outputs[:p])
-			r, err := engines[p].RunIteration(iter, in)
-			if err != nil {
-				return nil, nil, err
-			}
-			outputs[p] = mat.MatVec(m, in)
-			lat += r.Latency
-			agg.DataMoves += r.Migrations
-			agg.BytesMoved += r.BytesMoved
-		}
-		agg.TotalLatency += lat
-		agg.Rounds++
-		state, _ = w.Update(state, outputs)
-	}
-	return agg, engines, nil
+	agg, err := drive(w, phases, iters)
+	return agg, engines, err
 }
 
-// uncodedAggregate is the baseline-side counterpart of sim.Aggregate.
-type uncodedAggregate struct {
-	Rounds       int
-	TotalLatency float64
-	Speculative  int
-	DataMoves    int
-	BytesMoved   float64
-}
-
-// MeanLatency returns the average iteration latency.
-func (a *uncodedAggregate) MeanLatency() float64 {
-	if a.Rounds == 0 {
-		return 0
+// drive runs w for iters iterations on the phase clusters and returns the
+// job's aggregate.
+func drive(w workloads.Iterative, phases []sim.Cluster, iters int) (*sim.Aggregate, error) {
+	res, err := sim.Drive(w, phases, iters)
+	if err != nil {
+		return nil, err
 	}
-	return a.TotalLatency / float64(a.Rounds)
+	return res.Aggregate, nil
 }
 
 // lrWorkload builds the Figure 1/6 logistic-regression job at the config's

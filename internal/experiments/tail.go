@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/coded-computing/s2c2/internal/sim"
 	"github.com/coded-computing/s2c2/internal/trace"
@@ -24,66 +24,29 @@ func RunTailLatency(c Config) ([]*Table, error) {
 		Headers: []string{"strategy", "p50", "p90", "p99", "p99/p50"},
 		Notes:   []string{"coded computing's purpose is the tail: compare p99/p50 tightness across strategies"},
 	}
-	type entry struct {
+	for _, e := range []struct {
 		name    string
-		factory sim.StrategyFactory
-	}
-	for _, e := range []entry{
+		factory sim.StrategyFactory // nil: the uncoded replication baseline
+	}{
 		{"mds(10,7)", sim.MDSFactory(10, 7)},
 		{"s2c2-basic(10,7)", sim.BasicS2C2Factory(10, 7, 0)},
 		{"s2c2(10,7)", sim.S2C2Factory(10, 7, 0)},
+		{"uncoded-3rep+spec", nil},
 	} {
 		tr := trace.CloudVolatile(10, iters+5, c.Seed)
-		res, err := sim.RunIterative(svm, sim.JobConfig{
-			N: 10, K: 7,
-			Strategy:   e.factory,
-			Forecaster: fc,
-			Trace:      tr,
-			Comm:       comm(),
-			Timeout:    timeout(),
-			MaxIter:    iters,
-		})
+		var agg *sim.Aggregate
+		if e.factory == nil {
+			agg, err = runUncodedJob(svm, tr, iters)
+		} else {
+			agg, err = runCodedJob(svm, 10, 7, e.factory, fc, tr, iters)
+		}
 		if err != nil {
 			return nil, err
 		}
-		lat := append([]float64(nil), res.Aggregate.Latencies...)
-		sort.Float64s(lat)
-		p := func(q float64) float64 {
-			idx := int(q * float64(len(lat)-1))
-			return lat[idx]
-		}
+		lat := slices.Sorted(slices.Values(agg.Latencies))
+		p := func(q float64) float64 { return lat[int(q*float64(len(lat)-1))] }
 		t.AddRow(e.name, f3(p(0.50)), f3(p(0.90)), f3(p(0.99)), f2(p(0.99)/p(0.50)))
 	}
-
-	// The uncoded replication baseline on the same trace.
-	tr := trace.CloudVolatile(10, iters+5, c.Seed)
-	engines := []*sim.UncodedReplication{}
-	for _, m := range svm.Matrices() {
-		engines = append(engines, &sim.UncodedReplication{A: m, Trace: tr, Comm: comm()})
-	}
-	var lat []float64
-	state := svm.Init()
-	for iter := 0; iter < iters; iter++ {
-		total := 0.0
-		outputs := make([][]float64, len(engines))
-		for p, eng := range engines {
-			in := svm.PhaseInput(p, state, outputs[:p])
-			r, err := eng.RunIteration(iter, in)
-			if err != nil {
-				return nil, err
-			}
-			outputs[p] = r.Result
-			if outputs[p] == nil {
-				outputs[p] = make([]float64, eng.A.Rows())
-			}
-			total += r.Latency
-		}
-		lat = append(lat, total)
-		// Timing-only: keep the state fixed (latency is input-independent).
-	}
-	sort.Float64s(lat)
-	p := func(q float64) float64 { return lat[int(q*float64(len(lat)-1))] }
-	t.AddRow("uncoded-3rep+spec", f3(p(0.50)), f3(p(0.90)), f3(p(0.99)), f2(p(0.99)/p(0.50)))
 	return []*Table{t}, nil
 }
 

@@ -1350,7 +1350,10 @@ func (m *Master) Shutdown() {
 		wc.t.close()
 	}
 	for _, wc := range pending {
-		wc.t.close() // parked spare: its read loop sees closing and exits
+		// A parked spare is told to exit too: a bare close reads as a lost
+		// link, and a rejoining worker would redial the departed master.
+		wc.t.sendShutdown() //nolint:errcheck // best effort
+		wc.t.close()        // its read loop sees closing and exits
 	}
 	m.ln.Close()
 	m.wg.Wait()

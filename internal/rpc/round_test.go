@@ -177,6 +177,42 @@ func TestShutdownReleasesAdmissions(t *testing.T) {
 	}
 }
 
+// TestShutdownReleasesParkedSpare checks that Shutdown sends a parked spare
+// the shutdown frame registered workers get, so the spare's Run returns nil
+// instead of a connection error (which a rejoining worker would answer by
+// redialing the departed master).
+func TestShutdownReleasesParkedSpare(t *testing.T) {
+	m, err := NewMaster("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Shutdown)
+	done := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		w, err := NewWorker(WorkerConfig{MasterAddr: m.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { done <- w.Run() }()
+	}
+	if err := m.WaitForWorkers(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 5*time.Second, "the surplus worker to park", func() bool { return m.Spares() == 1 })
+	m.Shutdown()
+	timeout := time.After(2 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("Worker.Run after Shutdown: %v, want nil", err)
+			}
+		case <-timeout:
+			t.Fatalf("%d of 2 workers still running 2 s after Shutdown", 2-i)
+		}
+	}
+}
+
 // TestTimeoutReassignmentDecodesBitExact forces a timeout + reassignment
 // and checks that the round's partials — which contain two partials from
 // the same helper worker (original ranges + reassigned extras) — decode

@@ -25,20 +25,19 @@ func roundCluster(tb testing.TB, tr *trace.Trace, fc predict.Forecaster) (*Coded
 	code.SetExec(kernel.Exec{MaxFan: 1})
 	enc := code.Encode(mat.Rand(480, 60, rng))
 	return &CodedCluster{
-		Enc:          enc,
-		Strategy:     &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows},
-		Forecaster:   fc,
-		Trace:        tr,
-		Comm:         DefaultComm(),
-		Timeout:      DefaultTimeout(),
-		Numeric:      true,
-		ReuseBuffers: true,
+		Enc:        enc,
+		Strategy:   &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows},
+		Forecaster: fc,
+		Trace:      tr,
+		Comm:       DefaultComm(),
+		Timeout:    DefaultTimeout(),
+		Numeric:    true,
 	}, randTestVec(60, rng)
 }
 
 func TestRunIterationZeroAllocsSteadyState(t *testing.T) {
 	// Constant speeds, known to the planner: every round repeats the first
-	// one's plan and worker set, so nothing — not the Round, not a cached
+	// one's plan and worker set, so nothing — not the Accounting, not a cached
 	// factorization — is left to allocate.
 	speeds := make([][]float64, 12)
 	for w := range speeds {
@@ -47,7 +46,7 @@ func TestRunIterationZeroAllocsSteadyState(t *testing.T) {
 	c, x := roundCluster(t, &trace.Trace{Speeds: speeds}, nil)
 	iter := 0
 	run := func() {
-		if _, err := c.RunIteration(iter, x); err != nil {
+		if _, _, err := c.RunIteration(iter, x); err != nil {
 			t.Fatal(err)
 		}
 		iter++
@@ -79,7 +78,7 @@ func TestRunIterationZeroAllocsUnderChurn(t *testing.T) {
 	c, x := roundCluster(t, &trace.Trace{Speeds: speeds}, nil)
 	iter := 0
 	run := func() {
-		if _, err := c.RunIteration(iter, x); err != nil {
+		if _, _, err := c.RunIteration(iter, x); err != nil {
 			t.Fatal(err)
 		}
 		iter++
@@ -90,30 +89,20 @@ func TestRunIterationZeroAllocsUnderChurn(t *testing.T) {
 	}
 }
 
+// TestReuseBuffersRecyclesRound checks that a coded round is recycled: the
+// next RunIteration hands back the same Accounting, overwritten.
 func TestReuseBuffersRecyclesRound(t *testing.T) {
 	c, x := roundCluster(t, trace.ControlledCluster(12, 2, 8, 5), nil)
-	first, err := c.RunIteration(0, x)
+	first, _, err := c.RunIteration(0, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := c.RunIteration(1, x)
+	second, _, err := c.RunIteration(1, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first != second || second.Iter != 1 {
-		t.Fatalf("ReuseBuffers must hand back the one recycled Round (iter %d)", second.Iter)
-	}
-	c.ReuseBuffers = false
-	third, err := c.RunIteration(2, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fourth, err := c.RunIteration(3, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third == second || third == fourth || &third.ComputedRows[0] == &fourth.ComputedRows[0] {
-		t.Fatal("without ReuseBuffers every Round must own its storage")
+		t.Fatalf("RunIteration must hand back the one recycled Accounting (iter %d)", second.Iter)
 	}
 }
 
@@ -136,7 +125,7 @@ func BenchmarkSimRound(b *testing.B) {
 		if i%steps == 0 {
 			c.speeds = speedSource{} // a new job: histories start empty
 		}
-		if _, err := c.RunIteration(i%steps, x); err != nil {
+		if _, _, err := c.RunIteration(i%steps, x); err != nil {
 			b.Fatal(err)
 		}
 	}

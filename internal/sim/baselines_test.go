@@ -18,11 +18,11 @@ func TestUncodedReplicationNoStragglers(t *testing.T) {
 	want := mat.MatVec(a, x)
 	tr := trace.ControlledCluster(12, 0, 20, 31)
 	u := &UncodedReplication{A: a, Trace: tr, Comm: DefaultComm(), Numeric: true}
-	r, err := u.RunIteration(0, x)
+	r, y, err := u.RunIteration(0, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mat.VecApproxEqual(r.Result, want, 1e-9) {
+	if !mat.VecApproxEqual(y, want, 1e-9) {
 		t.Fatal("uncoded result mismatch")
 	}
 	if r.Latency <= 0 {
@@ -41,11 +41,11 @@ func TestUncodedReplicationSpeculatesOnStragglers(t *testing.T) {
 	trStrag := trace.ControlledCluster(12, 2, 20, 33)
 	u0 := &UncodedReplication{A: a, Trace: trNone, Comm: DefaultComm()}
 	u2 := &UncodedReplication{A: a, Trace: trStrag, Comm: DefaultComm()}
-	r0, err := u0.RunIteration(0, x)
+	r0, _, err := u0.RunIteration(0, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := u2.RunIteration(0, x)
+	r2, _, err := u2.RunIteration(0, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestUncodedReplicationCollapsesBeyondReplicationFactor(t *testing.T) {
 	for _, s := range []int{0, 3, 6} {
 		tr := trace.ControlledCluster(12, s, 20, 35)
 		u := &UncodedReplication{A: a, Trace: tr, Comm: DefaultComm()}
-		r, err := u.RunIteration(0, x)
+		r, _, err := u.RunIteration(0, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestUncodedReplicationDeterministic(t *testing.T) {
 			var first uint64
 			for rep := 0; rep < 5; rep++ {
 				u := &UncodedReplication{A: a, Trace: tr, Comm: DefaultComm()}
-				r, err := u.RunIteration(iter, x)
+				r, _, err := u.RunIteration(iter, x)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -132,13 +132,13 @@ func TestOverDecompositionBalancedAndCorrect(t *testing.T) {
 	want := mat.MatVec(a, x)
 	tr := trace.CloudStable(10, 30, 36)
 	o := &OverDecomposition{A: a, Trace: tr, Comm: DefaultComm(), Numeric: true}
-	var first, last *OverDecompRound
+	var first, last *Accounting
 	for iter := 0; iter < 10; iter++ {
-		r, err := o.RunIteration(iter, x)
+		r, y, err := o.RunIteration(iter, x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !mat.VecApproxEqual(r.Result, want, 1e-9) {
+		if !mat.VecApproxEqual(y, want, 1e-9) {
 			t.Fatalf("iteration %d: over-decomposition result mismatch", iter)
 		}
 		if iter == 0 {
@@ -147,8 +147,8 @@ func TestOverDecompositionBalancedAndCorrect(t *testing.T) {
 		last = r
 	}
 	// After the initial rebalancing, stable speeds need few migrations.
-	if last.Migrations > first.Migrations {
-		t.Fatalf("migrations should subside: first %d last %d", first.Migrations, last.Migrations)
+	if last.DataMoves > first.DataMoves {
+		t.Fatalf("migrations should subside: first %d last %d", first.DataMoves, last.DataMoves)
 	}
 }
 
@@ -158,12 +158,12 @@ func TestOverDecompositionStorageGrowsUnderVolatility(t *testing.T) {
 	x := randTestVec(4, rng)
 	tr := trace.CloudVolatile(10, 100, 37)
 	o := &OverDecomposition{A: a, Trace: tr, Comm: DefaultComm()}
-	if _, err := o.RunIteration(0, x); err != nil {
+	if _, _, err := o.RunIteration(0, x); err != nil {
 		t.Fatal(err)
 	}
 	start := meanFrac(o.StorageFractions())
 	for iter := 1; iter < 60; iter++ {
-		if _, err := o.RunIteration(iter, x); err != nil {
+		if _, _, err := o.RunIteration(iter, x); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,11 +209,11 @@ func TestPolyClusterRoundTrip(t *testing.T) {
 		Timeout:  DefaultTimeout(),
 		Numeric:  true,
 	}
-	r, err := pc.RunIteration(0, d)
+	_, y, err := pc.RunIteration(0, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Result.ApproxEqual(want, 1e-6) {
+	if !y.ApproxEqual(want, 1e-6) {
 		t.Fatal("polynomial S2C2 decode mismatch")
 	}
 }
@@ -236,16 +236,16 @@ func TestPolyS2C2BeatsConventionalPoly(t *testing.T) {
 
 	aggC, aggS := &Aggregate{}, &Aggregate{}
 	for iter := 0; iter < 10; iter++ {
-		rc, err := conv.RunIteration(iter, d)
+		rc, _, err := conv.RunIteration(iter, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := s2c2.RunIteration(iter, d)
+		rs, _, err := s2c2.RunIteration(iter, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		aggC.Add(&rc.Accounting)
-		aggS.Add(&rs.Accounting)
+		aggC.Add(rc)
+		aggS.Add(rs)
 	}
 	if aggS.MeanLatency() >= aggC.MeanLatency() {
 		t.Fatalf("poly S2C2 (%.4f) should beat conventional (%.4f)",

@@ -42,11 +42,11 @@ func TestCodedClusterS2C2OracleDecodesCorrectly(t *testing.T) {
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: mat.PaddedRows(60, k) / k, Granularity: 30}
 	c, _, x, want := buildCluster(t, n, k, 60, tr, strat, nil)
 	for iter := 0; iter < 5; iter++ {
-		r, err := c.RunIteration(iter, x)
+		r, y, err := c.RunIteration(iter, x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !mat.VecApproxEqual(r.Result, want, 1e-6) {
+		if !mat.VecApproxEqual(y, want, 1e-6) {
 			t.Fatalf("iteration %d: decoded result mismatch", iter)
 		}
 		if r.Latency <= 0 {
@@ -65,14 +65,14 @@ func TestCodedClusterConventionalMDSWaste(t *testing.T) {
 	c, _, x, want := buildCluster(t, n, k, 60, tr, strat, nil)
 	agg := &Aggregate{}
 	for iter := 0; iter < 20; iter++ {
-		r, err := c.RunIteration(iter, x)
+		r, y, err := c.RunIteration(iter, x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !mat.VecApproxEqual(r.Result, want, 1e-6) {
+		if !mat.VecApproxEqual(y, want, 1e-6) {
 			t.Fatalf("iteration %d: decode mismatch", iter)
 		}
-		agg.Add(&r.Accounting)
+		agg.Add(r)
 	}
 	wf := agg.TotalWastedFraction()
 	if wf < 0.2 || wf > 0.45 {
@@ -94,16 +94,16 @@ func TestS2C2FasterThanConventionalWithNoStragglers(t *testing.T) {
 
 	aggM, aggS := &Aggregate{}, &Aggregate{}
 	for iter := 0; iter < 15; iter++ {
-		rm, err := cm.RunIteration(iter, x)
+		rm, _, err := cm.RunIteration(iter, x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := cs.RunIteration(iter, x)
+		rs, _, err := cs.RunIteration(iter, x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		aggM.Add(&rm.Accounting)
-		aggS.Add(&rs.Accounting)
+		aggM.Add(rm)
+		aggS.Add(rs)
 	}
 	speedup := aggM.MeanLatency() / aggS.MeanLatency()
 	// Ideal is n/k ≈ 1.43; comm overheads shave a little off.
@@ -124,11 +124,11 @@ func TestCodedClusterToleratesStragglers(t *testing.T) {
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: blockRows, Granularity: 60}
 	c, _, x, want := buildCluster(t, n, k, 60, tr, strat, nil)
 	for iter := 0; iter < 10; iter++ {
-		r, err := c.RunIteration(iter, x)
+		_, y, err := c.RunIteration(iter, x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !mat.VecApproxEqual(r.Result, want, 1e-6) {
+		if !mat.VecApproxEqual(y, want, 1e-6) {
 			t.Fatalf("iteration %d: decode mismatch under stragglers", iter)
 		}
 	}
@@ -144,7 +144,7 @@ func TestCodedClusterMispredictionRecovery(t *testing.T) {
 	blockRows := mat.PaddedRows(30, k) / k
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: blockRows, Granularity: 30}
 	c, _, x, want := buildCluster(t, n, k, 30, tr, strat, constantForecaster{1.0})
-	r, err := c.RunIteration(0, x)
+	r, y, err := c.RunIteration(0, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCodedClusterMispredictionRecovery(t *testing.T) {
 	if r.ReassignedRows == 0 {
 		t.Fatal("expected reassigned rows")
 	}
-	if !mat.VecApproxEqual(r.Result, want, 1e-6) {
+	if !mat.VecApproxEqual(y, want, 1e-6) {
 		t.Fatal("decode after recovery mismatch")
 	}
 	if len(r.TimedOut) == 0 || r.TimedOut[0] != 0 {
@@ -185,11 +185,11 @@ func TestCodedClusterForecasterLoop(t *testing.T) {
 	c, _, x, want := buildCluster(t, n, k, 480, tr, strat, ar1)
 	var firstLatency, laterLatency float64
 	for iter := 0; iter < 10; iter++ {
-		r, err := c.RunIteration(iter, x)
+		r, y, err := c.RunIteration(iter, x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !mat.VecApproxEqual(r.Result, want, 1e-6) {
+		if !mat.VecApproxEqual(y, want, 1e-6) {
 			t.Fatalf("iteration %d decode mismatch", iter)
 		}
 		if iter == 0 {

@@ -6,7 +6,8 @@
 // communication model rather than wall-clock measurement. That makes
 // every experiment deterministic, seedable, and fast.
 //
-// The package provides four engines matching the paper's evaluation:
+// The package provides four engines matching the paper's evaluation,
+// each running one round per RunIteration call:
 //
 //   - CodedCluster: MDS-coded mat-vec rounds under any sched.Strategy
 //     (conventional MDS, basic S2C2, general S2C2), with the §4.3
@@ -18,6 +19,12 @@
 //   - OverDecomposition: the Charm++-style baseline combining 4×
 //     over-decomposition, partial replication and prediction-driven
 //     partition migration.
+//
+// Drive runs an iterative workload to convergence with one Cluster per
+// phase — any of the mat-vec engines, or a scheme built from them — and is
+// the only job loop; RunIterative builds the coded clusters and calls it.
+// PolyCluster's Hessian is not an iterative workload; its caller iterates
+// it.
 //
 // Every engine that plans from a forecaster keeps one predict.Tracker
 // (observed speeds in, planning speeds out — the bootstrap and fallback

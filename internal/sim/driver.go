@@ -65,16 +65,21 @@ type JobResult struct {
 	PerPhase []*Aggregate
 }
 
+// Cluster is one phase of a simulated job: CodedCluster,
+// UncodedReplication, OverDecomposition, or a scheme built from them.
+type Cluster interface {
+	// RunIteration runs round iter on input x and returns its accounting
+	// and the product, which is nil when the round is timing-only. Both
+	// may live in storage that the next RunIteration overwrites.
+	RunIteration(iter int, x []float64) (*Accounting, []float64, error)
+}
+
 // RunIterative executes the workload to convergence (or MaxIter) on a
 // simulated coded cluster, one CodedCluster per phase, all driven by the
-// same speed trace. The returned aggregate sums phase latencies per
-// iteration — the paper's end-to-end computation latency.
+// same speed trace.
 func RunIterative(w workloads.Iterative, cfg JobConfig) (*JobResult, error) {
-	if cfg.MaxIter <= 0 {
-		cfg.MaxIter = 100
-	}
 	matrices := w.Matrices()
-	clusters := make([]*CodedCluster, len(matrices))
+	phases := make([]Cluster, len(matrices))
 	for p, m := range matrices {
 		code, err := coding.NewMDSCode(cfg.N, cfg.K)
 		if err != nil {
@@ -82,7 +87,7 @@ func RunIterative(w workloads.Iterative, cfg JobConfig) (*JobResult, error) {
 		}
 		code.SetExec(cfg.Exec)
 		enc := code.Encode(m)
-		clusters[p] = &CodedCluster{
+		phases[p] = &CodedCluster{
 			Enc:        enc,
 			Strategy:   cfg.Strategy(enc.BlockRows),
 			Forecaster: cfg.Forecaster,
@@ -92,39 +97,45 @@ func RunIterative(w workloads.Iterative, cfg JobConfig) (*JobResult, error) {
 			Numeric:    cfg.Numeric,
 		}
 	}
-	// Each phase's cluster owns its round buffers: results are consumed
-	// within the iteration, so the clusters may recycle them.
-	for _, cl := range clusters {
-		cl.ReuseBuffers = true
+	return Drive(w, phases, cfg.MaxIter)
+}
+
+// Drive executes the workload to convergence (or maxIter rounds, 100 when
+// maxIter ≤ 0) with phase p's rounds on phases[p]; every phase runs on the
+// same workers. A timing-only round's product is computed locally, so the
+// workload's state advances either way. The returned aggregate sums phase
+// latencies per iteration — the paper's end-to-end computation latency.
+func Drive(w workloads.Iterative, phases []Cluster, maxIter int) (*JobResult, error) {
+	if maxIter <= 0 {
+		maxIter = 100
 	}
-	res := &JobResult{Aggregate: &Aggregate{}, PerPhase: make([]*Aggregate, len(matrices))}
+	matrices := w.Matrices()
+	res := &JobResult{Aggregate: &Aggregate{}, PerPhase: make([]*Aggregate, len(phases))}
 	for p := range res.PerPhase {
 		res.PerPhase[p] = &Aggregate{}
 	}
 	state := w.Init()
 	// Per-phase buffers reused across iterations: the phase outputs and
-	// (in timing-only mode) the locally computed products.
-	outputs := make([][]float64, len(matrices))
-	local := make([][]float64, len(matrices))
+	// the locally computed products of timing-only rounds.
+	outputs := make([][]float64, len(phases))
+	local := make([][]float64, len(phases))
 	// iterSum sums an iteration's phases into the one round Aggregate sees.
 	var iterSum Accounting
-	for iter := 0; iter < cfg.MaxIter; iter++ {
-		for p := range outputs {
-			outputs[p] = nil
-		}
-		iterSum.reset(iter, cfg.Trace.NumWorkers())
-		for p := range matrices {
+	for iter := 0; iter < maxIter; iter++ {
+		for p, cl := range phases {
 			in := w.PhaseInput(p, state, outputs[:p])
-			round, err := clusters[p].RunIteration(iter, in)
+			round, y, err := cl.RunIteration(iter, in)
 			if err != nil {
 				return nil, fmt.Errorf("sim: %s phase %d: %w", w.Name(), p, err)
 			}
-			if cfg.Numeric {
-				outputs[p] = round.Result
-			} else {
+			if y == nil {
 				local[p] = kernel.Grow(local[p], matrices[p].Rows())
 				mat.MatVecInto(matrices[p], in, local[p])
-				outputs[p] = local[p]
+				y = local[p]
+			}
+			outputs[p] = y
+			if p == 0 {
+				iterSum.reset(iter, len(round.ComputedRows))
 			}
 			iterSum.Latency += round.Latency
 			for i := range round.ComputedRows {
@@ -134,7 +145,7 @@ func RunIterative(w workloads.Iterative, cfg JobConfig) (*JobResult, error) {
 			iterSum.Mispredicted = iterSum.Mispredicted || round.Mispredicted
 			iterSum.ReassignedRows += round.ReassignedRows
 			iterSum.BytesMoved += round.BytesMoved
-			res.PerPhase[p].Add(&round.Accounting)
+			res.PerPhase[p].Add(round)
 		}
 		res.Aggregate.Add(&iterSum)
 		var done bool

@@ -22,7 +22,7 @@ func TestBasicS2C2InSimMatchesPaperShare(t *testing.T) {
 	enc := code.Encode(a)
 	strat := &sched.BasicS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
 	c := &CodedCluster{Enc: enc, Strategy: strat, Trace: tr, Comm: DefaultComm(), Timeout: DefaultTimeout()}
-	r, err := c.RunIteration(0, randTestVec(32, rng))
+	r, _, err := c.RunIteration(0, randTestVec(32, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ func TestUncodedNumericDisabled(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	a := mat.Rand(24, 4, rng)
 	u := &UncodedReplication{A: a, Trace: trace.ControlledCluster(6, 0, 5, 64), Comm: DefaultComm()}
-	r, err := u.RunIteration(0, randTestVec(4, rng))
+	_, y, err := u.RunIteration(0, randTestVec(4, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Result != nil {
+	if y != nil {
 		t.Fatal("Numeric=false must not compute a result")
 	}
 }
@@ -130,7 +130,7 @@ func TestCodedClusterBootstrapEqualSpeeds(t *testing.T) {
 			t.Fatalf("bootstrap speeds %v, want all 1", speeds)
 		}
 	}
-	if _, err := c.RunIteration(0, randTestVec(8, rng)); err != nil {
+	if _, _, err := c.RunIteration(0, randTestVec(8, rng)); err != nil {
 		t.Fatal(err)
 	}
 	// After one observation the forecaster takes over.

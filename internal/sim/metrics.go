@@ -12,8 +12,7 @@ type Aggregate struct {
 	Latencies         []float64
 }
 
-// Add folds one round — a Round's or a PolyRound's Accounting — into the
-// aggregate.
+// Add folds one round's accounting into the aggregate.
 func (a *Aggregate) Add(r *Accounting) {
 	a.Rounds++
 	a.TotalLatency += r.Latency

@@ -82,18 +82,10 @@ func (o *OverDecomposition) init() {
 	}
 }
 
-// OverDecompRound reports one over-decomposition iteration.
-type OverDecompRound struct {
-	Iter       int
-	Latency    float64
-	Migrations int
-	BytesMoved float64
-	Result     []float64
-}
-
-// RunIteration rebalances to predicted speeds, pays migration costs, and
-// runs the round at true speeds.
-func (o *OverDecomposition) RunIteration(iter int, x []float64) (*OverDecompRound, error) {
+// RunIteration rebalances to predicted speeds, pays migration costs (the
+// round's DataMoves), and runs the round at true speeds. The product is nil
+// unless Numeric; the accounting carries no per-worker row counts.
+func (o *OverDecomposition) RunIteration(iter int, x []float64) (*Accounting, []float64, error) {
 	o.init()
 	n := o.Trace.NumWorkers()
 	o.actual = kernel.Grow(o.actual, n)
@@ -104,7 +96,7 @@ func (o *OverDecomposition) RunIteration(iter int, x []float64) (*OverDecompRoun
 	o.predicted = kernel.Grow(o.predicted, n)
 	predicted := o.speeds.planInto(o.predicted, o.Forecaster, o.Trace, iter)
 
-	round := &OverDecompRound{Iter: iter}
+	round := &Accounting{Iter: iter}
 	xBytes := float64(8 * len(x))
 	round.BytesMoved += xBytes * float64(n)
 
@@ -137,7 +129,7 @@ func (o *OverDecomposition) RunIteration(iter int, x []float64) (*OverDecompRoun
 				p := pool[pick]
 				moveCost[w] += o.Comm.TransferTime(o.partBytes)
 				round.BytesMoved += o.partBytes
-				round.Migrations++
+				round.DataMoves++
 				o.holds[w][p] = true
 			}
 			p := pool[pick]
@@ -146,7 +138,7 @@ func (o *OverDecomposition) RunIteration(iter int, x []float64) (*OverDecompRoun
 		}
 	}
 	if len(pool) > 0 {
-		return nil, fmt.Errorf("sim: over-decomposition left %d partitions unplaced", len(pool))
+		return nil, nil, fmt.Errorf("sim: over-decomposition left %d partitions unplaced", len(pool))
 	}
 
 	// Execute at true speeds; migrations are on the critical path (§7.2.2).
@@ -172,18 +164,18 @@ func (o *OverDecomposition) RunIteration(iter int, x []float64) (*OverDecompRoun
 	round.Latency = latest
 	o.speeds.observe(o.observed)
 
-	if o.Numeric {
-		padded := mat.PadRows(o.A, o.nParts)
-		y := make([]float64, padded.Rows())
-		for w := 0; w < n; w++ {
-			for _, p := range o.assigned[w] {
-				part := mat.MatVecRows(padded, x, p*o.rowsPer, (p+1)*o.rowsPer)
-				copy(y[p*o.rowsPer:], part)
-			}
-		}
-		round.Result = y[:o.A.Rows()]
+	if !o.Numeric {
+		return round, nil, nil
 	}
-	return round, nil
+	padded := mat.PadRows(o.A, o.nParts)
+	y := make([]float64, padded.Rows())
+	for w := 0; w < n; w++ {
+		for _, p := range o.assigned[w] {
+			part := mat.MatVecRows(padded, x, p*o.rowsPer, (p+1)*o.rowsPer)
+			copy(y[p*o.rowsPer:], part)
+		}
+	}
+	return round, y[:o.A.Rows()], nil
 }
 
 // StorageFractions returns, per worker, the fraction of the full data

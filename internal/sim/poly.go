@@ -23,45 +23,29 @@ type PolyCluster struct {
 	Comm       CommModel
 	Timeout    TimeoutPolicy
 	Numeric    bool
-	// ReuseBuffers lets the cluster back the returned PolyRound with
-	// per-cluster storage overwritten by the next RunIteration (see
-	// CodedCluster).
-	ReuseBuffers bool
 
 	roundModel
 	decodeWS *coding.PolyDecodeWorkspace
 	result   *mat.Dense
-	round    PolyRound
 }
 
-// PolyRound reports one bilinear iteration.
-type PolyRound struct {
-	Accounting
-	Result *mat.Dense
-}
-
-// RunIteration executes one Hessian round on the diagonal vector d.
-func (c *PolyCluster) RunIteration(iter int, d []float64) (*PolyRound, error) {
+// RunIteration executes one Hessian round on the diagonal vector d. Like
+// CodedCluster's, its accounting and product (nil unless Numeric) are
+// recycled by the next RunIteration.
+func (c *PolyCluster) RunIteration(iter int, d []float64) (*Accounting, *mat.Dense, error) {
 	plan, err := c.plan(c.Strategy, c.Forecaster, c.Trace, iter)
 	if err != nil {
-		return nil, fmt.Errorf("sim: poly iteration %d: %w", iter, err)
+		return nil, nil, fmt.Errorf("sim: poly iteration %d: %w", iter, err)
 	}
-	round := &c.round
-	if c.ReuseBuffers {
-		round.Result = nil
-	} else {
-		round = &PolyRound{}
-	}
-	round.reset(iter, len(c.actual))
 	// One output row of Ã_wᵀ·diag(d)·B̃_w.
 	cost := rowCost{macs: float64(c.Enc.RowsM * c.Enc.BlockColsB), bytes: float64(8 * c.Enc.BlockColsB)}
-	if err := c.simulate(&round.Accounting, plan, c.Strategy.NeedK(), c.Enc.BlockColsA, float64(8*len(d)), cost, c.Comm, c.Timeout); err != nil {
-		return nil, fmt.Errorf("sim: poly iteration %d: %w", iter, err)
+	if err := c.simulate(iter, plan, c.Strategy.NeedK(), c.Enc.BlockColsA, float64(8*len(d)), cost, c.Comm, c.Timeout); err != nil {
+		return nil, nil, fmt.Errorf("sim: poly iteration %d: %w", iter, err)
 	}
 	if !c.Numeric {
-		return round, nil
+		return &c.acc, nil, nil
 	}
-	partials := c.compute(c.Enc, d, plan, round.Mispredicted)
+	partials := c.compute(c.Enc, d, plan, c.acc.Mispredicted)
 	if c.decodeWS == nil {
 		c.decodeWS = c.Enc.NewDecodeWorkspace()
 	}
@@ -70,11 +54,7 @@ func (c *PolyCluster) RunIteration(iter int, d []float64) (*PolyRound, error) {
 	}
 	dec, err := c.Enc.DecodeInto(c.result, partials, c.decodeWS)
 	if err != nil {
-		return nil, fmt.Errorf("sim: poly iteration %d decode: %w", iter, err)
+		return nil, nil, fmt.Errorf("sim: poly iteration %d decode: %w", iter, err)
 	}
-	if !c.ReuseBuffers {
-		dec = dec.Clone()
-	}
-	round.Result = dec
-	return round, nil
+	return &c.acc, dec, nil
 }

@@ -66,11 +66,11 @@ func TestPolyClusterGolden(t *testing.T) {
 		mispredictions, reassigned := 0, 0
 		computed, used := make([]int, n), make([]int, n)
 		for iter := 0; iter < iters; iter++ {
-			r, err := pc.RunIteration(iter, d)
+			r, y, err := pc.RunIteration(iter, d)
 			if err != nil {
 				t.Fatalf("%s: iteration %d: %v", g.name, iter, err)
 			}
-			if !r.Result.ApproxEqual(want, 1e-6) {
+			if !y.ApproxEqual(want, 1e-6) {
 				t.Fatalf("%s: iteration %d: decode mismatch", g.name, iter)
 			}
 			latency += r.Latency

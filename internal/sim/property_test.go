@@ -45,11 +45,11 @@ func TestS2C2DominatesConventionalProperty(t *testing.T) {
 		adap := mkCluster(&sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows}, tr.Clone())
 		convLat, s2c2Lat := 0.0, 0.0
 		for iter := 0; iter < 5; iter++ {
-			rc, err := conv.RunIteration(iter, x)
+			rc, _, err := conv.RunIteration(iter, x)
 			if err != nil {
 				return false
 			}
-			rs, err := adap.RunIteration(iter, x)
+			rs, _, err := adap.RunIteration(iter, x)
 			if err != nil {
 				return false
 			}
@@ -91,11 +91,11 @@ func TestS2C2LatencyMonotoneInStragglers(t *testing.T) {
 		}
 		total := 0.0
 		for iter := 0; iter < 5; iter++ {
-			r, err := c.RunIteration(iter, x)
+			r, y, err := c.RunIteration(iter, x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !mat.VecApproxEqual(r.Result, want, 1e-6) {
+			if !mat.VecApproxEqual(y, want, 1e-6) {
 				t.Fatalf("stragglers=%d iter=%d: decode mismatch", s, iter)
 			}
 			total += r.Latency
@@ -138,17 +138,18 @@ func TestWorkerDeathMidJobRecovery(t *testing.T) {
 		Timeout:    DefaultTimeout(),
 		Numeric:    true,
 	}
-	var deathRound *Round
+	var deathRound *Accounting
 	for iter := 0; iter < 8; iter++ {
-		r, err := c.RunIteration(iter, x)
+		r, y, err := c.RunIteration(iter, x)
 		if err != nil {
 			t.Fatalf("iteration %d: %v", iter, err)
 		}
-		if !mat.VecApproxEqual(r.Result, want, 1e-6) {
+		if !mat.VecApproxEqual(y, want, 1e-6) {
 			t.Fatalf("iteration %d: decode mismatch after worker death", iter)
 		}
 		if iter == 3 {
-			deathRound = r
+			snap := *r // the cluster recycles r in the next round
+			deathRound = &snap
 		}
 		if iter >= 5 && r.ComputedRows[2] > rows/20 {
 			t.Fatalf("iteration %d: dead worker still assigned %d rows", iter, r.ComputedRows[2])
@@ -196,7 +197,7 @@ func TestPolyClusterMispredictionRecovery(t *testing.T) {
 		Timeout:    DefaultTimeout(),
 		Numeric:    true,
 	}
-	r, err := pc.RunIteration(0, d)
+	r, y, err := pc.RunIteration(0, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestPolyClusterMispredictionRecovery(t *testing.T) {
 		t.Fatalf("expected poly timeout recovery, got mispredicted=%v reassigned=%d",
 			r.Mispredicted, r.ReassignedRows)
 	}
-	if !r.Result.ApproxEqual(want, 1e-6) {
+	if !y.ApproxEqual(want, 1e-6) {
 		t.Fatal("poly decode after recovery mismatch")
 	}
 	if !slices.Equal(r.TimedOut, []int{0}) {

@@ -25,9 +25,8 @@ type TimeoutPolicy struct {
 // DefaultTimeout returns the paper's 15% policy.
 func DefaultTimeout() TimeoutPolicy { return TimeoutPolicy{Fraction: 0.15} }
 
-// Accounting is one simulated round's outcome and traffic: the part a
-// mat-vec Round and a bilinear PolyRound share, and what an Aggregate
-// sums.
+// Accounting is one simulated round's outcome and traffic, whichever
+// scheme ran it, and what an Aggregate sums.
 type Accounting struct {
 	Iter    int
 	Latency float64 // virtual seconds, broadcast to decodable
@@ -45,6 +44,12 @@ type Accounting struct {
 	// BytesMoved is the round's traffic: the broadcast to every worker,
 	// one 64-byte assignment per helper, and each used row's result once.
 	BytesMoved float64
+	// DataMoves counts partitions shipped to a worker that did not hold
+	// them: replication's speculative copies, over-decomposition's
+	// migrations. A coded round never moves data.
+	DataMoves int
+	// Speculative counts replication's speculative task launches.
+	Speculative int
 }
 
 // reset readies a for round iter of n workers, keeping its slices'
@@ -121,11 +126,12 @@ func growCounters(s []int, n int) []int {
 	return s
 }
 
-// roundModel is the timing model both simulated clusters run, with the
-// state it recycles across rounds: the speed history, the double-buffered
-// plans, speed vectors, finish-time records, the §4.3 round ledger and the
-// worker partials handed to the decode.
+// roundModel is the timing model both coded clusters run, with the state
+// it recycles across rounds: the speed history, the double-buffered plans,
+// speed vectors, finish-time records, the §4.3 round ledger, the round's
+// accounting and the worker partials handed to the decode.
 type roundModel struct {
+	acc                         Accounting
 	speeds                      speedSource
 	planBuf                     sched.PlanBuffer
 	predicted, actual, observed []float64
@@ -151,16 +157,18 @@ func (m *roundModel) plan(s sched.Strategy, f predict.Forecaster, tr *trace.Trac
 	return plan, nil
 }
 
-// simulate runs the planned round in virtual time into acc: it broadcasts
-// inBytes to every worker, finishes each worker at its true speed, sets the
-// §4.3 deadline, and delivers the arrivals that land by it to the round
-// ledger until every one of blockRows rows has coverage k. When coverage
-// misses the deadline, the workers that finished by it are used, the rest
-// time out, and the ledger routes the coverage they owed to the used
-// workers. Last, the forecaster observes each worker's speed from its
-// compute time (§6.2: ℓ/t).
-func (m *roundModel) simulate(acc *Accounting, plan *sched.Plan, k, blockRows int, inBytes float64, cost rowCost, comm CommModel, timeout TimeoutPolicy) error {
+// simulate runs the planned round iter in virtual time into m.acc: it
+// broadcasts inBytes to every worker, finishes each worker at its true
+// speed, sets the §4.3 deadline, and delivers the arrivals that land by it
+// to the round ledger until every one of blockRows rows has coverage k.
+// When coverage misses the deadline, the workers that finished by it are
+// used, the rest time out, and the ledger routes the coverage they owed to
+// the used workers. Last, the forecaster observes each worker's speed from
+// its compute time (§6.2: ℓ/t).
+func (m *roundModel) simulate(iter int, plan *sched.Plan, k, blockRows int, inBytes float64, cost rowCost, comm CommModel, timeout TimeoutPolicy) error {
 	n := len(m.actual)
+	acc := &m.acc
+	acc.reset(iter, n)
 	broadcast := comm.TransferTime(inBytes)
 	acc.BytesMoved += inBytes * float64(n)
 

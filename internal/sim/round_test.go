@@ -52,7 +52,7 @@ func TestObservedSpeedsAreTraceSpeeds(t *testing.T) {
 	c, _, x, _ := buildCluster(t, n, 3, 30, tr, &sched.GeneralS2C2{N: n, K: 3, BlockRows: blockRows, Granularity: 30},
 		recordingForecaster{&coded})
 	for iter := 0; iter <= rounds; iter++ {
-		if _, err := c.RunIteration(iter, x); err != nil {
+		if _, _, err := c.RunIteration(iter, x); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,7 +72,7 @@ func TestObservedSpeedsAreTraceSpeeds(t *testing.T) {
 		Forecaster: recordingForecaster{&poly}, Trace: tr, Comm: DefaultComm(), Timeout: DefaultTimeout()}
 	d := randTestVec(40, rng)
 	for iter := 0; iter <= rounds; iter++ {
-		if _, err := pc.RunIteration(iter, d); err != nil {
+		if _, _, err := pc.RunIteration(iter, d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,7 +90,7 @@ func TestCodedClusterTrafficCountsEachResultOnce(t *testing.T) {
 	blockRows := mat.PaddedRows(30, k) / k
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: blockRows, Granularity: 30}
 	c, _, x, _ := buildCluster(t, n, k, 30, tr, strat, constantForecaster{1.0})
-	r, err := c.RunIteration(0, x)
+	r, _, err := c.RunIteration(0, x)
 	if err != nil {
 		t.Fatal(err)
 	}

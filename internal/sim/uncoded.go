@@ -66,25 +66,16 @@ func (u *UncodedReplication) init() {
 	}
 }
 
-// UncodedRound reports one replication-baseline iteration.
-type UncodedRound struct {
-	Iter        int
-	Latency     float64
-	Speculative int
-	DataMoves   int
-	BytesMoved  float64
-	Result      []float64
-}
-
-// RunIteration simulates one round at the given trace step.
-func (u *UncodedReplication) RunIteration(iter int, x []float64) (*UncodedRound, error) {
+// RunIteration simulates one round at the given trace step. The product is
+// nil unless Numeric; the accounting carries no per-worker row counts.
+func (u *UncodedReplication) RunIteration(iter int, x []float64) (*Accounting, []float64, error) {
 	u.init()
 	n := u.Trace.NumWorkers()
 	speeds := make([]float64, n)
 	for w := 0; w < n; w++ {
 		speeds[w] = u.Trace.At(w, iter)
 	}
-	round := &UncodedRound{Iter: iter}
+	round := &Accounting{Iter: iter}
 	xBytes := float64(8 * len(x))
 	broadcast := u.Comm.TransferTime(xBytes)
 	round.BytesMoved += xBytes * float64(n)
@@ -184,13 +175,13 @@ func (u *UncodedReplication) RunIteration(iter int, x []float64) (*UncodedRound,
 	round.Latency = latest
 	round.BytesMoved += float64(8 * u.rowsPer * n)
 
-	if u.Numeric {
-		padded := mat.PadRows(u.A, n)
-		y := make([]float64, 0, padded.Rows())
-		for p := 0; p < n; p++ {
-			y = append(y, mat.MatVecRows(padded, x, p*u.rowsPer, (p+1)*u.rowsPer)...)
-		}
-		round.Result = y[:u.A.Rows()]
+	if !u.Numeric {
+		return round, nil, nil
 	}
-	return round, nil
+	padded := mat.PadRows(u.A, n)
+	y := make([]float64, 0, padded.Rows())
+	for p := 0; p < n; p++ {
+		y = append(y, mat.MatVecRows(padded, x, p*u.rowsPer, (p+1)*u.rowsPer)...)
+	}
+	return round, y[:u.A.Rows()], nil
 }

@@ -259,6 +259,11 @@ func CloudVolatile(workers, steps int, seed int64) *Trace {
 }
 
 // ---- Simulator ----------------------------------------------------------
+//
+// Each engine below runs one simulated round per RunIteration call and
+// returns the round's accounting and its product (nil when the round is
+// timing-only). A coded engine recycles both on its next call. Simulate
+// runs a whole iterative job through the simulator's one job driver.
 
 // CodedCluster simulates MDS-coded rounds under any strategy.
 type CodedCluster = sim.CodedCluster
@@ -307,8 +312,10 @@ func BasicS2C2Strategy(n, k, granularity int) sim.StrategyFactory {
 // MDSStrategy returns a conventional-MDS strategy factory.
 func MDSStrategy(n, k int) sim.StrategyFactory { return sim.MDSFactory(n, k) }
 
-// Simulate runs an iterative workload on the simulated coded cluster.
-// Defaults are applied for Comm and Timeout when zero-valued.
+// Simulate runs an iterative workload on the simulated coded cluster, one
+// CodedCluster per phase, all iterated by the same driver the experiments'
+// baselines use. Defaults are applied for Comm and Timeout when
+// zero-valued.
 func Simulate(w Workload, cfg SimConfig) (*SimResult, error) {
 	if cfg.Comm == (CommModel{}) {
 		cfg.Comm = DefaultComm()
