@@ -216,10 +216,17 @@ func TestShutdownReleasesParkedSpare(t *testing.T) {
 // TestTimeoutReassignmentDecodesBitExact forces a timeout + reassignment
 // and checks that the round's partials — which contain two partials from
 // the same helper worker (original ranges + reassigned extras) — decode
-// bit-identically to the same partial set recomputed locally.
+// bit-identically to the same partial set recomputed locally. Worker 3's
+// Work frame is held back until the test ends, so its own result can
+// never complete coverage before a helper's reassigned rows do.
 func TestTimeoutReassignmentDecodesBitExact(t *testing.T) {
 	n, k := 4, 2
-	m := startCluster(t, n, map[int]float64{3: 300})
+	release := make(chan struct{})
+	m := startTestCluster(t, n, clusterConfig{
+		worker: func(int) WorkerConfig { return WorkerConfig{PerRowDelay: 200 * time.Microsecond} },
+		faults: map[int]*workerFault{3: {holdWork: release}},
+	})
+	defer close(release)
 
 	rng := rand.New(rand.NewSource(30))
 	a := mat.Rand(48, 6, rng)
@@ -234,7 +241,7 @@ func TestTimeoutReassignmentDecodesBitExact(t *testing.T) {
 	}
 	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
 	// Mis-prediction: the planner believes all four are equally fast, so
-	// the dead-slow worker 3 gets real work and must be timed out.
+	// the silent worker 3 gets real work and must be timed out.
 	plan, err := strat.Plan([]float64{1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)

@@ -29,6 +29,7 @@ import (
 	"github.com/coded-computing/s2c2/internal/coding"
 	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/sched"
+	"github.com/coded-computing/s2c2/internal/wire"
 )
 
 // workerFault describes one worker's link faults. The zero value injects
@@ -45,6 +46,10 @@ type workerFault struct {
 	// frameDelay sleeps before forwarding each frame: a slow reader whose
 	// acks and results arrive late.
 	frameDelay time.Duration
+	// holdWork, when set, keeps each Work frame from the worker until the
+	// channel is closed: a worker that cannot answer a round, however the
+	// host schedules it, until the test lets it.
+	holdWork <-chan struct{}
 }
 
 // clusterConfig configures startTestCluster. Zero values mean defaults:
@@ -164,6 +169,9 @@ func pumpFaultedFrames(dst, src net.Conn, f *workerFault, closeBoth func()) {
 		}
 		if f.frameDelay > 0 {
 			time.Sleep(f.frameDelay)
+		}
+		if f.holdWork != nil && wire.Type(buf[0]) == wire.TypeWork {
+			<-f.holdWork
 		}
 		n := binary.PutUvarint(head[:], size)
 		if _, err := dst.Write(head[:n]); err != nil {

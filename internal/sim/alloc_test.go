@@ -89,6 +89,47 @@ func TestRunIterationZeroAllocsUnderChurn(t *testing.T) {
 	}
 }
 
+// TestBaselineRoundsZeroAllocs is the steady-state pin for the two
+// baselines: on speeds drawn afresh every iteration, which keep
+// replication speculating and over-decomposition migrating, a round
+// allocates nothing once the first has sized the scratch, timing-only or
+// Numeric.
+func TestBaselineRoundsZeroAllocs(t *testing.T) {
+	const n, steps = 12, 64
+	rng := rand.New(rand.NewSource(9))
+	speeds := make([][]float64, n)
+	for w := range speeds {
+		speeds[w] = make([]float64, steps)
+		for i := range speeds[w] {
+			speeds[w][i] = 0.2 + rng.Float64()
+		}
+	}
+	tr := &trace.Trace{Speeds: speeds}
+	a := mat.Rand(600, 50, rng) // 48 over-decomposed partitions pad it to 624 rows
+	x := randTestVec(50, rng)
+	for _, numeric := range []bool{false, true} {
+		for _, c := range []struct {
+			name string
+			cl   Cluster
+		}{
+			{"uncoded replication", &UncodedReplication{A: a, Trace: tr, Comm: DefaultComm(), Numeric: numeric}},
+			{"over-decomposition", &OverDecomposition{A: a, Trace: tr, Comm: DefaultComm(), Numeric: numeric}},
+		} {
+			iter := 0
+			run := func() {
+				if _, _, err := c.cl.RunIteration(iter, x); err != nil {
+					t.Fatal(err)
+				}
+				iter++
+			}
+			run()
+			if allocs := testing.AllocsPerRun(steps-2, run); allocs != 0 {
+				t.Errorf("%s (Numeric %v) allocates %v objects per round after the first, want 0", c.name, numeric, allocs)
+			}
+		}
+	}
+}
+
 // TestReuseBuffersRecyclesRound checks that a coded round is recycled: the
 // next RunIteration hands back the same Accounting, overwritten.
 func TestReuseBuffersRecyclesRound(t *testing.T) {

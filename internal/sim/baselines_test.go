@@ -3,12 +3,14 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/coded-computing/s2c2/internal/coding"
 	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/sched"
 	"github.com/coded-computing/s2c2/internal/trace"
+	"github.com/coded-computing/s2c2/internal/workloads"
 )
 
 func TestUncodedReplicationNoStragglers(t *testing.T) {
@@ -132,7 +134,7 @@ func TestOverDecompositionBalancedAndCorrect(t *testing.T) {
 	want := mat.MatVec(a, x)
 	tr := trace.CloudStable(10, 30, 36)
 	o := &OverDecomposition{A: a, Trace: tr, Comm: DefaultComm(), Numeric: true}
-	var first, last *Accounting
+	var first, last int // the first and last rounds' migrations
 	for iter := 0; iter < 10; iter++ {
 		r, y, err := o.RunIteration(iter, x)
 		if err != nil {
@@ -142,13 +144,87 @@ func TestOverDecompositionBalancedAndCorrect(t *testing.T) {
 			t.Fatalf("iteration %d: over-decomposition result mismatch", iter)
 		}
 		if iter == 0 {
-			first = r
+			first = r.DataMoves
 		}
-		last = r
+		last = r.DataMoves
 	}
 	// After the initial rebalancing, stable speeds need few migrations.
-	if last.DataMoves > first.DataMoves {
-		t.Fatalf("migrations should subside: first %d last %d", first.DataMoves, last.DataMoves)
+	if last > first {
+		t.Fatalf("migrations should subside: first %d last %d", first, last)
+	}
+}
+
+func sumInts(s []int) int {
+	t := 0
+	for _, v := range s {
+		t += v
+	}
+	return t
+}
+
+// TestUncodedReplicationCountsWastedRows checks replication's row counts:
+// every worker computes its primary task and the speculative copies it
+// was given, each task's first finisher is the copy used, so a round that
+// speculates wastes the copies that lost, and a job's aggregate shows it.
+func TestUncodedReplicationCountsWastedRows(t *testing.T) {
+	const n = 12
+	rng := rand.New(rand.NewSource(44))
+	a := mat.Rand(600, 50, rng)
+	x := randTestVec(50, rng)
+	tr := trace.ControlledCluster(n, 2, 20, 44)
+	u := &UncodedReplication{A: a, Trace: tr, Comm: DefaultComm()}
+	speculative := 0
+	for iter := 0; iter < 10; iter++ {
+		r, _, err := u.RunIteration(iter, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		computed, used := sumInts(r.ComputedRows), sumInts(r.UsedRows)
+		if used != 600 || computed != used+50*r.Speculative {
+			t.Fatalf("round %d: %d rows computed, %d used, %d speculative copies of 50 rows; want 600 used, and the copies computed on top",
+				iter, computed, used, r.Speculative)
+		}
+		speculative += r.Speculative
+	}
+	if speculative == 0 {
+		t.Fatal("no round speculated: the test no longer reaches the copies")
+	}
+
+	lr := &workloads.LogisticRegression{Data: workloads.SyntheticClassification(600, 50, 44), LR: 0.5}
+	var phases []Cluster
+	for _, m := range lr.Matrices() {
+		phases = append(phases, &UncodedReplication{A: m, Trace: tr, Comm: DefaultComm()})
+	}
+	res, err := Drive(lr, phases, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if waste := res.Aggregate.TotalWastedFraction(); waste <= 0 || waste >= 1 {
+		t.Fatalf("a speculating replication job wastes %v of its rows, want a fraction in (0, 1)", waste)
+	}
+}
+
+// TestOverDecompositionCountsRows checks over-decomposition's row counts:
+// each partition is computed once, by its assigned worker, so every
+// computed row is used and a round covers all nParts·rowsPer rows.
+func TestOverDecompositionCountsRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	a := mat.Rand(600, 50, rng) // 48 partitions of 13 rows, 624 padded
+	x := randTestVec(50, rng)
+	o := &OverDecomposition{A: a, Trace: trace.CloudVolatile(12, 20, 45), Comm: DefaultComm()}
+	moves := 0
+	for iter := 0; iter < 20; iter++ {
+		r, _, err := o.RunIteration(iter, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sumInts(r.ComputedRows) != 624 || !slices.Equal(r.ComputedRows, r.UsedRows) {
+			t.Fatalf("round %d: computed %v, used %v; want the same 624 rows", iter, r.ComputedRows, r.UsedRows)
+		}
+		moves += r.DataMoves
+	}
+	if moves == 0 {
+		t.Fatal("no round migrated a partition: the test no longer moves work")
 	}
 }
 

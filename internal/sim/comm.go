@@ -23,6 +23,11 @@
 // Drive runs an iterative workload to convergence with one Cluster per
 // phase — any of the mat-vec engines, or a scheme built from them — and is
 // the only job loop; RunIterative builds the coded clusters and calls it.
+// RunIterative takes each phase's encoding from a process-wide idle list
+// of encodings earlier jobs released, keyed by (n, k, rows, cols), and
+// re-encodes into that storage, so a sweep of short jobs at a few shapes
+// does not allocate fresh parity per job; the list retains at most
+// maxRecycledBytes (4 MiB).
 // PolyCluster's Hessian is not an iterative workload; its caller iterates
 // it.
 //

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"github.com/coded-computing/s2c2/internal/coding"
 	"github.com/coded-computing/s2c2/internal/kernel"
 	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/predict"
@@ -77,19 +76,25 @@ type Cluster interface {
 // RunIterative executes the workload to convergence (or MaxIter) on a
 // simulated coded cluster, one CodedCluster per phase, all driven by the
 // same speed trace.
+//
+// Each phase's encoding comes from a process-wide idle list of encodings
+// that earlier jobs released, keyed by (n, k, rows, cols): a job at a
+// shape seen before re-encodes into that storage instead of allocating,
+// zeroing and faulting in fresh parity, with bit-identical results. The
+// job returns its encodings when it ends, error or not; the list keeps
+// at most maxRecycledBytes (4 MiB) of them.
 func RunIterative(w workloads.Iterative, cfg JobConfig) (*JobResult, error) {
 	matrices := w.Matrices()
 	phases := make([]Cluster, len(matrices))
 	for p, m := range matrices {
-		code, err := coding.NewMDSCode(cfg.N, cfg.K)
+		e, err := takeEncoding(cfg.N, cfg.K, m, cfg.Exec)
 		if err != nil {
 			return nil, err
 		}
-		code.SetExec(cfg.Exec)
-		enc := code.Encode(m)
+		defer e.release()
 		phases[p] = &CodedCluster{
-			Enc:        enc,
-			Strategy:   cfg.Strategy(enc.BlockRows),
+			Enc:        e.enc,
+			Strategy:   cfg.Strategy(e.enc.BlockRows),
 			Forecaster: cfg.Forecaster,
 			Trace:      cfg.Trace,
 			Comm:       cfg.Comm,

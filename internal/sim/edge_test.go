@@ -90,7 +90,7 @@ func TestUncodedNumericDisabled(t *testing.T) {
 }
 
 func TestOverDecompositionProportionalCounts(t *testing.T) {
-	counts := proportionalCounts([]float64{2, 1, 1}, 8)
+	counts := proportionalCounts(make([]int, 3), make([]remainder, 3), []float64{2, 1, 1}, 8)
 	total := 0
 	for _, c := range counts {
 		total += c
@@ -102,7 +102,7 @@ func TestOverDecompositionProportionalCounts(t *testing.T) {
 		t.Fatalf("weight-2 worker got %d of 8, want 4", counts[0])
 	}
 	// Degenerate weights: still place everything.
-	counts = proportionalCounts([]float64{0, 0}, 5)
+	counts = proportionalCounts(make([]int, 2), make([]remainder, 2), []float64{0, 0}, 5)
 	if counts[0]+counts[1] != 5 {
 		t.Fatalf("zero weights: counts %v", counts)
 	}

@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/coded-computing/s2c2/internal/kernel"
 	"github.com/coded-computing/s2c2/internal/mat"
@@ -32,11 +33,19 @@ type OverDecomposition struct {
 	nParts    int
 	rowsPer   int
 	partBytes float64
-	holds     []map[int]bool // holds[w] = partitions worker w stores
-	assigned  [][]int        // assigned[w] = partitions worker w computes
+	holds     []bool     // holds[w*nParts+p]: worker w stores partition p
+	stored    []int      // stored[w] = partitions worker w stores
+	assigned  [][]int    // assigned[w] = partitions worker w computes
+	padded    *mat.Dense // A padded to nParts partitions, on the first Numeric round
 	speeds    speedSource
 
-	actual, predicted, observed []float64 // per-round scratch
+	// Per-round scratch: the next RunIteration overwrites it, the
+	// accounting and product included.
+	acc                                   Accounting
+	actual, predicted, observed, moveCost []float64
+	target, pool                          []int
+	remainders                            []remainder
+	product                               []float64
 }
 
 // Name identifies the baseline in experiment output.
@@ -58,14 +67,18 @@ func (o *OverDecomposition) init() {
 	o.nParts = n * f
 	o.rowsPer = mat.PaddedRows(o.A.Rows(), o.nParts) / o.nParts
 	o.partBytes = float64(8 * o.rowsPer * o.A.Cols())
-	o.holds = make([]map[int]bool, n)
+	o.holds = make([]bool, n*o.nParts)
+	o.stored = make([]int, n)
+	// Full-capacity assignment lists and pool: rebalancing never grows them.
 	o.assigned = make([][]int, n)
-	for w := 0; w < n; w++ {
-		o.holds[w] = map[int]bool{}
+	for w := range o.assigned {
+		o.assigned[w] = make([]int, 0, o.nParts)
 	}
+	o.pool = make([]int, 0, o.nParts)
+	o.target, o.remainders = make([]int, n), make([]remainder, n)
 	for p := 0; p < o.nParts; p++ {
 		w := p / f
-		o.holds[w][p] = true
+		o.hold(w, p)
 		o.assigned[w] = append(o.assigned[w], p)
 	}
 	// Pre-replicate (ReplicationFactor−1) of the partitions round-robin on
@@ -78,13 +91,22 @@ func (o *OverDecomposition) init() {
 	for i := 0; i < extra; i++ {
 		p := i % o.nParts
 		w := (p/f + 1 + i/o.nParts) % n
-		o.holds[w][p] = true
+		o.hold(w, p)
+	}
+}
+
+// hold records that worker w stores partition p.
+func (o *OverDecomposition) hold(w, p int) {
+	if !o.holds[w*o.nParts+p] {
+		o.holds[w*o.nParts+p] = true
+		o.stored[w]++
 	}
 }
 
 // RunIteration rebalances to predicted speeds, pays migration costs (the
 // round's DataMoves), and runs the round at true speeds. The product is nil
-// unless Numeric; the accounting carries no per-worker row counts.
+// unless Numeric. Each partition is computed once, by the worker it is
+// assigned to, so every computed row is used.
 func (o *OverDecomposition) RunIteration(iter int, x []float64) (*Accounting, []float64, error) {
 	o.init()
 	n := o.Trace.NumWorkers()
@@ -96,16 +118,17 @@ func (o *OverDecomposition) RunIteration(iter int, x []float64) (*Accounting, []
 	o.predicted = kernel.Grow(o.predicted, n)
 	predicted := o.speeds.planInto(o.predicted, o.Forecaster, o.Trace, iter)
 
-	round := &Accounting{Iter: iter}
+	round := &o.acc
+	round.reset(iter, n)
 	xBytes := float64(8 * len(x))
 	round.BytesMoved += xBytes * float64(n)
 
 	// Target partition counts proportional to predicted speed (largest
 	// remainder keeps the total exact).
-	target := proportionalCounts(predicted, o.nParts)
+	target := proportionalCounts(o.target, o.remainders, predicted, o.nParts)
 
 	// Rebalance: strip surplus partitions, hand them to deficit workers.
-	var pool []int
+	pool := o.pool[:0]
 	for w := 0; w < n; w++ {
 		for len(o.assigned[w]) > target[w] {
 			last := o.assigned[w][len(o.assigned[w])-1]
@@ -113,13 +136,14 @@ func (o *OverDecomposition) RunIteration(iter int, x []float64) (*Accounting, []
 			pool = append(pool, last)
 		}
 	}
-	moveCost := make([]float64, n)
+	o.moveCost = kernel.GrowZeroed(o.moveCost, n)
+	moveCost := o.moveCost
 	for w := 0; w < n && len(pool) > 0; w++ {
 		for len(o.assigned[w]) < target[w] && len(pool) > 0 {
 			// Prefer a pooled partition this worker already holds.
 			pick := -1
 			for i, p := range pool {
-				if o.holds[w][p] {
+				if o.holds[w*o.nParts+p] {
 					pick = i
 					break
 				}
@@ -130,7 +154,7 @@ func (o *OverDecomposition) RunIteration(iter int, x []float64) (*Accounting, []
 				moveCost[w] += o.Comm.TransferTime(o.partBytes)
 				round.BytesMoved += o.partBytes
 				round.DataMoves++
-				o.holds[w][p] = true
+				o.hold(w, p)
 			}
 			p := pool[pick]
 			pool = append(pool[:pick], pool[pick+1:]...)
@@ -155,6 +179,8 @@ func (o *OverDecomposition) RunIteration(iter int, x []float64) (*Accounting, []
 			latest = ft
 		}
 		round.BytesMoved += float64(8 * rows)
+		round.ComputedRows[w] = rows
+		round.UsedRows[w] = rows
 		// Observed speed for the forecaster.
 		o.observed[w] = 1
 		if compute := ft - broadcast - moveCost[w]; compute > 0 {
@@ -167,15 +193,17 @@ func (o *OverDecomposition) RunIteration(iter int, x []float64) (*Accounting, []
 	if !o.Numeric {
 		return round, nil, nil
 	}
-	padded := mat.PadRows(o.A, o.nParts)
-	y := make([]float64, padded.Rows())
+	if o.padded == nil {
+		o.padded = mat.PadRows(o.A, o.nParts)
+	}
+	o.product = kernel.Grow(o.product, o.padded.Rows())
 	for w := 0; w < n; w++ {
 		for _, p := range o.assigned[w] {
-			part := mat.MatVecRows(padded, x, p*o.rowsPer, (p+1)*o.rowsPer)
-			copy(y[p*o.rowsPer:], part)
+			lo, hi := p*o.rowsPer, (p+1)*o.rowsPer
+			mat.MatVecRowsInto(o.padded, x, o.product[lo:hi], lo, hi)
 		}
 	}
-	return round, y[:o.A.Rows()], nil
+	return round, o.product[:o.A.Rows()], nil
 }
 
 // StorageFractions returns, per worker, the fraction of the full data
@@ -183,16 +211,23 @@ func (o *OverDecomposition) RunIteration(iter int, x []float64) (*Accounting, []
 // metric.
 func (o *OverDecomposition) StorageFractions() []float64 {
 	o.init()
-	out := make([]float64, len(o.holds))
-	for w, h := range o.holds {
-		out[w] = float64(len(h)) / float64(o.nParts)
+	out := make([]float64, len(o.stored))
+	for w, c := range o.stored {
+		out[w] = float64(c) / float64(o.nParts)
 	}
 	return out
 }
 
+// remainder is one weight's fractional share in proportionalCounts.
+type remainder struct {
+	i int
+	f float64
+}
+
 // proportionalCounts apportions total items to weights by largest
-// remainder, guaranteeing the counts sum to total.
-func proportionalCounts(weights []float64, total int) []int {
+// remainder, guaranteeing the counts sum to total. It writes the counts
+// into counts and uses fr as scratch; both have len(weights) entries.
+func proportionalCounts(counts []int, fr []remainder, weights []float64, total int) []int {
 	n := len(weights)
 	sum := 0.0
 	for _, w := range weights {
@@ -200,7 +235,7 @@ func proportionalCounts(weights []float64, total int) []int {
 			sum += w
 		}
 	}
-	counts := make([]int, n)
+	clear(counts)
 	if sum == 0 {
 		for i := 0; total > 0; i = (i + 1) % n {
 			counts[i]++
@@ -208,11 +243,6 @@ func proportionalCounts(weights []float64, total int) []int {
 		}
 		return counts
 	}
-	type frac struct {
-		i int
-		f float64
-	}
-	fr := make([]frac, n)
 	used := 0
 	for i, w := range weights {
 		if w < 0 {
@@ -221,9 +251,9 @@ func proportionalCounts(weights []float64, total int) []int {
 		exact := float64(total) * w / sum
 		counts[i] = int(exact)
 		used += counts[i]
-		fr[i] = frac{i, exact - float64(counts[i])}
+		fr[i] = remainder{i, exact - float64(counts[i])}
 	}
-	sort.Slice(fr, func(a, b int) bool { return fr[a].f > fr[b].f })
+	slices.SortFunc(fr, func(a, b remainder) int { return cmp.Compare(b.f, a.f) })
 	for i := 0; used < total; i = (i + 1) % n {
 		counts[fr[i].i]++
 		used++

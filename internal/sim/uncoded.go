@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
+	"github.com/coded-computing/s2c2/internal/kernel"
 	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/trace"
 )
@@ -32,6 +34,21 @@ type UncodedReplication struct {
 	replicas  [][]int // replicas[p] = workers holding partition p
 	rowsPer   int
 	partBytes float64
+	padded    *mat.Dense // A padded to n partitions, on the first Numeric round
+
+	// Per-round scratch: the next RunIteration overwrites it, the
+	// accounting and product included.
+	acc                               Accounting
+	speeds, finish, sorted, available []float64
+	finisher                          []int // finisher[p] = worker whose copy of task p finished first
+	lagging                           []lagTask
+	product                           []float64
+}
+
+// lagTask is a task still running when speculation triggers.
+type lagTask struct {
+	p  int
+	ft float64
 }
 
 // Name identifies the baseline in experiment output.
@@ -55,6 +72,8 @@ func (u *UncodedReplication) init() {
 	u.rowsPer = mat.PaddedRows(u.A.Rows(), n) / n
 	u.partBytes = float64(8 * u.rowsPer * u.A.Cols())
 	u.replicas = make([][]int, n)
+	u.speeds, u.finish, u.sorted, u.available = make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	u.finisher, u.lagging = make([]int, n), make([]lagTask, 0, n)
 	for p := 0; p < n; p++ {
 		// Deterministic round-robin placement: primary p plus the next
 		// rep-1 workers. (The paper says "randomly selected"; round-robin
@@ -67,49 +86,49 @@ func (u *UncodedReplication) init() {
 }
 
 // RunIteration simulates one round at the given trace step. The product is
-// nil unless Numeric; the accounting carries no per-worker row counts.
+// nil unless Numeric. Every worker computes its primary task and any
+// speculative copies it was given; the copy of each task that finished
+// first is the one used.
 func (u *UncodedReplication) RunIteration(iter int, x []float64) (*Accounting, []float64, error) {
 	u.init()
 	n := u.Trace.NumWorkers()
-	speeds := make([]float64, n)
+	speeds, finish := u.speeds, u.finish // finish[p] = task p completion
 	for w := 0; w < n; w++ {
 		speeds[w] = u.Trace.At(w, iter)
 	}
-	round := &Accounting{Iter: iter}
+	round := &u.acc
+	round.reset(iter, n)
 	xBytes := float64(8 * len(x))
 	broadcast := u.Comm.TransferTime(xBytes)
 	round.BytesMoved += xBytes * float64(n)
 
 	// Primary executions: task p on worker p.
-	finish := make([]float64, n) // finish[p] = task p completion
 	for p := 0; p < n; p++ {
 		finish[p] = broadcast + computeElems(float64(u.rowsPer*u.A.Cols()), speeds[p]) + u.Comm.TransferTime(float64(8*u.rowsPer))
+		u.finisher[p] = p
+		round.ComputedRows[p] += u.rowsPer
 	}
 	// Speculation trigger time: when SpeculateAfter of tasks have finished.
 	frac := u.SpeculateAfter
 	if frac <= 0 || frac >= 1 {
 		frac = 0.75
 	}
-	sorted := append([]float64(nil), finish...)
-	sort.Float64s(sorted)
+	copy(u.sorted, finish)
+	slices.Sort(u.sorted)
 	trigIdx := int(frac * float64(n))
 	if trigIdx >= n {
 		trigIdx = n - 1
 	}
-	trigger := sorted[trigIdx]
+	trigger := u.sorted[trigIdx]
 
 	// Straggling tasks (unfinished at trigger), slowest first.
-	type lag struct {
-		p  int
-		ft float64
-	}
-	var lagging []lag
+	lagging := u.lagging[:0]
 	for p := 0; p < n; p++ {
 		if finish[p] > trigger {
-			lagging = append(lagging, lag{p, finish[p]})
+			lagging = append(lagging, lagTask{p, finish[p]})
 		}
 	}
-	sort.Slice(lagging, func(i, j int) bool { return lagging[i].ft > lagging[j].ft })
+	slices.SortFunc(lagging, func(a, b lagTask) int { return cmp.Compare(b.ft, a.ft) })
 	maxSpec := u.MaxSpeculative
 	if maxSpec <= 0 {
 		maxSpec = 6
@@ -123,7 +142,7 @@ func (u *UncodedReplication) RunIteration(iter int, x []float64) (*Accounting, [
 	// its own task runs. Every idle worker starts at trigger, so ties are
 	// common: scanning in id order gives them to the lowest id, and a trace
 	// always simulates the same way.
-	available := make([]float64, n)
+	available := u.available
 	for w := range available {
 		available[w] = -1
 		if finish[w] <= trigger {
@@ -160,17 +179,20 @@ func (u *UncodedReplication) RunIteration(iter int, x []float64) (*Accounting, [
 		}
 		specFinish := start + computeElems(float64(u.rowsPer*u.A.Cols()), speeds[bestW]) + u.Comm.TransferTime(float64(8*u.rowsPer))
 		round.Speculative++
+		round.ComputedRows[bestW] += u.rowsPer
 		available[bestW] = specFinish
 		if specFinish < finish[l.p] {
 			finish[l.p] = specFinish
+			u.finisher[l.p] = bestW
 		}
 	}
 
 	latest := 0.0
-	for _, ft := range finish {
+	for p, ft := range finish {
 		if ft > latest {
 			latest = ft
 		}
+		round.UsedRows[u.finisher[p]] += u.rowsPer
 	}
 	round.Latency = latest
 	round.BytesMoved += float64(8 * u.rowsPer * n)
@@ -178,10 +200,13 @@ func (u *UncodedReplication) RunIteration(iter int, x []float64) (*Accounting, [
 	if !u.Numeric {
 		return round, nil, nil
 	}
-	padded := mat.PadRows(u.A, n)
-	y := make([]float64, 0, padded.Rows())
-	for p := 0; p < n; p++ {
-		y = append(y, mat.MatVecRows(padded, x, p*u.rowsPer, (p+1)*u.rowsPer)...)
+	if u.padded == nil {
+		u.padded = mat.PadRows(u.A, n)
 	}
-	return round, y[:u.A.Rows()], nil
+	u.product = kernel.Grow(u.product, u.padded.Rows())
+	for p := 0; p < n; p++ {
+		lo, hi := p*u.rowsPer, (p+1)*u.rowsPer
+		mat.MatVecRowsInto(u.padded, x, u.product[lo:hi], lo, hi)
+	}
+	return round, u.product[:u.A.Rows()], nil
 }

@@ -262,7 +262,7 @@ func CloudVolatile(workers, steps int, seed int64) *Trace {
 //
 // Each engine below runs one simulated round per RunIteration call and
 // returns the round's accounting and its product (nil when the round is
-// timing-only). A coded engine recycles both on its next call. Simulate
+// timing-only). Every engine recycles both on its next call. Simulate
 // runs a whole iterative job through the simulator's one job driver.
 
 // CodedCluster simulates MDS-coded rounds under any strategy.
@@ -315,7 +315,8 @@ func MDSStrategy(n, k int) sim.StrategyFactory { return sim.MDSFactory(n, k) }
 // Simulate runs an iterative workload on the simulated coded cluster, one
 // CodedCluster per phase, all iterated by the same driver the experiments'
 // baselines use. Defaults are applied for Comm and Timeout when
-// zero-valued.
+// zero-valued. Jobs reuse the parity storage of encodings that earlier
+// jobs at the same shape released (at most 4 MiB is kept idle).
 func Simulate(w Workload, cfg SimConfig) (*SimResult, error) {
 	if cfg.Comm == (CommModel{}) {
 		cfg.Comm = DefaultComm()
