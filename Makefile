@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-noasm race lint vet-tool fmt linked-symbols flake-census bench bench-smoke ci
+.PHONY: all build test test-noasm race lint vet-tool fmt linked-symbols flake-census master-smoke bench bench-smoke ci
 
 all: lint test
 
@@ -65,6 +65,13 @@ PKG ?= ./internal/rpc
 N ?= 20
 flake-census:
 	bash scripts/flake-census.sh $(PKG) $(N)
+
+# master-smoke runs s2c2-master end to end — the float mode, -mode exact
+# and -mode exact -jobs 2 — against four local workers, one a 5x
+# straggler, and checks each mode's final line
+# (scripts/master-smoke.sh).
+master-smoke:
+	bash scripts/master-smoke.sh
 
 # bench runs the repo's one benchmark (BENCHMARK.json): all four
 # workloads, end-to-end metrics; see benchmark/README.md for flags.

@@ -15,24 +15,26 @@
 // The same worker binary serves both modes; the protocol's GF message
 // types select the exact compute path per round.
 //
-// Serving mode (-mode exact -jobs N) opens N concurrent jobs on the one
+// The exact mode serves -jobs concurrent jobs (default 1) on the one
 // master — each with its own exact dataset — and runs all of their
 // rounds over the same workers at once, bounded by -max-rounds with the
 // -policy wait-queue discipline (fcfs or priority). Every job verifies
-// its decodes bit-exactly; the run prints per-job and aggregate
-// throughput.
+// its decodes bit-exactly; a single job prints each round, and the run
+// prints per-job and aggregate throughput.
+//
+// Every mode runs its rounds through rpc.CodedPhase: speeds predicted
+// from the observed elements/sec (AR(1) in the float mode, the last
+// observation in the exact mode) set each round's S2C2 plan.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
 	"github.com/coded-computing/s2c2/internal/coding"
-	"github.com/coded-computing/s2c2/internal/gf"
 	"github.com/coded-computing/s2c2/internal/predict"
 	"github.com/coded-computing/s2c2/internal/rpc"
 	"github.com/coded-computing/s2c2/internal/sched"
@@ -93,10 +95,10 @@ func main() {
 				err = run(cfg, *workers, *k, *iters, *samples, *feats, *timeout)
 			}
 		case "exact":
-			if *jobs > 1 {
-				err = runServe(cfg, *workers, *k, *iters, *samples, *feats, *timeout, *jobs)
+			if *jobs < 1 {
+				err = fmt.Errorf("-jobs %d: want at least 1", *jobs)
 			} else {
-				err = runExact(cfg, *workers, *k, *iters, *samples, *feats, *timeout)
+				err = runServe(cfg, *workers, *k, *iters, *samples, *feats, *timeout, *jobs)
 			}
 		default:
 			err = fmt.Errorf("unknown -mode %q (want float or exact)", *mode)
@@ -106,93 +108,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "s2c2-master:", err)
 		os.Exit(1)
 	}
-}
-
-// runExact drives the exact distributed path: an integer data matrix over
-// GF(2³¹−1) is MDS-encoded in the field, streamed to the workers as
-// uint32 partitions, and every round's distributed A·x is verified
-// bit-identical to the local field compute — the guarantee float64
-// rounds cannot give.
-func runExact(cfg rpc.MasterConfig, n, k, iters, rows, cols int, timeoutFrac float64) error {
-	m, err := rpc.NewMasterWithConfig(cfg)
-	if err != nil {
-		return err
-	}
-	defer m.Shutdown()
-	fmt.Printf("master listening on %s (exact mode), waiting for %d workers...\n", m.Addr(), n)
-	if err := m.WaitForWorkers(n, 5*time.Minute); err != nil {
-		return err
-	}
-	fmt.Printf("all %d workers connected\n", n)
-	// Workers dialing in after this point keep parking as warm spares for
-	// the retry and eviction paths; the master's accept loop never stops.
-	defer reportRecovery(m)
-	ctx, job := context.Background(), m.DefaultJob()
-
-	rng := rand.New(rand.NewSource(1))
-	data := make([]gf.Elem, rows*cols)
-	for i := range data {
-		data[i] = gf.New(rng.Uint64())
-	}
-	local := gf.NewMatrixFromData(rows, cols, data)
-	code, err := coding.NewGFMDSCode(n, k)
-	if err != nil {
-		return err
-	}
-	enc, err := code.Encode(rows, cols, data)
-	if err != nil {
-		return err
-	}
-	if err := rpc.Distribute(ctx, job, 0, enc.Parts); err != nil {
-		return err
-	}
-	fmt.Printf("distributed %d exact GF(2^31-1) partitions of %dx%d\n", n, enc.BlockRows, cols)
-
-	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows}
-	speeds := make([]float64, n)
-	for i := range speeds {
-		speeds[i] = 1
-	}
-	decWS := enc.NewDecodeWorkspace()
-	dst := make([]gf.Elem, enc.OrigRows)
-	x := make([]gf.Elem, cols)
-	want := make([]gf.Elem, rows)
-	for iter := 0; iter < iters; iter++ {
-		for i := range x {
-			x[i] = gf.New(rng.Uint64())
-		}
-		local.MulVecInto(want, x)
-		plan, err := job.PlanRound(strat, speeds)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		partials, stats, err := rpc.Run(ctx, job, rpc.RoundSpec[gf.Elem]{Iter: iter, X: x, Plan: plan, K: k, TimeoutFrac: timeoutFrac})
-		if err != nil {
-			return err
-		}
-		if _, err := enc.DecodeMatVecInto(dst, partials, decWS); err != nil {
-			return err
-		}
-		for r := range want {
-			if dst[r] != want[r] {
-				return fmt.Errorf("iter %d row %d: distributed %d != local %d — exactness violated", iter, r, dst[r], want[r])
-			}
-		}
-		for w := 0; w < n; w++ {
-			if stats.ResponseTime[w] > 0 && stats.AssignedRows[w] > 0 {
-				speeds[w] = float64(stats.AssignedRows[w]) / stats.ResponseTime[w].Seconds()
-			}
-		}
-		if len(stats.TimedOut) > 0 {
-			fmt.Printf("  iter %d: timed out %v, reassigned %d rows\n", iter, stats.TimedOut, stats.Reassigned)
-		}
-		compute, resp := slowestWorker(stats)
-		fmt.Printf("iter %2d: %8.2fms  slowest worker %s compute / %s response  bit-exact ✓\n",
-			iter, float64(time.Since(start).Microseconds())/1000, ms(compute), ms(resp))
-	}
-	fmt.Printf("all %d exact rounds decoded bit-identically to the local field compute\n", iters)
-	return nil
 }
 
 func run(cfg rpc.MasterConfig, n, k, iters, samples, feats int, timeoutFrac float64) error {
@@ -218,51 +133,33 @@ func run(cfg rpc.MasterConfig, n, k, iters, samples, feats int, timeoutFrac floa
 		return err
 	}
 	code.SetExec(m.Exec()) // encode on the master's configured pool
-	encs := make([]*coding.EncodedMatrix, len(matrices))
-	strategies := make([]*sched.GeneralS2C2, len(matrices))
+	// Online speed estimation: both phases plan from, and observe their
+	// workers' elements/sec into, one tracker whose AR(1) model is
+	// refitted as history accumulates.
+	ar1 := &predict.AR1{}
+	tracker := predict.NewTracker(ar1, n)
+	phases := make([]*rpc.CodedPhase[float64], len(matrices))
 	for p, mtx := range matrices {
-		encs[p] = code.Encode(mtx)
-		strategies[p] = &sched.GeneralS2C2{N: n, K: k, BlockRows: encs[p].BlockRows}
-		if err := rpc.Distribute(ctx, job, p, encs[p].Parts); err != nil {
+		enc := code.Encode(mtx)
+		if err := rpc.Distribute(ctx, job, p, enc.Parts); err != nil {
 			return err
 		}
 		fmt.Printf("phase %d: distributed %d coded partitions of %dx%d\n",
-			p, n, encs[p].BlockRows, encs[p].Cols)
+			p, n, enc.BlockRows, enc.Cols)
+		phases[p] = rpc.NewCodedPhase(job, p, enc, &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows}, timeoutFrac, tracker)
 	}
 
-	// Online speed estimation: observed elements/sec per worker feed an
-	// AR(1) model refitted as history accumulates.
-	ar1 := &predict.AR1{}
-	tracker := predict.NewTracker(ar1, n)
-	speeds, observed := make([]float64, n), make([]float64, n)
 	state := lr.Init()
+	outputs := make([][]float64, len(phases))
 	for iter := 0; iter < iters; iter++ {
-		tracker.PredictInto(speeds)
 		start := time.Now()
-		outputs := make([][]float64, len(matrices))
 		var compute, resp time.Duration // slowest worker's, summed over the phases
-		for p := range matrices {
-			in := lr.PhaseInput(p, state, outputs[:p])
-			plan, err := job.PlanRound(strategies[p], speeds)
-			if err != nil {
-				return err
-			}
-			partials, stats, err := rpc.Run(ctx, job, rpc.RoundSpec[float64]{Iter: iter, Phase: p, X: in, Plan: plan, K: k, TimeoutFrac: timeoutFrac})
-			if err != nil {
-				return err
-			}
-			out, err := encs[p].DecodeMatVec(partials)
+		for p, phase := range phases {
+			out, stats, err := phase.RunIteration(ctx, iter, lr.PhaseInput(p, state, outputs[:p]))
 			if err != nil {
 				return err
 			}
 			outputs[p] = out
-			for w := range observed {
-				observed[w] = 0 // no result, or nothing assigned: carry the last rate
-				if stats.ResponseTime[w] > 0 && stats.AssignedRows[w] > 0 {
-					observed[w] = float64(stats.AssignedRows[w]*encs[p].Cols) / stats.ResponseTime[w].Seconds()
-				}
-			}
-			tracker.Observe(observed)
 			c, r := slowestWorker(stats)
 			compute, resp = compute+c, resp+r
 			if len(stats.TimedOut) > 0 {

@@ -76,41 +76,27 @@ func main() {
 	}
 	fmt.Printf("distributed %d coded partitions of %d rows\n", n, enc.BlockRows)
 
-	// Iterate: speeds observed from real response times feed the plan.
-	strat := &s2c2.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows}
-	speeds := []float64{1, 1, 1, 1} // bootstrap assumption
+	// Iterate: speeds observed from real response times feed the plan —
+	// the straggler's share shrinks after round 0.
+	phase := s2c2.NewCodedPhase(job, 0, enc, &s2c2.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows},
+		0.15, s2c2.NewTracker(s2c2.LastValue{}, n))
 	w := make([]float64, data.X.Cols())
 	for i := range w {
 		w[i] = 0.01
 	}
 	want := s2c2.MatVec(data.X, w)
 	for iter := 0; iter < iters; iter++ {
-		plan, err := strat.Plan(speeds)
-		if err != nil {
-			log.Fatal(err)
-		}
 		start := time.Now()
 		// Each round runs under its own context: a caller could cancel a
 		// straggling round and move on instead of waiting out the stall
 		// deadline.
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		partials, stats, err := s2c2.Run(ctx, job, s2c2.RoundSpec[float64]{Iter: iter, X: w, Plan: plan, K: k, TimeoutFrac: 0.15})
+		got, stats, err := phase.RunIteration(ctx, iter, w)
 		cancel()
 		if err != nil {
 			log.Fatal(err)
 		}
-		got, err := enc.DecodeMatVec(partials)
-		if err != nil {
-			log.Fatal(err)
-		}
 		checkClose(got, want)
-		// Observed rows/sec become the next round's speed estimates —
-		// the straggler's share shrinks after round 0.
-		for wk := 0; wk < n; wk++ {
-			if stats.ResponseTime[wk] > 0 && stats.AssignedRows[wk] > 0 {
-				speeds[wk] = float64(stats.AssignedRows[wk]) / stats.ResponseTime[wk].Seconds()
-			}
-		}
 		fmt.Printf("round %d: %6.1fms  rows/worker %v  timed-out %v\n",
 			iter, float64(time.Since(start).Microseconds())/1000,
 			stats.AssignedRows, stats.TimedOut)

@@ -94,8 +94,8 @@ func main() {
 	}
 	fmt.Printf("distributed %d exact GF(2^31-1) partitions of %d rows\n", n, enc.BlockRows)
 
-	strat := &s2c2.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows}
-	speeds := []float64{1, 1, 1, 1}
+	phase := s2c2.NewCodedPhase(job, 0, enc, &s2c2.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows},
+		0.15, s2c2.NewTracker(s2c2.LastValue{}, n))
 	x := make([]s2c2.GFElem, cols)
 	want := make([]s2c2.GFElem, rows)
 	for iter := 0; iter < rounds; iter++ {
@@ -103,16 +103,8 @@ func main() {
 			x[i] = s2c2.NewGFElem(rng.Uint64())
 		}
 		local.MulVecInto(want, x)
-		plan, err := strat.Plan(speeds)
-		if err != nil {
-			log.Fatal(err)
-		}
 		start := time.Now()
-		partials, stats, err := s2c2.Run(ctx, job, s2c2.RoundSpec[s2c2.GFElem]{Iter: iter, X: x, Plan: plan, K: k, TimeoutFrac: 0.15})
-		if err != nil {
-			log.Fatal(err)
-		}
-		got, err := enc.DecodeMatVec(partials)
+		got, stats, err := phase.RunIteration(ctx, iter, x)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -120,11 +112,6 @@ func main() {
 			if got[r] != want[r] {
 				log.Fatalf("round %d row %d: distributed %d != local %d — exactness violated",
 					iter, r, got[r], want[r])
-			}
-		}
-		for w := 0; w < n; w++ {
-			if stats.ResponseTime[w] > 0 && stats.AssignedRows[w] > 0 {
-				speeds[w] = float64(stats.AssignedRows[w]) / stats.ResponseTime[w].Seconds()
 			}
 		}
 		fmt.Printf("round %d: %6.1fms  rows/worker %v  timed-out %v  bit-exact\n",

@@ -90,7 +90,11 @@ func main() {
 	}
 	fmt.Printf("distributed %d coded partitions of %d rows\n", n, enc.BlockRows)
 
-	strat := &s2c2.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows}
+	// Speeds are tracked from response times; the grace fraction of 10
+	// keeps the timeout out of the way, so what heals a round is the
+	// death recovery alone.
+	phase := s2c2.NewCodedPhase(job, 0, enc, &s2c2.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows},
+		10.0, s2c2.NewTracker(s2c2.LastValue{}, n))
 	x := make([]float64, data.X.Cols())
 	for i := range x {
 		x[i] = 0.01
@@ -108,16 +112,8 @@ func main() {
 			w := workers[1]
 			time.AfterFunc(2*time.Millisecond, func() { w.Close() }) //nolint:errcheck
 		}
-		plan, err := strat.Plan([]float64{1, 1, 1, 1})
-		if err != nil {
-			log.Fatal(err)
-		}
 		start := time.Now()
-		partials, stats, err := s2c2.Run(ctx, job, s2c2.RoundSpec[float64]{Iter: iter, X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
-		if err != nil {
-			log.Fatal(err)
-		}
-		got, err := enc.DecodeMatVec(partials)
+		got, stats, err := phase.RunIteration(ctx, iter, x)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -72,10 +72,17 @@ func TestTCPClusterCodedRoundTrip(t *testing.T) {
 }
 
 func TestTCPClusterConventionalMDSIgnoresStraggler(t *testing.T) {
-	// Conventional (4,3)-MDS with one heavy straggler: the master decodes
-	// from the fastest 3 full partitions without waiting for it.
+	// Conventional (4,3)-MDS with one straggler: the master decodes from
+	// the fastest 3 full partitions without waiting for it. Worker 0's
+	// Work frame is held until the test returns, so the straggler cannot
+	// answer however the host schedules the round.
 	n, k := 4, 3
-	m := startCluster(t, n, map[int]float64{0: 25})
+	release := make(chan struct{})
+	m := startTestCluster(t, n, clusterConfig{
+		worker: func(int) WorkerConfig { return WorkerConfig{PerRowDelay: 200 * time.Microsecond} },
+		faults: map[int]*workerFault{0: {holdWork: release}},
+	})
+	defer close(release)
 
 	rng := rand.New(rand.NewSource(2))
 	a := mat.Rand(24, 4, rng)
@@ -87,12 +94,10 @@ func TestTCPClusterConventionalMDSIgnoresStraggler(t *testing.T) {
 	}
 	strat := &sched.ConventionalMDS{N: n, K: k, BlockRows: enc.BlockRows}
 	plan, _ := strat.Plan([]float64{1, 1, 1, 1})
-	start := time.Now()
-	partials, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
+	partials, stats, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: x, Plan: plan, K: k, TimeoutFrac: 10.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	elapsed := time.Since(start)
 	got, err := enc.DecodeMatVec(partials)
 	if err != nil {
 		t.Fatal(err)
@@ -100,10 +105,8 @@ func TestTCPClusterConventionalMDSIgnoresStraggler(t *testing.T) {
 	if !mat.VecApproxEqual(got, mat.MatVec(a, x), 1e-8) {
 		t.Fatal("decode mismatch")
 	}
-	// The straggler (~25×200µs×6rows ≈ 30ms+) must not gate the round;
-	// the fast path is ~6 rows × 200µs ≈ 1.2ms + overheads.
-	if elapsed > 20*time.Millisecond {
-		t.Fatalf("round took %v — master appears to have waited for the straggler", elapsed)
+	if stats.ResponseTime[0] != 0 {
+		t.Fatalf("the held straggler has response time %v, want 0: the round waited for it", stats.ResponseTime[0])
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"github.com/coded-computing/s2c2/internal/coding"
 	"github.com/coded-computing/s2c2/internal/kernel"
 	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/predict"
@@ -77,24 +78,35 @@ type Cluster interface {
 // simulated coded cluster, one CodedCluster per phase, all driven by the
 // same speed trace.
 //
-// Each phase's encoding comes from a process-wide idle list of encodings
-// that earlier jobs released, keyed by (n, k, rows, cols): a job at a
-// shape seen before re-encodes into that storage instead of allocating,
-// zeroing and faulting in fresh parity, with bit-identical results. The
-// job returns its encodings when it ends, error or not; the list keeps
-// at most maxRecycledBytes (4 MiB) of them.
+// A Numeric job's phase encodings come from a process-wide idle list of
+// encodings that earlier jobs released, keyed by (n, k, rows, cols): a
+// job at a shape seen before re-encodes into that storage instead of
+// allocating, zeroing and faulting in fresh parity, with bit-identical
+// results. The job returns its encodings when it ends, error or not; the
+// list keeps at most maxRecycledBytes (4 MiB) of them. A timing-only job
+// reads only an encoding's shape, so it encodes nothing and leaves the
+// list alone.
 func RunIterative(w workloads.Iterative, cfg JobConfig) (*JobResult, error) {
 	matrices := w.Matrices()
 	phases := make([]Cluster, len(matrices))
 	for p, m := range matrices {
-		e, err := takeEncoding(cfg.N, cfg.K, m, cfg.Exec)
-		if err != nil {
-			return nil, err
+		var enc *coding.EncodedMatrix
+		if cfg.Numeric {
+			e, err := takeEncoding(cfg.N, cfg.K, m, cfg.Exec)
+			if err != nil {
+				return nil, err
+			}
+			defer e.release()
+			enc = e.enc
+		} else {
+			var err error
+			if enc, err = encodingShape(cfg.N, cfg.K, m); err != nil {
+				return nil, err
+			}
 		}
-		defer e.release()
 		phases[p] = &CodedCluster{
-			Enc:        e.enc,
-			Strategy:   cfg.Strategy(e.enc.BlockRows),
+			Enc:        enc,
+			Strategy:   cfg.Strategy(enc.BlockRows),
 			Forecaster: cfg.Forecaster,
 			Trace:      cfg.Trace,
 			Comm:       cfg.Comm,

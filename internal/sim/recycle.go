@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 
@@ -36,6 +37,16 @@ var idleEncodings struct {
 	sync.Mutex
 	list  []encoding
 	bytes int
+}
+
+// encodingShape is what a timing-only round reads of m's (n,k) encoding:
+// its rows, columns and partition height, with no partitions.
+func encodingShape(n, k int, m *mat.Dense) (*coding.EncodedMatrix, error) {
+	if k < 1 || k > n {
+		return nil, fmt.Errorf("sim: invalid MDS parameters n=%d k=%d", n, k)
+	}
+	rows, cols := m.Dims()
+	return &coding.EncodedMatrix{OrigRows: rows, Cols: cols, BlockRows: (rows + k - 1) / k}, nil
 }
 
 // takeEncoding returns m encoded by an (n,k) code that runs its encode on

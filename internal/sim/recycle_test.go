@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -211,5 +212,48 @@ func TestRecycleListBounded(t *testing.T) {
 	huge.release()
 	if len(idle.list) != 4 {
 		t.Fatalf("an encoding past the %d-byte bound went idle", maxRecycledBytes)
+	}
+}
+
+// TestTimingOnlyJobLeavesIdleListAlone checks that a timing-only job,
+// which reads only its encodings' shapes, encodes nothing: it neither
+// takes the idle encoding of its shape nor puts one on the list.
+func TestTimingOnlyJobLeavesIdleListAlone(t *testing.T) {
+	drainIdleEncodings()
+	t.Cleanup(drainIdleEncodings)
+	j := recycleJob{workloads.SyntheticClassification(250, 30, 43), 6}
+	timingOnly := func() {
+		cfg := j.config()
+		cfg.Numeric = false
+		if _, err := RunIterative(j.workload(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idle := &idleEncodings
+	timingOnly()
+	if len(idle.list) != 0 || idle.bytes != 0 {
+		t.Fatalf("a timing-only job left %d encodings (%d bytes) idle, want none", len(idle.list), idle.bytes)
+	}
+	// A Numeric job leaves its two encodings idle; zeroing their parity
+	// shows whether anything re-encoded into them.
+	if _, err := j.run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range idle.list {
+		for _, part := range e.enc.Parts[j.k:] {
+			clear(part.Data())
+		}
+	}
+	before := slices.Clone(idle.list)
+	timingOnly()
+	if !reflect.DeepEqual(idle.list, before) {
+		t.Fatalf("a timing-only job changed the idle list from %v to %v", before, idle.list)
+	}
+	for _, e := range idle.list {
+		for _, part := range e.enc.Parts[j.k:] {
+			if slices.ContainsFunc(part.Data(), func(v float64) bool { return v != 0 }) {
+				t.Fatal("a timing-only job encoded into an idle encoding")
+			}
+		}
 	}
 }

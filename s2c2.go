@@ -220,6 +220,16 @@ func DefaultLSTMConfig() LSTMConfig { return predict.DefaultLSTMConfig() }
 // AR1 is the ARIMA(1,0,0) baseline forecaster.
 type AR1 = predict.AR1
 
+// LastValue forecasts a worker's next speed as its last observed one.
+type LastValue = predict.LastValue
+
+// Tracker is a master's running estimate of its workers' speeds: one
+// observed series per worker and the forecaster that extrapolates them.
+type Tracker = predict.Tracker
+
+// NewTracker tracks n workers' speeds with forecaster f.
+func NewTracker(f Forecaster, n int) *Tracker { return predict.NewTracker(f, n) }
+
 // Ensemble is a NWS-style meta-forecaster that picks the best candidate
 // model per node from trailing one-step errors.
 type Ensemble = predict.Ensemble
@@ -380,6 +390,19 @@ type RoundSpec[T Element] = rpc.RoundSpec[T]
 // contract (§4.3 timeout, reassignment, batch width, ctx).
 func Run[T Element](ctx context.Context, j *Job, s RoundSpec[T]) ([]*coding.PartialOf[T], *rpc.RoundStats, error) {
 	return rpc.Run(ctx, j, s)
+}
+
+// CodedPhase is one Distribute'd dataset of a job driven through the
+// paper's loop, one round per RunIteration: predict the workers' speeds
+// from a Tracker, plan S2C2 rows in proportion, run the round, decode into
+// reused storage and observe each worker's elements/s (rpc.CodedPhase).
+type CodedPhase[T Element] = rpc.CodedPhase[T]
+
+// NewCodedPhase binds phase of job j, encoded by enc (an *EncodedMatrix or
+// *GFEncodedMatrix), to strategy s, the §4.3 grace fraction timeoutFrac
+// and speed tracker t; see rpc.NewCodedPhase.
+func NewCodedPhase[T Element, W any](j *Job, phase int, enc rpc.Encoding[T, W], s Strategy, timeoutFrac float64, t *Tracker) *CodedPhase[T] {
+	return rpc.NewCodedPhase(j, phase, enc, s, timeoutFrac, t)
 }
 
 // Distribute streams phase's coded partitions to job j's workers; the
