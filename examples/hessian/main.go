@@ -6,7 +6,9 @@
 // polynomial-encoded onto 12 workers (any a·b = 9 of 12 rows decode), and
 // S2C2 assigns each worker a row range of its product block proportional
 // to its speed — so the partial straggler contributes partial work
-// instead of being discarded (Figure 5's scenario, at a=b=3).
+// instead of being discarded (Figure 5's scenario, at a=b=3). It exits
+// non-zero if the decoded Hessian strays from the local one by more than
+// 1e-9 of its largest entry.
 //
 //	go run ./examples/hessian
 package main
@@ -14,6 +16,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
 	s2c2 "github.com/coded-computing/s2c2"
 )
@@ -75,22 +78,23 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Verify against the locally computed Hessian.
+	// Verify against the locally computed Hessian: the largest entry
+	// difference must stay within relTol of the largest local entry.
+	const relTol = 1e-9
 	want := localHessian(data, d)
-	maxDiff := 0.0
+	maxDiff, maxEntry := 0.0, 0.0
 	for i := 0; i < cols; i++ {
 		for j := 0; j < cols; j++ {
-			diff := h.At(i, j) - want.At(i, j)
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > maxDiff {
-				maxDiff = diff
-			}
+			maxDiff = math.Max(maxDiff, math.Abs(h.At(i, j)-want.At(i, j)))
+			maxEntry = math.Max(maxEntry, math.Abs(want.At(i, j)))
 		}
 	}
 	fmt.Printf("\ndecoded %dx%d Hessian; max |coded − local| entry difference: %.2e\n",
 		cols, cols, maxDiff)
+	if maxDiff > relTol*maxEntry {
+		log.Fatalf("coded Hessian differs from the local one by %.2e, more than %.0e × max |local entry| %.2e",
+			maxDiff, relTol, maxEntry)
+	}
 }
 
 func localHessian(data *s2c2.ClassificationDataset, d []float64) *s2c2.Dense {

@@ -185,7 +185,9 @@ func TestPolyDecodeIntoMatchesDecode(t *testing.T) {
 	}
 	ws := enc.NewDecodeWorkspace()
 	dst := mat.New(enc.ColsA, enc.ColsB)
-	for round := 0; round < 3; round++ {
+	round := 0
+	// AllocsPerRun's own warm-up call is the first round.
+	allocs := testing.AllocsPerRun(3, func() {
 		got, err := enc.DecodeInto(dst, partials, ws)
 		if err != nil {
 			t.Fatal(err)
@@ -193,9 +195,82 @@ func TestPolyDecodeIntoMatchesDecode(t *testing.T) {
 		if !got.ApproxEqual(want, 1e-9) {
 			t.Fatalf("round %d: poly workspace decode mismatch", round)
 		}
+		round++
+	})
+	if allocs != 0 {
+		t.Fatalf("poly DecodeInto allocates %v/op after the first round, want 0", allocs)
 	}
-	if len(ws.sets) != 1 {
-		t.Fatalf("poly workspace holds %d inverses, want 1", len(ws.sets))
+}
+
+// The polynomial decode keeps no per-worker-set state: rounds over every
+// 9-subset of a (12,3,3) code — first with ten responders each skipping
+// one segment, so each round's ten bands decode from ten different sets,
+// then every 9-set with full ranges — allocate nothing after one warm-up
+// round and decode the local product.
+func TestPolyDecodeZeroAllocsUnderChurn(t *testing.T) {
+	const n, ab, seg = 12, 9, 2
+	rng := rand.New(rand.NewSource(46))
+	code, err := NewPolyCode(n, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mat.Rand(24, 3*(ab+1)*seg, rng) // BlockColsA = (ab+1)·seg: one segment per responder
+	d := randVec(24, rng)
+	enc, err := code.EncodeHessian(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := make([]*Partial, n)
+	skip := make([][]*Partial, n) // skip[w][q]: worker w's partial without segment q
+	for w := range full {
+		full[w] = enc.WorkerCompute(w, d, []Range{{0, enc.BlockColsA}})
+		for q := 0; q <= ab; q++ {
+			skip[w] = append(skip[w], enc.WorkerCompute(w, d, []Range{{0, q * seg}, {(q + 1) * seg, enc.BlockColsA}}))
+		}
+	}
+	// The ten-band rounds come first, so the warm-up sizes the workspace.
+	var rounds [][]*Partial
+	distinct := map[int]bool{}
+	for _, size := range []int{ab + 1, ab} {
+		for mask := 0; mask < 1<<n; mask++ {
+			if bits.OnesCount(uint(mask)) != size {
+				continue
+			}
+			var partials []*Partial
+			for w, q := 0, 0; w < n; w++ {
+				if mask&(1<<w) == 0 {
+					continue
+				}
+				if size == ab {
+					partials = append(partials, full[w])
+					continue
+				}
+				partials = append(partials, skip[w][q])
+				distinct[mask&^(1<<w)] = true
+				q++
+			}
+			rounds = append(rounds, partials)
+		}
+	}
+	if len(distinct) != 220 {
+		t.Fatalf("the ten-band rounds decode from %d distinct sets, want all 220", len(distinct))
+	}
+	want := mat.ATDiagA(a, d)
+	ws := enc.NewDecodeWorkspace()
+	dst := mat.New(enc.ColsA, enc.ColsB)
+	round := 0
+	// AllocsPerRun's own warm-up call decodes round 0.
+	allocs := testing.AllocsPerRun(len(rounds)-1, func() {
+		if _, err := enc.DecodeInto(dst, rounds[round], ws); err != nil {
+			t.Fatal(err)
+		}
+		if !dst.ApproxEqual(want, 1e-9) {
+			t.Fatalf("round %d decodes differently from the local product", round)
+		}
+		round++
+	})
+	if allocs != 0 {
+		t.Fatalf("rounds over every decode set allocate %v/op, want 0", allocs)
 	}
 }
 
@@ -421,8 +496,10 @@ func TestGFDecodeZeroAllocsUnderChurn(t *testing.T) {
 		}
 		rounds, wants = append(rounds, partials), append(wants, want)
 	}
-	if len(distinct) <= maxCachedSets {
-		t.Fatalf("only %d distinct decode sets, want more than %d", len(distinct), maxCachedSets)
+	// More distinct decode sets than a 64-entry per-set cache would hold.
+	const cacheSize = 64
+	if len(distinct) <= cacheSize {
+		t.Fatalf("only %d distinct decode sets, want more than %d", len(distinct), cacheSize)
 	}
 	truth := gfMatVec(rows, cols, data, x)
 	ws := enc.NewDecodeWorkspace()

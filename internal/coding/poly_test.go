@@ -1,6 +1,8 @@
 package coding
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -183,4 +185,71 @@ func TestPolyAnySubsetProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rng}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The Björck–Pereyra inverse is as accurate as an LU-inverted Vandermonde
+// system: over every a·b-subset of each code, the decode's worst relative
+// error stays within 2× of the LU reference's worst.
+func TestPolyDecodeAccuracyMatchesLU(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, shape := range []struct{ n, a, b int }{{12, 3, 3}, {10, 3, 3}, {7, 3, 2}, {12, 2, 2}} {
+		code, err := NewPolyCode(shape.n, shape.a, shape.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const rows = 16
+		ma := mat.Rand(rows, 4*shape.a, rng)
+		mb := mat.Rand(rows, 4*shape.b, rng)
+		d := randVec(rows, rng)
+		want := mat.ATDiagB(ma, d, mb)
+		enc, err := code.EncodeBilinear(ma, mb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := make([]*Partial, shape.n)
+		for w := range all {
+			all[w] = enc.WorkerCompute(w, d, []Range{{0, enc.BlockColsA}})
+		}
+		ws := enc.NewDecodeWorkspace()
+		got := mat.New(enc.ColsA, enc.ColsB)
+		worst, worstRef, sets := 0.0, 0.0, 0
+		for mask := 0; mask < 1<<shape.n; mask++ {
+			if bits.OnesCount(uint(mask)) != shape.a*shape.b {
+				continue
+			}
+			var partials []*Partial
+			for w := 0; w < shape.n; w++ {
+				if mask&(1<<w) != 0 {
+					partials = append(partials, all[w])
+				}
+			}
+			if _, err := enc.DecodeInto(got, partials, ws); err != nil {
+				t.Fatal(err)
+			}
+			ref, err := refPolyDecode(enc, partials)
+			if err != nil {
+				t.Fatal(err)
+			}
+			worst = math.Max(worst, relErr(got, want))
+			worstRef = math.Max(worstRef, relErr(ref, want))
+			sets++
+		}
+		t.Logf("%v: %d sets, worst relative error %.3g (LU reference %.3g)", shape, sets, worst, worstRef)
+		if worst > 2*worstRef {
+			t.Errorf("%v: worst relative error %.3g over %d sets, more than 2× the LU reference's %.3g",
+				shape, worst, sets, worstRef)
+		}
+	}
+}
+
+// relErr is max|got − want| / max|want|.
+func relErr(got, want *mat.Dense) float64 {
+	diff, scale := 0.0, 0.0
+	for i := 0; i < want.Rows(); i++ {
+		for j := 0; j < want.Cols(); j++ {
+			diff = math.Max(diff, math.Abs(got.At(i, j)-want.At(i, j)))
+			scale = math.Max(scale, math.Abs(want.At(i, j)))
+		}
+	}
+	return diff / scale
 }

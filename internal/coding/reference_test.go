@@ -142,3 +142,51 @@ func refGFDecodeMatVec(e *GFEncodedMatrix, partials []*GFPartial) ([]gf.Elem, er
 	}
 	return out[:e.OrigRows*t.width], nil
 }
+
+// refPolyDecode is the polynomial decode through an LU-inverted
+// Vandermonde system (mat.FactorLU, then SolveInto per unit column), for
+// partials that each cover every row of the worker's product block. The
+// decode set is the partials' workers in the given order.
+func refPolyDecode(e *EncodedBilinear, partials []*Partial) (*mat.Dense, error) {
+	c := e.Code
+	ab := c.a * c.b
+	if len(partials) != ab {
+		return nil, fmt.Errorf("refPolyDecode: %d partials, want %d", len(partials), ab)
+	}
+	v := mat.New(ab, ab)
+	for i, p := range partials {
+		x := 1.0
+		for exp := 0; exp < ab; exp++ {
+			v.Set(i, exp, x)
+			x *= c.alphas[p.Worker]
+		}
+	}
+	lu, err := mat.FactorLU(v)
+	if err != nil {
+		return nil, err
+	}
+	inv := mat.New(ab, ab) // inv[exp][i]
+	unit, col := make([]float64, ab), make([]float64, ab)
+	for i := range unit {
+		clear(unit)
+		unit[i] = 1
+		lu.SolveInto(col, unit)
+		for exp, f := range col {
+			inv.Set(exp, i, f)
+		}
+	}
+	out := mat.New(e.ColsA, e.ColsB)
+	for exp := 0; exp < ab; exp++ {
+		j, l := exp%c.a, exp/c.a
+		for row := 0; row < e.BlockColsA && j*e.BlockColsA+row < e.ColsA; row++ {
+			for col := 0; col < e.BlockColsB && l*e.BlockColsB+col < e.ColsB; col++ {
+				s := 0.0
+				for i, p := range partials {
+					s += inv.At(exp, i) * p.Values[row*e.BlockColsB+col]
+				}
+				out.Set(j*e.BlockColsA+row, l*e.BlockColsB+col, s)
+			}
+		}
+	}
+	return out, nil
+}

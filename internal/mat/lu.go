@@ -15,9 +15,8 @@ var ErrSingular = errors.New("mat: matrix is singular to working precision")
 // P·A = L·U, stored compactly in lu with the permutation in piv. The zero
 // value is an empty factorization ready for Factor.
 type LU struct {
-	lu   Dense
-	piv  []int
-	sign int
+	lu  Dense
+	piv []int
 }
 
 // FactorLU computes the LU factorization of square A with partial pivoting.
@@ -49,7 +48,6 @@ func (f *LU) Factor(a *Dense) error {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for col := 0; col < n; col++ {
 		// Find the pivot: largest magnitude in this column at/below the diagonal.
 		p := col
@@ -69,7 +67,6 @@ func (f *LU) Factor(a *Dense) error {
 				rp[j], rc[j] = rc[j], rp[j]
 			}
 			piv[p], piv[col] = piv[col], piv[p]
-			sign = -sign
 		}
 		pivVal := lu.data[col*n+col]
 		for r := col + 1; r < n; r++ {
@@ -85,15 +82,7 @@ func (f *LU) Factor(a *Dense) error {
 			}
 		}
 	}
-	f.sign = sign
 	return nil
-}
-
-// Solve solves A·x = b for x given the factorization.
-func (f *LU) Solve(b []float64) []float64 {
-	x := make([]float64, f.lu.rows)
-	f.SolveInto(x, b)
-	return x
 }
 
 // SolveInto solves A·x = b into the provided slice x, which must not
@@ -166,36 +155,4 @@ func (f *LU) SolveLanesInto(x []float64, stride int, b [][]float64) {
 		}
 		kernel.Scale(1/u[i], xi)
 	}
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	n := f.lu.rows
-	d := float64(f.sign)
-	for i := 0; i < n; i++ {
-		d *= f.lu.data[i*n+i]
-	}
-	return d
-}
-
-// Invert returns A⁻¹ for square A.
-func Invert(a *Dense) (*Dense, error) {
-	n := a.rows
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	inv := New(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col := f.Solve(e)
-		for i := 0; i < n; i++ {
-			inv.data[i*n+j] = col[i]
-		}
-	}
-	return inv, nil
 }

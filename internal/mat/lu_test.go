@@ -49,41 +49,6 @@ func TestSolveResidualProperty(t *testing.T) {
 	}
 }
 
-func TestInvert(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	a := Rand(7, 7, rng)
-	for i := 0; i < 7; i++ {
-		a.Set(i, i, a.At(i, i)+7)
-	}
-	inv, err := Invert(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !MatMul(a, inv).ApproxEqual(Identity(7), 1e-8) {
-		t.Fatal("A·A⁻¹ != I")
-	}
-}
-
-func TestDeterminantKnown(t *testing.T) {
-	a := NewFromRows([][]float64{{3, 0}, {0, 2}})
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Det()-6) > 1e-12 {
-		t.Fatalf("Det = %v want 6", f.Det())
-	}
-	// Row swap flips sign handling; determinant must still be correct.
-	b := NewFromRows([][]float64{{0, 2}, {3, 0}})
-	fb, err := FactorLU(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fb.Det()+6) > 1e-12 {
-		t.Fatalf("Det = %v want -6", fb.Det())
-	}
-}
-
 func TestSolveMany(t *testing.T) {
 	a := NewFromRows([][]float64{{4, 1}, {1, 3}})
 	f, err := FactorLU(a)

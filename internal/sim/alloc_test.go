@@ -89,6 +89,52 @@ func TestRunIterationZeroAllocsUnderChurn(t *testing.T) {
 	}
 }
 
+// TestPolyRoundZeroAllocsUnderChurn is the churn pin for the Hessian
+// workload: a Numeric polynomial-coded (12,3,3) round, on oracle speeds
+// drawn afresh every iteration, decodes every band from whichever 9-set
+// its plan gives it and allocates nothing once the first round has sized
+// the scratch.
+func TestPolyRoundZeroAllocsUnderChurn(t *testing.T) {
+	const n, steps = 12, 64
+	rng := rand.New(rand.NewSource(10))
+	speeds := make([][]float64, n)
+	for w := range speeds {
+		speeds[w] = make([]float64, steps)
+		for i := range speeds[w] {
+			speeds[w][i] = 0.5 + rng.Float64()
+		}
+	}
+	code, err := coding.NewPolyCode(n, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code.SetExec(kernel.Exec{MaxFan: 1})
+	enc, err := code.EncodeHessian(mat.Rand(60, 36, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &PolyCluster{
+		Enc:      enc,
+		Strategy: &sched.GeneralS2C2{N: n, K: 9, BlockRows: enc.BlockColsA, Granularity: enc.BlockColsA},
+		Trace:    &trace.Trace{Speeds: speeds},
+		Comm:     DefaultComm(),
+		Timeout:  DefaultTimeout(),
+		Numeric:  true,
+	}
+	d := randTestVec(60, rng)
+	iter := 0
+	run := func() {
+		if _, _, err := c.RunIteration(iter, d); err != nil {
+			t.Fatal(err)
+		}
+		iter++
+	}
+	run()
+	if a := testing.AllocsPerRun(steps-2, run); a != 0 {
+		t.Fatalf("Numeric PolyCluster round allocates %v objects per round under worker-set churn, want 0", a)
+	}
+}
+
 // TestBaselineRoundsZeroAllocs is the steady-state pin for the two
 // baselines: on speeds drawn afresh every iteration, which keep
 // replication speculating and over-decomposition migrating, a round
