@@ -135,7 +135,9 @@ func run(cfg rpc.MasterConfig, n, k, iters, samples, feats int, timeoutFrac floa
 	code.SetExec(m.Exec()) // encode on the master's configured pool
 	// Online speed estimation: both phases plan from, and observe their
 	// workers' elements/sec into, one tracker whose AR(1) model is
-	// refitted as history accumulates.
+	// refitted every iteration on the tracker's windows (each worker's
+	// latest observations, at most 64), so a refit costs O(n·window)
+	// however long the run.
 	ar1 := &predict.AR1{}
 	tracker := predict.NewTracker(ar1, n)
 	phases := make([]*rpc.CodedPhase[float64], len(matrices))

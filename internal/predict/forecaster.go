@@ -7,11 +7,11 @@
 // Forecasters consume per-node speed series normalised by their maximum
 // (as the paper's measurements are) and produce one-step-ahead forecasts.
 // Forecaster.Predict is stateless — history in, forecast out — and is the
-// reference. A round-by-round driver uses a Tracker instead: it keeps the
-// n observed series, applies the bootstrap and fallback rules every
-// driver shares, and advances per-series state by one step per
-// observation where the model has an incremental form (the LSTM), with
-// forecasts bit-identical to Predict on the same history.
+// reference. A round-by-round driver uses a Tracker instead: it keeps
+// each worker's last 64 observations in fixed storage, applies the
+// bootstrap and fallback rules every driver shares, and advances
+// per-series state by one step per observation where the model has an
+// incremental form (the LSTM), bit-identical to Predict on that window.
 package predict
 
 import "fmt"

@@ -255,22 +255,16 @@ func (m *LSTM) Predict(history []float64) float64 {
 // lstmStream is one series' carried cell state: Predict(history) without
 // re-running the cell over observations already consumed.
 //
-// Exactness: the stateless Predict feeds history[i]/scale through the
-// cell from a zero state, where scale is the maximum of the whole history
-// and i starts at max(0, len−4·Window). The carried state equals the
-// state that loop reaches as long as neither the scale nor the start
-// index has moved since it was computed, and then one step per new
-// observation continues the very same sequence of operations. When a new
-// maximum arrives, or the history outgrows the 4·Window bound (the start
-// index then moves every round), the state is rebuilt by replaying the
-// stored history through the same run — as it is when the model has been
-// refitted since — so every forecast is the stateless one bit for bit, and
-// only the work differs.
+// Exactness: Predict(history) feeds tail(history)[i]/maxScale(history)
+// through the cell from a zero state. While the tail is the whole series
+// (len(tail) == total) and neither the scale nor the model has changed,
+// one step per new observation continues that very sequence of
+// operations; otherwise the state is rebuilt by replaying the tail, so
+// every forecast is the stateless one bit for bit.
 type lstmStream struct {
 	m        *LSTM
 	pair     cellPair
 	consumed int     // observations folded into pair
-	max      float64 // running maximum of those observations
 	scale    float64 // the scale they were divided by (0 before the first)
 	fits     int     // the model's fit the state was computed under
 }
@@ -282,26 +276,17 @@ func (m *LSTM) newStream() stream {
 // predict implements stream.
 //
 //s2c2:noalloc
-func (s *lstmStream) predict(history []float64) float64 {
+func (s *lstmStream) predict(history []float64, total int) float64 {
 	if len(history) == 0 {
 		return 0
 	}
-	fresh := history[s.consumed:]
-	for _, v := range fresh {
-		if v > s.max {
-			s.max = v
-		}
-	}
-	scale := s.max
-	if scale == 0 {
-		scale = 1
-	}
-	if tail := s.m.tail(history); scale != s.scale || s.fits != s.m.fits || len(tail) < len(history) {
+	scale, tail := maxScale(history), s.m.tail(history)
+	if len(tail) != total || scale != s.scale || s.fits != s.m.fits {
 		s.pair.reset()
-		fresh = tail
+		s.consumed = 0
 	}
-	s.m.run(&s.pair, fresh, scale)
-	s.consumed, s.scale, s.fits = len(history), scale, s.m.fits
+	s.m.run(&s.pair, tail[s.consumed:], scale)
+	s.consumed, s.scale, s.fits = total, scale, s.m.fits
 	return s.m.forecast(&s.pair, scale)
 }
 

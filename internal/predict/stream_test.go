@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/coded-computing/s2c2/internal/trace"
 )
@@ -13,14 +14,25 @@ import (
 // non-trivial for the exactness tests.
 func fittedLSTM(t testing.TB) *LSTM {
 	t.Helper()
+	return fittedLSTMWindow(t, DefaultLSTMConfig().Window)
+}
+
+// fittedLSTMWindow is fittedLSTM with the given BPTT window, which also
+// sets the 4·Window suffix its forecasts replay.
+func fittedLSTMWindow(t testing.TB, w int) *LSTM {
+	t.Helper()
 	cfg := DefaultLSTMConfig()
 	cfg.Epochs = 3
+	cfg.Window = w
 	m := NewLSTM(cfg)
 	if err := m.Fit(trace.CloudVolatile(4, 120, 31).Speeds); err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
+
+// windowOf is the part of s[:n] a tracker keeps: its last window values.
+func windowOf(s []float64, n int) []float64 { return s[max(n-window, 0):n] }
 
 // streamSeries are the histories a carried state has to survive: a new
 // maximum at every position, one at a random position, repeated maxima,
@@ -73,16 +85,17 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 func TestLSTMStreamBitIdenticalToPredict(t *testing.T) {
 	m := fittedLSTM(t)
 	rng := rand.New(rand.NewSource(41))
-	for _, length := range []int{1, 2, 17, 4*m.cfg.Window + 1, 200} {
+	for _, length := range []int{1, 2, 17, 4*m.cfg.Window + 1, 3*window + 8} {
 		for name, s := range streamSeries(rng, length) {
 			st := m.newStream()
 			for n := 1; n <= len(s); n++ {
-				got, want := st.predict(s[:n]), m.Predict(s[:n])
+				h := windowOf(s, n)
+				got, want := st.predict(h, n), m.Predict(h)
 				if !sameBits(got, want) {
 					t.Fatalf("%s/%d: after %d observations stream %v, Predict %v", name, length, n, got, want)
 				}
 				// Asking again without a new observation must not advance.
-				if again := st.predict(s[:n]); !sameBits(again, want) {
+				if again := st.predict(h, n); !sameBits(again, want) {
 					t.Fatalf("%s/%d: repeated forecast at %d moved: %v then %v", name, length, n, want, again)
 				}
 			}
@@ -95,7 +108,7 @@ func TestLSTMStreamConsumesSeveralObservationsAtOnce(t *testing.T) {
 	s := streamSeries(rand.New(rand.NewSource(43)), 90)["random"]
 	st := m.newStream()
 	for n := 3; n <= len(s); n += 3 {
-		if got, want := st.predict(s[:n]), m.Predict(s[:n]); !sameBits(got, want) {
+		if got, want := st.predict(windowOf(s, n), n), m.Predict(windowOf(s, n)); !sameBits(got, want) {
 			t.Fatalf("at %d: stream %v, Predict %v", n, got, want)
 		}
 	}
@@ -105,33 +118,35 @@ func TestLSTMStreamReplaysAfterRefit(t *testing.T) {
 	m := fittedLSTM(t)
 	s := streamSeries(rand.New(rand.NewSource(47)), 30)["falling"]
 	st := m.newStream()
-	st.predict(s[:20])
+	st.predict(s[:20], 20)
 	if err := m.Fit(trace.CloudStable(4, 120, 5).Speeds); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := st.predict(s[:21]), m.Predict(s[:21]); !sameBits(got, want) {
+	if got, want := st.predict(s[:21], 21), m.Predict(s[:21]); !sameBits(got, want) {
 		t.Fatalf("after refit: stream %v, Predict %v", got, want)
 	}
 }
 
 // TestTrackerMatchesStatelessPredict feeds every forecaster one
 // observation at a time through a Tracker and checks each forecast
-// against Predict on the tracker's own history.
+// against Predict on the tracker's own window, before and after it
+// slides. The LSTMs replay a 4·Window suffix of 32 (shorter than the
+// window), 64 (the window) and 128 (longer).
 func TestTrackerMatchesStatelessPredict(t *testing.T) {
 	train := trace.CloudVolatile(4, 120, 31).Speeds
-	lstm := fittedLSTM(t)
 	models := []Forecaster{
-		lstm, &AR1{}, &AR2{}, &ARIMA111{}, LastValue{},
+		fittedLSTMWindow(t, 8), fittedLSTM(t), fittedLSTMWindow(t, 32),
+		&AR1{}, &AR2{}, &ARIMA111{}, LastValue{},
 		&Ensemble{Models: []Forecaster{fittedLSTM(t), &AR1{}, LastValue{}}},
 	}
-	for _, f := range models[1:] {
+	for _, f := range models[3:] {
 		if err := f.Fit(train); err != nil {
 			t.Fatal(err)
 		}
 	}
 	rng := rand.New(rand.NewSource(53))
 	for _, f := range models {
-		length := 200
+		length := 3*window + 8
 		if _, slow := f.(*Ensemble); slow {
 			length = 80
 		}
@@ -225,22 +240,64 @@ func TestPredictZeroAllocs(t *testing.T) {
 
 	const n = 6
 	tk := NewTracker(m, n)
-	for w := range tk.hist {
-		tk.hist[w] = make([]float64, 0, 256)
-	}
 	obs, dst := make([]float64, n), make([]float64, n)
+	// One run is 3·window rounds: AllocsPerRun's per-run average is an
+	// integer, which would round occasional growth of the series to 0.
 	i := 0
-	if a := testing.AllocsPerRun(100, func() {
-		for w := range obs {
-			obs[w] = s[(i+w)%len(s)]
+	if a := testing.AllocsPerRun(1, func() {
+		for r := 0; r < 3*window; r++ {
+			for w := range obs {
+				obs[w] = s[(i+w)%len(s)]
+			}
+			i++
+			tk.Observe(obs)
+			sink += tk.PredictInto(dst)[0]
 		}
-		i++
-		tk.Observe(obs)
-		sink += tk.PredictInto(dst)[0]
 	}); a != 0 {
-		t.Errorf("Tracker.Observe+PredictInto allocates %v per round, want 0", a)
+		t.Errorf("Tracker.Observe+PredictInto allocates %v per %d rounds, want 0", a, 3*window)
 	}
 	_ = sink
+}
+
+// TestTrackerForecastCostBoundedByAge holds a forecast's cost flat in a
+// job's age: PredictInto after 10⁶ rounds costs at most twice what it
+// costs after 10², for the forecasters that read their whole input. Both
+// sides are the fastest of several timed batches, so the check is a ratio
+// and not a wall-clock bound.
+func TestTrackerForecastCostBoundedByAge(t *testing.T) {
+	const n = 12
+	forecasters := []Forecaster{&AR1{c: 0.1, phi: 0.8, fitted: true}, &ARIMA111{phi: 0.3, theta: 0.2, fitted: true}}
+	for _, f := range forecasters {
+		rng := rand.New(rand.NewSource(61))
+		tk := NewTracker(f, n)
+		obs, dst := make([]float64, n), make([]float64, n)
+		age := 0
+		observeUntil := func(rounds int) {
+			for ; age < rounds; age++ {
+				for w := range obs {
+					obs[w] = 0.2 + rng.Float64()
+				}
+				tk.Observe(obs)
+			}
+		}
+		cost := func() time.Duration {
+			best := time.Duration(math.MaxInt64)
+			for batch := 0; batch < 7; batch++ {
+				start := time.Now()
+				for i := 0; i < 50; i++ {
+					tk.PredictInto(dst)
+				}
+				best = min(best, time.Since(start))
+			}
+			return best
+		}
+		observeUntil(100)
+		young := cost()
+		observeUntil(1_000_000)
+		if old := cost(); old > 2*young {
+			t.Errorf("%s: PredictInto costs %v per 50 calls after 10⁶ rounds, %v after 10²: more than 2×", f.Name(), old, young)
+		}
+	}
 }
 
 func TestFitAllocationsIndependentOfEpochs(t *testing.T) {
@@ -283,7 +340,7 @@ func BenchmarkLSTMPredict(b *testing.B) {
 				n = 0
 			}
 			n++
-			sink += st.predict(s[:n])
+			sink += st.predict(s[:n], n)
 		}
 	})
 	_ = sink

@@ -1,11 +1,17 @@
 package predict
 
-// stream is one series' forecasting state. predict(history) returns what
-// the forecaster's Predict(history) returns, bit for bit; between calls
-// the history may only have been appended to, which is what lets a stream
-// carry state instead of recomputing it.
+// window is how many of each worker's latest observations the tracker
+// keeps and forecasts from, so its memory and a forecast's cost do not
+// grow with a job's age: 4 × DefaultLSTMConfig().Window, the longest
+// suffix any forecaster replays.
+const window = 64
+
+// stream is one series' forecasting state. predict(history, total)
+// returns what the forecaster's Predict(history) returns, bit for bit,
+// for the window of a series of total observations; between calls the
+// series may only grow, which is what lets a stream carry state.
 type stream interface {
-	predict(history []float64) float64
+	predict(history []float64, total int) float64
 }
 
 // streamer is implemented by forecasters with an incremental form.
@@ -14,31 +20,32 @@ type streamer interface {
 }
 
 // stateless is the stream of a forecaster without an incremental form:
-// the history is kept by the Tracker and handed to Predict whole.
+// the window is kept by the Tracker and handed to Predict whole.
 type stateless struct{ f Forecaster }
 
-func (s stateless) predict(history []float64) float64 { return s.f.Predict(history) }
+func (s stateless) predict(history []float64, _ int) float64 { return s.f.Predict(history) }
 
-// Tracker is the master's running estimate of n workers' speeds: the
-// observed series, one per worker, and the forecaster that extrapolates
+// Tracker is the master's running estimate of n workers' speeds: each
+// worker's latest observations, and the forecaster that extrapolates
 // them. Every driver of the predict → plan → run → observe loop holds one,
 // so the bootstrap and fallback rules live here and nowhere else.
 type Tracker struct {
+	// ring holds n rows of 2·window: worker w's observation j is at slots
+	// j mod window and window + j mod window of row w, so its window is
+	// always one contiguous run of the row, which hist[w] views.
+	ring    []float64
 	hist    [][]float64
+	total   int // observations per worker so far
 	streams []stream
 }
 
 // NewTracker tracks n workers with forecaster f (already fitted, or
-// refitted by the caller as Histories accumulate).
+// refitted by the caller on Histories). It allocates all the storage the
+// tracker will use: n·2·window observations, whatever the job's length.
 func NewTracker(f Forecaster, n int) *Tracker {
-	t := &Tracker{hist: make([][]float64, n), streams: make([]stream, n)}
-	// One allocation holds every worker's first rounds — all of a short
-	// job's; a series that outgrows its share moves out by append.
-	const rounds = 16
-	flat := make([]float64, n*rounds)
+	t := &Tracker{ring: make([]float64, n*2*window), hist: make([][]float64, n), streams: make([]stream, n)}
 	incremental, _ := f.(streamer)
 	for w := range t.streams {
-		t.hist[w] = flat[w*rounds : w*rounds : (w+1)*rounds]
 		if incremental != nil {
 			t.streams[w] = incremental.newStream()
 		} else {
@@ -51,17 +58,23 @@ func NewTracker(f Forecaster, n int) *Tracker {
 // Observe records one round's observed speed per worker. A value ≤ 0
 // means the worker was not observed (idle, or it never answered): its
 // series carries its last value — 1 before any — so it stays continuous.
-// It allocates only when a history outgrows its capacity.
+//
+//s2c2:noalloc
 func (t *Tracker) Observe(observed []float64) {
-	for w, v := range observed {
-		h := t.hist[w]
+	at := t.total % window
+	t.total++
+	lo, size := max(t.total-window, 0)%window, min(t.total, window)
+	for w, h := range t.hist {
+		v := observed[w]
 		if v <= 0 {
 			v = 1
 			if len(h) > 0 {
 				v = h[len(h)-1]
 			}
 		}
-		t.hist[w] = append(h, v)
+		row := t.ring[w*2*window : (w+1)*2*window]
+		row[at], row[at+window] = v, v
+		t.hist[w] = row[lo : lo+size]
 	}
 }
 
@@ -79,7 +92,7 @@ func (t *Tracker) PredictInto(dst []float64) []float64 {
 			dst[w] = 1
 			continue
 		}
-		v := t.streams[w].predict(h)
+		v := t.streams[w].predict(h, t.total)
 		if v <= 0 {
 			v = h[len(h)-1]
 		}
@@ -91,7 +104,8 @@ func (t *Tracker) PredictInto(dst []float64) []float64 {
 	return dst
 }
 
-// Histories returns the observed series, one per worker, for callers
-// that refit the forecaster online. The tracker keeps appending to them;
-// do not modify.
+// Histories returns each worker's window, its last min(rounds, window)
+// observations oldest first, for callers that refit the forecaster
+// online. The views are the tracker's storage, valid until the next
+// Observe; do not modify.
 func (t *Tracker) Histories() [][]float64 { return t.hist }

@@ -165,8 +165,7 @@ func TestCodedPhaseZeroAllocsSteadyState(t *testing.T) {
 
 // stepAllocs runs p's rounds around a gathered fixture — plan, gather
 // results in ws, finish — and returns the steady-state allocations per
-// round. The tracker's series grow by append; the warm-up runs until they
-// have room for every measured round, so what remains is the step's own.
+// round, after AllocsPerRun's one warm-up round.
 func stepAllocs[T coding.Element](t *testing.T, p *CodedPhase[T], ws *roundWorkspace[T], results []*ResultOf[T], blockRows, k, cols int) float64 {
 	const runs = 50
 	round := func() {
@@ -187,15 +186,6 @@ func stepAllocs[T coding.Element](t *testing.T, p *CodedPhase[T], ws *roundWorks
 		if _, err := p.finish(partials, stats, cols); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for warm := 0; ; warm++ {
-		if h := p.tracker.Histories()[0]; cap(h)-len(h) > runs {
-			break
-		}
-		if warm == 4*runs {
-			t.Fatal("the tracker's series do not grow: the step observes nothing")
-		}
-		round()
 	}
 	return testing.AllocsPerRun(runs, round)
 }

@@ -223,8 +223,9 @@ type AR1 = predict.AR1
 // LastValue forecasts a worker's next speed as its last observed one.
 type LastValue = predict.LastValue
 
-// Tracker is a master's running estimate of its workers' speeds: one
-// observed series per worker and the forecaster that extrapolates them.
+// Tracker is a master's running estimate of its workers' speeds: each
+// worker's last 64 observed speeds, in storage fixed at construction, and
+// the forecaster that extrapolates them.
 type Tracker = predict.Tracker
 
 // NewTracker tracks n workers' speeds with forecaster f.
