@@ -12,7 +12,7 @@ test:
 
 # test-noasm also proves the portable wire codec — the only one a
 # big-endian target has — still compiles there, and so does the
-# off-Linux twin of kernel.Alloc (plus its Linux file on arm64).
+# off-Linux twin of kernel.Map (plus its Linux file on arm64).
 test-noasm:
 	$(GO) build -tags noasm ./...
 	$(GO) test -tags noasm ./...

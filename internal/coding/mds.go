@@ -16,12 +16,14 @@ type matrix[T Element] interface {
 // field is the MDS code's zero-size per-field descriptor, called once per
 // band, piece or row range, never per element: the Cauchy parity entry
 // (i, j), the encode axpy dst += g·src, the partition view of row-major
-// data, the worker kernel (rows [lo, hi) of a against the w vectors in xs,
-// w-wide into dst, batched or single-x), and the p×p solver.
+// data and a fresh owned partition, the worker kernel (rows [lo, hi) of a
+// against the w vectors in xs, w-wide into dst, batched or single-x), and
+// the p×p solver.
 type field[T Element, M matrix[T]] interface {
 	cauchy(i, j int) T
 	axpy(dst []T, g T, src []T)
 	wrap(rows, cols int, data []T) M
+	alloc(rows, cols int) M
 	sweep(dst, a []T, cols int, xs []T, w int, batch bool, lo, hi int)
 	solver() paritySolver[T]
 }
@@ -102,7 +104,7 @@ func (c *mdsCode[T, M, F]) encodeInto(rows, cols int, data []T, dst *encoded[T, 
 	if fresh {
 		dst = &encoded[T, M, F]{Code: c, Parts: make([]M, c.n), pad: make([]M, c.k)}
 		for i := c.k; i < c.n; i++ {
-			dst.Parts[i] = f.wrap(blockRows, cols, kernel.Alloc[T](blockRows*cols))
+			dst.Parts[i] = f.alloc(blockRows, cols)
 		}
 	}
 	dst.OrigRows, dst.Cols, dst.BlockRows = rows, cols, blockRows
@@ -116,7 +118,7 @@ func (c *mdsCode[T, M, F]) encodeInto(rows, cols int, data []T, dst *encoded[T, 
 			continue
 		}
 		if dst.pad[j] == none {
-			dst.pad[j] = f.wrap(blockRows, cols, kernel.Alloc[T](blockRows*cols))
+			dst.pad[j] = f.alloc(blockRows, cols)
 		}
 		block := dst.pad[j].Data()
 		clear(block[copy(block, data[min(lo, len(data)):]):])

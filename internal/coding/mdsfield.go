@@ -49,6 +49,11 @@ func (floatField) axpy(dst []float64, g float64, src []float64) { kernel.Axpy(g,
 func (floatField) wrap(r, c int, data []float64) *mat.Dense     { return mat.NewFromData(r, c, data) }
 func (floatField) solver() paritySolver[float64]                { return &luSolver{} }
 
+// alloc's storage goes once the header is unreachable (kernel.Own).
+func (floatField) alloc(r, c int) *mat.Dense {
+	return kernel.Own(r*c, func(d []float64) *mat.Dense { return mat.NewFromData(r, c, d) })
+}
+
 // sweep keeps the single-x kernel apart: the batched one rounds
 // differently on the vector backends, even at w = 1.
 //
@@ -152,6 +157,9 @@ func (gfField) cauchy(i, j int) gf.Elem                      { return gf.Inv(gf.
 func (gfField) axpy(dst []gf.Elem, g gf.Elem, src []gf.Elem) { gf.Axpy(dst, g, src) }
 func (gfField) wrap(r, c int, data []gf.Elem) *gf.Matrix     { return gf.NewMatrixFromData(r, c, data) }
 func (gfField) solver() paritySolver[gf.Elem]                { return &gfSolver{} }
+func (gfField) alloc(r, c int) *gf.Matrix {
+	return kernel.Own(r*c, func(d []gf.Elem) *gf.Matrix { return gf.NewMatrixFromData(r, c, d) })
+}
 
 //s2c2:noalloc
 func (gfField) sweep(dst, a []gf.Elem, cols int, xs []gf.Elem, w int, batch bool, lo, hi int) {

@@ -138,11 +138,11 @@ type Matrix struct {
 	data       []Elem
 }
 
-// NewMatrix returns a zeroed r-by-c field matrix.
+// NewMatrix returns a zeroed r-by-c field matrix on the Go heap (mat.New).
 //
 //s2c2:noalloc-waive
 func NewMatrix(r, c int) *Matrix {
-	return &Matrix{rows: r, cols: c, data: kernel.Alloc[Elem](r * c)}
+	return &Matrix{rows: r, cols: c, data: make([]Elem, r*c)}
 }
 
 // NewMatrixFromData adopts data (row-major, length r·c) as the backing

@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"sync"
 	"testing"
 )
@@ -150,6 +151,43 @@ func BenchmarkGFMatVecBatch(b *testing.B) {
 					})
 				}
 			})
+		})
+	}
+}
+
+var firstTouchSink []float64
+
+// BenchmarkMapFirstTouch is a worker landing a streamed 32 MiB partition:
+// allocation, then one write per element, in a Map (one mapping, no
+// clearing by Go) and in a make (which clears what the kernel already
+// zeroed). The heap is handed back to the OS before every iteration, so
+// each one pays the first-touch page faults a partition's set-up pays.
+func BenchmarkMapFirstTouch(b *testing.B) {
+	const n = 32 << 20 / 8
+	for _, c := range []struct {
+		name  string
+		alloc func() (data []float64, release func())
+	}{
+		{"map", func() ([]float64, func()) { m := Map[float64](n); return m.Data(), m.Release }},
+		{"make", func() ([]float64, func()) { return make([]float64, n), func() {} }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(n * 8)
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				firstTouchSink = nil
+				debug.FreeOSMemory()
+				b.StartTimer()
+				d, release := c.alloc()
+				for j := range d {
+					d[j] = 1
+				}
+				firstTouchSink = d
+				b.StopTimer()
+				firstTouchSink = nil
+				release()
+				b.StartTimer()
+			}
 		})
 	}
 }

@@ -5,47 +5,11 @@ package kernel
 import (
 	"bufio"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
 )
-
-func TestHugeRange(t *testing.T) {
-	const page = 2 << 20
-	top := ^uintptr(0) // the last address of whichever word size runs this
-	cases := []struct {
-		name             string
-		addr, bytes      uintptr
-		wantLo, wantSize uintptr
-	}{
-		{"unaligned start", 0x10_0010, 5 * page, 0x20_0000, 4 * page},
-		{"exact multiple", 4 * page, 3 * page, 4 * page, 3 * page},
-		{"less than one page", 0x20_0000, page - 1, 0, 0},
-		{"unaligned, no whole page", 0x30_0000, page + page/4, 0, 0},
-		{"zero length", 0x20_0000, 0, 0, 0},
-		{"zero length, unaligned", 0x20_0001, 0, 0, 0},
-		{"ends on a page boundary", 0x10_0000, 0x10_0000 + 2*page, 0x20_0000, 2 * page},
-		// Ends at the very top of the address space: addr+bytes and hi
-		// wrap to 0, the length must not.
-		{"ends at the top", top - 3*page - 0x1000 + 1, 3*page + 0x1000, top - 3*page + 1, 3 * page},
-		{"tail past the last page", top - 2*page - 0x1000 + 1, 2*page + 0x800, top - 2*page + 1, page},
-	}
-	for _, c := range cases {
-		lo, hi := hugeRange(c.addr, c.bytes, page)
-		if hi == lo {
-			lo = 0 // an empty range's position is unspecified
-		}
-		if lo != c.wantLo || hi-lo != c.wantSize {
-			t.Errorf("%s: hugeRange(%#x, %#x) = [%#x, +%#x), want [%#x, +%#x)",
-				c.name, c.addr, c.bytes, lo, hi-lo, c.wantLo, c.wantSize)
-		}
-		if hi != lo && (lo&(page-1) != 0 || lo-c.addr > c.bytes || hi-c.addr > c.bytes) {
-			t.Errorf("%s: [%#x, %#x) is not aligned inside [%#x, +%#x)", c.name, lo, hi, c.addr, c.bytes)
-		}
-	}
-}
 
 func TestThpDisabled(t *testing.T) {
 	for godebug, want := range map[string]bool{
@@ -63,45 +27,83 @@ func TestThpDisabled(t *testing.T) {
 	}
 }
 
-// TestAllocHugePageEligible checks in /proc/self/smaps that the kernel
-// took Alloc's advice: the mapping under a 16 MiB slice is THP-eligible,
-// and in madvise mode the one under a 1 MiB slice is not.
-func TestAllocHugePageEligible(t *testing.T) {
+// TestMapHugePageEligible checks in /proc/self/smaps that the kernel took
+// Map's advice: a 16 MiB Map is one mapping, THP-eligible, and in madvise
+// mode the heap storage under a 1 MiB one is not.
+func TestMapHugePageEligible(t *testing.T) {
 	mode := thpMode(t)
 	if mode == "never" {
 		t.Skip("transparent huge pages are off (mode never): nothing to advise")
 	}
 	if thpDisabled(os.Getenv("GODEBUG")) {
-		t.Skip("GODEBUG=disablethp=1: Alloc advises nothing")
+		t.Skip("GODEBUG=disablethp=1: Map advises nothing")
 	}
 	if page := hugePageSize(); page == 0 || page > 8<<20 {
-		t.Skipf("huge page size %d: a 16 MiB slice need not cover one", page)
+		t.Skipf("huge page size %d: a 16 MiB Map need not cover one", page)
 	}
-	// The small slice goes first, so it cannot reuse a range that a big
-	// one advised.
-	small := Alloc[float64](1 << 20 / 8)
-	f64 := Alloc[float64](16 << 20 / 8)
-	u32 := Alloc[uint32](16 << 20 / 4)
-	// The middle of a 16 MiB slice lies inside its aligned interior.
+	small := Map[float64](1 << 20 / 8)
+	f64 := Map[float64](16 << 20 / 8)
+	u32 := Map[uint32](16 << 20 / 4)
+	defer small.Release()
+	defer f64.Release()
+	defer u32.Release()
 	for _, c := range []struct {
 		name string
-		addr uintptr
+		data uintptr
+		n    int
 		want string
 	}{
-		{"16 MiB Alloc[float64]", uintptr(unsafe.Pointer(&f64[len(f64)/2])), "1"},
-		{"16 MiB Alloc[uint32]", uintptr(unsafe.Pointer(&u32[len(u32)/2])), "1"},
-		{"1 MiB Alloc[float64]", uintptr(unsafe.Pointer(&small[len(small)/2])), "0"},
+		{"16 MiB Map[float64]", uintptr(unsafe.Pointer(unsafe.SliceData(f64.Data()))), len(f64.Data()) * 8, "1"},
+		{"16 MiB Map[uint32]", uintptr(unsafe.Pointer(unsafe.SliceData(u32.Data()))), len(u32.Data()) * 4, "1"},
+		{"1 MiB Map[float64]", uintptr(unsafe.Pointer(unsafe.SliceData(small.Data()))), len(small.Data()) * 8, "0"},
 	} {
 		if c.want == "0" && mode != "madvise" {
 			continue // "always" makes every anonymous mapping eligible
 		}
-		if got := thpEligible(t, c.addr); got != c.want {
+		if got := thpEligible(t, c.data+uintptr(c.n)/2); got != c.want {
 			t.Errorf("%s: THPeligible %s, want %s", c.name, got, c.want)
 		}
 	}
-	runtime.KeepAlive(small)
-	runtime.KeepAlive(f64)
-	runtime.KeepAlive(u32)
+}
+
+// TestMapReleases: storage from one huge page up is mapped, zeroed and
+// counted until its last reference goes; smaller storage is heap.
+func TestMapReleases(t *testing.T) {
+	page := hugePageSize()
+	if page == 0 {
+		t.Skip("no transparent huge page size in sysfs: Map maps nothing")
+	}
+	base := MappedBytes()
+	small := Map[float64](int(page/8) - 1)
+	if MappedBytes() != base {
+		t.Fatalf("a Map below one huge page mapped %d bytes", MappedBytes()-base)
+	}
+	small.Release()
+	m := Map[uint32](int(page/4) + 1) // one element past a huge page
+	if got := MappedBytes() - base; got != int64(2*page) {
+		t.Fatalf("Map of a huge page plus 4 bytes maps %d bytes, want %d", got, 2*page)
+	}
+	for i, v := range m.Data() {
+		if v != 0 {
+			t.Fatalf("element %d of fresh storage is %d", i, v)
+		}
+	}
+	m.Data()[len(m.Data())-1] = 7
+	m.Retain()
+	m.Release()
+	if MappedBytes() == base {
+		t.Fatal("a Release while another reference is held freed the storage")
+	}
+	m.Release()
+	if got := MappedBytes(); got != base {
+		t.Fatalf("after the last Release %d bytes stay mapped", got-base)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a Release past the last reference did not panic")
+		}
+	}()
+	m.Release()
 }
 
 // thpMode returns the bracketed mode in the sysfs THP "enabled" file.

@@ -28,12 +28,13 @@ type Dense struct {
 	data []float64
 }
 
-// New returns a zeroed r-by-c matrix.
+// New returns a zeroed r-by-c matrix on the Go heap: a caller's matrix
+// has no release point, and views of it do not keep its header alive.
 func New(r, c int) *Dense {
 	if r < 0 || c < 0 {
 		panic(fmt.Sprintf("mat: negative dimension %dx%d", r, c))
 	}
-	return &Dense{rows: r, cols: c, data: kernel.Alloc[float64](r * c)}
+	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
 // NewFromData wraps data (taking ownership) as an r-by-c matrix.

@@ -347,7 +347,6 @@ func TestMasterWireBatchRoundZeroAllocsSteadyState(t *testing.T) {
 			}
 		}
 		src.Reset(stream.Bytes())
-		tc.r.Reset(src)
 		for range results {
 			if err := tc.recv(msg); err != nil {
 				t.Fatal(err)
@@ -378,9 +377,9 @@ func TestMasterWireBatchRoundZeroAllocsSteadyState(t *testing.T) {
 	if !mat.VecApproxEqual(dst, want, 1e-8) {
 		t.Fatal("batched gather+decode fixture produced a wrong result")
 	}
-	allocs := testing.AllocsPerRun(50, runRound)
+	allocs := steadyAllocs(50, runRound)
 	if allocs != 0 {
-		t.Fatalf("steady-state batched round allocates %v/op, want 0", allocs)
+		t.Fatalf("50 steady-state batched rounds allocate %v times, want 0", allocs)
 	}
 }
 
@@ -443,7 +442,6 @@ func TestMasterGFWireBatchRoundZeroAllocsSteadyState(t *testing.T) {
 			}
 		}
 		src.Reset(stream.Bytes())
-		tc.r.Reset(src)
 		for range results {
 			if err := tc.recv(msg); err != nil {
 				t.Fatal(err)
@@ -478,9 +476,9 @@ func TestMasterGFWireBatchRoundZeroAllocsSteadyState(t *testing.T) {
 			}
 		}
 	}
-	allocs := testing.AllocsPerRun(50, runRound)
+	allocs := steadyAllocs(50, runRound)
 	if allocs != 0 {
-		t.Fatalf("steady-state batched GF round allocates %v/op, want 0", allocs)
+		t.Fatalf("50 steady-state batched GF rounds allocate %v times, want 0", allocs)
 	}
 }
 

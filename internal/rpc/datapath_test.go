@@ -36,6 +36,15 @@ func streamVictim(src io.Reader, maxFrame int) *Worker {
 		&wireConn{w: wire.NewWriter(io.Discard), r: r})
 }
 
+// heldCopy is p as a worker stores it: a copy in storage of its own.
+func heldCopy[C codec[T], T coding.Element](p Partition[T]) *partBuild[T] {
+	var ec C
+	rows, cols := p.Dims()
+	mem := kernel.Map[T](rows * cols)
+	copy(mem.Data(), p.Data())
+	return &partBuild[T]{m: ec.wrap(rows, cols, mem.Data()), mem: mem}
+}
+
 // TestChunksLandIntactThroughFragmentedReads streams a float64 and a GF
 // partition through the real send path and delivers the bytes to a worker
 // one byte at a time, in halves, and through the production-sized bufio
@@ -79,10 +88,10 @@ func TestChunksLandIntactThroughFragmentedReads(t *testing.T) {
 		if got == nil || gfGot == nil {
 			t.Fatalf("%s: partitions not published (float64 %v, GF %v)", name, got != nil, gfGot != nil)
 		}
-		if !got.(*mat.Dense).ApproxEqual(part, 0) {
+		if !got.m.(*mat.Dense).ApproxEqual(part, 0) {
 			t.Fatalf("%s: float64 partition differs from what was sent", name)
 		}
-		for i, v := range gfGot.Data() {
+		for i, v := range gfGot.m.Data() {
 			if v != gfPart.Data()[i] {
 				t.Fatalf("%s: GF partition element %d = %d, sent %d", name, i, v, gfPart.Data()[i])
 			}
@@ -231,12 +240,14 @@ func startReleasableCluster(t *testing.T, n int) (*Master, []*Worker, chan error
 }
 
 // TestShutdownReleasesDataset is the regression test for the cluster's
-// dataset outliving it: Master and Worker embed sync.Pools, which keep
-// them reachable for one GC cycle past their last reference, so whatever
-// they still point to at that moment survives a collection. After
-// Shutdown and every Run returning, ONE collection must bring the heap
-// back to where it was before the cluster held 32 MB of partitions (plus
-// the workers' 43 MB copy of them).
+// dataset outliving it. The workers' 43 MB copy of the partitions is
+// mapped storage they release themselves: after Shutdown and every Run
+// returning, the mapped bytes are back where they were before the
+// distribute, with no collection. Master and Worker embed sync.Pools,
+// which keep them reachable for one GC cycle past their last reference,
+// so whatever they still point to at that moment survives a collection:
+// ONE collection must bring the heap back to where it was before the
+// cluster held 32 MB of partitions.
 func TestShutdownReleasesDataset(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector shadow memory is not released on the collector's schedule")
@@ -257,10 +268,11 @@ func TestShutdownReleasesDataset(t *testing.T) {
 			t.Fatal(err)
 		}
 		enc := code.Encode(mat.New(rows, cols))
+		mapped := kernel.MappedBytes() // with the encoding's parity, which enc keeps
 		if err := Distribute(context.Background(), m.DefaultJob(), 0, enc.Parts); err != nil {
 			t.Fatal(err)
 		}
-		if held := heap() - before; held < 64<<20 {
+		if held := heap() - before + uint64(kernel.MappedBytes()-mapped); held < 64<<20 {
 			t.Fatalf("cluster holds only %d MB after distributing; the test measures nothing", held>>20)
 		}
 		m.Shutdown()
@@ -271,6 +283,11 @@ func TestShutdownReleasesDataset(t *testing.T) {
 				t.Fatal("a worker's Run did not return after Shutdown")
 			}
 		}
+		// At most: an earlier test's encoding may be unmapped meanwhile.
+		if left := kernel.MappedBytes() - mapped; left > 0 {
+			t.Fatalf("%d MB of worker partitions stay mapped after Shutdown and Run returned", left>>20)
+		}
+		runtime.KeepAlive(enc)
 	}()
 	runtime.GC()
 	if after := heap(); after > before+4<<20 {
@@ -394,12 +411,12 @@ func TestWorkerHandleWorkZeroAllocsSteadyState(t *testing.T) {
 	const rows, cols = 600, 40
 	rng := rand.New(rand.NewSource(3))
 	w := streamVictim(bytes.NewReader(nil), maxRPCFrame)
-	w.float.partitions[0] = mat.Rand(rows, cols, rng)
+	w.float.partitions[0] = heldCopy[floatCodec](mat.Rand(rows, cols, rng))
 	gfPart := gf.NewMatrix(rows, cols)
 	for i := range gfPart.Data() {
 		gfPart.Data()[i] = gf.New(rng.Uint64())
 	}
-	w.exact.partitions[0] = gfPart
+	w.exact.partitions[0] = heldCopy[gfCodec](gfPart)
 	// On a single-participant Exec every range is swept by the handler
 	// itself; on the default one only ranges within one chunk are — a range
 	// that fans out pays for the closure it hands the pool.
@@ -427,8 +444,8 @@ func TestWorkerHandleWorkZeroAllocsSteadyState(t *testing.T) {
 				w.exact.handle(gjob)
 			}
 			round() // warm: pooled slots, result buffers, the writer's scratch
-			if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
-				t.Fatalf("fan %d, width %d, %d ranges: a Work + a GFWork allocate %v/op on the worker, want 0",
+			if allocs := steadyAllocs(50, round); allocs != 0 {
+				t.Fatalf("fan %d, width %d, %d ranges: 50 Works + 50 GFWorks allocate %v times on the worker, want 0",
 					c.exec.Workers(), bw, len(c.ranges), allocs)
 			}
 		}

@@ -35,8 +35,8 @@ var (
 )
 
 // codec is the per-element descriptor: the elem field, the payload codec,
-// the partition allocator, the worker's mat-vec sweep, and the ingest
-// check on stored partition rows.
+// the partition header over stored rows, the worker's mat-vec sweep, and
+// the ingest check on stored partition rows.
 type codec[T coding.Element] interface {
 	spec() *elemSpec
 	// put appends a count-prefixed payload; putTail appends one as the
@@ -47,7 +47,7 @@ type codec[T coding.Element] interface {
 	// decodes one whose count must equal len(dst).
 	get(p *wire.Payload, dst []T) []T
 	into(p *wire.Payload, dst []T) error
-	newMatrix(rows, cols int) Partition[T]
+	wrap(rows, cols int, data []T) Partition[T]
 	// sweep computes rows [lo, hi) of part against bw concatenated input
 	// vectors into dst, row-major bw-wide.
 	sweep(dst []T, part Partition[T], xs []T, bw, lo, hi int)
@@ -58,13 +58,13 @@ type codec[T coding.Element] interface {
 // floatCodec is the float64 codec.
 type floatCodec struct{}
 
-func (floatCodec) spec() *elemSpec                              { return &floatSpec }
-func (floatCodec) put(w *wire.Writer, v []float64)              { w.Float64s(v) }
-func (floatCodec) putTail(w *wire.Writer, v []float64)          { w.Float64sTail(v) }
-func (floatCodec) get(p *wire.Payload, dst []float64) []float64 { return p.Float64s(dst) }
-func (floatCodec) into(p *wire.Payload, dst []float64) error    { return p.Float64sInto(dst) }
-func (floatCodec) newMatrix(rows, cols int) Partition[float64]  { return mat.New(rows, cols) }
-func (floatCodec) valid([]float64) bool                         { return true }
+func (floatCodec) spec() *elemSpec                               { return &floatSpec }
+func (floatCodec) put(w *wire.Writer, v []float64)               { w.Float64s(v) }
+func (floatCodec) putTail(w *wire.Writer, v []float64)           { w.Float64sTail(v) }
+func (floatCodec) get(p *wire.Payload, dst []float64) []float64  { return p.Float64s(dst) }
+func (floatCodec) into(p *wire.Payload, dst []float64) error     { return p.Float64sInto(dst) }
+func (floatCodec) wrap(r, c int, d []float64) Partition[float64] { return mat.NewFromData(r, c, d) }
+func (floatCodec) valid([]float64) bool                          { return true }
 
 // sweep runs the fused multi-x kernel for batched rounds: one pass over
 // the band serves every lane.
@@ -86,8 +86,8 @@ func (gfCodec) putTail(w *wire.Writer, v []gf.Elem) { w.Uint32sTail(gf.AsUint32s
 func (gfCodec) get(p *wire.Payload, dst []gf.Elem) []gf.Elem {
 	return gf.AsElems(p.Uint32s(gf.AsUint32s(dst)))
 }
-func (gfCodec) into(p *wire.Payload, dst []gf.Elem) error   { return p.Uint32sInto(gf.AsUint32s(dst)) }
-func (gfCodec) newMatrix(rows, cols int) Partition[gf.Elem] { return gf.NewMatrix(rows, cols) }
+func (gfCodec) into(p *wire.Payload, dst []gf.Elem) error     { return p.Uint32sInto(gf.AsUint32s(dst)) }
+func (gfCodec) wrap(r, c int, d []gf.Elem) Partition[gf.Elem] { return gf.NewMatrixFromData(r, c, d) }
 
 // valid rejects non-canonical lanes: the worker's Mersenne-folded mat-vec
 // bounds its intermediate arithmetic on every element being < P, so a

@@ -270,7 +270,7 @@ func FuzzChunkStream(f *testing.F) {
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		for phase, p := range w.exact.partitions {
-			if !gf.Valid(p.Data()) {
+			if !gf.Valid(p.m.Data()) {
 				t.Fatalf("phase %d published a non-canonical partition", phase)
 			}
 		}

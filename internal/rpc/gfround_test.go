@@ -351,7 +351,6 @@ func TestMasterGFWireRoundZeroAllocsSteadyState(t *testing.T) {
 		// Receive results: decode each frame into a pooled slot (the
 		// readLoop's swap idiom) and gather.
 		src.Reset(stream.Bytes())
-		tc.r.Reset(src)
 		for range results {
 			if err := tc.recv(msg); err != nil {
 				t.Fatal(err)
@@ -386,8 +385,8 @@ func TestMasterGFWireRoundZeroAllocsSteadyState(t *testing.T) {
 			t.Fatalf("GF wire round fixture row %d: %d != %d", r, dst[r], want[r])
 		}
 	}
-	allocs := testing.AllocsPerRun(50, runRound)
+	allocs := steadyAllocs(50, runRound)
 	if allocs != 0 {
-		t.Fatalf("steady-state GF wire round allocates %v/op on the master, want 0", allocs)
+		t.Fatalf("50 steady-state GF wire rounds allocate %v times on the master, want 0", allocs)
 	}
 }

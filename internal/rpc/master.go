@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -720,6 +721,10 @@ func ship[C codec[T], T coding.Element](m *Master, wc *workerConn, phase int, pa
 	rows, cols := part.Dims()
 	chunkRows := m.chunkRowsFor(cols, ec.spec().size)
 	data := part.Data()
+	// The header's collection may release an encoding's storage
+	// (kernel.Own), and a re-stream racing Job.Close may hold its last
+	// reference: keep it until the last chunk is sent.
+	defer runtime.KeepAlive(part)
 	// One transfer at a time per connection: the credit channel is shared,
 	// so interleaved transfers would steal each other's acks.
 	wc.xfer.Lock()

@@ -510,7 +510,6 @@ func TestMultiJobWireRoundZeroAllocsSteadyState(t *testing.T) {
 
 	// Pre-encode each job's result frames once, as the workers would:
 	// the same fixture values, tagged with the job id.
-	streams := make([]*bytes.Reader, len(jobs))
 	payloads := make([][]byte, len(jobs))
 	for i, j := range jobs {
 		var stream bytes.Buffer
@@ -524,9 +523,9 @@ func TestMultiJobWireRoundZeroAllocsSteadyState(t *testing.T) {
 			}
 		}
 		payloads[i] = stream.Bytes()
-		streams[i] = bytes.NewReader(payloads[i])
 	}
-	tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(streams[0])}
+	src := bytes.NewReader(nil)
+	tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(src)}
 
 	decWS := enc.NewDecodeWorkspace()
 	dst := make([]float64, enc.OrigRows)
@@ -546,8 +545,7 @@ func TestMultiJobWireRoundZeroAllocsSteadyState(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		streams[i].Reset(payloads[i])
-		tc.r.Reset(streams[i])
+		src.Reset(payloads[i])
 		for range results {
 			if err := tc.recv(msg); err != nil {
 				t.Fatal(err)
@@ -583,11 +581,11 @@ func TestMultiJobWireRoundZeroAllocsSteadyState(t *testing.T) {
 		t.Fatal("multi-job wire round fixture produced a wrong result")
 	}
 	turn := 0
-	allocs := testing.AllocsPerRun(50, func() {
+	allocs := steadyAllocs(50, func() {
 		runRound(turn)
 		turn = 1 - turn
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state multi-job round allocates %v/op per job, want 0", allocs)
+		t.Fatalf("50 steady-state multi-job rounds allocate %v times, want 0", allocs)
 	}
 }

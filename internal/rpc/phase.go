@@ -27,6 +27,7 @@ type CodedPhase[T coding.Element] struct {
 	job         *Job
 	phase       int
 	strategy    sched.Strategy
+	into        sched.IntoPlanner // strategy's reuse form, if it has one
 	timeoutFrac float64
 	tracker     *predict.Tracker
 	decode      func(dst []T, partials []*coding.PartialOf[T]) ([]T, error)
@@ -43,8 +44,9 @@ type CodedPhase[T coding.Element] struct {
 func NewCodedPhase[T coding.Element, W any](j *Job, phase int, enc Encoding[T, W], s sched.Strategy, timeoutFrac float64, t *predict.Tracker) *CodedPhase[T] {
 	ws := enc.NewDecodeWorkspace()
 	n := len(t.Histories())
+	into, _ := s.(sched.IntoPlanner)
 	return &CodedPhase[T]{
-		job: j, phase: phase, strategy: s, timeoutFrac: timeoutFrac, tracker: t,
+		job: j, phase: phase, strategy: s, into: into, timeoutFrac: timeoutFrac, tracker: t,
 		decode: func(dst []T, partials []*coding.PartialOf[T]) ([]T, error) {
 			return enc.DecodeMatVecInto(dst, partials, ws)
 		},
@@ -53,9 +55,10 @@ func NewCodedPhase[T coding.Element, W any](j *Job, phase int, enc Encoding[T, W
 }
 
 // RunIteration runs round iter of A·x: it plans from the tracker's
-// predicted speeds through Job.PlanRound, runs the round (Run), decodes
-// the product and observes each worker's speed. The product is reused
-// storage that the next RunIteration overwrites; the stats are Run's.
+// predicted speeds into the job's plan buffer (as Job.PlanRound does),
+// runs the round (Run), decodes the product and observes each worker's
+// speed. The product is reused storage that the next RunIteration
+// overwrites; the stats are Run's.
 func (p *CodedPhase[T]) RunIteration(ctx context.Context, iter int, x []T) ([]T, *RoundStats, error) {
 	plan, err := p.plan()
 	if err != nil {
@@ -74,7 +77,11 @@ func (p *CodedPhase[T]) RunIteration(ctx context.Context, iter int, x []T) ([]T,
 
 // plan builds the round's plan from the tracker's predicted speeds.
 func (p *CodedPhase[T]) plan() (*sched.Plan, error) {
-	return p.job.PlanRound(p.strategy, p.tracker.PredictInto(p.speeds))
+	speeds := p.tracker.PredictInto(p.speeds)
+	if p.into != nil {
+		return p.job.planBuf.NextInto(p.into, speeds)
+	}
+	return p.job.PlanRound(p.strategy, speeds)
 }
 
 // finish decodes a gathered round over cols-column rows into the reused

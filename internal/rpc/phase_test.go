@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -142,7 +143,7 @@ func TestCodedPhaseZeroAllocsSteadyState(t *testing.T) {
 	p := NewCodedPhase(j, 0, enc, &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows},
 		0.15, predict.NewTracker(predict.LastValue{}, n))
 	if a := stepAllocs(t, p, &j.float.round, results, enc.BlockRows, k, enc.Cols); a != 0 {
-		t.Fatalf("steady-state float64 step allocates %v/op, want 0", a)
+		t.Fatalf("50 steady-state float64 steps allocate %v times, want 0", a)
 	}
 	for r, v := range want {
 		if d := p.out[r] - v; d > 1e-8 || d < -1e-8 {
@@ -154,7 +155,7 @@ func TestCodedPhaseZeroAllocsSteadyState(t *testing.T) {
 	gp := NewCodedPhase(j, 0, genc, &sched.GeneralS2C2{N: n, K: k, BlockRows: genc.BlockRows},
 		0.15, predict.NewTracker(predict.LastValue{}, n))
 	if a := stepAllocs(t, gp, &j.exact.round, gresults, genc.BlockRows, k, genc.Cols); a != 0 {
-		t.Fatalf("steady-state GF step allocates %v/op, want 0", a)
+		t.Fatalf("50 steady-state GF steps allocate %v times, want 0", a)
 	}
 	for r, v := range gwant {
 		if gp.out[r] != v {
@@ -164,8 +165,8 @@ func TestCodedPhaseZeroAllocsSteadyState(t *testing.T) {
 }
 
 // stepAllocs runs p's rounds around a gathered fixture — plan, gather
-// results in ws, finish — and returns the steady-state allocations per
-// round, after AllocsPerRun's one warm-up round.
+// results in ws, finish — and returns the allocations of 50 steady-state
+// rounds (steadyAllocs).
 func stepAllocs[T coding.Element](t *testing.T, p *CodedPhase[T], ws *roundWorkspace[T], results []*ResultOf[T], blockRows, k, cols int) float64 {
 	const runs = 50
 	round := func() {
@@ -187,5 +188,20 @@ func stepAllocs[T coding.Element](t *testing.T, p *CodedPhase[T], ws *roundWorks
 			t.Fatal(err)
 		}
 	}
-	return testing.AllocsPerRun(runs, round)
+	return steadyAllocs(runs, round)
+}
+
+// steadyAllocs counts every allocation of one run of rounds calls of
+// round, after AllocsPerRun's warm-up run of as many: AllocsPerRun's
+// per-run mean would floor a slice that regrows once in 50 rounds to 0.
+// The collector is off meanwhile, because a cycle wakes runtime
+// goroutines (the unique package's map cleanup) whose allocations count
+// too.
+func steadyAllocs(rounds int, round func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(1, func() {
+		for range rounds {
+			round()
+		}
+	})
 }

@@ -455,9 +455,9 @@ func TestGatherAndDecodeZeroAllocsSteadyState(t *testing.T) {
 	if !mat.VecApproxEqual(dst, want, 1e-8) {
 		t.Fatal("gather+decode fixture produced a wrong result")
 	}
-	allocs := testing.AllocsPerRun(50, runRound)
+	allocs := steadyAllocs(50, runRound)
 	if allocs != 0 {
-		t.Fatalf("steady-state gather+decode allocates %v/op, want 0", allocs)
+		t.Fatalf("50 steady-state gather+decode rounds allocate %v times, want 0", allocs)
 	}
 }
 

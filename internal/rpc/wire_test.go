@@ -560,7 +560,6 @@ func TestMasterWireRoundZeroAllocsSteadyState(t *testing.T) {
 		// Receive results: decode each frame into a pooled slot (the
 		// readLoop's swap idiom) and gather.
 		src.Reset(stream.Bytes())
-		tc.r.Reset(src)
 		for range results {
 			if err := tc.recv(msg); err != nil {
 				t.Fatal(err)
@@ -593,8 +592,8 @@ func TestMasterWireRoundZeroAllocsSteadyState(t *testing.T) {
 	if !mat.VecApproxEqual(dst, want, 1e-8) {
 		t.Fatal("wire round fixture produced a wrong result")
 	}
-	allocs := testing.AllocsPerRun(50, runRound)
+	allocs := steadyAllocs(50, runRound)
 	if allocs != 0 {
-		t.Fatalf("steady-state wire round allocates %v/op on the master, want 0", allocs)
+		t.Fatalf("50 steady-state wire rounds allocate %v times on the master, want 0", allocs)
 	}
 }

@@ -42,9 +42,12 @@ type WorkerConfig struct {
 	WriteTimeout time.Duration
 }
 
-// partBuild is a streamed partition being assembled from chunks.
+// partBuild is a streamed partition, from its start header on: the
+// matrix over storage of which the lane holds one reference and each
+// handler sweeping it another.
 type partBuild[T coding.Element] struct {
 	m         Partition[T]
+	mem       *kernel.Mapping[T]
 	seq       int // transfer sequence, echoed in every chunk ack
 	remaining int // rows not yet received
 }
@@ -90,7 +93,7 @@ type Worker struct {
 // concurrent handlers borrow.
 type workerLane[C codec[T], T coding.Element] struct {
 	w          *Worker
-	partitions map[int]Partition[T]  // phase → coded partition
+	partitions map[int]*partBuild[T] // phase → coded partition
 	pending    map[int]*partBuild[T] // phase → partition mid-stream
 	works      sync.Pool             // *WorkOf[T] slots for concurrent handlers
 	results    sync.Pool             // *ResultOf[T] send slots
@@ -98,7 +101,7 @@ type workerLane[C codec[T], T coding.Element] struct {
 
 func (l *workerLane[C, T]) init(w *Worker) {
 	l.w = w
-	l.partitions = map[int]Partition[T]{}
+	l.partitions = map[int]*partBuild[T]{}
 	l.pending = map[int]*partBuild[T]{}
 }
 
@@ -147,17 +150,18 @@ func (w *Worker) Close() error { return w.c.close() }
 
 // Run processes messages until shutdown or connection loss. Work requests
 // are served concurrently so a reassignment can overtake a slow round.
-// When it returns the worker has released every partition it held: the
-// Worker value can stay reachable past its connection (its sync.Pools keep
-// it registered with the runtime for a further GC cycle), and the dataset
-// must not ride along.
+// When it returns the worker has released every partition it held (a
+// handler still sweeping one unmaps it when done): the Worker value can
+// stay reachable past its connection (its sync.Pools keep it registered
+// with the runtime for a further GC cycle), and the dataset must not ride
+// along.
 func (w *Worker) Run() error {
 	defer func() {
 		w.mu.Lock()
-		clear(w.float.partitions)
-		clear(w.float.pending)
-		clear(w.exact.partitions)
-		clear(w.exact.pending)
+		releaseAll(w.float.partitions)
+		releaseAll(w.float.pending)
+		releaseAll(w.exact.partitions)
+		releaseAll(w.exact.pending)
 		w.mu.Unlock()
 	}()
 	return w.serve()
@@ -190,10 +194,10 @@ func (w *Worker) serve() error {
 			// that still arrives for the phase finds no partition and is
 			// ignored, exactly like one for a phase not yet delivered.
 			w.mu.Lock()
-			delete(w.float.partitions, msg.DropPhase)
-			delete(w.float.pending, msg.DropPhase)
-			delete(w.exact.partitions, msg.DropPhase)
-			delete(w.exact.pending, msg.DropPhase)
+			release(w.float.partitions, msg.DropPhase)
+			release(w.float.pending, msg.DropPhase)
+			release(w.exact.partitions, msg.DropPhase)
+			release(w.exact.pending, msg.DropPhase)
 			w.mu.Unlock()
 		case KindPing:
 			// Heartbeat: answer immediately from the receive loop. Pong
@@ -215,7 +219,7 @@ func (w *Worker) serve() error {
 	}
 }
 
-// start allocates the destination matrix of a streamed partition. Chunks
+// start maps the destination storage of a streamed partition. Chunks
 // decode straight into it; the partition becomes visible to work requests
 // only once every row has arrived.
 func (l *workerLane[C, T]) start(ps *PartitionStart) error {
@@ -223,17 +227,19 @@ func (l *workerLane[C, T]) start(ps *PartitionStart) error {
 	if !validPartitionDims(ps.Rows, ps.Cols) {
 		return fmt.Errorf("rpc: %spartition start %dx%d rejected", ec.spec().label, ps.Rows, ps.Cols)
 	}
-	b := &partBuild[T]{m: ec.newMatrix(ps.Rows, ps.Cols), seq: ps.Seq, remaining: ps.Rows}
+	mem := kernel.Map[T](ps.Rows * ps.Cols)
+	b := &partBuild[T]{m: ec.wrap(ps.Rows, ps.Cols, mem.Data()), mem: mem, seq: ps.Seq, remaining: ps.Rows}
 	w := l.w
 	w.mu.Lock()
 	// The master serializes transfers per connection (both element types
 	// share the per-conn transfer lock), so every build still pending when
 	// a new stream starts belongs to an abandoned transfer. Dropping them
 	// all bounds the memory pinned by aborted transfers to a single build.
-	clear(w.float.pending)
-	clear(w.exact.pending)
+	releaseAll(w.float.pending)
+	releaseAll(w.exact.pending)
 	if b.remaining == 0 {
-		l.partitions[ps.Phase] = b.m
+		release(l.partitions, ps.Phase)
+		l.partitions[ps.Phase] = b
 	} else {
 		l.pending[ps.Phase] = b
 	}
@@ -286,16 +292,35 @@ func (l *workerLane[C, T]) store(msg *Msg) error {
 		return fmt.Errorf("rpc: %schunk rows [%d,%d) carry non-canonical field elements", label, pc.Lo, pc.Hi)
 	}
 	b.remaining -= pc.Hi - pc.Lo
-	if err := w.c.sendPartitionAck(pc.Phase, b.seq); err != nil {
-		return err
-	}
 	if b.remaining <= 0 {
+		// Published before the last ack, so a Work sent once Distribute
+		// returns finds it.
 		w.mu.Lock()
-		l.partitions[pc.Phase] = b.m
+		release(l.partitions, pc.Phase)
+		l.partitions[pc.Phase] = b
 		delete(l.pending, pc.Phase)
 		w.mu.Unlock()
 	}
-	return nil
+	return w.c.sendPartitionAck(pc.Phase, b.seq)
+}
+
+// release drops phase's entry from a lane map and releases its storage.
+// The maps change under w.mu, so a handler's Retain is ordered before the
+// release, and the receive loop never waits for a sweep: the last holder
+// unmaps.
+func release[T coding.Element](m map[int]*partBuild[T], phase int) {
+	if b := m[phase]; b != nil {
+		b.mem.Release()
+		delete(m, phase)
+	}
+}
+
+// releaseAll empties a lane map, releasing every entry's storage.
+func releaseAll[T coding.Element](m map[int]*partBuild[T]) {
+	for _, b := range m {
+		b.mem.Release()
+	}
+	clear(m)
 }
 
 // dispatch hands an assignment to a concurrent handler by swapping the
@@ -325,11 +350,16 @@ func (l *workerLane[C, T]) handle(job *WorkOf[T]) {
 	w := l.w
 	defer l.works.Put(job)
 	w.mu.Lock()
-	part := l.partitions[job.Phase]
+	b := l.partitions[job.Phase]
+	if b != nil {
+		b.mem.Retain() // a PartitionDrop mid-sweep leaves the unmap to us
+	}
 	w.mu.Unlock()
-	if part == nil {
+	if b == nil {
 		return // partition not yet delivered; master will time us out
 	}
+	defer b.mem.Release()
+	part := b.m
 	_, cols := part.Dims()
 	bw := job.W
 	if len(job.X) != bw*cols {

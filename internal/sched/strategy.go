@@ -139,16 +139,25 @@ type PlanBuffer struct {
 // Next builds the next round's plan from the predicted speeds, recycling
 // the plan returned two calls ago.
 func (b *PlanBuffer) Next(s Strategy, speeds []float64) (*Plan, error) {
-	b.cur ^= 1
 	if ip, ok := s.(IntoPlanner); ok {
-		p, err := ip.PlanInto(speeds, b.plans[b.cur])
-		if err != nil {
-			return nil, err
-		}
-		b.plans[b.cur] = p
-		return p, nil
+		return b.NextInto(ip, speeds)
 	}
+	b.cur ^= 1
 	p, err := s.Plan(speeds)
+	if err != nil {
+		return nil, err
+	}
+	b.plans[b.cur] = p
+	return p, nil
+}
+
+// NextInto is Next with the strategy's IntoPlanner already resolved. A
+// caller planning with one strategy every round resolves it once: the
+// assertion in Next may allocate, about one call in a thousand, until the
+// runtime has cached its result.
+func (b *PlanBuffer) NextInto(ip IntoPlanner, speeds []float64) (*Plan, error) {
+	b.cur ^= 1
+	p, err := ip.PlanInto(speeds, b.plans[b.cur])
 	if err != nil {
 		return nil, err
 	}

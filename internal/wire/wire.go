@@ -227,6 +227,7 @@ func (w *Writer) End() error {
 // buffer. Not safe for concurrent use.
 type Reader struct {
 	r        io.Reader
+	br       io.ByteReader // r's, resolved once: the assertion may allocate
 	buf      []byte
 	pay      Payload
 	maxFrame int
@@ -237,14 +238,18 @@ type Reader struct {
 
 // NewReader returns a Reader with the DefaultMaxFrame limit.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: r, maxFrame: DefaultMaxFrame}
+	br, _ := r.(io.ByteReader)
+	return &Reader{r: r, br: br, maxFrame: DefaultMaxFrame}
 }
 
 // SetMaxFrame overrides the accepted frame-body limit.
 func (r *Reader) SetMaxFrame(n int) { r.maxFrame = n }
 
 // Reset points the Reader at a new source, keeping its buffers.
-func (r *Reader) Reset(src io.Reader) { r.r = src }
+func (r *Reader) Reset(src io.Reader) {
+	r.r = src
+	r.br, _ = src.(io.ByteReader)
+}
 
 // ReadByte reads one length-prefix byte. It exists so binary.ReadUvarint
 // can consume the prefix through the Reader itself without an adapter
@@ -253,8 +258,8 @@ func (r *Reader) Reset(src io.Reader) { r.r = src }
 //
 //s2c2:noalloc
 func (r *Reader) ReadByte() (byte, error) {
-	if br, ok := r.r.(io.ByteReader); ok {
-		return br.ReadByte()
+	if r.br != nil {
+		return r.br.ReadByte()
 	}
 	_, err := io.ReadFull(r.r, r.b[:1])
 	return r.b[0], err
