@@ -140,8 +140,8 @@ type naiveContiguous struct {
 func (s *naiveContiguous) Name() string { return "naive-contiguous" }
 func (s *naiveContiguous) NeedK() int   { return s.k }
 
-// Plan implements the broken layout.
-func (s *naiveContiguous) Plan(speeds []float64) (*sched.Plan, error) {
+// PlanInto implements the broken layout, in a fresh plan whatever dst.
+func (s *naiveContiguous) PlanInto(speeds []float64, _ *sched.Plan) (*sched.Plan, error) {
 	alloc, err := sched.AllocateChunks(speeds, s.k, s.blockRows)
 	if err != nil {
 		return nil, err

@@ -10,8 +10,8 @@
 //
 // Every kernel uses a fixed accumulation order, so results are
 // bit-identical run to run. Vector-length wrappers in avx512_amd64.go
-// handle sub-8 tails in Go; the mat-mul tile kernels instead take an
-// explicit 8-bit column mask, so partial C tiles are written with masked
+// handle sub-8 tails in Go; the batch mat-vec tile kernels instead take
+// an explicit 8-bit lane mask, so partial tiles are written with masked
 // stores rather than through zero-padded scratch tiles.
 //
 // Every kernel here runs on the backend's AVX512F/DQ/BW/VL base except

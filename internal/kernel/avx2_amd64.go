@@ -14,9 +14,9 @@ import (
 // backend, float64 results differ only by accumulated rounding (different
 // summation order and fused multiply-adds) and GF results are exact.
 
-// nrColsAVX2 is the packed-tile width of the AVX2 mat-mul micro-kernel:
-// two 4-lane YMM column blocks per C row, four C rows, so the 4×8 tile
-// lives in eight YMM accumulators across the whole kc sweep.
+// nrColsAVX2 is the packed-tile width of the AVX2 batch micro-kernel:
+// two 4-lane YMM column blocks per output row, four rows, so the 4×8
+// tile lives in eight YMM accumulators across the whole kc sweep.
 const nrColsAVX2 = 8
 
 var avx2Backend = &backendImpl{
@@ -25,7 +25,6 @@ var avx2Backend = &backendImpl{
 	axpy:             axpyVec,
 	matVecRange:      matVecRangeVec,
 	matVecRangeBatch: matVecRangeBatchVec,
-	matMulAccRange:   matMulAccRangeAVX2,
 	gfAxpy:           gfAxpyVec,
 	gfMatVec:         gfMatVecVec,
 	gfMatVecBatch:    gfMatVecBatchVec,
@@ -145,109 +144,13 @@ func matVecRangeVec(dst, a []float64, cols int, x []float64, lo, hi int) {
 	}
 }
 
-// matMulAccRangeAVX2 accumulates rows [lo, hi) of A·B into dst with the
-// same kcBlock×ncBlock cache blocking as the generic backend but 8-column
-// packed tiles feeding the 4×8 FMA micro-kernel. Edge tiles (final panel
-// columns when nc is not a multiple of 8) are computed full-width into a
-// zero-padded scratch tile and accumulated column-by-column, so the
-// assembly kernel never needs column masking.
-//
-//s2c2:noalloc
-func matMulAccRangeAVX2(dst, a []float64, k int, b []float64, n, lo, hi int) {
-	if hi <= lo || n == 0 || k == 0 {
-		return
-	}
-	buf := GetBuf(kcBlock * ncBlock)
-	defer buf.Put()
-	var edge [mrRows * nrColsAVX2]float64
-	for kk := 0; kk < k; kk += kcBlock {
-		kc := min(kcBlock, k-kk)
-		for jj := 0; jj < n; jj += ncBlock {
-			nc := min(ncBlock, n-jj)
-			packPanel8(buf.F, b, n, kk, kc, jj, nc)
-			tiles := (nc + nrColsAVX2 - 1) / nrColsAVX2
-			i := lo
-			for ; i+mrRows <= hi; i += mrRows {
-				a0 := &a[i*k+kk]
-				a1 := &a[(i+1)*k+kk]
-				a2 := &a[(i+2)*k+kk]
-				a3 := &a[(i+3)*k+kk]
-				for t := 0; t < tiles; t++ {
-					bt := &buf.F[t*kc*nrColsAVX2]
-					j := jj + t*nrColsAVX2
-					if w := nc - t*nrColsAVX2; w < nrColsAVX2 {
-						edge = [mrRows * nrColsAVX2]float64{}
-						mulTile4x8AVX2(&edge[0], nrColsAVX2, a0, a1, a2, a3, bt, kc)
-						for r := 0; r < mrRows; r++ {
-							row := dst[(i+r)*n+j : (i+r)*n+j+w]
-							for c := range row {
-								row[c] += edge[r*nrColsAVX2+c]
-							}
-						}
-					} else {
-						mulTile4x8AVX2(&dst[i*n+j], n, a0, a1, a2, a3, bt, kc)
-					}
-				}
-			}
-			for ; i < hi; i++ {
-				a0 := &a[i*k+kk]
-				for t := 0; t < tiles; t++ {
-					bt := &buf.F[t*kc*nrColsAVX2]
-					j := jj + t*nrColsAVX2
-					if w := nc - t*nrColsAVX2; w < nrColsAVX2 {
-						edge = [mrRows * nrColsAVX2]float64{}
-						mulTile1x8AVX2(&edge[0], a0, bt, kc)
-						row := dst[i*n+j : i*n+j+w]
-						for c := range row {
-							row[c] += edge[c]
-						}
-					} else {
-						mulTile1x8AVX2(&dst[i*n+j], a0, bt, kc)
-					}
-				}
-			}
-		}
-	}
-}
-
-// packPanel8 copies the B panel rows [kk,kk+kc) × cols [jj,jj+nc) into dst
-// as 8-column tiles, each tile stored kc×8 row-major, the final tile
-// zero-padded to width 8. The padded panel never exceeds kcBlock×ncBlock
-// elements because ncBlock is a multiple of 8.
-func packPanel8(dst, b []float64, n, kk, kc, jj, nc int) {
-	tiles := (nc + nrColsAVX2 - 1) / nrColsAVX2
-	for t := 0; t < tiles; t++ {
-		base := t * kc * nrColsAVX2
-		j0 := jj + t*nrColsAVX2
-		w := nc - t*nrColsAVX2
-		if w >= nrColsAVX2 {
-			for kx := 0; kx < kc; kx++ {
-				src := b[(kk+kx)*n+j0 : (kk+kx)*n+j0+nrColsAVX2]
-				copy(dst[base+kx*nrColsAVX2:base+(kx+1)*nrColsAVX2], src)
-			}
-			continue
-		}
-		for kx := 0; kx < kc; kx++ {
-			d := dst[base+kx*nrColsAVX2 : base+(kx+1)*nrColsAVX2]
-			for c := 0; c < nrColsAVX2; c++ {
-				if c < w {
-					d[c] = b[(kk+kx)*n+j0+c]
-				} else {
-					d[c] = 0
-				}
-			}
-		}
-	}
-}
-
 // matVecRangeBatchVec treats the batch as a skinny mat-mul against the
-// implicit cols×w right-hand side whose column l is x_l, driving the same
-// 4×8 FMA micro-kernels as the mat-mul backend: one sweep of A feeds up
-// to eight x-vectors per tile at full FMA throughput instead of being
-// DRAM-bound on the A stream. The x rows are packed into a zero-padded
-// kc×8 tile per lane group; lane groups narrower than eight go through a
-// zeroed scratch tile exactly like the mat-mul edge path. Each output
-// element's accumulation order is the micro-kernel's — fixed, and
+// implicit cols×w right-hand side whose column l is x_l, driving the 4×8
+// FMA micro-kernels: one sweep of A feeds up to eight x-vectors per tile
+// at full FMA throughput instead of being DRAM-bound on the A stream. The
+// x rows are packed into a zero-padded kc×8 tile per lane group; lane
+// groups narrower than eight go through a zeroed scratch tile. Each
+// output element's accumulation order is the micro-kernel's — fixed, and
 // band-invariant because rows are independent in both micro-kernels.
 //
 //s2c2:noalloc

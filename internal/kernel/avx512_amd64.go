@@ -7,7 +7,7 @@ import "math"
 // The AVX-512 backend: hand-written assembly micro-kernels using 512-bit
 // FMA accumulators and opmask registers (asm512_amd64.s), plus the Go
 // blocking/packing drivers that feed them. Where the AVX2 backend routes
-// partial mat-mul tiles through zero-padded scratch, this backend passes
+// partial batch tiles through zero-padded scratch, this backend passes
 // an explicit column mask to the tile kernels and lets EVEX masked
 // loads/stores handle the edges — no scratch tile, no store amplification.
 // The GF batch tile alone also needs AVX512-IFMA (see gfTileIFMA).
@@ -16,18 +16,14 @@ import "math"
 // float64 results differ only by accumulated rounding and GF results are
 // exact.
 
-// nrColsAVX512 is the packed-tile width of the AVX-512 mat-mul
-// micro-kernel: one 8-lane ZMM column block per C row. mrRowsAVX512 C
-// rows ride one B-tile sweep, so the 8×8 tile lives in eight ZMM
+// nrColsAVX512 is the packed-tile width of the AVX-512 batch
+// micro-kernel: one 8-lane ZMM column block per output row. mrRowsAVX512
+// rows ride one tile sweep, so the 8×8 tile lives in eight ZMM
 // accumulators. The packed-tile layout is identical to the AVX2
-// backend's, so the same packers feed both.
+// backend's, so the same packer feeds both.
 const (
 	nrColsAVX512 = nrColsAVX2
 	mrRowsAVX512 = 8
-
-	// fullTileMask is the 8-column opmask for interior tiles; edge tiles
-	// use (1<<w)-1.
-	fullTileMask = 0xFF
 )
 
 var avx512Backend = &backendImpl{
@@ -36,7 +32,6 @@ var avx512Backend = &backendImpl{
 	axpy:             axpyVec512,
 	matVecRange:      matVecRangeVec512,
 	matVecRangeBatch: matVecRangeBatchVec512,
-	matMulAccRange:   matMulAccRangeAVX512,
 	gfAxpy:           gfAxpyVec512,
 	gfMatVec:         gfMatVecVec512,
 	gfMatVecBatch:    gfMatVecBatchVec512,
@@ -145,55 +140,6 @@ func matVecRangeVec512(dst, a []float64, cols int, x []float64, lo, hi int) {
 	}
 	for ; i < hi; i++ {
 		dst[i-lo] = dotVec512(a[i*cols:(i+1)*cols], x)
-	}
-}
-
-// matMulAccRangeAVX512 accumulates rows [lo, hi) of A·B into dst with the
-// same kcBlock×ncBlock cache blocking and packed 8-column tiles as the
-// AVX2 backend, feeding the 8×8 ZMM FMA micro-kernel. Edge tiles (final
-// panel columns when nc is not a multiple of 8) pass a (1<<w)-1 column
-// mask so the kernel's opmasked C accumulate/store never touches memory
-// past the row end — no zero-padded scratch tile. Each C row's FMA chain
-// is identical in the 8-row and 1-row kernels, so banding at any row
-// boundary is bit-identical on this backend.
-//
-//s2c2:noalloc
-func matMulAccRangeAVX512(dst, a []float64, k int, b []float64, n, lo, hi int) {
-	if hi <= lo || n == 0 || k == 0 {
-		return
-	}
-	buf := GetBuf(kcBlock * ncBlock)
-	defer buf.Put()
-	for kk := 0; kk < k; kk += kcBlock {
-		kc := min(kcBlock, k-kk)
-		for jj := 0; jj < n; jj += ncBlock {
-			nc := min(ncBlock, n-jj)
-			packPanel8(buf.F, b, n, kk, kc, jj, nc)
-			tiles := (nc + nrColsAVX512 - 1) / nrColsAVX512
-			i := lo
-			for ; i+mrRowsAVX512 <= hi; i += mrRowsAVX512 {
-				for t := 0; t < tiles; t++ {
-					bt := &buf.F[t*kc*nrColsAVX512]
-					j := jj + t*nrColsAVX512
-					mask := uint64(fullTileMask)
-					if w := nc - t*nrColsAVX512; w < nrColsAVX512 {
-						mask = 1<<uint(w) - 1
-					}
-					mulTile8x8AVX512(&dst[i*n+j], n, &a[i*k+kk], k, bt, kc, mask)
-				}
-			}
-			for ; i < hi; i++ {
-				for t := 0; t < tiles; t++ {
-					bt := &buf.F[t*kc*nrColsAVX512]
-					j := jj + t*nrColsAVX512
-					mask := uint64(fullTileMask)
-					if w := nc - t*nrColsAVX512; w < nrColsAVX512 {
-						mask = 1<<uint(w) - 1
-					}
-					mulTile1x8AVX512(&dst[i*n+j], &a[i*k+kk], bt, kc, mask)
-				}
-			}
-		}
 	}
 }
 

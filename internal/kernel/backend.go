@@ -36,9 +36,6 @@ type backendImpl struct {
 	// row-major w-wide.
 	matVecRangeBatch func(dst, a []float64, cols int, xs []float64, w, lo, hi int)
 
-	// matMulAccRange accumulates rows [lo, hi) of A·B into dst.
-	matMulAccRange func(dst, a []float64, k int, b []float64, n, lo, hi int)
-
 	// gfAxpy computes dst[i] ← dst[i] + c·src[i] mod 2³¹−1 (exact; inputs
 	// fully reduced, c != 0, lengths equal).
 	gfAxpy func(dst []uint32, c uint32, src []uint32)
@@ -52,7 +49,7 @@ type backendImpl struct {
 	// row-major w-wide output, mirroring matVecRangeBatch.
 	gfMatVecBatch func(dst, a []uint32, cols int, xs []uint32, w, lo, hi int)
 
-	// chunkFlops is the per-chunk flop target the pool sizes row chunks
+	// chunkFlops is the per-chunk flop target ChunkRows sizes row chunks
 	// for: wider backends retire flops faster, so they want bigger chunks.
 	chunkFlops int
 }

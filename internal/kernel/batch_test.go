@@ -12,10 +12,44 @@ import (
 // contract distributed rounds rely on), boundary-value GF exactness
 // against a per-element reference, and the gated speedup acceptance tests.
 
+// guardedDst returns rows×w batch output storage between two guard rows
+// of -0, and the whole padded slice. A tile store that leaks past the band
+// accumulates into a guard row, and even a +0 sum (a zero-padded lane)
+// turns -0 into +0.
+func guardedDst(rows, w int) (dst, padded []float64) {
+	padded = make([]float64, (rows+2)*w)
+	for i := range padded {
+		padded[i] = math.Copysign(0, -1)
+	}
+	return padded[w : (rows+1)*w], padded
+}
+
+// guardsIntact reports whether both guard rows of a guardedDst still hold
+// -0 in every element.
+func guardsIntact(padded []float64, w int) bool {
+	n := len(padded)
+	for i := 0; i < w; i++ {
+		for _, v := range []float64{padded[i], padded[n-w+i]} {
+			if math.Float64bits(v) != math.Float64bits(math.Copysign(0, -1)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestMatVecBatchBackendsMatchReference sweeps every row residue mod 8
+// (rows 8+r, so the multi-row tiles and the single-row tail both run) and
+// every lane residue mod 8 (the masked or scratch lane tails), with guard
+// rows around dst, on every backend.
 func TestMatVecBatchBackendsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	shapes := [][2]int{{1, 1}, {3, 7}, {4, 8}, {5, 9}, {7, 16}, {9, 17}, {13, 31}, {16, 33}, {33, 129}, {5, 300}}
-	widths := []int{1, 2, 3, 4, 5, 7, 8, 9, 11, 16, 17}
+	shapes := [][2]int{{1, 1}, {3, 7}, {4, 8}, {5, 9}, {7, 16}, {13, 31}, {33, 129}, {5, 300}}
+	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 14, 16, 17}
+	for r := 1; r <= 8; r++ {
+		shapes = append(shapes, [2]int{8 + r, 2*r + 15})
+	}
+	shapes = append(shapes, [2]int{15, kcBlock + 7}) // two x-tile passes
 	for _, s := range shapes {
 		rows, cols := s[0], s[1]
 		a := randSlice(rows*cols, rng)
@@ -29,10 +63,13 @@ func TestMatVecBatchBackendsMatchReference(t *testing.T) {
 			}
 			for _, backend := range Backends() {
 				withBackend(t, backend, func() {
-					got := make([]float64, rows*w)
+					got, padded := guardedDst(rows, w)
 					MatVecRangeBatch(got, a, cols, xs, w, 0, rows)
 					if d := maxAbsDiff(got, want); d > 1e-11*float64(cols+1) {
 						t.Errorf("backend=%s %dx%d w=%d: MatVecRangeBatch max diff %g", backend, rows, cols, w, d)
+					}
+					if !guardsIntact(padded, w) {
+						t.Errorf("backend=%s %dx%d w=%d: guard row clobbered", backend, rows, cols, w)
 					}
 					// Every lane must match the same backend's result for that
 					// lane computed alone — within rounding (the avx2 batch
@@ -58,17 +95,31 @@ func TestMatVecBatchBackendsMatchReference(t *testing.T) {
 // callers rely on: splitting a batched sweep at arbitrary row boundaries
 // must be bit-identical to the unbanded call on the same backend (workers
 // band rows across a pool; the decoded round compares exactly against an
-// unbanded local computation).
+// unbanded local computation). The nan case puts a 0·Inf term in row 3,
+// which the unbanded call runs through a multi-row tile and band 1
+// through the single-row kernel: both must produce the same NaN, and the
+// Inf must not spill into a zero-padded lane of the next row.
 func TestMatVecBatchBandInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	const rows, cols = 23, 67
-	for _, w := range []int{1, 3, 8, 12} {
+	for _, c := range []struct {
+		w   int
+		nan bool
+	}{{1, false}, {3, false}, {8, false}, {12, false}, {3, true}, {12, true}} {
+		w := c.w
 		a := randSlice(rows*cols, rng)
 		xs := randSlice(w*cols, rng)
+		if c.nan {
+			a[3*cols+5] = math.Inf(1)
+			xs[5] = 0 // lane 0: 0·Inf → NaN in row 3
+		}
 		for _, backend := range Backends() {
 			withBackend(t, backend, func() {
 				whole := make([]float64, rows*w)
 				MatVecRangeBatch(whole, a, cols, xs, w, 0, rows)
+				if c.nan && !math.IsNaN(whole[3*w]) {
+					t.Fatalf("backend=%s w=%d: row 3 lane 0 = %v, want the 0·Inf NaN", backend, w, whole[3*w])
+				}
 				for _, band := range []int{1, 2, 3, 5, 7, 16} {
 					banded := make([]float64, rows*w)
 					for lo := 0; lo < rows; lo += band {
@@ -85,6 +136,52 @@ func TestMatVecBatchBandInvariant(t *testing.T) {
 			})
 		}
 	}
+}
+
+// FuzzMatVecBatchBackends drives the batch sweep's tile kernels over
+// fuzzed shapes — rows below 16 (both tile heights and the single-row
+// tail), cols up to past kcBlock (a second x-tile pass), 1–17 lanes (a
+// full and a partial lane group) — and values that include NaN and ±Inf,
+// against dotRef per output, with guard rows around dst.
+func FuzzMatVecBatchBackends(f *testing.F) {
+	f.Add(uint8(9), uint16(13), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(15), uint16(kcBlock+3), uint8(13), []byte{0xFE, 1, 2, 3, 0xFD, 9})
+	f.Add(uint8(6), uint16(17), uint8(5), []byte{0xFF, 4, 3, 2, 1})
+	f.Fuzz(func(t *testing.T, r8 uint8, c16 uint16, w8 uint8, data []byte) {
+		rows, cols, w := int(r8%16), int(c16%(kcBlock+40)), 1+int(w8%17)
+		if len(data) == 0 {
+			t.Skip()
+		}
+		at := func(i int) float64 { return fuzzByteToFloat(data[i%len(data)]) }
+		a := make([]float64, rows*cols)
+		xs := make([]float64, w*cols)
+		for i := range a {
+			a[i] = at(i)
+		}
+		for i := range xs {
+			xs[i] = at(i + len(a))
+		}
+		want := make([]float64, rows*w)
+		for i := 0; i < rows; i++ {
+			for l := 0; l < w; l++ {
+				want[i*w+l] = dotRef(a[i*cols:(i+1)*cols], xs[l*cols:(l+1)*cols])
+			}
+		}
+		for _, backend := range Backends() {
+			withBackend(t, backend, func() {
+				got, padded := guardedDst(rows, w)
+				MatVecRangeBatch(got, a, cols, xs, w, 0, rows)
+				for i := range got {
+					if !floatsEquivalent(got[i], want[i], 1e-9*float64(cols+1)) {
+						t.Errorf("backend=%s rows=%d cols=%d w=%d i=%d: %v want %v", backend, rows, cols, w, i, got[i], want[i])
+					}
+				}
+				if !guardsIntact(padded, w) {
+					t.Errorf("backend=%s rows=%d cols=%d w=%d: guard row clobbered", backend, rows, cols, w)
+				}
+			})
+		}
+	})
 }
 
 // gfDotRef is the per-element scalar reference the dot-lane kernel must

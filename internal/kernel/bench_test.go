@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// Kernel-layer micro-benchmarks: blocked vs naive compute kernels, and the
+// Kernel-layer micro-benchmarks: dispatched vs naive mat-vec, and the
 // persistent pool vs the spawn-goroutines-per-call pattern it replaced.
 // Run with:
 //
@@ -51,21 +51,6 @@ func BenchmarkMatVecRangeShapes(b *testing.B) {
 	}
 }
 
-func benchMatMul(b *testing.B, size int, f func(dst, a []float64, m, k int, bb []float64, n int)) {
-	rng := rand.New(rand.NewSource(2))
-	a, bb := randSlice(size*size, rng), randSlice(size*size, rng)
-	dst := make([]float64, size*size)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f(dst, a, size, size, bb, size)
-	}
-}
-
-func BenchmarkMatMulBlocked256(b *testing.B)  { benchMatMul(b, 256, MatMul) }
-func BenchmarkMatMulNaive256(b *testing.B)    { benchMatMul(b, 256, naiveMatMul) }
-func BenchmarkMatMulBlocked1024(b *testing.B) { benchMatMul(b, 1024, MatMul) }
-func BenchmarkMatMulNaive1024(b *testing.B)   { benchMatMul(b, 1024, naiveMatMul) }
-
 // spawnMatVec is the pre-refactor parallel pattern: fresh goroutines and a
 // WaitGroup per call.
 func spawnMatVec(dst, a []float64, rows, cols int, x []float64, workers int) {
@@ -95,10 +80,11 @@ func BenchmarkParallelMatVecPooled(b *testing.B) {
 	a, x := randSlice(rows*cols, rng), randSlice(cols, rng)
 	dst := make([]float64, rows)
 	p := Default()
+	band, chunk := matVecBand(dst, a, cols, x), ChunkRows(2*cols)
 	b.SetBytes(8 * rows * cols)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.MatVec(dst, a, rows, cols, x, 0)
+		p.ForMax(rows, chunk, 0, band)
 	}
 }
 

@@ -43,13 +43,3 @@ func (e Exec) Workers() int {
 func (e Exec) For(total, minChunk int, fn func(lo, hi int)) {
 	e.pool().ForMax(total, minChunk, e.MaxFan, fn)
 }
-
-// MatVec computes dst = A·x (A rows×cols row-major) on the Exec's pool.
-func (e Exec) MatVec(dst, a []float64, rows, cols int, x []float64) {
-	e.pool().MatVec(dst, a, rows, cols, x, e.MaxFan)
-}
-
-// MatMul computes dst = A·B (A m×k, B k×n row-major) on the Exec's pool.
-func (e Exec) MatMul(dst, a []float64, m, k int, b []float64, n int) {
-	e.pool().MatMul(dst, a, m, k, b, n, e.MaxFan)
-}

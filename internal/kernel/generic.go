@@ -11,7 +11,6 @@ var genericBackend = &backendImpl{
 	axpy:             axpyGeneric,
 	matVecRange:      matVecRangeGeneric,
 	matVecRangeBatch: matVecRangeBatchGeneric,
-	matMulAccRange:   matMulAccRangeGeneric,
 	gfAxpy:           gfAxpyGeneric,
 	gfMatVec:         gfMatVecGeneric,
 	gfMatVecBatch:    gfMatVecBatchGeneric,
@@ -68,171 +67,6 @@ func matVecRangeBatchGeneric(dst, a []float64, cols int, xs []float64, w, lo, hi
 		for l := 0; l < w; l++ {
 			out[l] = dotGeneric(row, xs[l*cols:(l+1)*cols])
 		}
-	}
-}
-
-// matMulAccRangeGeneric accumulates rows [lo, hi) of A·B into dst.
-//
-// Each kcBlock×ncBlock panel of B is packed once into contiguous 4-column
-// tiles (GotoBLAS-style), so the 4×4 register micro-kernel streams both A
-// and the packed panel sequentially. The pack buffer is pooled.
-//
-//s2c2:noalloc
-func matMulAccRangeGeneric(dst, a []float64, k int, b []float64, n, lo, hi int) {
-	if hi <= lo {
-		return
-	}
-	buf := GetBuf(kcBlock * ncBlock)
-	defer buf.Put()
-	for kk := 0; kk < k; kk += kcBlock {
-		kc := kcBlock
-		if kk+kc > k {
-			kc = k - kk
-		}
-		for jj := 0; jj < n; jj += ncBlock {
-			nc := ncBlock
-			if jj+nc > n {
-				nc = n - jj
-			}
-			packPanel(buf.F, b, n, kk, kc, jj, nc)
-			i := lo
-			for ; i+mrRows <= hi; i += mrRows {
-				mulPanel4(dst, a, buf.F, i, k, n, kk, kc, jj, nc)
-			}
-			for ; i < hi; i++ {
-				mulPanel1(dst, a, buf.F, i, k, n, kk, kc, jj, nc)
-			}
-		}
-	}
-}
-
-// packPanel copies the B panel rows [kk,kk+kc) × cols [jj,jj+nc) into dst
-// as 4-column tiles, each tile stored kc×4 row-major. The final tile is
-// zero-padded to width 4 so the micro-kernel needs no column masking.
-func packPanel(dst, b []float64, n, kk, kc, jj, nc int) {
-	tiles := (nc + nrCols - 1) / nrCols
-	for t := 0; t < tiles; t++ {
-		base := t * kc * nrCols
-		j0 := jj + t*nrCols
-		w := nc - t*nrCols
-		if w >= nrCols {
-			for kx := 0; kx < kc; kx++ {
-				src := b[(kk+kx)*n+j0 : (kk+kx)*n+j0+4 : (kk+kx)*n+j0+4]
-				d := dst[base+kx*4 : base+kx*4+4 : base+kx*4+4]
-				d[0], d[1], d[2], d[3] = src[0], src[1], src[2], src[3]
-			}
-			continue
-		}
-		for kx := 0; kx < kc; kx++ {
-			d := dst[base+kx*4 : base+kx*4+4]
-			for c := 0; c < nrCols; c++ {
-				if c < w {
-					d[c] = b[(kk+kx)*n+j0+c]
-				} else {
-					d[c] = 0
-				}
-			}
-		}
-	}
-}
-
-// mulPanel4 accumulates the (4 × [jj,jj+nc)) block of C rows i..i+3 from
-// the packed B panel (kc rows). The 4×4 micro-kernel keeps its C block in
-// sixteen register accumulators, so C is loaded and stored once per panel
-// and both A and the packed panel stream sequentially.
-func mulPanel4(c, a, packed []float64, i, k, n, kk, kc, jj, nc int) {
-	a0 := a[i*k+kk : i*k+kk+kc]
-	a1 := a[(i+1)*k+kk : (i+1)*k+kk+kc]
-	a2 := a[(i+2)*k+kk : (i+2)*k+kk+kc]
-	a3 := a[(i+3)*k+kk : (i+3)*k+kk+kc]
-	tiles := (nc + nrCols - 1) / nrCols
-	for t := 0; t < tiles; t++ {
-		bt := packed[t*kc*4 : (t+1)*kc*4]
-		var c00, c01, c02, c03 float64
-		var c10, c11, c12, c13 float64
-		var c20, c21, c22, c23 float64
-		var c30, c31, c32, c33 float64
-		for kx := 0; kx < kc; kx++ {
-			brow := bt[kx*4 : kx*4+4 : kx*4+4]
-			b0, b1, b2, b3 := brow[0], brow[1], brow[2], brow[3]
-			av := a0[kx]
-			c00 += av * b0
-			c01 += av * b1
-			c02 += av * b2
-			c03 += av * b3
-			av = a1[kx]
-			c10 += av * b0
-			c11 += av * b1
-			c12 += av * b2
-			c13 += av * b3
-			av = a2[kx]
-			c20 += av * b0
-			c21 += av * b1
-			c22 += av * b2
-			c23 += av * b3
-			av = a3[kx]
-			c30 += av * b0
-			c31 += av * b1
-			c32 += av * b2
-			c33 += av * b3
-		}
-		j := jj + t*nrCols
-		w := nc - t*nrCols
-		if w > nrCols {
-			w = nrCols
-		}
-		store4(c[i*n+j:i*n+j+w], w, c00, c01, c02, c03)
-		store4(c[(i+1)*n+j:(i+1)*n+j+w], w, c10, c11, c12, c13)
-		store4(c[(i+2)*n+j:(i+2)*n+j+w], w, c20, c21, c22, c23)
-		store4(c[(i+3)*n+j:(i+3)*n+j+w], w, c30, c31, c32, c33)
-	}
-}
-
-// store4 accumulates up to four register values into a C row fragment.
-func store4(dst []float64, w int, v0, v1, v2, v3 float64) {
-	switch w {
-	case 4:
-		dst[0] += v0
-		dst[1] += v1
-		dst[2] += v2
-		dst[3] += v3
-	case 3:
-		dst[0] += v0
-		dst[1] += v1
-		dst[2] += v2
-	case 2:
-		dst[0] += v0
-		dst[1] += v1
-	case 1:
-		dst[0] += v0
-	}
-}
-
-// mulPanel1 is the tail micro-kernel for a single C row over the packed
-// panel: one row of register accumulators per 4-column tile. It must not
-// skip zero A terms: mulPanel4 accumulates them, and a row's result has
-// to be identical whichever micro-kernel a band boundary routes it to
-// (0·Inf produces NaN in both or neither).
-func mulPanel1(c, a, packed []float64, i, k, n, kk, kc, jj, nc int) {
-	a0 := a[i*k+kk : i*k+kk+kc]
-	tiles := (nc + nrCols - 1) / nrCols
-	for t := 0; t < tiles; t++ {
-		bt := packed[t*kc*4 : (t+1)*kc*4]
-		var c0, c1, c2, c3 float64
-		for kx := 0; kx < kc; kx++ {
-			av := a0[kx]
-			brow := bt[kx*4 : kx*4+4 : kx*4+4]
-			c0 += av * brow[0]
-			c1 += av * brow[1]
-			c2 += av * brow[2]
-			c3 += av * brow[3]
-		}
-		j := jj + t*nrCols
-		w := nc - t*nrCols
-		if w > nrCols {
-			w = nrCols
-		}
-		store4(c[i*n+j:i*n+j+w], w, c0, c1, c2, c3)
 	}
 }
 

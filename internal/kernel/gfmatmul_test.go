@@ -3,14 +3,13 @@ package kernel
 import (
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // Tests for the exact GF(2³¹−1) mat-mul accumulate the GF decode runs
-// (rows of A·B as k GFAxpyMod31 sweeps) and the masked-tail paths of the
+// (rows of A·B as k GFAxpyMod31 sweeps) and its masked-tail paths on the
 // AVX-512 backend: cross-backend exactness over shapes straddling every
-// 8-lane boundary, fold-bound stress at c = P−1, fuzz harnesses, and the
-// gated avx512 speedup acceptance tests.
+// 8-lane boundary, fold-bound stress at c = P−1, a fuzz harness, and the
+// gated avx512 decode-solve speedup test.
 
 // gfMatMulAcc accumulates rows [lo, hi) of A·B over GF(2³¹−1) into
 // band-relative dst (dst[(i-lo)*n+j] += Σ_t A[i,t]·B[t,j]) as k
@@ -141,77 +140,6 @@ func TestGFMatMulFoldBounds(t *testing.T) {
 	}
 }
 
-// TestMatMulMaskedTailBoundaries sweeps every row and column residue mod
-// 8 through the float64 mat-mul: on the AVX-512 backend these land in the
-// opmasked C tail paths (column mask (1<<w)-1, single-row kernel), which
-// must neither read nor write past the row end nor disagree with the
-// naive reference.
-func TestMatMulMaskedTailBoundaries(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	for mres := 1; mres <= 8; mres++ {
-		for nres := 1; nres <= 8; nres++ {
-			m, n := 8+mres, 16+nres
-			k := 2*mres + nres // odd sizes straddle the packers too
-			a, b := randSlice(m*k, rng), randSlice(k*n, rng)
-			want := make([]float64, m*n)
-			naiveMatMul(want, a, m, k, b, n)
-			for _, backend := range Backends() {
-				withBackend(t, backend, func() {
-					// Guard rows around dst catch masked stores that leak
-					// past the band.
-					padded := randSlice((m+2)*n, rng)
-					guard := append([]float64(nil), padded...)
-					got := padded[n : (m+1)*n]
-					Zero(got)
-					active.Load().matMulAccRange(got, a, k, b, n, 0, m)
-					if d := maxAbsDiff(got, want); d > 1e-9*float64(k+1) {
-						t.Errorf("backend=%s m=%d k=%d n=%d: max diff %g", backend, m, k, n, d)
-					}
-					for i := 0; i < n; i++ {
-						if padded[i] != guard[i] || padded[(m+1)*n+i] != guard[(m+1)*n+i] {
-							t.Fatalf("backend=%s m=%d k=%d n=%d: guard row clobbered at %d", backend, m, k, n, i)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-func FuzzMatMulAccRangeBackends(f *testing.F) {
-	f.Add(uint8(3), uint8(4), uint8(5), []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(uint8(9), uint8(7), uint8(9), []byte{0xFF, 1, 2, 3})
-	f.Add(uint8(8), uint8(1), uint8(16), []byte{0xFE, 0xFD, 9, 9, 9})
-	f.Fuzz(func(t *testing.T, m8, k8, n8 uint8, data []byte) {
-		m, k, n := int(m8%16), int(k8%16), int(n8%24)
-		if len(data) == 0 {
-			t.Skip()
-		}
-		at := func(i int) float64 { return fuzzByteToFloat(data[i%len(data)]) }
-		a := make([]float64, m*k)
-		b := make([]float64, k*n)
-		for i := range a {
-			a[i] = at(i)
-		}
-		for i := range b {
-			b[i] = at(i + len(a))
-		}
-		want := make([]float64, m*n)
-		naiveMatMul(want, a, m, k, b, n)
-		for _, backend := range Backends() {
-			withBackend(t, backend, func() {
-				got := make([]float64, m*n)
-				active.Load().matMulAccRange(got, a, k, b, n, 0, m)
-				for i := range got {
-					if !floatsEquivalent(got[i], want[i], 1e-9*float64(k+1)) {
-						t.Errorf("backend=%s m=%d k=%d n=%d i=%d: %v want %v", backend, m, k, n, i, got[i], want[i])
-					}
-				}
-			})
-		}
-	})
-}
-
 func FuzzGFMatMulBackends(f *testing.F) {
 	f.Add(uint8(2), uint8(3), uint8(4), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(12), uint8(12), uint8(9), []byte{0xFF, 0xFF, 0xFF, 0xFF})
@@ -275,37 +203,6 @@ func skipUnlessAVX512Dispatched(t *testing.T) {
 	}
 	if ActiveBackend() != "avx512" {
 		t.Skipf("dispatched backend is %q, not avx512 (backends: %v)", ActiveBackend(), Backends())
-	}
-}
-
-// TestMatMulAVX512Speedup asserts the tentpole acceptance criterion: the
-// avx512 MatMul at least 1.3× over the avx2 backend at 1024³ (eight-row
-// ZMM tiles with embedded-broadcast FMAs versus the 4×8 YMM kernel).
-func TestMatMulAVX512Speedup(t *testing.T) {
-	skipUnlessAVX512Dispatched(t)
-	const size = 1024
-	rng := rand.New(rand.NewSource(63))
-	a, b := randSlice(size*size, rng), randSlice(size*size, rng)
-	dst := make([]float64, size*size)
-	mm := func() { MatMul(dst, a, size, size, b, size) }
-	avx2, avx512 := onBackend(t, "avx2", 1, mm), onBackend(t, "avx512", 1, mm)
-	// Paired trials, best ratio: other test binaries share this machine,
-	// and back-to-back runs see the same contention, so the ratio within
-	// a pair is far more stable than two independently-timed bests. One
-	// untimed warm run per backend first (page-in, 512-bit power-up).
-	avx2()
-	avx512()
-	best, bestA2, bestA5 := 0.0, time.Duration(0), time.Duration(0)
-	for trial := 0; trial < 5; trial++ {
-		a2 := avx2()
-		a5 := avx512()
-		if r := float64(a2) / float64(a5); r > best {
-			best, bestA2, bestA5 = r, a2, a5
-		}
-	}
-	t.Logf("MatMul %d³: avx2 %v, avx512 %v (%.2fx, best of 5 paired trials)", size, bestA2, bestA5, best)
-	if best < 1.3 {
-		t.Fatalf("avx512 MatMul only %.2fx over avx2, want >= 1.3x", best)
 	}
 }
 

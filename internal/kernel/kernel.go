@@ -1,5 +1,5 @@
 // Package kernel is the shared compute substrate of the S2C2 stack: flat
-// float64 kernels (dot, axpy, mat-vec, cache-blocked mat-mul), the
+// float64 kernels (dot, axpy, mat-vec, batched mat-vec), the
 // GF(2³¹−1) mul-accumulate lane kernel, a persistent sized worker pool for
 // band-parallel execution, and sync.Pool-backed workspace buffers.
 //
@@ -27,18 +27,14 @@
 // kernels are safe for concurrent use on disjoint destinations.
 package kernel
 
-// Register blocking and cache blocking parameters.
-//
-// The generic mat-mul micro-kernel computes 4 rows of C per sweep over a B
-// panel, cutting B traffic 4× versus the naive row-at-a-time loop. Panels
-// of kcBlock B-rows by ncBlock columns (512 KiB at the defaults) are sized
-// to stay resident in L2 across the sweep. The AVX2 backend shares the
-// panel dimensions but packs 8-column tiles (see avx2_amd64.go).
+// Register and cache blocking of the vector backends' batch sweep
+// (matVecRangeBatch): a multi-row tile kernel covers mrRows rows on the
+// AVX2 backend (the AVX-512 tile takes eight), and the x-vectors are
+// packed kcBlock columns at a time into one kcBlock×8 tile, 16 KiB, which
+// stays L1-resident across the rows of a band.
 const (
-	mrRows  = 4   // micro-kernel C rows
-	nrCols  = 4   // generic micro-kernel C cols
-	kcBlock = 256 // B panel rows (shared dim block)
-	ncBlock = 256 // B panel cols
+	mrRows  = 4   // AVX2 tile rows
+	kcBlock = 256 // packed x-tile columns (shared dim block)
 )
 
 // Dot returns the inner product of x and y (lengths must match).
@@ -101,26 +97,6 @@ func MatVecRange(dst, a []float64, cols int, x []float64, lo, hi int) {
 //s2c2:noalloc
 func MatVecRangeBatch(dst, a []float64, cols int, xs []float64, w, lo, hi int) {
 	active.Load().matVecRangeBatch(dst, a, cols, xs, w, lo, hi)
-}
-
-// MatMul computes dst = A·B for row-major A (m×k) and B (k×n), overwriting
-// dst (m×n). The loop nest is cache-blocked (kcBlock×ncBlock B panels) and
-// register-blocked (a backend-specific micro-kernel per panel sweep).
-//
-//s2c2:noalloc
-func MatMul(dst, a []float64, m, k int, b []float64, n int) {
-	Zero(dst[:m*n])
-	active.Load().matMulAccRange(dst, a, k, b, n, 0, m)
-}
-
-// MatMulRange computes rows [lo, hi) of dst = A·B, overwriting those rows.
-// Bands are independent, so disjoint row ranges may run concurrently.
-//
-//s2c2:noalloc
-func MatMulRange(dst, a []float64, m, k int, b []float64, n int, lo, hi int) {
-	_ = m
-	Zero(dst[lo*n : hi*n])
-	active.Load().matMulAccRange(dst, a, k, b, n, lo, hi)
 }
 
 // GFAxpyMod31 computes dst[i] ← dst[i] + c·src[i] over GF(2³¹−1), the

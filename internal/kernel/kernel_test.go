@@ -26,20 +26,6 @@ func naiveMatVec(dst, a []float64, rows, cols int, x []float64) {
 	}
 }
 
-func naiveMatMul(dst, a []float64, m, k int, b []float64, n int) {
-	for i := range dst[:m*n] {
-		dst[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		for kx := 0; kx < k; kx++ {
-			av := a[i*k+kx]
-			for j := 0; j < n; j++ {
-				dst[i*n+j] += av * b[kx*n+j]
-			}
-		}
-	}
-}
-
 func maxAbsDiff(x, y []float64) float64 {
 	d := 0.0
 	for i := range x {
@@ -92,45 +78,6 @@ func TestMatVecRangeMatchesFull(t *testing.T) {
 				t.Fatalf("range [%d,%d) mismatch", lo, hi)
 			}
 		}
-	}
-}
-
-func TestMatMulMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	// Shapes straddling every blocking boundary: micro-kernel tails,
-	// kc/nc panel edges, degenerate dims.
-	shapes := [][3]int{
-		{1, 1, 1}, {4, 4, 4}, {5, 3, 2}, {3, 200, 300},
-		{64, 64, 64}, {65, 129, 257}, {130, 128, 256}, {0, 4, 4}, {4, 0, 4},
-	}
-	for _, s := range shapes {
-		m, k, n := s[0], s[1], s[2]
-		a, b := randSlice(m*k, rng), randSlice(k*n, rng)
-		got, want := make([]float64, m*n), make([]float64, m*n)
-		MatMul(got, a, m, k, b, n)
-		naiveMatMul(want, a, m, k, b, n)
-		if maxAbsDiff(got, want) > 1e-9 {
-			t.Fatalf("%dx%dx%d: MatMul mismatch (max diff %g)", m, k, n, maxAbsDiff(got, want))
-		}
-	}
-}
-
-func TestMatMulRangeBandsCompose(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m, k, n := 31, 40, 27
-	a, b := randSlice(m*k, rng), randSlice(k*n, rng)
-	want := make([]float64, m*n)
-	MatMul(want, a, m, k, b, n)
-	got := make([]float64, m*n)
-	for lo := 0; lo < m; lo += 9 {
-		hi := lo + 9
-		if hi > m {
-			hi = m
-		}
-		MatMulRange(got, a, m, k, b, n, lo, hi)
-	}
-	if maxAbsDiff(got, want) > 1e-10 {
-		t.Fatal("banded MatMulRange disagrees with full MatMul")
 	}
 }
 

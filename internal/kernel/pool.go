@@ -7,9 +7,10 @@ import (
 )
 
 // Pool is a persistent band-parallel executor: a fixed set of goroutines
-// that execute row bands of kernel operations. It replaces the
-// spawn-goroutines-per-call pattern — a steady-state dispatch performs no
-// allocation and no goroutine creation.
+// that run row bands of a func(lo, hi int) job (For, ForMax). It replaces
+// the spawn-goroutines-per-call pattern — a steady-state dispatch performs
+// no allocation and no goroutine creation when the caller builds its
+// closure once.
 //
 // Work is distributed by atomic chunk-stealing: each participant grabs the
 // next chunk of rows until the range is exhausted, so uneven per-row cost
@@ -22,25 +23,9 @@ type Pool struct {
 	jobs    sync.Pool
 }
 
-// opCode selects the typed operation a job runs. Typed operands (rather
-// than closures) keep dispatch allocation-free.
-type opCode uint8
-
-const (
-	opFn opCode = iota
-	opMatVec
-	opMatMul
-)
-
 type job struct {
-	op   opCode
-	fn   func(lo, hi int) // opFn only; closure allocation is the caller's
-	a, b []float64
-	dst  []float64
-	x    []float64
-	k, n int // matmul inner dim / B cols; n doubles as matvec cols
-
-	total int // row count being split
+	fn    func(lo, hi int) // closure allocation is the caller's
+	total int              // row count being split
 	chunk int
 	next  atomic.Int64
 	// pending counts fanned-out channel copies not yet completed; whoever
@@ -123,18 +108,6 @@ func (j *job) run() {
 		if hi > j.total {
 			hi = j.total
 		}
-		j.exec(lo, hi)
-	}
-}
-
-//s2c2:noalloc
-func (j *job) exec(lo, hi int) {
-	switch j.op {
-	case opMatVec:
-		MatVecRange(j.dst[lo:hi], j.a, j.n, j.x, lo, hi)
-	case opMatMul:
-		MatMulRange(j.dst, j.a, j.total, j.k, j.b, j.n, lo, hi)
-	default:
 		j.fn(lo, hi)
 	}
 }
@@ -174,10 +147,9 @@ func (p *Pool) dispatch(j *job, fan int) {
 		case <-j.done:
 		}
 	}
-	// Drop slice references before pooling (fields reset individually —
-	// the struct embeds atomics and must not be copied).
+	// Drop the closure before pooling (the struct embeds atomics and must
+	// not be copied, so fields reset individually).
 	j.fn = nil
-	j.a, j.b, j.dst, j.x = nil, nil, nil, nil
 	p.jobs.Put(j)
 }
 
@@ -199,73 +171,9 @@ func (p *Pool) newJob() *job {
 	return j
 }
 
-// chunkFor sizes chunks so each is roughly the active backend's per-chunk
-// flop target (vector backends retire flops faster, so they want bigger
-// chunks) but the range still splits into a few chunks per participant
-// for load balancing.
-func chunkFor(total, rowCost, fan int) int {
-	chunk := active.Load().chunkFlops / rowCost
-	if balanced := total / (4 * fan); balanced > 0 && chunk > balanced {
-		chunk = balanced
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	return chunk
-}
-
-// MatVec computes dst = A·x (A rows×cols row-major) across the pool.
-// maxFan <= 0 uses every worker. Steady state performs zero allocations.
-//
-//s2c2:noalloc
-func (p *Pool) MatVec(dst, a []float64, rows, cols int, x []float64, maxFan int) {
-	if rows == 0 {
-		return
-	}
-	fan := p.clampFan(maxFan)
-	if rows*cols < 1<<14 || fan == 1 {
-		MatVec(dst, a, rows, cols, x)
-		return
-	}
-	j := p.newJob()
-	j.op = opMatVec
-	j.a, j.x, j.dst = a, x, dst
-	j.n = cols
-	j.total = rows
-	j.chunk = chunkFor(rows, 2*cols, fan)
-	p.dispatch(j, fan)
-}
-
-// MatMul computes dst = A·B (A m×k, B k×n, dst m×n row-major) across the
-// pool using the cache-blocked kernel per band.
-//
-//s2c2:noalloc
-func (p *Pool) MatMul(dst, a []float64, m, k int, b []float64, n int, maxFan int) {
-	if m == 0 || n == 0 {
-		Zero(dst[:m*n])
-		return
-	}
-	fan := p.clampFan(maxFan)
-	if m*k*n < 1<<16 || fan == 1 {
-		MatMul(dst, a, m, k, b, n)
-		return
-	}
-	j := p.newJob()
-	j.op = opMatMul
-	j.a, j.b, j.dst = a, b, dst
-	j.k, j.n = k, n
-	j.total = m
-	// Few large bands: every band packs the B panels it touches, so small
-	// chunks would duplicate packing work (and defeat register blocking).
-	j.chunk = (m + 2*fan - 1) / (2 * fan)
-	if j.chunk < mrRows {
-		j.chunk = mrRows
-	}
-	p.dispatch(j, fan)
-}
-
 // For runs fn over [0, total) in parallel chunks of at least minChunk rows.
-// The closure may allocate; use the typed operations on hot paths.
+// Building fn may allocate; a hot path builds its closure once and reuses
+// it, so that each dispatch allocates nothing.
 //
 //s2c2:noalloc
 func (p *Pool) For(total, minChunk int, fn func(lo, hi int)) {
@@ -289,7 +197,6 @@ func (p *Pool) ForMax(total, minChunk, maxFan int, fn func(lo, hi int)) {
 		return
 	}
 	j := p.newJob()
-	j.op = opFn
 	j.fn = fn
 	j.total = total
 	j.chunk = minChunk

@@ -8,6 +8,12 @@ import (
 	"time"
 )
 
+// matVecBand returns the job a pool participant runs for dst = A·x: rows
+// [lo, hi) through MatVecRange, the way every product caller fans out.
+func matVecBand(dst, a []float64, cols int, x []float64) func(lo, hi int) {
+	return func(lo, hi int) { MatVecRange(dst[lo:hi], a, cols, x, lo, hi) }
+}
+
 func TestPoolMatVecMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	p := NewPool(4)
@@ -17,9 +23,9 @@ func TestPoolMatVecMatchesSerial(t *testing.T) {
 		want := make([]float64, rows)
 		MatVec(want, a, rows, cols, x)
 		got := make([]float64, rows)
-		p.MatVec(got, a, rows, cols, x, 0)
+		p.ForMax(rows, 8, 0, matVecBand(got, a, cols, x))
 		if maxAbsDiff(got, want) > 1e-12 {
-			t.Fatalf("rows=%d: pool MatVec mismatch", rows)
+			t.Fatalf("rows=%d: pooled MatVecRange bands mismatch", rows)
 		}
 	}
 }
@@ -33,25 +39,9 @@ func TestPoolMatVecFanLimit(t *testing.T) {
 	MatVec(want, a, rows, cols, x)
 	for _, fan := range []int{1, 2, 100} {
 		got := make([]float64, rows)
-		p.MatVec(got, a, rows, cols, x, fan)
+		p.ForMax(rows, 8, fan, matVecBand(got, a, cols, x))
 		if maxAbsDiff(got, want) > 1e-12 {
 			t.Fatalf("fan=%d: mismatch", fan)
-		}
-	}
-}
-
-func TestPoolMatMulMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	p := NewPool(3)
-	for _, s := range [][3]int{{1, 1, 1}, {5, 7, 3}, {100, 64, 50}, {129, 65, 127}} {
-		m, k, n := s[0], s[1], s[2]
-		a, b := randSlice(m*k, rng), randSlice(k*n, rng)
-		want := make([]float64, m*n)
-		MatMul(want, a, m, k, b, n)
-		got := make([]float64, m*n)
-		p.MatMul(got, a, m, k, b, n, 0)
-		if maxAbsDiff(got, want) > 1e-10 {
-			t.Fatalf("%v: pool MatMul mismatch", s)
 		}
 	}
 }
@@ -124,9 +114,9 @@ func TestPoolNestedDispatchDoesNotDeadlock(t *testing.T) {
 		p.For(4, 1, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				got := make([]float64, rows)
-				p.MatVec(got, a, rows, cols, x, 0) // nested: must not deadlock
+				p.ForMax(rows, 8, 0, matVecBand(got, a, cols, x)) // nested: must not deadlock
 				if maxAbsDiff(got, want) > 1e-12 {
-					panic("nested MatVec mismatch")
+					panic("nested MatVecRange bands mismatch")
 				}
 			}
 		})
@@ -140,15 +130,18 @@ func TestPoolDispatchZeroAllocSteadyState(t *testing.T) {
 	rows, cols := 512, 64
 	a, x := randSlice(rows*cols, rng), randSlice(cols, rng)
 	dst := make([]float64, rows)
+	// The closure is built once, as a hot path builds it: dispatch itself
+	// must allocate nothing.
+	band := matVecBand(dst, a, cols, x)
 	// Warm the job pool.
 	for i := 0; i < 8; i++ {
-		p.MatVec(dst, a, rows, cols, x, 0)
+		p.ForMax(rows, 8, 0, band)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		p.MatVec(dst, a, rows, cols, x, 0)
+		p.ForMax(rows, 8, 0, band)
 	})
 	if allocs != 0 {
-		t.Fatalf("pooled MatVec allocates %v/op in steady state, want 0", allocs)
+		t.Fatalf("pooled ForMax dispatch allocates %v/op in steady state, want 0", allocs)
 	}
 }
 
@@ -158,7 +151,7 @@ func TestPoolCloseStopsWorkers(t *testing.T) {
 	rows, cols := 200, 90
 	a, x := randSlice(rows*cols, rng), randSlice(cols, rng)
 	dst := make([]float64, rows)
-	p.MatVec(dst, a, rows, cols, x, 0)
+	p.ForMax(rows, 8, 0, matVecBand(dst, a, cols, x))
 	before := runtime.NumGoroutine()
 	p.Close()
 	deadline := time.Now().Add(5 * time.Second)

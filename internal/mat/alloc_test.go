@@ -29,20 +29,6 @@ func TestMatVecRowsIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestMatMulIntoSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	a := Rand(64, 64, rng)
-	b := Rand(64, 64, rng)
-	c := New(64, 64)
-	// Warm the kernel's pack-buffer pool.
-	for i := 0; i < 4; i++ {
-		MatMulInto(a, b, c)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { MatMulInto(a, b, c) }); allocs != 0 {
-		t.Fatalf("MatMulInto allocates %v/op in steady state, want 0", allocs)
-	}
-}
-
 func TestLUSolveIntoZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	a := Rand(12, 12, rng)

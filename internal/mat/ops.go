@@ -6,10 +6,10 @@ import (
 	"github.com/coded-computing/s2c2/internal/kernel"
 )
 
-// The multiplication entry points validate shapes and delegate the float64
-// loops to internal/kernel, the shared compute substrate. Every operation
-// has an ...Into form writing into caller-owned storage; the non-Into form
-// allocates the result.
+// The products a coded worker runs — mat-vec over a row range and the
+// bilinear Aᵀ·diag(d)·B — validate shapes here and delegate the float64
+// loops to internal/kernel, the shared compute substrate. The ...Into
+// forms write into caller-owned storage; the others allocate the result.
 
 // MatVec computes y = A·x into a new slice.
 func MatVec(a *Dense, x []float64) []float64 {
@@ -58,27 +58,6 @@ func MatVecRowsInto(a *Dense, x, y []float64, lo, hi int) {
 		panic(fmt.Sprintf("mat: MatVecRows y length %d want %d", len(y), hi-lo))
 	}
 	kernel.MatVecRange(y, a.data, a.cols, x, lo, hi)
-}
-
-// MatMul computes C = A·B into a new matrix using the cache-blocked kernel.
-func MatMul(a, b *Dense) *Dense {
-	c := New(a.rows, b.cols)
-	MatMulInto(a, b, c)
-	return c
-}
-
-// MatMulInto computes C = A·B into the provided matrix, which must be
-// A.Rows()×B.Cols(). C is overwritten.
-//
-//s2c2:noalloc
-func MatMulInto(a, b, c *Dense) {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("mat: MatMul inner dim %d vs %d", a.cols, b.rows))
-	}
-	if c.rows != a.rows || c.cols != b.cols {
-		panic(fmt.Sprintf("mat: MatMul dst %dx%d want %dx%d", c.rows, c.cols, a.rows, b.cols))
-	}
-	kernel.MatMul(c.data, a.data, a.rows, a.cols, b.data, b.cols)
 }
 
 // Transpose returns Aᵀ as a new matrix.

@@ -27,7 +27,6 @@ type CodedPhase[T coding.Element] struct {
 	job         *Job
 	phase       int
 	strategy    sched.Strategy
-	into        sched.IntoPlanner // strategy's reuse form, if it has one
 	timeoutFrac float64
 	tracker     *predict.Tracker
 	decode      func(dst []T, partials []*coding.PartialOf[T]) ([]T, error)
@@ -44,9 +43,8 @@ type CodedPhase[T coding.Element] struct {
 func NewCodedPhase[T coding.Element, W any](j *Job, phase int, enc Encoding[T, W], s sched.Strategy, timeoutFrac float64, t *predict.Tracker) *CodedPhase[T] {
 	ws := enc.NewDecodeWorkspace()
 	n := len(t.Histories())
-	into, _ := s.(sched.IntoPlanner)
 	return &CodedPhase[T]{
-		job: j, phase: phase, strategy: s, into: into, timeoutFrac: timeoutFrac, tracker: t,
+		job: j, phase: phase, strategy: s, timeoutFrac: timeoutFrac, tracker: t,
 		decode: func(dst []T, partials []*coding.PartialOf[T]) ([]T, error) {
 			return enc.DecodeMatVecInto(dst, partials, ws)
 		},
@@ -77,11 +75,7 @@ func (p *CodedPhase[T]) RunIteration(ctx context.Context, iter int, x []T) ([]T,
 
 // plan builds the round's plan from the tracker's predicted speeds.
 func (p *CodedPhase[T]) plan() (*sched.Plan, error) {
-	speeds := p.tracker.PredictInto(p.speeds)
-	if p.into != nil {
-		return p.job.planBuf.NextInto(p.into, speeds)
-	}
-	return p.job.PlanRound(p.strategy, speeds)
+	return p.job.PlanRound(p.strategy, p.tracker.PredictInto(p.speeds))
 }
 
 // finish decodes a gathered round over cols-column rows into the reused

@@ -71,9 +71,10 @@ type Strategy interface {
 	Name() string
 	// NeedK is the per-row coverage required for decoding.
 	NeedK() int
-	// Plan builds the round's assignment from predicted worker speeds
-	// (len == number of workers).
-	Plan(predictedSpeeds []float64) (*Plan, error)
+	// PlanInto builds the round's assignment from predicted worker speeds
+	// (len == number of workers), reusing dst's storage where it can (dst
+	// may be nil), and returns the plan to use.
+	PlanInto(predictedSpeeds []float64, dst *Plan) (*Plan, error)
 }
 
 // ConventionalMDS is the prior-work baseline (Lee et al., ISIT'16): every
@@ -117,18 +118,11 @@ func (c *ConventionalMDS) PlanInto(speeds []float64, dst *Plan) (*Plan, error) {
 	return dst, nil
 }
 
-// IntoPlanner is the optional reuse form of Strategy: PlanInto writes the
-// round's assignment into a caller-owned Plan, recycling its storage. All
-// built-in strategies implement it.
-type IntoPlanner interface {
-	PlanInto(predictedSpeeds []float64, dst *Plan) (*Plan, error)
-}
-
 // PlanBuffer double-buffers round plans: Next plans into the older of two
 // reusable Plans, so the previous round's plan — which a master may still
 // be reading while its round drains (late results, reassignment) — stays
-// intact while the next one is built. With an IntoPlanner strategy the
-// steady state allocates nothing.
+// intact while the next one is built. With a built-in strategy the steady
+// state allocates nothing.
 //
 // The zero value is ready to use. Not safe for concurrent Next calls.
 type PlanBuffer struct {
@@ -139,25 +133,8 @@ type PlanBuffer struct {
 // Next builds the next round's plan from the predicted speeds, recycling
 // the plan returned two calls ago.
 func (b *PlanBuffer) Next(s Strategy, speeds []float64) (*Plan, error) {
-	if ip, ok := s.(IntoPlanner); ok {
-		return b.NextInto(ip, speeds)
-	}
 	b.cur ^= 1
-	p, err := s.Plan(speeds)
-	if err != nil {
-		return nil, err
-	}
-	b.plans[b.cur] = p
-	return p, nil
-}
-
-// NextInto is Next with the strategy's IntoPlanner already resolved. A
-// caller planning with one strategy every round resolves it once: the
-// assertion in Next may allocate, about one call in a thousand, until the
-// runtime has cached its result.
-func (b *PlanBuffer) NextInto(ip IntoPlanner, speeds []float64) (*Plan, error) {
-	b.cur ^= 1
-	p, err := ip.PlanInto(speeds, b.plans[b.cur])
+	p, err := s.PlanInto(speeds, b.plans[b.cur])
 	if err != nil {
 		return nil, err
 	}

@@ -7,8 +7,9 @@
 //
 // The package re-exports the stable surface of the internal packages:
 //
-//   - dense linear algebra (Dense, MatVec, ...) — the from-scratch
-//     substrate everything runs on;
+//   - dense linear algebra (Dense, MatVec, Transpose) — the from-scratch
+//     mat-vec substrate every coded round runs on, fanned out over row
+//     bands on a worker pool (Exec, NewKernelPool);
 //   - MDS and polynomial codecs (NewMDSCode, NewPolyCode, exact GF(p)
 //     variants) with per-row partial decoding;
 //   - work-assignment strategies (GeneralS2C2 — Algorithm 1 of the paper,
@@ -66,28 +67,6 @@ func MatVec(a *Dense, x []float64) []float64 { return mat.MatVec(a, x) }
 
 // MatVecInto computes A·x into a caller slice (zero allocations).
 func MatVecInto(a *Dense, x, y []float64) { mat.MatVecInto(a, x, y) }
-
-// MatMul computes A·B with the cache-blocked kernel.
-func MatMul(a, b *Dense) *Dense { return mat.MatMul(a, b) }
-
-// MatMulInto computes A·B into a caller matrix.
-func MatMulInto(a, b, c *Dense) { mat.MatMulInto(a, b, c) }
-
-// ParallelMatVec computes A·x on the persistent worker pool; workers caps
-// the fan-out (<= 0 uses every pool worker).
-func ParallelMatVec(a *Dense, x []float64, workers int) []float64 {
-	return mat.ParallelMatVec(a, x, workers)
-}
-
-// ParallelMatVecInto is ParallelMatVec writing into a caller slice.
-func ParallelMatVecInto(a *Dense, x, y []float64, workers int) {
-	mat.ParallelMatVecInto(a, x, y, workers)
-}
-
-// ParallelMatMul computes A·B splitting row bands across the pool.
-func ParallelMatMul(a, b *Dense, workers int) *Dense {
-	return mat.ParallelMatMul(a, b, workers)
-}
 
 // Transpose returns Aᵀ.
 func Transpose(a *Dense) *Dense { return mat.Transpose(a) }
