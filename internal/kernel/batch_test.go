@@ -138,6 +138,98 @@ func TestMatVecBatchBandInvariant(t *testing.T) {
 	}
 }
 
+// TestMatMulMaskedTailBoundaries sweeps every row and lane residue mod 8
+// through sub-bands of the batch sweep, which runs the mat-mul tile
+// kernels (mulTile*): on the AVX-512 backend these land in the opmasked
+// lane tails and the single-row kernel. A band starting at lo > 0 offsets
+// every tile's A and dst pointers, so its stores must stay inside its own
+// guarded slot and agree with the naive reference.
+func TestMatMulMaskedTailBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for mres := 1; mres <= 8; mres++ {
+		for w := 1; w <= 8; w++ {
+			rows := 8 + mres
+			cols := 2*mres + w // odd sizes straddle the x-tile packer too
+			a, xs := randSlice(rows*cols, rng), randSlice(w*cols, rng)
+			want := make([]float64, rows*w)
+			for i := 0; i < rows; i++ {
+				for l := 0; l < w; l++ {
+					want[i*w+l] = dotRef(a[i*cols:(i+1)*cols], xs[l*cols:(l+1)*cols])
+				}
+			}
+			for _, backend := range Backends() {
+				withBackend(t, backend, func() {
+					for _, band := range [][2]int{{0, rows}, {1, rows}, {1, rows - 1}, {mres, rows}} {
+						lo, hi := band[0], band[1]
+						got, padded := guardedDst(hi-lo, w)
+						MatVecRangeBatch(got, a, cols, xs, w, lo, hi)
+						if d := maxAbsDiff(got, want[lo*w:hi*w]); d > 1e-9*float64(cols+1) {
+							t.Errorf("backend=%s rows=%d cols=%d w=%d band=[%d,%d): max diff %g", backend, rows, cols, w, lo, hi, d)
+						}
+						if !guardsIntact(padded, w) {
+							t.Fatalf("backend=%s rows=%d cols=%d w=%d band=[%d,%d): guard row clobbered", backend, rows, cols, w, lo, hi)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestMatMulBandInvariantNaN pins the determinism contract of the tile
+// kernel pair under non-finite terms: a 0·Inf NaN placed in a multi-row
+// tile's first lane, or in the single-row tail's last (masked) lane, must
+// come out where the naive reference puts it — NaN in its own output, ±Inf
+// in the rest of its row, nothing non-finite in a neighbouring row, which
+// a store of the zero-padded lanes (Inf·0) would reach — and every row
+// banding must reproduce the unbanded sweep bit for bit.
+func TestMatMulBandInvariantNaN(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	const rows, cols, c = 23, 29, 5
+	for _, w := range []int{3, 8, 12} {
+		for _, pos := range [][2]int{{3, 0}, {rows - 1, w - 1}} {
+			row, lane := pos[0], pos[1]
+			a := randSlice(rows*cols, rng)
+			xs := randSlice(w*cols, rng)
+			a[row*cols+c] = math.Inf(1)
+			xs[lane*cols+c] = 0
+			want := make([]float64, rows*w)
+			for i := 0; i < rows; i++ {
+				for l := 0; l < w; l++ {
+					want[i*w+l] = dotRef(a[i*cols:(i+1)*cols], xs[l*cols:(l+1)*cols])
+				}
+			}
+			for _, backend := range Backends() {
+				withBackend(t, backend, func() {
+					whole := make([]float64, rows*w)
+					MatVecRangeBatch(whole, a, cols, xs, w, 0, rows)
+					if !math.IsNaN(whole[row*w+lane]) {
+						t.Fatalf("backend=%s w=%d: row %d lane %d = %v, want the 0·Inf NaN", backend, w, row, lane, whole[row*w+lane])
+					}
+					for i := range whole {
+						if !floatsEquivalent(whole[i], want[i], 1e-9*float64(cols+1)) {
+							t.Fatalf("backend=%s w=%d NaN at (%d,%d): out %d = %v, reference %v", backend, w, row, lane, i, whole[i], want[i])
+						}
+					}
+					for _, band := range []int{1, 2, 3, 5, 8} {
+						banded := make([]float64, rows*w)
+						for lo := 0; lo < rows; lo += band {
+							hi := min(lo+band, rows)
+							MatVecRangeBatch(banded[lo*w:hi*w], a, cols, xs, w, lo, hi)
+						}
+						for i := range banded {
+							if math.Float64bits(banded[i]) != math.Float64bits(whole[i]) {
+								t.Fatalf("backend=%s w=%d band=%d i=%d: banded %v != whole %v (must be bit-identical)",
+									backend, w, band, i, banded[i], whole[i])
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // FuzzMatVecBatchBackends drives the batch sweep's tile kernels over
 // fuzzed shapes — rows below 16 (both tile heights and the single-row
 // tail), cols up to past kcBlock (a second x-tile pass), 1–17 lanes (a
