@@ -108,10 +108,7 @@ func BenchmarkGFMDSDecodeExact(b *testing.B) {
 	}
 	var partials []*coding.GFPartial
 	for _, w := range []int{0, 1, 2, 3, 4, 5, 6, 7, 10, 11} {
-		p, err := enc.WorkerMatVec(w, x, []coding.Range{{Lo: 0, Hi: enc.BlockRows}})
-		if err != nil {
-			b.Fatal(err)
-		}
+		p := enc.WorkerCompute(w, x, []coding.Range{{Lo: 0, Hi: enc.BlockRows}})
 		partials = append(partials, p)
 	}
 	b.ResetTimer()
@@ -208,10 +205,7 @@ func BenchmarkGFMDSDecodeBands(b *testing.B) {
 	}
 	var partials []*coding.GFPartial
 	for w, ranges := range s2c2Ranges(b, n, k, enc.BlockRows, benchSpeeds(n, true)) {
-		p, err := enc.WorkerMatVecBatch(w, xs, width, ranges)
-		if err != nil {
-			b.Fatal(err)
-		}
+		p := enc.WorkerComputeBatchInto(w, xs, width, ranges, nil)
 		partials = append(partials, p)
 	}
 	ws := enc.NewDecodeWorkspace()

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -64,10 +65,10 @@ func main() {
 			fatal(err)
 		}
 		tr := trace.DigitalOceanLike(100, 100**scale, *seed)
-		if err := tr.WriteCSV(f); err != nil {
+		// Close even when the write fails, and report both errors.
+		if err := errors.Join(tr.WriteCSV(f), f.Close()); err != nil {
 			fatal(err)
 		}
-		f.Close()
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *csv)
 	}
 

@@ -347,7 +347,7 @@ func TestGFEncodeIntoReusesPartitions(t *testing.T) {
 			Worker:   w,
 			Ranges:   []Range{{0, enc2.BlockRows}},
 			RowWidth: 1,
-			Values:   enc2.Parts[w].MulVec(x),
+			Values:   gfMulVec(enc2.Parts[w], x),
 		})
 	}
 	got, err := enc2.DecodeMatVec(partials)
@@ -361,7 +361,7 @@ func TestGFEncodeIntoReusesPartitions(t *testing.T) {
 
 // The GF worker computes share the float64 ones' Into bodies: after one
 // warm-up call, reusing the partial allocates nothing, single-x or
-// batched, and the values are WorkerMatVec's.
+// batched, and the values are those of a fresh partial.
 func TestGFWorkerComputeIntoZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	code, err := NewGFMDSCode(6, 4)
@@ -383,16 +383,10 @@ func TestGFWorkerComputeIntoZeroAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(50, func() { batch = enc.WorkerComputeBatchInto(5, xs, width, ranges, batch) }); a != 0 {
 		t.Fatalf("WorkerComputeBatchInto allocates %v/op after warm-up, want 0", a)
 	}
-	wantSingle, err := enc.WorkerMatVec(5, x, ranges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBatch, err := enc.WorkerMatVecBatch(5, xs, width, ranges)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantSingle := enc.WorkerCompute(5, x, ranges)
+	wantBatch := enc.WorkerComputeBatchInto(5, xs, width, ranges, nil)
 	if !slices.Equal(single.Values, wantSingle.Values) || !slices.Equal(batch.Values, wantBatch.Values) {
-		t.Fatal("reused partials differ from WorkerMatVec's")
+		t.Fatal("reused partials differ from fresh ones")
 	}
 }
 
@@ -417,10 +411,7 @@ func TestGFDecodeIntoMatchesDecode(t *testing.T) {
 	}
 	var partials []*GFPartial
 	for _, w := range []int{0, 1, 2, 3, 6, 7} {
-		p, err := enc.WorkerMatVec(w, x, []Range{{0, enc.BlockRows}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := enc.WorkerCompute(w, x, []Range{{0, enc.BlockRows}})
 		partials = append(partials, p)
 	}
 	want, err := enc.DecodeMatVec(partials)
@@ -481,10 +472,7 @@ func TestGFDecodeZeroAllocsUnderChurn(t *testing.T) {
 		for q, w := range set {
 			// The q-th responder skips segment q, so the band of segment q
 			// decodes from the other k.
-			p, err := enc.WorkerMatVec(w, x, []Range{{0, q * seg}, {(q + 1) * seg, enc.BlockRows}})
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := enc.WorkerCompute(w, x, []Range{{0, q * seg}, {(q + 1) * seg, enc.BlockRows}})
 			partials = append(partials, p)
 			var dec [k]int
 			copy(dec[:], slices.Delete(slices.Clone(set), q, q+1))

@@ -145,7 +145,7 @@ func TestBandDecodeMatchesPerRowReferenceGF(t *testing.T) {
 		}
 		if !arbitrary {
 			for l := 0; l < width; l++ {
-				truth := gf.NewMatrixFromData(rows, cols, data).MulVec(xs[l*cols : (l+1)*cols])
+				truth := gfMulVec(gf.NewMatrixFromData(rows, cols, data), xs[l*cols:(l+1)*cols])
 				for r := range truth {
 					if want[r*width+l] != truth[r] {
 						t.Fatalf("trial %d: reference decode differs from A·x at row %d lane %d", trial, r, l)
@@ -220,11 +220,11 @@ func TestBandDecodeInsufficientMatchesReference(t *testing.T) {
 	full := []Range{{0, enc.BlockRows}}
 	var partials []*GFPartial
 	for _, w := range []int{4, 1} {
-		p, _ := enc.WorkerMatVec(w, x, full)
+		p := enc.WorkerCompute(w, x, full)
 		partials = append(partials, p)
 	}
 	// A third worker that skips rows [6, 8).
-	p, _ := enc.WorkerMatVec(2, x, []Range{{0, 6}, {8, enc.BlockRows}})
+	p := enc.WorkerCompute(2, x, []Range{{0, 6}, {8, enc.BlockRows}})
 	partials = append(partials, p)
 	_, refErr := refGFDecodeMatVec(enc, partials)
 	_, err := enc.DecodeMatVec(partials)

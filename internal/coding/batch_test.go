@@ -54,16 +54,10 @@ func TestGFMDSBatchedExactVsSingles(t *testing.T) {
 			workers := rng.Perm(n)[:k]
 			var batched []*GFPartial
 			for _, wk := range workers {
-				p, err := enc.WorkerMatVecBatch(wk, xs, w, []Range{{0, enc.BlockRows}})
-				if err != nil {
-					t.Fatal(err)
-				}
+				p := enc.WorkerComputeBatchInto(wk, xs, w, []Range{{0, enc.BlockRows}}, nil)
 				// Batched worker compute == per-lane single compute, exactly.
 				for l := 0; l < w; l++ {
-					single, err := enc.WorkerMatVec(wk, xs[l*cols:(l+1)*cols], []Range{{0, enc.BlockRows}})
-					if err != nil {
-						t.Fatal(err)
-					}
+					single := enc.WorkerCompute(wk, xs[l*cols:(l+1)*cols], []Range{{0, enc.BlockRows}})
 					for r := 0; r < enc.BlockRows; r++ {
 						if p.Values[r*w+l] != single.Values[r] {
 							t.Fatalf("w=%d worker=%d lane=%d row=%d: batch %d single %d", w, wk, l, r, p.Values[r*w+l], single.Values[r])
@@ -134,10 +128,7 @@ func TestGFMDSBatchedPartialCoverage(t *testing.T) {
 		}
 		for i := 0; i < k; i++ {
 			wk := (b + i) % n
-			p, err := enc.WorkerMatVecBatch(wk, xs, w, []Range{{lo, hi}})
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := enc.WorkerComputeBatchInto(wk, xs, w, []Range{{lo, hi}}, nil)
 			partials = append(partials, p)
 		}
 	}
@@ -255,9 +246,9 @@ func TestCompleteGFSharesBatched(t *testing.T) {
 	}
 	// Worker 0 covers everything in two split partials; worker 1 only half.
 	mid := enc.BlockRows / 2
-	p0a, _ := enc.WorkerMatVecBatch(0, xs, w, []Range{{0, mid}})
-	p0b, _ := enc.WorkerMatVecBatch(0, xs, w, []Range{{mid, enc.BlockRows}})
-	p1, _ := enc.WorkerMatVecBatch(1, xs, w, []Range{{0, mid}})
+	p0a := enc.WorkerComputeBatchInto(0, xs, w, []Range{{0, mid}}, nil)
+	p0b := enc.WorkerComputeBatchInto(0, xs, w, []Range{{mid, enc.BlockRows}}, nil)
+	p1 := enc.WorkerComputeBatchInto(1, xs, w, []Range{{0, mid}}, nil)
 	vecs, err := CompleteGFShares([]*GFPartial{p0a, p0b, p1}, enc.BlockRows)
 	if err != nil {
 		t.Fatal(err)
@@ -269,14 +260,14 @@ func TestCompleteGFSharesBatched(t *testing.T) {
 	if len(v) != enc.BlockRows*w {
 		t.Fatalf("share length %d want %d", len(v), enc.BlockRows*w)
 	}
-	full, _ := enc.WorkerMatVecBatch(0, xs, w, []Range{{0, enc.BlockRows}})
+	full := enc.WorkerComputeBatchInto(0, xs, w, []Range{{0, enc.BlockRows}}, nil)
 	for i := range v {
 		if v[i] != full.Values[i] {
 			t.Fatalf("share value %d: got %d want %d", i, v[i], full.Values[i])
 		}
 	}
 	// Mixing widths in one share set is an error.
-	single, _ := enc.WorkerMatVec(2, xs[:cols], []Range{{0, enc.BlockRows}})
+	single := enc.WorkerCompute(2, xs[:cols], []Range{{0, enc.BlockRows}})
 	if _, err := CompleteGFShares([]*GFPartial{p0a, single}, enc.BlockRows); err == nil {
 		t.Fatal("mixed widths should be rejected")
 	}
@@ -290,8 +281,8 @@ func TestDecodeRejectsMixedWidths(t *testing.T) {
 	xs := randGFData(2*cols, rng)
 	c, _ := NewGFMDSCode(3, 2)
 	enc, _ := c.Encode(rows, cols, data)
-	b, _ := enc.WorkerMatVecBatch(0, xs, 2, []Range{{0, enc.BlockRows}})
-	s, _ := enc.WorkerMatVec(1, xs[:cols], []Range{{0, enc.BlockRows}})
+	b := enc.WorkerComputeBatchInto(0, xs, 2, []Range{{0, enc.BlockRows}}, nil)
+	s := enc.WorkerCompute(1, xs[:cols], []Range{{0, enc.BlockRows}})
 	if _, err := enc.DecodeMatVec([]*GFPartial{b, s}); err == nil {
 		t.Fatal("GF decode should reject mixed row widths")
 	}

@@ -34,9 +34,6 @@ type Range struct {
 // Len returns the number of rows in the range.
 func (r Range) Len() int { return r.Hi - r.Lo }
 
-// Contains reports whether row is inside the range.
-func (r Range) Contains(row int) bool { return row >= r.Lo && row < r.Hi }
-
 // TotalRows sums the lengths of the ranges.
 func TotalRows(ranges []Range) int {
 	n := 0
@@ -46,14 +43,9 @@ func TotalRows(ranges []Range) int {
 	return n
 }
 
-// NormalizeRanges sorts ranges, drops empties, and merges overlaps,
-// returning a canonical minimal representation.
-func NormalizeRanges(ranges []Range) []Range {
-	return AppendNormalizeRanges(make([]Range, 0, len(ranges)), ranges)
-}
-
-// AppendNormalizeRanges is NormalizeRanges appending onto dst (which must
-// be empty and must not alias ranges) so hot paths can reuse a result's
+// AppendNormalizeRanges sorts ranges, drops empties, and merges overlaps,
+// appending the canonical minimal representation onto dst (which must be
+// empty and must not alias ranges) so hot paths can reuse a result's
 // Range storage. It performs no allocation once dst has capacity.
 func AppendNormalizeRanges(dst []Range, ranges []Range) []Range {
 	for _, r := range ranges {
@@ -107,20 +99,12 @@ type Partial = PartialOf[float64]
 // GFPartial is an exact GF(2³¹−1) partial result.
 type GFPartial = PartialOf[gf.Elem]
 
-// Validate checks internal consistency of the partial. It applies the
-// same checks rowTable.add runs when the partial enters a decode, which
-// reads RowWidth 0 as 1 (Width), so zero-valued partials from single-x
-// paths stay valid.
-func (p *PartialOf[T]) Validate(blockRows int) error {
-	return validatePartial(p.Worker, p.Ranges, len(p.Values), p.Width(), blockRows)
-}
-
 // Width returns the partial's row width, treating the zero value as 1.
 func (p *PartialOf[T]) Width() int { return max(p.RowWidth, 1) }
 
-// validatePartial is the single validation rule shared by Partial.Validate
-// and rowTable.add: in-bounds ranges, and a value count matching rows ×
-// width.
+// validatePartial is the validation rule a partial meets when it enters a
+// decode (rowTable.add, and the Lagrange decode): in-bounds ranges, and a
+// value count matching rows × width.
 func validatePartial(worker int, ranges []Range, numValues, rowWidth, blockRows int) error {
 	rows := 0
 	for _, r := range ranges {

@@ -159,15 +159,6 @@ func TestDecodeRejectsWrongRowWidth(t *testing.T) {
 	}
 }
 
-func TestGeneratorRowIsCopy(t *testing.T) {
-	c, _ := NewMDSCode(4, 2)
-	row := c.GeneratorRow(3)
-	row[0] = 999
-	if c.GeneratorRow(3)[0] == 999 {
-		t.Fatal("GeneratorRow must return a copy")
-	}
-}
-
 func TestPolySingleBlockGrid(t *testing.T) {
 	// a=b=1: the product decodes from any single worker.
 	rng := rand.New(rand.NewSource(57))

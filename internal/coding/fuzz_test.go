@@ -44,7 +44,7 @@ func FuzzMDSDecode(f *testing.F) {
 		for r := 0; r < blockRows && short < 0; r++ {
 			var ws []int
 			for _, d := range round {
-				if !slices.Contains(ws, d.worker) && slices.ContainsFunc(d.ranges, func(g Range) bool { return g.Contains(r) }) {
+				if !slices.Contains(ws, d.worker) && slices.ContainsFunc(d.ranges, func(g Range) bool { return g.Lo <= r && r < g.Hi }) {
 					ws = append(ws, d.worker)
 				}
 			}

@@ -320,7 +320,7 @@ func TestLagrangeEncodeIntoZeroAllocsSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetExec(kernel.Serial())
+	c.SetExec(kernel.Exec{MaxFan: 1})
 	const size = 256
 	blocks := make([][]gf.Elem, 4)
 	for j := range blocks {

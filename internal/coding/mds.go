@@ -2,7 +2,6 @@ package coding
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/coded-computing/s2c2/internal/kernel"
 )
@@ -74,12 +73,6 @@ func (c *mdsCode[T, M, F]) N() int { return c.n }
 // K returns the recovery threshold.
 func (c *mdsCode[T, M, F]) K() int { return c.k }
 
-// GeneratorRow returns a copy of generator row i, the mixing coefficients
-// of coded partition i over the k data blocks.
-func (c *mdsCode[T, M, F]) GeneratorRow(i int) []T {
-	return slices.Clone(c.gen[i*c.k : (i+1)*c.k])
-}
-
 // encoded holds the n coded partitions of a data matrix. It borrows the
 // data: partitions 0..k-1 are capacity-capped views of its row blocks
 // (only a block past the last row is copied and zero-padded), so changing
@@ -150,7 +143,8 @@ func (e *encoded[T, M, F]) WorkerCompute(w int, x []T, ranges []Range) *PartialO
 }
 
 // WorkerComputeInto is WorkerCompute reusing dst's storage (nil
-// allocates). It panics where WorkerMatVec returns an error.
+// allocates). It panics on bad input: an x of other than Cols elements,
+// or rows outside the partition.
 //
 //s2c2:noalloc
 func (e *encoded[T, M, F]) WorkerComputeInto(w int, x []T, ranges []Range, dst *PartialOf[T]) *PartialOf[T] {
@@ -164,18 +158,6 @@ func (e *encoded[T, M, F]) WorkerComputeInto(w int, x []T, ranges []Range, dst *
 //s2c2:noalloc
 func (e *encoded[T, M, F]) WorkerComputeBatchInto(worker int, xs []T, w int, ranges []Range, dst *PartialOf[T]) *PartialOf[T] {
 	return must(e.compute(worker, xs, w, true, ranges, dst))
-}
-
-// WorkerMatVec is WorkerCompute returning bad input (an x of other than
-// Cols elements, rows outside the partition) as an error.
-func (e *encoded[T, M, F]) WorkerMatVec(w int, x []T, ranges []Range) (*PartialOf[T], error) {
-	return e.compute(w, x, 1, false, ranges, nil)
-}
-
-// WorkerMatVecBatch is WorkerComputeBatchInto into a fresh partial,
-// returning bad input (a width below 1 too) as an error.
-func (e *encoded[T, M, F]) WorkerMatVecBatch(w int, xs []T, width int, ranges []Range) (*PartialOf[T], error) {
-	return e.compute(w, xs, width, true, ranges, nil)
 }
 
 // compute is the worker compute body.

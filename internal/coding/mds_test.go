@@ -28,7 +28,7 @@ func TestNewMDSCodeValidation(t *testing.T) {
 func TestMDSSystematicPrefix(t *testing.T) {
 	c, _ := NewMDSCode(5, 3)
 	for i := 0; i < 3; i++ {
-		row := c.GeneratorRow(i)
+		row := generatorRow(c.gen, c.k, i)
 		for j := 0; j < 3; j++ {
 			want := 0.0
 			if i == j {
@@ -43,13 +43,18 @@ func TestMDSSystematicPrefix(t *testing.T) {
 
 func TestMDSEncodeSystematicPartsMatchBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	a := mat.Rand(12, 5, rng)
-	c, _ := NewMDSCode(6, 4)
-	enc := c.Encode(a)
-	blocks := mat.SplitRows(a, 4)
-	for j := 0; j < 4; j++ {
-		if !enc.Parts[j].ApproxEqual(blocks[j], 1e-14) {
-			t.Fatalf("systematic part %d differs from raw block", j)
+	// 13 and 17 rows do not divide by k: the last block ends in zero rows.
+	for _, rows := range []int{12, 13, 17} {
+		a := mat.Rand(rows, 5, rng)
+		c, _ := NewMDSCode(6, 4)
+		enc := c.Encode(a)
+		padded := mat.PadRows(a, 4)
+		per := padded.Rows() / 4
+		for j := 0; j < 4; j++ {
+			block := mat.NewFromData(per, 5, padded.Data()[j*per*5:(j+1)*per*5])
+			if !enc.Parts[j].ApproxEqual(block, 1e-14) {
+				t.Fatalf("rows=%d: systematic part %d differs from raw block", rows, j)
+			}
 		}
 	}
 }
@@ -213,7 +218,7 @@ func TestMDSLargeCodeAccuracy(t *testing.T) {
 
 func TestNormalizeRanges(t *testing.T) {
 	in := []Range{{5, 7}, {0, 2}, {2, 2}, {1, 4}, {9, 9}}
-	out := NormalizeRanges(in)
+	out := AppendNormalizeRanges(nil, in)
 	want := []Range{{0, 4}, {5, 7}}
 	if len(out) != len(want) {
 		t.Fatalf("got %v want %v", out, want)
@@ -229,16 +234,20 @@ func TestNormalizeRanges(t *testing.T) {
 }
 
 func TestPartialValidate(t *testing.T) {
+	// The rule a partial meets when it enters a decode.
+	validate := func(p *Partial, blockRows int) error {
+		return validatePartial(p.Worker, p.Ranges, len(p.Values), p.Width(), blockRows)
+	}
 	p := &Partial{Worker: 0, Ranges: []Range{{0, 3}}, RowWidth: 1, Values: []float64{1, 2}}
-	if err := p.Validate(10); err == nil {
+	if err := validate(p, 10); err == nil {
 		t.Fatal("length mismatch should fail validation")
 	}
 	p.Values = []float64{1, 2, 3}
-	if err := p.Validate(10); err != nil {
+	if err := validate(p, 10); err != nil {
 		t.Fatal(err)
 	}
 	p.Ranges = []Range{{8, 12}}
-	if err := p.Validate(10); err == nil {
+	if err := validate(p, 10); err == nil {
 		t.Fatal("out-of-bounds range should fail validation")
 	}
 }

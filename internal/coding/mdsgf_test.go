@@ -53,10 +53,7 @@ func TestGFMDSAnyKOfNExactProperty(t *testing.T) {
 		}
 		var partials []*GFPartial
 		for _, w := range r.Perm(n)[:k] {
-			p, err := enc.WorkerMatVec(w, x, []Range{{0, enc.BlockRows}})
-			if err != nil {
-				return false
-			}
+			p := enc.WorkerCompute(w, x, []Range{{0, enc.BlockRows}})
 			partials = append(partials, p)
 		}
 		got, err := enc.DecodeMatVec(partials)
@@ -99,10 +96,7 @@ func TestGFMDSPartialCoverageExact(t *testing.T) {
 	}
 	var partials []*GFPartial
 	for w, ranges := range assignments {
-		p, err := enc.WorkerMatVec(w, x, ranges)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := enc.WorkerCompute(w, x, ranges)
 		partials = append(partials, p)
 	}
 	got, err := enc.DecodeMatVec(partials)
@@ -137,10 +131,7 @@ func TestGFMDSBatchDecodeGrouped(t *testing.T) {
 		}
 		var partials []*GFPartial
 		for w, ranges := range assign(enc.BlockRows) {
-			p, err := enc.WorkerMatVecBatch(w, xs, width, ranges)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := enc.WorkerComputeBatchInto(w, xs, width, ranges, nil)
 			partials = append(partials, p)
 		}
 		ws := enc.NewDecodeWorkspace()
@@ -217,7 +208,7 @@ func TestGFCauchyParitySubmatricesNonsingular(t *testing.T) {
 				if bits.OnesCount(uint(cmask)) != r {
 					continue
 				}
-				sub := gf.NewMatrix(r, r)
+				sub := gf.NewMatrixFromData(r, r, make([]gf.Elem, r*r))
 				i := 0
 				for pr := 0; pr < n-k; pr++ {
 					if rmask&(1<<pr) == 0 {
@@ -226,13 +217,13 @@ func TestGFCauchyParitySubmatricesNonsingular(t *testing.T) {
 					q := 0
 					for j := 0; j < k; j++ {
 						if cmask&(1<<j) != 0 {
-							sub.Set(i, q, c.GeneratorRow(k + pr)[j])
+							sub.Set(i, q, generatorRow(c.gen, c.k, k+pr)[j])
 							q++
 						}
 					}
 					i++
 				}
-				inv := gf.NewMatrix(r, r)
+				inv := gf.NewMatrixFromData(r, r, make([]gf.Elem, r*r))
 				if !gf.InvertInto(inv, sub, make([]gf.Elem, r*r)) {
 					t.Fatalf("(%d,%d): parity rows %b, blocks %b: singular", n, k, rmask, cmask)
 				}
@@ -269,7 +260,7 @@ func TestGFMDSInsufficient(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randGFData(2, rng)
-	p, _ := enc.WorkerMatVec(0, x, []Range{{0, enc.BlockRows}})
+	p := enc.WorkerCompute(0, x, []Range{{0, enc.BlockRows}})
 	if _, err := enc.DecodeMatVec([]*GFPartial{p}); err == nil {
 		t.Fatal("expected insufficient-coverage error")
 	}

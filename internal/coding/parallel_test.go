@@ -27,7 +27,7 @@ func TestMDSEncodeParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial.SetExec(kernel.Serial())
+		serial.SetExec(kernel.Exec{MaxFan: 1})
 		parallel, err := NewMDSCode(shape.n, shape.k)
 		if err != nil {
 			t.Fatal(err)
@@ -54,7 +54,7 @@ func TestGFEncodeParallelMatchesSerial(t *testing.T) {
 		payload[i] = gf.New(rng.Uint64())
 	}
 	serial, _ := NewGFMDSCode(7, 5)
-	serial.SetExec(kernel.Serial())
+	serial.SetExec(kernel.Exec{MaxFan: 1})
 	parallel, _ := NewGFMDSCode(7, 5)
 	parallel.SetExec(kernel.Exec{Pool: kernel.NewPool(4)})
 	want, err := serial.Encode(rows, cols, payload)
@@ -88,7 +88,7 @@ func TestLagrangeEncodeParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	serial, _ := NewLagrangeCode(n, k)
-	serial.SetExec(kernel.Serial())
+	serial.SetExec(kernel.Exec{MaxFan: 1})
 	parallel, _ := NewLagrangeCode(n, k)
 	parallel.SetExec(kernel.Exec{Pool: kernel.NewPool(4)})
 	want, err := serial.Encode(blocks)
@@ -112,7 +112,7 @@ func TestPolyEncodeParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	a := mat.Rand(120, 22, rng)
 	serial, _ := NewPolyCode(10, 3, 3)
-	serial.SetExec(kernel.Serial())
+	serial.SetExec(kernel.Exec{MaxFan: 1})
 	parallel, _ := NewPolyCode(10, 3, 3)
 	parallel.SetExec(kernel.Exec{Pool: kernel.NewPool(4)})
 	want, err := serial.EncodeHessian(a)
@@ -244,7 +244,7 @@ func TestParallelEncodeSpeedup(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	a := mat.Rand(2000, 200, rng)
 	serial, _ := NewMDSCode(12, 10)
-	serial.SetExec(kernel.Serial())
+	serial.SetExec(kernel.Exec{MaxFan: 1})
 	parallel, _ := NewMDSCode(12, 10)
 	dstS := serial.Encode(a)
 	dstP := parallel.Encode(a)
@@ -275,7 +275,7 @@ func BenchmarkMDSEncode(b *testing.B) {
 	a := mat.Rand(2000, 200, rng)
 	b.Run("serial", func(b *testing.B) {
 		code, _ := NewMDSCode(12, 10)
-		code.SetExec(kernel.Serial())
+		code.SetExec(kernel.Exec{MaxFan: 1})
 		dst := code.Encode(a)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -397,7 +397,7 @@ func TestPolyDecodeParallelMatchesSerial(t *testing.T) {
 		}
 		return enc, partials, d
 	}
-	encS, partialsS, _ := build(kernel.Serial())
+	encS, partialsS, _ := build(kernel.Exec{MaxFan: 1})
 	want, err := encS.DecodeInto(nil, partialsS, encS.NewDecodeWorkspace())
 	if err != nil {
 		t.Fatal(err)

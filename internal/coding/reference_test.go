@@ -82,10 +82,10 @@ func refDecodeMatVec(e *EncodedMatrix, partials []*Partial) ([]float64, error) {
 		}
 		sub := mat.New(k, k)
 		for i, w := range workers {
-			copy(sub.Row(i), e.Code.GeneratorRow(w))
+			copy(sub.Row(i), generatorRow(e.Code.gen, e.Code.k, w))
 		}
-		lu, err := mat.FactorLU(sub)
-		if err != nil {
+		lu := new(mat.LU)
+		if err := lu.Factor(sub); err != nil {
 			return nil, err
 		}
 		for l := 0; l < t.width; l++ {
@@ -123,11 +123,11 @@ func refGFDecodeMatVec(e *GFEncodedMatrix, partials []*GFPartial) ([]gf.Elem, er
 		if err != nil {
 			return nil, err
 		}
-		sub := gf.NewMatrix(k, k)
+		sub := gf.NewMatrixFromData(k, k, make([]gf.Elem, k*k))
 		for i, w := range workers {
-			copy(sub.Row(i), e.Code.GeneratorRow(w))
+			copy(sub.Row(i), generatorRow(e.Code.gen, e.Code.k, w))
 		}
-		inv := gf.NewMatrix(k, k)
+		inv := gf.NewMatrixFromData(k, k, make([]gf.Elem, k*k))
 		if !gf.InvertInto(inv, sub, make([]gf.Elem, k*k)) {
 			return nil, fmt.Errorf("coding: GF decode set %v singular", workers)
 		}
@@ -135,7 +135,7 @@ func refGFDecodeMatVec(e *GFEncodedMatrix, partials []*GFPartial) ([]gf.Elem, er
 			for i, w := range workers {
 				b[i] = t.rows[w][row][l]
 			}
-			for j, v := range inv.MulVec(b) {
+			for j, v := range gfMulVec(inv, b) {
 				out[(j*e.BlockRows+row)*t.width+l] = v
 			}
 		}
@@ -144,7 +144,7 @@ func refGFDecodeMatVec(e *GFEncodedMatrix, partials []*GFPartial) ([]gf.Elem, er
 }
 
 // refPolyDecode is the polynomial decode through an LU-inverted
-// Vandermonde system (mat.FactorLU, then SolveInto per unit column), for
+// Vandermonde system (LU.Factor, then SolveInto per unit column), for
 // partials that each cover every row of the worker's product block. The
 // decode set is the partials' workers in the given order.
 func refPolyDecode(e *EncodedBilinear, partials []*Partial) (*mat.Dense, error) {
@@ -161,8 +161,8 @@ func refPolyDecode(e *EncodedBilinear, partials []*Partial) (*mat.Dense, error) 
 			x *= c.alphas[p.Worker]
 		}
 	}
-	lu, err := mat.FactorLU(v)
-	if err != nil {
+	lu := new(mat.LU)
+	if err := lu.Factor(v); err != nil {
 		return nil, err
 	}
 	inv := mat.New(ab, ab) // inv[exp][i]
@@ -189,4 +189,16 @@ func refPolyDecode(e *EncodedBilinear, partials []*Partial) (*mat.Dense, error) 
 		}
 	}
 	return out, nil
+}
+
+// generatorRow is row i of a code's n×k generator gen: the mixing
+// coefficients of coded partition i over the k data blocks, as a view.
+func generatorRow[T Element](gen []T, k, i int) []T { return gen[i*k : (i+1)*k] }
+
+// gfMulVec is M·x over the field into a fresh slice.
+func gfMulVec(m *gf.Matrix, x []gf.Elem) []gf.Elem {
+	rows, _ := m.Dims()
+	y := make([]gf.Elem, rows)
+	m.MulVecInto(y, x)
+	return y
 }

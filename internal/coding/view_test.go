@@ -22,7 +22,7 @@ func copyingEncode(c *MDSCode, a *mat.Dense) []*mat.Dense {
 	parts := make([]*mat.Dense, c.n)
 	for i := range parts {
 		parts[i] = mat.New(blockRows, cols)
-		for j, g := range c.GeneratorRow(i) {
+		for j, g := range generatorRow(c.gen, c.k, i) {
 			kernel.Axpy(g, src[j*blockRows*cols:(j+1)*blockRows*cols], parts[i].Data())
 		}
 	}
@@ -143,10 +143,10 @@ func TestGFEncodeInPlaceBitIdenticalToStagedEncode(t *testing.T) {
 		staged := make([]gf.Elem, k*blockRows*cols)
 		copy(staged, data)
 		for i, p := range enc.Parts {
-			want := gf.NewMatrix(blockRows, cols)
+			want := gf.NewMatrixFromData(blockRows, cols, make([]gf.Elem, blockRows*cols))
 			for j := 0; j < k; j++ {
 				for r := 0; r < blockRows; r++ {
-					gf.Axpy(want.Row(r), code.GeneratorRow(i)[j], staged[(j*blockRows+r)*cols:(j*blockRows+r+1)*cols])
+					gf.Axpy(want.Row(r), generatorRow(code.gen, code.k, i)[j], staged[(j*blockRows+r)*cols:(j*blockRows+r+1)*cols])
 				}
 			}
 			for e, v := range p.Data() {

@@ -21,11 +21,6 @@ type Config struct {
 	UseLSTM bool
 }
 
-// DefaultConfig returns the fast-run configuration.
-func DefaultConfig() Config {
-	return Config{Scale: 1, Iterations: 15, Seed: 42}
-}
-
 func (c Config) scale() int {
 	if c.Scale < 1 {
 		return 1

@@ -138,13 +138,6 @@ type Matrix struct {
 	data       []Elem
 }
 
-// NewMatrix returns a zeroed r-by-c field matrix on the Go heap (mat.New).
-//
-//s2c2:noalloc-waive
-func NewMatrix(r, c int) *Matrix {
-	return &Matrix{rows: r, cols: c, data: make([]Elem, r*c)}
-}
-
 // NewMatrixFromData adopts data (row-major, length r·c) as the backing
 // storage of an r-by-c matrix without copying.
 func NewMatrixFromData(r, c int, data []Elem) *Matrix {
@@ -180,13 +173,6 @@ func (m *Matrix) Row(i int) []Elem { return m.data[i*m.cols : (i+1)*m.cols] }
 
 // Data returns the row-major backing storage, aliasing the matrix.
 func (m *Matrix) Data() []Elem { return m.data }
-
-// MulVec computes y = M·x over the field.
-func (m *Matrix) MulVec(x []Elem) []Elem {
-	y := make([]Elem, m.rows)
-	m.MulVecInto(y, x)
-	return y
-}
 
 // MulVecInto computes y = M·x over the field into the provided slice
 // (length M.rows). It performs no allocation.

@@ -80,7 +80,7 @@ func TestMulVecIntoExhaustiveSmall(t *testing.T) {
 		for i := 0; i < cells; i++ {
 			total *= len(bound)
 		}
-		m := NewMatrix(rows, cols)
+		m := zeroMatrix(rows, cols)
 		x := make([]Elem, cols)
 		y := make([]Elem, rows)
 		for idx := 0; idx < total; idx++ {
@@ -110,7 +110,7 @@ func TestMulVecIntoExhaustiveSmall(t *testing.T) {
 func TestMulVecIntoMatchesNaive(t *testing.T) {
 	// Worst-case accumulation: every operand P−1, row long enough that an
 	// unfolded accumulator would overflow many times over.
-	m := NewMatrix(1, 4097)
+	m := zeroMatrix(1, 4097)
 	x := make([]Elem, 4097)
 	for i := range x {
 		m.data[i] = Elem(P - 1)
@@ -125,7 +125,7 @@ func TestMulVecIntoMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, cols := range []int{3, 4, 5, 7, 8, 9, 16, 17, 33, 100} {
 		rows := 1 + rng.Intn(6)
-		m := NewMatrix(rows, cols)
+		m := zeroMatrix(rows, cols)
 		for i := range m.data {
 			m.data[i] = New(rng.Uint64())
 		}
@@ -189,7 +189,7 @@ func TestMulVecRangeIntoMatchesFull(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rows := 1 + rng.Intn(12)
 		cols := 1 + rng.Intn(9)
-		m := NewMatrix(rows, cols)
+		m := zeroMatrix(rows, cols)
 		for i := range m.data {
 			m.data[i] = New(rng.Uint64())
 		}
@@ -197,7 +197,7 @@ func TestMulVecRangeIntoMatchesFull(t *testing.T) {
 		for i := range x {
 			x[i] = New(rng.Uint64())
 		}
-		full := m.MulVec(x)
+		full := mulVec(m, x)
 		for lo := 0; lo <= rows; lo++ {
 			for hi := lo; hi <= rows; hi++ {
 				got := make([]Elem, hi-lo)
@@ -343,12 +343,12 @@ func TestSolveRoundTripProperty(t *testing.T) {
 		for i := range want {
 			want[i] = New(r.Uint64())
 		}
-		b := m.MulVec(want)
+		b := mulVec(m, want)
 		inv, ok := invert(m)
 		if !ok {
 			return false
 		}
-		got := inv.MulVec(b)
+		got := mulVec(inv, b)
 		for i := range want {
 			if got[i] != want[i] {
 				return false
@@ -362,7 +362,7 @@ func TestSolveRoundTripProperty(t *testing.T) {
 }
 
 func TestSolveSingular(t *testing.T) {
-	m := NewMatrix(2, 2)
+	m := zeroMatrix(2, 2)
 	m.Set(0, 0, 1)
 	m.Set(0, 1, 2)
 	m.Set(1, 0, 2)
@@ -386,7 +386,7 @@ func TestInvert(t *testing.T) {
 		for i := range x {
 			x[i] = New(rng.Uint64())
 		}
-		y := inv.MulVec(m.MulVec(x))
+		y := mulVec(inv, mulVec(m, x))
 		for i := range x {
 			if y[i] != x[i] {
 				t.Fatalf("M⁻¹Mx != x at %d", i)
@@ -404,7 +404,7 @@ func TestVandermondeAnyRowsInvertible(t *testing.T) {
 	v := vandermonde(xs, k)
 	for trial := 0; trial < 50; trial++ {
 		rows := rng.Perm(n)[:k]
-		sub := NewMatrix(k, k)
+		sub := zeroMatrix(k, k)
 		for i, r := range rows {
 			copy(sub.Row(i), v.Row(r))
 		}
@@ -426,8 +426,8 @@ func TestMulRangeIntoMatchesNaive(t *testing.T) {
 	shapes := [][3]int{{1, 1, 1}, {3, 2, 5}, {4, 4, 7}, {7, 5, 8}, {8, 8, 9}, {5, 12, 33}, {12, 12, 100}}
 	for _, s := range shapes {
 		r, k, c := s[0], s[1], s[2]
-		m := NewMatrix(r, k)
-		b := NewMatrix(k, c)
+		m := zeroMatrix(r, k)
+		b := zeroMatrix(k, c)
 		fill := func(mat *Matrix) {
 			d := mat.Data()
 			for i := range d {
@@ -511,7 +511,7 @@ func TestInvertMatchesEntrywise(t *testing.T) {
 }
 
 func TestInvertSingular(t *testing.T) {
-	m := NewMatrix(3, 3)
+	m := zeroMatrix(3, 3)
 	// Row 2 = row 0 + row 1.
 	vals := [][]Elem{{1, 2, 3}, {4, 5, 6}, {5, 7, 9}}
 	for i, row := range vals {
@@ -521,7 +521,7 @@ func TestInvertSingular(t *testing.T) {
 		t.Fatal("expected singular")
 	}
 	// The pivot search must survive needing a row swap: leading zero block.
-	sw := NewMatrix(2, 2)
+	sw := zeroMatrix(2, 2)
 	sw.Set(0, 1, 3)
 	sw.Set(1, 0, 5)
 	inv, ok := invert(sw)
@@ -550,7 +550,7 @@ func mulRangeInto(y []Elem, m, b *Matrix, lo, hi int) {
 // With distinct xs any c of its rows are linearly independent, which makes
 // it the test suite's source of invertible systems.
 func vandermonde(xs []Elem, c int) *Matrix {
-	m := NewMatrix(len(xs), c)
+	m := zeroMatrix(len(xs), c)
 	for i, x := range xs {
 		v := Elem(1)
 		for j := 0; j < c; j++ {
@@ -565,7 +565,7 @@ func vandermonde(xs []Elem, c int) *Matrix {
 func invert(m *Matrix) (*Matrix, bool) {
 	n, _ := m.Dims()
 	before := slices.Clone(m.Data())
-	inv := NewMatrix(n, n)
+	inv := zeroMatrix(n, n)
 	ok := InvertInto(inv, m, make([]Elem, n*n))
 	if !slices.Equal(m.Data(), before) {
 		panic("InvertInto modified its input")
@@ -585,4 +585,14 @@ func distinctElems(n int, rng *rand.Rand) []Elem {
 		out = append(out, e)
 	}
 	return out
+}
+
+// zeroMatrix is a zeroed r-by-c matrix over fresh storage.
+func zeroMatrix(r, c int) *Matrix { return NewMatrixFromData(r, c, make([]Elem, r*c)) }
+
+// mulVec is M·x into a fresh slice.
+func mulVec(m *Matrix, x []Elem) []Elem {
+	y := make([]Elem, m.rows)
+	m.MulVecInto(y, x)
+	return y
 }

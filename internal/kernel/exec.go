@@ -18,10 +18,6 @@ type Exec struct {
 	MaxFan int
 }
 
-// Serial returns an Exec that performs every operation on the calling
-// goroutine — no pool dispatch at all.
-func Serial() Exec { return Exec{MaxFan: 1} }
-
 func (e Exec) pool() *Pool {
 	if e.Pool != nil {
 		return e.Pool

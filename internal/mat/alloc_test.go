@@ -35,8 +35,8 @@ func TestLUSolveIntoZeroAllocs(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		a.Set(i, i, a.At(i, i)+12) // diagonally dominant: well-conditioned
 	}
-	f, err := FactorLU(a)
-	if err != nil {
+	f := new(LU)
+	if err := f.Factor(a); err != nil {
 		t.Fatal(err)
 	}
 	b := randVec(12, rng)
@@ -47,7 +47,7 @@ func TestLUSolveIntoZeroAllocs(t *testing.T) {
 }
 
 // An LU that has held a 6×6 factorization refactors smaller systems in
-// place, and solves them exactly as a fresh FactorLU does.
+// place, and solves them exactly as a fresh LU does.
 func TestLUFactorReusesStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	var f LU
@@ -62,8 +62,8 @@ func TestLUFactorReusesStorage(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("LU.Factor allocates %v/op reusing storage, want 0", allocs)
 	}
-	fresh, err := FactorLU(a)
-	if err != nil {
+	fresh := new(LU)
+	if err := fresh.Factor(a); err != nil {
 		t.Fatal(err)
 	}
 	b := randVec(3, rng)

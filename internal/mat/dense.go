@@ -72,15 +72,6 @@ func Rand(r, c int, rng *rand.Rand) *Dense {
 	return m
 }
 
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Dense {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
-}
-
 // Dims reports the matrix shape.
 func (m *Dense) Dims() (r, c int) { return m.rows, m.cols }
 
@@ -138,14 +129,6 @@ func (m *Dense) Clone() *Dense {
 	d := make([]float64, len(m.data))
 	copy(d, m.data)
 	return &Dense{rows: m.rows, cols: m.cols, data: d}
-}
-
-// RowSlice returns the sub-matrix of rows [lo, hi) sharing storage with m.
-func (m *Dense) RowSlice(lo, hi int) *Dense {
-	if lo < 0 || hi > m.rows || lo > hi {
-		panic(fmt.Sprintf("mat: row slice [%d,%d) out of range %d", lo, hi, m.rows))
-	}
-	return &Dense{rows: hi - lo, cols: m.cols, data: m.data[lo*m.cols : hi*m.cols]}
 }
 
 // Fill sets every entry to v.

@@ -19,15 +19,6 @@ type LU struct {
 	piv []int
 }
 
-// FactorLU computes the LU factorization of square A with partial pivoting.
-func FactorLU(a *Dense) (*LU, error) {
-	f := &LU{}
-	if err := f.Factor(a); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // Factor computes the LU factorization of square A with partial pivoting
 // into f, reusing f's storage: a factorization that has once held an n×n
 // system factors any system up to n×n without allocating, so a decoder

@@ -51,8 +51,8 @@ func TestSolveResidualProperty(t *testing.T) {
 
 func TestSolveMany(t *testing.T) {
 	a := NewFromRows([][]float64{{4, 1}, {1, 3}})
-	f, err := FactorLU(a)
-	if err != nil {
+	f := new(LU)
+	if err := f.Factor(a); err != nil {
 		t.Fatal(err)
 	}
 	// Two right-hand sides, {5, 4} and {9, 7}, solved as two lanes.
@@ -78,8 +78,8 @@ func TestSolveLanesIntoMatchesSolveInto(t *testing.T) {
 		for i := 0; i < n; i++ {
 			a.Set(i, i, a.At(i, i)+float64(n)) // well conditioned, pivots permuted or not
 		}
-		f, err := FactorLU(a)
-		if err != nil {
+		f := new(LU)
+		if err := f.Factor(a); err != nil {
 			t.Fatal(err)
 		}
 		const m, stride = 37, 50
@@ -123,10 +123,10 @@ func TestSolveLanesIntoMatchesSolveInto(t *testing.T) {
 	}
 }
 
-// luSolve solves the square system A·x = b through FactorLU and SolveInto.
+// luSolve solves the square system A·x = b through LU.Factor and SolveInto.
 func luSolve(a *Dense, b []float64) ([]float64, error) {
-	f, err := FactorLU(a)
-	if err != nil {
+	f := new(LU)
+	if err := f.Factor(a); err != nil {
 		return nil, err
 	}
 	x := make([]float64, len(b))

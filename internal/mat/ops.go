@@ -32,30 +32,20 @@ func MatVecInto(a *Dense, x, y []float64) {
 	kernel.MatVec(y, a.data, a.rows, a.cols, x)
 }
 
-// MatVecRows computes (A·x)[lo:hi] — only the rows in [lo, hi) — into a
-// new slice of length hi-lo. This is the kernel a coded-computing worker
-// runs when S2C2 assigns it a sub-range of its partition.
-func MatVecRows(a *Dense, x []float64, lo, hi int) []float64 {
-	if lo < 0 || hi > a.rows || lo > hi {
-		panic(fmt.Sprintf("mat: MatVecRows range [%d,%d) out of %d", lo, hi, a.rows))
-	}
-	y := make([]float64, hi-lo)
-	MatVecRowsInto(a, x, y, lo, hi)
-	return y
-}
-
-// MatVecRowsInto is MatVecRows writing into a caller slice of length hi-lo.
+// MatVecRowsInto computes (A·x)[lo:hi] — only the rows in [lo, hi) — into
+// y, of length hi-lo. This is the kernel a coded-computing worker runs
+// when S2C2 assigns it a sub-range of its partition.
 //
 //s2c2:noalloc
 func MatVecRowsInto(a *Dense, x, y []float64, lo, hi int) {
 	if lo < 0 || hi > a.rows || lo > hi {
-		panic(fmt.Sprintf("mat: MatVecRows range [%d,%d) out of %d", lo, hi, a.rows))
+		panic(fmt.Sprintf("mat: MatVecRowsInto range [%d,%d) out of %d", lo, hi, a.rows))
 	}
 	if len(x) != a.cols {
-		panic(fmt.Sprintf("mat: MatVecRows x length %d want %d", len(x), a.cols))
+		panic(fmt.Sprintf("mat: MatVecRowsInto x length %d want %d", len(x), a.cols))
 	}
 	if len(y) != hi-lo {
-		panic(fmt.Sprintf("mat: MatVecRows y length %d want %d", len(y), hi-lo))
+		panic(fmt.Sprintf("mat: MatVecRowsInto y length %d want %d", len(y), hi-lo))
 	}
 	kernel.MatVecRange(y, a.data, a.cols, x, lo, hi)
 }

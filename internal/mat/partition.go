@@ -2,24 +2,6 @@ package mat
 
 import "fmt"
 
-// SplitRows divides A into k contiguous row blocks whose vertical
-// concatenation reproduces A. If A's row count is not divisible by k the
-// matrix is zero-padded at the bottom first (PadRows), so every block has
-// exactly ceil(rows/k) rows — the uniform-partition requirement of MDS
-// encoding. The returned blocks copy their data.
-func SplitRows(a *Dense, k int) []*Dense {
-	if k <= 0 {
-		panic(fmt.Sprintf("mat: SplitRows k=%d", k))
-	}
-	padded := PadRows(a, k)
-	per := padded.rows / k
-	blocks := make([]*Dense, k)
-	for i := 0; i < k; i++ {
-		blocks[i] = padded.RowSlice(i*per, (i+1)*per).Clone()
-	}
-	return blocks
-}
-
 // PadRows returns A zero-padded at the bottom so its row count is a
 // multiple of k. If it already is, A itself is returned (no copy).
 func PadRows(a *Dense, k int) *Dense {

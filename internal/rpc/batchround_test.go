@@ -54,7 +54,7 @@ func runGFBatchTrial(t *testing.T, rng *rand.Rand, w int) {
 				cfg.Slowdown = 100
 			}
 			if splitResults {
-				cfg.MaxResultRows = 3
+				cfg.maxResultRows = 3
 			}
 			return cfg
 		},
@@ -93,10 +93,7 @@ func runGFBatchTrial(t *testing.T, rng *rand.Rand, w int) {
 		// Every delivered partial is bit-identical to recomputing the same
 		// batched ranges locally (worker kernel == local kernel).
 		for _, p := range partials {
-			local, err := enc.WorkerMatVecBatch(p.Worker, xs, w, p.Ranges)
-			if err != nil {
-				t.Fatal(err)
-			}
+			local := enc.WorkerComputeBatchInto(p.Worker, xs, w, p.Ranges, nil)
 			if len(local.Values) != len(p.Values) {
 				t.Fatalf("worker %d: rpc delivered %d values, local compute %d", p.Worker, len(p.Values), len(local.Values))
 			}
@@ -405,10 +402,7 @@ func TestMasterGFWireBatchRoundZeroAllocsSteadyState(t *testing.T) {
 	xs := randElems(rng, bw*cols)
 	var results []*GFResult
 	for _, wk := range []int{0, 1, 2, 3, 4, 5, 8, 9} {
-		p, err := enc.WorkerMatVecBatch(wk, xs, bw, []coding.Range{{Lo: 0, Hi: enc.BlockRows}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := enc.WorkerComputeBatchInto(wk, xs, bw, []coding.Range{{Lo: 0, Hi: enc.BlockRows}}, nil)
 		results = append(results, &GFResult{
 			Iter: 0, Phase: 0, Worker: wk, RowWidth: bw, Ranges: p.Ranges, Values: p.Values,
 		})

@@ -32,7 +32,7 @@ import (
 func streamVictim(src io.Reader, maxFrame int) *Worker {
 	r := wire.NewReader(src)
 	r.SetMaxFrame(maxFrame)
-	return newWorker(WorkerConfig{Slowdown: 1, MaxResultRows: 4 << 20},
+	return newWorker(WorkerConfig{Slowdown: 1, maxResultRows: 4 << 20},
 		&wireConn{w: wire.NewWriter(io.Discard), r: r})
 }
 
@@ -53,7 +53,7 @@ func TestChunksLandIntactThroughFragmentedReads(t *testing.T) {
 	const rows, cols, chunkRows = 13, 37, 4 // 1184-byte chunks: well past the eager header window
 	rng := rand.New(rand.NewSource(5))
 	part := mat.Rand(rows, cols, rng)
-	gfPart := gf.NewMatrix(rows, cols)
+	gfPart := gf.NewMatrixFromData(rows, cols, make([]gf.Elem, rows*cols))
 	for i := range gfPart.Data() {
 		gfPart.Data()[i] = gf.New(rng.Uint64())
 	}
@@ -412,7 +412,7 @@ func TestWorkerHandleWorkZeroAllocsSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	w := streamVictim(bytes.NewReader(nil), maxRPCFrame)
 	w.float.partitions[0] = heldCopy[floatCodec](mat.Rand(rows, cols, rng))
-	gfPart := gf.NewMatrix(rows, cols)
+	gfPart := gf.NewMatrixFromData(rows, cols, make([]gf.Elem, rows*cols))
 	for i := range gfPart.Data() {
 		gfPart.Data()[i] = gf.New(rng.Uint64())
 	}
@@ -426,7 +426,7 @@ func TestWorkerHandleWorkZeroAllocsSteadyState(t *testing.T) {
 	for _, c := range []struct {
 		exec   kernel.Exec
 		ranges []coding.Range
-	}{{kernel.Serial(), whole}, {kernel.Serial(), small}, {kernel.Exec{}, small}} {
+	}{{kernel.Exec{MaxFan: 1}, whole}, {kernel.Exec{MaxFan: 1}, small}, {kernel.Exec{}, small}} {
 		w.cfg.Exec = c.exec
 		for _, bw := range []int{1, 8} {
 			x := make([]float64, bw*cols)

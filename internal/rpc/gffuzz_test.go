@@ -261,7 +261,7 @@ func FuzzChunkStream(f *testing.F) {
 		maxPartitionElems = 1 << 14
 		defer func() { maxPartitionElems = old }()
 		tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(bytes.NewReader(data))}
-		w := newWorker(WorkerConfig{Slowdown: 1, MaxResultRows: 4 << 20}, tc)
+		w := newWorker(WorkerConfig{Slowdown: 1, maxResultRows: 4 << 20}, tc)
 		// serve, not Run: Run releases the partition maps on return, and the
 		// invariant below inspects them.
 		w.serve() //nolint:errcheck // any error is a valid outcome; panics fail the fuzz

@@ -31,7 +31,9 @@ func randElems(rng *rand.Rand, n int) []gf.Elem {
 // gfGroundTruth computes A·x over the field locally (the bit-exact
 // reference every distributed round must reproduce).
 func gfGroundTruth(rows, cols int, data, x []gf.Elem) []gf.Elem {
-	return gf.NewMatrixFromData(rows, cols, data).MulVec(x)
+	y := make([]gf.Elem, rows)
+	gf.NewMatrixFromData(rows, cols, data).MulVecInto(y, x)
+	return y
 }
 
 // runGFTrial runs one randomized cluster trial: random (n,k), partition
@@ -67,7 +69,7 @@ func runGFTrial(t *testing.T, rng *rand.Rand) {
 				cfg.Slowdown = 100
 			}
 			if splitResults {
-				cfg.MaxResultRows = 3
+				cfg.maxResultRows = 3
 			}
 			return cfg
 		},
@@ -296,10 +298,7 @@ func gfGatherFixture(tb testing.TB) (*coding.GFEncodedMatrix, []*GFResult, []gf.
 	x := randElems(rng, cols)
 	var results []*GFResult
 	for _, w := range []int{0, 1, 2, 3, 4, 5, 8, 9} {
-		p, err := enc.WorkerMatVec(w, x, []coding.Range{{Lo: 0, Hi: enc.BlockRows}})
-		if err != nil {
-			tb.Fatal(err)
-		}
+		p := enc.WorkerCompute(w, x, []coding.Range{{Lo: 0, Hi: enc.BlockRows}})
 		results = append(results, &GFResult{
 			Iter: 0, Phase: 0, Worker: w, RowWidth: 1, Ranges: p.Ranges, Values: p.Values,
 		})

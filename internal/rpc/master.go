@@ -655,13 +655,13 @@ func Distribute[T coding.Element, M Partition[T]](ctx context.Context, j *Job, p
 }
 
 // DistributePartitions is Distribute on the default job. benchmark/ is its
-// last caller; ROADMAP 2(d) deletes it once the harness moves.
+// last caller; ROADMAP 10(a) deletes it once the harness moves.
 func (m *Master) DistributePartitions(phase int, enc *coding.EncodedMatrix) error {
 	return Distribute(context.Background(), &m.def, phase, enc.Parts)
 }
 
 // DistributeGFPartitions is Distribute of field partitions. benchmark/ is
-// its last caller; ROADMAP 2(d) deletes it once the harness moves.
+// its last caller; ROADMAP 10(a) deletes it once the harness moves.
 func (j *Job) DistributeGFPartitions(phase int, parts []*gf.Matrix) error {
 	return Distribute(context.Background(), j, phase, parts)
 }
@@ -993,7 +993,7 @@ func (ws *roundWorkspace[T]) begin(n, blockRows, k, w int) {
 	// A worker normally sends one result per Work message, and a round
 	// sends at most one original plus one reassignment message per
 	// worker, so 2n partial structs cover the common case. Workers whose
-	// results exceed WorkerConfig.MaxResultRows split them into several
+	// results exceed their result-row cap split them into several
 	// messages — that surplus (like a misbehaving worker's) falls back to
 	// allocation, trading the 0-alloc property for bounded frames on
 	// multi-gigabyte partitions.
@@ -1078,7 +1078,7 @@ func copyPartials[T coding.Element](src []*coding.PartialOf[T]) []*coding.Partia
 func (m *Master) DefaultJob() *Job { return &m.def }
 
 // PlanRound is the default job's PlanRound. benchmark/ is its last caller;
-// ROADMAP 2(d) deletes it once the harness moves.
+// ROADMAP 10(a) deletes it once the harness moves.
 func (m *Master) PlanRound(s sched.Strategy, speeds []float64) (*sched.Plan, error) {
 	return m.def.PlanRound(s, speeds)
 }
@@ -1136,13 +1136,13 @@ func Run[T coding.Element](ctx context.Context, j *Job, s RoundSpec[T]) ([]*codi
 }
 
 // RunRound is Run on the default job. benchmark/ is its last caller;
-// ROADMAP 2(d) deletes it once the harness moves.
+// ROADMAP 10(a) deletes it once the harness moves.
 func (m *Master) RunRound(iter, phase int, x []float64, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
 	return Run(context.Background(), &m.def, RoundSpec[float64]{Iter: iter, Phase: phase, X: x, Plan: plan, K: k, TimeoutFrac: timeoutFrac})
 }
 
 // RunGFRoundBatch is Run of a field round. benchmark/ is its last caller;
-// ROADMAP 2(d) deletes it once the harness moves.
+// ROADMAP 10(a) deletes it once the harness moves.
 func (j *Job) RunGFRoundBatch(iter, phase int, xs []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
 	return Run(context.Background(), j, RoundSpec[gf.Elem]{Iter: iter, Phase: phase, X: xs, Width: w, Plan: plan, K: k, TimeoutFrac: timeoutFrac})
 }

@@ -320,7 +320,7 @@ func TestQueuedRoundsObserveShutdown(t *testing.T) {
 		_, _, err := Run(context.Background(), m.DefaultJob(), RoundSpec[float64]{X: x, Plan: plan, K: n, TimeoutFrac: 10.0})
 		errs <- err
 	}()
-	waitUntil(t, 5*time.Second, "the slot holder to start", func() bool { return m.ActiveRounds() == 1 })
+	waitUntil(t, 5*time.Second, "the slot holder to start", func() bool { return activeRounds(m) == 1 })
 	// The parked rounds, through the Background()-pinned wrappers.
 	for _, j := range jobs {
 		go func(j *Job) {
@@ -329,7 +329,7 @@ func TestQueuedRoundsObserveShutdown(t *testing.T) {
 		}(j)
 	}
 	waitUntil(t, 5*time.Second, "all rounds to park in the wait queue", func() bool {
-		return m.QueuedRounds() == queued
+		return queuedRounds(m) == queued
 	})
 
 	m.Shutdown()
@@ -478,9 +478,9 @@ func TestHighestPriorityPolicyOrdersQueue(t *testing.T) {
 	}
 	wg.Add(2)
 	go run(low, 1)
-	waitUntil(t, 5*time.Second, "the low-priority round to park", func() bool { return m.QueuedRounds() == 1 })
+	waitUntil(t, 5*time.Second, "the low-priority round to park", func() bool { return queuedRounds(m) == 1 })
 	go run(high, 9)
-	waitUntil(t, 5*time.Second, "the high-priority round to park", func() bool { return m.QueuedRounds() == 2 })
+	waitUntil(t, 5*time.Second, "the high-priority round to park", func() bool { return queuedRounds(m) == 2 })
 
 	m.releaseRoundSlot() // frees the slot: the policy must pick the high-priority round
 	wg.Wait()
@@ -588,4 +588,19 @@ func TestMultiJobWireRoundZeroAllocsSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("50 steady-state multi-job rounds allocate %v times, want 0", allocs)
 	}
+}
+
+// queuedRounds reports how many rounds are parked in m's wait queue.
+func queuedRounds(m *Master) int {
+	m.qmu.Lock()
+	defer m.qmu.Unlock()
+	return len(m.waitq)
+}
+
+// activeRounds reports how many rounds hold m's concurrency slots. It
+// stays 0 when MaxConcurrentRounds is unset (no accounting without a cap).
+func activeRounds(m *Master) int {
+	m.qmu.Lock()
+	defer m.qmu.Unlock()
+	return m.activeRounds
 }

@@ -118,7 +118,7 @@ type (
 )
 
 // ResultOf returns the computed rows. A result larger than the worker's
-// MaxResultRows arrives as several messages; every segment but the last
+// result-row cap arrives as several messages; every segment but the last
 // sets Partial, so the master counts the worker as responded — and
 // records its response time for the §4.3 timeout and the speed predictor
 // — only when the full result has been delivered.

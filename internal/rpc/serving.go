@@ -446,21 +446,6 @@ func (m *Master) pickLocked() int {
 	return i
 }
 
-// QueuedRounds reports how many rounds are parked in the wait queue.
-func (m *Master) QueuedRounds() int {
-	m.qmu.Lock()
-	defer m.qmu.Unlock()
-	return len(m.waitq)
-}
-
-// ActiveRounds reports how many rounds hold concurrency slots. Always 0
-// when MaxConcurrentRounds is unset (no accounting without a cap).
-func (m *Master) ActiveRounds() int {
-	m.qmu.Lock()
-	defer m.qmu.Unlock()
-	return m.activeRounds
-}
-
 // Compile-time interface checks for the built-in policies.
 var (
 	_ PriorityPolicy = fcfsPolicy{}

@@ -205,7 +205,7 @@ func TestWorkerRejectsCorruptFrames(t *testing.T) {
 func TestLargeResultsSplitAcrossMessages(t *testing.T) {
 	n, k := 3, 2
 	m := startClusterCfg(t, n, MasterConfig{}, func(i int) WorkerConfig {
-		return WorkerConfig{MaxResultRows: 7} // force splitting on a laptop-sized fixture
+		return WorkerConfig{maxResultRows: 7} // force splitting on a laptop-sized fixture
 	})
 	rng := rand.New(rand.NewSource(82))
 	a := mat.Rand(60, 4, rng) // blockRows 30 >> 7: every worker splits

@@ -29,17 +29,19 @@ type WorkerConfig struct {
 	// on a single-core host); co-tenant workers in one process should cap
 	// MaxFan or bring their own pool.
 	Exec kernel.Exec
-	// MaxResultRows bounds one Result message's row count so result
-	// frames stay well under the receiver's frame limit no matter how
-	// large the partition is; larger results are split into several
-	// messages, which the master's gather accepts natively. Zero selects
-	// 4 Mi rows (≈ 32 MiB of values).
-	MaxResultRows int
 	// WriteTimeout is the base per-send write deadline (scaled up with
 	// payload size), mirroring MasterConfig.StallTimeout on the master
 	// side; raise it together with the master's on slow links. Zero
 	// selects 30 seconds.
 	WriteTimeout time.Duration
+
+	// maxResultRows bounds one Result message's row count so result
+	// frames stay well under the receiver's frame limit no matter how
+	// large the partition is; larger results are split into several
+	// messages, which the master's gather accepts natively. Zero selects
+	// 4 Mi rows (≈ 32 MiB of values); tests set it low to force the
+	// split on small fixtures.
+	maxResultRows int
 }
 
 // partBuild is a streamed partition, from its start header on: the
@@ -120,8 +122,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Slowdown <= 0 {
 		cfg.Slowdown = 1
 	}
-	if cfg.MaxResultRows <= 0 {
-		cfg.MaxResultRows = 4 << 20
+	if cfg.maxResultRows <= 0 {
+		cfg.maxResultRows = 4 << 20
 	}
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = defaultStallTimeout
@@ -408,17 +410,17 @@ func (l *workerLane[C, T]) handle(job *WorkOf[T]) {
 }
 
 // sendBounded sends res, splitting it into range-aligned segments of at
-// most cfg.MaxResultRows values when necessary so result frames never
+// most cfg.maxResultRows values when necessary so result frames never
 // outgrow the receiver's frame limit. Segments of a batched result carry
 // whole rows — all RowWidth lanes of a row travel in one message — so the
-// row cap is MaxResultRows/width, floored at 1: a single row always ships
+// row cap is maxResultRows/width, floored at 1: a single row always ships
 // whole, matching the one-row-chunk escape of partition streaming. Only
 // the segment that completes the result clears Partial; the master counts
 // the worker as responded on it.
 func (l *workerLane[C, T]) sendBounded(res *ResultOf[T]) error {
 	c := l.w.c
 	wd := res.RowWidth
-	maxRows := max(l.w.cfg.MaxResultRows/wd, 1)
+	maxRows := max(l.w.cfg.maxResultRows/wd, 1)
 	total := coding.TotalRows(res.Ranges)
 	if total <= maxRows {
 		return c.sendResult(res)

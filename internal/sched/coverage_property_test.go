@@ -21,12 +21,6 @@ func TestCyclicLayoutCoversEveryRowExactlyK(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d k=%d rows=%d m=%d speeds=%v: %v", n, k, blockRows, gran, speeds, err)
 		}
-		for row, c := range plan.Coverage() {
-			if c != k {
-				t.Fatalf("n=%d k=%d rows=%d m=%d speeds=%v: row %d covered %d times, want exactly %d\nassignments: %v",
-					n, k, blockRows, gran, speeds, row, c, k, plan.Assignments)
-			}
-		}
 		// Each worker's assignment must stay within one partition.
 		for w, ranges := range plan.Assignments {
 			for _, r := range ranges {
@@ -34,6 +28,18 @@ func TestCyclicLayoutCoversEveryRowExactlyK(t *testing.T) {
 					t.Fatalf("worker %d has invalid range [%d,%d) in [0,%d)", w, r.Lo, r.Hi, blockRows)
 				}
 			}
+		}
+		for row, c := range delivered(plan, k).Cov {
+			if c != k {
+				t.Fatalf("n=%d k=%d rows=%d m=%d speeds=%v: row %d covered %d times, want exactly %d\nassignments: %v",
+					n, k, blockRows, gran, speeds, row, c, k, plan.Assignments)
+			}
+		}
+		// Exactly k distinct workers per row and k·BlockRows assigned rows
+		// in all: no worker is handed a row twice.
+		if total := totalRows(plan); total != k*blockRows {
+			t.Fatalf("n=%d k=%d rows=%d m=%d speeds=%v: %d rows assigned, want k·BlockRows = %d\nassignments: %v",
+				n, k, blockRows, gran, speeds, total, k*blockRows, plan.Assignments)
 		}
 	}
 
@@ -78,4 +84,26 @@ func TestCyclicLayoutCoversEveryRowExactlyK(t *testing.T) {
 			check(t, n, k, blockRows, gran, speeds)
 		}
 	})
+}
+
+// delivered folds every assignment of p into a fresh round Ledger that
+// needs coverage k, as a round in which every worker responds does: Cov is
+// then each row's coverage by distinct workers, and Covered the
+// decodability invariant the runtime waits on.
+func delivered(p *Plan, k int) *Ledger {
+	l := new(Ledger)
+	l.Reset(len(p.Assignments), k, p.BlockRows)
+	for w, ranges := range p.Assignments {
+		l.Deliver(w, ranges, true)
+	}
+	return l
+}
+
+// totalRows sums the rows p assigns over all workers.
+func totalRows(p *Plan) int {
+	t := 0
+	for w := range p.Assignments {
+		t += p.RowsFor(w)
+	}
+	return t
 }

@@ -51,7 +51,7 @@ func (m *ledgerModel) inFlight(r int) (active, late int) {
 func routedTo(l *Ledger, r int) int {
 	c := 0
 	for _, rs := range l.Routed.Ranges {
-		if slices.ContainsFunc(rs, func(rg coding.Range) bool { return rg.Contains(r) }) {
+		if slices.ContainsFunc(rs, func(rg coding.Range) bool { return rg.Lo <= r && r < rg.Hi }) {
 			c++
 		}
 	}

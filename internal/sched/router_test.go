@@ -136,7 +136,7 @@ func FuzzReassign(f *testing.F) {
 			t.Fatalf("Extra %v, ranges count %v", rt.Extra, extra)
 		}
 		for w, rs := range rt.Ranges {
-			if !slices.Equal(rs, coding.NormalizeRanges(rs)) {
+			if !slices.Equal(rs, coding.AppendNormalizeRanges(nil, rs)) {
 				t.Fatalf("worker %d ranges %v not normalized", w, rs)
 			}
 		}

@@ -17,7 +17,7 @@ func TestConventionalMDSPlan(t *testing.T) {
 			t.Fatalf("worker %d assigned %d rows, want full partition", w, p.RowsFor(w))
 		}
 	}
-	if !p.CoverageAtLeast(4) {
+	if !delivered(p, 4).Covered() {
 		t.Fatal("conventional MDS covers every row n times")
 	}
 	if _, err := c.Plan([]float64{1}); err == nil {
@@ -41,8 +41,7 @@ func TestBasicS2C2EqualSplit(t *testing.T) {
 			t.Fatalf("worker %d assigned %d rows, want 6 (= 9·k/s)", w, p.RowsFor(w))
 		}
 	}
-	cov := p.Coverage()
-	for r, c := range cov {
+	for r, c := range delivered(p, 2).Cov {
 		if c != 2 {
 			t.Fatalf("row %d covered %d times, want exactly 2", r, c)
 		}
@@ -57,7 +56,7 @@ func TestBasicS2C2FallsBackWhenTooManyStragglers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.CoverageAtLeast(2) {
+	if !delivered(p, 2).Covered() {
 		t.Fatal("coverage must still be k")
 	}
 }
@@ -76,7 +75,7 @@ func TestGeneralS2C2ProportionalAllocation(t *testing.T) {
 			t.Fatalf("worker %d assigned %d rows, want %d", w, p.RowsFor(w), rows)
 		}
 	}
-	for r, c := range p.Coverage() {
+	for r, c := range delivered(p, 4).Cov {
 		if c != 4 {
 			t.Fatalf("row %d covered %d times, want exactly 4", r, c)
 		}
@@ -95,11 +94,11 @@ func TestGeneralS2C2FastWorkerCapped(t *testing.T) {
 	if p.RowsFor(0) != 12 {
 		t.Fatalf("fast worker assigned %d rows, want full partition 12", p.RowsFor(0))
 	}
-	if !p.CoverageAtLeast(2) {
+	if !delivered(p, 2).Covered() {
 		t.Fatal("coverage violated after capping")
 	}
-	if p.TotalRows() != 24 {
-		t.Fatalf("total rows %d want k·blockRows = 24", p.TotalRows())
+	if total := totalRows(p); total != 24 {
+		t.Fatalf("total rows %d want k·blockRows = 24", total)
 	}
 }
 
@@ -149,7 +148,7 @@ func TestGeneralS2C2CoverageProperty(t *testing.T) {
 			return false
 		}
 		// Exactly k coverage everywhere.
-		for _, c := range p.Coverage() {
+		for _, c := range delivered(p, k).Cov {
 			if c != k {
 				return false
 			}
@@ -163,7 +162,7 @@ func TestGeneralS2C2CoverageProperty(t *testing.T) {
 				return false
 			}
 		}
-		return p.TotalRows() == k*blockRows
+		return totalRows(p) == k*blockRows
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {
 		t.Fatal(err)
@@ -226,11 +225,11 @@ func TestPlanAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumWorkers() != 4 {
-		t.Fatal("NumWorkers wrong")
+	if len(p.Assignments) != 4 {
+		t.Fatal("worker count wrong")
 	}
-	if p.TotalRows() != 36 {
-		t.Fatalf("TotalRows = %d want 36", p.TotalRows())
+	if total := totalRows(p); total != 36 {
+		t.Fatalf("total rows = %d want 36", total)
 	}
 	// Equal speeds: every worker gets exactly k/n of the work.
 	for w := 0; w < 4; w++ {

@@ -6,10 +6,12 @@
 // internal/sim.
 //
 // A Plan assigns every worker a set of row ranges within its own coded
-// partition. The central invariant — checked by Plan.Coverage and
-// property-tested — is that every partition row index is covered by at
-// least k distinct workers, which is exactly the decodability condition
-// of the MDS (or polynomial) code.
+// partition. The central invariant is that every partition row index is
+// covered by at least k distinct workers, which is exactly the
+// decodability condition of the MDS (or polynomial) code. A round's
+// Ledger counts that coverage as results land (Cov, Covered), and the
+// coverage property tests (TestCyclicLayoutCoversEveryRowExactlyK,
+// TestGeneralS2C2CoverageProperty) hold the planners to it.
 package sched
 
 import (
@@ -25,45 +27,8 @@ type Plan struct {
 	Assignments [][]coding.Range
 }
 
-// NumWorkers returns the worker count.
-func (p *Plan) NumWorkers() int { return len(p.Assignments) }
-
 // RowsFor returns how many rows worker w is assigned.
 func (p *Plan) RowsFor(w int) int { return coding.TotalRows(p.Assignments[w]) }
-
-// TotalRows sums assigned rows over all workers.
-func (p *Plan) TotalRows() int {
-	t := 0
-	for w := range p.Assignments {
-		t += p.RowsFor(w)
-	}
-	return t
-}
-
-// Coverage returns, for each partition row index, how many workers are
-// assigned to compute it.
-func (p *Plan) Coverage() []int {
-	cov := make([]int, p.BlockRows)
-	for _, ranges := range p.Assignments {
-		for _, r := range ranges {
-			for i := r.Lo; i < r.Hi; i++ {
-				cov[i]++
-			}
-		}
-	}
-	return cov
-}
-
-// CoverageAtLeast reports whether every row index is covered by >= k
-// workers (the decodability invariant).
-func (p *Plan) CoverageAtLeast(k int) bool {
-	for _, c := range p.Coverage() {
-		if c < k {
-			return false
-		}
-	}
-	return true
-}
 
 // Strategy produces per-iteration work plans from predicted speeds.
 type Strategy interface {

@@ -64,10 +64,6 @@ func (c CommModel) TransferTime(bytes float64) float64 {
 // descent — correctly weighted.
 const ElemRate = 200000.0
 
-// SpeedScale is the legacy rows-per-second interpretation used where a
-// kernel's row width is already folded into the work estimate.
-const SpeedScale = 1000.0
-
 // computeElems returns the virtual seconds a worker at `speed` needs for
 // `elems` multiply-accumulates. Zero/negative speed is guarded with a
 // huge constant; callers must not schedule work on such workers.

@@ -59,14 +59,6 @@ func (a *Accounting) reset(iter, n int) {
 		UsedRows: growCounters(a.UsedRows, n), TimedOut: a.TimedOut[:0]}
 }
 
-// WastedFraction returns the round's wasted compute fraction for worker w.
-func (a *Accounting) WastedFraction(w int) float64 {
-	if a.ComputedRows[w] == 0 {
-		return 0
-	}
-	return float64(a.ComputedRows[w]-a.UsedRows[w]) / float64(a.ComputedRows[w])
-}
-
 // speedSource is where a cluster's planning speeds come from. With a
 // forecaster it is a predict.Tracker, created on first use; in oracle
 // mode it stays empty — nobody would read the history it kept.

@@ -154,9 +154,6 @@ const headReserve = binary.MaxVarintLen64
 // NewWriter returns a Writer framing onto w.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-// Reset points the Writer at a new destination, keeping its buffer.
-func (w *Writer) Reset(dst io.Writer) { w.w = dst }
-
 // Begin starts a frame of the given type, discarding any unfinished frame.
 //
 //s2c2:noalloc
@@ -244,12 +241,6 @@ func NewReader(r io.Reader) *Reader {
 
 // SetMaxFrame overrides the accepted frame-body limit.
 func (r *Reader) SetMaxFrame(n int) { r.maxFrame = n }
-
-// Reset points the Reader at a new source, keeping its buffers.
-func (r *Reader) Reset(src io.Reader) {
-	r.r = src
-	r.br, _ = src.(io.ByteReader)
-}
 
 // ReadByte reads one length-prefix byte. It exists so binary.ReadUvarint
 // can consume the prefix through the Reader itself without an adapter

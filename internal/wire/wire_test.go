@@ -276,8 +276,7 @@ func TestReaderZeroAllocSteadyState(t *testing.T) {
 	r := NewReader(src)
 	dst := make([]float64, 0, len(vals))
 	round := func() {
-		src.Reset(stream)
-		r.Reset(src)
+		src.Reset(stream) // r keeps reading src, as a connection's reader does
 		for f := 0; f < 4; f++ {
 			typ, p, err := r.Next()
 			if err != nil || typ != TypeResult {
